@@ -2,13 +2,17 @@
 
 Randomness contract (reproducible across thread counts): all Monte Carlo
 draws come from numpy's Philox counter-based generator, one substream per
-trial keyed by ``seed * 2^64 + trial``.  Within a trial the draw layout is
-fixed: ``simulate`` consumes ``2n`` uniforms (value draw then tie coin per
-arrival, whether or not a tie occurs); ``prophet_value`` consumes ``n``
-(one value draw per element).  Trials are processed in fixed-size chunks,
-threads only distribute chunks, and every reduction is either exact integer
-arithmetic or a single fixed-order pass over a preallocated per-trial
-array, so reports are byte-identical for any ``--threads``.
+trial keyed by ``seed * 2^64 + trial``.  A Philox stream depends only on
+its key and counter, so ``trial_uniforms`` draws a chunk of trials from one
+generator re-keyed per trial; each row equals what a fresh
+``trial_generator(seed, trial)`` would draw.  Within a trial the draw
+layout is fixed: ``simulate`` consumes ``2n`` uniforms (value draw then tie
+coin per arrival, whether or not a tie occurs); ``prophet_samples``
+consumes ``n`` (one value draw per element).  Trials are processed in
+fixed-size chunks, threads only distribute chunks, and every reduction is
+either exact integer arithmetic or a single fixed-order pass over a
+preallocated per-trial array, so reports are byte-identical for any
+``--threads``.
 
 ``evaluate_exact`` forward-propagates the exact state distribution of a
 policy block; on a composed policy it evaluates each block with the hard
@@ -62,6 +66,28 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     """Philox substream for one trial; key = seed * 2^64 + trial."""
     key = ((seed & _MASK64) << 64) | (trial & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def trial_uniforms(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
+    """``k`` uniforms for each trial in ``[lo, hi)``, one row per trial.
+
+    Row ``r`` equals ``trial_generator(seed, lo + r).random(k)``: one Philox
+    is re-keyed per trial (counter 0, empty buffer) instead of building a
+    generator per trial.  The state dict is local, so threads share nothing.
+    """
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    key = [0, seed & _MASK64]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    out = np.empty((hi - lo, k))
+    for trial, row in zip(range(lo, hi), out):
+        key[0] = trial & _MASK64
+        bitgen.state = state
+        gen.random(out=row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +288,7 @@ def _run_chunk(plan: _Plan, seed, lo, hi, welfare_out, ignored_out,
                accept_out, viol_out):
     m = hi - lo
     n = plan.n
-    draws = np.empty((m, 2 * n))
-    for r in range(m):
-        draws[r] = trial_generator(seed, lo + r).random(2 * n)
+    draws = trial_uniforms(seed, lo, hi, 2 * n)
     states = np.tile(plan.initial_idx, (m, 1))
     counts = np.zeros((m, plan.num_meters), dtype=np.int64)
     welfare = np.zeros(m)
@@ -421,29 +445,46 @@ def _evaluate_block(policy: PricingPolicy, inst, state_cap):
 
 
 def prophet_samples(inst, trials: int, seed: int) -> np.ndarray:
-    """Per-trial offline optimum via greedy in the laminar matroid."""
+    """Per-trial offline optimum via greedy in the laminar matroid.
+
+    Each trial takes elements by decreasing value (ties by index) while
+    every ancestor bin has room; a chunk of trials runs the greedy as ``n``
+    rank steps, summing each trial's total in that same order.
+    """
     lam = as_laminar(inst)
     n = lam.num_elements
     values = [np.array(d.values) for d in lam.dists]
     cums = [np.cumsum(np.array(d.probs)) for d in lam.dists]
+    # ancestors padded with a sentinel bin, index num_bins, whose capacity
+    # never binds
     anc = [lam.elem_ancestors(e) for e in range(n)]
-    caps0 = list(lam.bin_caps)
+    ancestors = np.full((n, max(map(len, anc))), lam.num_bins, dtype=np.int64)
+    for e, bins in enumerate(anc):
+        ancestors[e, :len(bins)] = bins
+    caps0 = np.array(lam.bin_caps + (n + 1,), dtype=np.int64)
     out = np.empty(trials)
-    for trial in range(trials):
-        u = trial_generator(seed, trial).random(n)
-        vals = [values[e][min(np.searchsorted(cums[e], u[e], side="right"),
-                              len(values[e]) - 1)] for e in range(n)]
-        order = sorted(range(n), key=lambda e: (-vals[e], e))
-        rem = caps0.copy()
-        total = 0.0
-        for e in order:
-            if vals[e] <= 0.0:
-                break
-            if all(rem[b] > 0 for b in anc[e]):
-                for b in anc[e]:
-                    rem[b] -= 1
-                total += vals[e]
-        out[trial] = total
+    for lo in range(0, trials, CHUNK):
+        hi = min(lo + CHUNK, trials)
+        u = trial_uniforms(seed, lo, hi, n)
+        vals = np.empty_like(u)
+        for e in range(n):
+            ai = np.searchsorted(cums[e], u[:, e], side="right")
+            vals[:, e] = values[e][np.minimum(ai, len(values[e]) - 1)]
+        order = np.argsort(-vals, axis=1, kind="stable")
+        ranked = np.take_along_axis(vals, order, axis=1)
+        rows = np.arange(hi - lo)[:, None]
+        rem = np.tile(caps0, (hi - lo, 1))
+        total = np.zeros(hi - lo)
+        for r in range(n):
+            v = ranked[:, r]
+            positive = v > 0.0
+            if not positive.any():
+                break  # values only fall from here on
+            bins = ancestors[order[:, r]]
+            ok = positive & (rem[rows, bins] > 0).all(axis=1)
+            rem[rows, bins] -= ok[:, None]
+            total += np.where(ok, v, 0.0)
+        out[lo:hi] = total
     return out
 
 

@@ -25,6 +25,7 @@ feasible state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 PROB_TOL = 1e-12
@@ -114,6 +115,8 @@ def distribution_violations(dist, where="dist"):
     if abs(total - 1.0) > PROB_TOL:
         out.append(f"{where}: probabilities sum {total!r} != 1")
     for v, p in dist.atoms:
+        if not math.isfinite(v):
+            out.append(f"{where}: value {v!r} is not finite")
         if not (0.0 < p <= 1.0):
             out.append(f"{where}: probability {p!r} outside (0,1] at value {v!r}")
     vals = [v for v, _ in dist.atoms]

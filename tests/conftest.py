@@ -18,8 +18,10 @@ from binprice import (
     DiscreteDistribution,
     LaminarInstance,
     ProductionInstance,
+    as_laminar,
     production_to_laminar,
 )
+from binprice.harness import trial_generator
 
 VALUE_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 
@@ -230,3 +232,31 @@ def oracle_lp_vertices(c, a_ub, b_ub, a_eq, b_eq):
             if best is None or val > best:
                 best = val
     return best
+
+
+def reference_prophet_samples(inst, trials: int, seed: int) -> np.ndarray:
+    """Offline optimum one trial at a time: draw the trial's own substream,
+    then take elements by (-value, index) while every ancestor has room."""
+    lam = as_laminar(inst)
+    n = lam.num_elements
+    values = [np.array(d.values) for d in lam.dists]
+    cums = [np.cumsum(np.array(d.probs)) for d in lam.dists]
+    anc = [lam.elem_ancestors(e) for e in range(n)]
+    caps0 = list(lam.bin_caps)
+    out = np.empty(trials)
+    for trial in range(trials):
+        u = trial_generator(seed, trial).random(n)
+        vals = [values[e][min(np.searchsorted(cums[e], u[e], side="right"),
+                              len(values[e]) - 1)] for e in range(n)]
+        order = sorted(range(n), key=lambda e: (-vals[e], e))
+        rem = caps0.copy()
+        total = 0.0
+        for e in order:
+            if vals[e] <= 0.0:
+                break
+            if all(rem[b] > 0 for b in anc[e]):
+                for b in anc[e]:
+                    rem[b] -= 1
+                total += vals[e]
+        out[trial] = total
+    return out

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 
@@ -244,3 +245,94 @@ def test_search_flag_reports_result(tmp_path):
                             "--trials", "100", "--seed", "1"])
     assert code == 0
     assert json.loads(out)["counterexample"] == "no hit"
+
+
+def test_verify_checks_types_beyond_the_per_subset_limit(tmp_path):
+    # 14 buyers of one type: the summed cylinder and concavity checks run,
+    # only the 2^14-subset detail is skipped
+    doc = {"kind": "production",
+           "elements": [{"dist": [[0.0, 0.5], [1.0 + (t % 3), 0.5]]}
+                        for t in range(14)],
+           "types": [0] * 14, "days": [0] * 7 + [1] * 7,
+           "production": {"0": [2, 3]}, "shipping": 3}
+    inst = tmp_path / "wide.json"
+    inst.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", "--instance", str(inst),
+                              "--trials", "200", "--seed", "2"])
+    assert code == 0, err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    cyl = checks["negative cylinder type 0"]
+    assert cyl["ok"] is True
+    assert cyl["detail"].startswith("summed worst k=")
+    assert "per-subset not computed (14 buyers > 12)" in cyl["detail"]
+    assert checks["value concavity type 0"]["ok"] is True
+
+
+@pytest.mark.parametrize("atoms", [
+    [[0.0, 0.5], [math.inf, 0.5]],
+    [[-math.inf, 0.5], [1.0, 0.5]],
+    [[math.nan, 1.0]],
+    [[1.0, math.nan]],
+    [[0.0, math.inf]],
+])
+def test_non_finite_atoms_exit_2(tmp_path, atoms):
+    # json writes (and reads) these as the literals NaN, Infinity, -Infinity
+    doc = dict(GAP_INSTANCE,
+               elements=[GAP_INSTANCE["elements"][0], {"dist": atoms}])
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["solve", "--instance", str(bad), "--alg", "dp"])
+    assert code == 2
+    assert out == ""
+    assert "elements[1].dist" in err
+
+
+def _argument_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_trials_must_be_positive(capsys, instance_path, command):
+    argv = [command, "--instance", instance_path, "--trials", "0",
+            "--seed", "1"]
+    if command == "simulate":
+        argv += ["--policy", "unused.json"]
+    err = _argument_error(capsys, argv)
+    assert "argument --trials: 0 is not a positive integer" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_must_fit_64_bits(capsys, instance_path, seed):
+    err = _argument_error(capsys, ["verify", "--instance", instance_path,
+                                   "--seed", seed])
+    assert f"argument --seed: {seed} is not in [0, 2^64)" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_epsilon_must_be_in_range(capsys, instance_path, command):
+    argv = [command, "--instance", instance_path, "--epsilon", "1.5"]
+    if command == "solve":
+        argv += ["--alg", "ptas"]
+    err = _argument_error(capsys, argv)
+    assert "argument --epsilon: 1.5 is not in (0, 0.99)" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_delta_must_be_in_range(capsys, instance_path, command):
+    argv = [command, "--instance", instance_path, "--delta", "0"]
+    if command == "solve":
+        argv += ["--alg", "ptas"]
+    err = _argument_error(capsys, argv)
+    assert "argument --delta: 0 is not in (0, 1)" in err
+
+
+@pytest.mark.parametrize("alg", ["ex-ante", "hierarchy"])
+def test_scale_must_be_in_range(capsys, instance_path, alg):
+    err = _argument_error(capsys, ["solve", "--instance", instance_path,
+                                   "--alg", alg, "--scale", "0"])
+    assert "argument --scale: 0 is not in (0, 1]" in err
