@@ -33,6 +33,7 @@ from .model import (
     validate,
 )
 from .rounding import (
+    PolicyError,
     RoundingError,
     compose_policies,
     extract_all,
@@ -145,10 +146,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _load_policy(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return policy_from_json(fh.read())
+
+
 def cmd_simulate(args) -> int:
     inst = _load(args.instance)
-    with open(args.policy, "r", encoding="utf-8") as fh:
-        policy = policy_from_json(fh.read())
+    policy = _load_policy(args.policy)
     try:
         report = harness.simulate(policy, inst, args.trials, args.seed,
                                   threads=args.threads,
@@ -163,6 +168,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load(args.instance)
+    given = _load_policy(args.policy) if args.policy else None
     lam = as_laminar(inst)
     state_cap = args.state_cap
     checks = []
@@ -181,15 +187,16 @@ def cmd_verify(args) -> int:
                    abs(welfare - sol1.objective) <= 1e-6 and ydev <= 1e-7,
                    f"welfare={welfare!r} ydev={ydev!r}"))
 
-    if args.policy:
-        with open(args.policy, "r", encoding="utf-8") as fh:
-            given = policy_from_json(fh.read())
+    if given is not None:
         try:
             got, _ = harness.evaluate_exact(given, inst, state_cap=state_cap)
             ok = abs(got - sol1.objective) <= 1e-6
         except harness.CoverageError as exc:
             got, ok = None, False
             _diag(f"supplied policy does not cover the instance: {exc}")
+        except InstanceError as exc:
+            _diag(f"policy/instance mismatch: {exc}")
+            return EXIT_MISMATCH
         checks.append(("supplied policy exactness", ok,
                        f"welfare={got!r} lp={sol1.objective!r}"))
 
@@ -294,7 +301,7 @@ def _bounded(kind, ok, requirement):
     return parse
 
 
-_trials = _bounded(int, lambda v: v >= 1, "a positive integer")
+_positive = _bounded(int, lambda v: v >= 1, "a positive integer")
 # trial substreams are keyed by the seed's 64 bits; nothing may alias
 _seed = _bounded(int, lambda v: 0 <= v < 2 ** 64, "in [0, 2^64)")
 _epsilon = _bounded(float, lambda v: 0.0 < v < ptas.EPSILON_MAX,
@@ -316,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             sp.add_argument("--format", choices=("json", "csv"),
                             default="json")
-        sp.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+        sp.add_argument("--state-cap", type=_positive,
+                        default=DEFAULT_STATE_CAP)
 
     sp = sub.add_parser("solve", help="solve an instance")
     common(sp)
@@ -335,18 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="simulate a policy")
     common(sp)
     sp.add_argument("--policy", required=True, help="policy JSON path")
-    sp.add_argument("--trials", type=_trials, required=True)
+    sp.add_argument("--trials", type=_positive, required=True)
     sp.add_argument("--seed", type=_seed, required=True)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_positive, default=1)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("verify", help="run the property checks")
     common(sp)
     sp.add_argument("--policy", default=None,
                     help="externally supplied policy to check")
-    sp.add_argument("--trials", type=_trials, default=2000)
+    sp.add_argument("--trials", type=_positive, default=2000)
     sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_positive, default=1)
     sp.add_argument("--epsilon", type=_epsilon, default=0.2)
     sp.add_argument("--delta", type=_delta, default=None)
     sp.add_argument("--engine", choices=("auto", "simplex", "highs"),
@@ -380,6 +388,9 @@ def main(argv=None) -> int:
     except (lp.LpError, RoundingError) as exc:
         _diag(f"lp failure: {exc}")
         return EXIT_LP
+    except PolicyError as exc:
+        _diag(f"policy/instance mismatch: {exc}")
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

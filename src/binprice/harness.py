@@ -227,6 +227,11 @@ class _Plan:
         if isinstance(work, LaminarInstance):
             counter_name = {f"bin:{b}": ("root" if b == 0 else f"bin:{b}")
                             for b in range(work.num_bins)}
+        foreign = ({k for ks in counter_keys.values() for k in ks}
+                   - counter_name.keys())
+        if foreign:
+            raise InstanceError(f"policy: counters {sorted(foreign)} are not "
+                                "capacities of the instance")
 
         self.values = []
         self.cumprobs = []
@@ -506,19 +511,15 @@ def _chain_acceptance(p: ProductionInstance, type_index: int, shift: float):
     (acceptance at equality; zero where the checkpoint guard blocks).
     """
     table = solve_subproblem_dp(p, type_index, shift)
-    dyn = TypeSubproblem(p, type_index)
-    elems = dyn.elements
-    smax = max(s[0] for (_, s) in table.entries)
-    acc = np.zeros((len(elems), smax + 1))
+    elems = table.positions[:-1]
+    # a chain state's code is its sold count, and the last level holds them all
+    acc = np.zeros((len(elems), int(table.codes[-1][-1]) + 1))
     for i, t in enumerate(elems):
-        d = p.dists[t]
-        for s in range(smax + 1):
-            if table.value(i, (s,)) is None or not dyn.can_pick((s,), t):
-                continue
-            nxt = table.value(i + 1, (s + 1,))
-            stay = table.value(i + 1, (s,))
-            tau = stay - nxt
-            acc[i, s] = sum(pa for v, pa in d.atoms if v - shift >= tau)
+        tau = table.thresholds[i]  # inf where the guard blocks
+        row = 0.0
+        for v, pa in p.dists[t].atoms:
+            row += pa * (v - shift >= tau)  # adds pa or 0.0, in atom order
+        acc[i, table.codes[i]] = row
     return elems, acc
 
 

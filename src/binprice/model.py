@@ -445,6 +445,8 @@ class BinSubproblem:
 
     States are tuples of remaining capacities of the sub-tree's bins in
     pre-order; picking an element decrements every bin on its path.
+    ``ranges[i]`` bounds coordinate ``i`` over reachable states: a bin's
+    remaining capacity never falls below its cap minus its element count.
     """
 
     def __init__(self, inst: LaminarInstance, root_bin: int):
@@ -453,10 +455,20 @@ class BinSubproblem:
         index = {b: i for i, b in enumerate(self.bins)}
         self.elements = tuple(sorted(inst.bin_elements(root_bin)))
         self.initial = tuple(inst.bin_caps[b] for b in self.bins)
+        self.ranges = tuple(
+            (max(0, inst.bin_caps[b] - len(inst.bin_elements(b))),
+             inst.bin_caps[b]) for b in self.bins)
         self._coords = {
             e: tuple(index[b] for b in inst.elem_ancestors(e) if b in index)
             for e in self.elements
         }
+
+    def step(self, e):
+        """``(coords, delta, limits)``: picking ``e`` adds ``delta`` to each
+        coordinate in ``coords`` and is allowed iff every result lies in
+        ``[0, limit]``."""
+        coords = self._coords[e]
+        return coords, -1, tuple(self.initial[i] for i in coords)
 
     def can_pick(self, state, e) -> bool:
         return all(state[i] > 0 for i in self._coords[e])
@@ -487,9 +499,16 @@ class TypeSubproblem:
         self.initial = (0,)
         self._cap_at = {t: p.available(type_index, p.days[t])
                         for t in self.elements}
+        self.ranges = ((0, min(len(self.elements),
+                               max(self._cap_at.values(), default=0))),)
 
     def cap_at(self, e) -> int:
         return self._cap_at[e]
+
+    def step(self, e):
+        """As ``BinSubproblem.step``: a sale raises the count up to the
+        buyer's day cap."""
+        return (0,), 1, (self._cap_at[e],)
 
     def can_pick(self, state, e) -> bool:
         return state[0] < self._cap_at[e]

@@ -37,6 +37,10 @@ class RoundingError(RuntimeError):
     """An LP assignment too inconsistent to price (corrupt solution)."""
 
 
+class PolicyError(ValueError):
+    """A malformed policy document."""
+
+
 @dataclass(frozen=True)
 class PricingPolicy:
     """Threshold rules for one sub-problem.
@@ -63,6 +67,8 @@ class PricingPolicy:
 
     @classmethod
     def from_json_dict(cls, doc) -> "PricingPolicy":
+        if not isinstance(doc["scope"], str):
+            raise TypeError(f"scope {doc['scope']!r} is not a string")
         rules = {}
         for item in doc["rules"]:
             tau = item["tau"]
@@ -101,13 +107,21 @@ class ComposedPolicy:
 
     @classmethod
     def from_json_dict(cls, doc) -> "ComposedPolicy":
+        caps = dict(doc["counter_caps"])
+        if any(not isinstance(c, int) or isinstance(c, bool) or c < 0
+               for c in caps.values()):
+            raise ValueError("counter caps must be non-negative integers")
+        keys = {int(e): tuple(ks) for e, ks in doc["counter_keys"].items()}
+        uncapped = {k for ks in keys.values() for k in ks} - caps.keys()
+        if uncapped:
+            raise ValueError(f"counters {sorted(map(repr, uncapped))} "
+                             "have no cap")
         return cls(
             blocks={k: PricingPolicy.from_json_dict(v)
                     for k, v in doc["blocks"].items()},
             element_block={int(e): k for e, k in doc["element_block"].items()},
-            counter_caps=dict(doc["counter_caps"]),
-            counter_keys={int(e): tuple(keys)
-                          for e, keys in doc["counter_keys"].items()},
+            counter_caps=caps,
+            counter_keys=keys,
         )
 
 
@@ -116,12 +130,22 @@ def policy_to_json(policy) -> str:
 
 
 def policy_from_json(text: str):
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "scope" not in doc:
-        raise InstanceError("policy: document must carry a scope")
-    if doc["scope"] == "composed":
-        return ComposedPolicy.from_json_dict(doc)
-    return PricingPolicy.from_json_dict(doc)
+    """Parse a policy document; raises ``PolicyError`` on any malformed one."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PolicyError(f"policy: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("scope"), str):
+        raise PolicyError("policy: document must be an object with a "
+                          "string scope")
+    try:
+        if doc["scope"] == "composed":
+            return ComposedPolicy.from_json_dict(doc)
+        return PricingPolicy.from_json_dict(doc)
+    except KeyError as exc:
+        raise PolicyError(f"policy: missing field {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise PolicyError(f"policy: malformed document ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

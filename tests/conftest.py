@@ -8,6 +8,7 @@ never from the code paths they check.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from binprice import (
     production_to_laminar,
 )
 from binprice.harness import trial_generator
+from binprice.model import BinSubproblem, TypeSubproblem, reachable_profile
 
 VALUE_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 
@@ -75,6 +77,22 @@ def random_laminar(rng: random.Random, n_max=6, cap_max=3) -> LaminarInstance:
     tree = {"cap": rng.randint(1, cap_max), "children": children}
     return LaminarInstance.build(
         tuple(random_distribution(rng) for _ in range(n)), tree)
+
+
+def criterion_7_laminar() -> LaminarInstance:
+    """Four bins of 25 two-point buyers, capacity 8 each, under a root of
+    capacity 101 (161,541 reachable states over the 101 levels)."""
+    rng = random.Random(707)
+    kids, dists = [], []
+    n = 0
+    for _ in range(4):
+        kids.append({"cap": 8,
+                     "children": [{"element": n + i} for i in range(25)]})
+        n += 25
+        for _ in range(25):
+            v = round(rng.uniform(0.5, 3.0), 2)
+            dists.append(DiscreteDistribution.of([(0.0, 0.5), (v, 0.5)]))
+    return LaminarInstance.build(tuple(dists), {"cap": 101, "children": kids})
 
 
 @dataclass
@@ -260,3 +278,57 @@ def reference_prophet_samples(inst, trials: int, seed: int) -> np.ndarray:
                 total += vals[e]
         out[trial] = total
     return out
+
+
+def reference_full_dp(inst: LaminarInstance):
+    """Full-state backward induction one state at a time over
+    ``reachable_profile``'s levels.  Returns ``(entries, rules)``:
+    ``(level, state) -> value`` and ``(element, state) -> (tau, p)``."""
+    dyn = BinSubproblem(inst, 0)
+    levels, _ = reachable_profile(dyn)
+    n = len(dyn.elements)
+    entries = {(n, s): 0.0 for s in levels[n]}
+    rules = {}
+    for i in range(n - 1, -1, -1):
+        t = dyn.elements[i]
+        atoms = inst.dists[t].atoms
+        for s in levels[i]:
+            stay = entries[(i + 1, s)]
+            if dyn.can_pick(s, t):
+                cont = entries[(i + 1, dyn.pick(s, t))]
+                tau = stay - cont
+                ev = 0.0
+                for v, p in atoms:
+                    ev += p * ((v + cont) if v >= tau else stay)
+                entries[(i, s)] = ev
+                rules[(t, s)] = (tau, 1.0)
+            else:
+                entries[(i, s)] = stay
+                rules[(t, s)] = (math.inf, 0.0)
+    return entries, rules
+
+
+def reference_subproblem_dp(p: ProductionInstance, type_index: int,
+                            shift: float = 0.0):
+    """Shifted chain backward induction one state at a time; returns the
+    ``(level, (sold,)) -> value`` entries."""
+    dyn = TypeSubproblem(p, type_index)
+    levels, _ = reachable_profile(dyn)
+    l = len(dyn.elements)
+    entries = {(l, s): 0.0 for s in levels[l]}
+    for i in range(l - 1, -1, -1):
+        t = dyn.elements[i]
+        atoms = p.dists[t].atoms
+        for s in levels[i]:
+            stay = entries[(i + 1, s)]
+            if dyn.can_pick(s, t):
+                cont = entries[(i + 1, dyn.pick(s, t))]
+                tau = stay - cont
+                ev = 0.0
+                for v, prob in atoms:
+                    shifted = v - shift
+                    ev += prob * ((shifted + cont) if shifted >= tau else stay)
+                entries[(i, s)] = ev
+            else:
+                entries[(i, s)] = stay
+    return entries

@@ -12,7 +12,6 @@ import time
 
 from binprice import (
     DiscreteDistribution,
-    LaminarInstance,
     Marking,
     ProductionInstance,
     PtasConfig,
@@ -38,7 +37,7 @@ from binprice import (
 from binprice.lp import END, y_name
 from binprice.cli import main as cli_main
 
-from conftest import random_distribution
+from conftest import criterion_7_laminar, random_distribution
 
 _CACHE = {}
 
@@ -246,20 +245,8 @@ def test_criterion_6_ptas_welfare_at_scale():
 
 
 def test_criterion_7_laminar_concentration():
-    rng = random.Random(707)
     eps, delta = 0.2, 0.1
-    kids, dists = [], []
-    n = 0
-    for _ in range(4):
-        size = 25
-        kids.append({"cap": 8,
-                     "children": [{"element": n + i} for i in range(size)]})
-        n += size
-        for _ in range(size):
-            v = round(rng.uniform(0.5, 3.0), 2)
-            dists.append(DiscreteDistribution.of([(0.0, 0.5), (v, 0.5)]))
-    inst = LaminarInstance.build(tuple(dists),
-                                 {"cap": 101, "children": kids})
+    inst = criterion_7_laminar()
     result = ptas_laminar(inst, PtasConfig(epsilon=eps, delta=delta))
     assert sorted(result.marking.large) == [0]
     rep = simulate(result.policy, inst, 100_000, seed=77, threads=2)

@@ -336,3 +336,85 @@ def test_scale_must_be_in_range(capsys, instance_path, alg):
     err = _argument_error(capsys, ["solve", "--instance", instance_path,
                                    "--alg", alg, "--scale", "0"])
     assert "argument --scale: 0 is not in (0, 1]" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("flag", ["--threads", "--state-cap"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_threads_and_state_cap_must_be_positive(capsys, instance_path,
+                                                command, flag, value):
+    argv = [command, "--instance", instance_path, flag, value,
+            "--trials", "10", "--seed", "1"]
+    if command == "simulate":
+        argv += ["--policy", "unused.json"]
+    err = _argument_error(capsys, argv)
+    assert f"argument {flag}: {value} is not a positive integer" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "transform"])
+def test_state_cap_must_be_positive(capsys, instance_path, command):
+    argv = [command, "--instance", instance_path, "--state-cap", "0"]
+    if command == "solve":
+        argv += ["--alg", "dp"]
+    err = _argument_error(capsys, argv)
+    assert "argument --state-cap: 0 is not a positive integer" in err
+
+
+MALFORMED_POLICIES = {
+    "no rules": json.dumps({"scope": "root"}),
+    "not json": "scope: root\n",
+    "rule without tau": json.dumps(
+        {"scope": "root", "rules": [{"t": 0, "state": [1, 1, 1], "p": 1.0}]}),
+    "composed without element_block": json.dumps(
+        {"scope": "composed", "blocks": {}, "counter_caps": {},
+         "counter_keys": {}}),
+    "no scope": json.dumps({"rules": []}),
+    "counter without a cap": json.dumps(
+        {"scope": "composed", "blocks": {}, "element_block": {},
+         "counter_caps": {}, "counter_keys": {"0": ["shipping"]}}),
+    "fractional counter cap": json.dumps(
+        {"scope": "composed", "blocks": {}, "element_block": {},
+         "counter_caps": {"shipping": 0.5}, "counter_keys": {}}),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("shape", sorted(MALFORMED_POLICIES))
+def test_malformed_policy_exits_6(tmp_path, instance_path, command, shape):
+    pol = tmp_path / "p.json"
+    pol.write_text(MALFORMED_POLICIES[shape])
+    code, out, err = run_cli([command, "--instance", instance_path,
+                              "--policy", str(pol), "--trials", "10",
+                              "--seed", "1"])
+    assert code == 6
+    assert out == ""
+    assert err.startswith("policy/instance mismatch: policy: ")
+
+
+def test_verify_foreign_policy_scope_exits_6(tmp_path, instance_path):
+    # a well-formed policy for a bin the instance does not have
+    pol = tmp_path / "p.json"
+    pol.write_text(json.dumps({"scope": "bin:9", "rules": []}))
+    code, out, err = run_cli(["verify", "--instance", instance_path,
+                              "--policy", str(pol), "--trials", "10"])
+    assert code == 6
+    assert out == ""
+    assert "policy/instance mismatch" in err and "no such bin" in err
+
+
+def test_policy_with_foreign_counter_exits_6(tmp_path, instance_path):
+    # a well-formed composed policy metering a bin the instance lacks
+    pol = tmp_path / "p.json"
+    code, _, _ = run_cli(["solve", "--instance", instance_path,
+                          "--alg", "ex-ante", "--policy-out", str(pol)])
+    assert code == 0
+    doc = json.loads(pol.read_text())
+    doc["counter_caps"] = {"bin:7": 1}
+    doc["counter_keys"] = {e: ["bin:7"] for e in doc["counter_keys"]}
+    pol.write_text(json.dumps(doc))
+    code, out, err = run_cli(["simulate", "--instance", instance_path,
+                              "--policy", str(pol), "--trials", "10",
+                              "--seed", "1"])
+    assert code == 6
+    assert out == ""
+    assert "['bin:7'] are not capacities of the instance" in err

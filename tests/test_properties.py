@@ -1,13 +1,19 @@
-"""Cross-module benchmark orderings on the shared corpus."""
+"""Cross-module benchmark orderings on the shared corpus, and the
+exactness chain as a property of random small laminar trees."""
 
 import math
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from binprice import (
     DiscreteDistribution,
+    LaminarInstance,
     ProductionInstance,
     PtasConfig,
     build_lp_exante,
     build_lp_hierarchy,
+    build_lp_optimal,
+    evaluate_exact,
     production_to_laminar,
     ptas_laminar,
     ptas_production,
@@ -17,6 +23,8 @@ from binprice import (
 )
 from binprice.harness import prophet_samples
 from binprice.rounding import mark_laminar
+
+from conftest import VALUE_GRID
 
 
 def test_benchmark_ordering_on_corpus_sample(corpus):
@@ -67,3 +75,45 @@ def test_exante_can_exceed_the_prophet():
     want = 2.0 * (1.0 - 0.5 ** 6)
     assert abs(prophet - want) <= 3.5 * se
     assert sol2.objective > prophet + 3.5 * se
+
+
+@st.composite
+def distributions(draw):
+    values = draw(st.lists(st.sampled_from(VALUE_GRID), min_size=1,
+                           max_size=3, unique=True))
+    cuts = draw(st.lists(st.integers(1, 7), min_size=len(values) - 1,
+                         max_size=len(values) - 1, unique=True))
+    eighths = [b - a for a, b in zip([0] + sorted(cuts), sorted(cuts) + [8])]
+    return DiscreteDistribution.of(zip(sorted(values),
+                                       (k / 8.0 for k in eighths)))
+
+
+@st.composite
+def laminar_trees(draw):
+    """Up to 6 elements under a root, up to two child bins and one
+    grandchild bin; every element sits in the root or one of them."""
+    n = draw(st.integers(1, 6))
+    kids = [{"cap": draw(st.integers(0, 3)), "children": [],
+             "inner": {"cap": draw(st.integers(0, 2)), "children": []}}
+            for _ in range(draw(st.integers(0, 2)))]
+    root = {"cap": draw(st.integers(1, 3)), "children": []}
+    slots = [root] + [b for k in kids for b in (k, k["inner"])]
+    for e in range(n):
+        draw(st.sampled_from(slots))["children"].append({"element": e})
+    for k in kids:
+        inner = k.pop("inner")
+        k["children"].append(inner)
+        root["children"].append(k)
+    return LaminarInstance.build(
+        tuple(draw(distributions()) for _ in range(n)), root)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(laminar_trees())
+def test_dp_equals_lp_opt_and_its_exact_replay(inst):
+    tbl, policy = solve_full_dp(inst)
+    lp_opt = solve_optimal(build_lp_optimal(inst).model).objective
+    assert abs(tbl.optimal - lp_opt) <= 1e-6
+    welfare, _ = evaluate_exact(policy, inst)
+    assert abs(welfare - tbl.optimal) <= 1e-9
