@@ -270,9 +270,8 @@ def _trace_deviation(sol, built, trace) -> float:
     for lvl in range(len(info.levels)):
         tlab = info.time_label(lvl)
         t = len(info.elements) if tlab == lp.END else tlab
-        for s in info.levels[lvl]:
+        for s, want in zip(info.levels[lvl], info.y_values(sol.x, lvl)):
             got = trace.get((t, s), 0.0)
-            want = sol.value(lp.y_name("root", tlab, s))
             dev = max(dev, abs(got - want))
     return dev
 

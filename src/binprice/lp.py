@@ -18,6 +18,16 @@ variables ``X(t,atom)`` carrying the objective.  State tracking extends one
 step past the block's last arrival so that an over-acceptance at the final
 step is pinned like any other.
 
+Everything is integer-indexed from build to extraction.  A block's
+variables are contiguous runs whose first indices its ``BlockInfo`` holds:
+``y[lvl]`` (the level's reachable states, then its forbidden ones),
+``xc[lvl]`` (reachable state major, atom minor) and ``xm[lvl]`` (one per
+atom).  ``LpModel`` stores its rows once, in compressed form with columns
+ascending within a row, and a solution is an array ``x`` over the variable
+indices.  Variable names are produced only on request -- ``to_text``,
+``LpModel.names``/``index`` and ``LpSolution.value``/``assignment`` -- from
+a namer each run of variables registers.
+
 Solvers: an in-repo dense-tableau two-phase primal simplex with Bland's
 anti-cycling rule (deterministic, used at desk scale) and a scipy/HiGHS
 bridge for models past a size threshold.  ``solve`` picks by model size
@@ -72,97 +82,183 @@ class LpError(RuntimeError):
 
 
 class LpModel:
-    """Sparse maximize-form LP with named non-negative variables."""
+    """Sparse maximize-form LP over non-negative variables ``0..num_vars-1``.
+
+    Row ``i`` holds the entries ``cols[ptr[i]:ptr[i+1]]`` with coefficients
+    ``coefs[ptr[i]:ptr[i+1]]``, columns strictly ascending.  ``objective``
+    maps a column to its coefficient in the order the terms were added,
+    which is the order the objective value is summed in.
+    """
 
     def __init__(self):
-        self.names: list[str] = []
-        self.index: dict[str, int] = {}
+        self.num_vars = 0
         self.objective: dict[int, float] = {}
-        self.rows: list[tuple[list[tuple[int, float]], str, float]] = []
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.names)
+        self.ptr: list[int] = [0]
+        self.cols: list[int] = []
+        self.coefs: list[float] = []
+        self.rels: list[str] = []
+        self.rhs: list = []
+        self._namers: list = []  # (count, namer(k) -> name of the k-th)
+        self._names: list[str] | None = None
+        self._index: dict[str, int] | None = None
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.rels)
 
-    def add_var(self, name: str) -> int:
-        if name in self.index:
-            raise ValueError(f"duplicate variable name {name!r}")
-        idx = len(self.names)
-        self.names.append(name)
-        self.index[name] = idx
-        return idx
+    # -- integer interface ----------------------------------------------
 
-    def add_objective(self, name: str, coef: float):
-        idx = self.index[name]
-        self.objective[idx] = self.objective.get(idx, 0.0) + coef
+    def add_vars(self, count: int, namer) -> int:
+        """Append ``count`` variables; returns the first index.  ``namer(k)``
+        names the k-th of them when names are asked for."""
+        start = self.num_vars
+        self.num_vars += count
+        self._namers.append((count, namer))
+        self._names = self._index = None
+        return start
 
-    def add_row(self, coeffs, rel: str, rhs: float):
+    def add_objective_term(self, j: int, coef: float):
+        self.objective[j] = self.objective.get(j, 0.0) + coef
+
+    def append_row(self, cols, coefs, rel: str, rhs):
+        """Append a row whose ``cols`` are already strictly ascending."""
         if rel not in ("<=", "="):
             raise ValueError(f"unsupported relation {rel!r}")
+        self.cols.extend(cols)
+        self.coefs.extend(coefs)
+        self.ptr.append(len(self.cols))
+        self.rels.append(rel)
+        self.rhs.append(rhs)
+
+    def coo(self):
+        """Row ids, columns and coefficients of every entry, as arrays."""
+        rows = np.repeat(np.arange(self.num_rows), np.diff(self.ptr))
+        return (rows, np.array(self.cols, dtype=np.intp),
+                np.array(self.coefs, dtype=float))
+
+    def le_rows(self) -> np.ndarray:
+        """Mask of the ``<=`` rows."""
+        return np.array([rel == "<=" for rel in self.rels], dtype=bool)
+
+    def objective_value(self, x) -> float:
+        xs = x.tolist()
+        return sum(coef * xs[j] for j, coef in self.objective.items())
+
+    # -- names, generated on request --------------------------------------
+
+    @property
+    def names(self) -> list[str]:
+        if self._names is None:
+            self._names = [namer(k) for count, namer in self._namers
+                           for k in range(count)]
+        return self._names
+
+    @property
+    def index(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = {name: j for j, name in enumerate(self.names)}
+        return self._index
+
+    def add_var(self, name: str) -> int:
+        names, index = self.names, self.index
+        if name in index:
+            raise ValueError(f"duplicate variable name {name!r}")
+        j = self.add_vars(1, lambda _k: name)
+        names.append(name)
+        index[name] = j
+        # add_vars dropped the caches; extended by one name they still hold
+        self._names, self._index = names, index
+        return j
+
+    def add_objective(self, name: str, coef: float):
+        self.add_objective_term(self.index[name], coef)
+
+    def add_row(self, coeffs, rel: str, rhs):
+        """Append a row given as ``(name, coef)`` pairs, merging repeats."""
         merged: dict[int, float] = {}
         for name, coef in coeffs:
             idx = self.index[name]
             merged[idx] = merged.get(idx, 0.0) + coef
-        self.rows.append((sorted(merged.items()), rel, rhs))
+        items = sorted(merged.items())
+        self.append_row([j for j, _ in items], [c for _, c in items], rel, rhs)
 
-    def objective_value(self, assignment: dict[str, float]) -> float:
-        return sum(coef * assignment.get(self.names[idx], 0.0)
-                   for idx, coef in self.objective.items())
+    @property
+    def rows(self) -> list:
+        """Rows as ``([(col, coef), ...], rel, rhs)`` tuples, built on request."""
+        p = self.ptr
+        return [(list(zip(self.cols[p[i]:p[i + 1]], self.coefs[p[i]:p[i + 1]])),
+                 self.rels[i], self.rhs[i]) for i in range(self.num_rows)]
 
     def to_text(self) -> str:
+        names = self.names
         out = ["maximize"]
         terms = []
         for idx in sorted(self.objective):
             terms.append(f"{'+' if self.objective[idx] >= 0 else '-'} "
-                         f"{abs(self.objective[idx])!r} {self.names[idx]}")
+                         f"{abs(self.objective[idx])!r} {names[idx]}")
         out.append("  " + " ".join(terms) if terms else "  + 0.0")
         out.append("subject to")
         for i, (coeffs, rel, rhs) in enumerate(self.rows):
-            terms = [f"{'+' if c >= 0 else '-'} {abs(c)!r} {self.names[j]}"
+            terms = [f"{'+' if c >= 0 else '-'} {abs(c)!r} {names[j]}"
                      for j, c in coeffs]
             out.append(f"  c{i} : " + " ".join(terms) + f" {rel} {rhs!r}")
         out.append("bounds")
-        for name in self.names:
+        for name in names:
             out.append(f"  0 <= {name} <= inf")
         out.append("end")
         return "\n".join(out) + "\n"
 
 
-@dataclass
+@dataclass(eq=False)
 class LpSolution:
+    """``x`` holds the value of every variable by index when optimal and
+    is empty otherwise; ``model`` supplies the names ``value`` and
+    ``assignment`` look up."""
+
     status: str  # optimal | infeasible | unbounded
     objective: float | None
-    assignment: dict[str, float]
+    x: np.ndarray
     engine: str
     iterations: int = 0
+    model: LpModel | None = field(default=None, repr=False)
 
     def value(self, name: str, default: float = 0.0) -> float:
-        return self.assignment.get(name, default)
+        j = self.model.index.get(name) if self.model is not None else None
+        return default if j is None or j >= len(self.x) else float(self.x[j])
+
+    @property
+    def assignment(self) -> dict[str, float]:
+        if self.model is None or not len(self.x):
+            return {}
+        return dict(zip(self.model.names, self.x.tolist()))
 
 
 def check_solution(model: LpModel, sol: LpSolution,
                    feas_tol: float = 1e-7, bound_tol: float = 1e-9) -> list[str]:
-    """Constraint and bound residuals beyond tolerance, as messages."""
+    """Non-finite values and constraint and bound residuals beyond
+    tolerance, as messages."""
     if sol.status != "optimal":
         return [f"status {sol.status}"]
-    x = np.zeros(model.num_vars)
-    for name, val in sol.assignment.items():
-        x[model.index[name]] = val
+    x = sol.x
     out = []
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        j = int(bad[0])
+        out.append(f"{bad.size} variables not finite, first "
+                   f"{model.names[j]}: {float(x[j])!r}")
     if (x < -bound_tol).any():
-        j = int(np.argmin(x))
-        out.append(f"variable {model.names[j]} below bound: {x[j]!r}")
-    for i, (coeffs, rel, rhs) in enumerate(model.rows):
-        lhs = sum(c * x[j] for j, c in coeffs)
-        resid = lhs - rhs
-        if rel == "<=" and resid > feas_tol:
-            out.append(f"row c{i} violated by {resid!r}")
-        elif rel == "=" and abs(resid) > feas_tol:
-            out.append(f"row c{i} off by {resid!r}")
+        j = int(np.nanargmin(x))
+        out.append(f"variable {model.names[j]} below bound: {float(x[j])!r}")
+    rows, cols, coefs = model.coo()
+    # bincount adds each row's terms in column order, as a loop would
+    lhs = np.bincount(rows, weights=coefs * x[cols], minlength=model.num_rows)
+    resid = lhs - np.array(model.rhs, dtype=float)
+    le = model.le_rows()
+    # written as "not within tolerance" so that a NaN residual is reported
+    off = np.where(le, ~(resid <= feas_tol), ~(np.abs(resid) <= feas_tol))
+    for i in np.flatnonzero(off).tolist():
+        what = "violated by" if le[i] else "off by"
+        out.append(f"row c{i} {what} {float(resid[i])!r}")
     return out
 
 
@@ -171,124 +267,106 @@ def check_solution(model: LpModel, sol: LpSolution,
 # ---------------------------------------------------------------------------
 
 
+def _pivot(T, basis, row, col):
+    """Make ``col`` basic in ``row``: one rank-1 update over every row of
+    the tableau, objective rows included."""
+    r = T[row]
+    r /= r[col]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= f[:, None] * r
+    basis[row] = col
+
+
+def _run_phase(T, basis, obj, hi, pivots):
+    """Bland pivots on objective row ``obj`` over columns below ``hi``.
+
+    The constraint rows are ``T[:-2]``; entering is the lowest column with
+    reduced cost above ``OPT_TOL``, leaving the lowest basic index among
+    the minimum-ratio ties.  Returns the status and the pivot count.
+    """
+    cost, A, rhs = T[obj, :hi], T[:-2], T[:-2, -1]  # views; T changes in place
+    while True:
+        if pivots >= PIVOT_CAP:
+            raise LpError(f"simplex pivot cap {PIVOT_CAP} exceeded")
+        improving = cost > OPT_TOL
+        enter = improving.argmax()
+        if not improving[enter]:
+            return "optimal", pivots
+        col = A[:, enter]
+        rows = (col > FEAS_TOL).nonzero()[0]
+        if rows.size == 0:
+            return "unbounded", pivots
+        ratios = rhs[rows] / col[rows]
+        best = float(ratios.min())
+        ties = rows[ratios <= best + FEAS_TOL * (1.0 + abs(best))]
+        leave = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
+        _pivot(T, basis, leave, enter)
+        pivots += 1
+
+
 def _solve_dense(model: LpModel) -> LpSolution:
     nv = model.num_vars
     m = model.num_rows
-    n_slack = sum(1 for _, rel, _ in model.rows if rel == "<=")
-    A = np.zeros((m, nv + n_slack))
-    b = np.zeros(m)
-    slack_col = nv
-    slack_of_row = {}
-    for i, (coeffs, rel, rhs) in enumerate(model.rows):
-        for j, c in coeffs:
-            A[i, j] = c
-        b[i] = rhs
-        if rel == "<=":
-            A[i, slack_col] = 1.0
-            slack_of_row[i] = slack_col
-            slack_col += 1
+    rows, cols, coefs = model.coo()
+    le = model.le_rows()
+    slack_rows = np.flatnonzero(le)
+    art_start = nv + slack_rows.size
+    b = np.array(model.rhs, dtype=float)
     # sign-normalize so b >= 0; flipped <= rows lose their natural basis slot
-    for i in range(m):
-        if b[i] < 0:
-            A[i, :] *= -1.0
-            b[i] *= -1.0
-    basis = np.full(m, -1, dtype=int)
-    art_rows = []
-    for i in range(m):
-        s = slack_of_row.get(i)
-        if s is not None and A[i, s] == 1.0:
-            basis[i] = s
-        else:
-            art_rows.append(i)
-    n_art = len(art_rows)
-    ncols = nv + n_slack + n_art
-    T = np.zeros((m, ncols + 1))
-    T[:, :nv + n_slack] = A
-    T[:, -1] = b
-    for k, i in enumerate(art_rows):
-        col = nv + n_slack + k
-        T[i, col] = 1.0
-        basis[i] = col
-    art_start = nv + n_slack
-
-    # phase-2 objective row: c_j - z_j convention (entering where > tol)
-    obj2 = np.zeros(ncols + 1)
-    for idx, coef in model.objective.items():
-        obj2[idx] = coef
-    # phase-1 row: maximize -(sum of artificials); expressed through the rows
-    obj1 = np.zeros(ncols + 1)
-    for i in art_rows:
-        obj1 += T[i]
-    obj1[art_start:ncols] = 0.0
+    flip = b < 0
+    art_rows = np.flatnonzero(~le | flip)
+    ncols = art_start + art_rows.size
+    # rows 0..m-1 constrain; row -2 is the phase-1 objective, row -1 the
+    # phase-2 one (c_j - z_j convention: entering where > tol)
+    T = np.zeros((m + 2, ncols + 1))
+    T[rows, cols] = coefs
+    T[slack_rows, nv + np.arange(slack_rows.size)] = 1.0
+    T[:m, -1] = b
+    flipped = np.flatnonzero(flip)
+    T[flipped, :art_start] *= -1.0
+    T[flipped, -1] *= -1.0
+    basis = np.empty(m, dtype=np.intp)
+    basis[slack_rows] = nv + np.arange(slack_rows.size)
+    basis[art_rows] = np.arange(art_start, ncols)
+    T[art_rows, basis[art_rows]] = 1.0
+    T[-1, list(model.objective)] = list(model.objective.values())
+    # phase 1 maximizes -(sum of artificials), expressed through the rows
+    T[-2] = T[art_rows].sum(axis=0, initial=0.0)
+    T[-2, art_start:ncols] = 0.0
 
     pivots = 0
-
-    def pivot(row, col):
-        nonlocal pivots
-        piv = T[row, col]
-        T[row] /= piv
-        colvals = T[:, col].copy()
-        colvals[row] = 0.0
-        T[:] -= np.outer(colvals, T[row])
-        for obj in (obj1, obj2):
-            if obj[col] != 0.0:
-                obj -= obj[col] * T[row]
-        basis[row] = col
-        pivots += 1
-
-    def run_phase(obj, allowed_hi):
-        nonlocal pivots
-        while True:
-            if pivots >= PIVOT_CAP:
-                raise LpError(f"simplex pivot cap {PIVOT_CAP} exceeded")
-            enter = -1
-            for j in range(allowed_hi):  # Bland: lowest improving index
-                if obj[j] > OPT_TOL:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
-            col = T[:, enter]
-            rows = np.nonzero(col > FEAS_TOL)[0]
-            if rows.size == 0:
-                return "unbounded"
-            ratios = T[rows, -1] / col[rows]
-            best = ratios.min()
-            ties = rows[ratios <= best + FEAS_TOL * (1.0 + abs(best))]
-            leave = ties[np.argmin(basis[ties])]  # Bland on the leaving index
-            pivot(leave, enter)
-
-    if n_art:
-        if run_phase(obj1, art_start) == "unbounded":
+    if art_rows.size:
+        status, pivots = _run_phase(T, basis, -2, art_start, pivots)
+        if status == "unbounded":
             raise LpError("phase-1 unbounded; model is inconsistent")
-        infeas = obj1[-1]
-        if infeas > 1e-7:
-            return LpSolution("infeasible", None, {}, "simplex", pivots)
+        if T[-2, -1] > 1e-7:
+            return LpSolution("infeasible", None, np.zeros(0), "simplex",
+                              pivots, model)
         # drive surviving artificials out of the basis or drop dead rows
         dead = []
-        for i in range(m):
-            if basis[i] >= art_start:
-                cols = np.nonzero(np.abs(T[i, :art_start]) > FEAS_TOL)[0]
-                if cols.size:
-                    pivot(i, int(cols[0]))
-                else:
-                    dead.append(i)
+        for i in np.flatnonzero(basis >= art_start).tolist():
+            live = np.flatnonzero(np.abs(T[i, :art_start]) > FEAS_TOL)
+            if live.size:
+                _pivot(T, basis, i, int(live[0]))
+                pivots += 1
+            else:
+                dead.append(i)
         if dead:
-            keep = np.array([i for i in range(m) if i not in set(dead)], dtype=int)
-            T = T[keep]
+            keep = np.setdiff1d(np.arange(m), dead)
+            T = T[np.concatenate([keep, [m, m + 1]])]
             basis = basis[keep]
         T[:, art_start:ncols] = 0.0
-        obj2[art_start:ncols] = 0.0
 
-    status = run_phase(obj2, art_start)
+    status, pivots = _run_phase(T, basis, -1, art_start, pivots)
     if status == "unbounded":
-        return LpSolution("unbounded", None, {}, "simplex", pivots)
-    x = np.zeros(nv + n_slack + n_art)
-    for i, col in enumerate(basis):
-        x[col] = T[i, -1]
-    assignment = {model.names[j]: float(x[j]) for j in range(nv)}
-    objective = model.objective_value(assignment)
-    return LpSolution("optimal", objective, assignment, "simplex", pivots)
+        return LpSolution("unbounded", None, np.zeros(0), "simplex", pivots,
+                          model)
+    x = np.zeros(ncols)
+    x[basis] = T[:-2, -1]
+    x = x[:nv].copy()
+    return LpSolution("optimal", model.objective_value(x), x, "simplex",
+                      pivots, model)
 
 
 # ---------------------------------------------------------------------------
@@ -302,46 +380,38 @@ def _solve_highs(model: LpModel) -> LpSolution:
 
     nv = model.num_vars
     c = np.zeros(nv)
-    for idx, coef in model.objective.items():
-        c[idx] = -coef
-    ub_data, ub_i, ub_j, ub_rhs = [], [], [], []
-    eq_data, eq_i, eq_j, eq_rhs = [], [], [], []
-    for coeffs, rel, rhs in model.rows:
-        if rel == "<=":
-            r = len(ub_rhs)
-            for j, co in coeffs:
-                ub_i.append(r)
-                ub_j.append(j)
-                ub_data.append(co)
-            ub_rhs.append(rhs)
-        else:
-            r = len(eq_rhs)
-            for j, co in coeffs:
-                eq_i.append(r)
-                eq_j.append(j)
-                eq_data.append(co)
-            eq_rhs.append(rhs)
-    A_ub = (sp.csr_matrix((ub_data, (ub_i, ub_j)), shape=(len(ub_rhs), nv))
-            if ub_rhs else None)
-    A_eq = (sp.csr_matrix((eq_data, (eq_i, eq_j)), shape=(len(eq_rhs), nv))
-            if eq_rhs else None)
+    c[list(model.objective)] = [-coef for coef in model.objective.values()]
+    rows, cols, coefs = model.coo()
+    le = model.le_rows()
+    # each relation's rows numbered in order among themselves
+    rank = np.where(le, np.cumsum(le) - 1, np.cumsum(~le) - 1)
+    parts = []
+    for mask in (le, ~le):
+        sel = mask[rows]
+        n = int(mask.sum())
+        parts.append((sp.csr_matrix((coefs[sel], (rank[rows[sel]], cols[sel])),
+                                    shape=(n, nv)),
+                       np.array([r for r, k in zip(model.rhs, mask) if k]))
+                      if n else (None, None))
+    (A_ub, b_ub), (A_eq, b_eq) = parts
     res = scipy.optimize.linprog(
-        c, A_ub=A_ub, b_ub=np.array(ub_rhs) if ub_rhs else None,
-        A_eq=A_eq, b_eq=np.array(eq_rhs) if eq_rhs else None,
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
         bounds=(0, None), method="highs",
         options={"primal_feasibility_tolerance": 1e-9,
                  "dual_feasibility_tolerance": 1e-9},
     )
     iters = int(getattr(res, "nit", 0) or 0)
     if res.status == 2:
-        return LpSolution("infeasible", None, {}, "highs", iters)
+        return LpSolution("infeasible", None, np.zeros(0), "highs", iters,
+                          model)
     if res.status == 3:
-        return LpSolution("unbounded", None, {}, "highs", iters)
+        return LpSolution("unbounded", None, np.zeros(0), "highs", iters,
+                          model)
     if res.status != 0:
         raise LpError(f"highs failed: {res.message}")
-    assignment = {model.names[j]: float(res.x[j]) for j in range(nv)}
-    objective = model.objective_value(assignment)
-    return LpSolution("optimal", objective, assignment, "highs", iters)
+    x = np.array(res.x[:nv], dtype=float)
+    return LpSolution("optimal", model.objective_value(x), x, "highs", iters,
+                      model)
 
 
 def solve(model: LpModel, engine: str = "auto") -> LpSolution:
@@ -351,7 +421,7 @@ def solve(model: LpModel, engine: str = "auto") -> LpSolution:
     cells and HiGHS beyond; both are deterministic for a fixed model.
     """
     if model.num_vars == 0:
-        return LpSolution("optimal", 0.0, {}, "trivial")
+        return LpSolution("optimal", 0.0, np.zeros(0), "trivial", 0, model)
     if engine == "auto":
         cells = (model.num_rows + 2) * (model.num_vars + model.num_rows + 1)
         engine = "simplex" if cells <= DENSE_CELL_LIMIT else "highs"
@@ -370,7 +440,7 @@ def solve_optimal(model: LpModel, engine: str = "auto") -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Variable naming shared with the rounding stage
+# Variable naming, for the text format and name lookups
 # ---------------------------------------------------------------------------
 
 
@@ -404,10 +474,17 @@ END = "end"
 
 @dataclass
 class BlockInfo:
+    """One block's state levels and the first index of each of its runs of
+    variables: ``y[lvl]`` for levels ``0..L``, ``xc[lvl]`` and ``xm[lvl]``
+    for the arrivals ``0..L-1``."""
+
     key: str
     dyn: object
     levels: list
     forbidden: list
+    y: list = field(default_factory=list)
+    xc: list = field(default_factory=list)
+    xm: list = field(default_factory=list)
 
     @property
     def elements(self):
@@ -415,6 +492,14 @@ class BlockInfo:
 
     def time_label(self, level):
         return self.dyn.elements[level] if level < len(self.dyn.elements) else END
+
+    def y_values(self, x, lvl) -> list:
+        """``Y`` of level ``lvl``'s reachable states, in ``levels[lvl]`` order."""
+        return x[self.y[lvl]:self.y[lvl] + len(self.levels[lvl])].tolist()
+
+    def xc_values(self, x, lvl) -> list:
+        """``X(t,state,atom)`` of arrival ``lvl``, state major, atom minor."""
+        return x[self.xc[lvl]:self.xm[lvl]].tolist()
 
 
 @dataclass
@@ -433,59 +518,83 @@ class BuiltLp:
 
 def _emit_block(model: LpModel, dists, info: BlockInfo):
     dyn = info.dyn
+    key = info.key
     elems = dyn.elements
     L = len(elems)
+    ypos = []  # per level: state -> index of its Y variable
     for lvl in range(L + 1):
+        states = list(info.levels[lvl]) + list(info.forbidden[lvl])
         tlab = info.time_label(lvl)
-        for s in info.levels[lvl]:
-            model.add_var(y_name(info.key, tlab, s))
-        for s in info.forbidden[lvl]:
-            model.add_var(y_name(info.key, tlab, s))
+        start = model.add_vars(
+            len(states), lambda k, tlab=tlab, states=states:
+            y_name(key, tlab, states[k]))
+        info.y.append(start)
+        ypos.append({s: start + k for k, s in enumerate(states)})
     for lvl, t in enumerate(elems):
-        n_atoms = len(dists[t].atoms)
-        for s in info.levels[lvl]:
-            for a in range(n_atoms):
-                model.add_var(xc_name(info.key, t, s, a))
-        for a in range(n_atoms):
-            model.add_var(xm_name(t, a))
+        na = len(dists[t].atoms)
+        states = info.levels[lvl]
+        info.xc.append(model.add_vars(
+            len(states) * na, lambda k, t=t, states=states, na=na:
+            xc_name(key, t, states[k // na], k % na)))
+        info.xm.append(model.add_vars(na, lambda k, t=t: xm_name(t, k)))
 
-    model.add_row([(y_name(info.key, info.time_label(0), dyn.initial), 1.0)],
-                  "=", 1.0)
+    model.append_row([ypos[0][dyn.initial]], [1.0], "=", 1.0)
     for lvl, t in enumerate(elems):
-        probs = dists[t].probs
+        probs = list(dists[t].probs)
+        negs = [-pa for pa in probs]
+        na = len(probs)
+        states = info.levels[lvl]
+        n = len(states)
+        y0, xc0, xm0 = info.y[lvl], info.xc[lvl], info.xm[lvl]
         # marginal definition and conditional caps
-        for a, pa in enumerate(probs):
-            row = [(xm_name(t, a), 1.0)]
-            row += [(xc_name(info.key, t, s, a), -1.0) for s in info.levels[lvl]]
-            model.add_row(row, "=", 0.0)
-        for s in info.levels[lvl]:
-            for a in range(len(probs)):
-                model.add_row([(xc_name(info.key, t, s, a), 1.0),
-                               (y_name(info.key, t, s), -1.0)], "<=", 0.0)
+        marginal = [-1.0] * n + [1.0]
+        for a in range(na):
+            model.append_row(list(range(xc0 + a, xc0 + n * na, na)) + [xm0 + a],
+                             marginal, "=", 0.0)
+        for i in range(n):
+            for a in range(na):
+                model.append_row([y0 + i, xc0 + i * na + a], [-1.0, 1.0],
+                                 "<=", 0.0)
         # state updates into level lvl+1 (forbidden targets pin the picks)
-        next_lab = info.time_label(lvl + 1)
-        here = set(info.levels[lvl]) | set(info.forbidden[lvl])
-        reach = set(info.levels[lvl])
+        here, there = ypos[lvl], ypos[lvl + 1]
+        first_xc = {s: xc0 + i * na for i, s in enumerate(states)}
         for s in list(info.levels[lvl + 1]) + list(info.forbidden[lvl + 1]):
-            row = [(y_name(info.key, next_lab, s), 1.0)]
+            cols, vals = [], []
             if s in here:
-                row.append((y_name(info.key, t, s), -1.0))
-                if s in reach:
-                    for a, pa in enumerate(probs):
-                        row.append((xc_name(info.key, t, s, a), pa))
+                cols.append(here[s])
+                vals.append(-1.0)
+            cols.append(there[s])
+            vals.append(1.0)
+            runs = []  # the picks leaving s (+p) and those arriving (-p)
             src = dyn.unpick(s, t)
-            if src is not None and src in reach:
-                for a, pa in enumerate(probs):
-                    row.append((xc_name(info.key, t, src, a), -pa))
-            model.add_row(row, "=", 0.0)
+            if src == s:
+                # an arrival using none of the block's capacity: +p and -p
+                # fall on the same variables and cancel
+                if s in first_xc:
+                    runs.append((first_xc[s], [0.0] * na))
+            else:
+                if s in first_xc:
+                    runs.append((first_xc[s], probs))
+                if src in first_xc:
+                    runs.append((first_xc[src], negs))
+            for c0, coefs in sorted(runs, key=lambda run: run[0]):
+                cols.extend(range(c0, c0 + na))
+                vals.extend(coefs)
+            model.append_row(cols, vals, "=", 0.0)
         for s in info.forbidden[lvl + 1]:
-            model.add_row([(y_name(info.key, next_lab, s), 1.0)], "=", 0.0)
+            model.append_row([there[s]], [1.0], "=", 0.0)
 
 
-def _objective(model: LpModel, dists, elements):
+def _marginals(blocks) -> dict:
+    """Element -> index of its first marginal variable ``X(t,0)``."""
+    return {t: info.xm[lvl] for info in blocks.values()
+            for lvl, t in enumerate(info.elements)}
+
+
+def _objective(model: LpModel, dists, elements, xm):
     for t in elements:
         for a, (v, pa) in enumerate(dists[t].atoms):
-            model.add_objective(xm_name(t, a), pa * v)
+            model.add_objective_term(xm[t] + a, pa * v)
 
 
 def _block_info(dyn, state_cap) -> BlockInfo:
@@ -507,8 +616,9 @@ def build_lp_optimal(inst: LaminarInstance, *,
     model = LpModel()
     info = _block_info(BinSubproblem(inst, 0), state_cap)
     _emit_block(model, inst.dists, info)
-    _objective(model, inst.dists, info.elements)
-    return BuiltLp(model=model, instance=inst, blocks={info.key: info})
+    blocks = {info.key: info}
+    _objective(model, inst.dists, info.elements, _marginals(blocks))
+    return BuiltLp(model=model, instance=inst, blocks=blocks)
 
 
 def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
@@ -526,17 +636,19 @@ def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
         info = _block_info(TypeSubproblem(p, j), state_cap)
         blocks[info.key] = info
         _emit_block(model, p.dists, info)
-    for j in active:
-        model.add_var(n_name(j))
-    for j in active:
-        row = [(n_name(j), -1.0)]
+    xm = _marginals(blocks)
+    n0 = model.add_vars(len(active), lambda k: n_name(active[k]))
+    for k, j in enumerate(active):
+        cols, vals = [], []
+        # a type's marginals ascend along its elements, all below N(j)
         for t in blocks[f"type:{j}"].elements:
-            for a, pa in enumerate(p.dists[t].probs):
-                row.append((xm_name(t, a), pa))
-        model.add_row(row, "<=", 0.0)
-    model.add_row([(n_name(j), 1.0) for j in active], "<=",
-                  capacity_scale * p.shipping)
-    _objective(model, p.dists, range(p.num_buyers))
+            probs = p.dists[t].probs
+            cols.extend(range(xm[t], xm[t] + len(probs)))
+            vals.extend(probs)
+        model.append_row(cols + [n0 + k], vals + [-1.0], "<=", 0.0)
+    model.append_row(list(range(n0, n0 + len(active))), [1.0] * len(active),
+                     "<=", capacity_scale * p.shipping)
+    _objective(model, p.dists, range(p.num_buyers), xm)
     return BuiltLp(model=model, instance=p, blocks=blocks,
                    capacity_scale=capacity_scale)
 
@@ -557,12 +669,13 @@ def build_lp_hierarchy(inst: LaminarInstance, mk: Marking,
         info = _block_info(bind_dynamics(key, inst), state_cap)
         blocks[key] = info
         _emit_block(model, inst.dists, info)
+    xm = _marginals(blocks)
     for b in sorted(mk.large):
-        row = []
-        for t in sorted(inst.bin_elements(b)):
-            for a, pa in enumerate(inst.dists[t].probs):
-                row.append((xm_name(t, a), pa))
-        model.add_row(row, "<=", capacity_scale * inst.bin_caps[b])
-    _objective(model, inst.dists, range(inst.num_elements))
+        # a bin's elements may sit in different blocks: order by column
+        terms = sorted((xm[t] + a, pa) for t in inst.bin_elements(b)
+                       for a, pa in enumerate(inst.dists[t].probs))
+        model.append_row([j for j, _ in terms], [pa for _, pa in terms],
+                         "<=", capacity_scale * inst.bin_caps[b])
+    _objective(model, inst.dists, range(inst.num_elements), xm)
     return BuiltLp(model=model, instance=inst, blocks=blocks,
                    capacity_scale=capacity_scale, marking=mk)

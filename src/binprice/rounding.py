@@ -30,7 +30,6 @@ from .model import (
     marking_violations,
     small_units,
 )
-from . import lp as lpmod
 
 
 class RoundingError(RuntimeError):
@@ -167,13 +166,15 @@ def extract_pricing(sol, built, key) -> PricingPolicy:
     rules = {}
     for lvl, t in enumerate(info.elements):
         atoms = dists[t].atoms
-        for s in info.levels[lvl]:
-            y = sol.value(lpmod.y_name(key, t, s))
+        na = len(atoms)
+        ys = info.y_values(sol.x, lvl)
+        xcs = info.xc_values(sol.x, lvl)
+        for i, s in enumerate(info.levels[lvl]):
+            y = ys[i]
             if y <= Y_FLOOR:
                 rules[(t, s)] = (math.inf, 0.0)
                 continue
-            ex = sum(pa * sol.value(lpmod.xc_name(key, t, s, a))
-                     for a, (_, pa) in enumerate(atoms))
+            ex = sum(pa * xcs[i * na + a] for a, (_, pa) in enumerate(atoms))
             z = ex / y
             if z < -1e-9 or (ex > y * (1.0 + 1e-9) + 1e-9):
                 raise RoundingError(

@@ -22,6 +22,7 @@ from binprice import (
     as_laminar,
     production_to_laminar,
 )
+from binprice import lp
 from binprice.harness import trial_generator
 from binprice.model import BinSubproblem, TypeSubproblem, reachable_profile
 
@@ -210,6 +211,21 @@ def oracle_hull_slopes(points):
     return envelope
 
 
+def model_from_arrays(c, a_ub, b_ub, a_eq=(), b_eq=()):
+    """A named LP ``max c x`` over ``x0..`` with the given rows; zero
+    coefficients are left out."""
+    m = lp.LpModel()
+    for i in range(len(c)):
+        m.add_var(f"x{i}")
+        if c[i]:
+            m.add_objective(f"x{i}", c[i])
+    for row, b in zip(a_ub, b_ub):
+        m.add_row([(f"x{j}", v) for j, v in enumerate(row) if v], "<=", b)
+    for row, b in zip(a_eq, b_eq):
+        m.add_row([(f"x{j}", v) for j, v in enumerate(row) if v], "=", b)
+    return m
+
+
 def oracle_lp_vertices(c, a_ub, b_ub, a_eq, b_eq):
     """Best vertex of {A_ub x <= b_ub, A_eq x = b_eq, x >= 0} by enumerating
     basic solutions; assumes a bounded feasible region."""
@@ -250,6 +266,135 @@ def oracle_lp_vertices(c, a_ub, b_ub, a_eq, b_eq):
             if best is None or val > best:
                 best = val
     return best
+
+
+def reference_dense_simplex(model) -> "lp.LpSolution":
+    """The dense-tableau Bland simplex as a Python loop over the rows of
+    ``model.rows``: per-row tableau fill, a scalar scan for the entering
+    column, and separate updates of the two objective rows.  Kept as the
+    oracle ``lp._solve_dense`` must match bit for bit; it reads
+    ``lp.PIVOT_CAP`` at call time."""
+    nv = model.num_vars
+    m = model.num_rows
+    n_slack = sum(1 for _, rel, _ in model.rows if rel == "<=")
+    A = np.zeros((m, nv + n_slack))
+    b = np.zeros(m)
+    slack_col = nv
+    slack_of_row = {}
+    for i, (coeffs, rel, rhs) in enumerate(model.rows):
+        for j, c in coeffs:
+            A[i, j] = c
+        b[i] = rhs
+        if rel == "<=":
+            A[i, slack_col] = 1.0
+            slack_of_row[i] = slack_col
+            slack_col += 1
+    # sign-normalize so b >= 0; flipped <= rows lose their natural basis slot
+    for i in range(m):
+        if b[i] < 0:
+            A[i, :] *= -1.0
+            b[i] *= -1.0
+    basis = np.full(m, -1, dtype=int)
+    art_rows = []
+    for i in range(m):
+        s = slack_of_row.get(i)
+        if s is not None and A[i, s] == 1.0:
+            basis[i] = s
+        else:
+            art_rows.append(i)
+    n_art = len(art_rows)
+    ncols = nv + n_slack + n_art
+    T = np.zeros((m, ncols + 1))
+    T[:, :nv + n_slack] = A
+    T[:, -1] = b
+    for k, i in enumerate(art_rows):
+        col = nv + n_slack + k
+        T[i, col] = 1.0
+        basis[i] = col
+    art_start = nv + n_slack
+
+    # phase-2 objective row: c_j - z_j convention (entering where > tol)
+    obj2 = np.zeros(ncols + 1)
+    for idx, coef in model.objective.items():
+        obj2[idx] = coef
+    # phase-1 row: maximize -(sum of artificials); expressed through the rows
+    obj1 = np.zeros(ncols + 1)
+    for i in art_rows:
+        obj1 += T[i]
+    obj1[art_start:ncols] = 0.0
+
+    pivots = 0
+
+    def pivot(row, col):
+        nonlocal pivots
+        piv = T[row, col]
+        T[row] /= piv
+        colvals = T[:, col].copy()
+        colvals[row] = 0.0
+        T[:] -= np.outer(colvals, T[row])
+        for obj in (obj1, obj2):
+            if obj[col] != 0.0:
+                obj -= obj[col] * T[row]
+        basis[row] = col
+        pivots += 1
+
+    def run_phase(obj, allowed_hi):
+        nonlocal pivots
+        while True:
+            if pivots >= lp.PIVOT_CAP:
+                raise lp.LpError(f"simplex pivot cap {lp.PIVOT_CAP} exceeded")
+            enter = -1
+            for j in range(allowed_hi):  # Bland: lowest improving index
+                if obj[j] > lp.OPT_TOL:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal"
+            col = T[:, enter]
+            rows = np.nonzero(col > lp.FEAS_TOL)[0]
+            if rows.size == 0:
+                return "unbounded"
+            ratios = T[rows, -1] / col[rows]
+            best = ratios.min()
+            ties = rows[ratios <= best + lp.FEAS_TOL * (1.0 + abs(best))]
+            leave = ties[np.argmin(basis[ties])]  # Bland on the leaving index
+            pivot(leave, enter)
+
+    if n_art:
+        if run_phase(obj1, art_start) == "unbounded":
+            raise lp.LpError("phase-1 unbounded; model is inconsistent")
+        infeas = obj1[-1]
+        if infeas > 1e-7:
+            return lp.LpSolution("infeasible", None, np.zeros(0), "simplex",
+                                 pivots, model)
+        # drive surviving artificials out of the basis or drop dead rows
+        dead = []
+        for i in range(m):
+            if basis[i] >= art_start:
+                cols = np.nonzero(np.abs(T[i, :art_start]) > lp.FEAS_TOL)[0]
+                if cols.size:
+                    pivot(i, int(cols[0]))
+                else:
+                    dead.append(i)
+        if dead:
+            keep = np.array([i for i in range(m) if i not in set(dead)], dtype=int)
+            T = T[keep]
+            basis = basis[keep]
+        T[:, art_start:ncols] = 0.0
+        obj2[art_start:ncols] = 0.0
+
+    status = run_phase(obj2, art_start)
+    if status == "unbounded":
+        return lp.LpSolution("unbounded", None, np.zeros(0), "simplex",
+                             pivots, model)
+    x = np.zeros(nv + n_slack + n_art)
+    for i, col in enumerate(basis):
+        x[col] = T[i, -1]
+    assignment = {model.names[j]: float(x[j]) for j in range(nv)}
+    objective = sum(coef * assignment.get(model.names[idx], 0.0)
+                    for idx, coef in model.objective.items())
+    return lp.LpSolution("optimal", objective, x[:nv].copy(), "simplex",
+                         pivots, model)
 
 
 def reference_prophet_samples(inst, trials: int, seed: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from binprice import lp
 from binprice.cli import main
 
 
@@ -90,6 +91,13 @@ def test_solve_ptas_small_branch(tmp_path, instance_path):
     code, out2, _ = run_cli(["solve", "--instance", str(path), "--alg", "dp"])
     assert abs(rep["objective"] - json.loads(out2)["objective"]) <= 1e-6
 
+
+def test_simplex_pivot_cap_exits_4(instance_path, monkeypatch):
+    monkeypatch.setattr(lp, "PIVOT_CAP", 1)
+    code, out, err = run_cli(["solve", "--instance", instance_path,
+                              "--alg", "lp-opt", "--engine", "simplex"])
+    assert code == 4 and out == ""
+    assert err == "lp failure: simplex pivot cap 1 exceeded\n"
 
 def test_invalid_instance_exits_2(tmp_path):
     bad = tmp_path / "bad.json"

@@ -7,10 +7,15 @@ must hash to the values recorded when every trial built its own generator.
 The backward-induction kernel behind ``solve_full_dp`` and
 ``solve_subproblem_dp`` must give the values, thresholds and entry order of
 ``conftest.reference_full_dp`` / ``reference_subproblem_dp`` exactly.
+The whole-array Bland simplex ``lp._solve_dense`` must make the pivots of
+the loop kept as ``conftest.reference_dense_simplex``: same status, pivot
+count, objective and every bit of ``x``.  LP text and PTAS policy JSON must
+hash to the values recorded when the LP layer was keyed by variable name.
 """
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -18,14 +23,22 @@ import pytest
 from binprice import (
     DiscreteDistribution,
     LaminarInstance,
+    LpError,
     ProductionInstance,
+    PtasConfig,
     SizingError,
     as_laminar,
+    build_lp_exante,
+    build_lp_hierarchy,
+    build_lp_optimal,
+    policy_to_json,
+    ptas_laminar,
+    ptas_production,
     simulate,
     solve_full_dp,
     solve_subproblem_dp,
 )
-from binprice import dp
+from binprice import dp, lp
 from binprice.harness import (
     CHUNK,
     _chain_acceptance,
@@ -34,9 +47,12 @@ from binprice.harness import (
     trial_uniforms,
 )
 from binprice.model import BinSubproblem, TypeSubproblem, reachable_profile
+from binprice.rounding import mark_laminar
 
 from conftest import (
     criterion_7_laminar,
+    model_from_arrays,
+    reference_dense_simplex,
     reference_full_dp,
     reference_prophet_samples,
     reference_subproblem_dp,
@@ -243,3 +259,174 @@ def test_sizing_error_matches_reachable_profile(corpus, sweep):
             assert _sizing(
                 lambda: solve_subproblem_dp(p, j, state_cap=1)) == want
     assert raised > 0
+
+
+# ---------------------------------------------------------------------------
+# LP layer
+# ---------------------------------------------------------------------------
+
+# the PTAS settings of the bench's corpus workload; the last one's delta
+# marks the laminar relaxation bound of the exact chain
+BENCH_SETTINGS = {"eps0.2": PtasConfig(epsilon=0.2),
+                  "eps0.2_delta0.6": PtasConfig(epsilon=0.2, delta=0.6)}
+CRITERION_7_SETTING = PtasConfig(epsilon=0.2, delta=0.1)
+
+# sha256 over the concatenated documents, recorded when the LP layer was
+# keyed by variable name: ``to_text`` of every corpus instance's builds
+# (ex-ante for the production ones; hierarchy marked at delta 0.6; both at
+# capacity scale 0.8) and of the criterion-7 hierarchy LP, and
+# ``policy_to_json`` of the PTAS policy of every corpus instance per bench
+# setting and of criterion 7
+LP_TEXT_SHA256 = {
+    "optimal": "282d67d402d97f6576ba9299c4799e45aadbb3c0ee6503cddaa9e2058aeebc08",
+    "exante": "2079a7c1e22b6ad17f9d2c7db87f7cbe3c0ef1a4ca4204b215bcf49a65072aae",
+    "hierarchy": "9fb57ff4f7570b7c713f9884f1580fa782b80cd375221f89e881ec87c76a9e9a",
+    "criterion_7": "7f7241b7a858793c7462511cbf17cc4b5e9051cfd53d8428cfc5247ff8415999",
+}
+POLICY_SHA256 = {
+    "eps0.2": "3e739bf4514e5154f2b091d571d25088e3575d8a149f64dab9ab0a8d9e33c763",
+    "eps0.2_delta0.6": "9727b69aed8f0798caa8332fd119b6619bec925fcfd04d8d99509369a33b6fef",
+    "criterion_7": "bf45a9b006e20db1b83a294728cd55528d4db518976038a9895c16ae67482972",
+}
+
+# (c, a_ub, b_ub, a_eq, b_eq), each reaching one branch of the simplex
+HAND_LPS = {
+    "infeasible": ([1.0], [[-1.0]], [-2.0], [[1.0]], [1.0]),
+    "unbounded": ([1.0, 0.0], [[-1.0, 1.0]], [1.0], [], []),
+    # negative right-hand sides flip their rows, zeros turning to -0.0
+    "negative_rhs": ([-1.0, -2.0, 0.5],
+                     [[-1.0, -1.0, 0.0], [0.0, -1.0, -1.0], [1.0, 1.0, 1.0]],
+                     [-1.0, -0.5, 4.0], [], []),
+    "ratio_tie": ([1.0, 1.0], [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                  [1.0, 1.0, 1.0], [], []),
+    # the second equality repeats the first: its artificial stays basic on
+    # an all-zero row, which is dropped
+    "dead_row": ([1.0, 2.0], [[1.0, 0.0]], [0.75],
+                 [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]),
+    # a zero-level artificial is pivoted out on a negative entry
+    "artificial_out": ([1.0, 1.0, 0.5], [[0.0, 0.0, 1.0]], [2.0],
+                       [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], [0.0, 0.0]),
+}
+
+
+def fingerprint(sol):
+    # an empty objective sums to the int 0, so the type is compared too
+    obj = sol.objective
+    return (sol.status, sol.iterations, type(obj).__name__,
+            None if obj is None else float(obj).hex(),
+            [v.hex() for v in sol.x.tolist()])
+
+
+def sha256_of(docs):
+    digest = hashlib.sha256()
+    for doc in docs:
+        digest.update(doc.encode())
+    return digest.hexdigest()
+
+
+def ptas_policy(entry, cfg):
+    if entry.production is not None:
+        return ptas_production(entry.production, cfg).policy
+    return ptas_laminar(entry.laminar, cfg).policy
+
+
+@pytest.fixture(scope="module")
+def corpus_run(corpus):
+    """Every LP a corpus run builds -- PTAS at both bench settings, then the
+    exact chain's relaxation bound and exact LP -- and the PTAS policy JSON
+    per setting."""
+    models, policies = [], {label: [] for label in BENCH_SETTINGS}
+    solve = lp.solve
+
+    def capture(model, engine="auto"):
+        models.append(model)
+        return solve(model, engine)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", capture)
+        for entry in corpus:
+            for label, cfg in BENCH_SETTINGS.items():
+                policies[label].append(policy_to_json(ptas_policy(entry, cfg)))
+            lam = entry.laminar
+            if entry.production is not None:
+                bound = build_lp_exante(entry.production, 1.0)
+            else:
+                mk = mark_laminar(lam, BENCH_SETTINGS["eps0.2_delta0.6"].delta)
+                bound = build_lp_hierarchy(lam, mk, 1.0)
+            lp.solve_optimal(bound.model)
+            lp.solve_optimal(build_lp_optimal(lam).model)
+    return models, policies
+
+
+def test_dense_simplex_matches_reference_on_corpus_lps(corpus_run):
+    models, _ = corpus_run
+    assert len(models) == 800
+    for model in models:
+        assert fingerprint(lp._solve_dense(model)) == \
+            fingerprint(reference_dense_simplex(model))
+
+
+@pytest.mark.parametrize("name", sorted(HAND_LPS))
+def test_dense_simplex_matches_reference_on_hand_lps(name):
+    model = model_from_arrays(*HAND_LPS[name])
+    got = lp._solve_dense(model)
+    assert fingerprint(got) == fingerprint(reference_dense_simplex(model))
+    want = {"infeasible": "infeasible", "unbounded": "unbounded"}
+    assert got.status == want.get(name, "optimal")
+
+
+def test_dense_simplex_matches_reference_on_random_lps():
+    # small integer data: many ratio ties, degenerate vertices, redundant
+    # and negative-rhs rows
+    rng = random.Random(2024)
+    statuses = set()
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        c = [rng.randint(-3, 4) for _ in range(n)]
+        a_ub = [[rng.randint(-2, 3) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        b_ub = [rng.randint(-3, 6) for _ in a_ub]
+        a_eq = [[rng.randint(-1, 2) for _ in range(n)]
+                for _ in range(rng.randint(0, 2))]
+        b_eq = [rng.randint(-2, 3) for _ in a_eq]
+        if a_eq and rng.random() < 0.3:
+            a_eq.append([2 * v for v in a_eq[0]])
+            b_eq.append(2 * b_eq[0])
+        model = model_from_arrays(c, a_ub, b_ub, a_eq, b_eq)
+        got = lp._solve_dense(model)
+        assert fingerprint(got) == fingerprint(reference_dense_simplex(model))
+        statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_dense_simplex_honours_the_pivot_cap(monkeypatch):
+    model = model_from_arrays(*HAND_LPS["negative_rhs"])
+    monkeypatch.setattr(lp, "PIVOT_CAP", 2)
+    for solver in (lp._solve_dense, reference_dense_simplex):
+        with pytest.raises(LpError, match="simplex pivot cap 2 exceeded"):
+            solver(model)
+
+
+def test_lp_text_is_pinned(corpus):
+    prods = [e.production for e in corpus if e.production is not None]
+    texts = {
+        "optimal": [build_lp_optimal(e.laminar).model.to_text()
+                    for e in corpus],
+        "exante": [build_lp_exante(p, 0.8).model.to_text() for p in prods],
+        "hierarchy": [build_lp_hierarchy(e.laminar,
+                                          mark_laminar(e.laminar, 0.6),
+                                          0.8).model.to_text()
+                      for e in corpus],
+    }
+    c7 = criterion_7_laminar()
+    texts["criterion_7"] = [build_lp_hierarchy(
+        c7, mark_laminar(c7, CRITERION_7_SETTING.delta), 0.8).model.to_text()]
+    assert {k: sha256_of(v) for k, v in texts.items()} == LP_TEXT_SHA256
+
+
+def test_ptas_policies_are_pinned(corpus_run):
+    _, policies = corpus_run
+    got = {label: sha256_of(docs) for label, docs in policies.items()}
+    got["criterion_7"] = sha256_of([policy_to_json(
+        ptas_laminar(criterion_7_laminar(), CRITERION_7_SETTING).policy)])
+    assert got == POLICY_SHA256

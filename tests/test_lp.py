@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from binprice import (
@@ -15,25 +17,17 @@ from binprice import (
     solve_optimal,
     solve_full_dp,
 )
-from binprice.lp import LpModel, y_name
+from binprice.lp import LpModel, LpSolution, check_solution, y_name
 from binprice.rounding import mark_laminar
 
-from conftest import oracle_lp_vertices, random_laminar, random_production
+from conftest import (
+    model_from_arrays,
+    oracle_lp_vertices,
+    random_laminar,
+    random_production,
+)
 
 U02 = DiscreteDistribution.uniform([0, 2])
-
-
-def model_from_arrays(c, a_ub, b_ub, a_eq=(), b_eq=()):
-    m = LpModel()
-    for i in range(len(c)):
-        m.add_var(f"x{i}")
-        if c[i]:
-            m.add_objective(f"x{i}", c[i])
-    for row, b in zip(a_ub, b_ub):
-        m.add_row([(f"x{j}", v) for j, v in enumerate(row) if v], "<=", b)
-    for row, b in zip(a_eq, b_eq):
-        m.add_row([(f"x{j}", v) for j, v in enumerate(row) if v], "=", b)
-    return m
 
 
 def test_simplex_single_variable():
@@ -232,3 +226,45 @@ def test_duplicate_variable_names_rejected():
     m.add_var("a")
     with pytest.raises(ValueError):
         m.add_var("a")
+
+
+def test_check_solution_reports_non_finite_values():
+    m = LpModel()
+    m.add_var("a")
+    m.add_var("b")
+    m.add_objective("a", 1.0)
+    m.add_row([("a", 1.0), ("b", 1.0)], "<=", 1.0)
+    m.add_row([("a", 1.0)], "=", 0.5)
+    for bad in (math.nan, math.inf):
+        sol = LpSolution("optimal", 0.0, np.array([bad, bad]), "simplex",
+                         model=m)
+        assert check_solution(m, sol) == [
+            f"2 variables not finite, first a: {bad!r}",
+            f"row c0 violated by {bad!r}", f"row c1 off by {bad!r}"]
+    sol = LpSolution("optimal", 0.0, np.array([-math.inf, 0.0]), "simplex",
+                     model=m)
+    assert check_solution(m, sol) == [
+        "1 variables not finite, first a: -inf",
+        "variable a below bound: -inf", "row c1 off by -inf"]
+
+
+def test_check_solution_prints_plain_floats():
+    m = model_from_arrays([1.0, 0.0], [[1.0, 1.0]], [1.0], [[0.0, 1.0]], [1.0])
+    sol = LpSolution("optimal", 3.0, np.array([3.0, -1.0]), "simplex", model=m)
+    assert check_solution(m, sol) == ["variable x1 below bound: -1.0",
+                                      "row c0 violated by 1.0",
+                                      "row c1 off by -2.0"]
+    inf = LpSolution("optimal", 0.0, np.array([math.inf, 0.0]), "simplex",
+                     model=m)
+    msgs = check_solution(m, inf)
+    assert "row c0 violated by inf" in msgs
+    assert not any("np." in msg for msg in msgs)
+
+
+def test_check_solution_accepts_solver_output(corpus):
+    for entry in corpus[:20]:
+        built = build_lp_optimal(entry.laminar)
+        sol = solve_optimal(built.model, "simplex")
+        assert check_solution(built.model, sol) == []
+        assert sol.assignment == {name: sol.value(name)
+                                  for name in built.model.names}
