@@ -6,15 +6,22 @@ concentration slack.  The accuracy knob ``eps`` fixes the granularity
 experiments that want the expectation-constrained branch at modest
 capacities).
 
-Production: when the shipping capacity is at most ``1/delta`` the full
-exact LP is affordable and its rounding is the optimal policy; otherwise
-the ex-ante LP is solved at shipping capacity scaled by ``1 - eps`` and the
-per-type pricings run behind a hard counter at the *original* capacity.
+Small branch: when the shipping capacity is at most ``1/delta`` (production)
+or the depth marking leaves no bin large (laminar), the whole instance is
+one point-wise sub-problem and is priced exactly.  Its policy is the
+optimal threshold policy of ``dp.solve_full_dp``, and its objective the DP
+optimum; no LP is built.  The exact policy LP, whose value equals the DP's,
+stays the cross-check of ``solve --alg lp-opt`` and ``verify``.  A laminar
+policy keeps the composed shape, with the root as its only block and no
+counters.
 
-Laminar: the depth marking picks the point-wise/expectation split, the
-hierarchy LP is solved with large capacities scaled by ``1 - eps``, and the
-per-small-bin pricings run behind hard counters at the original large
-capacities.
+Large branch, production: the ex-ante LP is solved at shipping capacity
+scaled by ``1 - eps`` and the per-type pricings run behind a hard counter
+at the *original* capacity.
+
+Large branch, laminar: the hierarchy LP is solved with large capacities
+scaled by ``1 - eps``, and the per-small-bin pricings run behind hard
+counters at the original large capacities.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ from .model import (
     production_to_laminar,
     validate,
 )
+from . import dp
 from . import lp as lpmod
-from .rounding import compose_policies, extract_all, extract_pricing, mark_laminar
+from .rounding import compose_policies, extract_all, mark_laminar
 
 EPSILON_MAX = 0.99
 
@@ -71,7 +79,7 @@ class PtasResult:
     policy: object
     branch: str  # "small" (exact) or "large" (scaled ex-ante)
     objective: float
-    lp_kind: str
+    lp_kind: str  # "dp" on the small branch, else the LP solved
     marking: Marking | None = None
 
     def marking_summary(self) -> dict:
@@ -89,12 +97,10 @@ def ptas_production(p: ProductionInstance, cfg: PtasConfig, *,
         raise InstanceError(errs)
     delta = cfg.resolved_delta
     if p.shipping <= 1.0 / delta:
-        lam = production_to_laminar(p)
-        built = lpmod.build_lp_optimal(lam, state_cap=state_cap)
-        sol = lpmod.solve_optimal(built.model, engine)
-        policy = extract_pricing(sol, built, "root")
+        table, policy = dp.solve_full_dp(production_to_laminar(p),
+                                         state_cap=state_cap)
         return PtasResult(policy=policy, branch="small",
-                          objective=sol.objective, lp_kind="optimal")
+                          objective=table.optimal, lp_kind="dp")
     built = lpmod.build_lp_exante(p, cfg.capacity_scale, state_cap=state_cap)
     sol = lpmod.solve_optimal(built.model, engine)
     policies = extract_all(sol, built)
@@ -109,11 +115,15 @@ def ptas_laminar(inst: LaminarInstance, cfg: PtasConfig, *,
     if errs:
         raise InstanceError(errs)
     mk = mark_laminar(inst, cfg.resolved_delta)
+    if not mk.large:
+        table, policy = dp.solve_full_dp(inst, state_cap=state_cap)
+        return PtasResult(policy=compose_policies(inst, {"root": policy}, mk),
+                          branch="small", objective=table.optimal,
+                          lp_kind="dp", marking=mk)
     built = lpmod.build_lp_hierarchy(inst, mk, cfg.capacity_scale,
                                      state_cap=state_cap)
     sol = lpmod.solve_optimal(built.model, engine)
     policies = extract_all(sol, built)
     policy = compose_policies(inst, policies, mk)
-    branch = "large" if mk.large else "small"
-    return PtasResult(policy=policy, branch=branch, objective=sol.objective,
+    return PtasResult(policy=policy, branch="large", objective=sol.objective,
                       lp_kind="hierarchy", marking=mk)

@@ -93,15 +93,21 @@ class ComposedPolicy:
     def scope(self) -> str:
         return "composed"
 
-    def to_json_dict(self) -> dict:
+    def envelope(self) -> dict:
+        """The document's fields other than ``scope`` and ``blocks``."""
         return {
-            "scope": "composed",
-            "blocks": {k: v.to_json_dict() for k, v in sorted(self.blocks.items())},
             "element_block": {str(e): k
                               for e, k in sorted(self.element_block.items())},
             "counter_caps": dict(sorted(self.counter_caps.items())),
             "counter_keys": {str(e): list(keys)
                              for e, keys in sorted(self.counter_keys.items())},
+        }
+
+    def to_json_dict(self) -> dict:
+        return {
+            "scope": "composed",
+            "blocks": {k: v.to_json_dict() for k, v in sorted(self.blocks.items())},
+            **self.envelope(),
         }
 
     @classmethod
@@ -125,7 +131,39 @@ class ComposedPolicy:
 
 
 def policy_to_json(policy) -> str:
-    return json.dumps(policy.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    """The policy document: the bytes of ``json.dumps(policy.to_json_dict(),
+    indent=2, sort_keys=True) + "\\n"``, each rule written by one template
+    (``indent`` would route ``json.dumps`` through its pure-Python encoder).
+    ``tau`` and ``p`` are floats; an infinite ``tau`` is the string "inf"."""
+    if not isinstance(policy, ComposedPolicy):
+        return _pricing_json(policy, "") + "\n"
+    # "blocks" sorts first, so the rest of the document follows its line
+    head = '{\n  "blocks": {}'
+    rest = json.dumps(dict(policy.envelope(), blocks={}, scope="composed"),
+                      indent=2, sort_keys=True)[len(head):]
+    blocks = ",\n".join(f'    {json.dumps(key)}: {_pricing_json(pol, "    ")}'
+                         for key, pol in sorted(policy.blocks.items()))
+    if blocks:
+        blocks = "{\n" + blocks + "\n  }"
+    return '{\n  "blocks": ' + (blocks or "{}") + rest + "\n"
+
+
+def _pricing_json(policy, pad) -> str:
+    """``policy``'s indented document, every line after the first prefixed
+    with ``pad``."""
+    p3 = pad + "      "
+    p4 = p3 + "  "
+    sep = ",\n" + p4
+    rules = []
+    for (t, state), (tau, p) in sorted(policy.rules.items()):
+        state = f"[\n{p4}{sep.join(map(str, state))}\n{p3}]" if state else "[]"
+        tau = '"inf"' if math.isinf(tau) else float.__repr__(tau)
+        rules.append(f'{pad}    {{\n{p3}"p": {float.__repr__(p)},\n'
+                     f'{p3}"state": {state},\n{p3}"t": {t},\n'
+                     f'{p3}"tau": {tau}\n{pad}    }}')
+    rules = "[\n" + ",\n".join(rules) + f"\n{pad}  ]" if rules else "[]"
+    return (f'{{\n{pad}  "rules": {rules},\n'
+            f'{pad}  "scope": {json.dumps(policy.scope)}\n{pad}}}')
 
 
 def policy_from_json(text: str):

@@ -8,6 +8,7 @@ never from the code paths they check.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -19,8 +20,11 @@ from binprice import (
     DiscreteDistribution,
     LaminarInstance,
     ProductionInstance,
+    PtasConfig,
     as_laminar,
     production_to_laminar,
+    ptas_laminar,
+    ptas_production,
 )
 from binprice import lp
 from binprice.harness import trial_generator
@@ -118,6 +122,18 @@ def build_corpus(seed=202408, size=200) -> list[CorpusEntry]:
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+# the PTAS settings of the bench's corpus workload; the last one's delta
+# marks the laminar relaxation bound of the exact chain
+BENCH_SETTINGS = {"eps0.2": PtasConfig(epsilon=0.2),
+                  "eps0.2_delta0.6": PtasConfig(epsilon=0.2, delta=0.6)}
+
+
+def run_ptas(entry: CorpusEntry, cfg: PtasConfig):
+    if entry.production is not None:
+        return ptas_production(entry.production, cfg)
+    return ptas_laminar(entry.laminar, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +439,11 @@ def reference_prophet_samples(inst, trials: int, seed: int) -> np.ndarray:
                 total += vals[e]
         out[trial] = total
     return out
+
+
+def reference_policy_json(policy) -> str:
+    """The policy document as written through ``json.dumps``."""
+    return json.dumps(policy.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def reference_full_dp(inst: LaminarInstance):

@@ -88,8 +88,19 @@ def test_solve_ptas_small_branch(tmp_path, instance_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["branch"] == "small"
+    assert rep["lp"] == "dp"
     code, out2, _ = run_cli(["solve", "--instance", str(path), "--alg", "dp"])
     assert abs(rep["objective"] - json.loads(out2)["objective"]) <= 1e-6
+    # the branch solves no LP, so the engine cannot change its policy
+    policies = []
+    for engine in ("simplex", "highs"):
+        pol = tmp_path / f"{engine}.json"
+        code, _, _ = run_cli(["solve", "--instance", str(path), "--alg",
+                              "ptas", "--epsilon", "0.5", "--engine", engine,
+                              "--policy-out", str(pol)])
+        assert code == 0
+        policies.append(pol.read_bytes())
+    assert policies[0] == policies[1]
 
 
 def test_simplex_pivot_cap_exits_4(instance_path, monkeypatch):

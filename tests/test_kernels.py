@@ -10,11 +10,16 @@ The backward-induction kernel behind ``solve_full_dp`` and
 The whole-array Bland simplex ``lp._solve_dense`` must make the pivots of
 the loop kept as ``conftest.reference_dense_simplex``: same status, pivot
 count, objective and every bit of ``x``.  LP text and PTAS policy JSON must
-hash to the values recorded when the LP layer was keyed by variable name.
+hash to the values recorded when the LP layer was keyed by variable name,
+except the small-branch PTAS policies, recorded when that branch took the
+DP's policy, and the lp-opt roundings, recorded when the small branch
+still rounded the exact LP.  ``policy_to_json`` must write the bytes of
+``conftest.reference_policy_json``.
 """
 
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -31,9 +36,9 @@ from binprice import (
     build_lp_exante,
     build_lp_hierarchy,
     build_lp_optimal,
+    compose_policies,
     policy_to_json,
     ptas_laminar,
-    ptas_production,
     simulate,
     solve_full_dp,
     solve_subproblem_dp,
@@ -47,15 +52,24 @@ from binprice.harness import (
     trial_uniforms,
 )
 from binprice.model import BinSubproblem, TypeSubproblem, reachable_profile
-from binprice.rounding import mark_laminar
+from binprice.rounding import (
+    ComposedPolicy,
+    PricingPolicy,
+    extract_all,
+    extract_pricing,
+    mark_laminar,
+)
 
 from conftest import (
+    BENCH_SETTINGS,
     criterion_7_laminar,
     model_from_arrays,
     reference_dense_simplex,
     reference_full_dp,
+    reference_policy_json,
     reference_prophet_samples,
     reference_subproblem_dp,
+    run_ptas,
 )
 
 SEEDS = (0, 7, 2 ** 63 + 5)
@@ -265,18 +279,17 @@ def test_sizing_error_matches_reachable_profile(corpus, sweep):
 # LP layer
 # ---------------------------------------------------------------------------
 
-# the PTAS settings of the bench's corpus workload; the last one's delta
-# marks the laminar relaxation bound of the exact chain
-BENCH_SETTINGS = {"eps0.2": PtasConfig(epsilon=0.2),
-                  "eps0.2_delta0.6": PtasConfig(epsilon=0.2, delta=0.6)}
 CRITERION_7_SETTING = PtasConfig(epsilon=0.2, delta=0.1)
 
 # sha256 over the concatenated documents, recorded when the LP layer was
 # keyed by variable name: ``to_text`` of every corpus instance's builds
 # (ex-ante for the production ones; hierarchy marked at delta 0.6; both at
 # capacity scale 0.8) and of the criterion-7 hierarchy LP, and
-# ``policy_to_json`` of the PTAS policy of every corpus instance per bench
-# setting and of criterion 7
+# ``policy_to_json`` of the PTAS policy of the criterion-7 instance.  The
+# PTAS policies of every corpus instance per bench setting were recorded
+# when the small branch took the DP's policy; ``lp_opt``, the rounding of
+# every corpus instance's exact LP, was recorded before that, when the
+# small branch still returned such roundings.
 LP_TEXT_SHA256 = {
     "optimal": "282d67d402d97f6576ba9299c4799e45aadbb3c0ee6503cddaa9e2058aeebc08",
     "exante": "2079a7c1e22b6ad17f9d2c7db87f7cbe3c0ef1a4ca4204b215bcf49a65072aae",
@@ -284,8 +297,9 @@ LP_TEXT_SHA256 = {
     "criterion_7": "7f7241b7a858793c7462511cbf17cc4b5e9051cfd53d8428cfc5247ff8415999",
 }
 POLICY_SHA256 = {
-    "eps0.2": "3e739bf4514e5154f2b091d571d25088e3575d8a149f64dab9ab0a8d9e33c763",
-    "eps0.2_delta0.6": "9727b69aed8f0798caa8332fd119b6619bec925fcfd04d8d99509369a33b6fef",
+    "eps0.2": "615d160c4eb571599b7649e37773d0ce1eddafadd1520fb1a327a55f13329232",
+    "eps0.2_delta0.6": "1ee5f34fa21b992facc09cd2b3217b513969a7137e7231cbe63852c48dfd06a8",
+    "lp_opt": "f3a23787645c39a817f92f9e71e2650a75f2e7d9b8ed98083c60170da69985ea",
     "criterion_7": "bf45a9b006e20db1b83a294728cd55528d4db518976038a9895c16ae67482972",
 }
 
@@ -324,18 +338,28 @@ def sha256_of(docs):
     return digest.hexdigest()
 
 
-def ptas_policy(entry, cfg):
+def rounded_exact_lp(entry, cfg):
+    """The LP route's policy for a small-branch case: the rounding of the
+    exact LP, built as a hierarchy LP for a laminar instance."""
+    lam = entry.laminar
     if entry.production is not None:
-        return ptas_production(entry.production, cfg).policy
-    return ptas_laminar(entry.laminar, cfg).policy
+        built = build_lp_optimal(lam)
+        return extract_pricing(lp.solve_optimal(built.model), built, "root")
+    mk = mark_laminar(lam, cfg.resolved_delta)
+    built = build_lp_hierarchy(lam, mk, cfg.capacity_scale)
+    return compose_policies(
+        lam, extract_all(lp.solve_optimal(built.model), built), mk)
 
 
 @pytest.fixture(scope="module")
 def corpus_run(corpus):
-    """Every LP a corpus run builds -- PTAS at both bench settings, then the
-    exact chain's relaxation bound and exact LP -- and the PTAS policy JSON
-    per setting."""
-    models, policies = [], {label: [] for label in BENCH_SETTINGS}
+    """Every LP a corpus run solves -- PTAS at both bench settings, with
+    the exact LP each small-branch case stands in for, then the exact
+    chain's relaxation bound and exact LP -- and the policies: the PTAS's
+    per setting, the small branch's former LP roundings (``lp_route``) and
+    the exact LP's rounding (``lp_opt``)."""
+    models = []
+    policies = {label: [] for label in (*BENCH_SETTINGS, "lp_route", "lp_opt")}
     solve = lp.solve
 
     def capture(model, engine="auto"):
@@ -346,7 +370,10 @@ def corpus_run(corpus):
         mp.setattr(lp, "solve", capture)
         for entry in corpus:
             for label, cfg in BENCH_SETTINGS.items():
-                policies[label].append(policy_to_json(ptas_policy(entry, cfg)))
+                result = run_ptas(entry, cfg)
+                policies[label].append(result.policy)
+                if result.branch == "small":
+                    policies["lp_route"].append(rounded_exact_lp(entry, cfg))
             lam = entry.laminar
             if entry.production is not None:
                 bound = build_lp_exante(entry.production, 1.0)
@@ -354,7 +381,9 @@ def corpus_run(corpus):
                 mk = mark_laminar(lam, BENCH_SETTINGS["eps0.2_delta0.6"].delta)
                 bound = build_lp_hierarchy(lam, mk, 1.0)
             lp.solve_optimal(bound.model)
-            lp.solve_optimal(build_lp_optimal(lam).model)
+            built = build_lp_optimal(lam)
+            policies["lp_opt"].append(extract_pricing(
+                lp.solve_optimal(built.model), built, "root"))
     return models, policies
 
 
@@ -426,7 +455,60 @@ def test_lp_text_is_pinned(corpus):
 
 def test_ptas_policies_are_pinned(corpus_run):
     _, policies = corpus_run
-    got = {label: sha256_of(docs) for label, docs in policies.items()}
+    got = {label: sha256_of(map(policy_to_json, policies[label]))
+           for label in (*BENCH_SETTINGS, "lp_opt")}
     got["criterion_7"] = sha256_of([policy_to_json(
         ptas_laminar(criterion_7_laminar(), CRITERION_7_SETTING).policy)])
     assert got == POLICY_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Policy writer
+# ---------------------------------------------------------------------------
+
+
+def test_policy_writer_matches_json_dumps_on_corpus(corpus_run):
+    _, policies = corpus_run
+    assert {k: len(v) for k, v in policies.items()} == {
+        "eps0.2": 200, "eps0.2_delta0.6": 200, "lp_route": 270,
+        "lp_opt": 200}
+    for pols in policies.values():
+        for pol in pols:
+            assert policy_to_json(pol) == reference_policy_json(pol)
+
+
+@pytest.mark.parametrize("cfg", [CRITERION_7_SETTING, PtasConfig(epsilon=0.2)],
+                         ids=["large", "small"])
+def test_policy_writer_matches_json_dumps_on_criterion_7(cfg):
+    pol = ptas_laminar(criterion_7_laminar(), cfg).policy
+    assert policy_to_json(pol) == reference_policy_json(pol)
+
+
+HAND_POLICIES = {
+    "no rules": PricingPolicy(scope="root", rules={}),
+    "signed zeros and infinities": PricingPolicy(scope="type:3", rules={
+        (0, (0,)): (-0.0, -0.0), (0, (1,)): (math.inf, 0.0),
+        (2, (0,)): (-math.inf, 1.0), (1, (0,)): (0.1 + 0.2, 1e-300)}),
+    "empty states": PricingPolicy(scope="elem:4", rules={
+        (4, ()): (2.5, 0.5)}),
+    "composed without counters": ComposedPolicy(
+        blocks={"root": PricingPolicy(scope="root", rules={
+            (0, (1, 0)): (1.0, 1.0), (1, (1, 0)): (math.inf, 0.0)})},
+        element_block={0: "root", 1: "root"}, counter_caps={},
+        counter_keys={0: (), 1: ()}),
+    # keys sort as strings: "bin:10" before "bin:2", "10" before "2"
+    "composed with counters": ComposedPolicy(
+        blocks={f"bin:{b}": PricingPolicy(scope=f"bin:{b}", rules={
+            (e, (0,)): (0.5, 0.25)}) for b, e in ((2, 2), (10, 10))},
+        element_block={2: "bin:2", 10: "bin:10"},
+        counter_caps={"bin:0": 1, "bin:1": 0},
+        counter_keys={2: ("bin:0",), 10: ("bin:0", "bin:1")}),
+    "composed without blocks": ComposedPolicy(
+        blocks={}, element_block={}, counter_caps={}, counter_keys={}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_POLICIES))
+def test_policy_writer_matches_json_dumps_on_hand_cases(name):
+    pol = HAND_POLICIES[name]
+    assert policy_to_json(pol) == reference_policy_json(pol)

@@ -6,17 +6,25 @@ import pytest
 from binprice import (
     DiscreteDistribution,
     PtasConfig,
+    build_lp_optimal,
     delta_of,
     evaluate_exact,
+    mark_laminar,
     production_to_laminar,
     ptas_laminar,
     ptas_production,
     simulate,
     solve_full_dp,
 )
-from binprice import LaminarInstance, ProductionInstance
+from binprice import LaminarInstance, ProductionInstance, lp
 
-from conftest import random_laminar, random_production
+from conftest import (
+    BENCH_SETTINGS,
+    criterion_7_laminar,
+    random_laminar,
+    random_production,
+    run_ptas,
+)
 
 U02 = DiscreteDistribution.uniform([0, 2])
 
@@ -132,3 +140,67 @@ def test_counters_use_original_capacity_not_scaled():
     assert r.branch == "large"
     composed = r.policy
     assert composed.counter_caps == {"shipping": 3}
+
+
+def takes_small_branch(entry, cfg):
+    delta = cfg.resolved_delta
+    if entry.production is not None:
+        return entry.production.shipping <= 1.0 / delta
+    return not mark_laminar(entry.laminar, delta).large
+
+
+def forbid_lp(mp):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the small branch built or solved an LP")
+
+    for name in ("build_lp_optimal", "build_lp_hierarchy", "solve"):
+        mp.setattr(lp, name, no_lp)
+
+
+@pytest.fixture(scope="module")
+def small_branch_runs(corpus):
+    """``(entry, result)`` of PTAS at both bench settings on every corpus
+    case the small branch takes, run with every LP entry point raising."""
+    runs = {label: [] for label in BENCH_SETTINGS}
+    with pytest.MonkeyPatch.context() as mp:
+        forbid_lp(mp)
+        for entry in corpus:
+            for label, cfg in BENCH_SETTINGS.items():
+                if not takes_small_branch(entry, cfg):
+                    continue
+                runs[label].append((entry, run_ptas(entry, cfg)))
+    return runs
+
+
+def test_small_branch_builds_no_lp(small_branch_runs):
+    assert {k: len(v) for k, v in small_branch_runs.items()} == {
+        "eps0.2": 200, "eps0.2_delta0.6": 70}
+    for runs in small_branch_runs.values():
+        for _, r in runs:
+            assert (r.branch, r.lp_kind) == ("small", "dp")
+
+
+def test_small_branch_on_criterion_7_builds_no_lp(monkeypatch):
+    forbid_lp(monkeypatch)
+    inst = criterion_7_laminar()
+    r = ptas_laminar(inst, PtasConfig(epsilon=0.2))
+    assert (r.branch, r.lp_kind) == ("small", "dp")
+    assert not r.marking.large
+    table, _ = solve_full_dp(inst)
+    assert r.objective == table.optimal
+    assert sorted(r.policy.blocks) == ["root"]
+    assert r.policy.counter_caps == {}
+
+
+def test_small_branch_policy_attains_dp_and_lp_optimum(small_branch_runs):
+    for runs in small_branch_runs.values():
+        for entry, r in runs:
+            table, _ = solve_full_dp(entry.laminar)
+            assert r.objective == table.optimal
+            inst = (entry.production if entry.production is not None
+                    else entry.laminar)
+            welfare, _ = evaluate_exact(r.policy, inst)
+            assert abs(welfare - table.optimal) <= 1e-9
+            built = build_lp_optimal(entry.laminar)
+            assert abs(r.objective
+                       - lp.solve_optimal(built.model).objective) <= 1e-6
