@@ -8,8 +8,9 @@ Sub-commands::
     binprice transform --instance f.json
 
 Reports go to stdout (or ``--output``) as JSON or CSV; diagnostics go to
-stderr.  Exit codes: 0 ok, 2 invalid instance, 3 state-space cap exceeded,
-4 LP failure, 5 verification property failed, 6 policy/instance mismatch.
+stderr.  Exit codes: 0 ok, 2 invalid instance (or a missing or unreadable
+file), 3 state-space cap exceeded, 4 LP failure, 5 verification property
+failed, 6 policy/instance mismatch (or a malformed policy document).
 """
 
 from __future__ import annotations
@@ -148,7 +149,11 @@ def cmd_solve(args) -> int:
 
 def _load_policy(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return policy_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PolicyError(f"policy: not UTF-8 text ({exc})") from None
+    return policy_from_json(text)
 
 
 def cmd_simulate(args) -> int:
@@ -173,7 +178,7 @@ def cmd_verify(args) -> int:
     state_cap = args.state_cap
     checks = []
 
-    table, dp_policy = solve_full_dp(lam, state_cap=state_cap)
+    table, _ = solve_full_dp(lam, state_cap=state_cap)
     dp_value = table.optimal
     built1 = lp.build_lp_optimal(lam, state_cap=state_cap)
     sol1 = lp.solve_optimal(built1.model, args.engine)
@@ -380,6 +385,9 @@ def main(argv=None) -> int:
         return EXIT_INSTANCE
     except FileNotFoundError as exc:
         _diag(f"missing file: {exc}")
+        return EXIT_INSTANCE
+    except (IsADirectoryError, PermissionError) as exc:
+        _diag(f"cannot open file: {exc}")
         return EXIT_INSTANCE
     except SizingError as exc:
         _diag(str(exc))

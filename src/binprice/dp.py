@@ -21,8 +21,9 @@ positions and sums the atoms in their order, so values and thresholds
 equal a scalar loop over the states bit for bit.  A state space of at most
 ``SMALL_CODES`` codes is swept the same way on Python lists, one state at
 a time, since there numpy's cost per call exceeds the work.  Tuples are
-decoded only for ``ValueTable.entries`` and the policy ``solve_full_dp``
-returns.
+decoded only when ``ValueTable.entries`` or the rules of the policy
+``solve_full_dp`` returns are first read; a caller that needs only the
+optimum, such as the exactness chain, decodes none.
 
 ``solve_full_dp`` runs the kernel over the full remaining-capacity state
 space of a laminar instance and reads off the optimal threshold policy;
@@ -278,14 +279,18 @@ def solve_full_dp(inst: LaminarInstance, *,
 
     Returns the value table and the extracted pricing policy (accept at
     equality).  States where the arriving element cannot be picked quote an
-    infinite price.
+    infinite price.  The policy's rules are decoded from the table's
+    thresholds the first time they are read.
     """
     dyn = BinSubproblem(inst, 0)
     table = backward(dyn, inst.dists, state_cap=state_cap)
-    thr = np.concatenate(table.thresholds[::-1])
-    bias = (thr < math.inf) * 1.0
-    rules = dict(zip(table.tagged_states(dyn.elements),
-                     zip(thr.tolist(), bias.tolist())))
+
+    def rules():
+        thr = np.concatenate(table.thresholds[::-1])
+        bias = (thr < math.inf) * 1.0
+        return dict(zip(table.tagged_states(dyn.elements),
+                        zip(thr.tolist(), bias.tolist())))
+
     return table, PricingPolicy(scope=dyn.key, rules=rules)
 
 

@@ -769,6 +769,8 @@ def load_instance(path) -> ProductionInstance | LaminarInstance:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"instance: invalid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"instance: not UTF-8 text ({exc})") from None
     return parse_instance(doc)
 
 

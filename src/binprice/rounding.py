@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import (
     InstanceError,
@@ -40,7 +41,6 @@ class PolicyError(ValueError):
     """A malformed policy document."""
 
 
-@dataclass(frozen=True)
 class PricingPolicy:
     """Threshold rules for one sub-problem.
 
@@ -49,10 +49,28 @@ class PricingPolicy:
     executor additionally quotes infinity whenever the local capacities
     cannot absorb a pick, so exhausted states are safe even under solver
     round-off.
+
+    ``rules`` may be given as that dict or as a function of no arguments
+    that builds it.  The function runs the first time ``rules`` or
+    ``rule`` is read, and its dict is kept, so a policy that is never read
+    is never decoded (``dp.solve_full_dp`` builds its policy this way).
     """
 
-    scope: str
-    rules: dict
+    def __init__(self, scope: str, rules):
+        self.scope = scope
+        if callable(rules):
+            self._decode = rules
+        else:
+            self.rules = rules
+
+    @cached_property
+    def rules(self) -> dict:
+        return self._decode()
+
+    def __eq__(self, other):
+        if not isinstance(other, PricingPolicy):
+            return NotImplemented
+        return self.scope == other.scope and self.rules == other.rules
 
     def rule(self, t, state):
         return self.rules.get((t, state))

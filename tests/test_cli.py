@@ -437,3 +437,47 @@ def test_policy_with_foreign_counter_exits_6(tmp_path, instance_path):
     assert code == 6
     assert out == ""
     assert "['bin:7'] are not capacities of the instance" in err
+
+
+def _unreadable(tmp_path, shape, name):
+    path = tmp_path / name
+    if shape == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"scope": "\xff"}')
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
+@pytest.mark.parametrize("shape", ["directory", "not UTF-8"])
+def test_unreadable_instance_exits_2(tmp_path, command, shape):
+    argv = [command, "--instance", _unreadable(tmp_path, shape, "inst.json")]
+    if command == "solve":
+        argv += ["--alg", "dp"]
+    else:
+        argv += ["--trials", "10", "--seed", "1"]
+    if command == "simulate":
+        argv += ["--policy", str(tmp_path / "p.json")]  # never opened
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith({"directory": "cannot open file: ",
+                           "not UTF-8": "invalid instance: instance: "
+                                        "not UTF-8 text"}[shape])
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("shape", ["directory", "not UTF-8"])
+def test_unreadable_policy_exits(tmp_path, instance_path, command, shape):
+    code, out, err = run_cli([command, "--instance", instance_path,
+                              "--policy", _unreadable(tmp_path, shape, "p.json"),
+                              "--trials", "10", "--seed", "1"])
+    want_code, want_err = {
+        "directory": (2, "cannot open file: "),
+        "not UTF-8": (6, "policy/instance mismatch: policy: not UTF-8 text"),
+    }[shape]
+    assert code == want_code
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(want_err)

@@ -6,7 +6,8 @@
 must hash to the values recorded when every trial built its own generator.
 The backward-induction kernel behind ``solve_full_dp`` and
 ``solve_subproblem_dp`` must give the values, thresholds and entry order of
-``conftest.reference_full_dp`` / ``reference_subproblem_dp`` exactly.
+``conftest.reference_full_dp`` / ``reference_subproblem_dp`` exactly, and
+``solve_full_dp`` must decode no state until its policy's rules are read.
 The whole-array Bland simplex ``lp._solve_dense`` must make the pivots of
 the loop kept as ``conftest.reference_dense_simplex``: same status, pivot
 count, objective and every bit of ``x``.  LP text and PTAS policy JSON must
@@ -222,6 +223,23 @@ def test_full_dp_matches_reference_on_criterion_7():
     tbl = assert_full_dp_matches_reference(criterion_7_laminar())
     assert tbl.coding.dtype == np.int64 and tbl.coding.size > dp.SMALL_CODES
     assert sum(len(c) for c in tbl.codes) == 161_541
+
+
+def test_full_dp_decodes_its_policy_only_when_read(monkeypatch):
+    inst = criterion_7_laminar()
+    entries, rules = reference_full_dp(inst)
+
+    def refuse(*args):
+        raise AssertionError("decoded before the policy was read")
+
+    with monkeypatch.context() as m:
+        m.setattr(dp.StateCoding, "decode", refuse)
+        m.setattr(dp.ValueTable, "tagged_states", refuse)
+        tbl, pol = solve_full_dp(inst)
+        assert tbl.optimal == entries[(0, BinSubproblem(inst, 0).initial)]
+    # decoded once, on first read, in the reference's order
+    assert pol.rules is pol.rules
+    assert list(pol.rules.items()) == list(rules.items())
 
 
 def test_full_dp_matches_reference_with_object_codes(sweep):

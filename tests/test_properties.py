@@ -14,6 +14,8 @@ from binprice import (
     build_lp_hierarchy,
     build_lp_optimal,
     evaluate_exact,
+    policy_from_json,
+    policy_to_json,
     production_to_laminar,
     ptas_laminar,
     ptas_production,
@@ -117,3 +119,4 @@ def test_dp_equals_lp_opt_and_its_exact_replay(inst):
     assert abs(tbl.optimal - lp_opt) <= 1e-6
     welfare, _ = evaluate_exact(policy, inst)
     assert abs(welfare - tbl.optimal) <= 1e-9
+    assert policy_from_json(policy_to_json(policy)) == policy
