@@ -15,8 +15,9 @@ preallocated per-trial array, so reports are byte-identical for any
 ``--threads``.
 
 ``evaluate_exact`` forward-propagates the exact state distribution of a
-policy block; on a composed policy it evaluates each block with the hard
-counters off, which is the quantity the LP accounts for.
+policy block over the levels of ``model.state_levels``; on a composed
+policy it evaluates each block with the hard counters off, which is the
+quantity the LP accounts for.
 
 ``check_negative_cylinder`` computes, exactly, every joint acceptance
 moment ``E[prod_{t in S} X_t]`` of the optimal shifted chain policy with a
@@ -49,7 +50,7 @@ from .model import (
     TypeSubproblem,
     as_laminar,
     bind_dynamics,
-    reachable_profile,
+    state_levels,
 )
 from .dp import solve_full_dp, solve_subproblem_dp
 from .rounding import ComposedPolicy, PricingPolicy
@@ -178,31 +179,26 @@ class _Plan:
             if not isinstance(inst, ProductionInstance):
                 raise InstanceError("policy scopes require a production instance")
             work = inst
-        self.inst = work
-        if isinstance(work, ProductionInstance):
-            self.n = work.num_buyers
-        else:
-            self.n = work.num_elements
+        self.n = len(work.dists)
 
         self.block_keys = sorted(blocks)
         self.block_of = {}
-        self.state_index = {}
+        self.states = {}
         self.initial_idx = np.zeros(len(self.block_keys), dtype=np.int64)
-        dyn_of = {}
-        levels_of = {}
+        arrivals = {}
         for bi, key in enumerate(self.block_keys):
             dyn = bind_dynamics(key, work)
-            dyn_of[key] = dyn
-            levels, _ = reachable_profile(dyn, state_cap)
-            levels_of[key] = levels
-            states = sorted(set().union(*map(set, levels)))
-            index = {s: i for i, s in enumerate(states)}
-            self.state_index[key] = index
-            self.initial_idx[bi] = index[dyn.initial]
-            for e in dyn.elements:
+            lv = state_levels(dyn, state_cap)
+            levels = lv.tuples()
+            # a state's index is its position in the last level
+            index = {s: si for si, s in enumerate(levels[-1])}
+            self.states[key] = levels[-1]
+            self.initial_idx[bi] = index[levels[0][0]]
+            for i, e in enumerate(dyn.elements):
                 if e in self.block_of:
                     raise InstanceError(f"policy: element {e} covered twice")
                 self.block_of[e] = (bi, key)
+                arrivals[e] = index, levels[i], lv.picks[i], levels[i + 1]
         missing = [e for e in range(self.n) if e not in self.block_of]
         if missing:
             raise InstanceError([f"policy: element {e} not covered"
@@ -213,7 +209,6 @@ class _Plan:
                     raise InstanceError(f"policy: dispatch mismatch at element {e}")
 
         # constraint meters: every real capacity, checked on accept
-        self.meter_names = []
         if isinstance(work, ProductionInstance):
             self.meter_names = [f"type:{j}" for j in range(work.num_types)]
             self.meter_names.append("shipping")
@@ -248,25 +243,24 @@ class _Plan:
             self.values.append(np.array(d.values))
             self.cumprobs.append(np.cumsum(np.array(d.probs)))
             bi, key = self.block_of[e]
-            dyn = dyn_of[key]
             pol = blocks[key]
-            index = self.state_index[key]
+            index, here, picks, after = arrivals[e]
             ns = len(index)
             tau = np.full(ns, np.nan)
             pp = np.zeros(ns)
             nxt = np.arange(ns, dtype=np.int64)
             cov = np.zeros(ns, dtype=bool)
-            for s, si in index.items():
+            # a run only reaches the states of the arrival's own level
+            for s, k in zip(here, picks):
+                si = index[s]
                 rule = pol.rule(e, s)
-                if rule is not None:
-                    cov[si] = True
-                if not dyn.can_pick(s, e):
+                cov[si] = rule is not None
+                if k < 0:
                     tau[si] = np.inf  # hard guard over whatever the rule says
                     pp[si] = 0.0
-                    continue
-                if rule is not None:
+                elif rule is not None:
                     tau[si], pp[si] = rule
-                    nxt[si] = index[dyn.pick(s, e)]
+                    nxt[si] = index[after[k]]
             self.tau.append(tau)
             self.p.append(pp)
             self.next_idx.append(nxt)
@@ -306,8 +300,7 @@ def _run_chunk(plan: _Plan, seed, lo, hi, welfare_out, ignored_out,
         si = states[:, bi]
         uncovered = ~plan.covered[e][si]
         if uncovered.any():
-            bad = int(si[uncovered][0])
-            state = {i: s for s, i in plan.state_index[key].items()}[bad]
+            state = plan.states[key][int(si[uncovered][0])]
             raise CoverageError(f"no rule for arrival {e} in state {state}")
         tau = plan.tau[e][si]
         pp = plan.p[e][si]
@@ -411,36 +404,38 @@ def evaluate_exact(policy, inst, *, state_cap=DEFAULT_STATE_CAP):
 
 def _evaluate_block(policy: PricingPolicy, inst, state_cap):
     dyn = bind_dynamics(policy.scope, inst)
-    work = as_laminar(inst) if not policy.scope.startswith("type:") else inst
-    n_total = (work.num_buyers if isinstance(work, ProductionInstance)
-               else work.num_elements)
-    cur = {dyn.initial: 1.0}
+    lv = state_levels(dyn, state_cap)
+    levels = lv.tuples()
+    # position in the level -> mass, over the states the policy reaches
+    cur = {0: 1.0}
     welfare = 0.0
     trace = {}
-    for e in dyn.elements:
-        d = work.dists[e]
+    for e, states, skips, picks in zip(dyn.elements, levels, lv.skips,
+                                       lv.picks):
+        d = inst.dists[e]
         nxt = {}
-        for s, mass in cur.items():
+        for j, mass in cur.items():
+            s = states[j]
             trace[(e, s)] = mass
             rule = policy.rule(e, s)
             if rule is None:
                 raise CoverageError(f"no rule for arrival {e} in state {s}")
             tau, p = rule
-            if not dyn.can_pick(s, e):
-                nxt[s] = nxt.get(s, 0.0) + mass
+            stay = skips[j]
+            if picks[j] < 0:
+                nxt[stay] = nxt.get(stay, 0.0) + mass
                 continue
             acc = d.tail_above(tau) + p * d.prob_at(tau)
             gain = sum(pa * v * (1.0 if v > tau else (p if v == tau else 0.0))
                        for v, pa in d.atoms)
             welfare += mass * gain
             if acc > 0.0:
-                target = dyn.pick(s, e)
-                nxt[target] = nxt.get(target, 0.0) + mass * acc
+                nxt[picks[j]] = nxt.get(picks[j], 0.0) + mass * acc
             if acc < 1.0:
-                nxt[s] = nxt.get(s, 0.0) + mass * (1.0 - acc)
+                nxt[stay] = nxt.get(stay, 0.0) + mass * (1.0 - acc)
         cur = nxt
-    for s, mass in cur.items():
-        trace[(n_total, s)] = mass
+    for j, mass in cur.items():
+        trace[(len(inst.dists), levels[-1][j])] = mass
     return welfare, trace
 
 
@@ -513,13 +508,13 @@ def _chain_acceptance(p: ProductionInstance, type_index: int, shift: float):
     table = solve_subproblem_dp(p, type_index, shift)
     elems = table.positions[:-1]
     # a chain state's code is its sold count, and the last level holds them all
-    acc = np.zeros((len(elems), int(table.codes[-1][-1]) + 1))
+    acc = np.zeros((len(elems), int(table.levels.codes[-1][-1]) + 1))
     for i, t in enumerate(elems):
         tau = table.thresholds[i]  # inf where the guard blocks
         row = 0.0
         for v, pa in p.dists[t].atoms:
             row += pa * (v - shift >= tau)  # adds pa or 0.0, in atom order
-        acc[i, table.codes[i]] = row
+        acc[i, table.levels.codes[i]] = row
     return elems, acc
 
 
@@ -722,8 +717,6 @@ def _conditional_price_drop(inst, first, second, margin):
     acc = inst.dists[first].tail_above(tau1) + p1 * inst.dists[first].prob_at(tau1)
     if not (0.0 < acc < 1.0):
         return None  # conditioning on both outcomes needs both possible
-    if not dyn.can_pick(s0, first):
-        return None
     s_pick = dyn.pick(s0, first)
     tau_pick = policy.rule(second, s_pick)[0]
     tau_skip = policy.rule(second, s0)[0]

@@ -17,9 +17,9 @@ root bin carrying the shipping capacity.
 The module also provides the sub-problem *dynamics* used by the dynamic
 programs, LP builders and policy executors: local states are tuples
 (remaining capacities of the bins of one sub-tree, or a single sold count for
-a per-type chain), together with reachable-state enumeration and the
-forbidden neighboring states that are exactly one over-acceptance away from a
-feasible state.
+a per-type chain).  ``state_levels`` is the one enumeration of their
+reachable states; ``reachable_profile`` is its tuple view, with the
+forbidden states one over-acceptance away from a reachable one.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 PROB_TOL = 1e-12
 DEFAULT_STATE_CAP = 10 ** 6
@@ -440,7 +442,34 @@ def as_laminar(instance) -> LaminarInstance:
 # ---------------------------------------------------------------------------
 
 
-class BinSubproblem:
+class _Dynamics:
+    """Moves on one sub-problem's state tuples, read off its ``step``.
+
+    ``step(e)`` is ``(coords, delta, limits)``: picking ``e`` adds ``delta``
+    to each coordinate in ``coords`` and is allowed iff every result lies in
+    ``[0, limit]``.
+    """
+
+    def can_pick(self, state, e) -> bool:
+        coords, delta, limits = self.step(e)
+        return all(0 <= state[k] + delta <= limit
+                   for k, limit in zip(coords, limits))
+
+    def pick(self, state, e):
+        return self._moved(state, e, 1)
+
+    def unpick(self, state, e):
+        return self._moved(state, e, -1)
+
+    def _moved(self, state, e, sign):
+        coords, delta, _ = self.step(e)
+        s = list(state)
+        for k in coords:
+            s[k] += sign * delta
+        return tuple(s)
+
+
+class BinSubproblem(_Dynamics):
     """Selection dynamics inside one bin's sub-tree.
 
     States are tuples of remaining capacities of the sub-tree's bins in
@@ -458,35 +487,17 @@ class BinSubproblem:
         self.ranges = tuple(
             (max(0, inst.bin_caps[b] - len(inst.bin_elements(b))),
              inst.bin_caps[b]) for b in self.bins)
-        self._coords = {
-            e: tuple(index[b] for b in inst.elem_ancestors(e) if b in index)
-            for e in self.elements
-        }
+        self._steps = {}
+        for e in self.elements:
+            coords = tuple(index[b] for b in inst.elem_ancestors(e)
+                           if b in index)
+            self._steps[e] = coords, -1, tuple(self.initial[i] for i in coords)
 
     def step(self, e):
-        """``(coords, delta, limits)``: picking ``e`` adds ``delta`` to each
-        coordinate in ``coords`` and is allowed iff every result lies in
-        ``[0, limit]``."""
-        coords = self._coords[e]
-        return coords, -1, tuple(self.initial[i] for i in coords)
-
-    def can_pick(self, state, e) -> bool:
-        return all(state[i] > 0 for i in self._coords[e])
-
-    def pick(self, state, e):
-        s = list(state)
-        for i in self._coords[e]:
-            s[i] -= 1
-        return tuple(s)
-
-    def unpick(self, state, e):
-        s = list(state)
-        for i in self._coords[e]:
-            s[i] += 1
-        return tuple(s)
+        return self._steps[e]
 
 
-class TypeSubproblem:
+class TypeSubproblem(_Dynamics):
     """Per-type chain dynamics for a production instance.
 
     States are single sold counts ``(s,)``; buyer ``t`` can be served iff the
@@ -502,40 +513,21 @@ class TypeSubproblem:
         self.ranges = ((0, min(len(self.elements),
                                max(self._cap_at.values(), default=0))),)
 
-    def cap_at(self, e) -> int:
-        return self._cap_at[e]
-
     def step(self, e):
-        """As ``BinSubproblem.step``: a sale raises the count up to the
-        buyer's day cap."""
         return (0,), 1, (self._cap_at[e],)
 
-    def can_pick(self, state, e) -> bool:
-        return state[0] < self._cap_at[e]
 
-    def pick(self, state, e):
-        return (state[0] + 1,)
-
-    def unpick(self, state, e):
-        return (state[0] - 1,) if state[0] > 0 else None
-
-
-class SingletonSubproblem:
+class SingletonSubproblem(_Dynamics):
     """Trivial dynamics for a single element with no local capacity."""
 
     def __init__(self, element: int):
         self.key = f"elem:{element}"
         self.elements = (element,)
         self.initial = ()
+        self.ranges = ()
 
-    def can_pick(self, state, e) -> bool:
-        return True
-
-    def pick(self, state, e):
-        return ()
-
-    def unpick(self, state, e):
-        return ()
+    def step(self, e):
+        return (), 0, ()
 
 
 def bind_dynamics(scope: str, instance):
@@ -555,41 +547,171 @@ def bind_dynamics(scope: str, instance):
     raise InstanceError(f"scope {scope!r}: unknown policy scope")
 
 
+class StateCoding:
+    """Mixed-radix integer codes of one dynamics' states.
+
+    Coordinate ``k`` of a state ranges over ``dyn.ranges[k] = (lo, hi)``
+    and is the digit ``s[k] - lo`` of radix ``hi - lo + 1``, first
+    coordinate most significant, so numeric order of the codes is the
+    lexicographic order of the state tuples (a chain's code is its sold
+    count).  Codes are ``int64`` when the product of the radices fits in
+    it; otherwise they are Python ints in an ``object`` array, the same
+    codes by the same arithmetic, chosen per instance.
+    """
+
+    def __init__(self, dyn):
+        self.lows = tuple(lo for lo, _ in dyn.ranges)
+        self.radices = tuple(hi - lo + 1 for lo, hi in dyn.ranges)
+        strides = []
+        self.size = 1
+        for r in reversed(self.radices):
+            strides.append(self.size)
+            self.size *= r
+        self.strides = tuple(reversed(strides))
+        self.dtype = np.int64 if self.size <= 2 ** 63 else object
+
+    def encode(self, state) -> int:
+        return sum((s - lo) * st
+                   for s, lo, st in zip(state, self.lows, self.strides))
+
+    def pick_rule(self, coords, delta, limits):
+        """``(move, windows)`` for a pick of ``dyn.step``: it adds ``move``
+        to a code and is allowed iff ``low <= code % modulus < high`` for
+        each ``(modulus, low, high)`` in ``windows``, one per coordinate it
+        moves, that is iff every moved coordinate lands in ``[0, limit]``."""
+        windows = []
+        for k, limit in zip(coords, limits):
+            stride, radix, lo = self.strides[k], self.radices[k], self.lows[k]
+            # code % (stride * radix) is digit k times its stride plus the
+            # less significant digits
+            first, last = -delta - lo, limit - delta - lo  # allowed digits
+            windows.append((stride * radix, max(first, 0) * stride,
+                            min(last + 1, radix) * stride))
+        return delta * sum(map(self.strides.__getitem__, coords)), windows
+
+    def decode(self, codes) -> list:
+        """The state tuples of ``codes``, a list or an array."""
+        if isinstance(codes, list):
+            digits = zip(self.strides, self.radices, self.lows)
+            cols = [[c // st % r + lo for c in codes] for st, r, lo in digits]
+            return list(zip(*cols)) if cols else [()] * len(codes)
+        strides = np.array(self.strides, dtype=self.dtype)
+        radices = np.array(self.radices, dtype=self.dtype)
+        digits = codes[:, None] // strides % radices + self.lows
+        return list(map(tuple, digits.tolist()))
+
+
+# Product of the radices (a bound on every level's width) up to which the
+# levels are built as Python lists.  Below it numpy's fixed cost per call
+# exceeds the work: a level of about 40 states costs the same either way.
+SMALL_CODES = 64
+
+
+@dataclass(eq=False)
+class StateLevels:
+    """The reachable states of one dynamics, arrival by arrival.
+
+    ``codes[i]`` holds, ascending, the codes of the states reachable just
+    before the block's ``i``-th arrival (the last level: after its last
+    one).  ``skips[i][j]`` is the position in level ``i + 1`` of level
+    ``i``'s ``j``-th state, ``picks[i][j]`` the position of the state a
+    pick leads to, or -1 where the arrival cannot be picked.  A skip keeps
+    the state, so levels are nested and the last one holds every state.
+    Levels are Python lists when the coding has at most ``SMALL_CODES``
+    codes, numpy arrays otherwise.
+    """
+
+    coding: StateCoding
+    codes: list
+    skips: list
+    picks: list
+
+    def tuples(self) -> list:
+        """Each level's states as tuples, ascending.  Levels are nested, so
+        every state is decoded once, from the last level."""
+        out = [self.coding.decode(self.codes[-1])]
+        for skip in reversed(self.skips):
+            out.append([out[-1][k] for k in skip])
+        return out[::-1]
+
+
+def state_levels(dyn, state_cap=DEFAULT_STATE_CAP) -> StateLevels:
+    """The reachable states of ``dyn``, grown level by level from
+    ``dyn.initial``: level ``i + 1`` is level ``i`` (a skip) merged with the
+    states a pick of the ``i``-th arrival reaches from it.  Raises
+    ``SizingError`` once a level, hence the union of the levels so far,
+    holds more than ``state_cap`` states."""
+    coding = StateCoding(dyn)
+    cur = [coding.encode(dyn.initial)]
+    grow = _grow_lists
+    if coding.size > SMALL_CODES:
+        cur, grow = np.array(cur, dtype=coding.dtype), _grow_arrays
+    lv = StateLevels(coding, [cur], [], [])
+    for e in dyn.elements:
+        move, windows = coding.pick_rule(*dyn.step(e))
+        cur, skip, pick = grow(cur, windows, move, coding.size)
+        if len(cur) > state_cap:
+            raise SizingError(dyn.key, len(cur), state_cap)
+        lv.codes.append(cur)
+        lv.skips.append(skip)
+        lv.picks.append(pick)
+    return lv
+
+
+def _grow_arrays(cur, windows, move, size):
+    """The level after ``cur`` and the positions in it of a skip and a
+    pick from each of ``cur``'s states, on arrays."""
+    ok = np.ones(len(cur), dtype=bool)
+    for m, low, high in windows:
+        rem = cur % m if m < size else cur
+        if low > 0:
+            ok &= rem >= low
+        if high < m:
+            ok &= rem < high
+    picked = cur[ok] + move
+    # both runs are sorted, so a stable sort merges them
+    both = np.concatenate((cur, picked))
+    both.sort(kind="stable")
+    nxt = both[np.concatenate(([True], both[1:] != both[:-1]))]
+    pick = np.full(len(cur), -1, dtype=np.int64)
+    pick[ok] = nxt.searchsorted(picked)
+    return nxt, nxt.searchsorted(cur), pick
+
+
+def _grow_lists(cur, windows, move, size):
+    """``_grow_arrays`` one state at a time: the same level and positions."""
+    ok = cur
+    for m, low, high in windows:
+        ok = [c for c in ok if low <= c % m < high]
+    nxt = sorted(set(cur).union([c + move for c in ok]))
+    at = {c: j for j, c in enumerate(nxt)}
+    go = {c: at[c + move] for c in ok}
+    return nxt, [at[c] for c in cur], [go.get(c, -1) for c in cur]
+
+
 def reachable_profile(dyn, state_cap=DEFAULT_STATE_CAP):
     """Per-arrival reachable state sets and forbidden one-over-pick targets.
 
     Returns ``(levels, forbidden)``: ``levels[i]`` are the states reachable
     just before the block's i-th arrival (``levels[-1]`` after the last one),
-    ``forbidden[i]`` the infeasible states produced by an infeasible pick at
-    arrival ``i-1`` from a then-reachable state.
+    ascending, ``forbidden[i]`` the infeasible states produced by an
+    infeasible pick at arrival ``i-1`` from a then-reachable state.  This is
+    the tuple view of ``state_levels``.
     """
-    levels = [[dyn.initial]]
+    lv = state_levels(dyn, state_cap)
+    levels = lv.tuples()
     forbidden = [[]]
-    cur = {dyn.initial}
-    total = {dyn.initial}
-    for e in dyn.elements:
-        nxt = set(cur)
-        bad = set()
-        for s in cur:
-            target = dyn.pick(s, e)
-            if dyn.can_pick(s, e):
-                nxt.add(target)
-            else:
-                bad.add(target)
-        total |= nxt
-        if len(total) > state_cap:
-            raise SizingError(dyn.key, len(total), state_cap)
-        levels.append(sorted(nxt))
-        forbidden.append(sorted(bad))
-        cur = nxt
+    for e, states, picks in zip(dyn.elements, levels, lv.picks):
+        # a pick moves every state by the same vector, so order is kept
+        forbidden.append([dyn.pick(s, e)
+                          for s, k in zip(states, picks) if k < 0])
     return levels, forbidden
 
 
 def local_state_space(inst: LaminarInstance, b: int,
                       state_cap=DEFAULT_STATE_CAP) -> set:
     """All local states of sub-problem ``b`` reachable by some feasible policy."""
-    levels, _ = reachable_profile(BinSubproblem(inst, b), state_cap)
-    return set().union(*map(set, levels))
+    return set(state_levels(BinSubproblem(inst, b), state_cap).tuples()[-1])
 
 
 def forbidden_neighbors(inst: LaminarInstance, b: int,

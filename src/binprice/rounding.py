@@ -79,7 +79,7 @@ class PricingPolicy:
         items = []
         for (t, state), (tau, p) in sorted(self.rules.items()):
             items.append({"t": t, "state": list(state),
-                          "tau": "inf" if math.isinf(tau) else tau, "p": p})
+                          "tau": str(tau) if math.isinf(tau) else tau, "p": p})
         return {"scope": self.scope, "rules": items}
 
     @classmethod
@@ -88,9 +88,11 @@ class PricingPolicy:
             raise TypeError(f"scope {doc['scope']!r} is not a string")
         rules = {}
         for item in doc["rules"]:
-            tau = item["tau"]
-            tau = math.inf if tau == "inf" else float(tau)
-            rules[(item["t"], tuple(item["state"]))] = (tau, float(item["p"]))
+            tau, p = float(item["tau"]), float(item["p"])
+            if math.isnan(tau) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"rule {item}: tau must not be NaN and p "
+                                 "must lie in [0, 1]")
+            rules[(item["t"], tuple(item["state"]))] = (tau, p)
         return cls(scope=doc["scope"], rules=rules)
 
 
@@ -152,7 +154,7 @@ def policy_to_json(policy) -> str:
     """The policy document: the bytes of ``json.dumps(policy.to_json_dict(),
     indent=2, sort_keys=True) + "\\n"``, each rule written by one template
     (``indent`` would route ``json.dumps`` through its pure-Python encoder).
-    ``tau`` and ``p`` are floats; an infinite ``tau`` is the string "inf"."""
+    ``tau`` and ``p`` are floats; an infinite ``tau`` is "inf" or "-inf"."""
     if not isinstance(policy, ComposedPolicy):
         return _pricing_json(policy, "") + "\n"
     # "blocks" sorts first, so the rest of the document follows its line
@@ -175,7 +177,7 @@ def _pricing_json(policy, pad) -> str:
     rules = []
     for (t, state), (tau, p) in sorted(policy.rules.items()):
         state = f"[\n{p4}{sep.join(map(str, state))}\n{p3}]" if state else "[]"
-        tau = '"inf"' if math.isinf(tau) else float.__repr__(tau)
+        tau = f'"{tau}"' if math.isinf(tau) else float.__repr__(tau)
         rules.append(f'{pad}    {{\n{p3}"p": {float.__repr__(p)},\n'
                      f'{p3}"state": {state},\n{p3}"t": {t},\n'
                      f'{p3}"tau": {tau}\n{pad}    }}')

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from binprice import (
+    DEFAULT_STATE_CAP,
     DiscreteDistribution,
     LaminarInstance,
     ProductionInstance,
@@ -27,8 +28,13 @@ from binprice import (
     ptas_production,
 )
 from binprice import lp
-from binprice.harness import trial_generator
-from binprice.model import BinSubproblem, TypeSubproblem, reachable_profile
+from binprice.harness import CoverageError, trial_generator
+from binprice.model import (
+    BinSubproblem,
+    SizingError,
+    TypeSubproblem,
+    bind_dynamics,
+)
 
 VALUE_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 
@@ -448,10 +454,10 @@ def reference_policy_json(policy) -> str:
 
 def reference_full_dp(inst: LaminarInstance):
     """Full-state backward induction one state at a time over
-    ``reachable_profile``'s levels.  Returns ``(entries, rules)``:
+    ``reference_profile``'s levels.  Returns ``(entries, rules)``:
     ``(level, state) -> value`` and ``(element, state) -> (tau, p)``."""
     dyn = BinSubproblem(inst, 0)
-    levels, _ = reachable_profile(dyn)
+    levels, _ = reference_profile(dyn)
     n = len(dyn.elements)
     entries = {(n, s): 0.0 for s in levels[n]}
     rules = {}
@@ -479,7 +485,7 @@ def reference_subproblem_dp(p: ProductionInstance, type_index: int,
     """Shifted chain backward induction one state at a time; returns the
     ``(level, (sold,)) -> value`` entries."""
     dyn = TypeSubproblem(p, type_index)
-    levels, _ = reachable_profile(dyn)
+    levels, _ = reference_profile(dyn)
     l = len(dyn.elements)
     entries = {(l, s): 0.0 for s in levels[l]}
     for i in range(l - 1, -1, -1):
@@ -498,3 +504,67 @@ def reference_subproblem_dp(p: ProductionInstance, type_index: int,
             else:
                 entries[(i, s)] = stay
     return entries
+
+
+def reference_profile(dyn, state_cap=DEFAULT_STATE_CAP):
+    """Per-arrival reachable state sets and forbidden one-over-pick targets
+    as a loop over state tuples: the oracle ``model.reachable_profile``
+    must equal, ``SizingError`` included."""
+    levels = [[dyn.initial]]
+    forbidden = [[]]
+    cur = {dyn.initial}
+    total = {dyn.initial}
+    for e in dyn.elements:
+        nxt = set(cur)
+        bad = set()
+        for s in cur:
+            target = dyn.pick(s, e)
+            if dyn.can_pick(s, e):
+                nxt.add(target)
+            else:
+                bad.add(target)
+        total |= nxt
+        if len(total) > state_cap:
+            raise SizingError(dyn.key, len(total), state_cap)
+        levels.append(sorted(nxt))
+        forbidden.append(sorted(bad))
+        cur = nxt
+    return levels, forbidden
+
+
+def reference_evaluate_block(policy, inst):
+    """Exact forward evaluation of one policy block as a walk over a dict
+    keyed by state tuple: the oracle ``harness._evaluate_block`` must equal
+    bit for bit, trace and ``CoverageError`` included."""
+    dyn = bind_dynamics(policy.scope, inst)
+    work = as_laminar(inst) if not policy.scope.startswith("type:") else inst
+    n_total = (work.num_buyers if isinstance(work, ProductionInstance)
+               else work.num_elements)
+    cur = {dyn.initial: 1.0}
+    welfare = 0.0
+    trace = {}
+    for e in dyn.elements:
+        d = work.dists[e]
+        nxt = {}
+        for s, mass in cur.items():
+            trace[(e, s)] = mass
+            rule = policy.rule(e, s)
+            if rule is None:
+                raise CoverageError(f"no rule for arrival {e} in state {s}")
+            tau, p = rule
+            if not dyn.can_pick(s, e):
+                nxt[s] = nxt.get(s, 0.0) + mass
+                continue
+            acc = d.tail_above(tau) + p * d.prob_at(tau)
+            gain = sum(pa * v * (1.0 if v > tau else (p if v == tau else 0.0))
+                       for v, pa in d.atoms)
+            welfare += mass * gain
+            if acc > 0.0:
+                target = dyn.pick(s, e)
+                nxt[target] = nxt.get(target, 0.0) + mass * acc
+            if acc < 1.0:
+                nxt[s] = nxt.get(s, 0.0) + mass * (1.0 - acc)
+        cur = nxt
+    for s, mass in cur.items():
+        trace[(n_total, s)] = mass
+    return welfare, trace

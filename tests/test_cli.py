@@ -410,6 +410,28 @@ def test_malformed_policy_exits_6(tmp_path, instance_path, command, shape):
     assert err.startswith("policy/instance mismatch: policy: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("field, value", [("tau", "nan"), ("p", math.nan),
+                                          ("p", 7.0), ("p", -0.5)])
+def test_unexecutable_rule_exits_6(tmp_path, instance_path, command, field,
+                                   value):
+    # the DP's own policy with one rule no executor can follow: a NaN
+    # price, or a coin bias outside [0, 1]
+    pol = tmp_path / "p.json"
+    code, _, _ = run_cli(["solve", "--instance", instance_path,
+                          "--alg", "dp", "--policy-out", str(pol)])
+    assert code == 0
+    doc = json.loads(pol.read_text())
+    doc["rules"][0][field] = value
+    pol.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--instance", instance_path,
+                              "--policy", str(pol), "--trials", "10",
+                              "--seed", "1"])
+    assert code == 6
+    assert out == ""
+    assert err.startswith("policy/instance mismatch: policy: malformed")
+
+
 def test_verify_foreign_policy_scope_exits_6(tmp_path, instance_path):
     # a well-formed policy for a bin the instance does not have
     pol = tmp_path / "p.json"

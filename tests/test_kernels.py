@@ -8,6 +8,11 @@ The backward-induction kernel behind ``solve_full_dp`` and
 ``solve_subproblem_dp`` must give the values, thresholds and entry order of
 ``conftest.reference_full_dp`` / ``reference_subproblem_dp`` exactly, and
 ``solve_full_dp`` must decode no state until its policy's rules are read.
+``model.reachable_profile`` must give the levels, forbidden states and
+``SizingError`` of the tuple loop kept as ``conftest.reference_profile``,
+and the exact occupancy behind ``evaluate_exact`` the welfare bits, trace
+and ``CoverageError`` of the walk kept as
+``conftest.reference_evaluate_block``.
 The whole-array Bland simplex ``lp._solve_dense`` must make the pivots of
 the loop kept as ``conftest.reference_dense_simplex``: same status, pivot
 count, objective and every bit of ``x``.  LP text and PTAS policy JSON must
@@ -27,6 +32,7 @@ import numpy as np
 import pytest
 
 from binprice import (
+    DEFAULT_STATE_CAP,
     DiscreteDistribution,
     LaminarInstance,
     LpError,
@@ -44,15 +50,16 @@ from binprice import (
     solve_full_dp,
     solve_subproblem_dp,
 )
-from binprice import dp, lp
+from binprice import dp, harness, lp, model
 from binprice.harness import (
     CHUNK,
+    CoverageError,
     _chain_acceptance,
     prophet_samples,
     trial_generator,
     trial_uniforms,
 )
-from binprice.model import BinSubproblem, TypeSubproblem, reachable_profile
+from binprice.model import BinSubproblem, TypeSubproblem, bind_dynamics
 from binprice.rounding import (
     ComposedPolicy,
     PricingPolicy,
@@ -65,9 +72,13 @@ from conftest import (
     BENCH_SETTINGS,
     criterion_7_laminar,
     model_from_arrays,
+    random_laminar,
+    random_production,
     reference_dense_simplex,
+    reference_evaluate_block,
     reference_full_dp,
     reference_policy_json,
+    reference_profile,
     reference_prophet_samples,
     reference_subproblem_dp,
     run_ptas,
@@ -181,8 +192,9 @@ CHAIN_SHIFTS = (0.0, 0.7, -1.0, 2.5)
 
 @pytest.fixture(params=["lists", "arrays"])
 def sweep(request, monkeypatch):
-    """Send every state space through the named sweep of the kernel."""
-    monkeypatch.setattr(dp, "SMALL_CODES",
+    """Build every state space's levels, and sweep them, as the named
+    representation."""
+    monkeypatch.setattr(model, "SMALL_CODES",
                         2 ** 80 if request.param == "lists" else 0)
     return request.param
 
@@ -221,8 +233,9 @@ def test_full_dp_matches_reference_on_corpus(corpus, sweep):
 
 def test_full_dp_matches_reference_on_criterion_7():
     tbl = assert_full_dp_matches_reference(criterion_7_laminar())
-    assert tbl.coding.dtype == np.int64 and tbl.coding.size > dp.SMALL_CODES
-    assert sum(len(c) for c in tbl.codes) == 161_541
+    assert tbl.levels.coding.dtype == np.int64
+    assert tbl.levels.coding.size > model.SMALL_CODES
+    assert sum(len(c) for c in tbl.levels.codes) == 161_541
 
 
 def test_full_dp_decodes_its_policy_only_when_read(monkeypatch):
@@ -233,7 +246,7 @@ def test_full_dp_decodes_its_policy_only_when_read(monkeypatch):
         raise AssertionError("decoded before the policy was read")
 
     with monkeypatch.context() as m:
-        m.setattr(dp.StateCoding, "decode", refuse)
+        m.setattr(model.StateCoding, "decode", refuse)
         m.setattr(dp.ValueTable, "tagged_states", refuse)
         tbl, pol = solve_full_dp(inst)
         assert tbl.optimal == entries[(0, BinSubproblem(inst, 0).initial)]
@@ -251,8 +264,8 @@ def test_full_dp_matches_reference_with_object_codes(sweep):
                                    for e in range(64)]}
     tbl = assert_full_dp_matches_reference(
         LaminarInstance.build(dists, tree))
-    assert tbl.coding.dtype == object
-    assert sum(len(c) for c in tbl.codes) == 45_825
+    assert tbl.levels.coding.dtype == object
+    assert sum(len(c) for c in tbl.levels.codes) == 45_825
 
 
 def test_chain_dp_matches_reference_on_corpus(corpus, sweep):
@@ -282,12 +295,12 @@ def test_sizing_error_matches_reachable_profile(corpus, sweep):
     raised = 0
     for entry in corpus:
         lam = entry.laminar
-        want = _sizing(lambda: reachable_profile(BinSubproblem(lam, 0), 1))
+        want = _sizing(lambda: reference_profile(BinSubproblem(lam, 0), 1))
         assert _sizing(lambda: solve_full_dp(lam, state_cap=1)) == want
         raised += want is not None
         p = entry.production
         for j in range(p.num_types if p is not None else 0):
-            want = _sizing(lambda: reachable_profile(TypeSubproblem(p, j), 1))
+            want = _sizing(lambda: reference_profile(TypeSubproblem(p, j), 1))
             assert _sizing(
                 lambda: solve_subproblem_dp(p, j, state_cap=1)) == want
     assert raised > 0
@@ -530,3 +543,136 @@ HAND_POLICIES = {
 def test_policy_writer_matches_json_dumps_on_hand_cases(name):
     pol = HAND_POLICIES[name]
     assert policy_to_json(pol) == reference_policy_json(pol)
+
+
+# ---------------------------------------------------------------------------
+# State enumeration and exact evaluation
+# ---------------------------------------------------------------------------
+
+
+def every_scope(inst):
+    """The dynamics of every scope a policy or LP block of ``inst`` can
+    have -- each bin's sub-tree, each type's chain, each element alone --
+    so every block a builder or ``simulate`` builds is among them."""
+    lam = as_laminar(inst)
+    keys = ["root"] + [f"bin:{b}" for b in range(1, lam.num_bins)]
+    keys += [f"elem:{e}" for e in range(lam.num_elements)]
+    if isinstance(inst, ProductionInstance):
+        keys += [f"type:{j}" for j in range(inst.num_types)]
+    return [bind_dynamics(key, inst) for key in keys]
+
+
+def assert_profile_matches_reference(dyn):
+    want = reference_profile(dyn)
+    assert model.reachable_profile(dyn) == want
+    # capped at one state, and at one state fewer than the last level
+    for cap in (1, len(want[0][-1]) - 1):
+        assert _sizing(lambda: model.reachable_profile(dyn, cap)) == \
+            _sizing(lambda: reference_profile(dyn, cap))
+
+
+def test_reachable_profile_matches_reference_on_corpus(corpus, sweep):
+    for entry in corpus:
+        for dyn in every_scope(entry.production or entry.laminar):
+            assert_profile_matches_reference(dyn)
+
+
+def test_reachable_profile_matches_reference_on_random_trees(sweep):
+    rng = random.Random(808)
+    for _ in range(60):
+        inst = (random_production(rng, days_max=3) if rng.random() < 0.5
+                else random_laminar(rng))
+        for dyn in every_scope(inst):
+            assert_profile_matches_reference(dyn)
+
+
+def test_reachable_profile_matches_reference_on_criterion_7():
+    for dyn in every_scope(criterion_7_laminar()):
+        assert_profile_matches_reference(dyn)
+
+
+def evaluated(evaluate, block, inst):
+    """``evaluate(block, inst)`` with its welfare's bits and its trace in
+    order, or the ``CoverageError`` message it raises."""
+    try:
+        welfare, trace = evaluate(block, inst)
+    except CoverageError as exc:
+        return str(exc)
+    return welfare.hex(), [(k, v.hex()) for k, v in trace.items()]
+
+
+def assert_occupancy_matches_reference(policy, inst):
+    blocks = (policy.blocks.values() if isinstance(policy, ComposedPolicy)
+              else [policy])
+    for block in blocks:
+        got = evaluated(
+            lambda b, i: harness._evaluate_block(b, i, DEFAULT_STATE_CAP),
+            block, inst)
+        assert got == evaluated(reference_evaluate_block, block, inst)
+
+
+def rounded_lp_opt(lam):
+    built = build_lp_optimal(lam)
+    return extract_pricing(lp.solve_optimal(built.model), built, "root")
+
+
+def test_occupancy_matches_reference_on_corpus(corpus, corpus_run, sweep):
+    _, policies = corpus_run
+    for entry in corpus:
+        lam = entry.laminar
+        for policy in (solve_full_dp(lam)[1], rounded_lp_opt(lam)):
+            assert_occupancy_matches_reference(policy, lam)
+    for label in BENCH_SETTINGS:
+        for entry, policy in zip(corpus, policies[label]):
+            assert_occupancy_matches_reference(
+                policy, entry.production or entry.laminar)
+
+
+def test_occupancy_matches_reference_on_criterion_7():
+    inst = criterion_7_laminar()
+    for policy in (solve_full_dp(inst)[1],
+                   ptas_laminar(inst, CRITERION_7_SETTING).policy):
+        assert_occupancy_matches_reference(policy, inst)
+
+
+def non_dyadic_laminar(rng):
+    """A random tree whose atoms have probabilities like 2/7 and 5/13, so
+    that sums of masses round."""
+    inst = random_laminar(rng)
+    dists = []
+    for _ in range(inst.num_elements):
+        weights = [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
+        values = sorted(rng.sample([0.0, 0.3, 1.0, 1.7, 2.2, 3.1],
+                                   len(weights)))
+        dists.append(DiscreteDistribution.of(
+            (v, w / sum(weights)) for v, w in zip(values, weights)))
+    return LaminarInstance.build(dists, inst.to_tree())
+
+
+def test_occupancy_matches_reference_on_non_dyadic_trees(sweep):
+    # the occupancy visits states in the reference's order, so even
+    # welfare sums that round are equal bit for bit
+    rng = random.Random(909)
+    for _ in range(150):
+        inst = non_dyadic_laminar(rng)
+        for policy in (solve_full_dp(inst)[1], rounded_lp_opt(inst)):
+            assert_occupancy_matches_reference(policy, inst)
+
+
+def test_occupancy_raises_where_the_reference_does(corpus):
+    raised = 0
+    for entry in corpus[:40]:
+        lam = entry.laminar
+        rules = dict(solve_full_dp(lam)[1].rules)
+        # drop the rule of the last arrival at the state it sees most
+        # often: that state carries mass under the remaining rules
+        t = max(t for t, _ in rules)
+        _, trace = reference_evaluate_block(PricingPolicy("root", rules), lam)
+        state = max((s for u, s in trace if u == t),
+                    key=lambda s: trace[(t, s)])
+        del rules[(t, state)]
+        policy = PricingPolicy("root", rules)
+        want = evaluated(reference_evaluate_block, policy, lam)
+        raised += isinstance(want, str)
+        assert_occupancy_matches_reference(policy, lam)
+    assert raised == 40

@@ -1,6 +1,9 @@
-"""Cross-module benchmark orderings on the shared corpus, and the
-exactness chain as a property of random small laminar trees."""
+"""Cross-module benchmark orderings on the shared corpus, the exactness
+chain as a property of random small laminar trees, and instance and
+policy documents that read back as written."""
 
+import itertools
+import json
 import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,17 +17,19 @@ from binprice import (
     build_lp_hierarchy,
     build_lp_optimal,
     evaluate_exact,
+    parse_instance,
     policy_from_json,
     policy_to_json,
     production_to_laminar,
     ptas_laminar,
     ptas_production,
     simulate,
+    serialize_instance,
     solve_full_dp,
     solve_optimal,
 )
 from binprice.harness import prophet_samples
-from binprice.rounding import mark_laminar
+from binprice.rounding import PricingPolicy, mark_laminar
 
 from conftest import VALUE_GRID
 
@@ -119,4 +124,61 @@ def test_dp_equals_lp_opt_and_its_exact_replay(inst):
     assert abs(tbl.optimal - lp_opt) <= 1e-6
     welfare, _ = evaluate_exact(policy, inst)
     assert abs(welfare - tbl.optimal) <= 1e-9
+    assert policy_from_json(policy_to_json(policy)) == policy
+
+
+@st.composite
+def production_instances(draw):
+    """Up to 6 buyers of up to 3 types over up to 3 days."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    days = draw(st.integers(1, 3))
+    production = tuple(
+        tuple(itertools.accumulate(draw(st.lists(
+            st.integers(0, 2), min_size=days, max_size=days))))
+        for _ in range(m))
+    return ProductionInstance(
+        dists=tuple(draw(distributions()) for _ in range(n)),
+        types=tuple(draw(st.lists(st.integers(0, m - 1), min_size=n,
+                                  max_size=n))),
+        days=tuple(sorted(draw(st.lists(st.integers(0, days - 1),
+                                        min_size=n, max_size=n)))),
+        production=production, shipping=draw(st.integers(1, 4)))
+
+
+instances = st.one_of(production_instances(), laminar_trees())
+
+ROUND_TRIP = settings(max_examples=100, derandomize=True, database=None,
+                      deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+
+
+@ROUND_TRIP
+@given(instances)
+def test_instance_documents_read_back_as_written(inst):
+    doc = serialize_instance(inst)
+    assert serialize_instance(parse_instance(json.loads(json.dumps(doc)))) \
+        == doc
+
+
+@ROUND_TRIP
+@given(instances, st.sampled_from([0.2, 0.5]))
+def test_ptas_policy_documents_read_back_as_written(inst, epsilon):
+    cfg = PtasConfig(epsilon=epsilon)
+    if isinstance(inst, ProductionInstance):
+        policy = ptas_production(inst, cfg).policy
+    else:
+        policy = ptas_laminar(inst, cfg).policy
+    assert policy_from_json(policy_to_json(policy)) == policy
+
+
+@ROUND_TRIP
+@given(st.dictionaries(
+    st.tuples(st.integers(0, 5), st.tuples(st.integers(-1, 3))),
+    st.tuples(st.one_of(st.sampled_from([math.inf, -math.inf]),
+                        st.floats(allow_nan=False, allow_infinity=False)),
+              st.floats(0.0, 1.0))))
+def test_rule_documents_read_back_as_written(rules):
+    # a tau of -inf (accept every value) must not come back as +inf
+    policy = PricingPolicy(scope="type:0", rules=rules)
     assert policy_from_json(policy_to_json(policy)) == policy
