@@ -31,7 +31,6 @@ from .model import (
     as_laminar,
     load_instance,
     serialize_instance,
-    validate,
 )
 from .rounding import (
     PolicyError,
@@ -50,9 +49,6 @@ EXIT_SIZING = 3
 EXIT_LP = 4
 EXIT_PROPERTY = 5
 EXIT_MISMATCH = 6
-
-# the per-subset cylinder detail enumerates 2^l subsets of a type's buyers
-PER_SUBSET_MAX_BUYERS = 12
 
 
 def _diag(msg):
@@ -78,16 +74,8 @@ def _report(doc, fmt, path, csv_rows=None):
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
 
 
-def _load(path):
-    inst = load_instance(path)
-    errs = validate(inst)
-    if errs:
-        raise InstanceError(errs)
-    return inst
-
-
 def cmd_solve(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     state_cap = args.state_cap
     engine = args.engine
     doc = {"command": "solve", "algorithm": args.alg}
@@ -157,7 +145,7 @@ def _load_policy(path):
 
 
 def cmd_simulate(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     policy = _load_policy(args.policy)
     try:
         report = harness.simulate(policy, inst, args.trials, args.seed,
@@ -172,7 +160,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     given = _load_policy(args.policy) if args.policy else None
     lam = as_laminar(inst)
     state_cap = args.state_cap
@@ -218,13 +206,13 @@ def cmd_verify(args) -> int:
             # per-subset form, which optimal chains can fail, is reported
             # where its 2^l subsets are affordable
             ok, k, gap = harness.check_summed_cylinder(inst, j, 0.0)
-            if len(buyers) <= PER_SUBSET_MAX_BUYERS:
+            if len(buyers) <= harness.PER_SUBSET_MAX_BUYERS:
                 _, subset, subset_gap = harness.check_negative_cylinder(
                     inst, j, 0.0)
                 per_subset = f"worst subset={subset} gap={subset_gap!r}"
             else:
                 per_subset = (f"not computed ({len(buyers)} buyers > "
-                              f"{PER_SUBSET_MAX_BUYERS})")
+                              f"{harness.PER_SUBSET_MAX_BUYERS})")
             checks.append((f"negative cylinder type {j}", ok,
                            f"summed worst k={k} gap={gap!r}; "
                            f"per-subset {per_subset}"))
@@ -282,7 +270,7 @@ def _trace_deviation(sol, built, trace) -> float:
 
 
 def cmd_transform(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     try:
         out = myerson.revenue_transform(inst)
     except ValueError as exc:

@@ -57,6 +57,8 @@ from .rounding import ComposedPolicy, PricingPolicy
 
 CHUNK = 4096
 _MASK64 = (1 << 64) - 1
+# the per-subset cylinder check enumerates 2^l subsets of a type's l buyers
+PER_SUBSET_MAX_BUYERS = 12
 
 
 class CoverageError(RuntimeError):
@@ -275,12 +277,15 @@ class _Plan:
                 caps = [work.bin_caps[b] for b in work.elem_ancestors(e)]
             self.meters_of.append(np.array([meter_idx[nm] for nm in names],
                                            dtype=np.int64))
-            self.meter_caps_of.append(np.array(caps, dtype=np.int64))
+            # a meter never counts past n, so a larger cap acts as n (and n
+            # fits in int64 where a cap from a document may not)
+            self.meter_caps_of.append(np.array([min(c, self.n) for c in caps],
+                                               dtype=np.int64))
             ckeys = counter_keys.get(e, ())
             self.counters_of.append(np.array(
                 [meter_idx[counter_name[k]] for k in ckeys], dtype=np.int64))
             self.counter_caps_of.append(np.array(
-                [counter_caps[k] for k in ckeys], dtype=np.int64))
+                [min(counter_caps[k], self.n) for k in ckeys], dtype=np.int64))
 
 
 def _run_chunk(plan: _Plan, seed, lo, hi, welfare_out, ignored_out,
@@ -519,8 +524,7 @@ def _chain_acceptance(p: ProductionInstance, type_index: int, shift: float):
 
 
 def check_negative_cylinder(p: ProductionInstance, type_index: int,
-                            shift: float = 0.0, tol: float = 1e-9,
-                            max_buyers: int = 20):
+                            shift: float = 0.0, tol: float = 1e-9):
     """Exact all-subset check of E[prod X] <= prod E[X] for the optimal
     shifted chain policy.
 
@@ -529,13 +533,14 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
     the gap is the largest ``E[prod] - prod E`` over all subsets.  Optimal
     chain policies can fail this per-subset form (see notes/decisions.md);
     ``check_summed_cylinder`` checks the form the concentration bound uses.
+    Raises ``SizingError`` above ``PER_SUBSET_MAX_BUYERS`` buyers.
     """
     dyn = TypeSubproblem(p, type_index)
     l = len(dyn.elements)
     if l == 0:
         return True, (), 0.0
-    if l > max_buyers:
-        raise SizingError(dyn.key, 2 ** l, 2 ** max_buyers)
+    if l > PER_SUBSET_MAX_BUYERS:
+        raise SizingError(dyn.key, 2 ** l, 2 ** PER_SUBSET_MAX_BUYERS)
     elems, acc = _chain_acceptance(p, type_index, shift)
     smax = acc.shape[1] - 1
     ids = np.arange(2 ** l, dtype=np.int64)

@@ -63,7 +63,6 @@ from .model import (
     marking_violations,
     reachable_profile,
     small_units,
-    validate,
 )
 
 FEAS_TOL = 1e-9
@@ -610,9 +609,6 @@ def _block_info(dyn, state_cap) -> BlockInfo:
 def build_lp_optimal(inst: LaminarInstance, *,
                      state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
     """Exact LP of the optimal online policy over the full state space."""
-    errs = validate(inst)
-    if errs:
-        raise InstanceError(errs)
     model = LpModel()
     info = _block_info(BinSubproblem(inst, 0), state_cap)
     _emit_block(model, inst.dists, info)
@@ -624,9 +620,6 @@ def build_lp_optimal(inst: LaminarInstance, *,
 def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
                     state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
     """Per-type point-wise blocks with the shipping capacity in expectation."""
-    errs = validate(p)
-    if errs:
-        raise InstanceError(errs)
     if not (0.0 < capacity_scale <= 1.0):
         raise ValueError("capacity_scale must be in (0, 1]")
     model = LpModel()
@@ -658,7 +651,7 @@ def build_lp_hierarchy(inst: LaminarInstance, mk: Marking,
                        state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
     """Marking-parametrized relaxation: point-wise inside maximal small bins,
     expected capacity (scaled) for large bins."""
-    errs = validate(inst) + marking_violations(inst, mk)
+    errs = marking_violations(inst, mk)
     if errs:
         raise InstanceError(errs)
     if not (0.0 < capacity_scale <= 1.0):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +141,8 @@ class ProductionInstance:
     All indices are 0-based: ``types[t]`` in ``[0, num_types)``, ``days[t]``
     in ``[0, num_days)`` and non-decreasing, ``production[j][i]`` is the
     cumulative number of type-``j`` units available from the start of day
-    ``i`` (non-decreasing in ``i``).
+    ``i`` (non-decreasing in ``i``).  Construction raises
+    ``InstanceError`` on any violation of these invariants.
     """
 
     dists: tuple[DiscreteDistribution, ...]
@@ -148,6 +150,11 @@ class ProductionInstance:
     days: tuple[int, ...]
     production: tuple[tuple[int, ...], ...]
     shipping: int
+
+    def __post_init__(self):
+        errs = _production_violations(self)
+        if errs:
+            raise InstanceError(errs)
 
     @property
     def num_buyers(self) -> int:
@@ -166,6 +173,20 @@ class ProductionInstance:
 
     def available(self, j, day) -> int:
         return self.production[j][day]
+
+
+def _is_count(x) -> bool:
+    """A JSON integer: ``int`` but not ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _decreasing(seq) -> bool:
+    """Whether an entry of ``seq`` is below its predecessor; entries that do
+    not compare are left to the per-entry checks."""
+    try:
+        return any(b < a for a, b in zip(seq, seq[1:]))
+    except TypeError:
+        return False
 
 
 def _production_violations(p: ProductionInstance):
@@ -187,19 +208,19 @@ def _production_violations(p: ProductionInstance):
         out.append("production: ragged day columns")
     T = p.num_days
     for t, j in enumerate(p.types):
-        if not isinstance(j, int) or not (0 <= j < m):
+        if not _is_count(j) or not (0 <= j < m):
             out.append(f"types[{t}]: {j!r} outside [0,{m})")
     for t, i in enumerate(p.days):
-        if not isinstance(i, int) or not (0 <= i < T):
+        if not _is_count(i) or not (0 <= i < T):
             out.append(f"days[{t}]: {i!r} outside [0,{T})")
-    if any(b < a for a, b in zip(p.days, p.days[1:])):
+    if _decreasing(p.days):
         out.append("days: not non-decreasing over arrivals")
     for j, col in enumerate(p.production):
-        if any((not isinstance(k, int)) or k < 0 for k in col):
+        if any(not _is_count(k) or k < 0 for k in col):
             out.append(f"production[{j}]: capacities must be non-negative integers")
-        if any(b < a for a, b in zip(col, col[1:])):
+        if _decreasing(col):
             out.append(f"production[{j}]: cumulative units not non-decreasing")
-    if not isinstance(p.shipping, int) or p.shipping < 0:
+    if not _is_count(p.shipping) or p.shipping < 0:
         out.append(f"shipping: {p.shipping!r} must be a non-negative integer")
     return out
 
@@ -216,7 +237,8 @@ class LaminarInstance:
     normalizes the tree: child capacities are clamped to their parent's,
     bins with no elements are dropped, and a parent whose member set equals
     its single child's is collapsed into that child (keeping the smaller
-    capacity).  Instances are immutable once built.
+    capacity).  Instances are immutable once built, and construction raises
+    ``InstanceError`` if the result is not a valid instance.
     """
 
     def __init__(self, dists, bin_caps, bin_parents, bin_child_bins,
@@ -240,6 +262,9 @@ class LaminarInstance:
         for b in range(nb - 1, 0, -1):
             members[self.bin_parents[b]] |= members[b]
         self._members = tuple(frozenset(s) for s in members)
+        errs = _laminar_violations(self)
+        if errs:
+            raise InstanceError(errs)
 
     @classmethod
     def build(cls, dists, tree) -> "LaminarInstance":
@@ -326,7 +351,7 @@ def _check_tree(node, n, seen=None, top=True):
         raise InstanceError(
             f"bins: node keys {sorted(node.keys())} != ['cap', 'children']")
     cap = node["cap"]
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+    if not _is_count(cap) or cap < 0:
         raise InstanceError(f"bins: cap {cap!r} must be a non-negative integer")
     kids = node["children"]
     if not isinstance(kids, list):
@@ -335,7 +360,7 @@ def _check_tree(node, n, seen=None, top=True):
     for kid in kids:
         if isinstance(kid, dict) and set(kid.keys()) == {"element"}:
             e = kid["element"]
-            if not isinstance(e, int) or isinstance(e, bool) or not (0 <= e < n):
+            if not _is_count(e) or not (0 <= e < n):
                 raise InstanceError(f"bins: element index {e!r} outside [0,{n})")
             if e in seen:
                 raise InstanceError(f"bins: element {e} appears in multiple leaves")
@@ -390,7 +415,11 @@ def _laminar_violations(inst: LaminarInstance):
 
 
 def validate(instance) -> list[str]:
-    """Return a list of invariant violations; empty iff the instance is valid."""
+    """Return a list of invariant violations; empty iff the instance is valid.
+
+    Both instance classes run this check when they are built, so it is
+    empty for every instance that construction returned.
+    """
     if isinstance(instance, ProductionInstance):
         return _production_violations(instance)
     if isinstance(instance, LaminarInstance):
@@ -411,9 +440,6 @@ def production_to_laminar(p: ProductionInstance) -> LaminarInstance:
     arrived by that day.  Day levels without new arrivals collapse away
     (keeping the smaller capacity), which the generic normalization does.
     """
-    errs = validate(p)
-    if errs:
-        raise InstanceError(errs)
     children = []
     for j in range(p.num_types):
         buyers = p.buyers_of_type(j)
@@ -531,20 +557,36 @@ class SingletonSubproblem(_Dynamics):
 
 
 def bind_dynamics(scope: str, instance):
-    """Reconstruct the dynamics behind a policy scope key."""
-    if scope == "root" or scope.startswith("bin:"):
-        inst = as_laminar(instance)
-        b = 0 if scope == "root" else int(scope.split(":", 1)[1])
-        if b >= inst.num_bins:
-            raise InstanceError(f"scope {scope}: no such bin")
-        return BinSubproblem(inst, b)
-    if scope.startswith("type:"):
+    """Reconstruct the dynamics behind a policy scope key: ``root``,
+    ``bin:b``, ``type:j`` or ``elem:e``, with the index written in decimal
+    without leading zeros and present in ``instance``."""
+    if scope == "root":
+        return BinSubproblem(as_laminar(instance), 0)
+    kind, _, text = scope.partition(":")
+    if kind == "bin":
+        instance = as_laminar(instance)
+        size = instance.num_bins
+    elif kind == "type":
         if not isinstance(instance, ProductionInstance):
             raise InstanceError(f"scope {scope}: requires a production instance")
-        return TypeSubproblem(instance, int(scope.split(":", 1)[1]))
-    if scope.startswith("elem:"):
-        return SingletonSubproblem(int(scope.split(":", 1)[1]))
-    raise InstanceError(f"scope {scope!r}: unknown policy scope")
+        size = instance.num_types
+    elif kind == "elem":
+        size = len(instance.dists)
+    else:
+        raise InstanceError(f"scope {scope!r}: unknown policy scope")
+    try:
+        i = int(text)
+    except ValueError:
+        i = -1
+    if i >= size:
+        raise InstanceError(f"scope {scope}: no such {kind}")
+    if i < 0 or text != str(i):  # "abc", "-1", "01", " 1", "+1", "1_0"
+        raise InstanceError(f"scope {scope!r}: unknown policy scope")
+    if kind == "bin":
+        return BinSubproblem(instance, i)
+    if kind == "type":
+        return TypeSubproblem(instance, i)
+    return SingletonSubproblem(i)
 
 
 class StateCoding:
@@ -844,15 +886,13 @@ def parse_instance(doc) -> ProductionInstance | LaminarInstance:
             production=tuple(by_type[j] for j in range(len(by_type))),
             shipping=doc["shipping"],
         )
-        errs = validate(inst)
-        if errs:
-            raise InstanceError(errs)
+        # after the instance's own checks, which report a fault of its
+        # fields first; "00", " 1", "+1" or "1_0" would alias a type
+        for key in prod:
+            if key != str(int(key)):
+                raise InstanceError(f"production: bad type key {key!r}")
         return inst
-    inst = LaminarInstance.build(dists, doc["bins"])
-    errs = validate(inst)
-    if errs:
-        raise InstanceError(errs)
-    return inst
+    return LaminarInstance.build(dists, doc["bins"])
 
 
 def _parse_elements(elements):
@@ -866,8 +906,18 @@ def _parse_elements(elements):
         if (not isinstance(pairs, list)
                 or any(not isinstance(a, list) or len(a) != 2 for a in pairs)):
             raise InstanceError(f"elements[{t}].dist: expected [[value,prob],...]")
-        dists.append(DiscreteDistribution.of(pairs))
+        dists.append(DiscreteDistribution(tuple(
+            (_atom_number(v, f"elements[{t}].dist: value"),
+             _atom_number(p, f"elements[{t}].dist: probability"))
+            for v, p in pairs)))
     return tuple(dists)
+
+
+def _atom_number(x, what) -> float:
+    """A JSON number (not ``true``/``false``) as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise InstanceError(f"{what} {x!r} is not a number")
+    return float(x)
 
 
 def serialize_instance(instance) -> dict:
@@ -885,14 +935,24 @@ def serialize_instance(instance) -> dict:
     return {"kind": "laminar", "elements": elements, "bins": instance.to_tree()}
 
 
+def _json_int(text) -> int:
+    """An integer literal of an instance document; the solvers compute with
+    its values as floats, so it must lie in the float range."""
+    i = int(text)
+    if abs(i) > sys.float_info.max:
+        raise ValueError(f"integer of {len(text.lstrip('-'))} digits is "
+                         "beyond the float range")
+    return i
+
+
 def load_instance(path) -> ProductionInstance | LaminarInstance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"instance: invalid JSON ({exc})") from None
+            doc = json.load(fh, parse_int=_json_int)
         except UnicodeDecodeError as exc:
             raise InstanceError(f"instance: not UTF-8 text ({exc})") from None
+        except ValueError as exc:  # also an integer _json_int rejects
+            raise InstanceError(f"instance: invalid JSON ({exc})") from None
     return parse_instance(doc)
 
 

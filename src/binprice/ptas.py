@@ -31,12 +31,10 @@ from dataclasses import dataclass
 
 from .model import (
     DEFAULT_STATE_CAP,
-    InstanceError,
     LaminarInstance,
     Marking,
     ProductionInstance,
     production_to_laminar,
-    validate,
 )
 from . import dp
 from . import lp as lpmod
@@ -92,9 +90,6 @@ class PtasResult:
 
 def ptas_production(p: ProductionInstance, cfg: PtasConfig, *,
                     state_cap=DEFAULT_STATE_CAP, engine="auto") -> PtasResult:
-    errs = validate(p)
-    if errs:
-        raise InstanceError(errs)
     delta = cfg.resolved_delta
     if p.shipping <= 1.0 / delta:
         table, policy = dp.solve_full_dp(production_to_laminar(p),
@@ -111,9 +106,6 @@ def ptas_production(p: ProductionInstance, cfg: PtasConfig, *,
 
 def ptas_laminar(inst: LaminarInstance, cfg: PtasConfig, *,
                  state_cap=DEFAULT_STATE_CAP, engine="auto") -> PtasResult:
-    errs = validate(inst)
-    if errs:
-        raise InstanceError(errs)
     mk = mark_laminar(inst, cfg.resolved_delta)
     if not mk.large:
         table, policy = dp.solve_full_dp(inst, state_cap=state_cap)

@@ -190,7 +190,7 @@ def policy_from_json(text: str):
     """Parse a policy document; raises ``PolicyError`` on any malformed one."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise PolicyError(f"policy: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("scope"), str):
         raise PolicyError("policy: document must be an object with a "
@@ -201,7 +201,7 @@ def policy_from_json(text: str):
         return PricingPolicy.from_json_dict(doc)
     except KeyError as exc:
         raise PolicyError(f"policy: missing field {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise PolicyError(f"policy: malformed document ({exc})") from None
 
 

@@ -293,9 +293,16 @@ def test_verify_checks_types_beyond_the_per_subset_limit(tmp_path):
     [[math.nan, 1.0]],
     [[1.0, math.nan]],
     [[0.0, math.inf]],
+    [["abc", 1.0]],
+    [[None, 1.0]],
+    [["2.5", 1.0]],
+    [[True, 1.0]],
+    [[1.0, "1"]],
+    [[1.0, True]],
 ])
 def test_non_finite_atoms_exit_2(tmp_path, atoms):
-    # json writes (and reads) these as the literals NaN, Infinity, -Infinity
+    # json writes (and reads) the non-finite floats as the literals NaN,
+    # Infinity and -Infinity; atoms are JSON numbers, and true is not one
     doc = dict(GAP_INSTANCE,
                elements=[GAP_INSTANCE["elements"][0], {"dist": atoms}])
     bad = tmp_path / "nonfinite.json"
@@ -304,6 +311,60 @@ def test_non_finite_atoms_exit_2(tmp_path, atoms):
     assert code == 2
     assert out == ""
     assert "elements[1].dist" in err
+
+
+@pytest.mark.parametrize("alg, fields", [
+    ("dp", {"elements": [{"dist": [[10 ** 400, 1.0]]}] * 2}),
+    ("ex-ante", {"shipping": 10 ** 400}),
+    ("hierarchy", {"production": {"0": [1], "1": [10 ** 400]}}),
+])
+def test_integers_beyond_the_float_range_exit_2(tmp_path, alg, fields):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(dict(GAP_INSTANCE, **fields)))
+    code, out, err = run_cli(["solve", "--instance", str(bad), "--alg", alg])
+    assert code == 2
+    assert out == ""
+    assert err == ("invalid instance: instance: invalid JSON (integer of 401 "
+                   "digits is beyond the float range)\n")
+
+
+BOOLEAN_FIELDS = {"shipping": True, "types": [0, False], "days": [False, 0],
+                  "production": {"0": [True]}}
+
+
+@pytest.mark.parametrize("alg", ["dp", "lp-opt", "ex-ante", "hierarchy",
+                                 "ptas"])
+@pytest.mark.parametrize("field", [*sorted(BOOLEAN_FIELDS), "all"])
+def test_booleans_in_production_documents_exit_2(tmp_path, alg, field):
+    fields = BOOLEAN_FIELDS if field == "all" else {field: BOOLEAN_FIELDS[field]}
+    bad = tmp_path / "bools.json"
+    bad.write_text(json.dumps(dict(CHAIN_INSTANCE, **fields)))
+    code, out, err = run_cli(["solve", "--instance", str(bad), "--alg", alg])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines and all(line.startswith("invalid instance: ")
+                         for line in lines)
+    named = {line.split(": ")[1].split("[")[0] for line in lines}
+    assert named == (set(BOOLEAN_FIELDS) if field == "all" else {field})
+
+
+@pytest.mark.parametrize("production", [
+    {"0": [1], "00": [0]},
+    {"00": [1]},
+    {"0": [1], " 1": [1]},
+    {"0": [1], "+1": [1]},
+    {"0": [1], "1 ": [1]},
+])
+def test_non_canonical_type_keys_exit_2(tmp_path, production):
+    # type keys are exactly "0".."m-1"; "00" must not alias (and shadow) "0"
+    doc = dict(GAP_INSTANCE, types=[0] * 2, production=production)
+    bad = tmp_path / "keys.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["solve", "--instance", str(bad), "--alg", "dp"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid instance: production: bad type key ")
 
 
 def _argument_error(capsys, argv):
@@ -430,6 +491,54 @@ def test_unexecutable_rule_exits_6(tmp_path, instance_path, command, field,
     assert code == 6
     assert out == ""
     assert err.startswith("policy/instance mismatch: policy: malformed")
+
+
+# element 2 sits in the root; elements 0 and 1 in bin 1 of capacity 1
+TWO_BIN_INSTANCE = {
+    "kind": "laminar",
+    "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]}, {"dist": [[1.0, 1.0]]},
+                 {"dist": [[0.0, 0.5], [3.0, 0.5]]}],
+    "bins": {"cap": 3, "children": [
+        {"cap": 1, "children": [{"element": 0}, {"element": 1}]},
+        {"element": 2}]},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("block, scope", [
+    (None, "bin:abc"), (None, "bin:00"),
+    ("bin:1", "bin:abc"), ("bin:1", "bin:01"), ("bin:1", "bin: 1"),
+    ("bin:1", "bin:+1"), ("bin:1", "bin:-1"), ("bin:1", "bin:"),
+    ("elem:2", "elem:7"), ("elem:2", "elem:-1"), ("elem:2", "elem:02"),
+])
+def test_policy_scope_keys_are_canonical_and_exist(tmp_path, command, block,
+                                                   scope):
+    # Renames the DP's root policy (block None), or one block of a composed
+    # policy, to a scope that is not "root", "bin:b", "type:j" or "elem:e"
+    # with a canonical index the instance has: an alias, a negative or
+    # missing index or not a number at all.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(TWO_BIN_INSTANCE))
+    pol = tmp_path / "p.json"
+    alg = ["dp"] if block is None else ["hierarchy", "--delta", "0.9"]
+    code, _, _ = run_cli(["solve", "--instance", str(inst), "--alg", *alg,
+                          "--policy-out", str(pol)])
+    assert code == 0
+    doc = json.loads(pol.read_text())
+    if block is None:
+        doc["scope"] = scope
+    else:
+        assert sorted(doc["blocks"]) == ["bin:1", "elem:2"]
+        doc["blocks"][scope] = dict(doc["blocks"].pop(block), scope=scope)
+        doc["element_block"] = {e: scope if k == block else k
+                                for e, k in doc["element_block"].items()}
+    pol.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--instance", str(inst),
+                              "--policy", str(pol), "--trials", "10",
+                              "--seed", "1"])
+    assert code == 6
+    assert out == ""
+    assert err.startswith("policy/instance mismatch: scope ")
 
 
 def test_verify_foreign_policy_scope_exits_6(tmp_path, instance_path):

@@ -9,6 +9,7 @@ from binprice import (
     DiscreteDistribution,
     LaminarInstance,
     ProductionInstance,
+    SizingError,
     build_lp_optimal,
     check_negative_cylinder,
     check_summed_cylinder,
@@ -156,6 +157,21 @@ def test_cylinder_equality_under_independence():
     ok, subset, gap = check_negative_cylinder(p, 0, -10.0)
     assert ok
     assert abs(gap) <= 1e-12  # equality for all subsets
+
+
+def test_cylinder_per_subset_check_stops_above_12_buyers():
+    # 2^l subsets: 12 buyers are checked, 13 are a sizing abort
+    def chain(n):
+        return ProductionInstance(dists=(U02,) * n, types=(0,) * n,
+                                  days=(0,) * n, production=((n,),),
+                                  shipping=n)
+
+    ok, _, gap = check_negative_cylinder(chain(12), 0, -10.0)
+    assert ok and abs(gap) <= 1e-12
+    with pytest.raises(SizingError) as exc:
+        check_negative_cylinder(chain(13), 0, -10.0)
+    assert (exc.value.scope, exc.value.size, exc.value.cap) \
+        == ("type:0", 2 ** 13, 2 ** 12)
 
 
 def test_cylinder_moments_agree_with_path_enumeration_oracle():

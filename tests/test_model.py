@@ -46,18 +46,21 @@ def test_validate_accepts_well_formed_production():
 
 
 def test_validate_catches_bad_probability_mass():
+    # an instance checks itself when built and raises what validate reports
     d = DiscreteDistribution.of([(1.0, 0.5), (2.0, 0.6)])
-    p = ProductionInstance(dists=(d,), types=(0,), days=(0,),
+    with pytest.raises(InstanceError) as exc:
+        ProductionInstance(dists=(d,), types=(0,), days=(0,),
                            production=((1,),), shipping=1)
-    msgs = validate(p)
+    msgs = exc.value.violations
     assert any("sum" in m for m in msgs)
 
 
 def test_validate_catches_decreasing_production_and_days():
-    p = ProductionInstance(
-        dists=(U02, U02), types=(0, 0), days=(1, 0),
-        production=((2, 1),), shipping=1)
-    msgs = "\n".join(validate(p))
+    with pytest.raises(InstanceError) as exc:
+        ProductionInstance(
+            dists=(U02, U02), types=(0, 0), days=(1, 0),
+            production=((2, 1),), shipping=1)
+    msgs = "\n".join(exc.value.violations)
     assert "days" in msgs and "production[0]" in msgs
 
 

@@ -1,10 +1,15 @@
 """Cross-module benchmark orderings on the shared corpus, the exactness
-chain as a property of random small laminar trees, and instance and
-policy documents that read back as written."""
+chain as a property of random small laminar trees, instance and policy
+documents that read back as written, and documents with one bad field that
+the CLI rejects with an exit code."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
+import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -28,6 +33,7 @@ from binprice import (
     solve_full_dp,
     solve_optimal,
 )
+from binprice.cli import main
 from binprice.harness import prophet_samples
 from binprice.rounding import PricingPolicy, mark_laminar
 
@@ -182,3 +188,71 @@ def test_rule_documents_read_back_as_written(rules):
     # a tau of -inf (accept every value) must not come back as +inf
     policy = PricingPolicy(scope="type:0", rules=rules)
     assert policy_from_json(policy_to_json(policy)) == policy
+
+
+# Replacements for one field of a valid document: other JSON types, negative
+# and huge integers, and scope strings that name no sub-problem.
+ODD_VALUES = [None, True, False, 0, -1, 1.5, -2.5, 2 ** 63, 10 ** 400, "",
+              "x", "1", [], [1], [[1.0, 1.0]], {}, {"cap": 1},
+              "root:0", "bin:abc", "bin:01", "bin: 1", "bin:-1", "bin:99",
+              "elem:-1", "elem:99", "type:01", "type:99", "composed"]
+ODD_KEYS = ["", "x", "00", "-1", "+1", "99", "bin:abc", "bin:01", "elem:-1",
+            "type:x"]
+
+
+def _fields(doc, out):
+    """Every (container, key) pair of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        out.append((doc, key))
+        if isinstance(value, (dict, list)):
+            _fields(value, out)
+    return out
+
+
+@st.composite
+def perturbed(draw, doc):
+    """``doc`` with one value replaced, or one object key renamed."""
+    doc = json.loads(json.dumps(doc))
+    holder, key = draw(st.sampled_from(_fields(doc, [])))
+    if isinstance(holder, dict) and draw(st.booleans()):
+        holder[draw(st.sampled_from(ODD_KEYS))] = holder.pop(key)
+    else:
+        holder[key] = draw(st.sampled_from(ODD_VALUES))
+    return doc
+
+
+def _cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instances, st.sampled_from(["dp", "lp-opt", "ex-ante", "hierarchy",
+                                   "ptas"]),
+       st.sampled_from(["instance", "simulate", "verify"]), st.data())
+def test_perturbed_documents_exit_with_a_documented_code(inst, alg, target,
+                                                         data):
+    # one bad field maps to an exit code, never to a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = os.path.join(tmp, "inst.json")
+        pol_path = os.path.join(tmp, "policy.json")
+        doc = serialize_instance(inst)
+        if target == "instance":
+            doc = data.draw(perturbed(doc))
+        with open(inst_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = _cli(["solve", "--instance", inst_path, "--alg", alg,
+                     "--policy-out", pol_path])
+        assert code in (0, 2, 3, 4)
+        if target == "instance" or code != 0:
+            return
+        with open(pol_path, encoding="utf-8") as fh:
+            policy = data.draw(perturbed(json.load(fh)))
+        with open(pol_path, "w", encoding="utf-8") as fh:
+            json.dump(policy, fh)
+        code = _cli([target, "--instance", inst_path, "--policy", pol_path,
+                     "--trials", "20", "--seed", "1"])
+        assert code in (0, 2, 3, 4, 5, 6)
