@@ -8,9 +8,11 @@ threshold: the marginal continuation value of one pick,
 gathers through each state's position after a skip and after a pick and
 sums the atoms in their order, on the levels' lists or arrays alike, so
 values and thresholds equal a scalar loop over the states bit for bit.
-Tuples are decoded only when ``ValueTable.entries`` or the rules of the
-policy ``solve_full_dp`` returns are first read; a caller that needs only
-the optimum, such as the exactness chain, decodes none.
+Tuples are decoded only when ``ValueTable.entries`` or the rules of a
+table's ``threshold_policy`` are first read; a caller that needs only the
+optimum, such as the exactness chain, decodes none.  ``pick_probabilities``
+runs the same levels forward under that policy and returns the
+probability that each arrival is picked.
 
 ``solve_full_dp`` runs the kernel over the full remaining-capacity state
 space of a laminar instance and reads off the optimal threshold policy;
@@ -117,6 +119,61 @@ def backward(dyn, dists, shift: float = 0.0, *,
                       shift=shift)
 
 
+def threshold_policy(table: ValueTable) -> PricingPolicy:
+    """The optimal threshold policy of an unshifted ``table``: price the
+    threshold, accept at equality (``p = 1``), and quote infinity
+    (``p = 0``) where the arrival cannot be picked.  The rules are decoded
+    from the thresholds the first time they are read."""
+
+    def rules():
+        thr = np.concatenate(table.thresholds[::-1])
+        bias = (thr < math.inf) * 1.0
+        return dict(zip(table.tagged_states(table.positions[:-1]),
+                        zip(thr.tolist(), bias.tolist())))
+
+    return PricingPolicy(scope=table.scope, rules=rules)
+
+
+def pick_probabilities(table: ValueTable, dists) -> list:
+    """The probability that each arrival of an unshifted ``table``'s block
+    is picked under its ``threshold_policy``, in arrival order: one pass
+    forward over the levels, carrying each state's probability through
+    its skip and pick positions."""
+    lv = table.levels
+    lists = isinstance(lv.codes[-1], list)
+    step = _forward_lists if lists else _forward_arrays
+    occ = [1.0] if lists else np.ones(1)
+    out = []
+    for i, e in enumerate(table.positions[:-1]):
+        occ, picked = step(occ, table.thresholds[i], lv.skips[i],
+                           lv.picks[i], dists[e].atoms, len(lv.codes[i + 1]))
+        out.append(picked)
+    return out
+
+
+def _forward_arrays(occ, thr, skips, picks, atoms, width):
+    """The next level's state probabilities and the pick probability of
+    one arrival, on arrays."""
+    accept = sum(p * (thr <= x) for x, p in atoms) * occ
+    ok = picks >= 0
+    nxt = (np.bincount(skips, occ - accept, width)
+           + np.bincount(picks[ok], accept[ok], width))
+    return nxt, float(accept.sum())
+
+
+def _forward_lists(occ, thr, skips, picks, atoms, width):
+    """``_forward_arrays`` one state at a time."""
+    nxt = [0.0] * width
+    picked = 0.0
+    for w, tau, a, b in zip(occ, thr.tolist(), skips, picks):
+        take = w * sum(p for x, p in atoms if x >= tau)
+        nxt[a] += w - take
+        if b >= 0:
+            nxt[b] += take
+        picked += take
+    return nxt, picked
+
+
 def _level_arrays(after, skips, picks, atoms):
     """Values and thresholds of one level from those of the next, on
     arrays."""
@@ -160,19 +217,10 @@ def solve_full_dp(inst: LaminarInstance, *,
 
     Returns the value table and the extracted pricing policy (accept at
     equality).  States where the arriving element cannot be picked quote an
-    infinite price.  The policy's rules are decoded from the table's
-    thresholds the first time they are read.
+    infinite price.  The policy is the table's ``threshold_policy``.
     """
-    dyn = BinSubproblem(inst, 0)
-    table = backward(dyn, inst.dists, state_cap=state_cap)
-
-    def rules():
-        thr = np.concatenate(table.thresholds[::-1])
-        bias = (thr < math.inf) * 1.0
-        return dict(zip(table.tagged_states(dyn.elements),
-                        zip(thr.tolist(), bias.tolist())))
-
-    return table, PricingPolicy(scope=dyn.key, rules=rules)
+    table = backward(BinSubproblem(inst, 0), inst.dists, state_cap=state_cap)
+    return table, threshold_policy(table)
 
 
 def solve_subproblem_dp(p: ProductionInstance, type_index: int,

@@ -15,13 +15,20 @@ stays the cross-check of ``solve --alg lp-opt`` and ``verify``.  A laminar
 policy keeps the composed shape, with the root as its only block and no
 counters.
 
-Large branch, production: the ex-ante LP is solved at shipping capacity
-scaled by ``1 - eps`` and the per-type pricings run behind a hard counter
-at the *original* capacity.
-
-Large branch, laminar: the hierarchy LP is solved with large capacities
-scaled by ``1 - eps``, and the per-small-bin pricings run behind hard
-counters at the original large capacities.
+Large branch: the relaxation keeps each small unit (a type's chain, or a
+maximal small bin or lone element of a laminar instance) exact and holds
+only the large capacities, scaled by ``1 - eps``, in expectation.  The
+units are coupled only through those expectation rows.  Dropping the rows
+(the Lagrangian at multiplier 0) bounds the relaxation by the sum of the
+units' DP optima, and the units' optimal threshold policies
+(``dp.threshold_policy``) attain that sum.  So when those policies already
+keep every row within its scaled capacity (checked by each unit's
+``dp.pick_probabilities``), they are an optimal solution of the
+relaxation: the branch returns them with ``lp_kind="dp"`` and builds no
+LP.  When a row would be exceeded it falls back to the LP: the ex-ante LP
+(production, whose one row is the shipping capacity) or the hierarchy LP
+(laminar), rounded block by block.  Either way the per-unit pricings run
+behind hard counters at the *original* large capacities.
 """
 
 from __future__ import annotations
@@ -34,7 +41,10 @@ from .model import (
     LaminarInstance,
     Marking,
     ProductionInstance,
+    TypeSubproblem,
+    bind_dynamics,
     production_to_laminar,
+    small_units,
 )
 from . import dp
 from . import lp as lpmod
@@ -77,7 +87,7 @@ class PtasResult:
     policy: object
     branch: str  # "small" (exact) or "large" (scaled ex-ante)
     objective: float
-    lp_kind: str  # "dp" on the small branch, else the LP solved
+    lp_kind: str  # "dp" when no LP was solved, else the LP solved
     marking: Marking | None = None
 
     def marking_summary(self) -> dict:
@@ -88,6 +98,27 @@ class PtasResult:
                 "small_all": sorted(self.marking.small_all)}
 
 
+def _decoupled(inst, units, rows, cfg, state_cap, mk=None):
+    """The large branch without its LP: the ``units``' DP threshold
+    policies behind the counters, when they keep every row
+    ``(elements, cap)`` within ``cfg.capacity_scale * cap`` expected picks;
+    else ``None``."""
+    tables = [dp.backward(dyn, inst.dists, state_cap=state_cap)
+              for dyn in units]
+    picked = {}
+    for table in tables:
+        picked.update(zip(table.positions[:-1],
+                          dp.pick_probabilities(table, inst.dists)))
+    if not all(sum(picked[e] for e in elements) <= cfg.capacity_scale * cap
+               for elements, cap in rows):
+        return None
+    policies = {table.scope: dp.threshold_policy(table) for table in tables}
+    return PtasResult(policy=compose_policies(inst, policies, mk),
+                      branch="large",
+                      objective=sum(table.optimal for table in tables),
+                      lp_kind="dp", marking=mk)
+
+
 def ptas_production(p: ProductionInstance, cfg: PtasConfig, *,
                     state_cap=DEFAULT_STATE_CAP, engine="auto") -> PtasResult:
     delta = cfg.resolved_delta
@@ -96,6 +127,12 @@ def ptas_production(p: ProductionInstance, cfg: PtasConfig, *,
                                          state_cap=state_cap)
         return PtasResult(policy=policy, branch="small",
                           objective=table.optimal, lp_kind="dp")
+    chains = [TypeSubproblem(p, j) for j in range(p.num_types)
+              if p.buyers_of_type(j)]
+    result = _decoupled(p, chains, [(range(p.num_buyers), p.shipping)], cfg,
+                        state_cap)
+    if result is not None:
+        return result
     built = lpmod.build_lp_exante(p, cfg.capacity_scale, state_cap=state_cap)
     sol = lpmod.solve_optimal(built.model, engine)
     policies = extract_all(sol, built)
@@ -112,6 +149,11 @@ def ptas_laminar(inst: LaminarInstance, cfg: PtasConfig, *,
         return PtasResult(policy=compose_policies(inst, {"root": policy}, mk),
                           branch="small", objective=table.optimal,
                           lp_kind="dp", marking=mk)
+    units = [bind_dynamics(key, inst) for key in small_units(inst, mk)]
+    rows = [(inst.bin_elements(b), inst.bin_caps[b]) for b in sorted(mk.large)]
+    result = _decoupled(inst, units, rows, cfg, state_cap, mk)
+    if result is not None:
+        return result
     built = lpmod.build_lp_hierarchy(inst, mk, cfg.capacity_scale,
                                      state_cap=state_cap)
     sol = lpmod.solve_optimal(built.model, engine)

@@ -28,6 +28,7 @@ from .model import (
     InstanceError,
     LaminarInstance,
     Marking,
+    _is_count,
     marking_violations,
     small_units,
 )
@@ -88,12 +89,26 @@ class PricingPolicy:
             raise TypeError(f"scope {doc['scope']!r} is not a string")
         rules = {}
         for item in doc["rules"]:
-            tau, p = float(item["tau"]), float(item["p"])
+            t, state, tau, p = item["t"], item["state"], item["tau"], item["p"]
+            if not (_is_count(t) and isinstance(state, list)
+                    and all(map(_is_count, state))):
+                raise TypeError(f"rule {item}: t must be an integer and "
+                                "state a list of integers")
+            if not (_is_number(tau) or tau in ("inf", "-inf")) \
+                    or not _is_number(p):
+                raise TypeError(f"rule {item}: tau must be a number, "
+                                '"inf" or "-inf", and p a number')
+            tau, p = float(tau), float(p)
             if math.isnan(tau) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"rule {item}: tau must not be NaN and p "
                                  "must lie in [0, 1]")
-            rules[(item["t"], tuple(item["state"]))] = (tau, p)
+            rules[(t, tuple(state))] = (tau, p)
         return cls(scope=doc["scope"], rules=rules)
+
+
+def _is_number(x) -> bool:
+    """A JSON number: ``int`` or ``float`` but not ``bool``."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from binprice import (
     ProductionInstance,
     PtasConfig,
     as_laminar,
+    mark_laminar,
     production_to_laminar,
     ptas_laminar,
     ptas_production,
@@ -140,6 +141,16 @@ def run_ptas(entry: CorpusEntry, cfg: PtasConfig):
     if entry.production is not None:
         return ptas_production(entry.production, cfg)
     return ptas_laminar(entry.laminar, cfg)
+
+
+def relaxation(inst, cfg: PtasConfig) -> "lp.BuiltLp":
+    """The PTAS large branch's relaxation LP: ex-ante for a production
+    instance, hierarchy under the depth marking for a laminar one, with
+    large capacities scaled by ``cfg.capacity_scale``."""
+    if isinstance(inst, ProductionInstance):
+        return lp.build_lp_exante(inst, cfg.capacity_scale)
+    return lp.build_lp_hierarchy(
+        inst, mark_laminar(inst, cfg.resolved_delta), cfg.capacity_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -568,3 +579,18 @@ def reference_evaluate_block(policy, inst):
     for s, mass in cur.items():
         trace[(n_total, s)] = mass
     return welfare, trace
+
+
+def reference_pick_probabilities(policy, inst) -> dict:
+    """Each arrival's pick probability under one policy block: its
+    acceptance rate in every state of ``reference_evaluate_block``'s trace,
+    weighted by the state's probability."""
+    dyn = bind_dynamics(policy.scope, inst)
+    _, trace = reference_evaluate_block(policy, inst)
+    picks = dict.fromkeys(dyn.elements, 0.0)
+    for (e, s), mass in trace.items():
+        if e in picks and dyn.can_pick(s, e):
+            tau, p = policy.rule(e, s)
+            d = inst.dists[e]
+            picks[e] += mass * (d.tail_above(tau) + p * d.prob_at(tau))
+    return picks

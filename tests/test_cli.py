@@ -493,6 +493,41 @@ def test_unexecutable_rule_exits_6(tmp_path, instance_path, command, field,
     assert err.startswith("policy/instance mismatch: policy: malformed")
 
 
+TWO_ELEMENT_INSTANCE = {
+    "kind": "laminar",
+    "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]}, {"dist": [[1.0, 1.0]]}],
+    "bins": {"cap": 1, "children": [{"element": 0}, {"element": 1}]},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("field, value", [
+    ("t", 0.0), ("t", "0"), ("t", True), ("state", [True]),
+    ("state", "1"), ("state", [1.0]), ("tau", "1.0"), ("tau", "Infinity"),
+    ("tau", True), ("tau", None), ("p", True), ("p", "1.0"), ("p", [1.0]),
+])
+def test_rule_fields_of_the_wrong_json_type_exit_6(tmp_path, command, field,
+                                                   value):
+    # the DP's own policy with one rule field of another JSON type: t and
+    # the state's entries are integers, p a number, tau a number or the
+    # strings "inf" and "-inf" the writer emits
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(TWO_ELEMENT_INSTANCE))
+    pol = tmp_path / "p.json"
+    code, _, _ = run_cli(["solve", "--instance", str(inst), "--alg", "dp",
+                          "--policy-out", str(pol)])
+    assert code == 0
+    doc = json.loads(pol.read_text())
+    assert [rule["t"] for rule in doc["rules"]][0] == 0
+    doc["rules"][0][field] = value
+    pol.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--instance", str(inst), "--policy",
+                              str(pol), "--trials", "10", "--seed", "1"])
+    assert code == 6
+    assert out == ""
+    assert err.startswith("policy/instance mismatch: policy: malformed")
+
+
 # element 2 sits in the root; elements 0 and 1 in bin 1 of capacity 1
 TWO_BIN_INSTANCE = {
     "kind": "laminar",

@@ -8,6 +8,9 @@ The backward-induction kernel behind ``solve_full_dp`` and
 ``solve_subproblem_dp`` must give the values, thresholds and entry order of
 ``conftest.reference_full_dp`` / ``reference_subproblem_dp`` exactly, and
 ``solve_full_dp`` must decode no state until its policy's rules are read.
+``dp.pick_probabilities`` must give each arrival's pick probability under
+the threshold policy as ``conftest.reference_pick_probabilities`` reads it
+off the exact state walk.
 ``model.reachable_profile`` must give the levels, forbidden states and
 ``SizingError`` of the tuple loop kept as ``conftest.reference_profile``,
 and the exact occupancy behind ``evaluate_exact`` the welfare bits, trace
@@ -18,8 +21,10 @@ the loop kept as ``conftest.reference_dense_simplex``: same status, pivot
 count, objective and every bit of ``x``.  LP text and PTAS policy JSON must
 hash to the values recorded when the LP layer was keyed by variable name,
 except the small-branch PTAS policies, recorded when that branch took the
-DP's policy, and the lp-opt roundings, recorded when the small branch
-still rounded the exact LP.  ``policy_to_json`` must write the bytes of
+DP's policy, the lp-opt roundings, recorded when the small branch still
+rounded the exact LP, and the current large-branch PTAS policies, recorded
+when that branch first took the units' DP policies where they fit.
+``policy_to_json`` must write the bytes of
 ``conftest.reference_policy_json``.
 """
 
@@ -77,10 +82,12 @@ from conftest import (
     reference_dense_simplex,
     reference_evaluate_block,
     reference_full_dp,
+    reference_pick_probabilities,
     reference_policy_json,
     reference_profile,
     reference_prophet_samples,
     reference_subproblem_dp,
+    relaxation,
     run_ptas,
 )
 
@@ -268,6 +275,29 @@ def test_full_dp_matches_reference_with_object_codes(sweep):
     assert sum(len(c) for c in tbl.levels.codes) == 45_825
 
 
+def assert_pick_probabilities_match_reference(table, policy, inst):
+    got = dp.pick_probabilities(table, inst.dists)
+    want = reference_pick_probabilities(policy, inst)
+    assert list(want) == list(table.positions[:-1])
+    assert np.allclose(got, list(want.values()), rtol=0.0, atol=1e-12)
+
+
+def test_pick_probabilities_match_reference_on_corpus(corpus, sweep):
+    for entry in corpus:
+        assert_pick_probabilities_match_reference(
+            *solve_full_dp(entry.laminar), entry.laminar)
+        p = entry.production
+        for j in range(p.num_types if p is not None else 0):
+            table = solve_subproblem_dp(p, j)
+            assert_pick_probabilities_match_reference(
+                table, dp.threshold_policy(table), p)
+
+
+def test_pick_probabilities_match_reference_on_criterion_7():
+    inst = criterion_7_laminar()
+    assert_pick_probabilities_match_reference(*solve_full_dp(inst), inst)
+
+
 def test_chain_dp_matches_reference_on_corpus(corpus, sweep):
     for entry in corpus:
         p = entry.production
@@ -316,11 +346,15 @@ CRITERION_7_SETTING = PtasConfig(epsilon=0.2, delta=0.1)
 # keyed by variable name: ``to_text`` of every corpus instance's builds
 # (ex-ante for the production ones; hierarchy marked at delta 0.6; both at
 # capacity scale 0.8) and of the criterion-7 hierarchy LP, and
-# ``policy_to_json`` of the PTAS policy of the criterion-7 instance.  The
-# PTAS policies of every corpus instance per bench setting were recorded
-# when the small branch took the DP's policy; ``lp_opt``, the rounding of
-# every corpus instance's exact LP, was recorded before that, when the
-# small branch still returned such roundings.
+# ``policy_to_json`` of the criterion-7 instance's rounded relaxation
+# (``criterion_7``), then its PTAS policy.  The policies of
+# ``lp_large_branch_policy`` for every corpus instance per bench setting
+# were recorded when the small branch took the DP's policy and the large
+# branch always solved its LP; ``lp_opt``, the rounding of every corpus
+# instance's exact LP, was recorded before that, when the small branch
+# still returned such roundings.  ``ptas_eps0.2_delta0.6`` and
+# ``ptas_criterion_7`` were recorded when the large branch first took the
+# units' DP policies wherever they satisfy every large row.
 LP_TEXT_SHA256 = {
     "optimal": "282d67d402d97f6576ba9299c4799e45aadbb3c0ee6503cddaa9e2058aeebc08",
     "exante": "2079a7c1e22b6ad17f9d2c7db87f7cbe3c0ef1a4ca4204b215bcf49a65072aae",
@@ -332,6 +366,8 @@ POLICY_SHA256 = {
     "eps0.2_delta0.6": "1ee5f34fa21b992facc09cd2b3217b513969a7137e7231cbe63852c48dfd06a8",
     "lp_opt": "f3a23787645c39a817f92f9e71e2650a75f2e7d9b8ed98083c60170da69985ea",
     "criterion_7": "bf45a9b006e20db1b83a294728cd55528d4db518976038a9895c16ae67482972",
+    "ptas_eps0.2_delta0.6": "879504ecef22ebb7620e58ec7daa61142ed0a972f80591f672a4426e7adc894b",
+    "ptas_criterion_7": "2c6b153e148808316094112075720ba1b9a965c9c56aee0fbe3603ef198fb6f5",
 }
 
 # (c, a_ub, b_ub, a_eq, b_eq), each reaching one branch of the simplex
@@ -382,15 +418,42 @@ def rounded_exact_lp(entry, cfg):
         lam, extract_all(lp.solve_optimal(built.model), built), mk)
 
 
+def rounded_relaxation(inst, cfg):
+    """The rounding of ``inst``'s relaxation LP, composed as the PTAS
+    composes it: the large branch's policy whenever it solves that LP."""
+    built = relaxation(inst, cfg)
+    return compose_policies(
+        inst, extract_all(lp.solve_optimal(built.model), built),
+        built.marking)
+
+
+def lp_large_branch_policy(entry, cfg):
+    """``(policy, small)``: the PTAS policy as computed while every
+    large-branch case solved its relaxation LP -- the DP's threshold
+    policy on the small branch, ``rounded_relaxation`` on the large."""
+    lam, p = entry.laminar, entry.production
+    mk = mark_laminar(lam, cfg.resolved_delta)
+    if p is not None and p.shipping <= 1.0 / cfg.resolved_delta:
+        return solve_full_dp(lam)[1], True
+    if p is None and not mk.large:
+        return compose_policies(lam, {"root": solve_full_dp(lam)[1]}, mk), True
+    return rounded_relaxation(p if p is not None else lam, cfg), False
+
+
 @pytest.fixture(scope="module")
 def corpus_run(corpus):
-    """Every LP a corpus run solves -- PTAS at both bench settings, with
-    the exact LP each small-branch case stands in for, then the exact
-    chain's relaxation bound and exact LP -- and the policies: the PTAS's
-    per setting, the small branch's former LP roundings (``lp_route``) and
-    the exact LP's rounding (``lp_opt``)."""
+    """Every LP a corpus run solved while the large branch always built
+    its relaxation -- per bench setting, that relaxation for each
+    large-branch case and the exact LP each small-branch case stands in
+    for, then the exact chain's relaxation bound and exact LP -- and the
+    policies: per setting, those of ``lp_large_branch_policy`` (under the
+    setting's label) and the PTAS's own (``ptas_<label>``), the small
+    branch's former LP roundings (``lp_route``) and the exact LP's
+    rounding (``lp_opt``)."""
     models = []
-    policies = {label: [] for label in (*BENCH_SETTINGS, "lp_route", "lp_opt")}
+    labels = (*BENCH_SETTINGS, *(f"ptas_{k}" for k in BENCH_SETTINGS),
+              "lp_route", "lp_opt")
+    policies = {label: [] for label in labels}
     solve = lp.solve
 
     def capture(model, engine="auto"):
@@ -401,9 +464,9 @@ def corpus_run(corpus):
         mp.setattr(lp, "solve", capture)
         for entry in corpus:
             for label, cfg in BENCH_SETTINGS.items():
-                result = run_ptas(entry, cfg)
-                policies[label].append(result.policy)
-                if result.branch == "small":
+                policy, small = lp_large_branch_policy(entry, cfg)
+                policies[label].append(policy)
+                if small:
                     policies["lp_route"].append(rounded_exact_lp(entry, cfg))
             lam = entry.laminar
             if entry.production is not None:
@@ -415,7 +478,19 @@ def corpus_run(corpus):
             built = build_lp_optimal(lam)
             policies["lp_opt"].append(extract_pricing(
                 lp.solve_optimal(built.model), built, "root"))
+    # the PTAS's LP-route cases solve the LPs captured above again
+    for entry in corpus:
+        for label, cfg in BENCH_SETTINGS.items():
+            policies[f"ptas_{label}"].append(run_ptas(entry, cfg).policy)
     return models, policies
+
+
+@pytest.fixture(scope="module")
+def criterion_7_policies():
+    """Criterion 7's PTAS policy and its rounded relaxation."""
+    inst = criterion_7_laminar()
+    return (ptas_laminar(inst, CRITERION_7_SETTING).policy,
+            rounded_relaxation(inst, CRITERION_7_SETTING))
 
 
 def test_dense_simplex_matches_reference_on_corpus_lps(corpus_run):
@@ -484,13 +559,25 @@ def test_lp_text_is_pinned(corpus):
     assert {k: sha256_of(v) for k, v in texts.items()} == LP_TEXT_SHA256
 
 
-def test_ptas_policies_are_pinned(corpus_run):
+def test_ptas_policies_are_pinned(corpus_run, criterion_7_policies):
     _, policies = corpus_run
     got = {label: sha256_of(map(policy_to_json, policies[label]))
-           for label in (*BENCH_SETTINGS, "lp_opt")}
-    got["criterion_7"] = sha256_of([policy_to_json(
-        ptas_laminar(criterion_7_laminar(), CRITERION_7_SETTING).policy)])
+           for label in (*BENCH_SETTINGS, "ptas_eps0.2_delta0.6", "lp_opt")}
+    ptas_policy, relaxed = criterion_7_policies
+    got["criterion_7"] = sha256_of([policy_to_json(relaxed)])
+    got["ptas_criterion_7"] = sha256_of([policy_to_json(ptas_policy)])
     assert got == POLICY_SHA256
+
+
+def test_ptas_keeps_the_lp_policy_wherever_it_solves_the_lp(corpus_run):
+    # the PTAS documents differ from the LP large branch's only on the
+    # cases where the decoupled DP policies satisfy every large row
+    _, policies = corpus_run
+    differ = {label: sum(policy_to_json(a) != policy_to_json(b)
+                         for a, b in zip(policies[label],
+                                         policies[f"ptas_{label}"]))
+              for label in BENCH_SETTINGS}
+    assert differ == {"eps0.2": 0, "eps0.2_delta0.6": 65}
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +588,8 @@ def test_ptas_policies_are_pinned(corpus_run):
 def test_policy_writer_matches_json_dumps_on_corpus(corpus_run):
     _, policies = corpus_run
     assert {k: len(v) for k, v in policies.items()} == {
-        "eps0.2": 200, "eps0.2_delta0.6": 200, "lp_route": 270,
-        "lp_opt": 200}
+        "eps0.2": 200, "eps0.2_delta0.6": 200, "ptas_eps0.2": 200,
+        "ptas_eps0.2_delta0.6": 200, "lp_route": 270, "lp_opt": 200}
     for pols in policies.values():
         for pol in pols:
             assert policy_to_json(pol) == reference_policy_json(pol)
@@ -512,6 +599,12 @@ def test_policy_writer_matches_json_dumps_on_corpus(corpus_run):
                          ids=["large", "small"])
 def test_policy_writer_matches_json_dumps_on_criterion_7(cfg):
     pol = ptas_laminar(criterion_7_laminar(), cfg).policy
+    assert policy_to_json(pol) == reference_policy_json(pol)
+
+
+def test_policy_writer_matches_json_dumps_on_criterion_7_relaxation(
+        criterion_7_policies):
+    _, pol = criterion_7_policies
     assert policy_to_json(pol) == reference_policy_json(pol)
 
 
@@ -622,16 +715,15 @@ def test_occupancy_matches_reference_on_corpus(corpus, corpus_run, sweep):
         lam = entry.laminar
         for policy in (solve_full_dp(lam)[1], rounded_lp_opt(lam)):
             assert_occupancy_matches_reference(policy, lam)
-    for label in BENCH_SETTINGS:
+    for label in (*BENCH_SETTINGS, "ptas_eps0.2_delta0.6"):
         for entry, policy in zip(corpus, policies[label]):
             assert_occupancy_matches_reference(
                 policy, entry.production or entry.laminar)
 
 
-def test_occupancy_matches_reference_on_criterion_7():
+def test_occupancy_matches_reference_on_criterion_7(criterion_7_policies):
     inst = criterion_7_laminar()
-    for policy in (solve_full_dp(inst)[1],
-                   ptas_laminar(inst, CRITERION_7_SETTING).policy):
+    for policy in (solve_full_dp(inst)[1], *criterion_7_policies):
         assert_occupancy_matches_reference(policy, inst)
 
 

@@ -1,7 +1,8 @@
 """Cross-module benchmark orderings on the shared corpus, the exactness
-chain as a property of random small laminar trees, instance and policy
-documents that read back as written, and documents with one bad field that
-the CLI rejects with an exit code."""
+chain as a property of random small laminar trees, the PTAS large branch
+attaining its relaxation, instance and policy documents that read back as
+written, and documents with one bad field that the CLI rejects with an
+exit code."""
 
 import contextlib
 import io
@@ -11,7 +12,8 @@ import math
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, event, given, settings,
+                        strategies as st)
 
 from binprice import (
     DiscreteDistribution,
@@ -37,7 +39,7 @@ from binprice.cli import main
 from binprice.harness import prophet_samples
 from binprice.rounding import PricingPolicy, mark_laminar
 
-from conftest import VALUE_GRID
+from conftest import VALUE_GRID, relaxation
 
 
 def test_benchmark_ordering_on_corpus_sample(corpus):
@@ -176,6 +178,30 @@ def test_ptas_policy_documents_read_back_as_written(inst, epsilon):
     else:
         policy = ptas_laminar(inst, cfg).policy
     assert policy_from_json(policy_to_json(policy)) == policy
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(instances, st.sampled_from([0.2, 0.5]), st.sampled_from([0.6, 0.9]))
+def test_large_branch_attains_its_relaxation_and_stays_feasible(inst, epsilon,
+                                                                delta):
+    # a delta override near 1 marks every capacity above about 1 large, so
+    # both routes of the large branch run: the units' DP policies where
+    # they keep every large row, the LP where a row binds
+    cfg = PtasConfig(epsilon=epsilon, delta=delta)
+    if isinstance(inst, ProductionInstance):
+        result = ptas_production(inst, cfg)
+    else:
+        result = ptas_laminar(inst, cfg)
+    assume(result.branch == "large")
+    event(result.lp_kind)
+    optimum = solve_optimal(relaxation(inst, cfg).model).objective
+    assert abs(result.objective - optimum) <= 1e-9
+    if result.lp_kind == "dp":
+        welfare, _ = evaluate_exact(result.policy, inst)
+        assert abs(welfare - result.objective) <= 1e-9
+    assert simulate(result.policy, inst, 200, seed=3).total_violations == 0
 
 
 @ROUND_TRIP

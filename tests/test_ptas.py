@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from binprice import (
     DiscreteDistribution,
     PtasConfig,
+    build_lp_exante,
     build_lp_optimal,
     delta_of,
     evaluate_exact,
@@ -23,6 +25,8 @@ from conftest import (
     criterion_7_laminar,
     random_laminar,
     random_production,
+    reference_pick_probabilities,
+    relaxation,
     run_ptas,
 )
 
@@ -107,6 +111,8 @@ def test_laminar_large_branch_feasible_pointwise():
             {"cap": 2, "children": [{"element": i} for i in range(4, 8)]}]})
     r = ptas_laminar(inst, PtasConfig(epsilon=0.2, delta=0.1))
     assert sorted(r.marking.large) == [0]
+    # the two bins pick at most 4 of the root's scaled 80.8
+    assert r.lp_kind == "dp"
     rep = simulate(r.policy, inst, 5000, seed=21)
     assert rep.total_violations == 0
 
@@ -132,12 +138,17 @@ def test_production_large_branch_matches_laminar_on_conversion():
 
 def test_counters_use_original_capacity_not_scaled():
     # shipping 3 scaled by 0.5 in the LP; the executed policy must still
-    # allow a third accept when values warrant it
+    # allow a third accept when values warrant it.  Each type's own DP
+    # serves its one buyer for sure, 3 expected sales against the scaled
+    # row of 1.5, so the row binds and the LP route runs
     p = ProductionInstance(
         dists=(DiscreteDistribution.point(1),) * 3, types=(0, 1, 2),
         days=(0, 0, 0), production=((1,), (1,), (1,)), shipping=3)
-    r = ptas_production(p, PtasConfig(epsilon=0.5, delta=0.4))
-    assert r.branch == "large"
+    cfg = PtasConfig(epsilon=0.5, delta=0.4)
+    r = ptas_production(p, cfg)
+    assert (r.branch, r.lp_kind) == ("large", "exante")
+    sol = lp.solve_optimal(build_lp_exante(p, cfg.capacity_scale).model)
+    assert abs(r.objective - sol.objective) <= 1e-9
     composed = r.policy
     assert composed.counter_caps == {"shipping": 3}
 
@@ -149,11 +160,16 @@ def takes_small_branch(entry, cfg):
     return not mark_laminar(entry.laminar, delta).large
 
 
+class BuiltAnLp(AssertionError):
+    pass
+
+
 def forbid_lp(mp):
     def no_lp(*args, **kwargs):
-        raise AssertionError("the small branch built or solved an LP")
+        raise BuiltAnLp("built or solved an LP")
 
-    for name in ("build_lp_optimal", "build_lp_hierarchy", "solve"):
+    for name in ("build_lp_optimal", "build_lp_exante", "build_lp_hierarchy",
+                 "solve"):
         mp.setattr(lp, name, no_lp)
 
 
@@ -204,3 +220,95 @@ def test_small_branch_policy_attains_dp_and_lp_optimum(small_branch_runs):
             built = build_lp_optimal(entry.laminar)
             assert abs(r.objective
                        - lp.solve_optimal(built.model).objective) <= 1e-6
+
+
+def large_rows(inst, marking):
+    """``(elements, capacity)`` of every large row of ``inst``."""
+    if isinstance(inst, ProductionInstance):
+        return [(range(inst.num_buyers), inst.shipping)]
+    return [(inst.bin_elements(b), inst.bin_caps[b])
+            for b in sorted(marking.large)]
+
+
+def expected_picks(policy, inst):
+    """Each element's pick probability under ``policy``'s blocks, counters
+    off."""
+    picks = {}
+    for block in policy.blocks.values():
+        picks.update(reference_pick_probabilities(block, inst))
+    return picks
+
+
+def assert_dp_route(r, inst, cfg):
+    """``r`` took the decoupled route: DP policies whose exact value is the
+    objective and which keep every large row within its scaled capacity
+    in expectation, behind counters at the original capacities."""
+    assert (r.branch, r.lp_kind) == ("large", "dp")
+    welfare, _ = evaluate_exact(r.policy, inst)
+    assert abs(welfare - r.objective) <= 1e-9
+    picks = expected_picks(r.policy, inst)
+    rows = large_rows(inst, r.marking)
+    for elements, cap in rows:
+        assert sum(picks[e] for e in elements) <= cfg.capacity_scale * cap
+    if isinstance(inst, ProductionInstance):
+        assert r.policy.counter_caps == {"shipping": inst.shipping}
+    else:
+        assert r.policy.counter_caps == {
+            f"bin:{b}": inst.bin_caps[b] for b in r.marking.large}
+
+
+def run_large_branch(inst, cfg):
+    """The PTAS result on a large-branch case, first with every LP entry
+    point raising; the LP route runs again with them in place."""
+    run = (ptas_production if isinstance(inst, ProductionInstance)
+           else ptas_laminar)
+    with pytest.MonkeyPatch.context() as mp:
+        forbid_lp(mp)
+        try:
+            return run(inst, cfg)
+        except BuiltAnLp:
+            pass
+    return run(inst, cfg)
+
+
+@pytest.fixture(scope="module")
+def large_branch_runs(corpus):
+    """``(instance, result, relaxation optimum)`` of PTAS on every corpus
+    case that takes the large branch at delta 0.6."""
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    runs = []
+    for entry in corpus:
+        if takes_small_branch(entry, cfg):
+            continue
+        inst = entry.production if entry.production is not None \
+            else entry.laminar
+        sol = lp.solve_optimal(relaxation(inst, cfg).model)
+        runs.append((inst, run_large_branch(inst, cfg), sol.objective))
+    return runs
+
+
+def test_large_branch_objective_is_the_relaxation_optimum(large_branch_runs):
+    routes = collections.Counter(r.lp_kind for _, r, _ in large_branch_runs)
+    assert routes == {"dp": 65, "exante": 29, "hierarchy": 36}
+    for _, r, optimum in large_branch_runs:
+        assert r.branch == "large"
+        assert abs(r.objective - optimum) <= 1e-9
+
+
+def test_dp_route_policies_are_exact_and_keep_every_row(large_branch_runs):
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    for inst, r, _ in large_branch_runs:
+        if r.lp_kind == "dp":
+            assert_dp_route(r, inst, cfg)
+
+
+def test_criterion_7_large_branch_builds_no_lp(monkeypatch):
+    inst = criterion_7_laminar()
+    cfg = PtasConfig(epsilon=0.2, delta=0.1)
+    with monkeypatch.context() as mp:
+        forbid_lp(mp)
+        r = ptas_laminar(inst, cfg)
+    assert_dp_route(r, inst, cfg)
+    assert r.policy.counter_caps == {"bin:0": 101}
+    sol = lp.solve_optimal(relaxation(inst, cfg).model)
+    assert abs(r.objective - sol.objective) <= 1e-9
