@@ -3,16 +3,17 @@
 Randomness contract (reproducible across thread counts): all Monte Carlo
 draws come from numpy's Philox counter-based generator, one substream per
 trial keyed by ``seed * 2^64 + trial``.  A Philox stream depends only on
-its key and counter, so ``trial_uniforms`` draws a chunk of trials from one
-generator re-keyed per trial; each row equals what a fresh
-``trial_generator(seed, trial)`` would draw.  Within a trial the draw
-layout is fixed: ``simulate`` consumes ``2n`` uniforms (value draw then tie
-coin per arrival, whether or not a tie occurs); ``prophet_samples``
-consumes ``n`` (one value draw per element).  Trials are processed in
-fixed-size chunks, threads only distribute chunks, and every reduction is
-either exact integer arithmetic or a single fixed-order pass over a
-preallocated per-trial array, so reports are byte-identical for any
-``--threads``.
+its key and counter, so ``trial_uniforms`` draws a chunk of trials at once:
+rows of at most ``ARRAY_MAX_WIDTH`` uniforms as Philox blocks computed on
+uint64 arrays, wider rows from one generator re-keyed per trial.  Either
+way each row equals what a fresh ``trial_generator(seed, trial)`` would
+draw.  Within a trial the draw layout is fixed: ``simulate`` consumes
+``2n`` uniforms (value draw then tie coin per arrival, whether or not a tie
+occurs); ``prophet_samples`` consumes ``n`` (one value draw per element).
+Trials are processed in fixed-size chunks, threads only distribute chunks,
+and every reduction is either exact integer arithmetic or a single
+fixed-order pass over a preallocated per-trial array, so reports are
+byte-identical for any ``--threads``.
 
 ``evaluate_exact`` forward-propagates the exact state distribution of a
 policy block over the levels of ``model.state_levels``; on a composed
@@ -56,6 +57,9 @@ from .dp import solve_full_dp, solve_subproblem_dp
 from .rounding import ComposedPolicy, PricingPolicy
 
 CHUNK = 4096
+# widest row drawn as whole-array Philox blocks (see ``trial_uniforms``);
+# set from the crossover measured in notes/decisions.md
+ARRAY_MAX_WIDTH = 24
 _MASK64 = (1 << 64) - 1
 # the per-subset cylinder check enumerates 2^l subsets of a type's l buyers
 PER_SUBSET_MAX_BUYERS = 12
@@ -74,10 +78,21 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
 def trial_uniforms(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
     """``k`` uniforms for each trial in ``[lo, hi)``, one row per trial.
 
-    Row ``r`` equals ``trial_generator(seed, lo + r).random(k)``: one Philox
-    is re-keyed per trial (counter 0, empty buffer) instead of building a
-    generator per trial.  The state dict is local, so threads share nothing.
+    Row ``r`` equals ``trial_generator(seed, lo + r).random(k)``.  Rows of
+    at most ``ARRAY_MAX_WIDTH`` uniforms are computed as whole-array Philox
+    blocks for every trial at once, where keying a generator would cost
+    more than the draws; wider rows re-key one Philox per trial, whose C
+    loop outruns the array arithmetic once a trial needs many blocks.
     """
+    if k <= ARRAY_MAX_WIDTH:
+        return _philox_rows(seed, lo, hi, k)
+    return _rekeyed_rows(seed, lo, hi, k)
+
+
+def _rekeyed_rows(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
+    """One Philox re-keyed per trial (counter 0, empty buffer) instead of a
+    generator built per trial.  The state dict is local, so threads share
+    nothing."""
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     key = [0, seed & _MASK64]
@@ -91,6 +106,92 @@ def trial_uniforms(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
         bitgen.state = state
         gen.random(out=row)
     return out
+
+
+# Philox4x64-10 multipliers and Weyl key increments (Random123, as numpy)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_U11 = np.uint64(11)
+
+
+def _multiplier(m: np.ndarray):
+    return m, m & _LOW32, m >> _U32
+
+
+# (M0, M1) against the stacked (x0, x2) words, and M0 against a trial vector
+_PAIR_M = _multiplier(np.array(_PHILOX_M, dtype=np.uint64).reshape(2, 1, 1))
+_TRIAL_M0 = _multiplier(np.array(_PHILOX_M[0], dtype=np.uint64))
+_WEYL = np.array(_PHILOX_W, dtype=np.uint64).reshape(2, 1, 1)
+
+
+def _mulhilo(x, mult, mult_lo, mult_hi):
+    """High and low words of the 128-bit products ``mult * x`` on uint64
+    arrays, from the 32-bit halves of both factors."""
+    x_lo = x & _LOW32
+    x_hi = x >> _U32
+    mid = mult_hi * x_lo
+    mid += (mult_lo * x_lo) >> _U32
+    cross = mult_lo * x_hi
+    cross += mid & _LOW32
+    high = mult_hi * x_hi
+    high += mid >> _U32
+    high += cross >> _U32
+    return high, x * mult
+
+
+def _philox_rows(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
+    """numpy's Philox4x64-10 output for keys ``(trial, seed)``, computed on
+    arrays.
+
+    A fresh generator increments its counter before each block, so block
+    ``b`` of a row uses counter ``(b, 0, 0, 0)`` for ``b = 1, 2, ...``, and
+    its four words are the row's uniforms ``4(b-1)`` to ``4b - 1``, each
+    ``(word >> 11) * 2^-53``.  The state is held as ``x = (x0, x2)`` and
+    ``c = (x1, x3)``, each of shape ``(2, blocks, trials)``; a round maps it
+    to ``x = (hi1 ^ x1 ^ key0, hi0 ^ x3 ^ key1)``, ``c = (lo1, lo0)`` with
+    ``(hi0, lo0) = M0 * x0`` and ``(hi1, lo1) = M1 * x2``, and the key takes
+    its Weyl bump between rounds.  Round 1 sees a counter that varies only
+    by block and a key word that varies only by trial, so rounds 1 and 2
+    are computed on per-block integers and per-trial vectors.
+    """
+    m = hi - lo
+    blocks = -(-k // 4)
+    s = seed & _MASK64
+    trial = np.arange(lo, hi, dtype=np.uint64)
+    # round 1: x = (trial, hi(M0 * b) ^ seed), c = (0, lo(M0 * b))
+    prod0 = [_PHILOX_M[0] * b for b in range(1, blocks + 1)]
+    # round 2, key (trial + W0, seed + W1): M1 times the block's x2, and M0
+    # times the trial
+    prod1 = [_PHILOX_M[1] * ((p >> 64) ^ s) for p in prod0]
+    t_hi, t_lo = _mulhilo(trial, *_TRIAL_M0)
+    key = np.empty((2, 1, m), dtype=np.uint64)
+    key[0, 0] = trial
+    key[1] = s
+    key += _WEYL
+    x = np.empty((2, blocks, m), dtype=np.uint64)
+    c = np.empty((2, blocks, m), dtype=np.uint64)
+    np.bitwise_xor(key[0], _column([p >> 64 for p in prod1]), out=x[0])
+    np.bitwise_xor(t_hi ^ key[1], _column([p & _MASK64 for p in prod0]),
+                   out=x[1])
+    c[0] = _column([p & _MASK64 for p in prod1])
+    c[1] = t_lo
+    for _ in range(8):
+        key += _WEYL
+        high, low = _mulhilo(x, *_PAIR_M)
+        x = high[::-1] ^ c
+        x ^= key
+        c = low[::-1]
+    words = np.stack((x[0], c[0], x[1], c[1]))
+    words >>= _U11
+    u = words * 2.0 ** -53
+    # (word, block, trial) -> (trial, 4 * block + word)
+    return u.transpose(2, 1, 0).reshape(m, 4 * blocks)[:, :k]
+
+
+def _column(ints) -> np.ndarray:
+    return np.array(ints, dtype=np.uint64)[:, None]
 
 
 # ---------------------------------------------------------------------------

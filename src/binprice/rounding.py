@@ -156,9 +156,15 @@ class ComposedPolicy:
         if uncapped:
             raise ValueError(f"counters {sorted(map(repr, uncapped))} "
                              "have no cap")
+        blocks = {k: PricingPolicy.from_json_dict(v)
+                  for k, v in doc["blocks"].items()}
+        # simulate runs a block under its key, evaluate_exact under its own
+        # scope; a document must not let the two differ
+        for k, block in blocks.items():
+            if block.scope != k:
+                raise ValueError(f"block {k!r} has scope {block.scope!r}")
         return cls(
-            blocks={k: PricingPolicy.from_json_dict(v)
-                    for k, v in doc["blocks"].items()},
+            blocks=blocks,
             element_block={int(e): k for e, k in doc["element_block"].items()},
             counter_caps=caps,
             counter_keys=keys,

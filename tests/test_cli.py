@@ -576,6 +576,31 @@ def test_policy_scope_keys_are_canonical_and_exist(tmp_path, command, block,
     assert err.startswith("policy/instance mismatch: scope ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("scope", ["x", "elem:2", "elem:3", "root"])
+def test_block_scope_other_than_its_key_exits_6(tmp_path, command, scope):
+    # block "bin:1" of a composed policy whose own scope names something
+    # else: an unknown scope, another block, an element the instance lacks
+    # or the root
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(TWO_BIN_INSTANCE))
+    pol = tmp_path / "p.json"
+    code, _, _ = run_cli(["solve", "--instance", str(inst), "--alg",
+                          "hierarchy", "--delta", "0.9", "--policy-out",
+                          str(pol)])
+    assert code == 0
+    doc = json.loads(pol.read_text())
+    doc["blocks"]["bin:1"]["scope"] = scope
+    pol.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--instance", str(inst),
+                              "--policy", str(pol), "--trials", "10",
+                              "--seed", "1"])
+    assert code == 6
+    assert out == ""
+    assert err.startswith("policy/instance mismatch: policy: malformed")
+    assert f"block 'bin:1' has scope '{scope}'" in err
+
+
 def test_verify_foreign_policy_scope_exits_6(tmp_path, instance_path):
     # a well-formed policy for a bin the instance does not have
     pol = tmp_path / "p.json"

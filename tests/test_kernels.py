@@ -1,9 +1,10 @@
 """Vectorized kernels against their scalar references.
 
-``trial_uniforms`` must reproduce each trial's own Philox substream,
-``prophet_samples`` must equal the per-trial greedy of
-``conftest.reference_prophet_samples`` bit for bit, and ``simulate`` reports
-must hash to the values recorded when every trial built its own generator.
+``trial_uniforms`` must reproduce each trial's own Philox substream on both
+its array path and its per-trial path, ``prophet_samples`` must equal the
+per-trial greedy of ``conftest.reference_prophet_samples`` bit for bit, and
+``simulate`` reports must hash to the values recorded before the array path
+existed.
 The backward-induction kernel behind ``solve_full_dp`` and
 ``solve_subproblem_dp`` must give the values, thresholds and entry order of
 ``conftest.reference_full_dp`` / ``reference_subproblem_dp`` exactly, and
@@ -57,6 +58,7 @@ from binprice import (
 )
 from binprice import dp, harness, lp, model
 from binprice.harness import (
+    ARRAY_MAX_WIDTH,
     CHUNK,
     CoverageError,
     _chain_acceptance,
@@ -143,11 +145,16 @@ INSTANCES = {"production": multi_day_production, "laminar": deep_laminar,
              "signed": signed_laminar}
 
 # sha256 of the sorted-key JSON of ``simulate(DP policy, CHUNK + 3 trials,
-# seed 11)``, recorded when every trial built its own generator
+# seed 11)``, recorded when every trial built its own generator, except
+# criterion 7, recorded when every row was drawn by re-keying one generator
+# per trial.  Its rows (2n = 200) are the only ones here wider than
+# ``ARRAY_MAX_WIDTH``, so it pins the per-trial path.
 SIMULATE_SHA256 = {
     "production": "437147d49d75a04dabe9717d099dd5056cdb2aed35edb22dcb98b6c381c1c1a6",
     "laminar": "4c49023227670878a667be8c1221063f377346fbb2290424dd71365cda9f3c2f",
+    "criterion_7": "eefe4877f7da669f6005766d5164e737148e4c8a1a532d1a44342c7c775db5dc",
 }
+SIMULATED = dict(INSTANCES, criterion_7=criterion_7_laminar)
 
 
 def test_instance_shapes():
@@ -160,11 +167,40 @@ def test_instance_shapes():
 
 @pytest.mark.parametrize("seed", SEEDS + (-1,))
 def test_trial_uniforms_rows_are_trial_substreams(seed):
-    for lo, hi, k in ((0, 1, 1), (5, 40, 3), (CHUNK - 2, CHUNK + 2, 16)):
-        got = trial_uniforms(seed, lo, hi, k)
-        assert got.shape == (hi - lo, k)
-        for r, t in enumerate(range(lo, hi)):
-            assert np.array_equal(got[r], trial_generator(seed, t).random(k))
+    # widths on both sides of the array path's limit, partial and whole
+    # Philox blocks, an offset range, one across a chunk boundary and an
+    # empty one
+    for k in (1, 3, 4, 5, 8, ARRAY_MAX_WIDTH, ARRAY_MAX_WIDTH + 1, 200):
+        for lo, hi in ((0, 1), (5, 40), (CHUNK - 2, CHUNK + 2), (9, 9)):
+            got = trial_uniforms(seed, lo, hi, k)
+            assert got.shape == (hi - lo, k)
+            for r, t in enumerate(range(lo, hi)):
+                assert np.array_equal(got[r],
+                                      trial_generator(seed, t).random(k))
+
+
+def _refuse(*args):
+    raise AssertionError("this path must not run")
+
+
+@pytest.mark.parametrize("k, bypassed", [
+    (1, "_rekeyed_rows"), (ARRAY_MAX_WIDTH, "_rekeyed_rows"),
+    (ARRAY_MAX_WIDTH + 1, "_philox_rows"), (200, "_philox_rows")])
+def test_row_width_picks_the_uniforms_path(monkeypatch, k, bypassed):
+    monkeypatch.setattr(harness, bypassed, _refuse)
+    assert trial_uniforms(3, 0, 10, k).shape == (10, k)
+
+
+def test_corpus_rows_take_the_array_path(monkeypatch, corpus):
+    # every corpus trial needs at most 2n <= 12 uniforms, where the array
+    # path is the faster one
+    assert max(2 * len(entry.laminar.dists) for entry in corpus) \
+        <= ARRAY_MAX_WIDTH
+    monkeypatch.setattr(harness, "_rekeyed_rows", _refuse)
+    for entry in corpus[:10]:
+        inst = entry.production or entry.laminar
+        simulate(solve_full_dp(entry.laminar)[1], inst, 50, seed=1)
+        prophet_samples(inst, 50, seed=1)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -179,9 +215,17 @@ def test_prophet_samples_match_per_trial_reference(name, seed):
                               ref[:trials])
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_prophet_samples_match_per_trial_reference_on_criterion_7(seed):
+    # 100 uniforms a trial, drawn on the per-trial path
+    inst = criterion_7_laminar()
+    assert np.array_equal(prophet_samples(inst, 300, seed),
+                          reference_prophet_samples(inst, 300, seed))
+
+
 @pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
 def test_simulate_report_is_pinned(name):
-    inst = INSTANCES[name]()
+    inst = SIMULATED[name]()
     _, policy = solve_full_dp(as_laminar(inst))
     for threads in (1, 2):
         rep = simulate(policy, inst, CHUNK + 3, seed=11, threads=threads)
