@@ -365,6 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    derives_delta = args.command == "verify" or (
+        args.command == "solve" and args.alg in ("ptas", "hierarchy"))
+    if derives_delta and args.delta is None:
+        try:
+            ptas.delta_of(args.epsilon)
+        except ValueError as exc:
+            parser.error(f"argument --epsilon: {exc}")
     try:
         return args.func(args)
     except InstanceError as exc:

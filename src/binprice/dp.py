@@ -10,9 +10,10 @@ sums the atoms in their order, on the levels' lists or arrays alike, so
 values and thresholds equal a scalar loop over the states bit for bit.
 Tuples are decoded only when ``ValueTable.entries`` or the rules of a
 table's ``threshold_policy`` are first read; a caller that needs only the
-optimum, such as the exactness chain, decodes none.  ``pick_probabilities``
-runs the same levels forward under that policy and returns the
-probability that each arrival is picked.
+optimum, such as the exactness chain, decodes none.  ``forward`` is the
+one forward-occupancy kernel: it runs a table's threshold policy over the
+same levels and returns each state's acceptance rate and probability and
+each arrival's pick probability.
 
 ``solve_full_dp`` runs the kernel over the full remaining-capacity state
 space of a laminar instance and reads off the optimal threshold policy;
@@ -134,44 +135,57 @@ def threshold_policy(table: ValueTable) -> PricingPolicy:
     return PricingPolicy(scope=table.scope, rules=rules)
 
 
-def pick_probabilities(table: ValueTable, dists) -> list:
-    """The probability that each arrival of an unshifted ``table``'s block
-    is picked under its ``threshold_policy``, in arrival order: one pass
-    forward over the levels, carrying each state's probability through
-    its skip and pick positions."""
+def forward(table: ValueTable, dists) -> tuple[list, list, list]:
+    """Run ``table``'s threshold policy forward over its levels.
+
+    Arrival values are shifted by ``table.shift``, as in ``backward``, and
+    accepted at equality.  Returns ``(rates, occupancy, picks)``:
+    ``rates[i]`` holds each level-``i`` state's acceptance rate (0 where
+    the arrival cannot be picked), ``occupancy[i]`` each level-``i`` state's
+    probability for ``i = 0 .. n``, and ``picks[i]`` the probability that
+    the ``i``-th arrival is picked.  Levels stay lists or arrays, as the
+    table's levels are."""
     lv = table.levels
     lists = isinstance(lv.codes[-1], list)
     step = _forward_lists if lists else _forward_arrays
-    occ = [1.0] if lists else np.ones(1)
-    out = []
+    occupancy = [[1.0] if lists else np.ones(1)]
+    rates, picks = [], []
     for i, e in enumerate(table.positions[:-1]):
-        occ, picked = step(occ, table.thresholds[i], lv.skips[i],
-                           lv.picks[i], dists[e].atoms, len(lv.codes[i + 1]))
-        out.append(picked)
-    return out
+        atoms = [(v - table.shift, p) for v, p in dists[e].atoms]
+        rate, occ, picked = step(occupancy[-1], table.thresholds[i],
+                                 lv.skips[i], lv.picks[i], atoms,
+                                 len(lv.codes[i + 1]))
+        rates.append(rate)
+        occupancy.append(occ)
+        picks.append(picked)
+    return rates, occupancy, picks
 
 
 def _forward_arrays(occ, thr, skips, picks, atoms, width):
-    """The next level's state probabilities and the pick probability of
-    one arrival, on arrays."""
-    accept = sum(p * (thr <= x) for x, p in atoms) * occ
+    """The acceptance rates of one level, the next level's state
+    probabilities and the arrival's pick probability, on arrays."""
+    rate = sum(p * (thr <= x) for x, p in atoms)
+    accept = rate * occ
     ok = picks >= 0
     nxt = (np.bincount(skips, occ - accept, width)
            + np.bincount(picks[ok], accept[ok], width))
-    return nxt, float(accept.sum())
+    return rate, nxt, float(accept.sum())
 
 
 def _forward_lists(occ, thr, skips, picks, atoms, width):
     """``_forward_arrays`` one state at a time."""
+    rates = []
     nxt = [0.0] * width
     picked = 0.0
     for w, tau, a, b in zip(occ, thr.tolist(), skips, picks):
-        take = w * sum(p for x, p in atoms if x >= tau)
+        rate = sum(p for x, p in atoms if x >= tau)
+        take = w * rate
         nxt[a] += w - take
         if b >= 0:
             nxt[b] += take
         picked += take
-    return nxt, picked
+        rates.append(rate)
+    return rates, nxt, picked
 
 
 def _level_arrays(after, skips, picks, atoms):

@@ -22,11 +22,13 @@ quantity the LP accounts for.
 
 ``check_negative_cylinder`` computes, exactly, every joint acceptance
 moment ``E[prod_{t in S} X_t]`` of the optimal shifted chain policy with a
-forward pass over (subset, sold count) and compares it against the product
-of marginals; optimal chains can fail this per-subset form.
-``check_summed_cylinder`` checks the form summed over subsets of each size,
-``E[binom(C, k)] <= e_k(p)`` for the sold count ``C``, from the exact
-count distribution; that is what the Chernoff upper tail on ``C`` needs.
+forward pass over (subset, sold count), on the acceptance rates of
+``dp.forward``, and compares it against the product of marginals; optimal
+chains can fail this per-subset form.  ``check_summed_cylinder`` checks the
+form summed over subsets of each size, ``E[binom(C, k)] <= e_k(p)`` for the
+sold count ``C``, from the exact count distribution that
+``dp.forward`` carries to the chain's last level; that is what the
+Chernoff upper tail on ``C`` needs.
 ``search_dependency_counterexample`` sweeps small laminar
 structures for a later element whose optimal price drops after an earlier
 acceptance.
@@ -53,7 +55,7 @@ from .model import (
     bind_dynamics,
     state_levels,
 )
-from .dp import solve_full_dp, solve_subproblem_dp
+from .dp import forward, solve_full_dp, solve_subproblem_dp
 from .rounding import ComposedPolicy, PricingPolicy
 
 CHUNK = 4096
@@ -604,26 +606,6 @@ def prophet_value(inst, trials: int, seed: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _chain_acceptance(p: ProductionInstance, type_index: int, shift: float):
-    """Acceptance table of the optimal shifted chain policy.
-
-    Returns ``(elems, acc)`` with ``acc[i, s]`` the probability that the
-    ``i``-th buyer of the type is served when ``s`` units are already sold
-    (acceptance at equality; zero where the checkpoint guard blocks).
-    """
-    table = solve_subproblem_dp(p, type_index, shift)
-    elems = table.positions[:-1]
-    # a chain state's code is its sold count, and the last level holds them all
-    acc = np.zeros((len(elems), int(table.levels.codes[-1][-1]) + 1))
-    for i, t in enumerate(elems):
-        tau = table.thresholds[i]  # inf where the guard blocks
-        row = 0.0
-        for v, pa in p.dists[t].atoms:
-            row += pa * (v - shift >= tau)  # adds pa or 0.0, in atom order
-        acc[i, table.levels.codes[i]] = row
-    return elems, acc
-
-
 def check_negative_cylinder(p: ProductionInstance, type_index: int,
                             shift: float = 0.0, tol: float = 1e-9):
     """Exact all-subset check of E[prod X] <= prod E[X] for the optimal
@@ -642,8 +624,14 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
         return True, (), 0.0
     if l > PER_SUBSET_MAX_BUYERS:
         raise SizingError(dyn.key, 2 ** l, 2 ** PER_SUBSET_MAX_BUYERS)
-    elems, acc = _chain_acceptance(p, type_index, shift)
-    smax = acc.shape[1] - 1
+    table = solve_subproblem_dp(p, type_index, shift)
+    rates, _, _ = forward(table, p.dists)
+    # acc[i, s]: the i-th buyer's acceptance rate with s units sold; a
+    # chain state's code is its sold count, and the last level holds them all
+    smax = int(table.levels.codes[-1][-1])
+    acc = np.zeros((l, smax + 1))
+    for i, rate in enumerate(rates):
+        acc[i, table.levels.codes[i]] = rate
     ids = np.arange(2 ** l, dtype=np.int64)
     f = np.zeros((2 ** l, smax + 1))
     f[:, 0] = 1.0
@@ -662,7 +650,7 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
         prod[mask] = prod[mask ^ low] * marg[low.bit_length() - 1]
     gaps = moments - prod
     worst = int(np.argmax(gaps))
-    subset = tuple(elems[i] for i in range(l) if (worst >> i) & 1)
+    subset = tuple(t for i, t in enumerate(dyn.elements) if (worst >> i) & 1)
     gap = float(gaps[worst])
     return gap <= tol, subset, gap
 
@@ -670,21 +658,15 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
 def chain_count_distribution(p: ProductionInstance, type_index: int,
                              shift: float = 0.0):
     """Exact sold-count distribution and acceptance marginals of the
-    optimal shifted chain policy, by one forward pass over the sold count.
+    optimal shifted chain policy, read off ``dp.forward``.
 
     Returns ``(counts, marginals)``: ``counts[c] = Pr[C = c]`` and
     ``marginals[i] = E[X_i]`` for the ``i``-th buyer of the type.
     """
-    _, acc = _chain_acceptance(p, type_index, shift)
-    q = np.zeros(acc.shape[1])
-    q[0] = 1.0
-    marginals = np.empty(acc.shape[0])
-    for i in range(acc.shape[0]):
-        taken = q * acc[i]
-        marginals[i] = taken.sum()
-        q = q - taken
-        q[1:] += taken[:-1]
-    return q, marginals
+    table = solve_subproblem_dp(p, type_index, shift)
+    _, occupancy, picks = forward(table, p.dists)
+    # the last level holds every sold count, each coded as itself
+    return np.asarray(occupancy[-1], dtype=float), np.array(picks, dtype=float)
 
 
 def binomial_moments(counts) -> np.ndarray:

@@ -158,29 +158,6 @@ class LpModel:
             self._index = {name: j for j, name in enumerate(self.names)}
         return self._index
 
-    def add_var(self, name: str) -> int:
-        names, index = self.names, self.index
-        if name in index:
-            raise ValueError(f"duplicate variable name {name!r}")
-        j = self.add_vars(1, lambda _k: name)
-        names.append(name)
-        index[name] = j
-        # add_vars dropped the caches; extended by one name they still hold
-        self._names, self._index = names, index
-        return j
-
-    def add_objective(self, name: str, coef: float):
-        self.add_objective_term(self.index[name], coef)
-
-    def add_row(self, coeffs, rel: str, rhs):
-        """Append a row given as ``(name, coef)`` pairs, merging repeats."""
-        merged: dict[int, float] = {}
-        for name, coef in coeffs:
-            idx = self.index[name]
-            merged[idx] = merged.get(idx, 0.0) + coef
-        items = sorted(merged.items())
-        self.append_row([j for j, _ in items], [c for _, c in items], rel, rhs)
-
     @property
     def rows(self) -> list:
         """Rows as ``([(col, coef), ...], rel, rhs)`` tuples, built on request."""

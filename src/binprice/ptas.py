@@ -22,13 +22,14 @@ units are coupled only through those expectation rows.  Dropping the rows
 (the Lagrangian at multiplier 0) bounds the relaxation by the sum of the
 units' DP optima, and the units' optimal threshold policies
 (``dp.threshold_policy``) attain that sum.  So when those policies already
-keep every row within its scaled capacity (checked by each unit's
-``dp.pick_probabilities``), they are an optimal solution of the
-relaxation: the branch returns them with ``lp_kind="dp"`` and builds no
-LP.  When a row would be exceeded it falls back to the LP: the ex-ante LP
-(production, whose one row is the shipping capacity) or the hierarchy LP
-(laminar), rounded block by block.  Either way the per-unit pricings run
-behind hard counters at the *original* large capacities.
+keep every row within its scaled capacity (checked on the pick
+probabilities of each unit's ``dp.forward``), they are an optimal
+solution of the relaxation: the branch returns them with
+``lp_kind="dp"`` and builds no LP.  When a row would be exceeded it
+falls back to the LP: the ex-ante LP (production, whose one row is the
+shipping capacity) or the hierarchy LP (laminar), rounded block by block.
+Either way the per-unit pricings run behind hard counters at the
+*original* large capacities.
 """
 
 from __future__ import annotations
@@ -54,10 +55,16 @@ EPSILON_MAX = 0.99
 
 
 def delta_of(epsilon: float) -> float:
-    """Granularity schedule ``eps^2 / ln(1/eps)``."""
+    """Granularity schedule ``eps^2 / ln(1/eps)``.  It leaves (0, 1) from
+    about ``eps = 0.653`` up, and at tiny ``eps`` where ``eps^2``
+    underflows; there ``delta`` must be given explicitly."""
     if not (0.0 < epsilon < EPSILON_MAX):
         raise ValueError(f"epsilon must be in (0, {EPSILON_MAX})")
-    return epsilon ** 2 / math.log(1.0 / epsilon)
+    delta = epsilon ** 2 / math.log(1.0 / epsilon)
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"{epsilon!r} gives delta = {delta!r}, not in "
+                         "(0, 1); set delta explicitly")
+    return delta
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,8 @@ def _decoupled(inst, units, rows, cfg, state_cap, mk=None):
               for dyn in units]
     picked = {}
     for table in tables:
-        picked.update(zip(table.positions[:-1],
-                          dp.pick_probabilities(table, inst.dists)))
+        _, _, picks = dp.forward(table, inst.dists)
+        picked.update(zip(table.positions[:-1], picks))
     if not all(sum(picked[e] for e in elements) <= cfg.capacity_scale * cap
                for elements, cap in rows):
         return None

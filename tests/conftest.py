@@ -248,14 +248,14 @@ def model_from_arrays(c, a_ub, b_ub, a_eq=(), b_eq=()):
     """A named LP ``max c x`` over ``x0..`` with the given rows; zero
     coefficients are left out."""
     m = lp.LpModel()
-    for i in range(len(c)):
-        m.add_var(f"x{i}")
-        if c[i]:
-            m.add_objective(f"x{i}", c[i])
-    for row, b in zip(a_ub, b_ub):
-        m.add_row([(f"x{j}", v) for j, v in enumerate(row) if v], "<=", b)
-    for row, b in zip(a_eq, b_eq):
-        m.add_row([(f"x{j}", v) for j, v in enumerate(row) if v], "=", b)
+    m.add_vars(len(c), "x{}".format)
+    for j, v in enumerate(c):
+        if v:
+            m.add_objective_term(j, v)
+    for rows, rel, rhs in ((a_ub, "<=", b_ub), (a_eq, "=", b_eq)):
+        for row, b in zip(rows, rhs):
+            cols = [j for j, v in enumerate(row) if v]
+            m.append_row(cols, [float(row[j]) for j in cols], rel, b)
     return m
 
 

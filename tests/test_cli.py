@@ -394,12 +394,28 @@ def test_seed_must_fit_64_bits(capsys, instance_path, seed):
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
-def test_epsilon_must_be_in_range(capsys, instance_path, command):
+def test_epsilon_must_be_in_range(capsys, tmp_path, instance_path, command):
     argv = [command, "--instance", instance_path, "--epsilon", "1.5"]
     if command == "solve":
         argv += ["--alg", "ptas"]
     err = _argument_error(capsys, argv)
     assert "argument --epsilon: 1.5 is not in (0, 0.99)" in err
+    # delta = eps^2 / ln(1/eps) leaves (0, 1) from eps = 0.653 up and where
+    # eps^2 underflows: an argument error on either instance kind, unless
+    # --delta is given
+    laminar = tmp_path / "laminar.json"
+    laminar.write_text(json.dumps(TWO_ELEMENT_INSTANCE))
+    runs = ([["--alg", "ptas"], ["--alg", "hierarchy"]] if command == "solve"
+            else [["--trials", "10"]])
+    for path in (instance_path, str(laminar)):
+        for run in runs:
+            for eps in ("0.9", "1e-200"):
+                err = _argument_error(capsys, [command, "--instance", path,
+                                               "--epsilon", eps] + run)
+                assert f"argument --epsilon: {eps} gives delta" in err
+            code, _, err = run_cli([command, "--instance", path, "--epsilon",
+                                    "0.9", "--delta", "0.5"] + run)
+            assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

@@ -9,9 +9,11 @@ The backward-induction kernel behind ``solve_full_dp`` and
 ``solve_subproblem_dp`` must give the values, thresholds and entry order of
 ``conftest.reference_full_dp`` / ``reference_subproblem_dp`` exactly, and
 ``solve_full_dp`` must decode no state until its policy's rules are read.
-``dp.pick_probabilities`` must give each arrival's pick probability under
-the threshold policy as ``conftest.reference_pick_probabilities`` reads it
-off the exact state walk.
+``dp.forward`` must give each arrival's pick probability under the
+threshold policy as ``conftest.reference_pick_probabilities`` reads it off
+the exact state walk, and each level's occupancy as the trace of that walk,
+``conftest.reference_evaluate_block``; on shifted chains its acceptance
+rates must equal those read off ``conftest.reference_subproblem_dp``.
 ``model.reachable_profile`` must give the levels, forbidden states and
 ``SizingError`` of the tuple loop kept as ``conftest.reference_profile``,
 and the exact occupancy behind ``evaluate_exact`` the welfare bits, trace
@@ -61,7 +63,6 @@ from binprice.harness import (
     ARRAY_MAX_WIDTH,
     CHUNK,
     CoverageError,
-    _chain_acceptance,
     prophet_samples,
     trial_generator,
     trial_uniforms,
@@ -320,10 +321,21 @@ def test_full_dp_matches_reference_with_object_codes(sweep):
 
 
 def assert_pick_probabilities_match_reference(table, policy, inst):
-    got = dp.pick_probabilities(table, inst.dists)
+    _, occupancy, got = dp.forward(table, inst.dists)
     want = reference_pick_probabilities(policy, inst)
     assert list(want) == list(table.positions[:-1])
     assert np.allclose(got, list(want.values()), rtol=0.0, atol=1e-12)
+    # the occupancy is the reference walk's trace, post-horizon states
+    # keyed by the instance size; the walk leaves out states it never
+    # reaches, which the kernel holds at probability 0
+    _, trace = reference_evaluate_block(policy, inst)
+    keys = table.positions[:-1] + (len(inst.dists),)
+    kernel = {}
+    for key, states, occ in zip(keys, table.levels.tuples(), occupancy):
+        assert abs(float(np.sum(occ)) - 1.0) <= 1e-12
+        kernel.update(((key, s), float(w)) for s, w in zip(states, occ))
+    assert set(trace) <= set(kernel)
+    assert all(abs(w - trace.get(k, 0.0)) <= 1e-12 for k, w in kernel.items())
 
 
 def test_pick_probabilities_match_reference_on_corpus(corpus, sweep):
@@ -352,8 +364,11 @@ def test_chain_dp_matches_reference_on_corpus(corpus, sweep):
                 tbl = solve_subproblem_dp(p, j, shift)
                 want = reference_subproblem_dp(p, j, shift)
                 assert list(tbl.entries.items()) == list(want.items())
-                elems, acc = _chain_acceptance(p, j, shift)
-                assert elems == p.buyers_of_type(j)
+                assert tbl.positions[:-1] == p.buyers_of_type(j)
+                rates, _, _ = dp.forward(tbl, p.dists)
+                acc = np.zeros((len(rates), len(tbl.levels.codes[-1])))
+                for i, rate in enumerate(rates):
+                    acc[i, tbl.levels.codes[i]] = rate
                 assert np.array_equal(acc, reference_acceptance(p, j, shift))
 
 

@@ -1,10 +1,11 @@
 """Cross-module benchmark orderings on the shared corpus, the exactness
 chain as a property of random small laminar trees, the PTAS large branch
 attaining its relaxation, instance and policy documents that read back as
-written, and documents with one bad field that the CLI rejects with an
-exit code."""
+written, and documents with one to three bad fields that the CLI rejects
+with an exit code."""
 
 import contextlib
+import copy
 import io
 import itertools
 import json
@@ -238,13 +239,17 @@ def _fields(doc, out):
 
 @st.composite
 def perturbed(draw, doc):
-    """``doc`` with one value replaced, or one object key renamed."""
+    """``doc`` with one to three edits, each replacing one value or
+    renaming one object key of the document as the earlier edits left it."""
     doc = json.loads(json.dumps(doc))
-    holder, key = draw(st.sampled_from(_fields(doc, [])))
-    if isinstance(holder, dict) and draw(st.booleans()):
-        holder[draw(st.sampled_from(ODD_KEYS))] = holder.pop(key)
-    else:
-        holder[key] = draw(st.sampled_from(ODD_VALUES))
+    for _ in range(draw(st.integers(1, 3))):
+        holder, key = draw(st.sampled_from(_fields(doc, [])))
+        if isinstance(holder, dict) and draw(st.booleans()):
+            holder[draw(st.sampled_from(ODD_KEYS))] = holder.pop(key)
+        else:
+            # a copy: a later edit may land inside the value, which must
+            # not change ODD_VALUES or make the document contain itself
+            holder[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
     return doc
 
 
@@ -261,7 +266,7 @@ def _cli(argv):
        st.sampled_from(["instance", "simulate", "verify"]), st.data())
 def test_perturbed_documents_exit_with_a_documented_code(inst, alg, target,
                                                          data):
-    # one bad field maps to an exit code, never to a traceback
+    # bad fields map to an exit code, never to a traceback
     with tempfile.TemporaryDirectory() as tmp:
         inst_path = os.path.join(tmp, "inst.json")
         pol_path = os.path.join(tmp, "policy.json")
