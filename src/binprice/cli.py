@@ -202,13 +202,16 @@ def cmd_verify(args) -> int:
             buyers = inst.buyers_of_type(j)
             if not buyers:
                 continue
+            # one chain DP feeds both cylinder checks and the concavity
+            # check
+            tbl = solve_subproblem_dp(inst, j, 0.0, state_cap=state_cap)
             # gated on the summed form the concentration bound uses; the
             # per-subset form, which optimal chains can fail, is reported
             # where its 2^l subsets are affordable
-            ok, k, gap = harness.check_summed_cylinder(inst, j, 0.0)
+            ok, k, gap = harness.check_summed_cylinder(inst, j, 0.0, table=tbl)
             if len(buyers) <= harness.PER_SUBSET_MAX_BUYERS:
                 _, subset, subset_gap = harness.check_negative_cylinder(
-                    inst, j, 0.0)
+                    inst, j, 0.0, table=tbl)
                 per_subset = f"worst subset={subset} gap={subset_gap!r}"
             else:
                 per_subset = (f"not computed ({len(buyers)} buyers > "
@@ -216,7 +219,6 @@ def cmd_verify(args) -> int:
             checks.append((f"negative cylinder type {j}", ok,
                            f"summed worst k={k} gap={gap!r}; "
                            f"per-subset {per_subset}"))
-            tbl = solve_subproblem_dp(inst, j, 0.0, state_cap=state_cap)
             conc, worst = concavity_check(tbl)
             checks.append((f"value concavity type {j}", conc, f"worst={worst}"))
     else:

@@ -15,6 +15,20 @@ and every reduction is either exact integer arithmetic or a single
 fixed-order pass over a preallocated per-trial array, so reports are
 byte-identical for any ``--threads``.
 
+The simulate kernel: ``_Plan`` compiles a policy once per ``simulate``
+call into one ``_Arrival`` per arrival, which holds tables keyed by (block
+state, atom, blocked): may the rule accept, the value it adds, the state
+after.  ``_run_chunk`` keeps a chunk's block states and meter counts as
+rows contiguous over its trials, and per arrival compares the value draw
+against the inverse CDF's cut points, gathers the three table entries,
+and adds one row per meter an accept counts on.  It touches the tie coin
+only where some key ties at a bias strictly between 0 and 1, checks
+coverage only where the arrival's level has an uncovered state, and
+checks a counter or a meter only once enough earlier accepts could have
+filled it.  Each trial's welfare still adds its accepted values in arrival
+order, and counts stay integers, so the reports equal those of a
+per-trial loop.
+
 ``evaluate_exact`` forward-propagates the exact state distribution of a
 policy block over the levels of ``model.state_levels``; on a composed
 policy it evaluates each block with the hard counters off, which is the
@@ -263,7 +277,8 @@ def report_to_csv(rows) -> str:
 
 
 class _Plan:
-    """Arrays for vectorized execution of a policy on an instance."""
+    """A policy compiled against an instance for ``_run_chunk``: each
+    block's states and one ``_Arrival`` per arrival."""
 
     def __init__(self, policy, inst, state_cap):
         if isinstance(policy, ComposedPolicy):
@@ -333,43 +348,11 @@ class _Plan:
             raise InstanceError(f"policy: counters {sorted(foreign)} are not "
                                 "capacities of the instance")
 
-        self.values = []
-        self.cumprobs = []
-        self.tau = []
-        self.p = []
-        self.next_idx = []
-        self.covered = []
-        self.meters_of = []
-        self.meter_caps_of = []
-        self.counters_of = []
-        self.counter_caps_of = []
+        self.arrivals = []
+        # accepts so far that can have counted on each meter
+        seen = [0] * self.num_meters
         for e in range(self.n):
-            d = work.dists[e]
-            self.values.append(np.array(d.values))
-            self.cumprobs.append(np.cumsum(np.array(d.probs)))
             bi, key = self.block_of[e]
-            pol = blocks[key]
-            index, here, picks, after = arrivals[e]
-            ns = len(index)
-            tau = np.full(ns, np.nan)
-            pp = np.zeros(ns)
-            nxt = np.arange(ns, dtype=np.int64)
-            cov = np.zeros(ns, dtype=bool)
-            # a run only reaches the states of the arrival's own level
-            for s, k in zip(here, picks):
-                si = index[s]
-                rule = pol.rule(e, s)
-                cov[si] = rule is not None
-                if k < 0:
-                    tau[si] = np.inf  # hard guard over whatever the rule says
-                    pp[si] = 0.0
-                elif rule is not None:
-                    tau[si], pp[si] = rule
-                    nxt[si] = index[after[k]]
-            self.tau.append(tau)
-            self.p.append(pp)
-            self.next_idx.append(nxt)
-            self.covered.append(cov)
             if isinstance(work, ProductionInstance):
                 j = work.types[e]
                 names = [f"type:{j}", "shipping"]
@@ -378,59 +361,159 @@ class _Plan:
                 names = [("root" if b == 0 else f"bin:{b}")
                          for b in work.elem_ancestors(e)]
                 caps = [work.bin_caps[b] for b in work.elem_ancestors(e)]
-            self.meters_of.append(np.array([meter_idx[nm] for nm in names],
-                                           dtype=np.int64))
             # a meter never counts past n, so a larger cap acts as n (and n
-            # fits in int64 where a cap from a document may not)
-            self.meter_caps_of.append(np.array([min(c, self.n) for c in caps],
-                                               dtype=np.int64))
-            ckeys = counter_keys.get(e, ())
-            self.counters_of.append(np.array(
-                [meter_idx[counter_name[k]] for k in ckeys], dtype=np.int64))
-            self.counter_caps_of.append(np.array(
-                [min(counter_caps[k], self.n) for k in ckeys], dtype=np.int64))
+            # fits in int64 where a cap from a document may not).  A meter
+            # has counted at most ``seen`` accepts, so a counter below its
+            # cap until then never blocks and a meter whose cap ``seen``
+            # cannot pass is never overfilled: neither is checked.
+            counters = [(meter_idx[counter_name[k]],
+                         min(counter_caps[k], self.n))
+                        for k in counter_keys.get(e, ())]
+            counters = [(mi, cap) for mi, cap in counters if seen[mi] >= cap]
+            meters = [meter_idx[nm] for nm in names]
+            for mi in meters:
+                seen[mi] += 1
+            checks = [(mi, min(cap, self.n)) for mi, cap in zip(meters, caps)]
+            checks = [(mi, cap) for mi, cap in checks if seen[mi] > cap]
+            self.arrivals.append(_Arrival(e, bi, work.dists[e], blocks[key],
+                                          arrivals[e], self.states[key],
+                                          counters, meters, checks))
+        # a meter's count is read by its checks and, one arrival on, by its
+        # counters; an accept after its last read need not count on it
+        live = set()
+        for arr in reversed(self.arrivals):
+            live.update(mi for mi, _ in arr.checks)
+            arr.meters = [mi for mi in arr.meters if mi in live]
+            live.update(mi for mi, _ in arr.counters)
+
+
+class _Arrival:
+    """One arrival's decisions, compiled for ``_run_chunk``.
+
+    A trial's decision depends only on its block state ``s``, the atom
+    ``a`` its value draw lands on and whether a counter blocks it, so the
+    arrival keeps one table entry per key ``s + ns * a (+ ns * k if
+    blocked)`` over its ``k`` atoms and ``ns`` block states: ``accept``
+    (the rule may accept), ``gain`` (the atom's value where it may accept,
+    else 0) and ``next`` (the state after that accept, else ``s``).
+    ``prob`` is ``None`` unless some key ties at a bias strictly between 0
+    and 1; it then holds each key's acceptance bias (1 above the
+    threshold, 0 below), which the tie coin is compared against.  A bias
+    of 1 or 0 needs no coin: coins lie in ``[0, 1)``.
+
+    ``cut`` turns the value draw into the atom index ``searchsorted(
+    cumsum(probs), u, "right")`` clipped to the last atom, which counts the
+    cumulative probabilities at or below ``u`` among all but the last: no
+    cut for one atom, one comparison against a Python float for two, and
+    ``searchsorted`` over the cut points for more.
+
+    ``holes`` is ``None`` when the rules cover every state of the arrival's
+    level, else ``(uncovered, block states)``.  ``counters`` and ``checks``
+    are ``(meter, cap)`` pairs: an arrival is blocked once a counter's
+    meter reaches its cap, and an accept that takes a checked meter past
+    its cap is a violation.  ``meters`` are the meters an accept counts on.
+    """
+
+    def __init__(self, e, block, dist, pol, levels, states, counters,
+                 meters, checks):
+        index, here, picks, after = levels
+        values = [float(v) for v in dist.values]
+        cuts = list(itertools.accumulate(float(q) for q in dist.probs))[:-1]
+        self.cut = (None if not cuts else cuts[0] if len(cuts) == 1
+                    else np.array(cuts))
+        ns = self.stride = len(index)
+        size = ns * len(values)
+        accept = [False] * size
+        gain = [0.0] * size
+        nxt = list(range(ns)) * len(values)
+        prob = [0.0] * size
+        coin = False
+        uncovered = []
+        # a run only reaches the states of the arrival's own level
+        for s, k in zip(here, picks):
+            si = index[s]
+            rule = pol.rule(e, s)
+            if rule is None:
+                uncovered.append(si)
+            if rule is None or k < 0:
+                continue  # a hard guard never accepts, whatever the rule
+            tau, p = float(rule[0]), float(rule[1])
+            for key, v in zip(range(si, size, ns), values):
+                q = 1.0 if v > tau else p if v == tau else 0.0
+                if q > 0.0:
+                    accept[key] = True
+                    gain[key] = v
+                    nxt[key] = index[after[k]]
+                    prob[key] = q
+                    coin = coin or q < 1.0
+        if counters:
+            # the blocked keys never accept
+            self.blocked_offset = size
+            accept += [False] * size
+            gain += [0.0] * size
+            nxt += list(range(ns)) * len(values)
+            prob += [0.0] * size
+        self.accept = np.array(accept)
+        self.gain = np.array(gain)
+        self.next = np.array(nxt, dtype=np.int64)
+        self.prob = np.array(prob) if coin else None
+        self.block = block
+        self.holes = None
+        if uncovered:
+            holes = np.zeros(ns, dtype=bool)
+            holes[uncovered] = True
+            self.holes = holes, states
+        self.counters = counters
+        self.meters = meters
+        self.checks = checks
 
 
 def _run_chunk(plan: _Plan, seed, lo, hi, welfare_out, ignored_out,
                accept_out, viol_out):
+    """Run trials ``[lo, hi)``: states are one row per block and counts one
+    row per meter, each contiguous over the chunk's trials."""
     m = hi - lo
-    n = plan.n
-    draws = trial_uniforms(seed, lo, hi, 2 * n)
-    states = np.tile(plan.initial_idx, (m, 1))
-    counts = np.zeros((m, plan.num_meters), dtype=np.int64)
+    draws = trial_uniforms(seed, lo, hi, 2 * plan.n)
+    states = np.repeat(plan.initial_idx[:, None], m, axis=1)
+    counts = np.zeros((plan.num_meters, m), dtype=np.int64)
     welfare = np.zeros(m)
     ignored = np.zeros(m, dtype=np.int64)
-    for e in range(n):
-        ai = np.searchsorted(plan.cumprobs[e], draws[:, 2 * e], side="right")
-        ai = np.minimum(ai, len(plan.values[e]) - 1)
-        v = plan.values[e][ai]
-        bi, key = plan.block_of[e]
-        si = states[:, bi]
-        uncovered = ~plan.covered[e][si]
-        if uncovered.any():
-            state = plan.states[key][int(si[uncovered][0])]
-            raise CoverageError(f"no rule for arrival {e} in state {state}")
-        tau = plan.tau[e][si]
-        pp = plan.p[e][si]
-        if plan.counters_of[e].size:
-            blocked = (counts[:, plan.counters_of[e]]
-                       >= plan.counter_caps_of[e]).any(axis=1)
+    for e, arr in enumerate(plan.arrivals):
+        si = states[arr.block]
+        if arr.holes is not None:
+            uncovered, block_states = arr.holes
+            hit = np.flatnonzero(uncovered[si])
+            if hit.size:
+                state = block_states[int(si[hit[0]])]
+                raise CoverageError(f"no rule for arrival {e} in state {state}")
+        key = si
+        if arr.cut is not None:
+            u = draws[:, 2 * e]
+            if isinstance(arr.cut, float):
+                atom = u >= arr.cut
+            else:
+                atom = np.searchsorted(arr.cut, u, side="right")
+            key = si + arr.stride * atom
+        if arr.counters:
+            mi, cap = arr.counters[0]
+            blocked = counts[mi] >= cap
+            for mi, cap in arr.counters[1:]:
+                blocked |= counts[mi] >= cap
+            ignored += blocked
+            key = key + arr.blocked_offset * blocked
+        if arr.prob is None:
+            acc = arr.accept[key]
+            welfare += arr.gain[key]
+            states[arr.block] = arr.next[key]
         else:
-            blocked = np.zeros(m, dtype=bool)
-        acc = (~blocked) & ((v > tau)
-                            | ((v == tau) & (draws[:, 2 * e + 1] < pp)))
-        ignored += blocked
-        if acc.any():
-            idx = np.nonzero(acc)[0]
-            welfare[idx] += v[idx]
-            states[idx, bi] = plan.next_idx[e][si[idx]]
-            meters = plan.meters_of[e]
-            counts[np.ix_(idx, meters)] += 1
-            over = counts[np.ix_(idx, meters)] > plan.meter_caps_of[e]
-            if over.any():
-                viol_out += np.bincount(meters[np.nonzero(over)[1]],
-                                        minlength=plan.num_meters)
-            accept_out[e] += int(idx.size)
+            acc = draws[:, 2 * e + 1] < arr.prob[key]
+            welfare += arr.gain[key] * acc
+            states[arr.block] = np.where(acc, arr.next[key], si)
+        for mi in arr.meters:
+            counts[mi] += acc
+        for mi, cap in arr.checks:
+            viol_out[mi] += np.count_nonzero((counts[mi] > cap) & acc)
+        accept_out[e] += np.count_nonzero(acc)
     welfare_out[lo:hi] = welfare
     ignored_out[lo:hi] = ignored
 
@@ -607,7 +690,8 @@ def prophet_value(inst, trials: int, seed: int) -> float:
 
 
 def check_negative_cylinder(p: ProductionInstance, type_index: int,
-                            shift: float = 0.0, tol: float = 1e-9):
+                            shift: float = 0.0, tol: float = 1e-9, *,
+                            table=None):
     """Exact all-subset check of E[prod X] <= prod E[X] for the optimal
     shifted chain policy.
 
@@ -617,6 +701,8 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
     chain policies can fail this per-subset form (see notes/decisions.md);
     ``check_summed_cylinder`` checks the form the concentration bound uses.
     Raises ``SizingError`` above ``PER_SUBSET_MAX_BUYERS`` buyers.
+    ``table`` is the type's ``solve_subproblem_dp`` table at ``shift``,
+    solved here when not given.
     """
     dyn = TypeSubproblem(p, type_index)
     l = len(dyn.elements)
@@ -624,7 +710,8 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
         return True, (), 0.0
     if l > PER_SUBSET_MAX_BUYERS:
         raise SizingError(dyn.key, 2 ** l, 2 ** PER_SUBSET_MAX_BUYERS)
-    table = solve_subproblem_dp(p, type_index, shift)
+    if table is None:
+        table = solve_subproblem_dp(p, type_index, shift)
     rates, _, _ = forward(table, p.dists)
     # acc[i, s]: the i-th buyer's acceptance rate with s units sold; a
     # chain state's code is its sold count, and the last level holds them all
@@ -656,14 +743,17 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
 
 
 def chain_count_distribution(p: ProductionInstance, type_index: int,
-                             shift: float = 0.0):
+                             shift: float = 0.0, *, table=None):
     """Exact sold-count distribution and acceptance marginals of the
     optimal shifted chain policy, read off ``dp.forward``.
 
     Returns ``(counts, marginals)``: ``counts[c] = Pr[C = c]`` and
     ``marginals[i] = E[X_i]`` for the ``i``-th buyer of the type.
+    ``table`` is the type's ``solve_subproblem_dp`` table at ``shift``,
+    solved here when not given.
     """
-    table = solve_subproblem_dp(p, type_index, shift)
+    if table is None:
+        table = solve_subproblem_dp(p, type_index, shift)
     _, occupancy, picks = forward(table, p.dists)
     # the last level holds every sold count, each coded as itself
     return np.asarray(occupancy[-1], dtype=float), np.array(picks, dtype=float)
@@ -698,7 +788,8 @@ def summed_cylinder_gaps(counts, marginals) -> np.ndarray:
 
 
 def check_summed_cylinder(p: ProductionInstance, type_index: int,
-                          shift: float = 0.0, tol: float = 1e-9):
+                          shift: float = 0.0, tol: float = 1e-9, *,
+                          table=None):
     """Exact check of ``E[binom(C, k)] <= e_k(p)`` at every k for the optimal
     shifted chain policy, with ``C`` its sold count and ``p`` its acceptance
     marginals.
@@ -706,9 +797,11 @@ def check_summed_cylinder(p: ProductionInstance, type_index: int,
     This summed form gives ``E[exp(lam C)] <= prod(1 - p_t + p_t e^lam)``
     for every ``lam >= 0``, the Chernoff upper tail the concentration
     argument needs.  Returns ``(ok, worst_k, worst_gap)``; an empty chain
-    returns ``(True, 0, 0.0)``.
+    returns ``(True, 0, 0.0)``.  ``table`` is as for
+    ``chain_count_distribution``.
     """
-    counts, marginals = chain_count_distribution(p, type_index, shift)
+    counts, marginals = chain_count_distribution(p, type_index, shift,
+                                                 table=table)
     gaps = summed_cylinder_gaps(counts, marginals)
     if len(gaps) == 1:
         return True, 0, 0.0

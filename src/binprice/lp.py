@@ -254,14 +254,14 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_phase(T, basis, obj, hi, pivots):
-    """Bland pivots on objective row ``obj`` over columns below ``hi``.
+def _run_phase(T, basis, obj, pivots):
+    """Bland pivots on objective row ``obj`` over every variable column.
 
     The constraint rows are ``T[:-2]``; entering is the lowest column with
     reduced cost above ``OPT_TOL``, leaving the lowest basic index among
     the minimum-ratio ties.  Returns the status and the pivot count.
     """
-    cost, A, rhs = T[obj, :hi], T[:-2], T[:-2, -1]  # views; T changes in place
+    cost, A, rhs = T[obj, :-1], T[:-2], T[:-2, -1]  # views; T changes in place
     while True:
         if pivots >= PIVOT_CAP:
             raise LpError(f"simplex pivot cap {PIVOT_CAP} exceeded")
@@ -292,10 +292,11 @@ def _solve_dense(model: LpModel) -> LpSolution:
     # sign-normalize so b >= 0; flipped <= rows lose their natural basis slot
     flip = b < 0
     art_rows = np.flatnonzero(~le | flip)
-    ncols = art_start + art_rows.size
     # rows 0..m-1 constrain; row -2 is the phase-1 objective, row -1 the
-    # phase-2 one (c_j - z_j convention: entering where > tol)
-    T = np.zeros((m + 2, ncols + 1))
+    # phase-2 one (c_j - z_j convention: entering where > tol).  The
+    # artificial variables get basis indices from ``art_start`` on but no
+    # columns: they never enter, and nothing reads their entries.
+    T = np.zeros((m + 2, art_start + 1))
     T[rows, cols] = coefs
     T[slack_rows, nv + np.arange(slack_rows.size)] = 1.0
     T[:m, -1] = b
@@ -304,16 +305,14 @@ def _solve_dense(model: LpModel) -> LpSolution:
     T[flipped, -1] *= -1.0
     basis = np.empty(m, dtype=np.intp)
     basis[slack_rows] = nv + np.arange(slack_rows.size)
-    basis[art_rows] = np.arange(art_start, ncols)
-    T[art_rows, basis[art_rows]] = 1.0
+    basis[art_rows] = art_start + np.arange(art_rows.size)
     T[-1, list(model.objective)] = list(model.objective.values())
     # phase 1 maximizes -(sum of artificials), expressed through the rows
     T[-2] = T[art_rows].sum(axis=0, initial=0.0)
-    T[-2, art_start:ncols] = 0.0
 
     pivots = 0
     if art_rows.size:
-        status, pivots = _run_phase(T, basis, -2, art_start, pivots)
+        status, pivots = _run_phase(T, basis, -2, pivots)
         if status == "unbounded":
             raise LpError("phase-1 unbounded; model is inconsistent")
         if T[-2, -1] > 1e-7:
@@ -332,13 +331,12 @@ def _solve_dense(model: LpModel) -> LpSolution:
             keep = np.setdiff1d(np.arange(m), dead)
             T = T[np.concatenate([keep, [m, m + 1]])]
             basis = basis[keep]
-        T[:, art_start:ncols] = 0.0
 
-    status, pivots = _run_phase(T, basis, -1, art_start, pivots)
+    status, pivots = _run_phase(T, basis, -1, pivots)
     if status == "unbounded":
         return LpSolution("unbounded", None, np.zeros(0), "simplex", pivots,
                           model)
-    x = np.zeros(ncols)
+    x = np.zeros(art_start)
     x[basis] = T[:-2, -1]
     x = x[:nv].copy()
     return LpSolution("optimal", model.objective_value(x), x, "simplex",

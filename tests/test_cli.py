@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from binprice import lp
+from binprice import dp, lp
 from binprice.cli import main
 
 
@@ -285,6 +285,37 @@ def test_verify_checks_types_beyond_the_per_subset_limit(tmp_path):
     assert cyl["detail"].startswith("summed worst k=")
     assert "per-subset not computed (14 buyers > 12)" in cyl["detail"]
     assert checks["value concavity type 0"]["ok"] is True
+
+
+def test_verify_solves_each_type_chain_once(tmp_path, monkeypatch):
+    # both cylinder checks and the concavity check read one chain DP
+    doc = {"kind": "production",
+           "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]},
+                        {"dist": [[1.0, 0.5], [3.0, 0.5]]},
+                        {"dist": [[0.0, 0.25], [1.5, 0.75]]},
+                        {"dist": [[1.0, 1.0]]},
+                        {"dist": [[0.5, 0.5], [2.5, 0.5]]}],
+           "types": [0, 1, 0, 1, 0], "days": [0, 0, 1, 1, 1],
+           "production": {"0": [1, 2], "1": [1, 1]}, "shipping": 2}
+    inst = tmp_path / "production.json"
+    inst.write_text(json.dumps(doc))
+    solved = []
+    backward = dp.backward
+
+    def counted(dyn, *args, **kwargs):
+        solved.append(dyn.key)
+        return backward(dyn, *args, **kwargs)
+
+    monkeypatch.setattr(dp, "backward", counted)
+    code, out, err = run_cli(["verify", "--instance", str(inst),
+                              "--trials", "200", "--seed", "1"])
+    assert code == 0, err
+    assert sorted(k for k in solved if k.startswith("type:")) == \
+        ["type:0", "type:1"]
+    checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+    for j in (0, 1):
+        assert checks[f"negative cylinder type {j}"] is True
+        assert checks[f"value concavity type {j}"] is True
 
 
 @pytest.mark.parametrize("atoms", [

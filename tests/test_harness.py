@@ -24,11 +24,13 @@ from binprice import (
     solve_subproblem_dp,
 )
 from binprice.harness import (
+    CHUNK,
     binomial_moments,
     chain_count_distribution,
     prophet_samples,
     report_to_csv,
     summed_cylinder_gaps,
+    trial_generator,
 )
 from binprice.model import TypeSubproblem
 from binprice.rounding import PricingPolicy
@@ -99,6 +101,31 @@ def test_simulate_uncovered_state_is_a_hard_fault():
     pol = PricingPolicy("root", {(0, (2,)): (-1.0, 1.0)})  # nothing for t=1
     with pytest.raises(CoverageError):
         simulate(pol, inst, 10, seed=1)
+
+
+def test_simulate_raises_exactly_when_a_trial_reaches_an_uncovered_state():
+    # arrival 1 has a rule after a skip but none after a sale, which
+    # arrival 0 makes when its value draw lands on 2
+    inst = LaminarInstance.build(
+        (U02, U02), {"cap": 2, "children": [{"element": 0}, {"element": 1}]})
+    sells = PricingPolicy("root", {(0, (2,)): (1.0, 1.0),
+                                   (1, (2,)): (1.0, 1.0)})
+    seed = next(s for s in range(100)
+                if trial_generator(s, 0).random(4)[0] < 0.5
+                and trial_generator(s, 1).random(4)[0] < 0.5)
+    first = next(t for t in range(2, 100)
+                 if trial_generator(seed, t).random(4)[0] >= 0.5)
+    rep = simulate(sells, inst, first, seed=seed)
+    assert rep.acceptance_frequency[0] == 0.0
+    for threads in (1, 2):
+        with pytest.raises(CoverageError,
+                           match=r"no rule for arrival 1 in state \(1,\)"):
+            simulate(sells, inst, first + 1, seed=seed, threads=threads)
+    # a policy that never sells at arrival 0 never reaches the hole
+    never = PricingPolicy("root", {(0, (2,)): (math.inf, 0.0),
+                                   (1, (2,)): (1.0, 1.0)})
+    rep = simulate(never, inst, CHUNK + 3, seed=seed, threads=2)
+    assert rep.acceptance_frequency[0] == 0.0
 
 
 def test_evaluate_exact_matches_dp_value(corpus):

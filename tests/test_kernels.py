@@ -4,7 +4,9 @@
 its array path and its per-trial path, ``prophet_samples`` must equal the
 per-trial greedy of ``conftest.reference_prophet_samples`` bit for bit, and
 ``simulate`` reports must hash to the values recorded before the array path
-existed.
+existed, and those of composed policies whose counters block or whose
+meters overfill to the values recorded before the kernel read its decisions
+off per-arrival tables.
 The backward-induction kernel behind ``solve_full_dp`` and
 ``solve_subproblem_dp`` must give the values, thresholds and entry order of
 ``conftest.reference_full_dp`` / ``reference_subproblem_dp`` exactly, and
@@ -158,6 +160,118 @@ SIMULATE_SHA256 = {
 SIMULATED = dict(INSTANCES, criterion_7=criterion_7_laminar)
 
 
+def type_chain_policies(p):
+    return {f"type:{j}": dp.threshold_policy(solve_subproblem_dp(p, j))
+            for j in range(p.num_types)}
+
+
+def tie_coins(policies):
+    """The same rule keys, each posting 2.0 and taking a value of 2.0 on a
+    coin of bias 1/2."""
+    return {key: PricingPolicy(pol.scope, dict.fromkeys(pol.rules, (2.0, 0.5)))
+            for key, pol in policies.items()}
+
+
+def unit_policies(lam, mk):
+    return {k: dp.threshold_policy(dp.backward(bind_dynamics(k, lam),
+                                               lam.dists))
+            for k in model.small_units(lam, mk)}
+
+
+def one_day_production(shipping, made=3) -> ProductionInstance:
+    # three buyers of each type; with ``made`` 3 every one of them can be
+    # served, so the first arrivals can all be accepted
+    return ProductionInstance(
+        dists=tuple(D([(1.0, 0.5), (3.0, 0.5)]) if t % 3 == 0
+                    else D([(0.0, 0.5), (2.0, 0.5)]) for t in range(6)),
+        types=(0, 1, 0, 1, 0, 1), days=(0,) * 6,
+        production=((made,), (made,)), shipping=shipping)
+
+
+def nested_counter_policy():
+    """``deep_laminar``'s small units priced by their own DP behind hard
+    counters on the root and the bin below it: elements 0-3 have two."""
+    lam = deep_laminar()
+    small = frozenset({2, 3})
+    mk = model.Marking(large=frozenset({0, 1}), small_maximal=small,
+                       small_all=small)
+    return compose_policies(lam, unit_policies(lam, mk), mk)
+
+
+def two_counter_policy():
+    """Singleton units behind counters on a root of capacity 2 and on a bin
+    of capacity 2 below it; elements 0 and 1, outside the bin, can fill
+    the root alone, so element 4 can be blocked by its second counter."""
+    lam = LaminarInstance.build(
+        (D([(0.0, 0.5), (2.0, 0.5)]), D([(1.0, 0.5), (3.0, 0.5)]),
+         D([(0.0, 0.5), (2.0, 0.5)]), DiscreteDistribution.point(2.0),
+         D([(1.0, 0.5), (3.0, 0.5)])),
+        {"cap": 2, "children": [
+            {"element": 0}, {"element": 1},
+            {"cap": 2, "children": [{"element": 2}, {"element": 3},
+                                    {"element": 4}]}]})
+    mk = model.Marking(large=frozenset({0, 1}), small_maximal=frozenset(),
+                       small_all=frozenset())
+    return lam, compose_policies(lam, tie_coins(unit_policies(lam, mk)), mk)
+
+
+def uncounted(policy):
+    """``policy`` without its hard counters."""
+    return ComposedPolicy(blocks=dict(policy.blocks),
+                          element_block=dict(policy.element_block),
+                          counter_caps={},
+                          counter_keys={e: () for e in policy.element_block})
+
+
+# Composed policies, whose counters block and whose meters record
+# violations: (instance, policy, what the report must show).  Their
+# ``simulate`` reports (CHUNK + 3 trials, seed 11) hash to
+# ``SIMULATE_COMPOSED_SHA256``, recorded before the kernel read each
+# arrival's decision off per-state tables.  The last three draw tie coins
+# (``tie_coins``).  There a counter below the shipping capacity can block
+# the third arrival, the third arrival can overfill shipping capacity 2
+# (and a type's third buyer waits on whether its first two were served),
+# and the root can block an element whose first counter has room.
+COMPOSED = {
+    "production-shipping-counter": lambda: (
+        multi_day_production(),
+        compose_policies(multi_day_production(),
+                         type_chain_policies(multi_day_production())),
+        "blocked"),
+    "laminar-nested-counters": lambda: (
+        deep_laminar(), nested_counter_policy(), "blocked"),
+    "laminar-uncounted": lambda: (
+        deep_laminar(), uncounted(nested_counter_policy()), "violations"),
+    "production-counter-below-capacity": lambda: (
+        one_day_production(6),
+        compose_policies(one_day_production(6),
+                         tie_coins(type_chain_policies(one_day_production(6))),
+                         counter_caps={"shipping": 2}),
+        "blocked"),
+    "production-uncounted": lambda: (
+        one_day_production(2, made=2),
+        uncounted(compose_policies(
+            one_day_production(2, made=2),
+            tie_coins(type_chain_policies(one_day_production(2, made=2))))),
+        "violations"),
+    "laminar-two-counters": lambda: (*two_counter_policy(), "blocked"),
+}
+SIMULATE_COMPOSED_SHA256 = {
+    "production-shipping-counter":
+        "7999dd791c7799f12ec4b369930b660bcf01748d99debb71d583c7ce6663f4b2",
+    "laminar-nested-counters":
+        "8a8aa2be1123420e34e5c6d6e56a7e285fae62fdc33456212655ad8da16d359e",
+    "laminar-uncounted":
+        "2d6592b739060775f645e437b0b641ed65a78e2c062b06762987aaef7ace2f99",
+    "production-counter-below-capacity":
+        "29cd45c426ce75732418d7c073db972a14c16029ed12f90d08fcf26302da7d5b",
+    "production-uncounted":
+        "ed536a71828662c78e84cdf09ebf2f1c9decd254be19e7b7d85ae4a530efaadf",
+    "laminar-two-counters":
+        "bb53bf9427f5ee8f862b90315822a4316743e441e0ed242bfde5232912e8edab",
+}
+
+
 def test_instance_shapes():
     lam = as_laminar(multi_day_production())
     assert 0 in lam.bin_caps
@@ -233,6 +347,20 @@ def test_simulate_report_is_pinned(name):
         doc = json.dumps(rep.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == \
             SIMULATE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED))
+def test_simulate_report_of_composed_policy_is_pinned(name):
+    inst, policy, shows = COMPOSED[name]()
+    for threads in (1, 2):
+        rep = simulate(policy, inst, CHUNK + 3, seed=11, threads=threads)
+        if shows == "blocked":
+            assert rep.ignored_fraction > 0.0
+        else:
+            assert rep.total_violations > 0
+        doc = json.dumps(rep.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == \
+            SIMULATE_COMPOSED_SHA256[name]
 
 
 # ---------------------------------------------------------------------------
