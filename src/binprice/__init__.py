@@ -22,7 +22,6 @@ from .model import (
     ProductionInstance,
     SizingError,
     as_laminar,
-    forbidden_neighbors,
     load_instance,
     local_state_space,
     parse_instance,
@@ -58,7 +57,6 @@ from .harness import (
     check_negative_cylinder,
     check_summed_cylinder,
     evaluate_exact,
-    prophet_value,
     search_dependency_counterexample,
     simulate,
 )

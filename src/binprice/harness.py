@@ -679,11 +679,6 @@ def prophet_samples(inst, trials: int, seed: int) -> np.ndarray:
     return out
 
 
-def prophet_value(inst, trials: int, seed: int) -> float:
-    """Monte Carlo estimate of the omniscient offline optimum."""
-    return float(prophet_samples(inst, trials, seed).mean())
-
-
 # ---------------------------------------------------------------------------
 # Negative cylinder dependency
 # ---------------------------------------------------------------------------
@@ -822,19 +817,25 @@ class DependencyHit:
     price_after_skip: float
 
 
+# The sweep: families of at most two inner bins with capacities up to
+# SEARCH_MAX_CAP under a root of capacity up to SEARCH_MAX_ROOT_CAP, and
+# the prices to elements 0 and 1, a drop counting past SEARCH_MARGIN.
+SEARCH_MAX_CAP = 3
+SEARCH_MAX_ROOT_CAP = 5
+SEARCH_MARGIN = 1e-9
+
+
 def search_dependency_counterexample(
-        dists, *, max_inner_bins: int = 2, max_root_cap: int = 5,
-        max_cap: int = 3, margin: float = 1e-9, pair=(0, 1),
-        chains_only: bool = False) -> list[DependencyHit]:
+        dists, *, chains_only: bool = False) -> list[DependencyHit]:
     """Sweep laminar structures over the given ordered element distributions
-    for a pair where the optimal price to the second element is strictly
-    lower after the first element is accepted than after it is skipped.
+    for a structure where the optimal price to element 1 is strictly lower
+    after element 0 is accepted than after it is skipped.
 
     Chains (nested prefix bins, the production shape) never produce a hit
-    and serve as the negative control.  Returns every hit found.
+    and serve as the negative control (``chains_only``).  Returns every hit
+    found.
     """
     n = len(dists)
-    first, second = pair
     if chains_only:
         candidates = [frozenset(range(i + 1)) for i in range(1, n - 1)]
     else:
@@ -843,18 +844,17 @@ def search_dependency_counterexample(
                       for c in itertools.combinations(range(n), size)]
     families = [()]
     families += [(s,) for s in candidates]
-    if max_inner_bins >= 2:
-        for a, b in itertools.combinations(candidates, 2):
-            if a <= b or b <= a or not (a & b):
-                families.append((a, b))
+    for a, b in itertools.combinations(candidates, 2):
+        if a <= b or b <= a or not (a & b):
+            families.append((a, b))
     hits = []
     for family in families:
         for caps in itertools.product(
-                *[range(1, min(len(s), max_cap + 1)) for s in family]):
-            for root_cap in range(1, max_root_cap + 1):
+                *[range(1, min(len(s), SEARCH_MAX_CAP + 1)) for s in family]):
+            for root_cap in range(1, SEARCH_MAX_ROOT_CAP + 1):
                 tree = _family_tree(n, family, caps, root_cap)
                 inst = LaminarInstance.build(dists, tree)
-                hit = _conditional_price_drop(inst, first, second, margin)
+                hit = _conditional_price_drop(inst, 0, 1, SEARCH_MARGIN)
                 if hit is not None:
                     hits.append(DependencyHit(tree=inst.to_tree(),
                                               price_after_pick=hit[0],

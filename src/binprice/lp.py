@@ -57,9 +57,9 @@ from .model import (
     LaminarInstance,
     Marking,
     ProductionInstance,
-    TypeSubproblem,
     InstanceError,
     bind_dynamics,
+    large_rows,
     marking_violations,
     reachable_profile,
     small_units,
@@ -599,22 +599,22 @@ def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
         raise ValueError("capacity_scale must be in (0, 1]")
     model = LpModel()
     blocks = {}
-    active = [j for j in range(p.num_types) if p.buyers_of_type(j)]
-    for j in active:
-        info = _block_info(TypeSubproblem(p, j), state_cap)
-        blocks[info.key] = info
+    for key in small_units(p):
+        info = _block_info(bind_dynamics(key, p), state_cap)
+        blocks[key] = info
         _emit_block(model, p.dists, info)
     xm = _marginals(blocks)
-    n0 = model.add_vars(len(active), lambda k: n_name(active[k]))
-    for k, j in enumerate(active):
+    types = [key.partition(":")[2] for key in blocks]  # "type:j" -> j
+    n0 = model.add_vars(len(types), lambda k: n_name(types[k]))
+    for k, info in enumerate(blocks.values()):
         cols, vals = [], []
         # a type's marginals ascend along its elements, all below N(j)
-        for t in blocks[f"type:{j}"].elements:
+        for t in info.elements:
             probs = p.dists[t].probs
             cols.extend(range(xm[t], xm[t] + len(probs)))
             vals.extend(probs)
         model.append_row(cols + [n0 + k], vals + [-1.0], "<=", 0.0)
-    model.append_row(list(range(n0, n0 + len(active))), [1.0] * len(active),
+    model.append_row(list(range(n0, n0 + len(types))), [1.0] * len(types),
                      "<=", capacity_scale * p.shipping)
     _objective(model, p.dists, range(p.num_buyers), xm)
     return BuiltLp(model=model, instance=p, blocks=blocks,
@@ -638,12 +638,12 @@ def build_lp_hierarchy(inst: LaminarInstance, mk: Marking,
         blocks[key] = info
         _emit_block(model, inst.dists, info)
     xm = _marginals(blocks)
-    for b in sorted(mk.large):
+    for _, elements, cap in large_rows(inst, mk):
         # a bin's elements may sit in different blocks: order by column
-        terms = sorted((xm[t] + a, pa) for t in inst.bin_elements(b)
+        terms = sorted((xm[t] + a, pa) for t in elements
                        for a, pa in enumerate(inst.dists[t].probs))
         model.append_row([j for j, _ in terms], [pa for _, pa in terms],
-                         "<=", capacity_scale * inst.bin_caps[b])
+                         "<=", capacity_scale * cap)
     _objective(model, inst.dists, range(inst.num_elements), xm)
     return BuiltLp(model=model, instance=inst, blocks=blocks,
                    capacity_scale=capacity_scale, marking=mk)

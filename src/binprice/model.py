@@ -106,9 +106,6 @@ class DiscreteDistribution:
     def shifted(self, offset) -> "DiscreteDistribution":
         return DiscreteDistribution(tuple((v - offset, p) for v, p in self.atoms))
 
-    def max_value(self) -> float:
-        return self.atoms[-1][0]
-
 
 def distribution_violations(dist, where="dist"):
     out = []
@@ -756,21 +753,6 @@ def local_state_space(inst: LaminarInstance, b: int,
     return set(state_levels(BinSubproblem(inst, b), state_cap).tuples()[-1])
 
 
-def forbidden_neighbors(inst: LaminarInstance, b: int,
-                        state_cap=DEFAULT_STATE_CAP) -> set:
-    """Infeasible local states one over-acceptance away from a feasible one."""
-    dyn = BinSubproblem(inst, b)
-    feasible = local_state_space(inst, b, state_cap)
-    out = set()
-    for s in feasible:
-        for e in dyn.elements:
-            if not dyn.can_pick(s, e):
-                out.add(dyn.pick(s, e))
-                if len(out) > state_cap:
-                    raise SizingError(dyn.key, len(out), state_cap)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Markings
 # ---------------------------------------------------------------------------
@@ -820,21 +802,36 @@ def marking_violations(inst: LaminarInstance, mk: Marking) -> list[str]:
     return out
 
 
-def small_units(inst: LaminarInstance, mk: Marking) -> list[str]:
-    """Scope keys of the point-wise sub-problems induced by a marking.
+def small_units(inst, mk: Marking | None = None) -> dict:
+    """Scope key -> elements of each point-wise sub-problem.
 
-    Maximal small bins plus implicit singletons for elements all of whose
-    bins are large; together they partition the element set.
+    For a laminar instance under marking ``mk``: the maximal small bins,
+    then a singleton ``elem:e`` for each element all of whose bins are
+    large.  For a production instance: each type with a buyer.  Either
+    way the units partition the element set.
     """
-    units = []
-    covered = set()
-    for b in sorted(mk.small_maximal):
-        units.append("root" if b == 0 else f"bin:{b}")
-        covered |= inst.bin_elements(b)
+    if isinstance(inst, ProductionInstance):
+        units = {f"type:{j}": inst.buyers_of_type(j)
+                 for j in range(inst.num_types)}
+        return {key: buyers for key, buyers in units.items() if buyers}
+    units = {("root" if b == 0 else f"bin:{b}"): inst.bin_elements(b)
+             for b in sorted(mk.small_maximal)}
+    covered = set().union(*units.values())
     for e in range(inst.num_elements):
         if e not in covered:
-            units.append(f"elem:{e}")
+            units[f"elem:{e}"] = (e,)
     return units
+
+
+def large_rows(inst, mk: Marking | None = None) -> list:
+    """The capacities a relaxation holds only in expectation, as
+    ``(counter key, elements, cap)``: each of ``mk``'s large bins in bin
+    order (so an ancestor precedes its descendants), or a production
+    instance's one shipping row."""
+    if isinstance(inst, ProductionInstance):
+        return [("shipping", range(inst.num_buyers), inst.shipping)]
+    return [(f"bin:{b}", inst.bin_elements(b), inst.bin_caps[b])
+            for b in sorted(mk.large)]
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,6 @@ class IronedTransform:
     source: DiscreteDistribution
     ironed: tuple[float, ...]
 
-    def mapping(self) -> dict:
-        return {v: phi for (v, _), phi in zip(self.source.atoms, self.ironed)}
-
 
 def iron(dist: DiscreteDistribution) -> IronedTransform:
     """Ironed virtual value per atom via revenue-curve concavification.

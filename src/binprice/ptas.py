@@ -15,21 +15,22 @@ stays the cross-check of ``solve --alg lp-opt`` and ``verify``.  A laminar
 policy keeps the composed shape, with the root as its only block and no
 counters.
 
-Large branch: the relaxation keeps each small unit (a type's chain, or a
+Large branch, one path for both instance kinds (``_large_branch``): the
+relaxation keeps each unit of ``model.small_units`` (a type's chain, or a
 maximal small bin or lone element of a laminar instance) exact and holds
-only the large capacities, scaled by ``1 - eps``, in expectation.  The
-units are coupled only through those expectation rows.  Dropping the rows
-(the Lagrangian at multiplier 0) bounds the relaxation by the sum of the
-units' DP optima, and the units' optimal threshold policies
-(``dp.threshold_policy``) attain that sum.  So when those policies already
-keep every row within its scaled capacity (checked on the pick
-probabilities of each unit's ``dp.forward``), they are an optimal
-solution of the relaxation: the branch returns them with
-``lp_kind="dp"`` and builds no LP.  When a row would be exceeded it
-falls back to the LP: the ex-ante LP (production, whose one row is the
-shipping capacity) or the hierarchy LP (laminar), rounded block by block.
-Either way the per-unit pricings run behind hard counters at the
-*original* large capacities.
+only the rows of ``model.large_rows`` (the shipping capacity, or the
+large bins), scaled by ``1 - eps``, in expectation.  The units are
+coupled only through those rows.  Dropping the rows (the Lagrangian at
+multiplier 0) bounds the relaxation by the sum of the units' DP optima,
+and the units' optimal threshold policies (``dp.threshold_policy``)
+attain that sum.  So when those policies already keep every row within
+its scaled capacity (checked on the pick probabilities of each unit's
+``dp.forward``), they are an optimal solution of the relaxation: the
+branch returns them with ``lp_kind="dp"`` and builds no LP.  When a row
+would be exceeded it falls back to the LP: the ex-ante LP (production)
+or the hierarchy LP (laminar), rounded block by block.  Either way
+``compose_policies`` runs the per-unit pricings behind hard counters at
+the rows' *original* capacities.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .model import (
     LaminarInstance,
     Marking,
     ProductionInstance,
-    TypeSubproblem,
     bind_dynamics,
+    large_rows,
     production_to_laminar,
     small_units,
 )
@@ -105,47 +106,48 @@ class PtasResult:
                 "small_all": sorted(self.marking.small_all)}
 
 
-def _decoupled(inst, units, rows, cfg, state_cap, mk=None):
-    """The large branch without its LP: the ``units``' DP threshold
-    policies behind the counters, when they keep every row
-    ``(elements, cap)`` within ``cfg.capacity_scale * cap`` expected picks;
-    else ``None``."""
-    tables = [dp.backward(dyn, inst.dists, state_cap=state_cap)
-              for dyn in units]
+def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
+                  mk: Marking | None = None) -> PtasResult:
+    """The relaxation of ``model.small_units`` under ``model.large_rows``
+    scaled by ``cfg.capacity_scale``, composed behind the counters.  The
+    units' DP threshold policies when they keep every row in expectation,
+    else the rounded LP: ex-ante (production) or hierarchy (laminar)."""
+    tables = [dp.backward(bind_dynamics(key, inst), inst.dists,
+                          state_cap=state_cap)
+              for key in small_units(inst, mk)]
     picked = {}
     for table in tables:
         _, _, picks = dp.forward(table, inst.dists)
         picked.update(zip(table.positions[:-1], picks))
-    if not all(sum(picked[e] for e in elements) <= cfg.capacity_scale * cap
-               for elements, cap in rows):
-        return None
-    policies = {table.scope: dp.threshold_policy(table) for table in tables}
+    if all(sum(picked[e] for e in elements) <= cfg.capacity_scale * cap
+           for _, elements, cap in large_rows(inst, mk)):
+        policies = {table.scope: dp.threshold_policy(table)
+                    for table in tables}
+        objective, lp_kind = sum(table.optimal for table in tables), "dp"
+    else:
+        if mk is None:
+            built = lpmod.build_lp_exante(inst, cfg.capacity_scale,
+                                          state_cap=state_cap)
+            lp_kind = "exante"
+        else:
+            built = lpmod.build_lp_hierarchy(inst, mk, cfg.capacity_scale,
+                                             state_cap=state_cap)
+            lp_kind = "hierarchy"
+        sol = lpmod.solve_optimal(built.model, engine)
+        policies, objective = extract_all(sol, built), sol.objective
     return PtasResult(policy=compose_policies(inst, policies, mk),
-                      branch="large",
-                      objective=sum(table.optimal for table in tables),
-                      lp_kind="dp", marking=mk)
+                      branch="large", objective=objective, lp_kind=lp_kind,
+                      marking=mk)
 
 
 def ptas_production(p: ProductionInstance, cfg: PtasConfig, *,
                     state_cap=DEFAULT_STATE_CAP, engine="auto") -> PtasResult:
-    delta = cfg.resolved_delta
-    if p.shipping <= 1.0 / delta:
+    if p.shipping <= 1.0 / cfg.resolved_delta:
         table, policy = dp.solve_full_dp(production_to_laminar(p),
                                          state_cap=state_cap)
         return PtasResult(policy=policy, branch="small",
                           objective=table.optimal, lp_kind="dp")
-    chains = [TypeSubproblem(p, j) for j in range(p.num_types)
-              if p.buyers_of_type(j)]
-    result = _decoupled(p, chains, [(range(p.num_buyers), p.shipping)], cfg,
-                        state_cap)
-    if result is not None:
-        return result
-    built = lpmod.build_lp_exante(p, cfg.capacity_scale, state_cap=state_cap)
-    sol = lpmod.solve_optimal(built.model, engine)
-    policies = extract_all(sol, built)
-    policy = compose_policies(p, policies)
-    return PtasResult(policy=policy, branch="large",
-                      objective=sol.objective, lp_kind="exante")
+    return _large_branch(p, cfg, state_cap, engine)
 
 
 def ptas_laminar(inst: LaminarInstance, cfg: PtasConfig, *,
@@ -156,15 +158,4 @@ def ptas_laminar(inst: LaminarInstance, cfg: PtasConfig, *,
         return PtasResult(policy=compose_policies(inst, {"root": policy}, mk),
                           branch="small", objective=table.optimal,
                           lp_kind="dp", marking=mk)
-    units = [bind_dynamics(key, inst) for key in small_units(inst, mk)]
-    rows = [(inst.bin_elements(b), inst.bin_caps[b]) for b in sorted(mk.large)]
-    result = _decoupled(inst, units, rows, cfg, state_cap, mk)
-    if result is not None:
-        return result
-    built = lpmod.build_lp_hierarchy(inst, mk, cfg.capacity_scale,
-                                     state_cap=state_cap)
-    sol = lpmod.solve_optimal(built.model, engine)
-    policies = extract_all(sol, built)
-    policy = compose_policies(inst, policies, mk)
-    return PtasResult(policy=policy, branch="large", objective=sol.objective,
-                      lp_kind="hierarchy", marking=mk)
+    return _large_branch(inst, cfg, state_cap, engine, mk)

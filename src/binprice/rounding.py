@@ -12,9 +12,11 @@ probabilities exactly.
 
 ``mark_laminar`` implements the depth rule: a bin at depth ``d`` of an
 ``L``-deep tree is small iff its capacity is at most ``(1/delta)**(L-d)``,
-and smallness is inherited downward.  ``compose_policies`` dispatches each
-arriving element to its covering small sub-problem while hard counters on
-the large bins quote infinity the moment any enclosing capacity is spent.
+and smallness is inherited downward.  ``compose_policies`` takes one
+pricing per unit of ``model.small_units``, for either instance kind, and
+dispatches each arriving element to its unit, while a hard counter per row
+of ``model.large_rows`` (a large bin, or the shipping capacity) quotes
+infinity the moment any capacity enclosing the element is spent.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .model import (
     LaminarInstance,
     Marking,
     _is_count,
+    large_rows,
     marking_violations,
     small_units,
 )
@@ -322,10 +325,11 @@ def compose_policies(inst, policies: dict, mk: Marking | None = None,
                      counter_caps: dict | None = None) -> ComposedPolicy:
     """Bundle per-sub-problem policies behind the large-capacity counters.
 
-    For a laminar instance the counters are the marking's large bins at
-    their original capacities; for a production instance with per-type
-    policies the single counter is the shipping capacity.  Every element
-    must be covered by exactly one policy scope.
+    ``policies`` maps each of ``model.small_units(inst, mk)`` to its
+    pricing, and nothing else.  The counters are ``model.large_rows``: the
+    marking's large bins (laminar) or the shipping capacity (production),
+    at their original capacities unless ``counter_caps`` gives others.
+    Each element's counter keys run innermost first.
     """
     if isinstance(inst, LaminarInstance):
         if mk is None:
@@ -333,48 +337,21 @@ def compose_policies(inst, policies: dict, mk: Marking | None = None,
         errs = marking_violations(inst, mk)
         if errs:
             raise InstanceError(errs)
-        units = small_units(inst, mk)
-        missing = [k for k in units if k not in policies]
-        if missing:
-            raise InstanceError([f"policy: no pricing for sub-problem {k}"
-                                 for k in missing])
-        element_block = {}
-        for key in units:
-            if key.startswith("elem:"):
-                element_block[int(key.split(":")[1])] = key
-            else:
-                b = 0 if key == "root" else int(key.split(":")[1])
-                for e in inst.bin_elements(b):
-                    element_block[e] = key
-        uncovered = [e for e in range(inst.num_elements)
-                     if e not in element_block]
-        if uncovered:
-            raise InstanceError(
-                [f"policy: element {e} not covered by any small sub-problem"
-                 for e in uncovered])
-        caps = {f"bin:{b}": (inst.bin_caps[b] if counter_caps is None
-                             else counter_caps[f"bin:{b}"])
-                for b in sorted(mk.large)}
-        keys = {e: tuple(f"bin:{b}" for b in inst.elem_ancestors(e)
-                         if b in mk.large)
-                for e in range(inst.num_elements)}
-        return ComposedPolicy(blocks=dict(policies),
-                              element_block=element_block,
-                              counter_caps=caps, counter_keys=keys)
-    # production: one chain policy per type, one hard shipping counter
-    element_block = {}
-    for key, pol in policies.items():
-        if not key.startswith("type:"):
-            raise InstanceError(f"policy: unexpected scope {key} for production")
-        j = int(key.split(":")[1])
-        for t in inst.buyers_of_type(j):
-            element_block[t] = key
-    uncovered = [t for t in range(inst.num_buyers) if t not in element_block]
-    if uncovered:
-        raise InstanceError([f"policy: buyer {t} not covered by any type policy"
-                             for t in uncovered])
-    caps = {"shipping": inst.shipping if counter_caps is None
-            else counter_caps["shipping"]}
-    keys = {t: ("shipping",) for t in range(inst.num_buyers)}
+    units = small_units(inst, mk)
+    errs = [f"policy: no pricing for sub-problem {k}"
+            for k in units if k not in policies]
+    errs += [f"policy: unexpected scope {k}" for k in policies
+             if k not in units]
+    if errs:
+        raise InstanceError(errs)
+    element_block = {e: key for key, elements in units.items()
+                     for e in elements}
+    rows = large_rows(inst, mk)
+    caps = {key: cap if counter_caps is None else counter_caps[key]
+            for key, _, cap in rows}
+    keys = dict.fromkeys(range(len(inst.dists)), ())
+    for key, elements, _ in reversed(rows):  # descendants before ancestors
+        for e in elements:
+            keys[e] += (key,)
     return ComposedPolicy(blocks=dict(policies), element_block=element_block,
                           counter_caps=caps, counter_keys=keys)

@@ -182,23 +182,6 @@ def oracle_states(inst: LaminarInstance, b: int):
     return out
 
 
-def oracle_forbidden(inst: LaminarInstance, b: int):
-    bins = inst.subtree_bins(b)
-    index = {x: i for i, x in enumerate(bins)}
-    elems = sorted(inst.bin_elements(b))
-    coords = {e: [index[x] for x in inst.elem_ancestors(e) if x in index]
-              for e in elems}
-    out = set()
-    for state in oracle_states(inst, b):
-        for e in elems:
-            if any(state[i] == 0 for i in coords[e]):
-                s = list(state)
-                for i in coords[e]:
-                    s[i] -= 1
-                out.add(tuple(s))
-    return out
-
-
 def oracle_chain_joint(p: ProductionInstance, type_index: int, taus):
     """Joint acceptance distribution of a chain threshold policy by walking
     every value path.  ``taus[i]`` is the (threshold, accept-at-equality)

@@ -210,6 +210,25 @@ def test_text_format_roundtrips_tokens():
         assert " " not in name and name in text
 
 
+def test_state_update_row_keeps_the_pinned_state_of_the_same_tuple():
+    # the day cap rises from 0 to 1: sold count 1 is a forbidden state
+    # before buyer 1 (its Y pinned to zero) and reachable after it.  The
+    # emitter keys Y by state tuple, so the row into Y(end,(1)) also takes
+    # the pinned Y(1,(1)) at -1.  The term is zero at every feasible point,
+    # but dropping it makes the simplex end on another vertex: the
+    # LP_TEXT_SHA256 and lp-opt policy pins were recorded with it.
+    p = ProductionInstance(dists=(U02, U02), types=(0, 0), days=(0, 1),
+                           production=((0, 1),), shipping=1)
+    model = build_lp_exante(p).model
+    pinned = model.index["Y[type:0](1,(1))"]
+    end = model.index["Y[type:0](end,(1))"]
+    rows = [dict(coeffs) for coeffs, _, _ in model.rows]
+    assert {pinned: 1.0} in rows
+    into_end = [row for row in rows if end in row]
+    assert len(into_end) == 1
+    assert into_end[0][end] == 1.0 and into_end[0].get(pinned) == -1.0
+
+
 def test_x_le_y_rows_present_for_every_conditional():
     inst = LaminarInstance.build((U02, U02),
                                  {"cap": 1, "children": [{"element": 0},

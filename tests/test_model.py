@@ -9,7 +9,6 @@ from binprice import (
     LaminarInstance,
     ProductionInstance,
     SizingError,
-    forbidden_neighbors,
     local_state_space,
     parse_instance,
     production_to_laminar,
@@ -20,7 +19,6 @@ from binprice import (
 from binprice.model import BinSubproblem, reachable_profile
 
 from conftest import (
-    oracle_forbidden,
     oracle_states,
     random_laminar,
     random_production,
@@ -172,7 +170,6 @@ def test_local_state_space_examples():
     assert local_state_space(chain, 0) == {(1,), (0,)}
     cap0 = build_chain((U02,), [0])
     assert local_state_space(cap0, 0) == {(0,)}
-    assert forbidden_neighbors(cap0, 0) == {(-1,)}
 
 
 def test_nested_state_space_example():
@@ -182,7 +179,6 @@ def test_nested_state_space_example():
         {"cap": 2, "children": [
             {"cap": 1, "children": [{"element": 0}]}, {"element": 1}]})
     assert local_state_space(inst, 0) == {(2, 1), (1, 1), (1, 0), (0, 0)}
-    assert forbidden_neighbors(inst, 0) == oracle_forbidden(inst, 0)
 
 
 def test_state_space_matches_oracle_on_random_instances():
@@ -191,11 +187,6 @@ def test_state_space_matches_oracle_on_random_instances():
         inst = random_laminar(rng)
         for b in range(inst.num_bins):
             assert local_state_space(inst, b) == oracle_states(inst, b)
-            got = forbidden_neighbors(inst, b)
-            assert got == oracle_forbidden(inst, b)
-            assert not (got & local_state_space(inst, b))
-            for s in got:
-                assert min(s) == -1
 
 
 def test_state_space_downward_closed_under_unpick():

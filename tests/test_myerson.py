@@ -73,7 +73,7 @@ def test_monotone_and_dominated_by_expectation():
         d = nonneg_random_dist(rng)
         tr = iron(d)
         assert all(a <= b for a, b in zip(tr.ironed, tr.ironed[1:]))
-        assert tr.ironed[-1] == d.max_value()  # top atom keeps its value
+        assert tr.ironed[-1] == d.atoms[-1][0]  # top atom keeps its value
         ev_phi = sum(phi * p for phi, (_, p) in zip(tr.ironed, d.atoms))
         assert ev_phi <= d.expectation() + 1e-9
 

@@ -20,7 +20,7 @@ from binprice import (
     simulate,
     solve_optimal,
 )
-from binprice.model import marking_violations
+from binprice.model import InstanceError, marking_violations, small_units
 from binprice.rounding import PricingPolicy, _price_for_rate
 from binprice.lp import y_name, END
 
@@ -122,6 +122,47 @@ def test_composition_missing_block_raises():
         (U12, U12), {"cap": 1, "children": [{"element": 0}, {"element": 1}]})
     with pytest.raises(Exception, match="root"):
         compose_policies(inst, {}, Marking.all_small(inst))
+
+
+# two buyers of type 0; type 1 has no buyer, so it is no unit
+TYPE_1_UNSOLD = ProductionInstance(
+    dists=(U12, U12), types=(0, 0), days=(0, 0), production=((2,), (2,)),
+    shipping=1)
+
+
+@pytest.mark.parametrize("inst, scopes, error", [
+    (LaminarInstance.build((U12, U12), {"cap": 1, "children": [
+        {"element": 0}, {"element": 1}]}),
+     ["root", "elem:1"], "policy: unexpected scope elem:1"),
+    (TYPE_1_UNSOLD, ["type:0", "type:1"], "policy: unexpected scope type:1"),
+    (TYPE_1_UNSOLD, [], "policy: no pricing for sub-problem type:0"),
+], ids=["laminar-extra", "production-extra", "production-missing"])
+def test_composition_takes_exactly_the_units(inst, scopes, error):
+    mk = Marking.all_small(inst) if isinstance(inst, LaminarInstance) else None
+    with pytest.raises(InstanceError) as exc:
+        compose_policies(inst, {k: PricingPolicy(k, {}) for k in scopes}, mk)
+    assert exc.value.violations == [error]
+
+
+def test_units_partition_and_counters_run_innermost_first(corpus):
+    for entry in corpus:
+        insts = [(entry.laminar, mark_laminar(entry.laminar, delta))
+                 for delta in (0.35, 0.6, 0.95)]
+        if entry.production is not None:
+            insts.append((entry.production, None))
+        for inst, mk in insts:
+            units = small_units(inst, mk)
+            assert sorted(e for elements in units.values()
+                          for e in elements) == list(range(len(inst.dists)))
+            composed = compose_policies(
+                inst, {k: PricingPolicy(k, {}) for k in units}, mk)
+            if mk is None:
+                want = {e: ("shipping",) for e in range(len(inst.dists))}
+            else:
+                want = {e: tuple(f"bin:{b}" for b in inst.elem_ancestors(e)
+                                 if b in mk.large)
+                        for e in range(inst.num_elements)}
+            assert composed.counter_keys == want, entry.name
 
 
 def test_composition_counter_blocks_all_quotes():
