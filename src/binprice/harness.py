@@ -29,6 +29,17 @@ filled it.  Each trial's welfare still adds its accepted values in arrival
 order, and counts stay integers, so the reports equal those of a
 per-trial loop.
 
+``prophet_samples`` runs the offline greedy of the laminar matroid on a
+chunk of trials at once.  Each drawn atom becomes one int64 key, the rank
+of its value (descending) shifted above the element index, so ascending
+keys are the greedy's order, decreasing value with ties by index.  Within
+a bin the greedy keeps the first ``cap`` keys of the bin's direct
+elements and of what its child bins kept, so the bins are walked children
+first and each keeps its ``cap`` smallest keys (``np.partition``).  The
+root's kept keys, sorted, give each trial's accepted values in the
+per-trial greedy's order, and the total adds the positive ones in that
+order, so it keeps that greedy's bits.
+
 ``evaluate_exact`` forward-propagates the exact state distribution of a
 policy block over the levels of ``model.state_levels``; on a composed
 policy it evaluates each block with the hard counters off, which is the
@@ -639,42 +650,66 @@ def prophet_samples(inst, trials: int, seed: int) -> np.ndarray:
     """Per-trial offline optimum via greedy in the laminar matroid.
 
     Each trial takes elements by decreasing value (ties by index) while
-    every ancestor bin has room; a chunk of trials runs the greedy as ``n``
-    rank steps, summing each trial's total in that same order.
+    the value is positive and every ancestor bin has room.  Within a bin
+    that greedy keeps the first ``cap`` elements, in greedy order, of the
+    bin's direct elements and what its child bins kept.  So a chunk of
+    trials runs it bin by bin, children before parents, on one int64 key
+    per drawn atom, ``(rank of the value, descending) << bits | element``,
+    whose ascending order is the greedy order: each bin keeps its ``cap``
+    smallest keys.  Each trial's total adds the root's kept positive
+    values in ascending key order, the order the per-trial greedy adds
+    them in.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     lam = as_laminar(inst)
     n = lam.num_elements
-    values = [np.array(d.values) for d in lam.dists]
-    cums = [np.cumsum(np.array(d.probs)) for d in lam.dists]
-    # ancestors padded with a sentinel bin, index num_bins, whose capacity
-    # never binds
-    anc = [lam.elem_ancestors(e) for e in range(n)]
-    ancestors = np.full((n, max(map(len, anc))), lam.num_bins, dtype=np.int64)
-    for e, bins in enumerate(anc):
-        ancestors[e, :len(bins)] = bins
-    caps0 = np.array(lam.bin_caps + (n + 1,), dtype=np.int64)
+    sizes = np.array([len(d.atoms) for d in lam.dists])
+    width = int(sizes.max())
+    # element e's atoms fill the first sizes[e] columns of row e
+    real = np.arange(width) < sizes[:, None]
+    probs = np.zeros((n, width))
+    probs[real] = [q for d in lam.dists for _, q in d.atoms]
+    # a value's rank is its position among the negated atom values,
+    # ascending; a value gains only where it is positive
+    neg, rank = np.unique([-v for d in lam.dists for v, _ in d.atoms],
+                          return_inverse=True)
+    gain = np.where(neg < 0.0, -neg, 0.0)
+    bits = n.bit_length()
+    keys = np.zeros((n, width), dtype=np.int64)
+    keys[real] = rank << bits | np.repeat(np.arange(n), sizes)
+    # element e draws atom a when a of its cut points are <= u, which is
+    # ``searchsorted(cumsum, u, "right")`` clipped to its last atom (the
+    # row cumsum adds in order, as the 1-D one does); padding cut points
+    # are infinite, so padding atoms are never drawn
+    cuts = np.where(real[:, 1:], np.cumsum(probs, axis=1)[:, :-1], np.inf).T
+    steps = np.diff(keys, axis=1).T
+    direct = [np.array(es, dtype=np.int64) for es in lam.bin_child_elems]
     out = np.empty(trials)
     for lo in range(0, trials, CHUNK):
         hi = min(lo + CHUNK, trials)
         u = trial_uniforms(seed, lo, hi, n)
-        vals = np.empty_like(u)
-        for e in range(n):
-            ai = np.searchsorted(cums[e], u[:, e], side="right")
-            vals[:, e] = values[e][np.minimum(ai, len(values[e]) - 1)]
-        order = np.argsort(-vals, axis=1, kind="stable")
-        ranked = np.take_along_axis(vals, order, axis=1)
-        rows = np.arange(hi - lo)[:, None]
-        rem = np.tile(caps0, (hi - lo, 1))
+        # atom 0's key plus the step to the next atom's key at every cut
+        # point at or below the draw
+        drawn = np.repeat(keys[None, :, 0], hi - lo, axis=0)
+        for cut, step in zip(cuts, steps):
+            drawn += (u >= cut) * step
+        # bins are numbered in pre-order, so walking them backwards
+        # reaches every child before its parent
+        kept = [None] * lam.num_bins
+        for b in range(lam.num_bins - 1, -1, -1):
+            parts = [drawn[:, direct[b]]]
+            parts += [kept[c] for c in lam.bin_child_bins[b]]
+            k = np.concatenate(parts, axis=1)
+            cap = lam.bin_caps[b]
+            if cap == 0:
+                k = k[:, :0]
+            elif cap < k.shape[1]:
+                k = np.partition(k, cap - 1, axis=1)[:, :cap]
+            kept[b] = k
         total = np.zeros(hi - lo)
-        for r in range(n):
-            v = ranked[:, r]
-            positive = v > 0.0
-            if not positive.any():
-                break  # values only fall from here on
-            bins = ancestors[order[:, r]]
-            ok = positive & (rem[rows, bins] > 0).all(axis=1)
-            rem[rows, bins] -= ok[:, None]
-            total += np.where(ok, v, 0.0)
+        for col in gain[np.sort(kept[0], axis=1) >> bits].T:
+            total += col
         out[lo:hi] = total
     return out
 

@@ -91,6 +91,23 @@ def random_laminar(rng: random.Random, n_max=6, cap_max=3) -> LaminarInstance:
         tuple(random_distribution(rng) for _ in range(n)), tree)
 
 
+def criterion_6_production() -> ProductionInstance:
+    """200 buyers of three types, each produced 10 to 14, under shipping
+    capacity 30."""
+    rng = random.Random(606)
+    n, m = 200, 3
+    types = tuple(rng.randrange(m) for _ in range(n))
+    dists = tuple(
+        DiscreteDistribution.of([(0.0, 0.25),
+                                 (round(rng.uniform(0.5, 2.0), 2), 0.5),
+                                 (3.0, 0.25)])
+        for _ in range(n))
+    return ProductionInstance(dists=dists, types=types, days=tuple([0] * n),
+                              production=tuple((rng.randint(10, 14),)
+                                               for _ in range(m)),
+                              shipping=30)
+
+
 def criterion_7_laminar() -> LaminarInstance:
     """Four bins of 25 two-point buyers, capacity 8 each, under a root of
     capacity 101 (161,541 reachable states over the 101 levels)."""

@@ -37,7 +37,8 @@ from binprice import (
 from binprice.lp import END, y_name
 from binprice.cli import main as cli_main
 
-from conftest import criterion_7_laminar, random_distribution
+from conftest import (criterion_6_production, criterion_7_laminar,
+                      random_distribution)
 
 _CACHE = {}
 
@@ -215,19 +216,9 @@ def test_criterion_5_pointwise_feasibility(corpus):
 
 def test_criterion_6_ptas_welfare_at_scale():
     t0 = time.perf_counter()
-    rng = random.Random(606)
-    n, m, K = 200, 3, 30
+    p = criterion_6_production()
+    K = p.shipping
     eps = 0.2
-    types = tuple(rng.randrange(m) for _ in range(n))
-    dists = tuple(
-        DiscreteDistribution.of([(0.0, 0.25),
-                                 (round(rng.uniform(0.5, 2.0), 2), 0.5),
-                                 (3.0, 0.25)])
-        for _ in range(n))
-    p = ProductionInstance(dists=dists, types=types, days=tuple([0] * n),
-                           production=tuple((rng.randint(10, 14),)
-                                            for _ in range(m)),
-                           shipping=K)
     unscaled = solve_optimal(build_lp_exante(p, 1.0).model)
     result = ptas_production(p, PtasConfig(epsilon=eps, delta=0.1))
     assert result.branch == "large"

@@ -156,6 +156,15 @@ def test_prophet_hand_examples():
     assert prophet_samples(inst2, 10, seed=0).mean() == 8.0  # 5 + 3, 4 blocked
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_prophet_samples_refuse_fewer_than_one_trial(trials):
+    inst = LaminarInstance.build(
+        (DiscreteDistribution.point(1.0),),
+        {"cap": 1, "children": [{"element": 0}]})
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        prophet_samples(inst, trials, seed=0)
+
+
 def test_prophet_gap_instance():
     p = ProductionInstance(
         dists=(DiscreteDistribution.point(1),

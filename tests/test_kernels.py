@@ -2,7 +2,8 @@
 
 ``trial_uniforms`` must reproduce each trial's own Philox substream on both
 its array path and its per-trial path, ``prophet_samples`` must equal the
-per-trial greedy of ``conftest.reference_prophet_samples`` bit for bit, and
+per-trial greedy of ``conftest.reference_prophet_samples`` bit for bit (on
+the hand instances, criteria 6 and 7, and random nested trees), and
 ``simulate`` reports must hash to the values recorded before the array path
 existed, and those of composed policies whose counters block or whose
 meters overfill to the values recorded before the kernel read its decisions
@@ -80,8 +81,10 @@ from binprice.rounding import (
 
 from conftest import (
     BENCH_SETTINGS,
+    criterion_6_production,
     criterion_7_laminar,
     model_from_arrays,
+    random_distribution,
     random_laminar,
     random_production,
     reference_dense_simplex,
@@ -336,6 +339,48 @@ def test_prophet_samples_match_per_trial_reference_on_criterion_7(seed):
     inst = criterion_7_laminar()
     assert np.array_equal(prophet_samples(inst, 300, seed),
                           reference_prophet_samples(inst, 300, seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_prophet_samples_match_per_trial_reference_on_criterion_6(seed):
+    # 200 uniforms a trial, and a root (shipping 30 over type bins of 10 to
+    # 14) that binds in most trials
+    inst = criterion_6_production()
+    assert np.array_equal(prophet_samples(inst, 300, seed),
+                          reference_prophet_samples(inst, 300, seed))
+
+
+SIGNED_GRID = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
+
+
+def random_nested_tree(rng: random.Random, elems, depth=0):
+    """A bin over ``elems``: some lie directly in it and the rest in child
+    bins, nested at most four bins deep; caps may be 0."""
+    elems = list(elems)
+    rng.shuffle(elems)
+    children = []
+    if depth < 3 and len(elems) > 1:
+        direct = rng.randint(0, len(elems) - 1)
+        rest = elems[direct:]
+        elems = elems[:direct]
+        while rest:
+            size = rng.randint(1, len(rest))
+            children.append(random_nested_tree(rng, rest[:size], depth + 1))
+            rest = rest[size:]
+    children += [{"element": e} for e in elems]
+    return {"cap": rng.randint(0, 4), "children": children}
+
+
+def test_prophet_samples_match_per_trial_reference_on_nested_trees():
+    rng = random.Random(1515)
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        inst = LaminarInstance.build(
+            tuple(random_distribution(rng, 4, SIGNED_GRID) for _ in range(n)),
+            random_nested_tree(rng, range(n)))
+        seed = rng.randrange(2 ** 64)
+        assert np.array_equal(prophet_samples(inst, 300, seed),
+                              reference_prophet_samples(inst, 300, seed))
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
