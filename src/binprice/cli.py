@@ -171,7 +171,8 @@ def cmd_verify(args) -> int:
     built1 = lp.build_lp_optimal(lam, state_cap=state_cap)
     sol1 = lp.solve_optimal(built1.model, args.engine)
     checks.append(("lp-opt equals dp", abs(sol1.objective - dp_value) <= 1e-6,
-                   f"lp={sol1.objective!r} dp={dp_value!r}"))
+                   f"lp={sol1.objective!r} dp={dp_value!r} "
+                   f"engine={sol1.engine}"))
 
     lp_policy = extract_pricing(sol1, built1, "root")
     welfare, trace = harness.evaluate_exact(lp_policy, lam, state_cap=state_cap)
@@ -197,7 +198,8 @@ def cmd_verify(args) -> int:
         built2 = lp.build_lp_exante(inst, 1.0, state_cap=state_cap)
         sol2 = lp.solve_optimal(built2.model, args.engine)
         checks.append(("ex-ante relaxes dp", sol2.objective >= dp_value - 1e-6,
-                       f"exante={sol2.objective!r} dp={dp_value!r}"))
+                       f"exante={sol2.objective!r} dp={dp_value!r} "
+                       f"engine={sol2.engine}"))
         for j in range(inst.num_types):
             buyers = inst.buyers_of_type(j)
             if not buyers:
@@ -227,7 +229,8 @@ def cmd_verify(args) -> int:
         sol4 = lp.solve_optimal(built4.model, args.engine)
         checks.append(("all-small hierarchy equals lp-opt",
                        abs(sol4.objective - sol1.objective) <= 1e-6,
-                       f"lp4={sol4.objective!r} lp1={sol1.objective!r}"))
+                       f"lp4={sol4.objective!r} lp1={sol1.objective!r} "
+                       f"engine={sol4.engine}"))
 
     cfg = ptas.PtasConfig(epsilon=args.epsilon, delta=args.delta)
     if isinstance(inst, ProductionInstance):

@@ -161,6 +161,13 @@ def forward(table: ValueTable, dists) -> tuple[list, list, list]:
     return rates, occupancy, picks
 
 
+def unit_passes(dyns, dists, *, state_cap=DEFAULT_STATE_CAP) -> list:
+    """``(table, forward(table, dists))`` for each of ``dyns``: the units'
+    optimal value tables and their threshold policies' forward passes."""
+    tables = (backward(dyn, dists, state_cap=state_cap) for dyn in dyns)
+    return [(table, forward(table, dists)) for table in tables]
+
+
 def _forward_arrays(occ, thr, skips, picks, atoms, width):
     """The acceptance rates of one level, the next level's state
     probabilities and the arrival's pick probability, on arrays."""

@@ -29,9 +29,12 @@ indices.  Variable names are produced only on request -- ``to_text``,
 a namer each run of variables registers.
 
 Solvers: an in-repo dense-tableau two-phase primal simplex with Bland's
-anti-cycling rule (deterministic, used at desk scale) and a scipy/HiGHS
-bridge for models past a size threshold.  ``solve`` picks by model size
-unless an engine is forced.
+anti-cycling rule (deterministic, used at desk scale) and, for models past
+a size threshold, the blocks' DP point when ``certify`` proves it optimal
+(engine ``"certificate"``), else a scipy/HiGHS bridge.  The DP point holds
+every coupling row (``N(j)``, shipping, large bins) at multiplier 0, so a
+binding row goes to HiGHS; ``notes/decisions.md`` derives its dual.
+``solve`` picks by model size unless an engine is forced.
 
 Text interchange format (``LpModel.to_text``), one token per name, all
 variables non-negative::
@@ -48,9 +51,11 @@ variables non-negative::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import dp
 from .model import (
     DEFAULT_STATE_CAP,
     BinSubproblem,
@@ -69,6 +74,10 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 PIVOT_CAP = 10 ** 6
 DENSE_CELL_LIMIT = 60_000
+# a DP point is accepted at this primal residual, and at CERT_TOL dual
+# residual and gap (relative to 1 + |objective|)
+CERT_PRIMAL_TOL = 1e-7
+CERT_TOL = 1e-9
 
 
 class LpError(RuntimeError):
@@ -86,7 +95,9 @@ class LpModel:
     Row ``i`` holds the entries ``cols[ptr[i]:ptr[i+1]]`` with coefficients
     ``coefs[ptr[i]:ptr[i+1]]``, columns strictly ascending.  ``objective``
     maps a column to its coefficient in the order the terms were added,
-    which is the order the objective value is summed in.
+    which is the order the objective value is summed in.  ``dp_point``,
+    set by the builders, computes the blocks' DP point ``(x, u)`` on
+    request.
     """
 
     def __init__(self):
@@ -100,6 +111,7 @@ class LpModel:
         self._namers: list = []  # (count, namer(k) -> name of the k-th)
         self._names: list[str] | None = None
         self._index: dict[str, int] | None = None
+        self.dp_point = None
 
     @property
     def num_rows(self) -> int:
@@ -236,6 +248,28 @@ def check_solution(model: LpModel, sol: LpSolution,
         what = "violated by" if le[i] else "off by"
         out.append(f"row c{i} {what} {float(resid[i])!r}")
     return out
+
+
+def certify(model: LpModel, x, u) -> tuple[float, float, float]:
+    """``(primal residual, dual residual, gap)`` of a point ``x`` and row
+    duals ``u``: the largest bound or row violation of ``x``; the largest
+    violation of ``A^T u >= c`` or of ``u >= 0`` on a ``<=`` row; and
+    ``|c x - b u|``.  All three zero prove ``x`` optimal.  A NaN anywhere
+    makes its residual NaN, which no tolerance accepts."""
+    rows, cols, coefs = model.coo()
+    b = np.array(model.rhs, dtype=float)
+    le = model.le_rows()
+    lhs = np.bincount(rows, weights=coefs * x[cols], minlength=model.num_rows)
+    resid = lhs - b
+    primal = np.maximum(np.where(le, resid, np.abs(resid)).max(initial=0.0),
+                        -x.min(initial=0.0))
+    c = np.zeros(model.num_vars)
+    c[list(model.objective)] = list(model.objective.values())
+    slack = np.bincount(cols, weights=coefs * u[rows],
+                        minlength=model.num_vars) - c
+    dual = np.maximum(-slack.min(initial=0.0), -u[le].min(initial=0.0))
+    gap = abs(model.objective_value(x) - float(b @ u))
+    return float(primal), float(dual), gap
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +423,25 @@ def _solve_highs(model: LpModel) -> LpSolution:
 
 
 def solve(model: LpModel, engine: str = "auto") -> LpSolution:
-    """Solve to an optimal basic solution, or report infeasible/unbounded.
+    """Solve to an optimal solution, or report infeasible/unbounded.
 
     ``auto`` uses the in-repo simplex up to ``DENSE_CELL_LIMIT`` tableau
-    cells and HiGHS beyond; both are deterministic for a fixed model.
+    cells.  Beyond it, it returns the builders' DP point when ``certify``
+    accepts it, and otherwise calls HiGHS.  Each is deterministic for a
+    fixed model; the simplex and HiGHS end on a basic solution.
     """
     if model.num_vars == 0:
         return LpSolution("optimal", 0.0, np.zeros(0), "trivial", 0, model)
     if engine == "auto":
         cells = (model.num_rows + 2) * (model.num_vars + model.num_rows + 1)
         engine = "simplex" if cells <= DENSE_CELL_LIMIT else "highs"
+        if engine == "highs" and model.dp_point is not None:
+            x, u = model.dp_point()
+            primal, dual, gap = certify(model, x, u)
+            obj = model.objective_value(x)
+            if (primal <= CERT_PRIMAL_TOL and dual <= CERT_TOL
+                    and gap <= CERT_TOL * (1.0 + abs(obj))):
+                return LpSolution("optimal", obj, x, "certificate", 0, model)
     if engine == "simplex":
         return _solve_dense(model)
     if engine == "highs":
@@ -450,7 +493,10 @@ END = "end"
 class BlockInfo:
     """One block's state levels and the first index of each of its runs of
     variables: ``y[lvl]`` for levels ``0..L``, ``xc[lvl]`` and ``xm[lvl]``
-    for the arrivals ``0..L-1``."""
+    for the arrivals ``0..L-1``; and of its rows: ``init_row``, and per
+    arrival ``rows[lvl]``, the first of its marginal rows (per atom),
+    ``X <= Y`` rows (as ``xc``), update rows (per state of level ``lvl+1``,
+    reachable then forbidden) and pin rows (per forbidden state)."""
 
     key: str
     dyn: object
@@ -459,6 +505,8 @@ class BlockInfo:
     y: list = field(default_factory=list)
     xc: list = field(default_factory=list)
     xm: list = field(default_factory=list)
+    init_row: int = 0
+    rows: list = field(default_factory=list)
 
     @property
     def elements(self):
@@ -512,6 +560,7 @@ def _emit_block(model: LpModel, dists, info: BlockInfo):
             xc_name(key, t, states[k // na], k % na)))
         info.xm.append(model.add_vars(na, lambda k, t=t: xm_name(t, k)))
 
+    info.init_row = model.num_rows
     model.append_row([ypos[0][dyn.initial]], [1.0], "=", 1.0)
     for lvl, t in enumerate(elems):
         probs = list(dists[t].probs)
@@ -520,15 +569,18 @@ def _emit_block(model: LpModel, dists, info: BlockInfo):
         states = info.levels[lvl]
         n = len(states)
         y0, xc0, xm0 = info.y[lvl], info.xc[lvl], info.xm[lvl]
+        starts = [model.num_rows]
         # marginal definition and conditional caps
         marginal = [-1.0] * n + [1.0]
         for a in range(na):
             model.append_row(list(range(xc0 + a, xc0 + n * na, na)) + [xm0 + a],
                              marginal, "=", 0.0)
+        starts.append(model.num_rows)
         for i in range(n):
             for a in range(na):
                 model.append_row([y0 + i, xc0 + i * na + a], [-1.0, 1.0],
                                  "<=", 0.0)
+        starts.append(model.num_rows)
         # state updates into level lvl+1 (forbidden targets pin the picks)
         here, there = ypos[lvl], ypos[lvl + 1]
         first_xc = {s: xc0 + i * na for i, s in enumerate(states)}
@@ -555,6 +607,8 @@ def _emit_block(model: LpModel, dists, info: BlockInfo):
                 cols.extend(range(c0, c0 + na))
                 vals.extend(coefs)
             model.append_row(cols, vals, "=", 0.0)
+        starts.append(model.num_rows)
+        info.rows.append(tuple(starts))
         for s in info.forbidden[lvl + 1]:
             model.append_row([there[s]], [1.0], "=", 0.0)
 
@@ -569,6 +623,44 @@ def _objective(model: LpModel, dists, elements, xm):
     for t in elements:
         for a, (v, pa) in enumerate(dists[t].atoms):
             model.add_objective_term(xm[t] + a, pa * v)
+
+
+def _dp_point(num_vars, num_rows, dists, blocks, state_cap):
+    """``(x, u)``: each block's optimal threshold policy run forward
+    (``Y``, ``X = Y * 1[v >= tau]``, ``X(t,a)`` their sums) and its duals
+    (``V`` on the initial and update rows, ``p*v`` on the marginal rows,
+    ``p*max(0, v - tau)`` on the ``X <= Y`` rows, ``-M`` and ``2M`` on the
+    update and pin rows of forbidden states), placed by position: the
+    levels of ``dp.unit_passes`` are the blocks' runs, in order.  Coupling
+    variables and rows stay 0.  Given sizes, not the model, ``dp_point``
+    makes no reference cycle."""
+    x = np.zeros(num_vars)
+    u = np.zeros(num_rows)
+    passes = dp.unit_passes([info.dyn for info in blocks.values()], dists,
+                            state_cap=state_cap)
+    for info, (table, (_, occupancy, _)) in zip(blocks.values(), passes):
+        values = table.values
+        big = 1.0 + max(float(np.abs(v).max()) for v in values) + max(
+            abs(v) for t in info.elements for v in dists[t].values)
+        u[info.init_row] = values[0][0]
+        for lvl, t in enumerate(info.elements):
+            v, p = np.array(dists[t].values), np.array(dists[t].probs)
+            y = np.asarray(occupancy[lvl], dtype=float)
+            thr = table.thresholds[lvl][:, None]
+            xc = y[:, None] * (v >= thr)
+            x[info.y[lvl]:info.y[lvl] + len(y)] = y
+            x[info.xc[lvl]:info.xm[lvl]] = xc.ravel()
+            x[info.xm[lvl]:info.xm[lvl] + len(v)] = xc.sum(axis=0)
+            marginal, caps, updates, pins = info.rows[lvl]
+            u[marginal:caps] = p * v
+            u[caps:updates] = (p * np.maximum(v - thr, 0.0)).ravel()
+            reach = updates + len(values[lvl + 1])
+            u[updates:reach] = values[lvl + 1]
+            u[reach:pins] = -big
+            u[pins:pins + len(info.forbidden[lvl + 1])] = 2.0 * big
+        last = np.asarray(occupancy[-1], dtype=float)
+        x[info.y[-1]:info.y[-1] + len(last)] = last
+    return x, u
 
 
 def _block_info(dyn, state_cap) -> BlockInfo:
@@ -589,6 +681,8 @@ def build_lp_optimal(inst: LaminarInstance, *,
     _emit_block(model, inst.dists, info)
     blocks = {info.key: info}
     _objective(model, inst.dists, info.elements, _marginals(blocks))
+    model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
+                             inst.dists, blocks, state_cap)
     return BuiltLp(model=model, instance=inst, blocks=blocks)
 
 
@@ -617,6 +711,17 @@ def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
     model.append_row(list(range(n0, n0 + len(types))), [1.0] * len(types),
                      "<=", capacity_scale * p.shipping)
     _objective(model, p.dists, range(p.num_buyers), xm)
+
+    size = model.num_vars, model.num_rows
+
+    def dp_point():
+        x, u = _dp_point(*size, p.dists, blocks, state_cap)
+        for k, info in enumerate(blocks.values()):  # N(j): expected served
+            x[n0 + k] = sum(pa * x[xm[t] + a] for t in info.elements
+                            for a, pa in enumerate(p.dists[t].probs))
+        return x, u
+
+    model.dp_point = dp_point
     return BuiltLp(model=model, instance=p, blocks=blocks,
                    capacity_scale=capacity_scale)
 
@@ -645,5 +750,7 @@ def build_lp_hierarchy(inst: LaminarInstance, mk: Marking,
         model.append_row([j for j, _ in terms], [pa for _, pa in terms],
                          "<=", capacity_scale * cap)
     _objective(model, inst.dists, range(inst.num_elements), xm)
+    model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
+                             inst.dists, blocks, state_cap)
     return BuiltLp(model=model, instance=inst, blocks=blocks,
                    capacity_scale=capacity_scale, marking=mk)

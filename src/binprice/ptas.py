@@ -112,12 +112,12 @@ def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
     scaled by ``cfg.capacity_scale``, composed behind the counters.  The
     units' DP threshold policies when they keep every row in expectation,
     else the rounded LP: ex-ante (production) or hierarchy (laminar)."""
-    tables = [dp.backward(bind_dynamics(key, inst), inst.dists,
-                          state_cap=state_cap)
-              for key in small_units(inst, mk)]
+    passes = dp.unit_passes([bind_dynamics(key, inst)
+                             for key in small_units(inst, mk)],
+                            inst.dists, state_cap=state_cap)
+    tables = [table for table, _ in passes]
     picked = {}
-    for table in tables:
-        _, _, picks = dp.forward(table, inst.dists)
+    for table, (_, _, picks) in passes:
         picked.update(zip(table.positions[:-1], picks))
     if all(sum(picked[e] for e in elements) <= cfg.capacity_scale * cap
            for _, elements, cap in large_rows(inst, mk)):

@@ -8,7 +8,9 @@ reused by the criteria that share the corpus.
 import json
 import math
 import random
+import runpy
 import time
+from pathlib import Path
 
 from binprice import (
     DiscreteDistribution,
@@ -29,6 +31,7 @@ from binprice import (
     ptas_laminar,
     ptas_production,
     search_dependency_counterexample,
+    serialize_instance,
     simulate,
     solve_full_dp,
     solve_optimal,
@@ -246,6 +249,17 @@ def test_criterion_7_laminar_concentration():
     assert rep.ignored_fraction <= bound + 3.0 * rep.ignored_stderr
     print(f"\n[PASS] criterion 7: ignored {rep.ignored_fraction:.4f} <= "
           f"union bound {bound:.4f} on the depth-2 instance")
+
+
+def test_bench_scale_instances_are_criteria_6_and_7():
+    # the benchmark never imports the tests, so it keeps its own copies of
+    # the two scale instances; they must stay the ones these criteria use
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    workloads = runpy.run_path(str(path))  # compiled in memory: no .pyc
+    assert serialize_instance(workloads["production_n200"]()) == \
+        serialize_instance(criterion_6_production())
+    assert serialize_instance(workloads["laminar_depth2"]()) == \
+        serialize_instance(criterion_7_laminar())
 
 
 CANONICAL_TREE = {

@@ -7,6 +7,9 @@ import pytest
 
 from binprice import dp, lp
 from binprice.cli import main
+from binprice.model import dump_instance
+
+from conftest import criterion_7_laminar
 
 
 GAP_INSTANCE = {
@@ -189,6 +192,31 @@ def test_verify_passes_on_chain(chain_path):
     names = {c["name"] for c in doc["checks"]}
     assert "negative cylinder type 0" in names
     assert "feasibility simulation" in names
+    # a desk-scale LP is solved by the dense simplex, and the detail says so
+    details = {c["name"]: c["detail"] for c in doc["checks"]}
+    assert details["lp-opt equals dp"].endswith(" engine=simplex")
+    assert details["ex-ante relaxes dp"].endswith(" engine=simplex")
+
+
+def test_verify_certifies_criterion_7(tmp_path, monkeypatch):
+    # the exact LP (161,541 states) and the all-small hierarchy LP are past
+    # the dense limit; both take the certified DP point, so no solver runs
+    # (HiGHS would take about 15 minutes here: fail fast instead)
+    def no_highs(model):
+        raise lp.LpError("HiGHS called")
+
+    monkeypatch.setattr(lp, "_solve_highs", no_highs)
+    path = tmp_path / "c7.json"
+    dump_instance(criterion_7_laminar(), path)
+    code, out, err = run_cli(["verify", "--instance", str(path),
+                              "--trials", "500"])
+    assert code == 0, err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["lp-opt equals dp"]["ok"]
+    assert checks["rounding exactness"]["ok"]
+    assert checks["rounding exactness"]["detail"].endswith(" ydev=0.0")
+    for name in ("lp-opt equals dp", "all-small hierarchy equals lp-opt"):
+        assert checks[name]["detail"].endswith(" engine=certificate")
 
 
 def test_verify_gates_cylinder_on_summed_form(tmp_path):

@@ -586,7 +586,12 @@ CRITERION_7_SETTING = PtasConfig(epsilon=0.2, delta=0.1)
 # instance's exact LP, was recorded before that, when the small branch
 # still returned such roundings.  ``ptas_eps0.2_delta0.6`` and
 # ``ptas_criterion_7`` were recorded when the large branch first took the
-# units' DP policies wherever they satisfy every large row.
+# units' DP policies wherever they satisfy every large row.  ``lp_opt`` and
+# ``criterion_7`` were recorded when ``auto`` chose only between the dense
+# simplex and HiGHS, so their LPs are solved with the engine it chose then
+# (``recorded_engine``).  ``lp_opt_auto`` and ``criterion_7_auto`` are the
+# same roundings under ``auto``, which now takes the certified DP point for
+# corpus instance 183's exact LP and for the criterion-7 relaxation.
 LP_TEXT_SHA256 = {
     "optimal": "282d67d402d97f6576ba9299c4799e45aadbb3c0ee6503cddaa9e2058aeebc08",
     "exante": "2079a7c1e22b6ad17f9d2c7db87f7cbe3c0ef1a4ca4204b215bcf49a65072aae",
@@ -598,6 +603,8 @@ POLICY_SHA256 = {
     "eps0.2_delta0.6": "1ee5f34fa21b992facc09cd2b3217b513969a7137e7231cbe63852c48dfd06a8",
     "lp_opt": "f3a23787645c39a817f92f9e71e2650a75f2e7d9b8ed98083c60170da69985ea",
     "criterion_7": "bf45a9b006e20db1b83a294728cd55528d4db518976038a9895c16ae67482972",
+    "lp_opt_auto": "5b19c2e91b85f689fdde4e31c5d55304a2b04f09cb68b8d40b52655bd0bffa64",
+    "criterion_7_auto": "cfe961fda6fd1d8583f0e220788a7776f7b6efbba6562e9c6b2b5441c4cc3531",
     "ptas_eps0.2_delta0.6": "879504ecef22ebb7620e58ec7daa61142ed0a972f80591f672a4426e7adc894b",
     "ptas_criterion_7": "2c6b153e148808316094112075720ba1b9a965c9c56aee0fbe3603ef198fb6f5",
 }
@@ -650,12 +657,21 @@ def rounded_exact_lp(entry, cfg):
         lam, extract_all(lp.solve_optimal(built.model), built), mk)
 
 
-def rounded_relaxation(inst, cfg):
+def recorded_engine(model):
+    """The engine ``auto`` picked before it certified DP points: the
+    dense simplex up to ``DENSE_CELL_LIMIT`` tableau cells, HiGHS beyond."""
+    cells = (model.num_rows + 2) * (model.num_vars + model.num_rows + 1)
+    return "simplex" if cells <= lp.DENSE_CELL_LIMIT else "highs"
+
+
+def rounded_relaxation(inst, cfg, engine="auto"):
     """The rounding of ``inst``'s relaxation LP, composed as the PTAS
     composes it: the large branch's policy whenever it solves that LP."""
     built = relaxation(inst, cfg)
+    if engine == "recorded":
+        engine = recorded_engine(built.model)
     return compose_policies(
-        inst, extract_all(lp.solve_optimal(built.model), built),
+        inst, extract_all(lp.solve_optimal(built.model, engine), built),
         built.marking)
 
 
@@ -681,10 +697,11 @@ def corpus_run(corpus):
     policies: per setting, those of ``lp_large_branch_policy`` (under the
     setting's label) and the PTAS's own (``ptas_<label>``), the small
     branch's former LP roundings (``lp_route``) and the exact LP's
-    rounding (``lp_opt``)."""
+    rounding, solved with ``recorded_engine`` (``lp_opt``) and ``auto``
+    (``lp_opt_auto``)."""
     models = []
     labels = (*BENCH_SETTINGS, *(f"ptas_{k}" for k in BENCH_SETTINGS),
-              "lp_route", "lp_opt")
+              "lp_route", "lp_opt", "lp_opt_auto")
     policies = {label: [] for label in labels}
     solve = lp.solve
 
@@ -708,8 +725,12 @@ def corpus_run(corpus):
                 bound = build_lp_hierarchy(lam, mk, 1.0)
             lp.solve_optimal(bound.model)
             built = build_lp_optimal(lam)
-            policies["lp_opt"].append(extract_pricing(
+            policies["lp_opt_auto"].append(extract_pricing(
                 lp.solve_optimal(built.model), built, "root"))
+            # uncaptured: the same model, with the engine of the pin
+            policies["lp_opt"].append(extract_pricing(
+                solve(built.model, recorded_engine(built.model)), built,
+                "root"))
     # the PTAS's LP-route cases solve the LPs captured above again
     for entry in corpus:
         for label, cfg in BENCH_SETTINGS.items():
@@ -719,9 +740,11 @@ def corpus_run(corpus):
 
 @pytest.fixture(scope="module")
 def criterion_7_policies():
-    """Criterion 7's PTAS policy and its rounded relaxation."""
+    """Criterion 7's PTAS policy and its rounded relaxation, solved with
+    ``recorded_engine`` and with ``auto``."""
     inst = criterion_7_laminar()
     return (ptas_laminar(inst, CRITERION_7_SETTING).policy,
+            rounded_relaxation(inst, CRITERION_7_SETTING, "recorded"),
             rounded_relaxation(inst, CRITERION_7_SETTING))
 
 
@@ -794,9 +817,11 @@ def test_lp_text_is_pinned(corpus):
 def test_ptas_policies_are_pinned(corpus_run, criterion_7_policies):
     _, policies = corpus_run
     got = {label: sha256_of(map(policy_to_json, policies[label]))
-           for label in (*BENCH_SETTINGS, "ptas_eps0.2_delta0.6", "lp_opt")}
-    ptas_policy, relaxed = criterion_7_policies
+           for label in (*BENCH_SETTINGS, "ptas_eps0.2_delta0.6", "lp_opt",
+                         "lp_opt_auto")}
+    ptas_policy, relaxed, relaxed_auto = criterion_7_policies
     got["criterion_7"] = sha256_of([policy_to_json(relaxed)])
+    got["criterion_7_auto"] = sha256_of([policy_to_json(relaxed_auto)])
     got["ptas_criterion_7"] = sha256_of([policy_to_json(ptas_policy)])
     assert got == POLICY_SHA256
 
@@ -821,7 +846,8 @@ def test_policy_writer_matches_json_dumps_on_corpus(corpus_run):
     _, policies = corpus_run
     assert {k: len(v) for k, v in policies.items()} == {
         "eps0.2": 200, "eps0.2_delta0.6": 200, "ptas_eps0.2": 200,
-        "ptas_eps0.2_delta0.6": 200, "lp_route": 270, "lp_opt": 200}
+        "ptas_eps0.2_delta0.6": 200, "lp_route": 270, "lp_opt": 200,
+        "lp_opt_auto": 200}
     for pols in policies.values():
         for pol in pols:
             assert policy_to_json(pol) == reference_policy_json(pol)
@@ -836,8 +862,9 @@ def test_policy_writer_matches_json_dumps_on_criterion_7(cfg):
 
 def test_policy_writer_matches_json_dumps_on_criterion_7_relaxation(
         criterion_7_policies):
-    _, pol = criterion_7_policies
-    assert policy_to_json(pol) == reference_policy_json(pol)
+    _, *relaxed = criterion_7_policies
+    for pol in relaxed:
+        assert policy_to_json(pol) == reference_policy_json(pol)
 
 
 HAND_POLICIES = {

@@ -2,7 +2,9 @@ import math
 import random
 
 import numpy as np
+import pytest
 
+from binprice import dp, lp
 from binprice import (
     DiscreteDistribution,
     LaminarInstance,
@@ -16,7 +18,7 @@ from binprice import (
     solve_optimal,
     solve_full_dp,
 )
-from binprice.lp import LpModel, LpSolution, check_solution, y_name
+from binprice.lp import LpModel, LpSolution, certify, check_solution, y_name
 from binprice.rounding import mark_laminar
 
 from conftest import (
@@ -278,3 +280,143 @@ def test_check_solution_accepts_solver_output(corpus):
         assert check_solution(built.model, sol) == []
         assert sol.assignment == {name: sol.value(name)
                                   for name in built.model.names}
+
+
+# ---------------------------------------------------------------------------
+# Certified DP points (the dense limit at 0 sends every LP past it)
+# ---------------------------------------------------------------------------
+
+CAP1_PAIR = LaminarInstance.build(
+    (U02, U02), {"cap": 1, "children": [{"element": 0}, {"element": 1}]})
+# a root of cap 101 over two cap-2 bins: large at delta 0.1, never full
+LARGE_ROOT = LaminarInstance.build(
+    (U02,) * 8, {"cap": 101, "children": [
+        {"cap": 2, "children": [{"element": e} for e in range(4)]},
+        {"cap": 2, "children": [{"element": e} for e in range(4, 8)]}]})
+
+
+@pytest.fixture
+def no_dense(monkeypatch):
+    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", 0)
+
+
+def bits(sol):
+    return (sol.status, sol.engine, sol.iterations, sol.objective,
+            sol.x.tobytes())
+
+
+def bound_lp(entry):
+    """The exactness chain's relaxation bound: the ex-ante LP, or the
+    hierarchy LP marked at delta 0.6, at capacity scale 1."""
+    if entry.production is not None:
+        return build_lp_exante(entry.production, 1.0)
+    return build_lp_hierarchy(entry.laminar, mark_laminar(entry.laminar, 0.6),
+                              1.0)
+
+
+def assert_certified(model):
+    sol = solve(model)
+    assert (sol.status, sol.engine, sol.iterations) == \
+        ("optimal", "certificate", 0)
+    assert abs(sol.objective - solve(model, "simplex").objective) <= 1e-9
+    assert check_solution(model, sol) == []
+
+
+def test_certificate_solves_every_corpus_exact_lp(corpus, no_dense):
+    for entry in corpus:
+        assert_certified(build_lp_optimal(entry.laminar).model)
+
+
+def test_certificate_solves_slack_bound_lps_and_binding_ones_fall_back(
+        corpus, no_dense):
+    binding = 0
+    for entry in corpus:
+        model = bound_lp(entry).model
+        x, u = model.dp_point()
+        primal, dual, gap = certify(model, x, u)
+        # the dual is feasible and closes the gap whether or not a coupling
+        # row binds; only the primal can fail
+        assert dual <= lp.CERT_TOL
+        assert gap <= lp.CERT_TOL * (1.0 + abs(model.objective_value(x)))
+        if primal <= lp.CERT_PRIMAL_TOL:
+            assert_certified(model)
+        else:
+            binding += 1
+            assert bits(solve(model)) == bits(solve(model, "highs"))
+    assert binding == 66
+
+
+def test_certificate_is_not_computed_at_or_below_the_dense_limit(
+        monkeypatch):
+    model = build_lp_optimal(CAP1_PAIR).model
+
+    def fail():
+        raise AssertionError("DP point computed")
+
+    model.dp_point = fail
+    assert solve(model).engine == "simplex"
+    # forced engines never compute it either
+    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", 0)
+    assert solve(model, "simplex").engine == "simplex"
+    assert solve(model, "highs").engine == "highs"
+
+
+def falls_back(model, x, u):
+    """``solve`` rejects ``(x, u)`` as the DP point and returns HiGHS's
+    bits; returns ``certify``'s residuals of the point."""
+    model.dp_point = lambda: (x, u)
+    assert bits(solve(model)) == bits(solve(model, "highs"))
+    return certify(model, x, u)
+
+
+def test_certificate_rejects_a_nudged_threshold(no_dense, monkeypatch):
+    passes = dp.unit_passes
+
+    def nudged(dyns, dists, *, state_cap):
+        table = passes(dyns, dists, state_cap=state_cap)[0][0]
+        table.thresholds[0] = table.thresholds[0] + 1e-3  # still takes v=2
+        return [(table, dp.forward(table, dists))]
+
+    built = build_lp_optimal(CAP1_PAIR)
+    monkeypatch.setattr(dp, "unit_passes", nudged)
+    _, dual, _ = falls_back(built.model, *built.model.dp_point())
+    assert dual == pytest.approx(0.5e-3)
+
+
+def test_certificate_rejects_a_raised_value(no_dense):
+    built = build_lp_optimal(CAP1_PAIR)
+    info = built.block("root")
+    x, u = built.model.dp_point()
+    # the update row into the initial state after the first arrival
+    u[info.rows[0][2] + info.levels[1].index((1,))] += 0.1
+    _, dual, _ = falls_back(built.model, x, u)
+    assert dual == pytest.approx(0.1)
+
+
+def test_certificate_rejects_a_zeroed_forbidden_dual(no_dense):
+    built = build_lp_optimal(CAP1_PAIR)
+    info = built.block("root")
+    assert info.forbidden[2] == [(-1,)]
+    x, u = built.model.dp_point()
+    # the update row into (-1,): a pick at the second arrival from (0,)
+    row = info.rows[1][2] + len(info.levels[2])
+    assert u[row] < 0.0
+    u[row] = 0.0
+    _, dual, _ = falls_back(built.model, x, u)
+    assert dual == pytest.approx(1.0)  # p * v of the forbidden pick
+
+
+def test_certificate_rejects_a_large_row_below_the_expected_count(no_dense):
+    built = build_lp_hierarchy(LARGE_ROOT, mark_laminar(LARGE_ROOT, 0.1), 1.0)
+    model = built.model
+    assert_certified(model)
+    x, u = model.dp_point()
+    rows, cols, coefs = model.coo()
+    root = model.num_rows - 1  # the one large-bin row comes last
+    expected = float(coefs[rows == root] @ x[cols[rows == root]])
+    assert 0.0 < expected < 101.0
+    model.rhs[root] = expected / 2.0
+    primal, _, _ = falls_back(model, x, u)
+    assert primal == pytest.approx(expected / 2.0)
+    # the row now binds: the LP optimum is below the units' DP optimum
+    assert solve(model).objective < model.objective_value(x) - 1e-3
