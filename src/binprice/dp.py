@@ -256,14 +256,14 @@ def solve_subproblem_dp(p: ProductionInstance, type_index: int,
                     state_cap=state_cap)
 
 
-def concavity_check(table: ValueTable, tol: float = 1e-9):
-    """Check ``D(s) + D(s+2) <= 2 D(s+1) + tol`` at every level of a chain table.
+def concavity_check(table: ValueTable):
+    """Check ``D(s) + D(s+2) <= 2 D(s+1) + 1e-9`` at every level of a chain table.
 
     Returns ``(ok, worst)`` where ``worst`` is ``(position, sold, gap)`` for
     the largest violation, or ``None`` when every triple passes.
     """
     worst = None
-    worst_gap = tol
+    worst_gap = 1e-9
     entries = table.entries
     for (lvl, s), v in entries.items():
         if len(s) != 1:

@@ -1,15 +1,16 @@
 """Linear programs over policy state/allocation variables, and solvers.
 
-Three builders share one block emitter:
+One body builds every relaxation from ``model.small_units`` and
+``model.large_rows``: a point-wise block per small unit, and an expectation
+row, at a capacity scale, per large capacity.  Three builders call it:
 
+* ``build_lp_hierarchy`` -- one block per maximal small bin of a marking
+  (and per element under no small bin) plus a row per large bin.
 * ``build_lp_optimal``   -- the exact program of the optimal online policy:
-  one point-wise block over the full remaining-capacity state space.
+  the all-small hierarchy, one block over the full remaining-capacity
+  state space.
 * ``build_lp_exante``    -- per-type chain blocks coupled through expected
   served counts ``N(j)`` and an expected shipping capacity.
-* ``build_lp_hierarchy`` -- one point-wise block per maximal small bin of a
-  marking plus an expectation row per large bin; with everything small it
-  coincides with the exact program, with everything large it degenerates to
-  the pure ex-ante relaxation over singleton elements.
 
 Each block tracks state probabilities ``Y(t,state)`` and conditional
 allocations ``X(t,state,atom)`` with ``X <= Y`` rows, per-arrival state
@@ -58,7 +59,6 @@ import numpy as np
 from . import dp
 from .model import (
     DEFAULT_STATE_CAP,
-    BinSubproblem,
     LaminarInstance,
     Marking,
     ProductionInstance,
@@ -78,6 +78,10 @@ DENSE_CELL_LIMIT = 60_000
 # residual and gap (relative to 1 + |objective|)
 CERT_PRIMAL_TOL = 1e-7
 CERT_TOL = 1e-9
+# check_solution reports a row residual above CHECK_ROW_TOL and a variable
+# below -CHECK_BOUND_TOL
+CHECK_ROW_TOL = 1e-7
+CHECK_BOUND_TOL = 1e-9
 
 
 class LpError(RuntimeError):
@@ -221,10 +225,9 @@ class LpSolution:
         return dict(zip(self.model.names, self.x.tolist()))
 
 
-def check_solution(model: LpModel, sol: LpSolution,
-                   feas_tol: float = 1e-7, bound_tol: float = 1e-9) -> list[str]:
-    """Non-finite values and constraint and bound residuals beyond
-    tolerance, as messages."""
+def check_solution(model: LpModel, sol: LpSolution) -> list[str]:
+    """Non-finite values, and row residuals beyond ``CHECK_ROW_TOL`` and
+    bound residuals beyond ``CHECK_BOUND_TOL``, as messages."""
     if sol.status != "optimal":
         return [f"status {sol.status}"]
     x = sol.x
@@ -234,7 +237,7 @@ def check_solution(model: LpModel, sol: LpSolution,
         j = int(bad[0])
         out.append(f"{bad.size} variables not finite, first "
                    f"{model.names[j]}: {float(x[j])!r}")
-    if (x < -bound_tol).any():
+    if (x < -CHECK_BOUND_TOL).any():
         j = int(np.nanargmin(x))
         out.append(f"variable {model.names[j]} below bound: {float(x[j])!r}")
     rows, cols, coefs = model.coo()
@@ -243,7 +246,8 @@ def check_solution(model: LpModel, sol: LpSolution,
     resid = lhs - np.array(model.rhs, dtype=float)
     le = model.le_rows()
     # written as "not within tolerance" so that a NaN residual is reported
-    off = np.where(le, ~(resid <= feas_tol), ~(np.abs(resid) <= feas_tol))
+    off = np.where(le, ~(resid <= CHECK_ROW_TOL),
+                   ~(np.abs(resid) <= CHECK_ROW_TOL))
     for i in np.flatnonzero(off).tolist():
         what = "violated by" if le[i] else "off by"
         out.append(f"row c{i} {what} {float(resid[i])!r}")
@@ -531,7 +535,6 @@ class BuiltLp:
     model: LpModel
     instance: object
     blocks: dict = field(default_factory=dict)
-    capacity_scale: float = 1.0
     marking: Marking | None = None
 
     def block(self, key) -> BlockInfo:
@@ -613,27 +616,16 @@ def _emit_block(model: LpModel, dists, info: BlockInfo):
             model.append_row([there[s]], [1.0], "=", 0.0)
 
 
-def _marginals(blocks) -> dict:
-    """Element -> index of its first marginal variable ``X(t,0)``."""
-    return {t: info.xm[lvl] for info in blocks.values()
-            for lvl, t in enumerate(info.elements)}
-
-
-def _objective(model: LpModel, dists, elements, xm):
-    for t in elements:
-        for a, (v, pa) in enumerate(dists[t].atoms):
-            model.add_objective_term(xm[t] + a, pa * v)
-
-
-def _dp_point(num_vars, num_rows, dists, blocks, state_cap):
+def _dp_point(num_vars, num_rows, dists, blocks, state_cap, counts):
     """``(x, u)``: each block's optimal threshold policy run forward
     (``Y``, ``X = Y * 1[v >= tau]``, ``X(t,a)`` their sums) and its duals
     (``V`` on the initial and update rows, ``p*v`` on the marginal rows,
     ``p*max(0, v - tau)`` on the ``X <= Y`` rows, ``-M`` and ``2M`` on the
     update and pin rows of forbidden states), placed by position: the
-    levels of ``dp.unit_passes`` are the blocks' runs, in order.  Coupling
-    variables and rows stay 0.  Given sizes, not the model, ``dp_point``
-    makes no reference cycle."""
+    levels of ``dp.unit_passes`` are the blocks' runs, in order.  Each
+    ``N(j)`` of ``counts`` is the sum of its row's terms; every coupling
+    row keeps dual 0.  Given sizes, not the model, ``dp_point`` makes no
+    reference cycle."""
     x = np.zeros(num_vars)
     u = np.zeros(num_rows)
     passes = dp.unit_passes([info.dyn for info in blocks.values()], dists,
@@ -660,12 +652,9 @@ def _dp_point(num_vars, num_rows, dists, blocks, state_cap):
             u[pins:pins + len(info.forbidden[lvl + 1])] = 2.0 * big
         last = np.asarray(occupancy[-1], dtype=float)
         x[info.y[-1]:info.y[-1] + len(last)] = last
+    for j, terms in counts:
+        x[j] = sum(pa * x[i] for i, pa in terms)
     return x, u
-
-
-def _block_info(dyn, state_cap) -> BlockInfo:
-    levels, forbidden = reachable_profile(dyn, state_cap)
-    return BlockInfo(key=dyn.key, dyn=dyn, levels=levels, forbidden=forbidden)
 
 
 # ---------------------------------------------------------------------------
@@ -673,57 +662,66 @@ def _block_info(dyn, state_cap) -> BlockInfo:
 # ---------------------------------------------------------------------------
 
 
+def _build(inst, mk: Marking | None, capacity_scale: float,
+           state_cap) -> BuiltLp:
+    """The relaxation of ``inst`` under ``mk``: a point-wise block per unit
+    of ``small_units``, then each of ``large_rows`` held in expectation at
+    ``capacity_scale`` times its cap.  A large bin's row sums its elements'
+    marginals; a production instance's shipping row sums one ``N(j)`` per
+    type, each at least its type's expected served count."""
+    if not (0.0 < capacity_scale <= 1.0):
+        raise ValueError("capacity_scale must be in (0, 1]")
+    dists = inst.dists
+    model = LpModel()
+    blocks = {}
+    for key in small_units(inst, mk):
+        dyn = bind_dynamics(key, inst)
+        blocks[key] = BlockInfo(key, dyn, *reachable_profile(dyn, state_cap))
+        _emit_block(model, dists, blocks[key])
+    xm = {t: info.xm[lvl] for info in blocks.values()
+          for lvl, t in enumerate(info.elements)}
+
+    def served(elements):
+        """The expected served count of ``elements``, as ``(column, p)``."""
+        return [(xm[t] + a, pa) for t in elements
+                for a, pa in enumerate(dists[t].probs)]
+
+    production = isinstance(inst, ProductionInstance)
+    counts = []  # (N(j), the terms it bounds)
+    if production:
+        types = [key.partition(":")[2] for key in blocks]  # "type:j" -> j
+        n0 = model.add_vars(len(types), lambda k: n_name(types[k]))
+        # a type's marginals ascend along its elements, all below N(j)
+        counts = [(n0 + k, served(info.elements))
+                  for k, info in enumerate(blocks.values())]
+        for j, terms in counts:
+            model.append_row([i for i, _ in terms] + [j],
+                             [pa for _, pa in terms] + [-1.0], "<=", 0.0)
+    for _, elements, cap in large_rows(inst, mk):
+        # a bin's elements may sit in different blocks: order by column
+        terms = ([(j, 1.0) for j, _ in counts] if production
+                 else sorted(served(elements)))
+        model.append_row([i for i, _ in terms], [c for _, c in terms],
+                         "<=", capacity_scale * cap)
+    for t, dist in enumerate(dists):
+        for a, (v, pa) in enumerate(dist.atoms):
+            model.add_objective_term(xm[t] + a, pa * v)
+    model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
+                             dists, blocks, state_cap, counts)
+    return BuiltLp(model=model, instance=inst, blocks=blocks, marking=mk)
+
+
 def build_lp_optimal(inst: LaminarInstance, *,
                      state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
-    """Exact LP of the optimal online policy over the full state space."""
-    model = LpModel()
-    info = _block_info(BinSubproblem(inst, 0), state_cap)
-    _emit_block(model, inst.dists, info)
-    blocks = {info.key: info}
-    _objective(model, inst.dists, info.elements, _marginals(blocks))
-    model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
-                             inst.dists, blocks, state_cap)
-    return BuiltLp(model=model, instance=inst, blocks=blocks)
+    """Exact LP of the optimal online policy: the all-small relaxation, one
+    point-wise block over the full remaining-capacity state space."""
+    return _build(inst, Marking.all_small(inst), 1.0, state_cap)
 
 
 def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
                     state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
     """Per-type point-wise blocks with the shipping capacity in expectation."""
-    if not (0.0 < capacity_scale <= 1.0):
-        raise ValueError("capacity_scale must be in (0, 1]")
-    model = LpModel()
-    blocks = {}
-    for key in small_units(p):
-        info = _block_info(bind_dynamics(key, p), state_cap)
-        blocks[key] = info
-        _emit_block(model, p.dists, info)
-    xm = _marginals(blocks)
-    types = [key.partition(":")[2] for key in blocks]  # "type:j" -> j
-    n0 = model.add_vars(len(types), lambda k: n_name(types[k]))
-    for k, info in enumerate(blocks.values()):
-        cols, vals = [], []
-        # a type's marginals ascend along its elements, all below N(j)
-        for t in info.elements:
-            probs = p.dists[t].probs
-            cols.extend(range(xm[t], xm[t] + len(probs)))
-            vals.extend(probs)
-        model.append_row(cols + [n0 + k], vals + [-1.0], "<=", 0.0)
-    model.append_row(list(range(n0, n0 + len(types))), [1.0] * len(types),
-                     "<=", capacity_scale * p.shipping)
-    _objective(model, p.dists, range(p.num_buyers), xm)
-
-    size = model.num_vars, model.num_rows
-
-    def dp_point():
-        x, u = _dp_point(*size, p.dists, blocks, state_cap)
-        for k, info in enumerate(blocks.values()):  # N(j): expected served
-            x[n0 + k] = sum(pa * x[xm[t] + a] for t in info.elements
-                            for a, pa in enumerate(p.dists[t].probs))
-        return x, u
-
-    model.dp_point = dp_point
-    return BuiltLp(model=model, instance=p, blocks=blocks,
-                   capacity_scale=capacity_scale)
+    return _build(p, None, capacity_scale, state_cap)
 
 
 def build_lp_hierarchy(inst: LaminarInstance, mk: Marking,
@@ -734,23 +732,4 @@ def build_lp_hierarchy(inst: LaminarInstance, mk: Marking,
     errs = marking_violations(inst, mk)
     if errs:
         raise InstanceError(errs)
-    if not (0.0 < capacity_scale <= 1.0):
-        raise ValueError("capacity_scale must be in (0, 1]")
-    model = LpModel()
-    blocks = {}
-    for key in small_units(inst, mk):
-        info = _block_info(bind_dynamics(key, inst), state_cap)
-        blocks[key] = info
-        _emit_block(model, inst.dists, info)
-    xm = _marginals(blocks)
-    for _, elements, cap in large_rows(inst, mk):
-        # a bin's elements may sit in different blocks: order by column
-        terms = sorted((xm[t] + a, pa) for t in elements
-                       for a, pa in enumerate(inst.dists[t].probs))
-        model.append_row([j for j, _ in terms], [pa for _, pa in terms],
-                         "<=", capacity_scale * cap)
-    _objective(model, inst.dists, range(inst.num_elements), xm)
-    model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
-                             inst.dists, blocks, state_cap)
-    return BuiltLp(model=model, instance=inst, blocks=blocks,
-                   capacity_scale=capacity_scale, marking=mk)
+    return _build(inst, mk, capacity_scale, state_cap)

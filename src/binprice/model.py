@@ -103,9 +103,6 @@ class DiscreteDistribution:
         """Pr[v = x]; nonzero only at atoms."""
         return sum(p for v, p in self.atoms if v == x)
 
-    def shifted(self, offset) -> "DiscreteDistribution":
-        return DiscreteDistribution(tuple((v - offset, p) for v, p in self.atoms))
-
 
 def distribution_violations(dist, where="dist"):
     out = []

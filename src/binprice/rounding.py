@@ -154,7 +154,8 @@ class ComposedPolicy:
         if any(not isinstance(c, int) or isinstance(c, bool) or c < 0
                for c in caps.values()):
             raise ValueError("counter caps must be non-negative integers")
-        keys = {int(e): tuple(ks) for e, ks in doc["counter_keys"].items()}
+        keys = {_element_key(e): tuple(ks)
+                for e, ks in doc["counter_keys"].items()}
         uncapped = {k for ks in keys.values() for k in ks} - caps.keys()
         if uncapped:
             raise ValueError(f"counters {sorted(map(repr, uncapped))} "
@@ -168,10 +169,24 @@ class ComposedPolicy:
                 raise ValueError(f"block {k!r} has scope {block.scope!r}")
         return cls(
             blocks=blocks,
-            element_block={int(e): k for e, k in doc["element_block"].items()},
+            element_block={_element_key(e): k
+                           for e, k in doc["element_block"].items()},
             counter_caps=caps,
             counter_keys=keys,
         )
+
+
+def _element_key(text) -> int:
+    """An element index written as a document key: decimal without sign or
+    leading zeros, as ``model.bind_dynamics`` reads a scope index, so that
+    no two keys name one element."""
+    try:
+        i = int(text)
+    except ValueError:
+        i = -1
+    if i < 0 or text != str(i):  # "abc", "-1", "07", " 7", "+7", "1_0"
+        raise ValueError(f"element key {text!r} is not a decimal index")
+    return i
 
 
 def policy_to_json(policy) -> str:

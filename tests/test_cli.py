@@ -705,6 +705,47 @@ def test_policy_with_foreign_counter_exits_6(tmp_path, instance_path):
     assert "['bin:7'] are not capacities of the instance" in err
 
 
+# a root of cap 5 over two cap-2 bins and three lone elements (6, 7, 8):
+# at delta 0.5 the PTAS composes the bins and lone elements behind a root
+# counter that every element keys
+COUNTER_INSTANCE = {
+    "kind": "laminar",
+    "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]}] * 8,
+    "bins": {"cap": 5, "children": [
+        {"cap": 2, "children": [{"element": e} for e in (0, 1, 2)]},
+        {"cap": 2, "children": [{"element": e} for e in (3, 4, 5)]},
+        {"element": 6}, {"element": 7}]},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("field", ["element_block", "counter_keys"])
+@pytest.mark.parametrize("alias", ["07", "+7", " 7"])
+def test_element_keys_are_canonical(tmp_path, command, field, alias):
+    # an element key other than the decimal index itself would alias
+    # element 7: read as an int, "07": [] in counter_keys would replace
+    # element 7's keys and drop its root counter
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(COUNTER_INSTANCE))
+    pol = tmp_path / "p.json"
+    code, _, _ = run_cli(["solve", "--instance", str(inst), "--alg", "ptas",
+                          "--epsilon", "0.2", "--delta", "0.5",
+                          "--policy-out", str(pol)])
+    assert code == 0
+    doc = json.loads(pol.read_text())
+    assert doc["counter_keys"]["7"] == ["bin:0"]
+    doc[field][alias] = {"element_block": doc["element_block"]["7"],
+                         "counter_keys": []}[field]
+    pol.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--instance", str(inst),
+                              "--policy", str(pol), "--trials", "10",
+                              "--seed", "1"])
+    assert code == 6
+    assert out == ""
+    assert err.startswith("policy/instance mismatch: policy: malformed")
+    assert f"element key {alias!r} is not a decimal index" in err
+
+
 def _unreadable(tmp_path, shape, name):
     path = tmp_path / name
     if shape == "directory":

@@ -19,6 +19,7 @@ from binprice import (
     solve_full_dp,
 )
 from binprice.lp import LpModel, LpSolution, certify, check_solution, y_name
+from binprice.model import InstanceError
 from binprice.rounding import mark_laminar
 
 from conftest import (
@@ -176,6 +177,31 @@ def test_hierarchy_coarser_marking_relaxes():
         v_fine = solve_optimal(build_lp_hierarchy(inst, fine, 1.0).model)
         v_coarse = solve_optimal(build_lp_hierarchy(inst, coarse, 1.0).model)
         assert v_coarse.objective >= v_fine.objective - 1e-6
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.5, 1.5, math.nan])
+def test_relaxations_reject_a_capacity_scale_outside_0_1(scale):
+    p = ProductionInstance(dists=(U02, U02), types=(0, 1), days=(0, 0),
+                           production=((1,), (1,)), shipping=1)
+    lam = production_to_laminar(p)
+    with pytest.raises(ValueError, match="capacity_scale must be in"):
+        build_lp_exante(p, scale)
+    with pytest.raises(ValueError, match="capacity_scale must be in"):
+        build_lp_hierarchy(lam, Marking.all_small(lam), scale)
+
+
+def test_hierarchy_rejects_an_invalid_marking():
+    inst = LaminarInstance.build(
+        (U02, U02, U02), {"cap": 2, "children": [
+            {"cap": 1, "children": [{"element": 0}, {"element": 1}]},
+            {"element": 2}]})
+    # bin 1 large under a small root; and a marking naming no bin at all
+    for mk in (Marking(large=frozenset({1}), small_maximal=frozenset({0}),
+                       small_all=frozenset({0})),
+               Marking(large=frozenset(), small_maximal=frozenset(),
+                       small_all=frozenset())):
+        with pytest.raises(InstanceError, match="marking: "):
+            build_lp_hierarchy(inst, mk, 1.0)
 
 
 def test_solutions_satisfy_tolerances_on_both_engines(corpus):
