@@ -25,12 +25,12 @@ from .model import (
     DEFAULT_STATE_CAP,
     InstanceError,
     LaminarInstance,
-    Marking,
     ProductionInstance,
     SizingError,
     as_laminar,
     load_instance,
     serialize_instance,
+    small_bins,
 )
 from .rounding import (
     PolicyError,
@@ -109,7 +109,7 @@ def cmd_solve(args) -> int:
         doc["engine"] = sol.engine
         doc["capacity_scale"] = args.scale
         doc["marking"] = {"large": sorted(mk.large),
-                          "small_maximal": sorted(mk.small_maximal)}
+                          "small_maximal": sorted(small_bins(lam, mk)[0])}
     else:  # ptas
         cfg = ptas.PtasConfig(epsilon=args.epsilon, delta=args.delta)
         if isinstance(inst, ProductionInstance):
@@ -125,7 +125,7 @@ def cmd_solve(args) -> int:
         doc["epsilon"] = cfg.epsilon
         doc["delta"] = cfg.resolved_delta
         if result.marking is not None:
-            doc["marking"] = result.marking_summary()
+            doc["marking"] = result.marking_summary(inst)
     if args.policy_out and policy is not None:
         _emit(policy_to_json(policy), args.policy_out)
         doc["policy_path"] = args.policy_out
@@ -165,6 +165,12 @@ def cmd_verify(args) -> int:
     lam = as_laminar(inst)
     state_cap = args.state_cap
     checks = []
+    if given is not None:
+        try:  # a policy simulate would refuse is a mismatch here too
+            harness.Plan(given, inst, state_cap)
+        except InstanceError as exc:
+            _diag(f"policy/instance mismatch: {exc}")
+            return EXIT_MISMATCH
 
     table, _ = solve_full_dp(lam, state_cap=state_cap)
     dp_value = table.optimal
@@ -188,12 +194,10 @@ def cmd_verify(args) -> int:
         except harness.CoverageError as exc:
             got, ok = None, False
             _diag(f"supplied policy does not cover the instance: {exc}")
-        except InstanceError as exc:
-            _diag(f"policy/instance mismatch: {exc}")
-            return EXIT_MISMATCH
         checks.append(("supplied policy exactness", ok,
                        f"welfare={got!r} lp={sol1.objective!r}"))
 
+    cfg = ptas.PtasConfig(epsilon=args.epsilon, delta=args.delta)
     if isinstance(inst, ProductionInstance):
         built2 = lp.build_lp_exante(inst, 1.0, state_cap=state_cap)
         sol2 = lp.solve_optimal(built2.model, args.engine)
@@ -224,15 +228,18 @@ def cmd_verify(args) -> int:
             conc, worst = concavity_check(tbl)
             checks.append((f"value concavity type {j}", conc, f"worst={worst}"))
     else:
-        mk_small = Marking.all_small(lam)
-        built4 = lp.build_lp_hierarchy(lam, mk_small, 1.0, state_cap=state_cap)
-        sol4 = lp.solve_optimal(built4.model, args.engine)
-        checks.append(("all-small hierarchy equals lp-opt",
-                       abs(sol4.objective - sol1.objective) <= 1e-6,
-                       f"lp4={sol4.objective!r} lp1={sol1.objective!r} "
+        # the relaxation at this run's own marking; with no large bin it
+        # is the exact program already solved above
+        sol4 = sol1
+        mk = mark_laminar(lam, cfg.resolved_delta)
+        if mk.large:
+            built4 = lp.build_lp_hierarchy(lam, mk, 1.0, state_cap=state_cap)
+            sol4 = lp.solve_optimal(built4.model, args.engine)
+        checks.append(("hierarchy relaxes dp",
+                       sol4.objective >= dp_value - 1e-6,
+                       f"hierarchy={sol4.objective!r} dp={dp_value!r} "
                        f"engine={sol4.engine}"))
 
-    cfg = ptas.PtasConfig(epsilon=args.epsilon, delta=args.delta)
     if isinstance(inst, ProductionInstance):
         result = ptas.ptas_production(inst, cfg, state_cap=state_cap,
                                       engine=args.engine)

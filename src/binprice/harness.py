@@ -15,7 +15,7 @@ and every reduction is either exact integer arithmetic or a single
 fixed-order pass over a preallocated per-trial array, so reports are
 byte-identical for any ``--threads``.
 
-The simulate kernel: ``_Plan`` compiles a policy once per ``simulate``
+The simulate kernel: ``Plan`` compiles a policy once per ``simulate``
 call into one ``_Arrival`` per arrival, which holds tables keyed by (block
 state, atom, blocked): may the rule accept, the value it adds, the state
 after.  ``_run_chunk`` keeps a chunk's block states and meter counts as
@@ -287,9 +287,10 @@ def report_to_csv(rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Plan:
+class Plan:
     """A policy compiled against an instance for ``_run_chunk``: each
-    block's states and one ``_Arrival`` per arrival."""
+    block's states and one ``_Arrival`` per arrival.  Raises
+    ``InstanceError`` when the policy does not fit the instance."""
 
     def __init__(self, policy, inst, state_cap):
         if isinstance(policy, ComposedPolicy):
@@ -335,8 +336,16 @@ class _Plan:
             raise InstanceError([f"policy: element {e} not covered"
                                  for e in missing])
         if element_block is not None:
+            # both maps name every element once, as composition writes them
+            for field, keyed in (("element_block", element_block),
+                                 ("counter_keys", counter_keys)):
+                off = sorted(keyed.keys() ^ set(range(self.n)))
+                if off:
+                    raise InstanceError(
+                        f"policy: {field} must name exactly elements "
+                        f"0..{self.n - 1} (differs at {off})")
             for e, key in element_block.items():
-                if self.block_of.get(e, (None, None))[1] != key:
+                if self.block_of[e][1] != key:
                     raise InstanceError(f"policy: dispatch mismatch at element {e}")
 
         # constraint meters: every real capacity, checked on accept
@@ -479,7 +488,7 @@ class _Arrival:
         self.checks = checks
 
 
-def _run_chunk(plan: _Plan, seed, lo, hi, welfare_out, ignored_out,
+def _run_chunk(plan: Plan, seed, lo, hi, welfare_out, ignored_out,
                accept_out, viol_out):
     """Run trials ``[lo, hi)``: states are one row per block and counts one
     row per meter, each contiguous over the chunk's trials."""
@@ -541,7 +550,7 @@ def simulate(policy, inst, trials: int, seed: int, *, threads: int = 1,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    plan = _Plan(policy, inst, state_cap)
+    plan = Plan(policy, inst, state_cap)
     welfare = np.zeros(trials)
     ignored = np.zeros(trials, dtype=np.int64)
     bounds = [(lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]

@@ -7,8 +7,8 @@ row, at a capacity scale, per large capacity.  Three builders call it:
 * ``build_lp_hierarchy`` -- one block per maximal small bin of a marking
   (and per element under no small bin) plus a row per large bin.
 * ``build_lp_optimal``   -- the exact program of the optimal online policy:
-  the all-small hierarchy, one block over the full remaining-capacity
-  state space.
+  the hierarchy at the marking with no large bin, one block over the full
+  remaining-capacity state space.
 * ``build_lp_exante``    -- per-type chain blocks coupled through expected
   served counts ``N(j)`` and an expected shipping capacity.
 
@@ -713,9 +713,9 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
 
 def build_lp_optimal(inst: LaminarInstance, *,
                      state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
-    """Exact LP of the optimal online policy: the all-small relaxation, one
-    point-wise block over the full remaining-capacity state space."""
-    return _build(inst, Marking.all_small(inst), 1.0, state_cap)
+    """Exact LP of the optimal online policy: the relaxation with no large
+    bin, one point-wise block over the full remaining-capacity state space."""
+    return _build(inst, Marking(), 1.0, state_cap)
 
 
 def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
@@ -727,8 +727,9 @@ def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
 def build_lp_hierarchy(inst: LaminarInstance, mk: Marking,
                        capacity_scale: float = 1.0, *,
                        state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
-    """Marking-parametrized relaxation: point-wise inside maximal small bins,
-    expected capacity (scaled) for large bins."""
+    """Marking-parametrized relaxation: point-wise inside each maximal
+    small bin of ``model.small_bins``, expected capacity (scaled) for each
+    large bin."""
     errs = marking_violations(inst, mk)
     if errs:
         raise InstanceError(errs)

@@ -757,45 +757,33 @@ def local_state_space(inst: LaminarInstance, b: int,
 
 @dataclass(frozen=True)
 class Marking:
-    """Partition of bins into large (capacity held in expectation) and small
-    (capacity held point-wise).
+    """The bins a relaxation holds only in expectation (large); every other
+    bin is small, its capacity held point-wise.  Smallness is inherited by
+    descendants, so no large bin sits under a small one.  The default, no
+    large bin, is the exact program."""
 
-    Smallness is inherited by descendants.  ``small_maximal`` holds the
-    small bins whose parent is large (or that are the root); elements under
-    no small bin at all form implicit singleton sub-problems.
-    """
+    large: frozenset = frozenset()
 
-    large: frozenset
-    small_maximal: frozenset
-    small_all: frozenset
 
-    @classmethod
-    def all_small(cls, inst: LaminarInstance) -> "Marking":
-        return cls(frozenset(), frozenset({0}),
-                   frozenset(range(inst.num_bins)))
-
-    @classmethod
-    def all_large(cls, inst: LaminarInstance) -> "Marking":
-        return cls(frozenset(range(inst.num_bins)), frozenset(), frozenset())
+def small_bins(inst: LaminarInstance, mk: Marking) -> tuple:
+    """``(maximal, all)`` small bins of ``mk``: every bin not large, and
+    those of them whose parent is large (or that are the root).  Elements
+    under no small bin at all form implicit singleton sub-problems."""
+    small = frozenset(range(inst.num_bins)) - mk.large
+    maximal = frozenset(b for b in small if inst.bin_parents[b] is None
+                        or inst.bin_parents[b] in mk.large)
+    return maximal, small
 
 
 def marking_violations(inst: LaminarInstance, mk: Marking) -> list[str]:
     out = []
-    bins = set(range(inst.num_bins))
-    if mk.large | mk.small_all != bins or mk.large & mk.small_all:
-        out.append("marking: large/small do not partition the bins")
-    for b in mk.small_all:
+    for b in sorted(mk.large):
+        if not 0 <= b < inst.num_bins:
+            out.append(f"marking: large index {b} is not a bin")
+            continue
         parent = inst.bin_parents[b]
-        if parent is not None and parent in mk.small_all and b in mk.small_maximal:
-            out.append(f"marking: bin {b} marked maximal under a small parent")
-        for c in inst.bin_child_bins[b]:
-            if c not in mk.small_all:
-                out.append(f"marking: bin {c} is large under small bin {b}")
-    expect_maximal = {b for b in mk.small_all
-                      if inst.bin_parents[b] is None
-                      or inst.bin_parents[b] not in mk.small_all}
-    if expect_maximal != set(mk.small_maximal):
-        out.append("marking: small_maximal does not match the maximal small bins")
+        if parent is not None and parent not in mk.large:
+            out.append(f"marking: bin {b} is large under small bin {parent}")
     return out
 
 
@@ -812,7 +800,7 @@ def small_units(inst, mk: Marking | None = None) -> dict:
                  for j in range(inst.num_types)}
         return {key: buyers for key, buyers in units.items() if buyers}
     units = {("root" if b == 0 else f"bin:{b}"): inst.bin_elements(b)
-             for b in sorted(mk.small_maximal)}
+             for b in sorted(small_bins(inst, mk)[0])}
     covered = set().union(*units.values())
     for e in range(inst.num_elements):
         if e not in covered:

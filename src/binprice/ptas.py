@@ -46,6 +46,7 @@ from .model import (
     bind_dynamics,
     large_rows,
     production_to_laminar,
+    small_bins,
     small_units,
 )
 from . import dp
@@ -98,12 +99,11 @@ class PtasResult:
     lp_kind: str  # "dp" when no LP was solved, else the LP solved
     marking: Marking | None = None
 
-    def marking_summary(self) -> dict:
-        if self.marking is None:
-            return {}
+    def marking_summary(self, inst: LaminarInstance) -> dict:
+        maximal, small = small_bins(inst, self.marking)
         return {"large": sorted(self.marking.large),
-                "small_maximal": sorted(self.marking.small_maximal),
-                "small_all": sorted(self.marking.small_all)}
+                "small_maximal": sorted(maximal),
+                "small_all": sorted(small)}
 
 
 def _large_branch(inst, cfg: PtasConfig, state_cap, engine,

@@ -314,21 +314,15 @@ def mark_laminar(inst: LaminarInstance, delta: float) -> Marking:
         raise ValueError("delta must be in (0, 1)")
     L = inst.depth
     inv = 1.0 / delta
-    small = set()
+    large = set()
     for b in range(inst.num_bins):  # pre-order: parents precede children
         parent = inst.bin_parents[b]
-        if parent is not None and parent in small:
-            small.add(b)
-            continue
+        if parent is not None and parent not in large:
+            continue  # under a small bin
         bound = inv ** (L - inst.bin_depth[b])
-        if inst.bin_caps[b] <= bound * (1.0 + 1e-12):
-            small.add(b)
-    large = frozenset(range(inst.num_bins)) - small
-    maximal = frozenset(b for b in small
-                        if inst.bin_parents[b] is None
-                        or inst.bin_parents[b] not in small)
-    return Marking(large=frozenset(large), small_maximal=maximal,
-                   small_all=frozenset(small))
+        if inst.bin_caps[b] > bound * (1.0 + 1e-12):
+            large.add(b)
+    return Marking(large=frozenset(large))
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,7 @@ def _random_marking(inst, rng):
         parent = inst.bin_parents[b]
         if (parent is not None and parent in small) or rng.random() < 0.5:
             small.add(b)
-    maximal = frozenset(b for b in small
-                        if inst.bin_parents[b] is None
-                        or inst.bin_parents[b] not in small)
-    return Marking(large=frozenset(range(inst.num_bins)) - small,
-                   small_maximal=maximal, small_all=frozenset(small))
+    return Marking(large=frozenset(range(inst.num_bins)) - small)
 
 
 def test_criterion_2_relaxation_chain(corpus):
@@ -126,7 +122,7 @@ def test_criterion_2_relaxation_chain(corpus):
             assert sol4.objective >= dp - 1e-6, entry.name
             n_hier += 1
         eq = solve_optimal(
-            build_lp_hierarchy(lam, Marking.all_small(lam), 1.0).model)
+            build_lp_hierarchy(lam, Marking(), 1.0).model)
         dev = abs(eq.objective - r["lp1"])
         worst_eq = max(worst_eq, dev)
         assert dev <= 1e-6, entry.name

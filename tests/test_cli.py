@@ -7,7 +7,7 @@ import pytest
 
 from binprice import dp, lp
 from binprice.cli import main
-from binprice.model import dump_instance
+from binprice.model import dump_instance, parse_instance
 
 from conftest import criterion_7_laminar
 
@@ -199,8 +199,9 @@ def test_verify_passes_on_chain(chain_path):
 
 
 def test_verify_certifies_criterion_7(tmp_path, monkeypatch):
-    # the exact LP (161,541 states) and the all-small hierarchy LP are past
-    # the dense limit; both take the certified DP point, so no solver runs
+    # the exact LP (161,541 states), which is also the hierarchy at the
+    # default delta's marking, is past the dense limit; it takes the
+    # certified DP point, so no solver runs
     # (HiGHS would take about 15 minutes here: fail fast instead)
     def no_highs(model):
         raise lp.LpError("HiGHS called")
@@ -215,8 +216,65 @@ def test_verify_certifies_criterion_7(tmp_path, monkeypatch):
     assert checks["lp-opt equals dp"]["ok"]
     assert checks["rounding exactness"]["ok"]
     assert checks["rounding exactness"]["detail"].endswith(" ydev=0.0")
-    for name in ("lp-opt equals dp", "all-small hierarchy equals lp-opt"):
+    for name in ("lp-opt equals dp", "hierarchy relaxes dp"):
         assert checks[name]["detail"].endswith(" engine=certificate")
+
+
+# the installed-command smoke instance: a root of cap 5 over two cap-2
+# bins and three lone elements; at delta 0.5 the root is large
+HIERARCHY_INSTANCE = {
+    "kind": "laminar",
+    "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]}] * 6
+                + [{"dist": [[1.0, 1.0]]}] * 3,
+    "bins": {"cap": 5, "children": [
+        {"cap": 2, "children": [{"element": e} for e in (0, 1, 2)]},
+        {"cap": 2, "children": [{"element": e} for e in (3, 4, 5)]},
+        {"element": 6}, {"element": 7}, {"element": 8}]},
+}
+
+
+def verify_hierarchy_instance(tmp_path, *options):
+    path = tmp_path / "hierarchy.json"
+    path.write_text(json.dumps(HIERARCHY_INSTANCE))
+    return run_cli(["verify", "--instance", str(path), "--trials", "200",
+                    "--seed", "1", *options])
+
+
+def test_verify_bounds_the_dp_by_the_hierarchy_at_its_marking(tmp_path):
+    code, out, err = verify_hierarchy_instance(tmp_path, "--delta", "0.5")
+    assert code == 0, err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["hierarchy relaxes dp"] == {
+        "name": "hierarchy relaxes dp", "ok": True,
+        "detail": "hierarchy=7.75 dp=7.625 engine=simplex"}
+
+
+def test_verify_fails_a_hierarchy_below_the_dp(tmp_path, monkeypatch):
+    # the relaxation of the same tree with every value halved
+    halved = parse_instance(dict(HIERARCHY_INSTANCE, elements=[
+        {"dist": [[v / 2, q] for v, q in element["dist"]]}
+        for element in HIERARCHY_INSTANCE["elements"]]))
+    build = lp.build_lp_hierarchy
+    monkeypatch.setattr(lp, "build_lp_hierarchy",
+                        lambda inst, *args, **kw: build(halved, *args, **kw))
+    code, out, err = verify_hierarchy_instance(tmp_path, "--delta", "0.5")
+    assert code == 5
+    assert err == "failed properties: hierarchy relaxes dp\n"
+    assert json.loads(out)["ok"] is False
+
+
+def test_verify_builds_the_exact_lp_once(tmp_path, monkeypatch):
+    # at the default delta no bin is large: the relaxation is the exact LP
+    built = []
+    build = lp._build
+    monkeypatch.setattr(lp, "_build",
+                        lambda *args: built.append(args) or build(*args))
+    code, out, err = verify_hierarchy_instance(tmp_path)
+    assert code == 0, err
+    assert len(built) == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["hierarchy relaxes dp"]["detail"].startswith(
+        "hierarchy=7.625 dp=7.625 ")
 
 
 def test_verify_gates_cylinder_on_summed_form(tmp_path):
@@ -744,6 +802,58 @@ def test_element_keys_are_canonical(tmp_path, command, field, alias):
     assert out == ""
     assert err.startswith("policy/instance mismatch: policy: malformed")
     assert f"element key {alias!r} is not a decimal index" in err
+
+
+def _without(keyed, key):
+    return {k: v for k, v in keyed.items() if k != key}
+
+
+LARGE_BRANCH = ["--alg", "ptas", "--epsilon", "0.2", "--delta", "0.5"]
+# (instance, solve options, edit of the policy document): each document
+# does not fit its instance
+MISMATCHED_POLICIES = {
+    "counter_keys-omits": (COUNTER_INSTANCE, LARGE_BRANCH, lambda d: {
+        **d, "counter_keys": _without(d["counter_keys"], "7")}),
+    "counter_keys-foreign": (COUNTER_INSTANCE, LARGE_BRANCH, lambda d: {
+        **d, "counter_keys": {**d["counter_keys"], "99": []}}),
+    "element_block-omits": (COUNTER_INSTANCE, LARGE_BRANCH, lambda d: {
+        **d, "element_block": _without(d["element_block"], "7")}),
+    "element_block-foreign": (COUNTER_INSTANCE, LARGE_BRANCH, lambda d: {
+        **d, "element_block": {**d["element_block"], "99": "elem:7"}}),
+    # at the default epsilon every bin is small: the root is the one block
+    "small-branch-foreign-counter": (
+        COUNTER_INSTANCE, ["--alg", "ptas"], lambda d: {
+            **d, "counter_caps": {"bin:9": 1},
+            "counter_keys": {**d["counter_keys"], "0": ["bin:9"]}}),
+    "missing-block": (COUNTER_INSTANCE, LARGE_BRANCH, lambda d: {
+        **d, "blocks": _without(d["blocks"], "bin:1")}),
+    "extra-block": (COUNTER_INSTANCE, LARGE_BRANCH, lambda d: {
+        **d, "blocks": {**d["blocks"],
+                        "elem:3": {"scope": "elem:3", "rules": []}}}),
+    "lone-type-block": (GAP_INSTANCE, ["--alg", "ex-ante"],
+                        lambda d: d["blocks"]["type:0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_POLICIES))
+def test_mismatched_policy_exits_6_under_simulate_and_verify(tmp_path, case):
+    instance, solve, edit = MISMATCHED_POLICIES[case]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    pol = tmp_path / "p.json"
+    code, _, _ = run_cli(["solve", "--instance", str(inst), *solve,
+                          "--policy-out", str(pol)])
+    assert code == 0
+    pol.write_text(json.dumps(edit(json.loads(pol.read_text()))))
+    simulated, verified = (
+        run_cli([command, "--instance", str(inst), "--policy", str(pol),
+                 "--trials", "10", "--seed", "1"])
+        for command in ("simulate", "verify"))
+    assert simulated == verified
+    code, out, err = simulated
+    assert code == 6
+    assert out == ""
+    assert err.startswith("policy/instance mismatch: policy: ")
 
 
 def _unreadable(tmp_path, shape, name):

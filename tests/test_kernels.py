@@ -195,9 +195,7 @@ def nested_counter_policy():
     """``deep_laminar``'s small units priced by their own DP behind hard
     counters on the root and the bin below it: elements 0-3 have two."""
     lam = deep_laminar()
-    small = frozenset({2, 3})
-    mk = model.Marking(large=frozenset({0, 1}), small_maximal=small,
-                       small_all=small)
+    mk = model.Marking(large=frozenset({0, 1}))
     return compose_policies(lam, unit_policies(lam, mk), mk)
 
 
@@ -213,8 +211,7 @@ def two_counter_policy():
             {"element": 0}, {"element": 1},
             {"cap": 2, "children": [{"element": 2}, {"element": 3},
                                     {"element": 4}]}]})
-    mk = model.Marking(large=frozenset({0, 1}), small_maximal=frozenset(),
-                       small_all=frozenset())
+    mk = model.Marking(large=frozenset({0, 1}))
     return lam, compose_policies(lam, tie_coins(unit_policies(lam, mk)), mk)
 
 

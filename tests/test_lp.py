@@ -20,7 +20,7 @@ from binprice import (
 )
 from binprice.lp import LpModel, LpSolution, certify, check_solution, y_name
 from binprice.model import InstanceError
-from binprice.rounding import mark_laminar
+from binprice.rounding import compose_policies, mark_laminar
 
 from conftest import (
     model_from_arrays,
@@ -152,16 +152,15 @@ def test_hierarchy_markings_bracket_the_instance():
     lam = production_to_laminar(p)
     s1 = solve_optimal(build_lp_optimal(lam).model)
     all_small = solve_optimal(
-        build_lp_hierarchy(lam, Marking.all_small(lam), 1.0).model)
+        build_lp_hierarchy(lam, Marking(), 1.0).model)
     assert abs(all_small.objective - s1.objective) <= 1e-9
-    root_large = Marking(large=frozenset({0}),
-                         small_maximal=frozenset({1, 2}),
-                         small_all=frozenset({1, 2}))
+    root_large = Marking(large=frozenset({0}))
     s_rl = solve_optimal(build_lp_hierarchy(lam, root_large, 1.0).model)
     s2 = solve_optimal(build_lp_exante(p, 1.0).model)
     assert abs(s_rl.objective - s2.objective) <= 1e-9
     all_large = solve_optimal(
-        build_lp_hierarchy(lam, Marking.all_large(lam), 1.0).model)
+        build_lp_hierarchy(
+            lam, Marking(large=frozenset(range(lam.num_bins))), 1.0).model)
     assert all_large.objective >= s_rl.objective - 1e-9
     assert s_rl.objective >= s1.objective - 1e-9
 
@@ -172,7 +171,7 @@ def test_hierarchy_coarser_marking_relaxes():
         inst = random_laminar(rng)
         fine = mark_laminar(inst, 0.9)   # most bins small
         coarse = mark_laminar(inst, 0.2)
-        if not set(coarse.small_all) <= set(fine.small_all):
+        if not fine.large <= coarse.large:
             continue
         v_fine = solve_optimal(build_lp_hierarchy(inst, fine, 1.0).model)
         v_coarse = solve_optimal(build_lp_hierarchy(inst, coarse, 1.0).model)
@@ -187,7 +186,7 @@ def test_relaxations_reject_a_capacity_scale_outside_0_1(scale):
     with pytest.raises(ValueError, match="capacity_scale must be in"):
         build_lp_exante(p, scale)
     with pytest.raises(ValueError, match="capacity_scale must be in"):
-        build_lp_hierarchy(lam, Marking.all_small(lam), scale)
+        build_lp_hierarchy(lam, Marking(), scale)
 
 
 def test_hierarchy_rejects_an_invalid_marking():
@@ -195,13 +194,16 @@ def test_hierarchy_rejects_an_invalid_marking():
         (U02, U02, U02), {"cap": 2, "children": [
             {"cap": 1, "children": [{"element": 0}, {"element": 1}]},
             {"element": 2}]})
-    # bin 1 large under a small root; and a marking naming no bin at all
-    for mk in (Marking(large=frozenset({1}), small_maximal=frozenset({0}),
-                       small_all=frozenset({0})),
-               Marking(large=frozenset(), small_maximal=frozenset(),
-                       small_all=frozenset())):
-        with pytest.raises(InstanceError, match="marking: "):
-            build_lp_hierarchy(inst, mk, 1.0)
+    # bin 1 large under a small root, and large indices that are no bin
+    for large, error in ((1, "bin 1 is large under small bin 0"),
+                         (5, "large index 5 is not a bin"),
+                         (-1, "large index -1 is not a bin")):
+        mk = Marking(large=frozenset({large}))
+        for build in (lambda: build_lp_hierarchy(inst, mk, 1.0),
+                      lambda: compose_policies(inst, {}, mk)):
+            with pytest.raises(InstanceError) as exc:
+                build()
+            assert exc.value.violations == [f"marking: {error}"]
 
 
 def test_solutions_satisfy_tolerances_on_both_engines(corpus):

@@ -20,7 +20,12 @@ from binprice import (
     simulate,
     solve_optimal,
 )
-from binprice.model import InstanceError, marking_violations, small_units
+from binprice.model import (
+    InstanceError,
+    marking_violations,
+    small_bins,
+    small_units,
+)
 from binprice.rounding import PricingPolicy, _price_for_rate
 from binprice.lp import y_name, END
 
@@ -75,10 +80,11 @@ def test_marking_rule_boundaries():
                 {"element": 2}, {"element": 3}]})
     inst = tree(101, 3)
     mk = mark_laminar(inst, 0.1)  # depth 2: root bound 100, child bound 10
-    assert mk.large == frozenset({0}) and mk.small_maximal == frozenset({1})
+    assert mk.large == frozenset({0})
+    assert small_bins(inst, mk)[0] == frozenset({1})
     inst2 = tree(100, 3)
     mk2 = mark_laminar(inst2, 0.1)  # inclusive boundary: root small
-    assert mk2.small_maximal == frozenset({0}) and not mk2.large
+    assert small_bins(inst2, mk2)[0] == frozenset({0}) and not mk2.large
 
 
 def test_marking_inheritance_overrides_capacity():
@@ -90,9 +96,10 @@ def test_marking_inheritance_overrides_capacity():
             {"element": 2}]})
     # delta high enough that the root is small; everything below inherits
     mk = mark_laminar(inst, 0.55)
-    if 0 in mk.small_all:
-        assert mk.small_all == frozenset(range(inst.num_bins))
-        assert mk.small_maximal == frozenset({0})
+    maximal, small = small_bins(inst, mk)
+    if 0 in small:
+        assert small == frozenset(range(inst.num_bins))
+        assert maximal == frozenset({0})
 
 
 def test_marking_output_is_always_valid():
@@ -110,7 +117,7 @@ def test_compose_identity_for_single_small_root():
     built = build_lp_optimal(inst)
     sol = solve_optimal(built.model)
     pol = extract_pricing(sol, built, "root")
-    composed = compose_policies(inst, {"root": pol}, Marking.all_small(inst))
+    composed = compose_policies(inst, {"root": pol}, Marking())
     w1, _ = evaluate_exact(pol, inst)
     w2, _ = evaluate_exact(composed, inst)
     assert abs(w1 - w2) <= 1e-12
@@ -121,7 +128,7 @@ def test_composition_missing_block_raises():
     inst = LaminarInstance.build(
         (U12, U12), {"cap": 1, "children": [{"element": 0}, {"element": 1}]})
     with pytest.raises(Exception, match="root"):
-        compose_policies(inst, {}, Marking.all_small(inst))
+        compose_policies(inst, {}, Marking())
 
 
 # two buyers of type 0; type 1 has no buyer, so it is no unit
@@ -138,7 +145,7 @@ TYPE_1_UNSOLD = ProductionInstance(
     (TYPE_1_UNSOLD, [], "policy: no pricing for sub-problem type:0"),
 ], ids=["laminar-extra", "production-extra", "production-missing"])
 def test_composition_takes_exactly_the_units(inst, scopes, error):
-    mk = Marking.all_small(inst) if isinstance(inst, LaminarInstance) else None
+    mk = Marking() if isinstance(inst, LaminarInstance) else None
     with pytest.raises(InstanceError) as exc:
         compose_policies(inst, {k: PricingPolicy(k, {}) for k in scopes}, mk)
     assert exc.value.violations == [error]
