@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
     checks = []
     if given is not None:
         try:  # a policy simulate would refuse is a mismatch here too
-            harness.Plan(given, inst, state_cap)
+            harness.fit_policy(given, inst)
         except InstanceError as exc:
             _diag(f"policy/instance mismatch: {exc}")
             return EXIT_MISMATCH

@@ -99,10 +99,11 @@ class ValueTable:
 
 
 def backward(dyn, dists, shift: float = 0.0, *,
-             state_cap=DEFAULT_STATE_CAP) -> ValueTable:
-    """Backward induction over ``model.state_levels(dyn, state_cap)``,
-    every value shifted by ``shift``."""
-    lv = state_levels(dyn, state_cap)
+             state_cap=DEFAULT_STATE_CAP, levels=None) -> ValueTable:
+    """Backward induction over ``model.state_levels(dyn, state_cap)``, or
+    over ``levels`` when a caller already holds them, every value shifted
+    by ``shift``."""
+    lv = state_levels(dyn, state_cap) if levels is None else levels
     lists = isinstance(lv.codes[-1], list)
     level = _level_lists if lists else _level_arrays
     n = len(dyn.elements)
@@ -161,10 +162,14 @@ def forward(table: ValueTable, dists) -> tuple[list, list, list]:
     return rates, occupancy, picks
 
 
-def unit_passes(dyns, dists, *, state_cap=DEFAULT_STATE_CAP) -> list:
+def unit_passes(dyns, dists, *, state_cap=DEFAULT_STATE_CAP,
+                levels=None) -> list:
     """``(table, forward(table, dists))`` for each of ``dyns``: the units'
-    optimal value tables and their threshold policies' forward passes."""
-    tables = (backward(dyn, dists, state_cap=state_cap) for dyn in dyns)
+    optimal value tables and their threshold policies' forward passes,
+    over ``levels[k]`` for the ``k``-th unit when given."""
+    levels = [None] * len(dyns) if levels is None else levels
+    tables = (backward(dyn, dists, state_cap=state_cap, levels=lv)
+              for dyn, lv in zip(dyns, levels))
     return [(table, forward(table, dists)) for table in tables]
 
 

@@ -287,39 +287,105 @@ def report_to_csv(rows) -> str:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class PolicyFit:
+    """How a policy binds to an instance: the instance its scopes read
+    (``work``, laminar unless every scope is a type chain), its blocks and
+    their dynamics by scope key, the block of each element, and its
+    counters (``counter_caps``, ``counter_keys``)."""
+
+    work: object
+    blocks: dict
+    dyns: dict
+    block_of: dict
+    counter_caps: dict
+    counter_keys: dict
+    counter_name: dict  # counter key -> the meter it reads
+
+
+def fit_policy(policy, inst) -> PolicyFit:
+    """Check that ``policy`` fits ``inst`` without compiling it: each
+    element in exactly one block, a composed policy's ``element_block`` and
+    ``counter_keys`` naming exactly the elements and dispatching each to
+    its block, and every counter a capacity of the instance.  Raises
+    ``InstanceError`` when it does not fit."""
+    if isinstance(policy, ComposedPolicy):
+        blocks = dict(policy.blocks)
+        element_block = dict(policy.element_block)
+        counter_caps = dict(policy.counter_caps)
+        counter_keys = dict(policy.counter_keys)
+    else:
+        blocks = {policy.scope: policy}
+        element_block = None
+        counter_caps = {}
+        counter_keys = {}
+    needs_laminar = any(k == "root" or k.startswith(("bin:", "elem:"))
+                        for k in blocks)
+    if needs_laminar:
+        work = as_laminar(inst)
+    else:
+        if not isinstance(inst, ProductionInstance):
+            raise InstanceError("policy scopes require a production instance")
+        work = inst
+    n = len(work.dists)
+
+    dyns = {}
+    block_of = {}
+    for bi, key in enumerate(sorted(blocks)):
+        dyns[key] = dyn = bind_dynamics(key, work)
+        for e in dyn.elements:
+            if e in block_of:
+                raise InstanceError(f"policy: element {e} covered twice")
+            block_of[e] = (bi, key)
+    missing = [e for e in range(n) if e not in block_of]
+    if missing:
+        raise InstanceError([f"policy: element {e} not covered"
+                             for e in missing])
+    if element_block is not None:
+        # both maps name every element once, as composition writes them
+        for field, keyed in (("element_block", element_block),
+                             ("counter_keys", counter_keys)):
+            off = sorted(keyed.keys() ^ set(range(n)))
+            if off:
+                raise InstanceError(
+                    f"policy: {field} must name exactly elements "
+                    f"0..{n - 1} (differs at {off})")
+        for e, key in element_block.items():
+            if block_of[e][1] != key:
+                raise InstanceError(f"policy: dispatch mismatch at element {e}")
+
+    counter_name = {"shipping": "shipping"}
+    if isinstance(work, LaminarInstance):
+        counter_name = {f"bin:{b}": ("root" if b == 0 else f"bin:{b}")
+                        for b in range(work.num_bins)}
+    foreign = ({k for ks in counter_keys.values() for k in ks}
+               - counter_name.keys())
+    if foreign:
+        raise InstanceError(f"policy: counters {sorted(foreign)} are not "
+                            "capacities of the instance")
+    return PolicyFit(work, blocks, dyns, block_of, counter_caps,
+                     counter_keys, counter_name)
+
+
 class Plan:
     """A policy compiled against an instance for ``_run_chunk``: each
     block's states and one ``_Arrival`` per arrival.  Raises
-    ``InstanceError`` when the policy does not fit the instance."""
+    ``InstanceError`` when the policy does not fit the instance
+    (``fit_policy``)."""
 
     def __init__(self, policy, inst, state_cap):
-        if isinstance(policy, ComposedPolicy):
-            blocks = dict(policy.blocks)
-            element_block = dict(policy.element_block)
-            counter_caps = dict(policy.counter_caps)
-            counter_keys = dict(policy.counter_keys)
-        else:
-            blocks = {policy.scope: policy}
-            element_block = None
-            counter_caps = {}
-            counter_keys = {}
-        needs_laminar = any(k == "root" or k.startswith(("bin:", "elem:"))
-                            for k in blocks)
-        if needs_laminar:
-            work = as_laminar(inst)
-        else:
-            if not isinstance(inst, ProductionInstance):
-                raise InstanceError("policy scopes require a production instance")
-            work = inst
+        fit = fit_policy(policy, inst)
+        work, blocks = fit.work, fit.blocks
+        counter_caps, counter_keys = fit.counter_caps, fit.counter_keys
+        counter_name = fit.counter_name
         self.n = len(work.dists)
-
         self.block_keys = sorted(blocks)
-        self.block_of = {}
+        self.block_of = fit.block_of
         self.states = {}
         self.initial_idx = np.zeros(len(self.block_keys), dtype=np.int64)
         arrivals = {}
         for bi, key in enumerate(self.block_keys):
-            dyn = bind_dynamics(key, work)
+            dyn = fit.dyns[key]
             lv = state_levels(dyn, state_cap)
             levels = lv.tuples()
             # a state's index is its position in the last level
@@ -327,26 +393,7 @@ class Plan:
             self.states[key] = levels[-1]
             self.initial_idx[bi] = index[levels[0][0]]
             for i, e in enumerate(dyn.elements):
-                if e in self.block_of:
-                    raise InstanceError(f"policy: element {e} covered twice")
-                self.block_of[e] = (bi, key)
                 arrivals[e] = index, levels[i], lv.picks[i], levels[i + 1]
-        missing = [e for e in range(self.n) if e not in self.block_of]
-        if missing:
-            raise InstanceError([f"policy: element {e} not covered"
-                                 for e in missing])
-        if element_block is not None:
-            # both maps name every element once, as composition writes them
-            for field, keyed in (("element_block", element_block),
-                                 ("counter_keys", counter_keys)):
-                off = sorted(keyed.keys() ^ set(range(self.n)))
-                if off:
-                    raise InstanceError(
-                        f"policy: {field} must name exactly elements "
-                        f"0..{self.n - 1} (differs at {off})")
-            for e, key in element_block.items():
-                if self.block_of[e][1] != key:
-                    raise InstanceError(f"policy: dispatch mismatch at element {e}")
 
         # constraint meters: every real capacity, checked on accept
         if isinstance(work, ProductionInstance):
@@ -357,16 +404,6 @@ class Plan:
                                 for b in range(work.num_bins)]
         meter_idx = {name: i for i, name in enumerate(self.meter_names)}
         self.num_meters = len(self.meter_names)
-
-        counter_name = {"shipping": "shipping"}
-        if isinstance(work, LaminarInstance):
-            counter_name = {f"bin:{b}": ("root" if b == 0 else f"bin:{b}")
-                            for b in range(work.num_bins)}
-        foreign = ({k for ks in counter_keys.values() for k in ks}
-                   - counter_name.keys())
-        if foreign:
-            raise InstanceError(f"policy: counters {sorted(foreign)} are not "
-                                "capacities of the instance")
 
         self.arrivals = []
         # accepts so far that can have counted on each meter

@@ -19,15 +19,19 @@ variables ``X(t,atom)`` carrying the objective.  State tracking extends one
 step past the block's last arrival so that an over-acceptance at the final
 step is pinned like any other.
 
-Everything is integer-indexed from build to extraction.  A block's
-variables are contiguous runs whose first indices its ``BlockInfo`` holds:
-``y[lvl]`` (the level's reachable states, then its forbidden ones),
-``xc[lvl]`` (reachable state major, atom minor) and ``xm[lvl]`` (one per
-atom).  ``LpModel`` stores its rows once, in compressed form with columns
-ascending within a row, and a solution is an array ``x`` over the variable
-indices.  Variable names are produced only on request -- ``to_text``,
-``LpModel.names``/``index`` and ``LpSolution.value``/``assignment`` -- from
-a namer each run of variables registers.
+Everything is integer-indexed from build to extraction.  The blocks are
+emitted as arrays over the positions of their ``model.StateLevels``
+(``_emit_blocks``): no state tuple is formed, and a forbidden state's
+alias terms come from the positions of the states it is picked from
+(``notes/decisions.md``).  A block's variables are contiguous runs whose
+first indices its ``BlockInfo`` holds: ``y[lvl]`` (the level's reachable
+states, then its forbidden ones), ``xc[lvl]`` (reachable state major,
+atom minor) and ``xm[lvl]`` (one per atom).  ``LpModel`` stores its rows
+once, as compressed arrays with columns ascending within a row, and a
+solution is an array ``x`` over the variable indices.  Variable names and
+state tuples are produced only on request -- ``to_text``,
+``LpModel.names``/``index``, ``LpSolution.value``/``assignment`` and
+``BlockInfo.levels``/``forbidden``.
 
 Solvers: an in-repo dense-tableau two-phase primal simplex with Bland's
 anti-cycling rule (deterministic, used at desk scale) and, for models past
@@ -52,7 +56,8 @@ variables non-negative::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -63,11 +68,12 @@ from .model import (
     Marking,
     ProductionInstance,
     InstanceError,
+    StateLevels,
     bind_dynamics,
     large_rows,
     marking_violations,
-    reachable_profile,
     small_units,
+    state_levels,
 )
 
 FEAS_TOL = 1e-9
@@ -97,29 +103,29 @@ class LpModel:
     """Sparse maximize-form LP over non-negative variables ``0..num_vars-1``.
 
     Row ``i`` holds the entries ``cols[ptr[i]:ptr[i+1]]`` with coefficients
-    ``coefs[ptr[i]:ptr[i+1]]``, columns strictly ascending.  ``objective``
-    maps a column to its coefficient in the order the terms were added,
-    which is the order the objective value is summed in.  ``dp_point``,
-    set by the builders, computes the blocks' DP point ``(x, u)`` on
-    request.
+    ``coefs[ptr[i]:ptr[i+1]]``, columns strictly ascending; ``le_rows()``
+    marks its ``<=`` rows (the others are ``=``) and ``rhs`` holds the
+    right-hand sides.  All five are arrays, joined from the appended rows
+    the first time one is read.  ``objective`` maps a column to its
+    coefficient in the order the terms were added, which is the order the
+    objective value is summed in.  ``dp_point``, set by the builders,
+    computes the blocks' DP point ``(x, u)`` on request.
     """
 
     def __init__(self):
         self.num_vars = 0
+        self.num_rows = 0
         self.objective: dict[int, float] = {}
-        self.ptr: list[int] = [0]
-        self.cols: list[int] = []
-        self.coefs: list[float] = []
-        self.rels: list[str] = []
-        self.rhs: list = []
+        self._ptr = np.zeros(1, dtype=np.intp)
+        self._cols = np.zeros(0, dtype=np.intp)
+        self._coefs = np.zeros(0)
+        self._le = np.zeros(0, dtype=bool)
+        self._rhs = np.zeros(0)
+        self._parts: list = []  # appended (lengths, cols, coefs, le, rhs)
         self._namers: list = []  # (count, namer(k) -> name of the k-th)
         self._names: list[str] | None = None
         self._index: dict[str, int] | None = None
         self.dp_point = None
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rels)
 
     # -- integer interface ----------------------------------------------
 
@@ -135,25 +141,57 @@ class LpModel:
     def add_objective_term(self, j: int, coef: float):
         self.objective[j] = self.objective.get(j, 0.0) + coef
 
+    def append_rows(self, lengths, cols, coefs, le, rhs):
+        """Append ``len(lengths)`` rows: row ``k`` takes the next
+        ``lengths[k]`` of ``cols`` (strictly ascending) and ``coefs``, is
+        ``<=`` where ``le[k]`` and ``=`` elsewhere, and has right-hand side
+        ``rhs[k]``."""
+        self._parts.append((lengths, cols, coefs, le, rhs))
+        self.num_rows += len(lengths)
+
     def append_row(self, cols, coefs, rel: str, rhs):
         """Append a row whose ``cols`` are already strictly ascending."""
         if rel not in ("<=", "="):
             raise ValueError(f"unsupported relation {rel!r}")
-        self.cols.extend(cols)
-        self.coefs.extend(coefs)
-        self.ptr.append(len(self.cols))
-        self.rels.append(rel)
-        self.rhs.append(rhs)
+        self.append_rows([len(cols)], cols, coefs, [rel == "<="], [rhs])
+
+    def _joined(self):
+        if self._parts:
+            lengths, cols, coefs, le, rhs = zip(*self._parts)
+            self._parts = []
+            ends = self._ptr[-1] + np.cumsum(np.concatenate(lengths),
+                                             dtype=np.intp)
+            self._ptr = np.concatenate((self._ptr, ends))
+            self._cols = _extended(self._cols, cols, np.intp)
+            self._coefs = _extended(self._coefs, coefs, float)
+            self._le = _extended(self._le, le, bool)
+            self._rhs = _extended(self._rhs, rhs, float)
+        return self
+
+    @property
+    def ptr(self) -> np.ndarray:
+        return self._joined()._ptr
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._joined()._cols
+
+    @property
+    def coefs(self) -> np.ndarray:
+        return self._joined()._coefs
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self._joined()._rhs
+
+    def le_rows(self) -> np.ndarray:
+        """Mask of the ``<=`` rows."""
+        return self._joined()._le
 
     def coo(self):
         """Row ids, columns and coefficients of every entry, as arrays."""
         rows = np.repeat(np.arange(self.num_rows), np.diff(self.ptr))
-        return (rows, np.array(self.cols, dtype=np.intp),
-                np.array(self.coefs, dtype=float))
-
-    def le_rows(self) -> np.ndarray:
-        """Mask of the ``<=`` rows."""
-        return np.array([rel == "<=" for rel in self.rels], dtype=bool)
+        return rows, self.cols, self.coefs
 
     def objective_value(self, x) -> float:
         xs = x.tolist()
@@ -177,9 +215,12 @@ class LpModel:
     @property
     def rows(self) -> list:
         """Rows as ``([(col, coef), ...], rel, rhs)`` tuples, built on request."""
-        p = self.ptr
-        return [(list(zip(self.cols[p[i]:p[i + 1]], self.coefs[p[i]:p[i + 1]])),
-                 self.rels[i], self.rhs[i]) for i in range(self.num_rows)]
+        p = self.ptr.tolist()
+        cols, coefs = self.cols.tolist(), self.coefs.tolist()
+        return [(list(zip(cols[p[i]:p[i + 1]], coefs[p[i]:p[i + 1]])),
+                 "<=" if le else "=", rhs)
+                for i, (le, rhs) in enumerate(zip(self.le_rows().tolist(),
+                                                  self.rhs.tolist()))]
 
     def to_text(self) -> str:
         names = self.names
@@ -199,6 +240,15 @@ class LpModel:
             out.append(f"  0 <= {name} <= inf")
         out.append("end")
         return "\n".join(out) + "\n"
+
+
+def _extended(have, parts, dtype) -> np.ndarray:
+    """``have`` followed by ``parts``, as one array of ``dtype``; a lone
+    part is taken as it is."""
+    if len(have):
+        parts = (have, *parts)
+    joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return np.asarray(joined).astype(dtype, copy=False)
 
 
 @dataclass(eq=False)
@@ -243,7 +293,7 @@ def check_solution(model: LpModel, sol: LpSolution) -> list[str]:
     rows, cols, coefs = model.coo()
     # bincount adds each row's terms in column order, as a loop would
     lhs = np.bincount(rows, weights=coefs * x[cols], minlength=model.num_rows)
-    resid = lhs - np.array(model.rhs, dtype=float)
+    resid = lhs - model.rhs
     le = model.le_rows()
     # written as "not within tolerance" so that a NaN residual is reported
     off = np.where(le, ~(resid <= CHECK_ROW_TOL),
@@ -261,7 +311,7 @@ def certify(model: LpModel, x, u) -> tuple[float, float, float]:
     ``|c x - b u|``.  All three zero prove ``x`` optimal.  A NaN anywhere
     makes its residual NaN, which no tolerance accepts."""
     rows, cols, coefs = model.coo()
-    b = np.array(model.rhs, dtype=float)
+    b = model.rhs
     le = model.le_rows()
     lhs = np.bincount(rows, weights=coefs * x[cols], minlength=model.num_rows)
     resid = lhs - b
@@ -326,7 +376,7 @@ def _solve_dense(model: LpModel) -> LpSolution:
     le = model.le_rows()
     slack_rows = np.flatnonzero(le)
     art_start = nv + slack_rows.size
-    b = np.array(model.rhs, dtype=float)
+    b = model.rhs
     # sign-normalize so b >= 0; flipped <= rows lose their natural basis slot
     flip = b < 0
     art_rows = np.flatnonzero(~le | flip)
@@ -403,7 +453,7 @@ def _solve_highs(model: LpModel) -> LpSolution:
         n = int(mask.sum())
         parts.append((sp.csr_matrix((coefs[sel], (rank[rows[sel]], cols[sel])),
                                     shape=(n, nv)),
-                       np.array([r for r, k in zip(model.rhs, mask) if k]))
+                       model.rhs[mask])
                       if n else (None, None))
     (A_ub, b_ub), (A_eq, b_eq) = parts
     res = scipy.optimize.linprog(
@@ -493,24 +543,35 @@ END = "end"
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockInfo:
-    """One block's state levels and the first index of each of its runs of
-    variables: ``y[lvl]`` for levels ``0..L``, ``xc[lvl]`` and ``xm[lvl]``
-    for the arrivals ``0..L-1``; and of its rows: ``init_row``, and per
-    arrival ``rows[lvl]``, the first of its marginal rows (per atom),
-    ``X <= Y`` rows (as ``xc``), update rows (per state of level ``lvl+1``,
-    reachable then forbidden) and pin rows (per forbidden state)."""
+    """One block's state levels ``states`` (a ``model.StateLevels``) and
+    the first index of each of its runs of variables: ``y[lvl]`` for levels
+    ``0..L``, ``xc[lvl]`` and ``xm[lvl]`` for the arrivals ``0..L-1``; and
+    of its rows: ``init_row``, and per arrival ``rows[lvl]``, the first of
+    its marginal rows (per atom), ``X <= Y`` rows (as ``xc``), update rows
+    (per state of level ``lvl+1``, reachable then forbidden) and pin rows
+    (per forbidden state).  ``num_forbidden[lvl]`` counts level ``lvl``'s
+    forbidden states.  ``levels`` and ``forbidden`` are the levels' tuple
+    view, each decoded the first time it is read."""
 
     key: str
     dyn: object
-    levels: list
-    forbidden: list
+    states: StateLevels
     y: list = field(default_factory=list)
     xc: list = field(default_factory=list)
     xm: list = field(default_factory=list)
     init_row: int = 0
     rows: list = field(default_factory=list)
+    num_forbidden: list = field(default_factory=list)
+
+    @cached_property
+    def levels(self) -> list:
+        return self.states.tuples()
+
+    @cached_property
+    def forbidden(self) -> list:
+        return self.states.forbidden(self.dyn, self.levels)
 
     @property
     def elements(self):
@@ -521,7 +582,8 @@ class BlockInfo:
 
     def y_values(self, x, lvl) -> list:
         """``Y`` of level ``lvl``'s reachable states, in ``levels[lvl]`` order."""
-        return x[self.y[lvl]:self.y[lvl] + len(self.levels[lvl])].tolist()
+        y0 = self.y[lvl]
+        return x[y0:y0 + len(self.states.codes[lvl])].tolist()
 
     def xc_values(self, x, lvl) -> list:
         """``X(t,state,atom)`` of arrival ``lvl``, state major, atom minor."""
@@ -541,79 +603,253 @@ class BuiltLp:
         return self.blocks[key]
 
 
-def _emit_block(model: LpModel, dists, info: BlockInfo):
-    dyn = info.dyn
-    key = info.key
-    elems = dyn.elements
-    L = len(elems)
-    ypos = []  # per level: state -> index of its Y variable
-    for lvl in range(L + 1):
-        states = list(info.levels[lvl]) + list(info.forbidden[lvl])
-        tlab = info.time_label(lvl)
-        start = model.add_vars(
-            len(states), lambda k, tlab=tlab, states=states:
-            y_name(key, tlab, states[k]))
-        info.y.append(start)
-        ypos.append({s: start + k for k, s in enumerate(states)})
-    for lvl, t in enumerate(elems):
-        na = len(dists[t].atoms)
-        states = info.levels[lvl]
-        info.xc.append(model.add_vars(
-            len(states) * na, lambda k, t=t, states=states, na=na:
-            xc_name(key, t, states[k // na], k % na)))
-        info.xm.append(model.add_vars(na, lambda k, t=t: xm_name(t, k)))
+def _namer(info: BlockInfo, dists):
+    """``namer(k)`` of a block's variables: their names, listed in index
+    order on the first call."""
+    names = []
 
-    info.init_row = model.num_rows
-    model.append_row([ypos[0][dyn.initial]], [1.0], "=", 1.0)
-    for lvl, t in enumerate(elems):
-        probs = list(dists[t].probs)
-        negs = [-pa for pa in probs]
-        na = len(probs)
-        states = info.levels[lvl]
-        n = len(states)
-        y0, xc0, xm0 = info.y[lvl], info.xc[lvl], info.xm[lvl]
-        starts = [model.num_rows]
-        # marginal definition and conditional caps
-        marginal = [-1.0] * n + [1.0]
-        for a in range(na):
-            model.append_row(list(range(xc0 + a, xc0 + n * na, na)) + [xm0 + a],
-                             marginal, "=", 0.0)
-        starts.append(model.num_rows)
-        for i in range(n):
-            for a in range(na):
-                model.append_row([y0 + i, xc0 + i * na + a], [-1.0, 1.0],
-                                 "<=", 0.0)
-        starts.append(model.num_rows)
-        # state updates into level lvl+1 (forbidden targets pin the picks)
-        here, there = ypos[lvl], ypos[lvl + 1]
-        first_xc = {s: xc0 + i * na for i, s in enumerate(states)}
-        for s in list(info.levels[lvl + 1]) + list(info.forbidden[lvl + 1]):
-            cols, vals = [], []
-            if s in here:
-                cols.append(here[s])
-                vals.append(-1.0)
-            cols.append(there[s])
-            vals.append(1.0)
-            runs = []  # the picks leaving s (+p) and those arriving (-p)
-            src = dyn.unpick(s, t)
-            if src == s:
-                # an arrival using none of the block's capacity: +p and -p
-                # fall on the same variables and cancel
-                if s in first_xc:
-                    runs.append((first_xc[s], [0.0] * na))
-            else:
-                if s in first_xc:
-                    runs.append((first_xc[s], probs))
-                if src in first_xc:
-                    runs.append((first_xc[src], negs))
-            for c0, coefs in sorted(runs, key=lambda run: run[0]):
-                cols.extend(range(c0, c0 + na))
-                vals.extend(coefs)
-            model.append_row(cols, vals, "=", 0.0)
-        starts.append(model.num_rows)
-        info.rows.append(tuple(starts))
-        for s in info.forbidden[lvl + 1]:
-            model.append_row([there[s]], [1.0], "=", 0.0)
+    def namer(k):
+        if not names:
+            key = info.key
+            for lvl, states in enumerate(info.levels):
+                tlab = info.time_label(lvl)
+                names.extend(y_name(key, tlab, s)
+                             for s in states + info.forbidden[lvl])
+            for states, t in zip(info.levels, info.elements):
+                atoms = range(len(dists[t].atoms))
+                names.extend(xc_name(key, t, s, a) for s in states
+                             for a in atoms)
+                names.extend(xm_name(t, a) for a in atoms)
+        return names[k]
+
+    return namer
+
+
+def _flat(runs, count) -> np.ndarray:
+    """The levels' lists or arrays ``runs``, ``count`` entries in all, as
+    one array."""
+    if all(isinstance(run, list) for run in runs):
+        return np.fromiter(chain.from_iterable(runs), np.int64, count)
+    return np.concatenate(runs)
+
+
+def _emit_blocks(model: LpModel, dists, blocks: list):
+    """Append the blocks' variables and rows to ``model``, block after
+    block: ``_block_entries`` makes every entry with its row, and one sort
+    by row and column lays the rows out."""
+    rows, cols, coefs, le, rhs = _block_entries(model, dists, blocks)
+    key = rows * model.num_vars
+    key += cols
+    order = key.argsort(kind="stable")
+    del key
+    model.append_rows(np.bincount(rows, minlength=len(le)), cols[order],
+                      coefs[order], le, rhs)
+
+
+def _block_entries(model: LpModel, dists, blocks: list):
+    """Add the blocks' variables to ``model`` and lay out their rows, as
+    arrays over the positions of their ``StateLevels``: returns each
+    entry's row (counted from the first new one), column and coefficient,
+    and per row whether it is ``<=`` and its right-hand side.
+
+    A state's skip and pick name the update rows that its ``Y`` and its
+    picks enter; a pick of -1 is an over-pick, whose forbidden state gets
+    a ``Y`` pinned to zero.  An update row also keeps ``-Y`` of a
+    forbidden state of the level it leaves when that state has the
+    target's tuple (``_aliases``)."""
+    levels = [info.states for info in blocks]
+    reach = [len(c) for lv in levels for c in lv.codes[:-1]]
+    after = [len(c) for lv in levels for c in lv.codes[1:]]
+    na = [len(dists[t].atoms) for info in blocks for t in info.elements]
+    starts = list(accumulate(reach, initial=0))
+    skips = _flat([s for lv in levels for s in lv.skips], starts[-1])
+    picks = _flat([p for lv in levels for p in lv.picks], starts[-1])
+    over_at = (picks < 0).nonzero()[0]  # the over-picks, in order
+    # over-picks before each arrival, and at each
+    prior = over_at.searchsorted(starts).tolist()
+    over = [b - a for a, b in zip(prior, prior[1:])]
+    ncap = [w * k for w, k in zip(reach, na)]
+    nupd = [w + b for w, b in zip(after, over)]
+
+    # the layout, block by block: per level its Y (reachable, then
+    # forbidden), then per arrival its X(t,state,atom) and X(t,atom); the
+    # initial row, then per arrival its marginal (per atom), X <= Y, update
+    # (per state of the next level) and pin (per forbidden state) rows
+    v = model.num_vars
+    r0 = r = model.num_rows
+    inits, y_at, y_next, xc_at, xm_at, first_at = [], [], [], [], [], []
+    steps, moves, kinds = [], [], []  # moves: whether a pick moves
+    a = 0
+    for info, lv in zip(blocks, levels):
+        L = len(lv.skips)
+        f = [0] + over[a:a + L]
+        k, c, u = na[a:a + L], ncap[a:a + L], nupd[a:a + L]
+        y = list(accumulate([w + b for w, b in zip(reach[a:a + L], f)],
+                            initial=v))
+        y.append(y[-1] + after[a + L - 1] + f[-1])
+        xc = list(accumulate([x + n for x, n in zip(c, k)], initial=y[-1]))
+        xm = [x + n for x, n in zip(xc, c)]
+        first = list(accumulate([n + x + w + b for n, x, w, b
+                                 in zip(k, c, u, f[1:])], initial=r + 1))
+        model.add_vars(xc[-1] - v, _namer(info, dists))
+        info.y, info.xc, info.xm = y[:-1], xc[:-1], xm
+        info.init_row, info.num_forbidden = r, f
+        info.rows = [(q, q + n, q + n + x, q + n + x + w)
+                     for q, n, x, w in zip(first, k, c, u)]
+        inits.append((r, v))
+        y_at += y[:L]
+        y_next += y[1:L + 1]
+        xc_at += xc[:L]
+        xm_at += xm
+        first_at += first[:L]
+        step = [info.dyn.step(e) for e in info.elements]
+        steps.append(step)
+        moves += [d != 0 and coords != () for coords, d, _ in step]
+        # 1 where the next arrival has the same step, 2 where it differs,
+        # 0 at the block's last arrival, whose forbidden states no row leaves
+        kinds += [1 if s[:2] == t[:2] else 2
+                  for s, t in zip(step, step[1:])] + [0]
+        v, r = xc[-1], first[-1]
+        a += L
+    # X(t,state,atom), X(t,atom) and update rows before each arrival
+    cat = list(accumulate(ncap, initial=0))
+    aat = list(accumulate(na, initial=0))
+    uat = list(accumulate(nupd, initial=0))
+    upd0 = [q + n + x for q, n, x in zip(first_at, na, ncap)]
+    per = np.array([
+        # per state (0-6): its Y; the update row of its skip and pick; for
+        # an over-pick (less its rank) that row, its forbidden state's Y
+        # and its pin row; the next arrival's step kind and first state
+        (y - s, u, u + w - b, yn + w - b, u + n - b, kind, s1,
+         # per X(t,state,atom) (7-13): X <= Y row and column (less their
+         # index), atoms, the arrival's first state and X(t,state,atom)
+         # and its marginal rows and probabilities
+         q + m - c0, x - c0, m, s, c0, q, a0,
+         # per X(t,atom) (14-15), per update row (16-17): column less
+         # index, row less column
+         xm - a0, q - xm, yn - u0, u - yn)
+        for y, s, u, w, b, yn, n, kind, s1, q, m, x, c0, a0, xm, u0 in zip(
+            y_at, starts, upd0, after, prior, y_next, nupd, kinds, starts[1:],
+            first_at, na, xc_at, cat, aat, xm_at, uat)], dtype=np.int64)
+
+    # per state: its Y and the update rows of its skip and its pick; per
+    # over-pick: the Y of its forbidden state and its pin row
+    by_state = per[:, :7].repeat(reach, axis=0)
+    ycol = by_state[:, 0] + np.arange(starts[-1])
+    skip_row = by_state[:, 1] + skips
+    pick_row = by_state[:, 1] + picks
+    rank = np.arange(len(over_at))
+    pick_row[over_at] = by_state[:, 2][over_at] + rank
+    yforbid = by_state[:, 3][over_at] + rank
+    pin_row = by_state[:, 4][over_at] + rank
+
+    # per X(t,state,atom): its X <= Y row, its column, its state, its
+    # marginal row and its atom's probability
+    by_x = per[:, 7:14].repeat(ncap, axis=0)
+    at = np.arange(cat[-1])
+    cap_row = by_x[:, 0] + at
+    xcol = by_x[:, 1] + at
+    state, atom = np.divmod(at - by_x[:, 4], by_x[:, 2])
+    state += by_x[:, 3]
+    marg_row = by_x[:, 5] + atom
+    prob = np.array([p for info in blocks for t in info.elements
+                     for _, p in dists[t].atoms])[by_x[:, 6] + atom]
+    # the picks leaving a state (+p) and arriving from its source (-p); an
+    # arrival that moves no coordinate picks into the state it leaves, so
+    # there the two fall on the same variables and cancel to 0
+    moving = np.array(moves).repeat(ncap)
+    come = moving.nonzero()[0]
+
+    # each X(t,atom) ends its marginal row; each update row carries +Y of
+    # its target state
+    by_atom = per[:, 14:16].repeat(na, axis=0)
+    xm_col = by_atom[:, 0] + np.arange(aat[-1])
+    by_upd = per[:, 16:18].repeat(nupd, axis=0)
+    there = by_upd[:, 0] + np.arange(uat[-1])
+
+    rows = [[r for r, _ in inits], marg_row, by_atom[:, 1] + xm_col,
+            cap_row, cap_row, there + by_upd[:, 1], skip_row, pin_row]
+    cols = [[v for _, v in inits], xcol, xm_col, ycol[state], xcol, there,
+            ycol, yforbid]
+    signs = [1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0]
+    if len(over_at):
+        r_at, src = _aliases(blocks, steps, starts, skips, over_at,
+                             by_state)
+        rows.append(pick_row[r_at])
+        cols.append(yforbid[src])
+        signs.append(-1.0)
+    coefs = [np.array(signs).repeat([len(c) for c in cols]),
+             prob * moving, -prob[come]]
+    rows += [skip_row[state], pick_row[state[come]]]
+    cols += [xcol, xcol[come]]
+    rows = np.concatenate(rows)
+    rows -= r0
+    le = np.zeros(r - r0, dtype=bool)
+    le[cap_row - r0] = True
+    rhs = np.zeros(r - r0)
+    rhs[rows[:len(inits)]] = 1.0
+    return rows, np.concatenate(cols), np.concatenate(coefs), le, rhs
+
+
+def _aliases(blocks, steps, starts, skips, over_at, by_state):
+    """The over-picks (``over_at``) whose forbidden state is also the pick
+    of a state ``r`` of the next level, as ``(positions of r over the
+    concatenated levels, indices into over_at)``: the update row of that
+    pick keeps the forbidden state's ``Y`` (``notes/decisions.md``).
+    ``by_state[:, 5]`` tells, per state, whether the next arrival of its
+    block has the same step (1), another (2) or there is none (0), and
+    ``by_state[:, 6]`` is the position of the next level.  Where the steps
+    agree, ``r`` is the over-pick's own state, one level on."""
+    kind = by_state[:, 5][over_at]
+    sel = (kind > 0).nonzero()[0]
+    at = over_at[sel]
+    r_at = by_state[:, 6][at] + skips[at]
+    hit = kind[sel] == 1
+    moved = (~hit).nonzero()[0]
+    if moved.size:
+        first = list(accumulate([len(step) for step in steps], initial=0))
+        lows = [starts[a] for a in first]
+        block = np.searchsorted(lows, at[moved], side="right") - 1
+        for b in sorted(set(block.tolist())):
+            mine = moved[block == b]
+            found, hit[mine] = _moved_sources(blocks[b].states, steps[b],
+                                              at[mine] - lows[b])
+            r_at[mine] = found + lows[b]
+    return r_at[hit], sel[hit]
+
+
+def _moved_sources(lv, steps, sel):
+    """For over-picks ``sel`` of one block (positions over its levels
+    ``0..L-1``) whose arrival's step differs from the next one's: the
+    position of the state ``r`` of the next level whose pick leads to the
+    same tuple, and whether there is one.
+
+    A pick adds its arrival's step vector to a state, so ``r`` is the
+    over-pick's state moved by the first step less the second.  It is a
+    state when every moved coordinate stays in its range (so that the
+    codes add) and the next level holds its code."""
+    coding = lv.coding
+    L = len(steps)
+    vec = np.zeros((L, len(coding.strides)), dtype=np.int64)
+    for i, (coords, d, _) in enumerate(steps):
+        vec[i, list(coords)] = d
+    level = np.arange(L).repeat([len(c) for c in lv.codes[:L]])
+    lvl = level[sel]
+    # codes past int64 are compared as Python ints
+    dt = object if (L + 2) * coding.size >= 2 ** 63 else np.int64
+    strides = np.array(coding.strides, dtype=dt)
+    radices = np.array(coding.radices)
+    codes = _flat(lv.codes[:L], len(level)).astype(dt, copy=False)
+    digits = (codes[sel][:, None] // strides % radices).astype(np.int64)
+    digits += vec[lvl] - vec[lvl + 1]
+    inside = np.logical_and.reduce((digits >= 0) & (digits < radices),
+                                   axis=1)
+    # one sorted key per (level, code)
+    keys = level.astype(dt) * coding.size + codes
+    move = vec.astype(dt) @ strides
+    want = keys[sel] + (move[lvl] - move[lvl + 1] + coding.size)
+    at = np.minimum(keys.searchsorted(want), len(keys) - 1)
+    return at, inside & (keys[at] == want)
 
 
 def _dp_point(num_vars, num_rows, dists, blocks, state_cap, counts):
@@ -629,7 +865,8 @@ def _dp_point(num_vars, num_rows, dists, blocks, state_cap, counts):
     x = np.zeros(num_vars)
     u = np.zeros(num_rows)
     passes = dp.unit_passes([info.dyn for info in blocks.values()], dists,
-                            state_cap=state_cap)
+                            state_cap=state_cap,
+                            levels=[info.states for info in blocks.values()])
     for info, (table, (_, occupancy, _)) in zip(blocks.values(), passes):
         values = table.values
         big = 1.0 + max(float(np.abs(v).max()) for v in values) + max(
@@ -649,7 +886,7 @@ def _dp_point(num_vars, num_rows, dists, blocks, state_cap, counts):
             reach = updates + len(values[lvl + 1])
             u[updates:reach] = values[lvl + 1]
             u[reach:pins] = -big
-            u[pins:pins + len(info.forbidden[lvl + 1])] = 2.0 * big
+            u[pins:pins + info.num_forbidden[lvl + 1]] = 2.0 * big
         last = np.asarray(occupancy[-1], dtype=float)
         x[info.y[-1]:info.y[-1] + len(last)] = last
     for j, terms in counts:
@@ -663,12 +900,13 @@ def _dp_point(num_vars, num_rows, dists, blocks, state_cap, counts):
 
 
 def _build(inst, mk: Marking | None, capacity_scale: float,
-           state_cap) -> BuiltLp:
+           state_cap, levels=None) -> BuiltLp:
     """The relaxation of ``inst`` under ``mk``: a point-wise block per unit
     of ``small_units``, then each of ``large_rows`` held in expectation at
     ``capacity_scale`` times its cap.  A large bin's row sums its elements'
     marginals; a production instance's shipping row sums one ``N(j)`` per
-    type, each at least its type's expected served count."""
+    type, each at least its type's expected served count.  ``levels`` maps
+    a unit's key to its ``StateLevels`` where the caller holds them."""
     if not (0.0 < capacity_scale <= 1.0):
         raise ValueError("capacity_scale must be in (0, 1]")
     dists = inst.dists
@@ -676,8 +914,10 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
     blocks = {}
     for key in small_units(inst, mk):
         dyn = bind_dynamics(key, inst)
-        blocks[key] = BlockInfo(key, dyn, *reachable_profile(dyn, state_cap))
-        _emit_block(model, dists, blocks[key])
+        lv = (levels[key] if levels is not None
+              else state_levels(dyn, state_cap))
+        blocks[key] = BlockInfo(key, dyn, lv)
+    _emit_blocks(model, dists, list(blocks.values()))
     xm = {t: info.xm[lvl] for info in blocks.values()
           for lvl, t in enumerate(info.elements)}
 

@@ -18,8 +18,10 @@ The module also provides the sub-problem *dynamics* used by the dynamic
 programs, LP builders and policy executors: local states are tuples
 (remaining capacities of the bins of one sub-tree, or a single sold count for
 a per-type chain).  ``state_levels`` is the one enumeration of their
-reachable states; ``reachable_profile`` is its tuple view, with the
-forbidden states one over-acceptance away from a reachable one.
+reachable states; ``StateLevels.tuples`` and ``StateLevels.forbidden``
+are its tuple view, with the forbidden states one over-acceptance away
+from a reachable one, and ``reachable_profile`` enumerates and returns
+that view.
 """
 
 from __future__ import annotations
@@ -670,6 +672,18 @@ class StateLevels:
             out.append([out[-1][k] for k in skip])
         return out[::-1]
 
+    def forbidden(self, dyn, levels) -> list:
+        """The forbidden states of ``dyn``, whose levels these are, given
+        ``levels = tuples()``: ``forbidden[i]`` holds the states an
+        over-pick at arrival ``i - 1`` leads to, in the order of the states
+        it leaves (``forbidden[0]`` is empty)."""
+        out = [[]]
+        for e, states, picks in zip(dyn.elements, levels, self.picks):
+            # a pick moves every state by the same vector, so order is kept
+            out.append([dyn.pick(s, e)
+                        for s, k in zip(states, picks) if k < 0])
+        return out
+
 
 def state_levels(dyn, state_cap=DEFAULT_STATE_CAP) -> StateLevels:
     """The reachable states of ``dyn``, grown level by level from
@@ -704,14 +718,18 @@ def _grow_arrays(cur, windows, move, size):
             ok &= rem >= low
         if high < m:
             ok &= rem < high
-    picked = cur[ok] + move
-    # both runs are sorted, so a stable sort merges them
-    both = np.concatenate((cur, picked))
-    both.sort(kind="stable")
-    nxt = both[np.concatenate(([True], both[1:] != both[:-1]))]
+    # both runs are sorted and distinct, so a stable order puts a code the
+    # two share first from ``cur``; the ranks of the codes that start a run
+    # of equal ones are the positions in the next level
+    both = np.concatenate((cur, cur[ok] + move))
+    order = both.argsort(kind="stable")
+    merged = both[order]
+    first = np.concatenate(([True], merged[1:] != merged[:-1]))
+    rank = np.empty(len(both), dtype=np.int64)
+    rank[order] = first.cumsum() - 1
     pick = np.full(len(cur), -1, dtype=np.int64)
-    pick[ok] = nxt.searchsorted(picked)
-    return nxt, nxt.searchsorted(cur), pick
+    pick[ok] = rank[len(cur):]
+    return merged[first], rank[:len(cur)], pick
 
 
 def _grow_lists(cur, windows, move, size):
@@ -732,16 +750,13 @@ def reachable_profile(dyn, state_cap=DEFAULT_STATE_CAP):
     just before the block's i-th arrival (``levels[-1]`` after the last one),
     ascending, ``forbidden[i]`` the infeasible states produced by an
     infeasible pick at arrival ``i-1`` from a then-reachable state.  This is
-    the tuple view of ``state_levels``.
+    the tuple view of ``state_levels``, kept for the tests and for
+    ``bench/spans.py``, which wraps it; the program itself reads the
+    levels' positions.
     """
     lv = state_levels(dyn, state_cap)
     levels = lv.tuples()
-    forbidden = [[]]
-    for e, states, picks in zip(dyn.elements, levels, lv.picks):
-        # a pick moves every state by the same vector, so order is kept
-        forbidden.append([dyn.pick(s, e)
-                          for s, k in zip(states, picks) if k < 0])
-    return levels, forbidden
+    return levels, lv.forbidden(dyn, levels)
 
 
 def local_state_space(inst: LaminarInstance, b: int,

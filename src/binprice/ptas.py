@@ -28,7 +28,8 @@ its scaled capacity (checked on the pick probabilities of each unit's
 ``dp.forward``), they are an optimal solution of the relaxation: the
 branch returns them with ``lp_kind="dp"`` and builds no LP.  When a row
 would be exceeded it falls back to the LP: the ex-ante LP (production)
-or the hierarchy LP (laminar), rounded block by block.  Either way
+or the hierarchy LP (laminar), built over the units' levels those DPs
+enumerated and rounded block by block.  Either way
 ``compose_policies`` runs the per-unit pricings behind hard counters at
 the rows' *original* capacities.
 """
@@ -125,14 +126,12 @@ def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
                     for table in tables}
         objective, lp_kind = sum(table.optimal for table in tables), "dp"
     else:
-        if mk is None:
-            built = lpmod.build_lp_exante(inst, cfg.capacity_scale,
-                                          state_cap=state_cap)
-            lp_kind = "exante"
-        else:
-            built = lpmod.build_lp_hierarchy(inst, mk, cfg.capacity_scale,
-                                             state_cap=state_cap)
-            lp_kind = "hierarchy"
+        # the relaxation of ``build_lp_exante`` or ``build_lp_hierarchy``
+        # (``mk`` is valid by construction), over the units' levels the
+        # DPs above enumerated
+        built = lpmod._build(inst, mk, cfg.capacity_scale, state_cap,
+                             {table.scope: table.levels for table in tables})
+        lp_kind = "exante" if mk is None else "hierarchy"
         sol = lpmod.solve_optimal(built.model, engine)
         policies, objective = extract_all(sol, built), sol.objective
     return PtasResult(policy=compose_policies(inst, policies, mk),

@@ -543,6 +543,87 @@ def reference_profile(dyn, state_cap=DEFAULT_STATE_CAP):
     return levels, forbidden
 
 
+def reference_emit_block(model, dists, info):
+    """One LP block as a loop over state tuples, keyed by tuple from
+    ``reference_profile``: the oracle ``lp._emit_block`` must equal, rows,
+    variables and names.  A target state takes ``-Y`` of the previous
+    level wherever that level has the tuple, forbidden or not."""
+    dyn = info.dyn
+    key = info.key
+    levels, forbidden = reference_profile(dyn)
+    elems = dyn.elements
+    L = len(elems)
+    ypos = []  # per level: state -> index of its Y variable
+    for lvl in range(L + 1):
+        states = list(levels[lvl]) + list(forbidden[lvl])
+        tlab = info.time_label(lvl)
+        start = model.add_vars(
+            len(states), lambda k, tlab=tlab, states=states:
+            lp.y_name(key, tlab, states[k]))
+        info.y.append(start)
+        ypos.append({s: start + k for k, s in enumerate(states)})
+    for lvl, t in enumerate(elems):
+        na = len(dists[t].atoms)
+        states = levels[lvl]
+        info.xc.append(model.add_vars(
+            len(states) * na, lambda k, t=t, states=states, na=na:
+            lp.xc_name(key, t, states[k // na], k % na)))
+        info.xm.append(model.add_vars(na, lambda k, t=t: lp.xm_name(t, k)))
+
+    info.init_row = model.num_rows
+    model.append_row([ypos[0][dyn.initial]], [1.0], "=", 1.0)
+    for lvl, t in enumerate(elems):
+        probs = list(dists[t].probs)
+        negs = [-pa for pa in probs]
+        na = len(probs)
+        states = levels[lvl]
+        n = len(states)
+        y0, xc0, xm0 = info.y[lvl], info.xc[lvl], info.xm[lvl]
+        starts = [model.num_rows]
+        # marginal definition and conditional caps
+        marginal = [-1.0] * n + [1.0]
+        for a in range(na):
+            model.append_row(list(range(xc0 + a, xc0 + n * na, na)) + [xm0 + a],
+                             marginal, "=", 0.0)
+        starts.append(model.num_rows)
+        for i in range(n):
+            for a in range(na):
+                model.append_row([y0 + i, xc0 + i * na + a], [-1.0, 1.0],
+                                 "<=", 0.0)
+        starts.append(model.num_rows)
+        # state updates into level lvl+1 (forbidden targets pin the picks)
+        here, there = ypos[lvl], ypos[lvl + 1]
+        first_xc = {s: xc0 + i * na for i, s in enumerate(states)}
+        for s in list(levels[lvl + 1]) + list(forbidden[lvl + 1]):
+            cols, vals = [], []
+            if s in here:
+                cols.append(here[s])
+                vals.append(-1.0)
+            cols.append(there[s])
+            vals.append(1.0)
+            runs = []  # the picks leaving s (+p) and those arriving (-p)
+            src = dyn.unpick(s, t)
+            if src == s:
+                # an arrival using none of the block's capacity: +p and -p
+                # fall on the same variables and cancel
+                if s in first_xc:
+                    runs.append((first_xc[s], [0.0] * na))
+            else:
+                if s in first_xc:
+                    runs.append((first_xc[s], probs))
+                if src in first_xc:
+                    runs.append((first_xc[src], negs))
+            for c0, coefs in sorted(runs, key=lambda run: run[0]):
+                cols.extend(range(c0, c0 + na))
+                vals.extend(coefs)
+            model.append_row(cols, vals, "=", 0.0)
+        starts.append(model.num_rows)
+        info.rows.append(tuple(starts))
+        for s in forbidden[lvl + 1]:
+            model.append_row([there[s]], [1.0], "=", 0.0)
+    info.num_forbidden = [len(bad) for bad in forbidden]
+
+
 def reference_evaluate_block(policy, inst):
     """Exact forward evaluation of one policy block as a walk over a dict
     keyed by state tuple: the oracle ``harness._evaluate_block`` must equal

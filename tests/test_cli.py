@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from binprice import dp, lp
+from binprice import dp, harness, lp
 from binprice.cli import main
 from binprice.model import dump_instance, parse_instance
 
@@ -854,6 +854,28 @@ def test_mismatched_policy_exits_6_under_simulate_and_verify(tmp_path, case):
     assert code == 6
     assert out == ""
     assert err.startswith("policy/instance mismatch: policy: ")
+
+
+def test_verify_checks_the_fit_without_compiling_the_policy(tmp_path,
+                                                           monkeypatch):
+    instance, solve, edit = MISMATCHED_POLICIES["counter_keys-omits"]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    pol = tmp_path / "p.json"
+    code, _, _ = run_cli(["solve", "--instance", str(inst), *solve,
+                          "--policy-out", str(pol)])
+    assert code == 0
+    pol.write_text(json.dumps(edit(json.loads(pol.read_text()))))
+
+    def no_plan(*args):
+        raise AssertionError("verify compiled the supplied policy")
+
+    # the decision tables are what simulate compiles; the fit needs none
+    monkeypatch.setattr(harness, "Plan", no_plan)
+    code, out, err = run_cli(["verify", "--instance", str(inst), "--policy",
+                              str(pol), "--trials", "10", "--seed", "1"])
+    assert (code, out) == (6, "")
+    assert err.startswith("policy/instance mismatch: policy: counter_keys ")
 
 
 def _unreadable(tmp_path, shape, name):

@@ -22,6 +22,9 @@ rates must equal those read off ``conftest.reference_subproblem_dp``.
 and the exact occupancy behind ``evaluate_exact`` the welfare bits, trace
 and ``CoverageError`` of the walk kept as
 ``conftest.reference_evaluate_block``.
+``lp._emit_blocks`` must give the rows, variables and names of the
+tuple-keyed emitter kept as ``conftest.reference_emit_block``, alias terms
+included.
 The whole-array Bland simplex ``lp._solve_dense`` must make the pivots of
 the loop kept as ``conftest.reference_dense_simplex``: same status, pivot
 count, objective and every bit of ``x``.  LP text and PTAS policy JSON must
@@ -88,6 +91,7 @@ from conftest import (
     random_laminar,
     random_production,
     reference_dense_simplex,
+    reference_emit_block,
     reference_evaluate_block,
     reference_full_dp,
     reference_pick_probabilities,
@@ -809,6 +813,113 @@ def test_lp_text_is_pinned(corpus):
     texts["criterion_7"] = [build_lp_hierarchy(
         c7, mark_laminar(c7, CRITERION_7_SETTING.delta), 0.8).model.to_text()]
     assert {k: sha256_of(v) for k, v in texts.items()} == LP_TEXT_SHA256
+
+
+def emitted_and_reference(build):
+    """The model ``build()`` returns, and the one it returns with the
+    blocks emitted by the tuple-keyed ``conftest.reference_emit_block``."""
+    got = build().model
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_emit_blocks", lambda model, dists, blocks: [
+            reference_emit_block(model, dists, info) for info in blocks])
+        want = build().model
+    return got, want
+
+
+def assert_same_lp(got, want):
+    assert got.num_vars == want.num_vars
+    assert np.array_equal(got.ptr, want.ptr)
+    assert np.array_equal(got.cols, want.cols)
+    assert got.coefs.tobytes() == want.coefs.tobytes()  # signs of 0 too
+    assert np.array_equal(got.le_rows(), want.le_rows())
+    assert got.rhs.tobytes() == want.rhs.tobytes()
+    assert list(got.objective.items()) == list(want.objective.items())
+    assert got.names == want.names
+
+
+def forbidden_to_reachable(built) -> int:
+    """Update rows that keep ``-Y`` of a forbidden state reachable one
+    level on."""
+    count = 0
+    for info in built.blocks.values():
+        levels, forbidden = reference_profile(info.dyn)
+        count += sum(len(set(bad) & set(nxt))
+                     for bad, nxt in zip(forbidden, levels[1:]))
+    return count
+
+
+def test_lp_emitter_matches_reference_on_corpus(corpus):
+    for entry in corpus:
+        lam = entry.laminar
+        builds = [lambda: build_lp_optimal(lam)]
+        for scale in (1.0, 0.8):
+            builds.append(lambda scale=scale: build_lp_hierarchy(
+                lam, mark_laminar(lam, 0.6), scale))
+            if entry.production is not None:
+                builds.append(lambda scale=scale: build_lp_exante(
+                    entry.production, scale))
+        for build in builds:
+            assert_same_lp(*emitted_and_reference(build))
+
+
+def test_lp_emitter_matches_reference_on_multi_day_production():
+    # rising day caps: a sold count forbidden before a buyer and reachable
+    # after it, so the row into it keeps the pinned Y of the same tuple
+    rng = random.Random(99)
+    rising = 0
+    for _ in range(300):
+        p = random_production(rng, days_max=3)
+        for build in (lambda: build_lp_exante(p, 1.0),
+                      lambda: build_lp_optimal(as_laminar(p))):
+            assert_same_lp(*emitted_and_reference(build))
+        rising += forbidden_to_reachable(build_lp_exante(p, 1.0)) > 0
+    assert rising == 39
+
+
+def test_lp_emitter_matches_reference_on_random_nested_trees():
+    rng = random.Random(1616)
+    instances = []
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        instances.append(LaminarInstance.build(
+            tuple(random_distribution(rng, 3, SIGNED_GRID) for _ in range(n)),
+            random_nested_tree(rng, range(n))))
+    # under a large root: a nested bin whose levels are arrays beside a
+    # small bin and a lone element whose levels are lists, in one LP
+    instances.append(LaminarInstance.build(
+        tuple(random_distribution(rng, 3, SIGNED_GRID) for _ in range(15)),
+        {"cap": 100, "children": [
+            {"cap": 5, "children": [
+                {"cap": 4, "children": [{"element": e} for e in range(6)]},
+                {"cap": 4, "children": [{"element": e}
+                                        for e in range(6, 12)]}]},
+            {"cap": 1, "children": [{"element": 12}, {"element": 13}]},
+            {"element": 14}]}))
+    for inst in instances:
+        for build in (lambda: build_lp_optimal(inst),
+                      lambda: build_lp_hierarchy(
+                          inst, mark_laminar(inst, 0.4), 0.8)):
+            assert_same_lp(*emitted_and_reference(build))
+
+
+def test_lp_emitter_matches_reference_with_object_codes():
+    # 64 bins of capacity 1 under a root of capacity 1: codes past int64,
+    # and consecutive elements in different bins, so the forbidden states
+    # of a full root alias through moved sources
+    inst = LaminarInstance.build(
+        tuple(D([(0.0, 0.5), (1.0 + e % 3, 0.5)]) for e in range(128)),
+        {"cap": 1, "children": [{"cap": 1, "children": [
+            {"element": j}, {"element": j + 64}]} for j in range(64)]})
+    assert model.StateCoding(BinSubproblem(inst, 0)).dtype == object
+    assert_same_lp(*emitted_and_reference(lambda: build_lp_optimal(inst)))
+
+
+def test_lp_emitter_matches_reference_on_criterion_7():
+    c7 = criterion_7_laminar()
+    mk = mark_laminar(c7, CRITERION_7_SETTING.delta)
+    for scale in (1.0, 0.8):
+        assert_same_lp(*emitted_and_reference(
+            lambda: build_lp_hierarchy(c7, mk, scale)))
 
 
 def test_ptas_policies_are_pinned(corpus_run, criterion_7_policies):

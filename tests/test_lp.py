@@ -397,11 +397,23 @@ def falls_back(model, x, u):
     return certify(model, x, u)
 
 
+def test_dp_point_reads_the_blocks_levels(monkeypatch):
+    built = build_lp_hierarchy(LARGE_ROOT, mark_laminar(LARGE_ROOT, 0.1), 1.0)
+    want = built.model.dp_point()
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the blocks' levels were enumerated again")
+
+    monkeypatch.setattr(dp, "state_levels", no_enumeration)
+    got = built.model.dp_point()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def test_certificate_rejects_a_nudged_threshold(no_dense, monkeypatch):
     passes = dp.unit_passes
 
-    def nudged(dyns, dists, *, state_cap):
-        table = passes(dyns, dists, state_cap=state_cap)[0][0]
+    def nudged(dyns, dists, **kw):
+        table = passes(dyns, dists, **kw)[0][0]
         table.thresholds[0] = table.thresholds[0] + 1e-3  # still takes v=2
         return [(table, dp.forward(table, dists))]
 

@@ -136,6 +136,31 @@ def test_production_large_branch_matches_laminar_on_conversion():
     assert abs(w1 - w2) <= 1e-6
 
 
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("the units' levels were enumerated again")
+
+
+@pytest.mark.parametrize("kind", ["exante", "hierarchy"])
+def test_lp_route_builds_over_the_unit_dps_levels(monkeypatch, kind):
+    # each row binds, so the LP route runs; its blocks take the levels the
+    # units' DPs already enumerated
+    if kind == "exante":
+        inst = ProductionInstance(
+            dists=(DiscreteDistribution.point(1),) * 3, types=(0, 1, 2),
+            days=(0, 0, 0), production=((1,), (1,), (1,)), shipping=3)
+        run, cfg = ptas_production, PtasConfig(epsilon=0.5, delta=0.4)
+    else:
+        # two cap-2 bins of three and three sure buyers under a root of 5
+        inst = LaminarInstance.build((U02,) * 6 + (
+            DiscreteDistribution.point(1),) * 3, {"cap": 5, "children": [
+                {"cap": 2, "children": [{"element": e} for e in (0, 1, 2)]},
+                {"cap": 2, "children": [{"element": e} for e in (3, 4, 5)]},
+                {"element": 6}, {"element": 7}, {"element": 8}]})
+        run, cfg = ptas_laminar, PtasConfig(epsilon=0.2, delta=0.5)
+    monkeypatch.setattr(lp, "state_levels", _no_enumeration)
+    assert run(inst, cfg).lp_kind == kind
+
+
 def test_counters_use_original_capacity_not_scaled():
     # shipping 3 scaled by 0.5 in the LP; the executed policy must still
     # allow a third accept when values warrant it.  Each type's own DP
