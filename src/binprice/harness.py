@@ -18,16 +18,18 @@ byte-identical for any ``--threads``.
 The simulate kernel: ``Plan`` compiles a policy once per ``simulate``
 call into one ``_Arrival`` per arrival, which holds tables keyed by (block
 state, atom, blocked): may the rule accept, the value it adds, the state
-after.  ``_run_chunk`` keeps a chunk's block states and meter counts as
-rows contiguous over its trials, and per arrival compares the value draw
-against the inverse CDF's cut points, gathers the three table entries,
-and adds one row per meter an accept counts on.  It touches the tie coin
-only where some key ties at a bias strictly between 0 and 1, checks
-coverage only where the arrival's level has an uncovered state, and
-checks a counter or a meter only once enough earlier accepts could have
-filled it.  Each trial's welfare still adds its accepted values in arrival
-order, and counts stay integers, so the reports equal those of a
-per-trial loop.
+after.  A block state is a position in the ``model.state_levels`` level
+of the block's next arrival (0 before its first), so each table is as
+wide as its own arrival's level.  ``_run_chunk`` keeps a chunk's block
+states and meter counts as rows contiguous over its trials, and per
+arrival compares the value draw against the inverse CDF's cut points,
+gathers the three table entries, and adds one row per meter an accept
+counts on.  It touches the tie coin only where some key ties at a bias
+strictly between 0 and 1, checks coverage only where the arrival's level
+has an uncovered state, and checks a counter or a meter only once enough
+earlier accepts could have filled it.  Each trial's welfare still adds
+its accepted values in arrival order, and counts stay integers, so the
+reports equal those of a per-trial loop.
 
 ``prophet_samples`` runs the offline greedy of the laminar matroid on a
 chunk of trials at once.  Each drawn atom becomes one int64 key, the rank
@@ -300,7 +302,7 @@ class PolicyFit:
     block_of: dict
     counter_caps: dict
     counter_keys: dict
-    counter_name: dict  # counter key -> the meter it reads
+    counter_meter: dict  # counter key -> its index in Plan.meter_names
 
 
 def fit_policy(policy, inst) -> PolicyFit:
@@ -354,46 +356,34 @@ def fit_policy(policy, inst) -> PolicyFit:
             if block_of[e][1] != key:
                 raise InstanceError(f"policy: dispatch mismatch at element {e}")
 
-    counter_name = {"shipping": "shipping"}
     if isinstance(work, LaminarInstance):
-        counter_name = {f"bin:{b}": ("root" if b == 0 else f"bin:{b}")
-                        for b in range(work.num_bins)}
+        counter_meter = {f"bin:{b}": b for b in range(work.num_bins)}
+    else:
+        counter_meter = {"shipping": work.num_types}
     foreign = ({k for ks in counter_keys.values() for k in ks}
-               - counter_name.keys())
+               - counter_meter.keys())
     if foreign:
         raise InstanceError(f"policy: counters {sorted(foreign)} are not "
                             "capacities of the instance")
     return PolicyFit(work, blocks, dyns, block_of, counter_caps,
-                     counter_keys, counter_name)
+                     counter_keys, counter_meter)
 
 
 class Plan:
-    """A policy compiled against an instance for ``_run_chunk``: each
-    block's states and one ``_Arrival`` per arrival.  Raises
-    ``InstanceError`` when the policy does not fit the instance
-    (``fit_policy``)."""
+    """A policy compiled against an instance for ``_run_chunk``: one
+    ``_Arrival`` per arrival.  Raises ``InstanceError`` when the policy
+    does not fit the instance (``fit_policy``)."""
 
     def __init__(self, policy, inst, state_cap):
         fit = fit_policy(policy, inst)
-        work, blocks = fit.work, fit.blocks
-        counter_caps, counter_keys = fit.counter_caps, fit.counter_keys
-        counter_name = fit.counter_name
+        work = fit.work
         self.n = len(work.dists)
-        self.block_keys = sorted(blocks)
-        self.block_of = fit.block_of
-        self.states = {}
-        self.initial_idx = np.zeros(len(self.block_keys), dtype=np.int64)
-        arrivals = {}
-        for bi, key in enumerate(self.block_keys):
-            dyn = fit.dyns[key]
+        self.num_blocks = len(fit.blocks)
+        levels = {}  # element -> its block's level at it
+        for dyn in fit.dyns.values():
             lv = state_levels(dyn, state_cap)
-            levels = lv.tuples()
-            # a state's index is its position in the last level
-            index = {s: si for si, s in enumerate(levels[-1])}
-            self.states[key] = levels[-1]
-            self.initial_idx[bi] = index[levels[0][0]]
-            for i, e in enumerate(dyn.elements):
-                arrivals[e] = index, levels[i], lv.picks[i], levels[i + 1]
+            levels.update(zip(dyn.elements,
+                              zip(lv.tuples(), lv.skips, lv.picks)))
 
         # constraint meters: every real capacity, checked on accept
         if isinstance(work, ProductionInstance):
@@ -402,39 +392,34 @@ class Plan:
         else:
             self.meter_names = [("root" if b == 0 else f"bin:{b}")
                                 for b in range(work.num_bins)]
-        meter_idx = {name: i for i, name in enumerate(self.meter_names)}
         self.num_meters = len(self.meter_names)
 
         self.arrivals = []
         # accepts so far that can have counted on each meter
         seen = [0] * self.num_meters
         for e in range(self.n):
-            bi, key = self.block_of[e]
+            bi, key = fit.block_of[e]
             if isinstance(work, ProductionInstance):
                 j = work.types[e]
-                names = [f"type:{j}", "shipping"]
+                meters = [j, work.num_types]
                 caps = [work.available(j, work.days[e]), work.shipping]
             else:
-                names = [("root" if b == 0 else f"bin:{b}")
-                         for b in work.elem_ancestors(e)]
-                caps = [work.bin_caps[b] for b in work.elem_ancestors(e)]
+                meters = list(work.elem_ancestors(e))
+                caps = [work.bin_caps[b] for b in meters]
             # a meter never counts past n, so a larger cap acts as n (and n
             # fits in int64 where a cap from a document may not).  A meter
             # has counted at most ``seen`` accepts, so a counter below its
             # cap until then never blocks and a meter whose cap ``seen``
             # cannot pass is never overfilled: neither is checked.
-            counters = [(meter_idx[counter_name[k]],
-                         min(counter_caps[k], self.n))
-                        for k in counter_keys.get(e, ())]
+            counters = [(fit.counter_meter[k], min(fit.counter_caps[k], self.n))
+                        for k in fit.counter_keys.get(e, ())]
             counters = [(mi, cap) for mi, cap in counters if seen[mi] >= cap]
-            meters = [meter_idx[nm] for nm in names]
             for mi in meters:
                 seen[mi] += 1
             checks = [(mi, min(cap, self.n)) for mi, cap in zip(meters, caps)]
             checks = [(mi, cap) for mi, cap in checks if seen[mi] > cap]
-            self.arrivals.append(_Arrival(e, bi, work.dists[e], blocks[key],
-                                          arrivals[e], self.states[key],
-                                          counters, meters, checks))
+            self.arrivals.append(_Arrival(e, bi, work.dists[e], fit.blocks[key],
+                                          levels[e], counters, meters, checks))
         # a meter's count is read by its checks and, one arrival on, by its
         # counters; an accept after its last read need not count on it
         live = set()
@@ -447,12 +432,13 @@ class Plan:
 class _Arrival:
     """One arrival's decisions, compiled for ``_run_chunk``.
 
-    A trial's decision depends only on its block state ``s``, the atom
-    ``a`` its value draw lands on and whether a counter blocks it, so the
-    arrival keeps one table entry per key ``s + ns * a (+ ns * k if
-    blocked)`` over its ``k`` atoms and ``ns`` block states: ``accept``
-    (the rule may accept), ``gain`` (the atom's value where it may accept,
-    else 0) and ``next`` (the state after that accept, else ``s``).
+    A trial's decision depends only on its block state ``s``, its position
+    in the arrival's level, the atom ``a`` its value draw lands on and
+    whether a counter blocks it, so the arrival keeps one table entry per
+    key ``s + ns * a (+ ns * k if blocked)`` over its ``k`` atoms and the
+    level's ``ns`` states: ``accept`` (the rule may accept), ``gain`` (the
+    atom's value where it may accept, else 0) and ``next`` (the position in
+    the next level after that accept, else ``skip[s]``, after a skip).
     ``prob`` is ``None`` unless some key ties at a bias strictly between 0
     and 1; it then holds each key's acceptance bias (1 above the
     threshold, 0 below), which the tie coin is compared against.  A bias
@@ -465,30 +451,31 @@ class _Arrival:
     ``searchsorted`` over the cut points for more.
 
     ``holes`` is ``None`` when the rules cover every state of the arrival's
-    level, else ``(uncovered, block states)``.  ``counters`` and ``checks``
+    level, else ``(uncovered, level)``.  ``counters`` and ``checks``
     are ``(meter, cap)`` pairs: an arrival is blocked once a counter's
     meter reaches its cap, and an accept that takes a checked meter past
     its cap is a violation.  ``meters`` are the meters an accept counts on.
     """
 
-    def __init__(self, e, block, dist, pol, levels, states, counters,
-                 meters, checks):
-        index, here, picks, after = levels
+    def __init__(self, e, block, dist, pol, level, counters, meters, checks):
+        here, skips, picks = level
+        if not isinstance(picks, list):
+            skips, picks = skips.tolist(), picks.tolist()
         values = [float(v) for v in dist.values]
         cuts = list(itertools.accumulate(float(q) for q in dist.probs))[:-1]
         self.cut = (None if not cuts else cuts[0] if len(cuts) == 1
                     else np.array(cuts))
-        ns = self.stride = len(index)
-        size = ns * len(values)
-        accept = [False] * size
-        gain = [0.0] * size
-        nxt = list(range(ns)) * len(values)
-        prob = [0.0] * size
+        ns = self.stride = len(here)
+        # the blocked keys, after the others, never accept
+        self.blocked_offset = size = ns * len(values)
+        copies = len(values) * (2 if counters else 1)
+        accept = [False] * ns * copies
+        gain = [0.0] * ns * copies
+        nxt = skips * copies
+        prob = [0.0] * ns * copies
         coin = False
         uncovered = []
-        # a run only reaches the states of the arrival's own level
-        for s, k in zip(here, picks):
-            si = index[s]
+        for si, (s, k) in enumerate(zip(here, picks)):
             rule = pol.rule(e, s)
             if rule is None:
                 uncovered.append(si)
@@ -500,26 +487,20 @@ class _Arrival:
                 if q > 0.0:
                     accept[key] = True
                     gain[key] = v
-                    nxt[key] = index[after[k]]
+                    nxt[key] = k
                     prob[key] = q
                     coin = coin or q < 1.0
-        if counters:
-            # the blocked keys never accept
-            self.blocked_offset = size
-            accept += [False] * size
-            gain += [0.0] * size
-            nxt += list(range(ns)) * len(values)
-            prob += [0.0] * size
         self.accept = np.array(accept)
         self.gain = np.array(gain)
         self.next = np.array(nxt, dtype=np.int64)
+        self.skip = np.array(skips, dtype=np.int64)
         self.prob = np.array(prob) if coin else None
         self.block = block
         self.holes = None
         if uncovered:
             holes = np.zeros(ns, dtype=bool)
             holes[uncovered] = True
-            self.holes = holes, states
+            self.holes = holes, here
         self.counters = counters
         self.meters = meters
         self.checks = checks
@@ -531,17 +512,17 @@ def _run_chunk(plan: Plan, seed, lo, hi, welfare_out, ignored_out,
     row per meter, each contiguous over the chunk's trials."""
     m = hi - lo
     draws = trial_uniforms(seed, lo, hi, 2 * plan.n)
-    states = np.repeat(plan.initial_idx[:, None], m, axis=1)
+    states = np.zeros((plan.num_blocks, m), dtype=np.int64)
     counts = np.zeros((plan.num_meters, m), dtype=np.int64)
     welfare = np.zeros(m)
     ignored = np.zeros(m, dtype=np.int64)
     for e, arr in enumerate(plan.arrivals):
         si = states[arr.block]
         if arr.holes is not None:
-            uncovered, block_states = arr.holes
+            uncovered, level = arr.holes
             hit = np.flatnonzero(uncovered[si])
             if hit.size:
-                state = block_states[int(si[hit[0]])]
+                state = level[int(si[hit[0]])]
                 raise CoverageError(f"no rule for arrival {e} in state {state}")
         key = si
         if arr.cut is not None:
@@ -565,7 +546,7 @@ def _run_chunk(plan: Plan, seed, lo, hi, welfare_out, ignored_out,
         else:
             acc = draws[:, 2 * e + 1] < arr.prob[key]
             welfare += arr.gain[key] * acc
-            states[arr.block] = np.where(acc, arr.next[key], si)
+            states[arr.block] = np.where(acc, arr.next[key], arr.skip[si])
         for mi in arr.meters:
             counts[mi] += acc
         for mi, cap in arr.checks:
@@ -632,15 +613,18 @@ def evaluate_exact(policy, inst, *, state_cap=DEFAULT_STATE_CAP):
 
     Composed policies are evaluated block by block with the hard counters
     off; that is exactly the value the relaxation objective accounts for.
+    A composed policy must fit ``inst`` (``fit_policy``), as in ``simulate``.
     Returns ``(welfare, trace)`` with ``trace[(t, state)]`` the probability
     of being in ``state`` when arrival ``t`` shows up (post-horizon states
     keyed by the instance size).
     """
     if isinstance(policy, ComposedPolicy):
+        fit = fit_policy(policy, inst)
         total = 0.0
         trace = {}
-        for key in sorted(policy.blocks):
-            w, tr = _evaluate_block(policy.blocks[key], inst, state_cap)
+        for key in sorted(fit.blocks):
+            w, tr = _evaluate_block(fit.blocks[key], inst, state_cap,
+                                    fit.dyns[key])
             total += w
             # arrival keys are unique across blocks; the post-horizon keys
             # of different blocks would collide, so they stay per-block
@@ -650,8 +634,9 @@ def evaluate_exact(policy, inst, *, state_cap=DEFAULT_STATE_CAP):
     return _evaluate_block(policy, inst, state_cap)
 
 
-def _evaluate_block(policy: PricingPolicy, inst, state_cap):
-    dyn = bind_dynamics(policy.scope, inst)
+def _evaluate_block(policy: PricingPolicy, inst, state_cap, dyn=None):
+    if dyn is None:
+        dyn = bind_dynamics(policy.scope, inst)
     lv = state_levels(dyn, state_cap)
     levels = lv.tuples()
     # position in the level -> mass, over the states the policy reaches

@@ -942,13 +942,24 @@ def _json_int(text) -> int:
     return i
 
 
+def unique_keys(pairs) -> dict:
+    """An ``object_pairs_hook`` for ``json`` that refuses a repeated key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"repeated key {key!r}")
+    return doc
+
+
 def load_instance(path) -> ProductionInstance | LaminarInstance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_int=_json_int)
+            doc = json.load(fh, parse_int=_json_int,
+                            object_pairs_hook=unique_keys)
         except UnicodeDecodeError as exc:
             raise InstanceError(f"instance: not UTF-8 text ({exc})") from None
-        except ValueError as exc:  # also an integer _json_int rejects
+        except ValueError as exc:  # also a key or integer the hooks reject
             raise InstanceError(f"instance: invalid JSON ({exc})") from None
     return parse_instance(doc)
 

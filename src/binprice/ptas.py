@@ -132,6 +132,8 @@ def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
         built = lpmod._build(inst, mk, cfg.capacity_scale, state_cap,
                              {table.scope: table.levels for table in tables})
         lp_kind = "exante" if mk is None else "hierarchy"
+        # the DP point overfills the row just seen: skip its certificate
+        built.model.dp_point = None
         sol = lpmod.solve_optimal(built.model, engine)
         policies, objective = extract_all(sol, built), sol.objective
     return PtasResult(policy=compose_policies(inst, policies, mk),

@@ -34,6 +34,7 @@ from .model import (
     large_rows,
     marking_violations,
     small_units,
+    unique_keys,
 )
 
 
@@ -105,6 +106,8 @@ class PricingPolicy:
             if math.isnan(tau) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"rule {item}: tau must not be NaN and p "
                                  "must lie in [0, 1]")
+            if (t, tuple(state)) in rules:
+                raise ValueError(f"rule {item} repeats an earlier t and state")
             rules[(t, tuple(state))] = (tau, p)
         return cls(scope=doc["scope"], rules=rules)
 
@@ -228,8 +231,8 @@ def _pricing_json(policy, pad) -> str:
 def policy_from_json(text: str):
     """Parse a policy document; raises ``PolicyError`` on any malformed one."""
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # bad JSON, a repeated key, a too-long integer
         raise PolicyError(f"policy: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("scope"), str):
         raise PolicyError("policy: document must be an object with a "
@@ -330,14 +333,14 @@ def mark_laminar(inst: LaminarInstance, delta: float) -> Marking:
 # ---------------------------------------------------------------------------
 
 
-def compose_policies(inst, policies: dict, mk: Marking | None = None,
-                     counter_caps: dict | None = None) -> ComposedPolicy:
+def compose_policies(inst, policies: dict,
+                     mk: Marking | None = None) -> ComposedPolicy:
     """Bundle per-sub-problem policies behind the large-capacity counters.
 
     ``policies`` maps each of ``model.small_units(inst, mk)`` to its
     pricing, and nothing else.  The counters are ``model.large_rows``: the
     marking's large bins (laminar) or the shipping capacity (production),
-    at their original capacities unless ``counter_caps`` gives others.
+    at their original capacities.
     Each element's counter keys run innermost first.
     """
     if isinstance(inst, LaminarInstance):
@@ -356,8 +359,7 @@ def compose_policies(inst, policies: dict, mk: Marking | None = None,
     element_block = {e: key for key, elements in units.items()
                      for e in elements}
     rows = large_rows(inst, mk)
-    caps = {key: cap if counter_caps is None else counter_caps[key]
-            for key, _, cap in rows}
+    caps = {key: cap for key, _, cap in rows}
     keys = dict.fromkeys(range(len(inst.dists)), ())
     for key, elements, _ in reversed(rows):  # descendants before ancestors
         for e in elements:

@@ -920,3 +920,61 @@ def test_unreadable_policy_exits(tmp_path, instance_path, command, shape):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith(want_err)
+
+
+# JSON alone keeps the last of two equal keys; a document must not rely on
+# which one that is
+DUPLICATE_KEY_INSTANCE = (
+    '{"kind": "laminar", "elements": [{"dist": [[1.0, 1.0]]}], '
+    '"bins": {"cap": 1, "cap": 2, "children": [{"element": 0}]}}')
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
+def test_instance_with_a_repeated_key_exits_2(tmp_path, command):
+    inst = tmp_path / "inst.json"
+    inst.write_text(DUPLICATE_KEY_INSTANCE)
+    argv = [command, "--instance", str(inst)]
+    if command == "solve":
+        argv += ["--alg", "dp"]
+    else:
+        argv += ["--trials", "10", "--seed", "1"]
+    if command == "simulate":
+        argv += ["--policy", str(tmp_path / "p.json")]  # never opened
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("invalid instance: instance: invalid JSON "
+                   "(repeated key 'cap')\n")
+
+
+def _two_element_dp_policy(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(TWO_ELEMENT_INSTANCE))
+    pol = tmp_path / "p.json"
+    code, _, _ = run_cli(["solve", "--instance", str(inst), "--alg", "dp",
+                          "--policy-out", str(pol)])
+    assert code == 0
+    return str(inst), pol
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("shape", ["scope twice", "rule twice"])
+def test_policy_that_repeats_a_key_or_a_rule_exits_6(tmp_path, command,
+                                                     shape):
+    inst, pol = _two_element_dp_policy(tmp_path)
+    doc = json.loads(pol.read_text())
+    if shape == "scope twice":
+        text = '{"scope": "bin:0", ' + json.dumps(doc)[1:]
+        want = "invalid JSON (repeated key 'scope')"
+    else:
+        # the same (t, state) again, with a rule that never sells
+        doc["rules"].append({**doc["rules"][0], "tau": "inf", "p": 0.0})
+        text = json.dumps(doc)
+        want = "repeats an earlier t and state"
+    pol.write_text(text)
+    code, out, err = run_cli([command, "--instance", inst, "--policy",
+                              str(pol), "--trials", "10", "--seed", "1"])
+    assert code == 6
+    assert out == ""
+    assert err.startswith("policy/instance mismatch: policy: ")
+    assert want in err

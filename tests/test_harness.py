@@ -31,8 +31,8 @@ from binprice.harness import (
     summed_cylinder_gaps,
     trial_generator,
 )
-from binprice.model import TypeSubproblem
-from binprice.rounding import PricingPolicy
+from binprice.model import InstanceError, TypeSubproblem
+from binprice.rounding import ComposedPolicy, PricingPolicy
 
 from conftest import oracle_chain_joint, random_production
 
@@ -141,6 +141,30 @@ def test_evaluate_exact_all_infinite():
     welfare, trace = evaluate_exact(pol, inst)
     assert welfare == 0.0
     assert trace[(1, (1,))] == 1.0  # mass never leaves the initial state
+
+
+def test_composed_policy_must_fit_for_exact_evaluation():
+    # ``simulate`` refuses a composed document whose blocks overlap or
+    # leave an element out, so the exact evaluation must not sum it
+    inst = LaminarInstance.build(
+        (U02, U02), {"cap": 1, "children": [{"element": 0}, {"element": 1}]})
+    tbl, root = solve_full_dp(inst)
+    elem0 = PricingPolicy("elem:0", {(0, ()): (1.0, 1.0)})
+
+    def composed(blocks):
+        return ComposedPolicy(blocks=blocks,
+                              element_block={0: "root", 1: "root"},
+                              counter_caps={}, counter_keys={0: (), 1: ()})
+
+    for blocks, msg in (({"root": root, "elem:0": elem0},
+                         "element 0 covered twice"),
+                        ({"elem:0": elem0}, "element 1 not covered")):
+        for run in (lambda p: evaluate_exact(p, inst),
+                    lambda p: simulate(p, inst, 10, seed=1)):
+            with pytest.raises(InstanceError, match=msg):
+                run(composed(blocks))
+    welfare, _ = evaluate_exact(composed({"root": root}), inst)
+    assert welfare == tbl.optimal == 1.5
 
 
 def test_prophet_hand_examples():

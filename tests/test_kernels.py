@@ -37,6 +37,7 @@ when that branch first took the units' DP policies where they fit.
 ``conftest.reference_policy_json``.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -73,7 +74,12 @@ from binprice.harness import (
     trial_generator,
     trial_uniforms,
 )
-from binprice.model import BinSubproblem, TypeSubproblem, bind_dynamics
+from binprice.model import (
+    BinSubproblem,
+    TypeSubproblem,
+    bind_dynamics,
+    state_levels,
+)
 from binprice.rounding import (
     ComposedPolicy,
     PricingPolicy,
@@ -248,9 +254,11 @@ COMPOSED = {
         deep_laminar(), uncounted(nested_counter_policy()), "violations"),
     "production-counter-below-capacity": lambda: (
         one_day_production(6),
-        compose_policies(one_day_production(6),
-                         tie_coins(type_chain_policies(one_day_production(6))),
-                         counter_caps={"shipping": 2}),
+        dataclasses.replace(
+            compose_policies(
+                one_day_production(6),
+                tie_coins(type_chain_policies(one_day_production(6)))),
+            counter_caps={"shipping": 2}),
         "blocked"),
     "production-uncounted": lambda: (
         one_day_production(2, made=2),
@@ -407,6 +415,32 @@ def test_simulate_report_of_composed_policy_is_pinned(name):
         doc = json.dumps(rep.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == \
             SIMULATE_COMPOSED_SHA256[name]
+
+
+def assert_arrivals_span_their_levels(policy, inst):
+    """Each ``_Arrival`` keys its tables by the positions of its block's
+    level at that arrival and moves a trial into the level after it."""
+    plan = harness.Plan(policy, inst, DEFAULT_STATE_CAP)
+    fit = harness.fit_policy(policy, inst)
+    for dyn in fit.dyns.values():
+        widths = [len(codes) for codes in state_levels(dyn).codes]
+        for i, e in enumerate(dyn.elements):
+            arr = plan.arrivals[e]
+            assert arr.stride == widths[i]
+            assert len(arr.skip) == widths[i]
+            assert 0 <= arr.next.min() <= arr.next.max() < widths[i + 1]
+
+
+def test_arrivals_span_their_own_levels(corpus):
+    for entry in corpus:
+        assert_arrivals_span_their_levels(solve_full_dp(entry.laminar)[1],
+                                          entry.laminar)
+    # counters and tie coins
+    for name in ("laminar-two-counters", "production-counter-below-capacity"):
+        inst, policy, _ = COMPOSED[name]()
+        assert_arrivals_span_their_levels(policy, inst)
+    inst = criterion_7_laminar()
+    assert_arrivals_span_their_levels(solve_full_dp(inst)[1], inst)
 
 
 # ---------------------------------------------------------------------------

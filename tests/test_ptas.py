@@ -12,6 +12,7 @@ from binprice import (
     delta_of,
     evaluate_exact,
     mark_laminar,
+    policy_to_json,
     production_to_laminar,
     ptas_laminar,
     ptas_production,
@@ -325,6 +326,28 @@ def test_dp_route_policies_are_exact_and_keep_every_row(large_branch_runs):
     for inst, r, _ in large_branch_runs:
         if r.lp_kind == "dp":
             assert_dp_route(r, inst, cfg)
+
+
+def test_lp_route_tries_no_certificate(large_branch_runs, monkeypatch):
+    # the units' DP point overfills the row the branch has just found
+    # binding, so past the dense limit the LP goes straight to HiGHS
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    for kind in ("exante", "hierarchy"):
+        inst = next(inst for inst, r, _ in large_branch_runs
+                    if r.lp_kind == kind)
+        run = ptas_production if kind == "exante" else ptas_laminar
+        with monkeypatch.context() as mp:
+            mp.setattr(lp, "DENSE_CELL_LIMIT", 0)
+            want = run(inst, cfg)
+
+            def no_certificate(*args):
+                raise AssertionError("certificate tried")
+
+            mp.setattr(lp, "certify", no_certificate)
+            got = run(inst, cfg)
+        assert got.lp_kind == kind
+        assert got.objective == want.objective
+        assert policy_to_json(got.policy) == policy_to_json(want.policy)
 
 
 def test_criterion_7_large_branch_builds_no_lp(monkeypatch):
