@@ -19,6 +19,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import harness, lp, myerson, ptas
 from .dp import concavity_check, solve_full_dp, solve_subproblem_dp
 from .model import (
@@ -270,15 +272,11 @@ def cmd_verify(args) -> int:
 
 
 def _trace_deviation(sol, built, trace) -> float:
+    """The largest gap between the root block's replayed state
+    probabilities (``evaluate_exact``'s trace) and the LP's ``Y``."""
     info = built.block("root")
-    dev = 0.0
-    for lvl in range(len(info.levels)):
-        tlab = info.time_label(lvl)
-        t = len(info.elements) if tlab == lp.END else tlab
-        for s, want in zip(info.levels[lvl], info.y_values(sol.x, lvl)):
-            got = trace.get((t, s), 0.0)
-            dev = max(dev, abs(got - want))
-    return dev
+    return max(float(np.abs(occ - info.y_values(sol.x, lvl)).max())
+               for lvl, occ in enumerate(trace))
 
 
 def cmd_transform(args) -> int:

@@ -9,11 +9,18 @@ gathers through each state's position after a skip and after a pick and
 sums the atoms in their order, on the levels' lists or arrays alike, so
 values and thresholds equal a scalar loop over the states bit for bit.
 Tuples are decoded only when ``ValueTable.entries`` or the rules of a
-table's ``threshold_policy`` are first read; a caller that needs only the
-optimum, such as the exactness chain, decodes none.  ``forward`` is the
-one forward-occupancy kernel: it runs a table's threshold policy over the
-same levels and returns each state's acceptance rate and probability and
-each arrival's pick probability.
+table's ``threshold_policy`` (a ``PricingPolicy`` holding the thresholds
+as arrays over the levels) are first read; a caller that needs only the
+optimum, such as the exactness chain, decodes none.
+
+``forward_all`` is the one forward-occupancy kernel.  It runs any array
+policy, tie coins included, over its levels: ``Decisions`` computes every
+state's acceptance rate (and, when read, each atom's acceptance bias and
+each state's expected gain) for all the policies' states at once, and one
+pass per level moves each state's probability to its pick and its skip.
+It returns each level's rates, each state's probability and each
+arrival's pick probability.  Exact evaluation, the simulate tables, the
+PTAS row checks, the LP's DP point and the chain checks all read it.
 
 ``solve_full_dp`` runs the kernel over the full remaining-capacity state
 space of a laminar instance and reads off the optimal threshold policy;
@@ -41,6 +48,9 @@ from .model import (
     ProductionInstance,
     StateLevels,
     TypeSubproblem,
+    atom_sums,
+    level_atoms,
+    split_like,
     state_levels,
 )
 from .rounding import PricingPolicy
@@ -122,82 +132,112 @@ def backward(dyn, dists, shift: float = 0.0, *,
 
 
 def threshold_policy(table: ValueTable) -> PricingPolicy:
-    """The optimal threshold policy of an unshifted ``table``: price the
-    threshold, accept at equality (``p = 1``), and quote infinity
-    (``p = 0``) where the arrival cannot be picked.  The rules are decoded
-    from the thresholds the first time they are read."""
-
-    def rules():
-        thr = np.concatenate(table.thresholds[::-1])
-        bias = (thr < math.inf) * 1.0
-        return dict(zip(table.tagged_states(table.positions[:-1]),
-                        zip(thr.tolist(), bias.tolist())))
-
-    return PricingPolicy(scope=table.scope, rules=rules)
+    """The threshold policy of ``table``, on values minus ``table.shift``:
+    price the threshold, accept at equality (``p = 1``), and quote infinity
+    (``p = 0``) where the arrival cannot be picked, as arrays over the
+    table's levels."""
+    thr = table.thresholds
+    bias = (np.concatenate(thr) < math.inf) * 1.0 if thr else ()
+    return PricingPolicy(table.scope, levels=table.levels,
+                         elements=table.positions[:-1], tau=thr,
+                         p=split_like(bias, thr))
 
 
-def forward(table: ValueTable, dists) -> tuple[list, list, list]:
-    """Run ``table``'s threshold policy forward over its levels.
+class Decisions:
+    """Array policies' decisions, state by state, over the states of each
+    policy's levels ``0 .. n - 1``, level after level and policy after
+    policy.
 
-    Arrival values are shifted by ``table.shift``, as in ``backward``, and
-    accepted at equality.  Returns ``(rates, occupancy, picks)``:
-    ``rates[i]`` holds each level-``i`` state's acceptance rate (0 where
-    the arrival cannot be picked), ``occupancy[i]`` each level-``i`` state's
-    probability for ``i = 0 .. n``, and ``picks[i]`` the probability that
-    the ``i``-th arrival is picked.  Levels stay lists or arrays, as the
-    table's levels are."""
-    lv = table.levels
-    lists = isinstance(lv.codes[-1], list)
-    step = _forward_lists if lists else _forward_arrays
-    occupancy = [[1.0] if lists else np.ones(1)]
-    rates, picks = [], []
-    for i, e in enumerate(table.positions[:-1]):
-        atoms = [(v - table.shift, p) for v, p in dists[e].atoms]
-        rate, occ, picked = step(occupancy[-1], table.thresholds[i],
-                                 lv.skips[i], lv.picks[i], atoms,
-                                 len(lv.codes[i + 1]))
-        rates.append(rate)
-        occupancy.append(occ)
-        picks.append(picked)
-    return rates, occupancy, picks
+    ``values`` and ``probs`` (atoms by states) hold each state's arrival
+    distribution, values minus ``shift`` (``model.level_atoms``), and
+    ``above`` and ``tie`` where they lie above and at the price of its
+    rule ``(tau, p)``, infinite where the arrival cannot be picked.  Read
+    on first use: ``bias``, each atom's acceptance probability (1 above,
+    ``p`` at the price, 0 below); ``rates``, each state's acceptance rate
+    ``tail_above(tau) + p * prob_at(tau)``; ``gains``, its expected
+    accepted value ``sum(pa * v * bias)`` in atom order.
+    """
+
+    def __init__(self, policies, dists, shift: float = 0.0):
+        runs = [(e, codes, tau, p, picks) for pol in policies
+                for e, codes, tau, p, picks in zip(
+                    pol.elements, pol.levels.codes, pol.tau, pol.p,
+                    pol.levels.picks)]
+        elements, codes, tau, p, picks = zip(*runs)
+        self.values, self.probs = level_atoms(
+            dists, elements, list(map(len, codes)), shift)
+        tau = np.where(np.concatenate(picks) < 0, math.inf,
+                       np.concatenate(tau))
+        self.p = np.concatenate(p)
+        self.above, self.tie = self.values > tau, self.values == tau
+
+    @cached_property
+    def bias(self):
+        return np.where(self.above, 1.0, np.where(self.tie, self.p, 0.0))
+
+    @cached_property
+    def rates(self):
+        tail = atom_sums(np.where(self.above, self.probs, 0.0))
+        return tail + self.p * np.where(self.tie, self.probs, 0.0).sum(axis=0)
+
+    @cached_property
+    def gains(self):
+        return atom_sums(self.probs * self.values * self.bias)
+
+
+def forward(policy: PricingPolicy, dists, shift: float = 0.0):
+    """``(rates, occupancy, picks)`` of one array policy (``forward_all``)."""
+    return forward_all([policy], dists, shift)[1][0]
+
+
+def forward_all(policies, dists, shift: float = 0.0):
+    """Run array policies forward over their levels: the one forward
+    kernel.
+
+    A state takes ``mass * rate`` to its pick and, where the rate is below
+    1, ``mass * (1.0 - rate)`` to its skip (a state whose arrival cannot be
+    picked has rate 0, so it keeps its mass).  A state has at most these
+    two sources, a skip from itself and a pick from its one predecessor (a
+    pick moves every state by one vector), so its probability does not
+    depend on the order of the sums.  Returns ``(decided, passes)``: the
+    policies' ``Decisions``, and per policy ``(rates, occupancy, picks)``:
+    each level's acceptance rates, each state's probability at levels
+    ``0 .. n``, and each arrival's pick probability, the sum over its level
+    in state order."""
+    passes = [([], [np.ones(1)], []) for _ in policies]
+    if not any(pol.elements for pol in policies):
+        return None, passes
+    decided = Decisions(policies, dists, shift)
+    rates = decided.rates
+    skips = np.concatenate([s for pol in policies
+                            for s in pol.levels.skips])
+    picks = np.concatenate([s for pol in policies
+                            for s in pol.levels.picks])
+    # per state: where its skip and its pick take it, and what share goes
+    moves = np.array([skips, np.where(picks < 0, skips, picks)]).T.copy()
+    shares = np.array([np.maximum(1.0 - rates, 0.0), rates]).T.copy()
+    b = 0
+    for pol, (level_rates, occupancy, picked) in zip(policies, passes):
+        for width in map(len, pol.levels.codes[1:]):
+            a, b = b, b + len(occupancy[-1])
+            flow = occupancy[-1][:, None] * shares[a:b]
+            occupancy.append(np.bincount(moves[a:b].ravel(), flow.ravel(),
+                                         width))
+            picked.append(float(flow[:, 1].cumsum()[-1]))
+            level_rates.append(rates[a:b])
+    return decided, passes
 
 
 def unit_passes(dyns, dists, *, state_cap=DEFAULT_STATE_CAP,
                 levels=None) -> list:
-    """``(table, forward(table, dists))`` for each of ``dyns``: the units'
-    optimal value tables and their threshold policies' forward passes,
-    over ``levels[k]`` for the ``k``-th unit when given."""
+    """``(table, forward(threshold_policy(table), dists))`` for each of
+    ``dyns``: the units' optimal value tables and their threshold policies'
+    forward passes, over ``levels[k]`` for the ``k``-th unit when given."""
     levels = [None] * len(dyns) if levels is None else levels
-    tables = (backward(dyn, dists, state_cap=state_cap, levels=lv)
-              for dyn, lv in zip(dyns, levels))
-    return [(table, forward(table, dists)) for table in tables]
-
-
-def _forward_arrays(occ, thr, skips, picks, atoms, width):
-    """The acceptance rates of one level, the next level's state
-    probabilities and the arrival's pick probability, on arrays."""
-    rate = sum(p * (thr <= x) for x, p in atoms)
-    accept = rate * occ
-    ok = picks >= 0
-    nxt = (np.bincount(skips, occ - accept, width)
-           + np.bincount(picks[ok], accept[ok], width))
-    return rate, nxt, float(accept.sum())
-
-
-def _forward_lists(occ, thr, skips, picks, atoms, width):
-    """``_forward_arrays`` one state at a time."""
-    rates = []
-    nxt = [0.0] * width
-    picked = 0.0
-    for w, tau, a, b in zip(occ, thr.tolist(), skips, picks):
-        rate = sum(p for x, p in atoms if x >= tau)
-        take = w * rate
-        nxt[a] += w - take
-        if b >= 0:
-            nxt[b] += take
-        picked += take
-        rates.append(rate)
-    return rates, nxt, picked
+    tables = [backward(dyn, dists, state_cap=state_cap, levels=lv)
+              for dyn, lv in zip(dyns, levels)]
+    _, passes = forward_all(list(map(threshold_policy, tables)), dists)
+    return list(zip(tables, passes))
 
 
 def _level_arrays(after, skips, picks, atoms):

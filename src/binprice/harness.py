@@ -18,9 +18,10 @@ byte-identical for any ``--threads``.
 The simulate kernel: ``Plan`` compiles a policy once per ``simulate``
 call into one ``_Arrival`` per arrival, which holds tables keyed by (block
 state, atom, blocked): may the rule accept, the value it adds, the state
-after.  A block state is a position in the ``model.state_levels`` level
-of the block's next arrival (0 before its first), so each table is as
-wide as its own arrival's level.  ``_run_chunk`` keeps a chunk's block
+after, cut from ``dp.Decisions`` over every block's states at once.  A
+block state is a position in the ``model.state_levels`` level of the
+block's next arrival (0 before its first), so each table is as wide as
+its own arrival's level.  ``_run_chunk`` keeps a chunk's block
 states and meter counts as rows contiguous over its trials, and per
 arrival compares the value draw against the inverse CDF's cut points,
 gathers the three table entries, and adds one row per meter an accept
@@ -42,18 +43,19 @@ root's kept keys, sorted, give each trial's accepted values in the
 per-trial greedy's order, and the total adds the positive ones in that
 order, so it keeps that greedy's bits.
 
-``evaluate_exact`` forward-propagates the exact state distribution of a
-policy block over the levels of ``model.state_levels``; on a composed
-policy it evaluates each block with the hard counters off, which is the
-quantity the LP accounts for.
+``evaluate_exact`` binds each policy block to its levels and runs it
+through ``dp.forward_all``; its trace is the list of each level's state
+probabilities (one list per block of a composed policy, evaluated with
+the hard counters off, which is the quantity the LP accounts for).
 
 ``check_negative_cylinder`` computes, exactly, every joint acceptance
 moment ``E[prod_{t in S} X_t]`` of the optimal shifted chain policy with a
-forward pass over (subset, sold count), on the acceptance rates of
-``dp.forward``, and compares it against the product of marginals; optimal
-chains can fail this per-subset form.  ``check_summed_cylinder`` checks the
-form summed over subsets of each size, ``E[binom(C, k)] <= e_k(p)`` for the
-sold count ``C``, from the exact count distribution that
+forward pass over (subset, sold count), on the threshold policy's
+acceptance rates (``dp.Decisions``), and compares it against the product
+of marginals; optimal chains can fail this per-subset form.
+``check_summed_cylinder`` checks the form summed over subsets of each
+size, ``E[binom(C, k)] <= e_k(p)`` for the sold count ``C``, from the
+exact count distribution that
 ``dp.forward`` carries to the chain's last level; that is what the
 Chernoff upper tail on ``C`` needs.
 ``search_dependency_counterexample`` sweeps small laminar
@@ -80,10 +82,17 @@ from .model import (
     TypeSubproblem,
     as_laminar,
     bind_dynamics,
-    state_levels,
+    levels_of,
 )
-from .dp import forward, solve_full_dp, solve_subproblem_dp
-from .rounding import ComposedPolicy, PricingPolicy
+from .dp import (
+    Decisions,
+    forward,
+    forward_all,
+    solve_full_dp,
+    solve_subproblem_dp,
+    threshold_policy,
+)
+from .rounding import ComposedPolicy
 
 CHUNK = 4096
 # widest row drawn as whole-array Philox blocks (see ``trial_uniforms``);
@@ -379,11 +388,29 @@ class Plan:
         work = fit.work
         self.n = len(work.dists)
         self.num_blocks = len(fit.blocks)
-        levels = {}  # element -> its block's level at it
-        for dyn in fit.dyns.values():
-            lv = state_levels(dyn, state_cap)
-            levels.update(zip(dyn.elements,
-                              zip(lv.tuples(), lv.skips, lv.picks)))
+        bound = []
+        for key, dyn in fit.dyns.items():
+            block = fit.blocks[key]
+            bound.append(block.bind(dyn, levels_of(dyn, state_cap,
+                                                   block.levels)))
+        # every block's decision tables at once, atoms by states
+        decided = Decisions([pol for pol, _ in bound], work.dists)
+        values, bias = decided.values, decided.bias
+        accept = bias > 0.0
+        levels = [pol.levels for pol, _ in bound]
+        skips = np.concatenate([s for lv in levels for s in lv.skips])
+        picks = np.concatenate([s for lv in levels for s in lv.picks])
+        block = (accept, np.where(accept, values, 0.0),
+                 np.where(accept, picks, skips), bias)
+        tables = {}  # element -> its arrival's part of the tables
+        end = 0
+        for pol, holes in bound:
+            for i, e in enumerate(pol.elements):
+                start, end = end, end + len(pol.levels.skips[i])
+                k = len(work.dists[e].atoms)
+                tables[e] = ([t[:k, start:end] for t in block],
+                             skips[start:end], None if holes[i] is None
+                             else (holes[i], pol.levels, i))
 
         # constraint meters: every real capacity, checked on accept
         if isinstance(work, ProductionInstance):
@@ -418,8 +445,8 @@ class Plan:
                 seen[mi] += 1
             checks = [(mi, min(cap, self.n)) for mi, cap in zip(meters, caps)]
             checks = [(mi, cap) for mi, cap in checks if seen[mi] > cap]
-            self.arrivals.append(_Arrival(e, bi, work.dists[e], fit.blocks[key],
-                                          levels[e], counters, meters, checks))
+            self.arrivals.append(_Arrival(e, bi, work.dists[e], tables[e],
+                                          counters, meters, checks))
         # a meter's count is read by its checks and, one arrival on, by its
         # counters; an accept after its last read need not count on it
         live = set()
@@ -451,56 +478,31 @@ class _Arrival:
     ``searchsorted`` over the cut points for more.
 
     ``holes`` is ``None`` when the rules cover every state of the arrival's
-    level, else ``(uncovered, level)``.  ``counters`` and ``checks``
+    level, else ``(uncovered, levels, i)``: the mask of the uncovered
+    positions of level ``i`` of ``levels``.  ``counters`` and ``checks``
     are ``(meter, cap)`` pairs: an arrival is blocked once a counter's
     meter reaches its cap, and an accept that takes a checked meter past
     its cap is a violation.  ``meters`` are the meters an accept counts on.
     """
 
-    def __init__(self, e, block, dist, pol, level, counters, meters, checks):
-        here, skips, picks = level
-        if not isinstance(picks, list):
-            skips, picks = skips.tolist(), picks.tolist()
-        values = [float(v) for v in dist.values]
+    def __init__(self, e, block, dist, tables, counters, meters, checks):
+        (accept, gain, nxt, bias), skips, self.holes = tables
         cuts = list(itertools.accumulate(float(q) for q in dist.probs))[:-1]
         self.cut = (None if not cuts else cuts[0] if len(cuts) == 1
                     else np.array(cuts))
-        ns = self.stride = len(here)
-        # the blocked keys, after the others, never accept
-        self.blocked_offset = size = ns * len(values)
-        copies = len(values) * (2 if counters else 1)
-        accept = [False] * ns * copies
-        gain = [0.0] * ns * copies
-        nxt = skips * copies
-        prob = [0.0] * ns * copies
-        coin = False
-        uncovered = []
-        for si, (s, k) in enumerate(zip(here, picks)):
-            rule = pol.rule(e, s)
-            if rule is None:
-                uncovered.append(si)
-            if rule is None or k < 0:
-                continue  # a hard guard never accepts, whatever the rule
-            tau, p = float(rule[0]), float(rule[1])
-            for key, v in zip(range(si, size, ns), values):
-                q = 1.0 if v > tau else p if v == tau else 0.0
-                if q > 0.0:
-                    accept[key] = True
-                    gain[key] = v
-                    nxt[key] = k
-                    prob[key] = q
-                    coin = coin or q < 1.0
-        self.accept = np.array(accept)
-        self.gain = np.array(gain)
-        self.next = np.array(nxt, dtype=np.int64)
-        self.skip = np.array(skips, dtype=np.int64)
-        self.prob = np.array(prob) if coin else None
+        ns = self.stride = len(skips)
+        self.blocked_offset = ns * len(accept)
+        coin = (accept & (bias < 1.0)).any()
+        if counters:  # the blocked keys, after the others, never accept
+            accept, gain, bias = (np.vstack((a, np.zeros_like(a)))
+                                  for a in (accept, gain, bias))
+            nxt = np.vstack((nxt, np.broadcast_to(skips, nxt.shape)))
+        self.accept = accept.ravel()
+        self.gain = gain.ravel()
+        self.next = nxt.ravel()
+        self.skip = skips
+        self.prob = bias.ravel() if coin else None
         self.block = block
-        self.holes = None
-        if uncovered:
-            holes = np.zeros(ns, dtype=bool)
-            holes[uncovered] = True
-            self.holes = holes, here
         self.counters = counters
         self.meters = meters
         self.checks = checks
@@ -519,10 +521,10 @@ def _run_chunk(plan: Plan, seed, lo, hi, welfare_out, ignored_out,
     for e, arr in enumerate(plan.arrivals):
         si = states[arr.block]
         if arr.holes is not None:
-            uncovered, level = arr.holes
+            uncovered, lv, i = arr.holes
             hit = np.flatnonzero(uncovered[si])
             if hit.size:
-                state = level[int(si[hit[0]])]
+                state = lv.state(i, int(si[hit[0]]))
                 raise CoverageError(f"no rule for arrival {e} in state {state}")
         key = si
         if arr.cut is not None:
@@ -611,65 +613,66 @@ def simulate(policy, inst, trials: int, seed: int, *, threads: int = 1,
 def evaluate_exact(policy, inst, *, state_cap=DEFAULT_STATE_CAP):
     """Exact expected welfare and state-probability trace of a policy.
 
+    Each block is bound to its levels and run through ``dp.forward_all``.
     Composed policies are evaluated block by block with the hard counters
     off; that is exactly the value the relaxation objective accounts for.
     A composed policy must fit ``inst`` (``fit_policy``), as in ``simulate``.
-    Returns ``(welfare, trace)`` with ``trace[(t, state)]`` the probability
-    of being in ``state`` when arrival ``t`` shows up (post-horizon states
-    keyed by the instance size).
+    Returns ``(welfare, trace)``: ``trace`` holds the probability of each
+    state of the block's ``model.state_levels``, level by level (the last
+    one after the block's last arrival), and for a composed policy maps
+    each block's key to that list.  Raises ``CoverageError`` at the first
+    state without a rule that the policy reaches.
+
+    The welfare adds each reached state's ``mass * gain`` in the order a
+    walk over the reached states would visit them: level by level, each
+    state's pick target before its skip target, a state first reached
+    first.  That order is carried as a position array per level and summed
+    with one cumulative sum, so the sum keeps the walk's bits.
     """
     if isinstance(policy, ComposedPolicy):
         fit = fit_policy(policy, inst)
-        total = 0.0
-        trace = {}
-        for key in sorted(fit.blocks):
-            w, tr = _evaluate_block(fit.blocks[key], inst, state_cap,
-                                    fit.dyns[key])
-            total += w
-            # arrival keys are unique across blocks; the post-horizon keys
-            # of different blocks would collide, so they stay per-block
-            trace.update({k: v for k, v in tr.items()
-                          if k[0] in policy.element_block})
-        return total, trace
-    return _evaluate_block(policy, inst, state_cap)
-
-
-def _evaluate_block(policy: PricingPolicy, inst, state_cap, dyn=None):
-    if dyn is None:
-        dyn = bind_dynamics(policy.scope, inst)
-    lv = state_levels(dyn, state_cap)
-    levels = lv.tuples()
-    # position in the level -> mass, over the states the policy reaches
-    cur = {0: 1.0}
-    welfare = 0.0
+        blocks = {key: (fit.blocks[key], fit.dyns[key])
+                  for key in sorted(fit.blocks)}
+    else:
+        blocks = {policy.scope: (policy, bind_dynamics(policy.scope, inst))}
+    total = 0.0
     trace = {}
-    for e, states, skips, picks in zip(dyn.elements, levels, lv.skips,
-                                       lv.picks):
-        d = inst.dists[e]
-        nxt = {}
-        for j, mass in cur.items():
-            s = states[j]
-            trace[(e, s)] = mass
-            rule = policy.rule(e, s)
-            if rule is None:
-                raise CoverageError(f"no rule for arrival {e} in state {s}")
-            tau, p = rule
-            stay = skips[j]
-            if picks[j] < 0:
-                nxt[stay] = nxt.get(stay, 0.0) + mass
-                continue
-            acc = d.tail_above(tau) + p * d.prob_at(tau)
-            gain = sum(pa * v * (1.0 if v > tau else (p if v == tau else 0.0))
-                       for v, pa in d.atoms)
-            welfare += mass * gain
-            if acc > 0.0:
-                nxt[picks[j]] = nxt.get(picks[j], 0.0) + mass * acc
-            if acc < 1.0:
-                nxt[stay] = nxt.get(stay, 0.0) + mass * (1.0 - acc)
-        cur = nxt
-    for j, mass in cur.items():
-        trace[(len(inst.dists), levels[-1][j])] = mass
-    return welfare, trace
+    for key, (block, dyn) in blocks.items():
+        lv = levels_of(dyn, state_cap, block.levels)
+        bound, holes = block.bind(dyn, lv)
+        decided, [(_, occupancy, _)] = forward_all([bound], inst.dists)
+        trace[key] = occupancy
+        if decided is None:
+            continue
+        rate = decided.rates
+        mass = np.concatenate(occupancy[:-1]) * decided.gains
+        skips, picks = np.concatenate(lv.skips), np.concatenate(lv.picks)
+        # the walk goes from a state to its pick target, then to its skip
+        # target, where either takes any mass (-1 where not)
+        goes = np.array([np.where(rate > 0.0, picks, -1),
+                         np.where(rate < 1.0, skips, -1)]).T.copy()
+        seen = np.zeros(1, dtype=np.int64)  # the reached states, in order
+        order = []
+        start = 0
+        for i, e in enumerate(dyn.elements):
+            if holes[i] is not None and holes[i][seen].any():
+                j = int(seen[holes[i][seen].argmax()])
+                raise CoverageError(
+                    f"no rule for arrival {e} in state {lv.state(i, j)}")
+            order.append(seen + start)
+            start += len(lv.skips[i])
+            targets = goes[order[-1]].ravel()
+            targets = targets[targets >= 0]
+            # a target comes at most twice; keep where it first comes
+            by = targets.argsort(kind="stable")
+            keep = np.ones(len(targets), dtype=bool)
+            keep[by[1:][targets[by[1:]] == targets[by[:-1]]]] = False
+            seen = targets[keep]
+        terms = mass[np.concatenate(order)]
+        total += float(np.concatenate(([0.0], terms)).cumsum()[-1])
+    if isinstance(policy, ComposedPolicy):
+        return total, trace
+    return total, trace[policy.scope]
 
 
 # ---------------------------------------------------------------------------
@@ -773,13 +776,14 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
         raise SizingError(dyn.key, 2 ** l, 2 ** PER_SUBSET_MAX_BUYERS)
     if table is None:
         table = solve_subproblem_dp(p, type_index, shift)
-    rates, _, _ = forward(table, p.dists)
+    rates = Decisions([threshold_policy(table)], p.dists, table.shift).rates
     # acc[i, s]: the i-th buyer's acceptance rate with s units sold; a
     # chain state's code is its sold count, and the last level holds them all
-    smax = int(table.levels.codes[-1][-1])
-    acc = np.zeros((l, smax + 1))
-    for i, rate in enumerate(rates):
-        acc[i, table.levels.codes[i]] = rate
+    codes = table.levels.codes
+    acc = np.zeros((l, int(codes[-1][-1]) + 1))
+    acc[np.repeat(np.arange(l), [len(c) for c in codes[:-1]]),
+        np.concatenate(codes[:-1])] = rates
+    smax = acc.shape[1] - 1
     ids = np.arange(2 ** l, dtype=np.int64)
     f = np.zeros((2 ** l, smax + 1))
     f[:, 0] = 1.0
@@ -815,9 +819,10 @@ def chain_count_distribution(p: ProductionInstance, type_index: int,
     """
     if table is None:
         table = solve_subproblem_dp(p, type_index, shift)
-    _, occupancy, picks = forward(table, p.dists)
+    _, occupancy, picks = forward(threshold_policy(table), p.dists,
+                                  table.shift)
     # the last level holds every sold count, each coded as itself
-    return np.asarray(occupancy[-1], dtype=float), np.array(picks, dtype=float)
+    return occupancy[-1], np.array(picks)
 
 
 def binomial_moments(counts) -> np.ndarray:

@@ -580,14 +580,10 @@ class BlockInfo:
     def time_label(self, level):
         return self.dyn.elements[level] if level < len(self.dyn.elements) else END
 
-    def y_values(self, x, lvl) -> list:
-        """``Y`` of level ``lvl``'s reachable states, in ``levels[lvl]`` order."""
+    def y_values(self, x, lvl) -> np.ndarray:
+        """``Y`` of level ``lvl``'s reachable states, in position order."""
         y0 = self.y[lvl]
-        return x[y0:y0 + len(self.states.codes[lvl])].tolist()
-
-    def xc_values(self, x, lvl) -> list:
-        """``X(t,state,atom)`` of arrival ``lvl``, state major, atom minor."""
-        return x[self.xc[lvl]:self.xm[lvl]].tolist()
+        return x[y0:y0 + len(self.states.codes[lvl])]
 
 
 @dataclass
@@ -874,7 +870,7 @@ def _dp_point(num_vars, num_rows, dists, blocks, state_cap, counts):
         u[info.init_row] = values[0][0]
         for lvl, t in enumerate(info.elements):
             v, p = np.array(dists[t].values), np.array(dists[t].probs)
-            y = np.asarray(occupancy[lvl], dtype=float)
+            y = occupancy[lvl]
             thr = table.thresholds[lvl][:, None]
             xc = y[:, None] * (v >= thr)
             x[info.y[lvl]:info.y[lvl] + len(y)] = y
@@ -887,7 +883,7 @@ def _dp_point(num_vars, num_rows, dists, blocks, state_cap, counts):
             u[updates:reach] = values[lvl + 1]
             u[reach:pins] = -big
             u[pins:pins + info.num_forbidden[lvl + 1]] = 2.0 * big
-        last = np.asarray(occupancy[-1], dtype=float)
+        last = occupancy[-1]
         x[info.y[-1]:info.y[-1] + len(last)] = last
     for j, terms in counts:
         x[j] = sum(pa * x[i] for i, pa in terms)

@@ -26,6 +26,7 @@ that view.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -104,6 +105,33 @@ class DiscreteDistribution:
     def prob_at(self, x) -> float:
         """Pr[v = x]; nonzero only at atoms."""
         return sum(p for v, p in self.atoms if v == x)
+
+
+def atom_sums(terms) -> np.ndarray:
+    """The columns of ``terms`` (atoms by states) each summed from 0 in
+    atom order, as ``sum`` adds a distribution's atoms: a cumulative sum is
+    sequential, and the final ``+ 0.0`` gives an all-zero column the sign
+    ``0 + -0.0`` has."""
+    return terms.cumsum(axis=0)[-1] + 0.0
+
+
+def level_atoms(dists, elements, widths, shift: float = 0.0):
+    """The arrival distribution of every state of a block's levels
+    ``0 .. n - 1``, level ``i`` holding ``widths[i]`` states at
+    ``elements[i]``: ``(values, probs)``, atoms by states, values minus
+    ``shift``; a distribution with fewer atoms than the widest is padded
+    with value 0 at probability 0."""
+    atoms = [dists[e].atoms for e in elements]
+    k = max(map(len, atoms))
+    table = np.array([a + ((shift, 0.0),) * (k - len(a)) for a in atoms])
+    table = table.repeat(widths, axis=0).T
+    return table[0] - shift, table[1]
+
+
+def split_like(flat, parts) -> list:
+    """``flat`` cut into consecutive runs as long as ``parts``."""
+    ends = list(itertools.accumulate(map(len, parts)))
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def distribution_violations(dist, where="dist"):
@@ -656,13 +684,14 @@ class StateLevels:
     pick leads to, or -1 where the arrival cannot be picked.  A skip keeps
     the state, so levels are nested and the last one holds every state.
     Levels are Python lists when the coding has at most ``SMALL_CODES``
-    codes, numpy arrays otherwise.
+    codes, numpy arrays otherwise.  ``dyn`` is the dynamics enumerated.
     """
 
     coding: StateCoding
     codes: list
     skips: list
     picks: list
+    dyn: object = None
 
     def tuples(self) -> list:
         """Each level's states as tuples, ascending.  Levels are nested, so
@@ -671,6 +700,10 @@ class StateLevels:
         for skip in reversed(self.skips):
             out.append([out[-1][k] for k in skip])
         return out[::-1]
+
+    def state(self, i, j) -> tuple:
+        """The state at position ``j`` of level ``i``, decoded."""
+        return self.coding.decode(self.codes[i][j:j + 1])[0]
 
     def forbidden(self, dyn, levels) -> list:
         """The forbidden states of ``dyn``, whose levels these are, given
@@ -696,7 +729,7 @@ def state_levels(dyn, state_cap=DEFAULT_STATE_CAP) -> StateLevels:
     grow = _grow_lists
     if coding.size > SMALL_CODES:
         cur, grow = np.array(cur, dtype=coding.dtype), _grow_arrays
-    lv = StateLevels(coding, [cur], [], [])
+    lv = StateLevels(coding, [cur], [], [], dyn)
     for e in dyn.elements:
         move, windows = coding.pick_rule(*dyn.step(e))
         cur, skip, pick = grow(cur, windows, move, coding.size)
@@ -706,6 +739,19 @@ def state_levels(dyn, state_cap=DEFAULT_STATE_CAP) -> StateLevels:
         lv.skips.append(skip)
         lv.picks.append(pick)
     return lv
+
+
+def levels_of(dyn, state_cap=DEFAULT_STATE_CAP, levels=None) -> StateLevels:
+    """``state_levels(dyn, state_cap)``, or ``levels`` where they enumerate
+    dynamics equal to ``dyn`` (a policy's own levels), checked against
+    ``state_cap`` as the enumeration checks them."""
+    if levels is None or type(levels.dyn) is not type(dyn) \
+            or vars(levels.dyn) != vars(dyn):
+        return state_levels(dyn, state_cap)
+    for codes in levels.codes[1:]:
+        if len(codes) > state_cap:
+            raise SizingError(dyn.key, len(codes), state_cap)
+    return levels
 
 
 def _grow_arrays(cur, windows, move, size):

@@ -626,8 +626,8 @@ def reference_emit_block(model, dists, info):
 
 def reference_evaluate_block(policy, inst):
     """Exact forward evaluation of one policy block as a walk over a dict
-    keyed by state tuple: the oracle ``harness._evaluate_block`` must equal
-    bit for bit, trace and ``CoverageError`` included."""
+    keyed by state tuple: the oracle ``harness.evaluate_exact`` must equal
+    bit for bit, each reached state's mass and ``CoverageError`` included."""
     dyn = bind_dynamics(policy.scope, inst)
     work = as_laminar(inst) if not policy.scope.startswith("type:") else inst
     n_total = (work.num_buyers if isinstance(work, ProductionInstance)

@@ -37,7 +37,7 @@ from binprice import (
     solve_optimal,
     solve_subproblem_dp,
 )
-from binprice.lp import END, y_name
+from binprice.lp import y_name
 from binprice.cli import main as cli_main
 
 from conftest import (criterion_6_production, criterion_7_laminar,
@@ -56,14 +56,13 @@ def corpus_results(corpus):
             pol = extract_pricing(sol, built, "root")
             welfare, trace = evaluate_exact(pol, entry.laminar)
             info = built.block("root")
-            nel = len(info.elements)
             ydev = 0.0
-            for lvl in range(nel + 1):
+            # the trace holds each level's states in the LP block's order
+            for lvl, (states, occ) in enumerate(zip(info.levels, trace)):
                 tlab = info.time_label(lvl)
-                t = nel if tlab == END else tlab
-                for s in info.levels[lvl]:
+                for s, got in zip(states, occ.tolist(), strict=True):
                     want = sol.value(y_name("root", tlab, s))
-                    ydev = max(ydev, abs(trace.get((t, s), 0.0) - want))
+                    ydev = max(ydev, abs(got - want))
             out.append({
                 "entry": entry,
                 "dp": tbl.optimal,
@@ -232,6 +231,25 @@ def test_criterion_6_ptas_welfare_at_scale():
     print(f"\n[PASS] criterion 6: welfare {rep.mean:.3f} >= "
           f"(1-3eps)*exante {floor:.3f}; ignored {rep.ignored_fraction:.4f} "
           f"<= {chernoff:.4f}; {elapsed:.1f}s")
+
+
+def test_criterion_6_verify_passes_the_exactness_chain(tmp_path):
+    # the exact LP is past the dense limit, so its point is the certified
+    # DP point; its rounding must replay the LP's value and Y, states of
+    # probability below rounding.Y_FLOOR included
+    path = tmp_path / "criterion6.json"
+    path.write_text(json.dumps(serialize_instance(criterion_6_production())))
+    t0 = time.perf_counter()
+    out = tmp_path / "verify.json"
+    code = cli_main(["verify", "--instance", str(path), "--trials", "200",
+                     "--seed", "1", "--output", str(out)])
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert "engine=certificate" in checks["lp-opt equals dp"]["detail"]
+    assert checks["rounding exactness"]["ok"], checks["rounding exactness"]
+    assert code == 0
+    print(f"\n[PASS] criterion 6 verify: exit 0, "
+          f"{checks['rounding exactness']['detail']}; "
+          f"{time.perf_counter() - t0:.1f}s")
 
 
 def test_criterion_7_laminar_concentration():

@@ -140,7 +140,9 @@ def test_evaluate_exact_all_infinite():
     pol = PricingPolicy("root", {(0, (1,)): (math.inf, 0.0)})
     welfare, trace = evaluate_exact(pol, inst)
     assert welfare == 0.0
-    assert trace[(1, (1,))] == 1.0  # mass never leaves the initial state
+    # mass never leaves the initial state (1,), the last of the final
+    # level's states (0,) and (1,)
+    assert [occ.tolist() for occ in trace] == [[1.0], [0.0, 1.0]]
 
 
 def test_composed_policy_must_fit_for_exact_evaluation():

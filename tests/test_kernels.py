@@ -19,9 +19,10 @@ the exact state walk, and each level's occupancy as the trace of that walk,
 rates must equal those read off ``conftest.reference_subproblem_dp``.
 ``model.reachable_profile`` must give the levels, forbidden states and
 ``SizingError`` of the tuple loop kept as ``conftest.reference_profile``,
-and the exact occupancy behind ``evaluate_exact`` the welfare bits, trace
-and ``CoverageError`` of the walk kept as
-``conftest.reference_evaluate_block``.
+and ``evaluate_exact`` the welfare bits, the bits of every reached
+state's mass and the ``CoverageError`` of the walk kept as
+``conftest.reference_evaluate_block``.  A policy document binds to an
+instance's levels by state code, never through a code two states share.
 ``lp._emit_blocks`` must give the rows, variables and names of the
 tuple-keyed emitter kept as ``conftest.reference_emit_block``, alias terms
 included.
@@ -59,6 +60,7 @@ from binprice import (
     build_lp_hierarchy,
     build_lp_optimal,
     compose_policies,
+    evaluate_exact,
     policy_to_json,
     ptas_laminar,
     simulate,
@@ -86,6 +88,7 @@ from binprice.rounding import (
     extract_all,
     extract_pricing,
     mark_laminar,
+    policy_from_json,
 )
 
 from conftest import (
@@ -529,7 +532,7 @@ def test_full_dp_matches_reference_with_object_codes(sweep):
 
 
 def assert_pick_probabilities_match_reference(table, policy, inst):
-    _, occupancy, got = dp.forward(table, inst.dists)
+    _, occupancy, got = dp.forward(policy, inst.dists)
     want = reference_pick_probabilities(policy, inst)
     assert list(want) == list(table.positions[:-1])
     assert np.allclose(got, list(want.values()), rtol=0.0, atol=1e-12)
@@ -573,7 +576,8 @@ def test_chain_dp_matches_reference_on_corpus(corpus, sweep):
                 want = reference_subproblem_dp(p, j, shift)
                 assert list(tbl.entries.items()) == list(want.items())
                 assert tbl.positions[:-1] == p.buyers_of_type(j)
-                rates, _, _ = dp.forward(tbl, p.dists)
+                rates, _, _ = dp.forward(dp.threshold_policy(tbl), p.dists,
+                                         tbl.shift)
                 acc = np.zeros((len(rates), len(tbl.levels.codes[-1])))
                 for i, rate in enumerate(rates):
                     acc[i, tbl.levels.codes[i]] = rate
@@ -1040,6 +1044,95 @@ def test_policy_writer_matches_json_dumps_on_hand_cases(name):
 
 
 # ---------------------------------------------------------------------------
+# Binding a policy document to an instance's levels
+# ---------------------------------------------------------------------------
+
+
+def simulated(policy, inst):
+    rep = simulate(policy, inst, 300, seed=4)
+    return json.dumps(rep.to_json_dict(), sort_keys=True)
+
+
+def with_rules(policy, drop=(), add=()):
+    """``policy``'s document without the rules at the ``(t, state)`` of
+    ``drop``, with those of ``add`` (``(t, state, tau, p)``), read back."""
+    doc = json.loads(policy_to_json(policy))
+    doc["rules"] = [r for r in doc["rules"]
+                    if (r["t"], tuple(r["state"])) not in drop]
+    doc["rules"] += [{"t": t, "state": list(s), "tau": tau, "p": p}
+                     for t, s, tau, p in add]
+    return policy_from_json(json.dumps(doc))
+
+
+def test_binding_ignores_a_rule_at_an_unreachable_state():
+    inst = deep_laminar()
+    _, policy = solve_full_dp(inst)
+    lv = state_levels(BinSubproblem(inst, 0))
+    first = lv.tuples()[0][0]  # the only state before the first arrival
+    # a state of the coding that the first arrival never sees
+    unreachable = (first[0] - 1,) + first[1:]
+    assert unreachable in lv.tuples()[-1]
+    want = simulated(policy, inst)
+    assert simulated(with_rules(policy), inst) == want
+    assert simulated(with_rules(policy, add=[(0, unreachable, -1.0, 1.0)]),
+                     inst) == want
+
+
+def aliases(state, coding):
+    """States with ``state``'s code under ``coding`` whose coordinates leave
+    its range: one digit moved into its neighbour, past its radix or below
+    0, and the state with a coordinate more or less."""
+    out = [state + (0,), state[:-1]]
+    for k in range(len(state) - 1):
+        r = coding.radices[k + 1]
+        up = state[:k] + (state[k] - 1, state[k + 1] + r) + state[k + 2:]
+        down = state[:k] + (state[k] + 1, state[k + 1] - r) + state[k + 2:]
+        out += [s for s in (up, down)
+                if coding.lows[k] <= s[k] < coding.lows[k] + coding.radices[k]]
+    assert all(len(s) != len(state) or coding.encode(s) == coding.encode(state)
+               for s in out)
+    return out
+
+
+def test_binding_never_aliases_a_reached_state():
+    inst = deep_laminar()
+    _, policy = solve_full_dp(inst)
+    dyn = BinSubproblem(inst, 0)
+    coding = model.StateCoding(dyn)
+    _, trace = evaluate_exact(policy, inst)
+    tuples = state_levels(dyn).tuples()
+    # every reached state whose rule can be written under another name
+    cases = [(dyn.elements[i], s) for i, occ in enumerate(trace[:-1])
+             for s, w in zip(tuples[i], occ.tolist()) if w > 0.0]
+    below = 0
+    for t, state in cases:
+        bare = with_rules(policy, drop={(t, state)})
+        with pytest.raises(CoverageError) as want:
+            simulated(bare, inst)
+        for alias in aliases(state, coding):
+            below += min(alias) < 0
+            aliased = with_rules(policy, drop={(t, state)},
+                                 add=[(t, alias, -1.0, 1.0)])
+            with pytest.raises(CoverageError) as got:
+                simulated(aliased, inst)
+            assert str(got.value) == str(want.value)
+    assert len(cases) == 10 and below > 0
+
+
+def test_binding_reads_back_a_policy_with_object_codes():
+    # codes past int64, as in test_lp_emitter_matches_reference_with_object_codes
+    inst = LaminarInstance.build(
+        tuple(D([(0.0, 0.5), (1.0 + e % 3, 0.5)]) for e in range(128)),
+        {"cap": 1, "children": [{"cap": 1, "children": [
+            {"element": j}, {"element": j + 64}]} for j in range(64)]})
+    assert model.StateCoding(BinSubproblem(inst, 0)).dtype == object
+    _, policy = solve_full_dp(inst)
+    again = policy_from_json(policy_to_json(policy))
+    assert again.levels is None
+    assert simulated(again, inst) == simulated(policy, inst)
+
+
+# ---------------------------------------------------------------------------
 # State enumeration and exact evaluation
 # ---------------------------------------------------------------------------
 
@@ -1085,24 +1178,48 @@ def test_reachable_profile_matches_reference_on_criterion_7():
         assert_profile_matches_reference(dyn)
 
 
-def evaluated(evaluate, block, inst):
-    """``evaluate(block, inst)`` with its welfare's bits and its trace in
-    order, or the ``CoverageError`` message it raises."""
+def evaluated(block, inst):
+    """``evaluate_exact(block, inst)`` as the bits of its welfare and of
+    each state's probability, keyed like the reference walk's trace
+    (post-horizon states by the instance size), or the ``CoverageError``
+    message it raises."""
     try:
-        welfare, trace = evaluate(block, inst)
+        welfare, trace = evaluate_exact(block, inst)
     except CoverageError as exc:
         return str(exc)
-    return welfare.hex(), [(k, v.hex()) for k, v in trace.items()]
+    dyn = bind_dynamics(block.scope, inst)
+    keys = dyn.elements + (len(inst.dists),)
+    masses = {(key, s): w.hex() for key, states, occ in
+              zip(keys, state_levels(dyn).tuples(), trace, strict=True)
+              for s, w in zip(states, occ.tolist(), strict=True)}
+    return welfare.hex(), masses
+
+
+def reference_evaluated(block, inst):
+    """``conftest.reference_evaluate_block`` as ``evaluated`` reads it: the
+    reached states' masses only."""
+    try:
+        welfare, trace = reference_evaluate_block(block, inst)
+    except CoverageError as exc:
+        return str(exc)
+    return welfare.hex(), {key: w.hex() for key, w in trace.items()}
 
 
 def assert_occupancy_matches_reference(policy, inst):
+    """The welfare bits, the bits of every reached state's mass (the
+    others hold 0) and the ``CoverageError`` message of the walk."""
     blocks = (policy.blocks.values() if isinstance(policy, ComposedPolicy)
               else [policy])
     for block in blocks:
-        got = evaluated(
-            lambda b, i: harness._evaluate_block(b, i, DEFAULT_STATE_CAP),
-            block, inst)
-        assert got == evaluated(reference_evaluate_block, block, inst)
+        got, want = evaluated(block, inst), reference_evaluated(block, inst)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        welfare, masses = got
+        assert welfare == want[0]
+        assert {k: masses[k] for k in want[1]} == want[1]
+        assert all(w == (0.0).hex() for k, w in masses.items()
+                   if k not in want[1])
 
 
 def rounded_lp_opt(lam):
@@ -1165,7 +1282,7 @@ def test_occupancy_raises_where_the_reference_does(corpus):
                     key=lambda s: trace[(t, s)])
         del rules[(t, state)]
         policy = PricingPolicy("root", rules)
-        want = evaluated(reference_evaluate_block, policy, lam)
+        want = reference_evaluated(policy, lam)
         raised += isinstance(want, str)
         assert_occupancy_matches_reference(policy, lam)
     assert raised == 40

@@ -415,7 +415,7 @@ def test_certificate_rejects_a_nudged_threshold(no_dense, monkeypatch):
     def nudged(dyns, dists, **kw):
         table = passes(dyns, dists, **kw)[0][0]
         table.thresholds[0] = table.thresholds[0] + 1e-3  # still takes v=2
-        return [(table, dp.forward(table, dists))]
+        return [(table, dp.forward(dp.threshold_policy(table), dists))]
 
     built = build_lp_optimal(CAP1_PAIR)
     monkeypatch.setattr(dp, "unit_passes", nudged)

@@ -1,8 +1,9 @@
 """Cross-module benchmark orderings on the shared corpus, the exactness
 chain as a property of random small laminar trees, the PTAS large branch
 attaining its relaxation, instance and policy documents that read back as
-written, and documents with one to three bad fields that the CLI rejects
-with an exit code."""
+written, documents with one to three bad fields that the CLI rejects
+with an exit code, and policy documents with a wrong shape below one field,
+which read as malformed (exit 6)."""
 
 import contextlib
 import copy
@@ -13,6 +14,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import (HealthCheck, assume, event, given, settings,
                         strategies as st)
 
@@ -38,7 +40,7 @@ from binprice import (
 )
 from binprice.cli import main
 from binprice.harness import prophet_samples
-from binprice.rounding import PricingPolicy, mark_laminar
+from binprice.rounding import PolicyError, PricingPolicy, mark_laminar
 
 from conftest import VALUE_GRID, relaxation
 
@@ -287,3 +289,98 @@ def test_perturbed_documents_exit_with_a_documented_code(inst, alg, target,
         code = _cli([target, "--instance", inst_path, "--policy", pol_path,
                      "--trials", "20", "--seed", "1"])
         assert code in (0, 2, 3, 4, 5, 6)
+
+
+# A laminar instance whose PTAS policy at delta 0.5 is composed: two bins'
+# rounded hierarchy blocks and three lone elements behind a root counter.
+SHAPE_INSTANCE = {
+    "kind": "laminar",
+    "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]}] * 6
+    + [{"dist": [[1.0, 1.0]]}] * 3,
+    "bins": {"cap": 5, "children": [
+        {"cap": 2, "children": [{"element": e} for e in range(3)]},
+        {"cap": 2, "children": [{"element": e} for e in range(3, 6)]},
+        {"element": 6}, {"element": 7}, {"element": 8}]}}
+
+# what each field of a policy document holds
+RULE_FIELDS = {"t": "integer", "state": "integers", "tau": "price",
+               "p": "number"}
+WRONG = {
+    "object": st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+                        st.text(max_size=2), st.lists(st.integers(0, 2),
+                                                      max_size=2)),
+    "list": st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+                      st.text(max_size=2),
+                      st.dictionaries(st.text(max_size=1), st.integers(0, 2),
+                                      max_size=1)),
+    "integer": st.one_of(st.none(), st.booleans(),
+                         st.sampled_from([0.0, 1.0, -1.5]),
+                         st.text(max_size=2), st.lists(st.integers(0, 2),
+                                                       max_size=1)),
+    "number": st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                        st.lists(st.floats(0, 1), max_size=1),
+                        st.dictionaries(st.text(max_size=1), st.floats(0, 1),
+                                        max_size=1)),
+    "string": st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+                        st.floats(-1, 1), st.lists(st.text(max_size=1),
+                                                   max_size=1)),
+}
+WRONG["integers"] = WRONG["list"]
+WRONG["price"] = WRONG["number"].filter(lambda x: x not in ("inf", "-inf"))
+
+
+def _slots(doc):
+    """``(holder, key, kind)`` for every field of a policy document below
+    its top level."""
+    out = []
+
+    def pricing(block):
+        out.append((block, "rules", "list"))
+        for rule in block["rules"][:3]:
+            out.append((block["rules"], block["rules"].index(rule), "object"))
+            out.extend((rule, f, kind) for f, kind in RULE_FIELDS.items())
+            out.extend((rule["state"], i, "integer")
+                       for i in range(len(rule["state"])))
+
+    if doc["scope"] != "composed":
+        pricing(doc)
+        return out
+    out += [(doc, f, "object") for f in
+            ("blocks", "element_block", "counter_caps", "counter_keys")]
+    for key, block in doc["blocks"].items():
+        out.append((doc["blocks"], key, "object"))
+        pricing(block)
+    out += [(doc["element_block"], e, "string") for e in doc["element_block"]]
+    out += [(doc["counter_caps"], k, "integer") for k in doc["counter_caps"]]
+    for e, keys in doc["counter_keys"].items():
+        out.append((doc["counter_keys"], e, "list"))
+        out += [(keys, i, "string") for i in range(len(keys))]
+    return out
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["dp", "ptas"]), st.data())
+def test_policy_shapes_below_a_field_exit_6(alg, data):
+    # valid JSON whose one field holds the wrong kind of value, however
+    # deep: a malformed policy, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = os.path.join(tmp, "inst.json")
+        pol_path = os.path.join(tmp, "policy.json")
+        with open(inst_path, "w", encoding="utf-8") as fh:
+            json.dump(SHAPE_INSTANCE, fh)
+        assert _cli(["solve", "--instance", inst_path, "--alg", alg,
+                     "--delta", "0.5", "--policy-out", pol_path]) == 0
+        with open(pol_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        holder, key, kind = data.draw(st.sampled_from(_slots(doc)))
+        holder[key] = data.draw(WRONG[kind])
+        event(kind)
+        text = json.dumps(doc)
+        with pytest.raises(PolicyError):
+            policy_from_json(text)
+        with open(pol_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("simulate", "verify"):
+            assert _cli([command, "--instance", inst_path, "--policy",
+                         pol_path, "--trials", "20", "--seed", "1"]) == 6

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from binprice import (
@@ -27,7 +28,7 @@ from binprice.model import (
     small_units,
 )
 from binprice.rounding import PricingPolicy, _price_for_rate
-from binprice.lp import y_name, END
+from binprice.lp import y_name
 
 from conftest import random_laminar
 
@@ -35,11 +36,14 @@ U12 = DiscreteDistribution.uniform([1, 2])
 
 
 def test_price_for_rate_appendix_arithmetic():
-    atoms = U12.atoms
-    assert _price_for_rate(atoms, 0.75) == (1.0, 0.5)
-    assert _price_for_rate(atoms, 0.5) == (1.0, 0.0)
-    assert _price_for_rate(atoms, 0.0) == (2.0, 0.0)
-    assert _price_for_rate(atoms, 1.0) == (1.0, 1.0)
+    def price(z):
+        return tuple(map(float, _price_for_rate(
+            np.array(U12.values), np.array(U12.probs), z)))
+
+    assert price(0.75) == (1.0, 0.5)
+    assert price(0.5) == (1.0, 0.0)
+    assert price(0.0) == (2.0, 0.0)
+    assert price(1.0) == (1.0, 1.0)
 
 
 def test_zero_probability_state_maps_to_infinite_price():
@@ -62,13 +66,12 @@ def test_extraction_reproduces_lp_probabilities(corpus):
         welfare, trace = evaluate_exact(pol, entry.laminar)
         assert abs(welfare - sol.objective) <= 1e-6, entry.name
         info = built.block("root")
-        nel = len(info.elements)
-        for lvl in range(nel + 1):
+        # the trace holds each level's states in the LP block's order
+        for lvl, (states, occ) in enumerate(zip(info.levels, trace)):
             tlab = info.time_label(lvl)
-            t = nel if tlab == END else tlab
-            for s in info.levels[lvl]:
+            for s, got in zip(states, occ.tolist(), strict=True):
                 want = sol.value(y_name("root", tlab, s))
-                assert abs(trace.get((t, s), 0.0) - want) <= 1e-7, entry.name
+                assert abs(got - want) <= 1e-7, entry.name
 
 
 def test_marking_rule_boundaries():
@@ -207,9 +210,8 @@ def test_interleaved_blocks_preserve_local_trajectories():
     for key, pol in pols.items():
         w, trace = evaluate_exact(pol, p)
         total += w
-        for (t, s), v in trace.items():
-            if t < p.num_buyers:  # post-horizon keys stay per-block
-                assert abs(trace_all[(t, s)] - v) <= 1e-12
+        for got, want in zip(trace_all[key], trace, strict=True):
+            assert np.abs(got - want).max() <= 1e-12
     assert abs(w_all - total) <= 1e-12
 
 
