@@ -305,20 +305,20 @@ def concavity_check(table: ValueTable):
     """Check ``D(s) + D(s+2) <= 2 D(s+1) + 1e-9`` at every level of a chain table.
 
     Returns ``(ok, worst)`` where ``worst`` is ``(position, sold, gap)`` for
-    the largest violation, or ``None`` when every triple passes.
+    the largest violation, the first of a tie in ``entries`` order, or
+    ``None`` when every triple passes.
     """
-    worst = None
-    worst_gap = 1e-9
-    entries = table.entries
-    for (lvl, s), v in entries.items():
-        if len(s) != 1:
-            raise ValueError("concavity check applies to chain tables only")
-        mid = entries.get((lvl, (s[0] + 1,)))
-        hi = entries.get((lvl, (s[0] + 2,)))
-        if mid is None or hi is None:
-            continue
-        gap = v + hi - 2.0 * mid
-        if gap > worst_gap:
-            worst_gap = gap
-            worst = (table.positions[lvl], s[0], gap)
-    return worst is None, worst
+    lows = table.levels.coding.lows
+    if len(lows) != 1:
+        raise ValueError("concavity check applies to chain tables only")
+    order = range(len(table.values) - 1, -1, -1)  # the levels of ``entries``
+    v = np.concatenate([table.values[lvl] for lvl in order])
+    sold = np.concatenate([table.levels.codes[lvl] for lvl in order]) + lows[0]
+    level = np.repeat(order, [len(table.values[lvl]) for lvl in order])
+    gaps = v[:-2] + v[2:] - 2.0 * v[1:-1]
+    # consecutive sold counts; each level starts at 0 sold, so none span two
+    gaps[sold[2:] - sold[:-2] != 2] = np.nan
+    if not (gaps > 1e-9).any():
+        return True, None
+    k = int(np.nanargmax(gaps))  # the first of the largest
+    return False, (table.positions[level[k]], int(sold[k]), float(gaps[k]))

@@ -33,13 +33,11 @@ state tuples are produced only on request -- ``to_text``,
 ``LpModel.names``/``index``, ``LpSolution.value``/``assignment`` and
 ``BlockInfo.levels``/``forbidden``.
 
-Solvers: an in-repo dense-tableau two-phase primal simplex with Bland's
-anti-cycling rule (deterministic, used at desk scale) and, for models past
-a size threshold, the blocks' DP point when ``certify`` proves it optimal
-(engine ``"certificate"``), else a scipy/HiGHS bridge.  The DP point holds
-every coupling row (``N(j)``, shipping, large bins) at multiplier 0, so a
-binding row goes to HiGHS; ``notes/decisions.md`` derives its dual.
-``solve`` picks by model size unless an engine is forced.
+Solvers: the blocks' DP point when ``certify`` proves it optimal (engine
+``"certificate"``), tried on a model with no coupling row (``N(j)``,
+shipping, large bins) and on any past a size threshold; else an in-repo
+dense-tableau two-phase Bland simplex up to the threshold and a
+scipy/HiGHS bridge beyond.  The point's coupling rows have multiplier 0.
 
 Text interchange format (``LpModel.to_text``), one token per name, all
 variables non-negative::
@@ -108,8 +106,8 @@ class LpModel:
     right-hand sides.  All five are arrays, joined from the appended rows
     the first time one is read.  ``objective`` maps a column to its
     coefficient in the order the terms were added, which is the order the
-    objective value is summed in.  ``dp_point``, set by the builders,
-    computes the blocks' DP point ``(x, u)`` on request.
+    objective value is summed in.  ``_build`` sets ``dp_point``, computing
+    the blocks' DP point ``(x, u)``, and ``coupled``, if any row couples them.
     """
 
     def __init__(self):
@@ -126,6 +124,7 @@ class LpModel:
         self._names: list[str] | None = None
         self._index: dict[str, int] | None = None
         self.dp_point = None
+        self.coupled = True
 
     # -- integer interface ----------------------------------------------
 
@@ -479,17 +478,17 @@ def _solve_highs(model: LpModel) -> LpSolution:
 def solve(model: LpModel, engine: str = "auto") -> LpSolution:
     """Solve to an optimal solution, or report infeasible/unbounded.
 
-    ``auto`` uses the in-repo simplex up to ``DENSE_CELL_LIMIT`` tableau
-    cells.  Beyond it, it returns the builders' DP point when ``certify``
-    accepts it, and otherwise calls HiGHS.  Each is deterministic for a
-    fixed model; the simplex and HiGHS end on a basic solution.
+    ``auto`` returns the model's ``dp_point`` when ``certify`` accepts it,
+    tried on an uncoupled model and on any past ``DENSE_CELL_LIMIT`` tableau
+    cells; else the in-repo simplex up to the limit and HiGHS beyond.  Each
+    is deterministic for a model; the simplex and HiGHS end on a vertex.
     """
     if model.num_vars == 0:
         return LpSolution("optimal", 0.0, np.zeros(0), "trivial", 0, model)
     if engine == "auto":
         cells = (model.num_rows + 2) * (model.num_vars + model.num_rows + 1)
         engine = "simplex" if cells <= DENSE_CELL_LIMIT else "highs"
-        if engine == "highs" and model.dp_point is not None:
+        if model.dp_point and (engine == "highs" or not model.coupled):
             x, u = model.dp_point()
             primal, dual, gap = certify(model, x, u)
             obj = model.objective_value(x)
@@ -944,6 +943,7 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
             model.add_objective_term(xm[t] + a, pa * v)
     model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
                              dists, blocks, state_cap, counts)
+    model.coupled = bool(large_rows(inst, mk))  # shipping or a large bin
     return BuiltLp(model=model, instance=inst, blocks=blocks, marking=mk)
 
 

@@ -517,6 +517,27 @@ def reference_subproblem_dp(p: ProductionInstance, type_index: int,
     return entries
 
 
+def reference_concavity_check(table):
+    """``dp.concavity_check`` as a walk over ``table.entries`` (levels last
+    to first, states ascending): every ``(s, s+1, s+2)`` held at a level,
+    the first strictly largest gap above 1e-9 winning."""
+    worst = None
+    worst_gap = 1e-9
+    entries = table.entries
+    for (lvl, s), v in entries.items():
+        if len(s) != 1:
+            raise ValueError("concavity check applies to chain tables only")
+        mid = entries.get((lvl, (s[0] + 1,)))
+        hi = entries.get((lvl, (s[0] + 2,)))
+        if mid is None or hi is None:
+            continue
+        gap = v + hi - 2.0 * mid
+        if gap > worst_gap:
+            worst_gap = gap
+            worst = (table.positions[lvl], s[0], gap)
+    return worst is None, worst
+
+
 def reference_profile(dyn, state_cap=DEFAULT_STATE_CAP):
     """Per-arrival reachable state sets and forbidden one-over-pick targets
     as a loop over state tuples: the oracle ``model.reachable_profile``

@@ -192,7 +192,19 @@ def test_verify_passes_on_chain(chain_path):
     names = {c["name"] for c in doc["checks"]}
     assert "negative cylinder type 0" in names
     assert "feasibility simulation" in names
-    # a desk-scale LP is solved by the dense simplex, and the detail says so
+    # the exact LP, which has no coupling row, takes its certified DP
+    # point; the desk-scale ex-ante LP, coupled by the shipping row, is
+    # solved by the dense simplex; the detail names each engine
+    details = {c["name"]: c["detail"] for c in doc["checks"]}
+    assert details["lp-opt equals dp"].endswith(" engine=certificate")
+    assert details["ex-ante relaxes dp"].endswith(" engine=simplex")
+    # a forced simplex still solves the exact LP
+    code, out, _ = run_cli(["verify", "--instance", chain_path,
+                            "--trials", "400", "--seed", "2",
+                            "--engine", "simplex"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True
     details = {c["name"]: c["detail"] for c in doc["checks"]}
     assert details["lp-opt equals dp"].endswith(" engine=simplex")
     assert details["ex-ante relaxes dp"].endswith(" engine=simplex")

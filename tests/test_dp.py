@@ -131,8 +131,10 @@ def test_concavity_negative_control():
     p = ProductionInstance(dists=(U02, U02, U02), types=(0, 0, 0),
                            days=(0, 0, 0), production=((3,),), shipping=3)
     tbl = solve_subproblem_dp(p, 0, 0.0)
-    # level 2 has sold counts 0..2; dent the middle of that triple
-    tbl.entries[(2, (1,))] -= 1.0
+    # level 2 has sold counts 0..2 at positions 0..2; dent the middle of
+    # that triple
+    assert tbl.levels.codes[2] == [0, 1, 2]
+    tbl.values[2][1] -= 1.0
     ok, worst = concavity_check(tbl)
     assert not ok
     assert worst[0] == 2 and worst[1] == 0

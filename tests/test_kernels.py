@@ -11,7 +11,9 @@ off per-arrival tables.
 The backward-induction kernel behind ``solve_full_dp`` and
 ``solve_subproblem_dp`` must give the values, thresholds and entry order of
 ``conftest.reference_full_dp`` / ``reference_subproblem_dp`` exactly, and
-``solve_full_dp`` must decode no state until its policy's rules are read.
+``solve_full_dp`` must decode no state until its policy's rules are read,
+and ``dp.concavity_check`` must return the ``(ok, worst)`` of the walk over
+a table's entries kept as ``conftest.reference_concavity_check``.
 ``dp.forward`` must give each arrival's pick probability under the
 threshold policy as ``conftest.reference_pick_probabilities`` reads it off
 the exact state walk, and each level's occupancy as the trace of that walk,
@@ -32,7 +34,8 @@ count, objective and every bit of ``x``.  LP text and PTAS policy JSON must
 hash to the values recorded when the LP layer was keyed by variable name,
 except the small-branch PTAS policies, recorded when that branch took the
 DP's policy, the lp-opt roundings, recorded when the small branch still
-rounded the exact LP, and the current large-branch PTAS policies, recorded
+rounded the exact LP (and under ``auto``, recorded as ``auto`` tried
+certified DP points), and the current large-branch PTAS policies, recorded
 when that branch first took the units' DP policies where they fit.
 ``policy_to_json`` must write the bytes of
 ``conftest.reference_policy_json``.
@@ -60,6 +63,7 @@ from binprice import (
     build_lp_hierarchy,
     build_lp_optimal,
     compose_policies,
+    concavity_check,
     evaluate_exact,
     policy_to_json,
     ptas_laminar,
@@ -99,6 +103,7 @@ from conftest import (
     random_distribution,
     random_laminar,
     random_production,
+    reference_concavity_check,
     reference_dense_simplex,
     reference_emit_block,
     reference_evaluate_block,
@@ -584,6 +589,64 @@ def test_chain_dp_matches_reference_on_corpus(corpus, sweep):
                 assert np.array_equal(acc, reference_acceptance(p, j, shift))
 
 
+def assert_concavity_matches_reference(tbl, rng):
+    """``concavity_check`` gives the reference walk's ``(ok, worst)`` on
+    ``tbl`` and on a copy with every value moved by a random multiple of
+    0.25, which breaks concavity at many triples."""
+    assert concavity_check(tbl) == reference_concavity_check(tbl)
+    noisy = dataclasses.replace(tbl, values=[
+        v + 0.25 * np.array([rng.randint(-2, 2) for _ in v])
+        for v in tbl.values])
+    got = concavity_check(noisy)
+    assert got == reference_concavity_check(noisy)
+    return got
+
+
+def test_concavity_check_matches_reference_on_corpus_chains(corpus):
+    rng = random.Random(4)
+    failed = 0
+    for entry in corpus:
+        p = entry.production
+        for j in range(p.num_types if p is not None else 0):
+            for shift in CHAIN_SHIFTS:
+                tbl = solve_subproblem_dp(p, j, shift)
+                failed += not assert_concavity_matches_reference(tbl, rng)[0]
+    assert failed > 0
+
+
+def test_concavity_check_matches_reference_on_criterion_6():
+    p = criterion_6_production()
+    rng = random.Random(6)
+    for j in range(p.num_types):
+        tbl = solve_subproblem_dp(p, j)
+        assert concavity_check(tbl) == (True, None)
+        assert not assert_concavity_matches_reference(tbl, rng)[0]
+
+
+def test_concavity_check_matches_reference_on_ties():
+    # six unit buyers of one type: level i holds sold counts 0..i
+    p = ProductionInstance(dists=(DiscreteDistribution.point(1.0),) * 6,
+                           types=(0,) * 6, days=(0,) * 6,
+                           production=((6,),), shipping=6)
+    tbl = dataclasses.replace(solve_subproblem_dp(p, 0), values=[
+        np.zeros(i + 1) for i in range(7)])
+    # gap 2 at sold 0 and 2 of level 5, and at sold 0 of level 4: the walk
+    # meets level 5 first, and sold 0 before sold 2
+    tbl.values[5][:] = [0.0, -1.0, 0.0, -1.0, 0.0, 0.0]
+    tbl.values[4][:] = [0.0, -1.0, 0.0, 0.0, 0.0]
+    want = (False, (5, 0, 2.0))
+    assert reference_concavity_check(tbl) == want
+    assert concavity_check(tbl) == want
+    # a larger gap at a later level of the walk wins (a fresh table, so
+    # the reference decodes its entries anew)
+    tbl = dataclasses.replace(tbl)
+    tbl.values[1][:] = [0.0, 0.0]  # no triple
+    tbl.values[2][:] = [0.0, -1.5, 0.0]
+    want = (False, (2, 0, 3.0))
+    assert reference_concavity_check(tbl) == want
+    assert concavity_check(tbl) == want
+
+
 def _sizing(call):
     try:
         call()
@@ -628,9 +691,12 @@ CRITERION_7_SETTING = PtasConfig(epsilon=0.2, delta=0.1)
 # units' DP policies wherever they satisfy every large row.  ``lp_opt`` and
 # ``criterion_7`` were recorded when ``auto`` chose only between the dense
 # simplex and HiGHS, so their LPs are solved with the engine it chose then
-# (``recorded_engine``).  ``lp_opt_auto`` and ``criterion_7_auto`` are the
-# same roundings under ``auto``, which now takes the certified DP point for
-# corpus instance 183's exact LP and for the criterion-7 relaxation.
+# (``recorded_engine``).  ``lp_opt_auto_past_limit`` was recorded when
+# ``auto`` tried the certified DP point only past the dense limit, which
+# took it for corpus instance 183's exact LP alone (``past_limit_engine``).
+# ``lp_opt_auto`` and ``criterion_7_auto`` are the roundings under
+# ``auto``, which takes the certified DP point for every corpus exact LP,
+# since they have no coupling row, and for the criterion-7 relaxation.
 LP_TEXT_SHA256 = {
     "optimal": "282d67d402d97f6576ba9299c4799e45aadbb3c0ee6503cddaa9e2058aeebc08",
     "exante": "2079a7c1e22b6ad17f9d2c7db87f7cbe3c0ef1a4ca4204b215bcf49a65072aae",
@@ -642,7 +708,8 @@ POLICY_SHA256 = {
     "eps0.2_delta0.6": "1ee5f34fa21b992facc09cd2b3217b513969a7137e7231cbe63852c48dfd06a8",
     "lp_opt": "f3a23787645c39a817f92f9e71e2650a75f2e7d9b8ed98083c60170da69985ea",
     "criterion_7": "bf45a9b006e20db1b83a294728cd55528d4db518976038a9895c16ae67482972",
-    "lp_opt_auto": "5b19c2e91b85f689fdde4e31c5d55304a2b04f09cb68b8d40b52655bd0bffa64",
+    "lp_opt_auto_past_limit": "5b19c2e91b85f689fdde4e31c5d55304a2b04f09cb68b8d40b52655bd0bffa64",
+    "lp_opt_auto": "f41763c4e4380f890e32e76ec3903a694a20c7b6804a0fc62983c4daea89b998",
     "criterion_7_auto": "cfe961fda6fd1d8583f0e220788a7776f7b6efbba6562e9c6b2b5441c4cc3531",
     "ptas_eps0.2_delta0.6": "879504ecef22ebb7620e58ec7daa61142ed0a972f80591f672a4426e7adc894b",
     "ptas_criterion_7": "2c6b153e148808316094112075720ba1b9a965c9c56aee0fbe3603ef198fb6f5",
@@ -703,6 +770,13 @@ def recorded_engine(model):
     return "simplex" if cells <= lp.DENSE_CELL_LIMIT else "highs"
 
 
+def past_limit_engine(model):
+    """The engine ``auto`` picked while it tried certified DP points only
+    past ``DENSE_CELL_LIMIT``: the dense simplex up to the limit, ``auto``
+    beyond."""
+    return "simplex" if recorded_engine(model) == "simplex" else "auto"
+
+
 def rounded_relaxation(inst, cfg, engine="auto"):
     """The rounding of ``inst``'s relaxation LP, composed as the PTAS
     composes it: the large branch's policy whenever it solves that LP."""
@@ -736,11 +810,12 @@ def corpus_run(corpus):
     policies: per setting, those of ``lp_large_branch_policy`` (under the
     setting's label) and the PTAS's own (``ptas_<label>``), the small
     branch's former LP roundings (``lp_route``) and the exact LP's
-    rounding, solved with ``recorded_engine`` (``lp_opt``) and ``auto``
+    rounding, solved with ``recorded_engine`` (``lp_opt``),
+    ``past_limit_engine`` (``lp_opt_auto_past_limit``) and ``auto``
     (``lp_opt_auto``)."""
     models = []
     labels = (*BENCH_SETTINGS, *(f"ptas_{k}" for k in BENCH_SETTINGS),
-              "lp_route", "lp_opt", "lp_opt_auto")
+              "lp_route", "lp_opt", "lp_opt_auto_past_limit", "lp_opt_auto")
     policies = {label: [] for label in labels}
     solve = lp.solve
 
@@ -766,10 +841,12 @@ def corpus_run(corpus):
             built = build_lp_optimal(lam)
             policies["lp_opt_auto"].append(extract_pricing(
                 lp.solve_optimal(built.model), built, "root"))
-            # uncaptured: the same model, with the engine of the pin
-            policies["lp_opt"].append(extract_pricing(
-                solve(built.model, recorded_engine(built.model)), built,
-                "root"))
+            # uncaptured: the same model, with the engines of the pins
+            for label, engine in (("lp_opt", recorded_engine),
+                                  ("lp_opt_auto_past_limit",
+                                   past_limit_engine)):
+                policies[label].append(extract_pricing(
+                    solve(built.model, engine(built.model)), built, "root"))
     # the PTAS's LP-route cases solve the LPs captured above again
     for entry in corpus:
         for label, cfg in BENCH_SETTINGS.items():
@@ -964,7 +1041,7 @@ def test_ptas_policies_are_pinned(corpus_run, criterion_7_policies):
     _, policies = corpus_run
     got = {label: sha256_of(map(policy_to_json, policies[label]))
            for label in (*BENCH_SETTINGS, "ptas_eps0.2_delta0.6", "lp_opt",
-                         "lp_opt_auto")}
+                         "lp_opt_auto_past_limit", "lp_opt_auto")}
     ptas_policy, relaxed, relaxed_auto = criterion_7_policies
     got["criterion_7"] = sha256_of([policy_to_json(relaxed)])
     got["criterion_7_auto"] = sha256_of([policy_to_json(relaxed_auto)])
@@ -993,7 +1070,7 @@ def test_policy_writer_matches_json_dumps_on_corpus(corpus_run):
     assert {k: len(v) for k, v in policies.items()} == {
         "eps0.2": 200, "eps0.2_delta0.6": 200, "ptas_eps0.2": 200,
         "ptas_eps0.2_delta0.6": 200, "lp_route": 270, "lp_opt": 200,
-        "lp_opt_auto": 200}
+        "lp_opt_auto_past_limit": 200, "lp_opt_auto": 200}
     for pols in policies.values():
         for pol in pols:
             assert policy_to_json(pol) == reference_policy_json(pol)

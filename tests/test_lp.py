@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from binprice import dp, lp
+from binprice import cli, dp, harness, lp
 from binprice import (
     DiscreteDistribution,
     LaminarInstance,
@@ -20,7 +20,7 @@ from binprice import (
 )
 from binprice.lp import LpModel, LpSolution, certify, check_solution, y_name
 from binprice.model import InstanceError
-from binprice.rounding import compose_policies, mark_laminar
+from binprice.rounding import compose_policies, extract_pricing, mark_laminar
 
 from conftest import (
     model_from_arrays,
@@ -311,7 +311,8 @@ def test_check_solution_accepts_solver_output(corpus):
 
 
 # ---------------------------------------------------------------------------
-# Certified DP points (the dense limit at 0 sends every LP past it)
+# Certified DP points: tried on an uncoupled LP at every size, on a coupled
+# one past the dense limit (at 0, every LP is past it)
 # ---------------------------------------------------------------------------
 
 CAP1_PAIR = LaminarInstance.build(
@@ -326,6 +327,11 @@ LARGE_ROOT = LaminarInstance.build(
 @pytest.fixture
 def no_dense(monkeypatch):
     monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", 0)
+
+
+def desk_scale(model):
+    cells = (model.num_rows + 2) * (model.num_vars + model.num_rows + 1)
+    return cells <= lp.DENSE_CELL_LIMIT
 
 
 def bits(sol):
@@ -348,11 +354,20 @@ def assert_certified(model):
         ("optimal", "certificate", 0)
     assert abs(sol.objective - solve(model, "simplex").objective) <= 1e-9
     assert check_solution(model, sol) == []
+    return sol
 
 
-def test_certificate_solves_every_corpus_exact_lp(corpus, no_dense):
+def test_certificate_solves_every_corpus_exact_lp(corpus):
+    # under plain auto: the exact LP has no coupling row, so it takes the
+    # DP point at desk scale too, and its rounding replays the point
     for entry in corpus:
-        assert_certified(build_lp_optimal(entry.laminar).model)
+        built = build_lp_optimal(entry.laminar)
+        assert not built.model.coupled
+        sol = assert_certified(built.model)
+        welfare, trace = harness.evaluate_exact(
+            extract_pricing(sol, built, "root"), entry.laminar)
+        assert abs(welfare - sol.objective) <= 1e-6
+        assert cli._trace_deviation(sol, built, trace) <= 1e-7
 
 
 def test_certificate_solves_slack_bound_lps_and_binding_ones_fall_back(
@@ -374,26 +389,43 @@ def test_certificate_solves_slack_bound_lps_and_binding_ones_fall_back(
     assert binding == 66
 
 
-def test_certificate_is_not_computed_at_or_below_the_dense_limit(
-        monkeypatch):
+def test_certificate_solves_an_uncoupled_desk_scale_lp():
     model = build_lp_optimal(CAP1_PAIR).model
+    assert not model.coupled and desk_scale(model)
+    assert_certified(model)
 
-    def fail():
-        raise AssertionError("DP point computed")
 
+def fail():
+    raise AssertionError("DP point computed")
+
+
+def test_certificate_is_not_computed_for_a_coupled_desk_scale_lp():
+    model = build_lp_hierarchy(LARGE_ROOT, mark_laminar(LARGE_ROOT, 0.1),
+                               1.0).model
+    assert model.coupled and desk_scale(model)
     model.dp_point = fail
     assert solve(model).engine == "simplex"
-    # forced engines never compute it either
-    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", 0)
-    assert solve(model, "simplex").engine == "simplex"
-    assert solve(model, "highs").engine == "highs"
 
 
-def falls_back(model, x, u):
-    """``solve`` rejects ``(x, u)`` as the DP point and returns HiGHS's
-    bits; returns ``certify``'s residuals of the point."""
+@pytest.mark.parametrize("limit", [lp.DENSE_CELL_LIMIT, 0],
+                         ids=["desk", "past"])
+def test_certificate_is_not_computed_under_a_forced_engine(monkeypatch,
+                                                           limit):
+    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", limit)
+    for built in (build_lp_optimal(CAP1_PAIR),
+                  build_lp_hierarchy(LARGE_ROOT,
+                                     mark_laminar(LARGE_ROOT, 0.1), 1.0)):
+        built.model.dp_point = fail
+        assert solve(built.model, "simplex").engine == "simplex"
+        assert solve(built.model, "highs").engine == "highs"
+
+
+def falls_back(model, x, u, engine="highs"):
+    """``solve`` rejects ``(x, u)`` as the DP point and returns the bits
+    of ``engine``, its choice by size; returns ``certify``'s residuals of
+    the point."""
     model.dp_point = lambda: (x, u)
-    assert bits(solve(model)) == bits(solve(model, "highs"))
+    assert bits(solve(model)) == bits(solve(model, engine))
     return certify(model, x, u)
 
 
@@ -409,17 +441,33 @@ def test_dp_point_reads_the_blocks_levels(monkeypatch):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-def test_certificate_rejects_a_nudged_threshold(no_dense, monkeypatch):
+def nudged_point(monkeypatch, built):
+    """``built``'s DP point with the first threshold nudged up by 1e-3,
+    which still takes v=2."""
     passes = dp.unit_passes
 
     def nudged(dyns, dists, **kw):
         table = passes(dyns, dists, **kw)[0][0]
-        table.thresholds[0] = table.thresholds[0] + 1e-3  # still takes v=2
+        table.thresholds[0] = table.thresholds[0] + 1e-3
         return [(table, dp.forward(dp.threshold_policy(table), dists))]
 
+    with monkeypatch.context() as m:
+        m.setattr(dp, "unit_passes", nudged)
+        return built.model.dp_point()
+
+
+def test_certificate_rejects_a_nudged_threshold(no_dense, monkeypatch):
     built = build_lp_optimal(CAP1_PAIR)
-    monkeypatch.setattr(dp, "unit_passes", nudged)
-    _, dual, _ = falls_back(built.model, *built.model.dp_point())
+    _, dual, _ = falls_back(built.model, *nudged_point(monkeypatch, built))
+    assert dual == pytest.approx(0.5e-3)
+
+
+def test_certificate_rejects_a_nudged_threshold_at_desk_scale(
+        monkeypatch):
+    built = build_lp_optimal(CAP1_PAIR)
+    assert desk_scale(built.model)
+    _, dual, _ = falls_back(built.model, *nudged_point(monkeypatch, built),
+                            "simplex")
     assert dual == pytest.approx(0.5e-3)
 
 
