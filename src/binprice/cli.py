@@ -176,7 +176,9 @@ def cmd_verify(args) -> int:
 
     table, _ = solve_full_dp(lam, state_cap=state_cap)
     dp_value = table.optimal
-    built1 = lp.build_lp_optimal(lam, state_cap=state_cap)
+    # each unit's DP, solved once: the LPs' DP points and the PTAS read it
+    tables = {"root": table}
+    built1 = lp.build_lp_optimal(lam, state_cap=state_cap, tables=tables)
     sol1 = lp.solve_optimal(built1.model, args.engine)
     checks.append(("lp-opt equals dp", abs(sol1.objective - dp_value) <= 1e-6,
                    f"lp={sol1.objective!r} dp={dp_value!r} "
@@ -201,18 +203,19 @@ def cmd_verify(args) -> int:
 
     cfg = ptas.PtasConfig(epsilon=args.epsilon, delta=args.delta)
     if isinstance(inst, ProductionInstance):
-        built2 = lp.build_lp_exante(inst, 1.0, state_cap=state_cap)
+        # one chain DP per type feeds the ex-ante LP's DP point, both
+        # cylinder checks and the concavity check
+        chains = {j: solve_subproblem_dp(inst, j, 0.0, state_cap=state_cap)
+                  for j in range(inst.num_types) if inst.buyers_of_type(j)}
+        tables.update((tbl.scope, tbl) for tbl in chains.values())
+        built2 = lp.build_lp_exante(inst, 1.0, state_cap=state_cap,
+                                    tables=tables)
         sol2 = lp.solve_optimal(built2.model, args.engine)
         checks.append(("ex-ante relaxes dp", sol2.objective >= dp_value - 1e-6,
                        f"exante={sol2.objective!r} dp={dp_value!r} "
                        f"engine={sol2.engine}"))
-        for j in range(inst.num_types):
+        for j, tbl in chains.items():
             buyers = inst.buyers_of_type(j)
-            if not buyers:
-                continue
-            # one chain DP feeds both cylinder checks and the concavity
-            # check
-            tbl = solve_subproblem_dp(inst, j, 0.0, state_cap=state_cap)
             # gated on the summed form the concentration bound uses; the
             # per-subset form, which optimal chains can fail, is reported
             # where its 2^l subsets are affordable
@@ -244,10 +247,10 @@ def cmd_verify(args) -> int:
 
     if isinstance(inst, ProductionInstance):
         result = ptas.ptas_production(inst, cfg, state_cap=state_cap,
-                                      engine=args.engine)
+                                      engine=args.engine, tables=tables)
     else:
         result = ptas.ptas_laminar(inst, cfg, state_cap=state_cap,
-                                   engine=args.engine)
+                                   engine=args.engine, tables=tables)
     sim = harness.simulate(result.policy, inst, args.trials, args.seed,
                            threads=args.threads, state_cap=state_cap)
     checks.append(("feasibility simulation", sim.total_violations == 0,

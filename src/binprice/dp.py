@@ -228,18 +228,6 @@ def forward_all(policies, dists, shift: float = 0.0):
     return decided, passes
 
 
-def unit_passes(dyns, dists, *, state_cap=DEFAULT_STATE_CAP,
-                levels=None) -> list:
-    """``(table, forward(threshold_policy(table), dists))`` for each of
-    ``dyns``: the units' optimal value tables and their threshold policies'
-    forward passes, over ``levels[k]`` for the ``k``-th unit when given."""
-    levels = [None] * len(dyns) if levels is None else levels
-    tables = [backward(dyn, dists, state_cap=state_cap, levels=lv)
-              for dyn, lv in zip(dyns, levels)]
-    _, passes = forward_all(list(map(threshold_policy, tables)), dists)
-    return list(zip(tables, passes))
-
-
 def _level_arrays(after, skips, picks, atoms):
     """Values and thresholds of one level from those of the next, on
     arrays."""

@@ -34,10 +34,11 @@ state tuples are produced only on request -- ``to_text``,
 ``BlockInfo.levels``/``forbidden``.
 
 Solvers: the blocks' DP point when ``certify`` proves it optimal (engine
-``"certificate"``), tried on a model with no coupling row (``N(j)``,
-shipping, large bins) and on any past a size threshold; else an in-repo
-dense-tableau two-phase Bland simplex up to the threshold and a
-scipy/HiGHS bridge beyond.  The point's coupling rows have multiplier 0.
+``"certificate"``), tried on a model none of whose large rows (shipping,
+large bins) can bind, since its units' most picks fit under each, and on
+any past a size threshold; else an in-repo dense-tableau two-phase Bland
+simplex up to the threshold and a scipy/HiGHS bridge beyond.  The point's
+coupling rows (with ``N(j)``) have multiplier 0.
 
 Text interchange format (``LpModel.to_text``), one token per name, all
 variables non-negative::
@@ -107,7 +108,8 @@ class LpModel:
     the first time one is read.  ``objective`` maps a column to its
     coefficient in the order the terms were added, which is the order the
     objective value is summed in.  ``_build`` sets ``dp_point``, computing
-    the blocks' DP point ``(x, u)``, and ``coupled``, if any row couples them.
+    the blocks' DP point ``(x, u)``, and ``coupled``, whether some large row
+    can bind: whether the most picks its units can make exceed its capacity.
     """
 
     def __init__(self):
@@ -847,22 +849,24 @@ def _moved_sources(lv, steps, sel):
     return at, inside & (keys[at] == want)
 
 
-def _dp_point(num_vars, num_rows, dists, blocks, state_cap, counts):
+def _dp_point(num_vars, num_rows, dists, blocks, counts, tables):
     """``(x, u)``: each block's optimal threshold policy run forward
     (``Y``, ``X = Y * 1[v >= tau]``, ``X(t,a)`` their sums) and its duals
     (``V`` on the initial and update rows, ``p*v`` on the marginal rows,
     ``p*max(0, v - tau)`` on the ``X <= Y`` rows, ``-M`` and ``2M`` on the
     update and pin rows of forbidden states), placed by position: the
-    levels of ``dp.unit_passes`` are the blocks' runs, in order.  Each
-    ``N(j)`` of ``counts`` is the sum of its row's terms; every coupling
-    row keeps dual 0.  Given sizes, not the model, ``dp_point`` makes no
-    reference cycle."""
+    levels of the blocks' value tables (``tables[key]`` where the caller
+    passed one, else ``dp.backward`` over the block's levels) are the
+    blocks' runs, in order.  Each ``N(j)`` of ``counts`` is the sum of its
+    row's terms; every coupling row keeps dual 0.  Given sizes, not the
+    model, ``dp_point`` makes no reference cycle."""
     x = np.zeros(num_vars)
     u = np.zeros(num_rows)
-    passes = dp.unit_passes([info.dyn for info in blocks.values()], dists,
-                            state_cap=state_cap,
-                            levels=[info.states for info in blocks.values()])
-    for info, (table, (_, occupancy, _)) in zip(blocks.values(), passes):
+    units = [tables[key] if key in tables
+             else dp.backward(info.dyn, dists, levels=info.states)
+             for key, info in blocks.items()]
+    _, passes = dp.forward_all(list(map(dp.threshold_policy, units)), dists)
+    for info, table, (_, occupancy, _) in zip(blocks.values(), units, passes):
         values = table.values
         big = 1.0 + max(float(np.abs(v).max()) for v in values) + max(
             abs(v) for t in info.elements for v in dists[t].values)
@@ -894,22 +898,35 @@ def _dp_point(num_vars, num_rows, dists, blocks, state_cap, counts):
 # ---------------------------------------------------------------------------
 
 
+def _most_picks(lv: StateLevels) -> int:
+    """The most picks a unit can make: the span of its first coordinate,
+    which each pick moves one way by 1, over its last level (a chain's
+    largest sold count, a small bin's drop in its own remaining capacity);
+    1 for a lone element, which has no coordinate."""
+    if not lv.coding.strides:
+        return 1
+    codes, stride = lv.codes[-1], lv.coding.strides[0]
+    return int(codes[-1] // stride - codes[0] // stride)
+
+
 def _build(inst, mk: Marking | None, capacity_scale: float,
-           state_cap, levels=None) -> BuiltLp:
+           state_cap, tables=None) -> BuiltLp:
     """The relaxation of ``inst`` under ``mk``: a point-wise block per unit
     of ``small_units``, then each of ``large_rows`` held in expectation at
     ``capacity_scale`` times its cap.  A large bin's row sums its elements'
     marginals; a production instance's shipping row sums one ``N(j)`` per
-    type, each at least its type's expected served count.  ``levels`` maps
-    a unit's key to its ``StateLevels`` where the caller holds them."""
+    type, each at least its type's expected served count.  ``tables`` maps
+    a unit's key to its ``dp.ValueTable`` where the caller holds it: the
+    block takes its levels, and the DP point its values and thresholds."""
     if not (0.0 < capacity_scale <= 1.0):
         raise ValueError("capacity_scale must be in (0, 1]")
     dists = inst.dists
+    tables = tables or {}
     model = LpModel()
     blocks = {}
     for key in small_units(inst, mk):
         dyn = bind_dynamics(key, inst)
-        lv = (levels[key] if levels is not None
+        lv = (tables[key].levels if key in tables
               else state_levels(dyn, state_cap))
         blocks[key] = BlockInfo(key, dyn, lv)
     _emit_blocks(model, dists, list(blocks.values()))
@@ -932,32 +949,40 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
         for j, terms in counts:
             model.append_row([i for i, _ in terms] + [j],
                              [pa for _, pa in terms] + [-1.0], "<=", 0.0)
+    unit = {t: key for key, info in blocks.items() for t in info.elements}
+    model.coupled = False
     for _, elements, cap in large_rows(inst, mk):
         # a bin's elements may sit in different blocks: order by column
         terms = ([(j, 1.0) for j, _ in counts] if production
                  else sorted(served(elements)))
         model.append_row([i for i, _ in terms], [c for _, c in terms],
                          "<=", capacity_scale * cap)
+        # an expected count never exceeds the most picks: a row its units
+        # cannot fill never binds
+        most = sum(_most_picks(blocks[key].states)
+                   for key in {unit[t] for t in elements})
+        model.coupled |= most > capacity_scale * cap
     for t, dist in enumerate(dists):
         for a, (v, pa) in enumerate(dist.atoms):
             model.add_objective_term(xm[t] + a, pa * v)
     model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
-                             dists, blocks, state_cap, counts)
-    model.coupled = bool(large_rows(inst, mk))  # shipping or a large bin
+                             dists, blocks, counts, tables)
     return BuiltLp(model=model, instance=inst, blocks=blocks, marking=mk)
 
 
-def build_lp_optimal(inst: LaminarInstance, *,
-                     state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
+def build_lp_optimal(inst: LaminarInstance, *, state_cap=DEFAULT_STATE_CAP,
+                     tables=None) -> BuiltLp:
     """Exact LP of the optimal online policy: the relaxation with no large
-    bin, one point-wise block over the full remaining-capacity state space."""
-    return _build(inst, Marking(), 1.0, state_cap)
+    bin, one point-wise block over the full remaining-capacity state space.
+    ``tables`` as for ``_build``: ``solve_full_dp``'s table as ``root``."""
+    return _build(inst, Marking(), 1.0, state_cap, tables)
 
 
 def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
-                    state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
-    """Per-type point-wise blocks with the shipping capacity in expectation."""
-    return _build(p, None, capacity_scale, state_cap)
+                    state_cap=DEFAULT_STATE_CAP, tables=None) -> BuiltLp:
+    """Per-type point-wise blocks with the shipping capacity in expectation;
+    ``tables`` as for ``_build``, each type's chain table as ``type:j``."""
+    return _build(p, None, capacity_scale, state_cap, tables)
 
 
 def build_lp_hierarchy(inst: LaminarInstance, mk: Marking,

@@ -9,11 +9,11 @@ capacities).
 Small branch: when the shipping capacity is at most ``1/delta`` (production)
 or the depth marking leaves no bin large (laminar), the whole instance is
 one point-wise sub-problem and is priced exactly.  Its policy is the
-optimal threshold policy of ``dp.solve_full_dp``, and its objective the DP
-optimum; no LP is built.  The exact policy LP, whose value equals the DP's,
-stays the cross-check of ``solve --alg lp-opt`` and ``verify``.  A laminar
-policy keeps the composed shape, with the root as its only block and no
-counters.
+optimal threshold policy of the root's DP (``dp.solve_full_dp``'s table,
+or the caller's), and its objective the DP optimum; no LP is built.  The
+exact policy LP, whose value equals the DP's, stays the cross-check of
+``solve --alg lp-opt`` and ``verify``.  A laminar policy keeps the composed
+shape, with the root as its only block and no counters.
 
 Large branch, one path for both instance kinds (``_large_branch``): the
 relaxation keeps each unit of ``model.small_units`` (a type's chain, or a
@@ -46,7 +46,6 @@ from .model import (
     ProductionInstance,
     bind_dynamics,
     large_rows,
-    production_to_laminar,
     small_bins,
     small_units,
 )
@@ -107,30 +106,35 @@ class PtasResult:
                 "small_all": sorted(small)}
 
 
+def _table(inst, key, state_cap, tables) -> dp.ValueTable:
+    """``tables[key]`` where the caller holds it, else unit ``key``'s DP."""
+    if tables and key in tables:
+        return tables[key]
+    return dp.backward(bind_dynamics(key, inst), inst.dists,
+                       state_cap=state_cap)
+
+
 def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
-                  mk: Marking | None = None) -> PtasResult:
+                  mk: Marking | None = None, tables=None) -> PtasResult:
     """The relaxation of ``model.small_units`` under ``model.large_rows``
     scaled by ``cfg.capacity_scale``, composed behind the counters.  The
     units' DP threshold policies when they keep every row in expectation,
     else the rounded LP: ex-ante (production) or hierarchy (laminar)."""
-    passes = dp.unit_passes([bind_dynamics(key, inst)
-                             for key in small_units(inst, mk)],
-                            inst.dists, state_cap=state_cap)
-    tables = [table for table, _ in passes]
+    tables = [_table(inst, key, state_cap, tables)
+              for key in small_units(inst, mk)]
+    policies = {table.scope: dp.threshold_policy(table) for table in tables}
+    _, passes = dp.forward_all(list(policies.values()), inst.dists)
     picked = {}
-    for table, (_, _, picks) in passes:
+    for table, (_, _, picks) in zip(tables, passes):
         picked.update(zip(table.positions[:-1], picks))
     if all(sum(picked[e] for e in elements) <= cfg.capacity_scale * cap
            for _, elements, cap in large_rows(inst, mk)):
-        policies = {table.scope: dp.threshold_policy(table)
-                    for table in tables}
         objective, lp_kind = sum(table.optimal for table in tables), "dp"
     else:
         # the relaxation of ``build_lp_exante`` or ``build_lp_hierarchy``
-        # (``mk`` is valid by construction), over the units' levels the
-        # DPs above enumerated
+        # (``mk`` is valid by construction), over the units' tables above
         built = lpmod._build(inst, mk, cfg.capacity_scale, state_cap,
-                             {table.scope: table.levels for table in tables})
+                             {table.scope: table for table in tables})
         lp_kind = "exante" if mk is None else "hierarchy"
         # the DP point overfills the row just seen: skip its certificate
         built.model.dp_point = None
@@ -142,21 +146,25 @@ def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
 
 
 def ptas_production(p: ProductionInstance, cfg: PtasConfig, *,
-                    state_cap=DEFAULT_STATE_CAP, engine="auto") -> PtasResult:
+                    state_cap=DEFAULT_STATE_CAP, engine="auto",
+                    tables=None) -> PtasResult:
+    """``tables`` maps a unit's key (``root``, ``type:j``) to its DP value
+    table where the caller holds one, as for ``ptas_laminar``."""
     if p.shipping <= 1.0 / cfg.resolved_delta:
-        table, policy = dp.solve_full_dp(production_to_laminar(p),
-                                         state_cap=state_cap)
-        return PtasResult(policy=policy, branch="small",
+        table = _table(p, "root", state_cap, tables)
+        return PtasResult(policy=dp.threshold_policy(table), branch="small",
                           objective=table.optimal, lp_kind="dp")
-    return _large_branch(p, cfg, state_cap, engine)
+    return _large_branch(p, cfg, state_cap, engine, tables=tables)
 
 
 def ptas_laminar(inst: LaminarInstance, cfg: PtasConfig, *,
-                 state_cap=DEFAULT_STATE_CAP, engine="auto") -> PtasResult:
+                 state_cap=DEFAULT_STATE_CAP, engine="auto",
+                 tables=None) -> PtasResult:
     mk = mark_laminar(inst, cfg.resolved_delta)
     if not mk.large:
-        table, policy = dp.solve_full_dp(inst, state_cap=state_cap)
+        table = _table(inst, "root", state_cap, tables)
+        policy = dp.threshold_policy(table)
         return PtasResult(policy=compose_policies(inst, {"root": policy}, mk),
                           branch="small", objective=table.optimal,
                           lp_kind="dp", marking=mk)
-    return _large_branch(inst, cfg, state_cap, engine, mk)
+    return _large_branch(inst, cfg, state_cap, engine, mk, tables)

@@ -183,7 +183,7 @@ def test_policy_instance_mismatch_exits_6(instance_path, chain_path, tmp_path):
     assert "mismatch" in err
 
 
-def test_verify_passes_on_chain(chain_path):
+def test_verify_passes_on_chain(chain_path, instance_path):
     code, out, _ = run_cli(["verify", "--instance", chain_path,
                             "--trials", "400", "--seed", "2"])
     assert code == 0
@@ -193,9 +193,17 @@ def test_verify_passes_on_chain(chain_path):
     assert "negative cylinder type 0" in names
     assert "feasibility simulation" in names
     # the exact LP, which has no coupling row, takes its certified DP
-    # point; the desk-scale ex-ante LP, coupled by the shipping row, is
-    # solved by the dense simplex; the detail names each engine
+    # point, and so does the ex-ante LP, whose one type sells at most 1
+    # against shipping 1; the detail names each engine
     details = {c["name"]: c["detail"] for c in doc["checks"]}
+    assert details["lp-opt equals dp"].endswith(" engine=certificate")
+    assert details["ex-ante relaxes dp"].endswith(" engine=certificate")
+    # two types selling 1 each can fill shipping 1: the desk-scale ex-ante
+    # LP is coupled, and the dense simplex solves it
+    code, out, _ = run_cli(["verify", "--instance", instance_path,
+                            "--trials", "400", "--seed", "2"])
+    assert code == 0
+    details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
     assert details["lp-opt equals dp"].endswith(" engine=certificate")
     assert details["ex-ante relaxes dp"].endswith(" engine=simplex")
     # a forced simplex still solves the exact LP
@@ -386,17 +394,10 @@ def test_verify_checks_types_beyond_the_per_subset_limit(tmp_path):
 
 
 def test_verify_solves_each_type_chain_once(tmp_path, monkeypatch):
-    # both cylinder checks and the concavity check read one chain DP
-    doc = {"kind": "production",
-           "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]},
-                        {"dist": [[1.0, 0.5], [3.0, 0.5]]},
-                        {"dist": [[0.0, 0.25], [1.5, 0.75]]},
-                        {"dist": [[1.0, 1.0]]},
-                        {"dist": [[0.5, 0.5], [2.5, 0.5]]}],
-           "types": [0, 1, 0, 1, 0], "days": [0, 0, 1, 1, 1],
-           "production": {"0": [1, 2], "1": [1, 1]}, "shipping": 2}
-    inst = tmp_path / "production.json"
-    inst.write_text(json.dumps(doc))
+    # the root DP feeds the exact LP's DP point and the PTAS's small
+    # branch; one chain DP per type feeds both cylinder checks, the
+    # concavity check and, where the types' most sales (2 and 1) cannot
+    # fill the shipping row, the ex-ante LP's DP point
     solved = []
     backward = dp.backward
 
@@ -405,15 +406,29 @@ def test_verify_solves_each_type_chain_once(tmp_path, monkeypatch):
         return backward(dyn, *args, **kwargs)
 
     monkeypatch.setattr(dp, "backward", counted)
-    code, out, err = run_cli(["verify", "--instance", str(inst),
-                              "--trials", "200", "--seed", "1"])
-    assert code == 0, err
-    assert sorted(k for k in solved if k.startswith("type:")) == \
-        ["type:0", "type:1"]
-    checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
-    for j in (0, 1):
-        assert checks[f"negative cylinder type {j}"] is True
-        assert checks[f"value concavity type {j}"] is True
+    for shipping, engine in ((2, "simplex"), (3, "certificate")):
+        doc = {"kind": "production",
+               "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]},
+                            {"dist": [[1.0, 0.5], [3.0, 0.5]]},
+                            {"dist": [[0.0, 0.25], [1.5, 0.75]]},
+                            {"dist": [[1.0, 1.0]]},
+                            {"dist": [[0.5, 0.5], [2.5, 0.5]]}],
+               "types": [0, 1, 0, 1, 0], "days": [0, 0, 1, 1, 1],
+               "production": {"0": [1, 2], "1": [1, 1]},
+               "shipping": shipping}
+        inst = tmp_path / f"production-{shipping}.json"
+        inst.write_text(json.dumps(doc))
+        solved.clear()
+        code, out, err = run_cli(["verify", "--instance", str(inst),
+                                  "--trials", "200", "--seed", "1"])
+        assert code == 0, err
+        assert sorted(solved) == ["root", "type:0", "type:1"]
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["ex-ante relaxes dp"]["detail"].endswith(
+            f" engine={engine}")
+        for j in (0, 1):
+            assert checks[f"negative cylinder type {j}"]["ok"] is True
+            assert checks[f"value concavity type {j}"]["ok"] is True
 
 
 @pytest.mark.parametrize("atoms", [

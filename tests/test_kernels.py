@@ -697,6 +697,11 @@ CRITERION_7_SETTING = PtasConfig(epsilon=0.2, delta=0.1)
 # ``lp_opt_auto`` and ``criterion_7_auto`` are the roundings under
 # ``auto``, which takes the certified DP point for every corpus exact LP,
 # since they have no coupling row, and for the criterion-7 relaxation.
+# ``eps0.2_delta0.6_any_row`` was recorded while any large row coupled an
+# LP, so that the simplex solved every desk-scale relaxation with one
+# (``any_row_engine``); ``eps0.2_delta0.6`` is the rounding under
+# ``auto``, which takes the certified DP point wherever the units cannot
+# fill their rows.
 LP_TEXT_SHA256 = {
     "optimal": "282d67d402d97f6576ba9299c4799e45aadbb3c0ee6503cddaa9e2058aeebc08",
     "exante": "2079a7c1e22b6ad17f9d2c7db87f7cbe3c0ef1a4ca4204b215bcf49a65072aae",
@@ -705,7 +710,8 @@ LP_TEXT_SHA256 = {
 }
 POLICY_SHA256 = {
     "eps0.2": "615d160c4eb571599b7649e37773d0ce1eddafadd1520fb1a327a55f13329232",
-    "eps0.2_delta0.6": "1ee5f34fa21b992facc09cd2b3217b513969a7137e7231cbe63852c48dfd06a8",
+    "eps0.2_delta0.6_any_row": "1ee5f34fa21b992facc09cd2b3217b513969a7137e7231cbe63852c48dfd06a8",
+    "eps0.2_delta0.6": "1cb83f513db9dff75a3dfd31b6edfacd1b65a1cb7951e9f89970085fb8d765ce",
     "lp_opt": "f3a23787645c39a817f92f9e71e2650a75f2e7d9b8ed98083c60170da69985ea",
     "criterion_7": "bf45a9b006e20db1b83a294728cd55528d4db518976038a9895c16ae67482972",
     "lp_opt_auto_past_limit": "5b19c2e91b85f689fdde4e31c5d55304a2b04f09cb68b8d40b52655bd0bffa64",
@@ -777,28 +783,41 @@ def past_limit_engine(model):
     return "simplex" if recorded_engine(model) == "simplex" else "auto"
 
 
+def any_row_engine(built):
+    """The engine ``auto`` picked while any large row coupled an LP: the
+    dense simplex for a desk-scale model with a large row, ``auto``
+    otherwise."""
+    rows = built.marking is None or built.marking.large
+    return ("simplex" if rows and recorded_engine(built.model) == "simplex"
+            else "auto")
+
+
 def rounded_relaxation(inst, cfg, engine="auto"):
     """The rounding of ``inst``'s relaxation LP, composed as the PTAS
-    composes it: the large branch's policy whenever it solves that LP."""
+    composes it: the large branch's policy whenever it solves that LP.
+    ``engine`` may also be ``recorded`` or ``any_row``."""
     built = relaxation(inst, cfg)
     if engine == "recorded":
         engine = recorded_engine(built.model)
+    elif engine == "any_row":
+        engine = any_row_engine(built)
     return compose_policies(
         inst, extract_all(lp.solve_optimal(built.model, engine), built),
         built.marking)
 
 
-def lp_large_branch_policy(entry, cfg):
+def lp_large_branch_policy(entry, cfg, engine="auto"):
     """``(policy, small)``: the PTAS policy as computed while every
     large-branch case solved its relaxation LP -- the DP's threshold
-    policy on the small branch, ``rounded_relaxation`` on the large."""
+    policy on the small branch, ``rounded_relaxation`` (under ``engine``)
+    on the large."""
     lam, p = entry.laminar, entry.production
     mk = mark_laminar(lam, cfg.resolved_delta)
     if p is not None and p.shipping <= 1.0 / cfg.resolved_delta:
         return solve_full_dp(lam)[1], True
     if p is None and not mk.large:
         return compose_policies(lam, {"root": solve_full_dp(lam)[1]}, mk), True
-    return rounded_relaxation(p if p is not None else lam, cfg), False
+    return rounded_relaxation(p if p is not None else lam, cfg, engine), False
 
 
 @pytest.fixture(scope="module")
@@ -812,10 +831,12 @@ def corpus_run(corpus):
     branch's former LP roundings (``lp_route``) and the exact LP's
     rounding, solved with ``recorded_engine`` (``lp_opt``),
     ``past_limit_engine`` (``lp_opt_auto_past_limit``) and ``auto``
-    (``lp_opt_auto``)."""
+    (``lp_opt_auto``); and, uncaptured, ``eps0.2_delta0.6``'s policies
+    under ``any_row_engine`` (``eps0.2_delta0.6_any_row``)."""
     models = []
     labels = (*BENCH_SETTINGS, *(f"ptas_{k}" for k in BENCH_SETTINGS),
-              "lp_route", "lp_opt", "lp_opt_auto_past_limit", "lp_opt_auto")
+              "lp_route", "lp_opt", "lp_opt_auto_past_limit", "lp_opt_auto",
+              "eps0.2_delta0.6_any_row")
     policies = {label: [] for label in labels}
     solve = lp.solve
 
@@ -851,6 +872,8 @@ def corpus_run(corpus):
     for entry in corpus:
         for label, cfg in BENCH_SETTINGS.items():
             policies[f"ptas_{label}"].append(run_ptas(entry, cfg).policy)
+        policies["eps0.2_delta0.6_any_row"].append(lp_large_branch_policy(
+            entry, BENCH_SETTINGS["eps0.2_delta0.6"], "any_row")[0])
     return models, policies
 
 
@@ -1041,7 +1064,8 @@ def test_ptas_policies_are_pinned(corpus_run, criterion_7_policies):
     _, policies = corpus_run
     got = {label: sha256_of(map(policy_to_json, policies[label]))
            for label in (*BENCH_SETTINGS, "ptas_eps0.2_delta0.6", "lp_opt",
-                         "lp_opt_auto_past_limit", "lp_opt_auto")}
+                         "lp_opt_auto_past_limit", "lp_opt_auto",
+                         "eps0.2_delta0.6_any_row")}
     ptas_policy, relaxed, relaxed_auto = criterion_7_policies
     got["criterion_7"] = sha256_of([policy_to_json(relaxed)])
     got["criterion_7_auto"] = sha256_of([policy_to_json(relaxed_auto)])
@@ -1051,13 +1075,18 @@ def test_ptas_policies_are_pinned(corpus_run, criterion_7_policies):
 
 def test_ptas_keeps_the_lp_policy_wherever_it_solves_the_lp(corpus_run):
     # the PTAS documents differ from the LP large branch's only on the
-    # cases where the decoupled DP policies satisfy every large row
+    # cases where the decoupled DP policies satisfy every large row, and
+    # not where the units cannot fill their rows, since auto then takes
+    # the DP point: 4 fewer than under the simplex (``any_row``)
     _, policies = corpus_run
+    setting = {label: label for label in BENCH_SETTINGS}
+    setting["eps0.2_delta0.6_any_row"] = "eps0.2_delta0.6"
     differ = {label: sum(policy_to_json(a) != policy_to_json(b)
                          for a, b in zip(policies[label],
-                                         policies[f"ptas_{label}"]))
-              for label in BENCH_SETTINGS}
-    assert differ == {"eps0.2": 0, "eps0.2_delta0.6": 65}
+                                         policies[f"ptas_{cfg}"]))
+              for label, cfg in setting.items()}
+    assert differ == {"eps0.2": 0, "eps0.2_delta0.6": 61,
+                      "eps0.2_delta0.6_any_row": 65}
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +1099,8 @@ def test_policy_writer_matches_json_dumps_on_corpus(corpus_run):
     assert {k: len(v) for k, v in policies.items()} == {
         "eps0.2": 200, "eps0.2_delta0.6": 200, "ptas_eps0.2": 200,
         "ptas_eps0.2_delta0.6": 200, "lp_route": 270, "lp_opt": 200,
-        "lp_opt_auto_past_limit": 200, "lp_opt_auto": 200}
+        "lp_opt_auto_past_limit": 200, "lp_opt_auto": 200,
+        "eps0.2_delta0.6_any_row": 200}
     for pols in policies.values():
         for pol in pols:
             assert policy_to_json(pol) == reference_policy_json(pol)

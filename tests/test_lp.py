@@ -17,9 +17,15 @@ from binprice import (
     solve,
     solve_optimal,
     solve_full_dp,
+    solve_subproblem_dp,
 )
 from binprice.lp import LpModel, LpSolution, certify, check_solution, y_name
-from binprice.model import InstanceError
+from binprice.model import (
+    DEFAULT_STATE_CAP,
+    InstanceError,
+    bind_dynamics,
+    small_units,
+)
 from binprice.rounding import compose_policies, extract_pricing, mark_laminar
 
 from conftest import (
@@ -317,11 +323,25 @@ def test_check_solution_accepts_solver_output(corpus):
 
 CAP1_PAIR = LaminarInstance.build(
     (U02, U02), {"cap": 1, "children": [{"element": 0}, {"element": 1}]})
+
+
+def two_bins_under(cap):
+    """A root of ``cap`` over two cap-2 bins, whose picks can reach 4."""
+    return LaminarInstance.build(
+        (U02,) * 8, {"cap": cap, "children": [
+            {"cap": 2, "children": [{"element": e} for e in range(4)]},
+            {"cap": 2, "children": [{"element": e} for e in range(4, 8)]}]})
+
+
 # a root of cap 101 over two cap-2 bins: large at delta 0.1, never full
-LARGE_ROOT = LaminarInstance.build(
-    (U02,) * 8, {"cap": 101, "children": [
-        {"cap": 2, "children": [{"element": e} for e in range(4)]},
-        {"cap": 2, "children": [{"element": e} for e in range(4, 8)]}]})
+LARGE_ROOT = two_bins_under(101)
+# five buyers of two types over two days: type 0 sells at most 2 (its
+# buyers 0 and 2) and type 1 at most 3 (cumulative production 3 by day 1),
+# so a shipping capacity of 5 can never fill, and one of 0.8 * 5 can
+SLACK_SHIPPING = ProductionInstance(
+    dists=(U02,) * 5, types=(0, 1, 0, 1, 1), days=(0, 0, 1, 1, 1),
+    production=((1, 2), (1, 3)), shipping=5)
+ROOT_MARKED_LARGE = Marking(large=frozenset({0}))
 
 
 @pytest.fixture
@@ -339,13 +359,13 @@ def bits(sol):
             sol.x.tobytes())
 
 
-def bound_lp(entry):
+def bound_lp(entry, scale=1.0):
     """The exactness chain's relaxation bound: the ex-ante LP, or the
-    hierarchy LP marked at delta 0.6, at capacity scale 1."""
+    hierarchy LP marked at delta 0.6, at capacity scale 1 (or ``scale``)."""
     if entry.production is not None:
-        return build_lp_exante(entry.production, 1.0)
+        return build_lp_exante(entry.production, scale)
     return build_lp_hierarchy(entry.laminar, mark_laminar(entry.laminar, 0.6),
-                              1.0)
+                              scale)
 
 
 def assert_certified(model):
@@ -381,6 +401,9 @@ def test_certificate_solves_slack_bound_lps_and_binding_ones_fall_back(
         # row binds; only the primal can fail
         assert dual <= lp.CERT_TOL
         assert gap <= lp.CERT_TOL * (1.0 + abs(model.objective_value(x)))
+        # in the corpus, a bound binds exactly where its units can fill a
+        # large row
+        assert model.coupled == (primal > lp.CERT_PRIMAL_TOL)
         if primal <= lp.CERT_PRIMAL_TOL:
             assert_certified(model)
         else:
@@ -389,10 +412,39 @@ def test_certificate_solves_slack_bound_lps_and_binding_ones_fall_back(
     assert binding == 66
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.8])
+def test_certificate_solves_every_bound_whose_rows_cannot_fill(corpus,
+                                                               scale):
+    # the units' most picks fit under every large row: the model is
+    # uncoupled, and auto returns the certified point, with no fallback
+    uncoupled = {"none": 0, "shipping": 0, "bin": 0}
+    for entry in corpus:
+        built = bound_lp(entry, scale)
+        if built.model.coupled:
+            continue
+        sol = solve(built.model)
+        assert (sol.status, sol.engine, sol.iterations) == \
+            ("optimal", "certificate", 0)
+        uncoupled["shipping" if entry.production is not None
+                  else "bin" if built.marking.large else "none"] += 1
+    assert uncoupled == ({"none": 37, "shipping": 83, "bin": 14}
+                         if scale == 1.0 else
+                         {"none": 37, "shipping": 63, "bin": 7})
+
+
 def test_certificate_solves_an_uncoupled_desk_scale_lp():
     model = build_lp_optimal(CAP1_PAIR).model
     assert not model.coupled and desk_scale(model)
     assert_certified(model)
+
+
+def test_certificate_solves_a_desk_scale_lp_whose_rows_cannot_fill():
+    # 2 + 3 sold against shipping 5; 2 + 2 picked under a large root of 4
+    for model in (build_lp_exante(SLACK_SHIPPING, 1.0).model,
+                  build_lp_hierarchy(two_bins_under(4), ROOT_MARKED_LARGE,
+                                     1.0).model):
+        assert not model.coupled and desk_scale(model)
+        assert_certified(model)
 
 
 def fail():
@@ -400,11 +452,14 @@ def fail():
 
 
 def test_certificate_is_not_computed_for_a_coupled_desk_scale_lp():
-    model = build_lp_hierarchy(LARGE_ROOT, mark_laminar(LARGE_ROOT, 0.1),
-                               1.0).model
-    assert model.coupled and desk_scale(model)
-    model.dp_point = fail
-    assert solve(model).engine == "simplex"
+    # rows their units can fill: 2 + 3 sold against 0.8 * 5, and 2 + 2
+    # picked under a large root of 3
+    for model in (build_lp_exante(SLACK_SHIPPING, 0.8).model,
+                  build_lp_hierarchy(two_bins_under(3), ROOT_MARKED_LARGE,
+                                     1.0).model):
+        assert model.coupled and desk_scale(model)
+        model.dp_point = fail
+        assert solve(model).engine == "simplex"
 
 
 @pytest.mark.parametrize("limit", [lp.DENSE_CELL_LIMIT, 0],
@@ -441,18 +496,49 @@ def test_dp_point_reads_the_blocks_levels(monkeypatch):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+def test_dp_point_from_passed_tables_keeps_its_bits(corpus, monkeypatch):
+    # verify's tables (solve_full_dp's root, each type's chain) and the
+    # hierarchy's unit DPs give the DP point that _dp_point computes
+    # itself, bit for bit, and it then runs no backward pass
+    backward = dp.backward
+
+    def no_backward(*args, **kwargs):
+        raise AssertionError("a passed table's unit was solved again")
+
+    for entry in corpus:
+        lam, p = entry.laminar, entry.production
+        pairs = [(lambda tables: build_lp_optimal(lam, tables=tables),
+                  {"root": solve_full_dp(lam)[0]})]
+        if p is not None:
+            pairs.append((lambda tables: build_lp_exante(p, tables=tables), {
+                f"type:{j}": solve_subproblem_dp(p, j, 0.0)
+                for j in range(p.num_types) if p.buyers_of_type(j)}))
+        else:
+            mk = mark_laminar(lam, 0.6)
+            pairs.append((lambda tables: lp._build(
+                lam, mk, 1.0, DEFAULT_STATE_CAP, tables), {
+                key: backward(bind_dynamics(key, lam), lam.dists)
+                for key in small_units(lam, mk)}))
+        for build, tables in pairs:
+            want = build(None).model.dp_point()
+            monkeypatch.setattr(dp, "backward", no_backward)
+            got = build(tables).model.dp_point()
+            monkeypatch.setattr(dp, "backward", backward)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def nudged_point(monkeypatch, built):
     """``built``'s DP point with the first threshold nudged up by 1e-3,
     which still takes v=2."""
-    passes = dp.unit_passes
+    backward = dp.backward
 
-    def nudged(dyns, dists, **kw):
-        table = passes(dyns, dists, **kw)[0][0]
+    def nudged(*args, **kwargs):
+        table = backward(*args, **kwargs)
         table.thresholds[0] = table.thresholds[0] + 1e-3
-        return [(table, dp.forward(dp.threshold_policy(table), dists))]
+        return table
 
     with monkeypatch.context() as m:
-        m.setattr(dp, "unit_passes", nudged)
+        m.setattr(dp, "backward", nudged)
         return built.model.dp_point()
 
 
