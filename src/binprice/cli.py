@@ -21,8 +21,8 @@ import sys
 
 import numpy as np
 
-from . import harness, lp, myerson, ptas
-from .dp import concavity_check, solve_full_dp, solve_subproblem_dp
+from . import dp, harness, lp, myerson, ptas
+from .dp import concavity_check, solve_full_dp
 from .model import (
     DEFAULT_STATE_CAP,
     InstanceError,
@@ -30,9 +30,11 @@ from .model import (
     ProductionInstance,
     SizingError,
     as_laminar,
+    bind_dynamics,
     load_instance,
     serialize_instance,
     small_bins,
+    small_units,
 )
 from .rounding import (
     PolicyError,
@@ -76,6 +78,12 @@ def _report(doc, fmt, path, csv_rows=None):
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
 
 
+def _ptas(inst, cfg, **kwargs) -> ptas.PtasResult:
+    if isinstance(inst, ProductionInstance):
+        return ptas.ptas_production(inst, cfg, **kwargs)
+    return ptas.ptas_laminar(inst, cfg, **kwargs)
+
+
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     state_cap = args.state_cap
@@ -114,12 +122,7 @@ def cmd_solve(args) -> int:
                           "small_maximal": sorted(small_bins(lam, mk)[0])}
     else:  # ptas
         cfg = ptas.PtasConfig(epsilon=args.epsilon, delta=args.delta)
-        if isinstance(inst, ProductionInstance):
-            result = ptas.ptas_production(inst, cfg, state_cap=state_cap,
-                                          engine=engine)
-        else:
-            result = ptas.ptas_laminar(inst, cfg, state_cap=state_cap,
-                                       engine=engine)
+        result = _ptas(inst, cfg, state_cap=state_cap, engine=engine)
         policy = result.policy
         doc["objective"] = result.objective
         doc["branch"] = result.branch
@@ -202,20 +205,23 @@ def cmd_verify(args) -> int:
                        f"welfare={got!r} lp={sol1.objective!r}"))
 
     cfg = ptas.PtasConfig(epsilon=args.epsilon, delta=args.delta)
-    if isinstance(inst, ProductionInstance):
-        # one chain DP per type feeds the ex-ante LP's DP point, both
-        # cylinder checks and the concavity check
-        chains = {j: solve_subproblem_dp(inst, j, 0.0, state_cap=state_cap)
-                  for j in range(inst.num_types) if inst.buyers_of_type(j)}
-        tables.update((tbl.scope, tbl) for tbl in chains.values())
+    production = isinstance(inst, ProductionInstance)
+    mk = None if production else mark_laminar(lam, cfg.resolved_delta)
+    # each unit's DP, solved once: the relaxation's DP point, the PTAS and,
+    # for a type's chain, both cylinder checks and the concavity check
+    tables.update((key, dp.backward(bind_dynamics(key, inst), inst.dists,
+                                    state_cap=state_cap))
+                  for key in small_units(inst, mk) if key not in tables)
+    if production:
         built2 = lp.build_lp_exante(inst, 1.0, state_cap=state_cap,
                                     tables=tables)
         sol2 = lp.solve_optimal(built2.model, args.engine)
         checks.append(("ex-ante relaxes dp", sol2.objective >= dp_value - 1e-6,
                        f"exante={sol2.objective!r} dp={dp_value!r} "
                        f"engine={sol2.engine}"))
-        for j, tbl in chains.items():
-            buyers = inst.buyers_of_type(j)
+        for key, buyers in small_units(inst).items():
+            tbl = tables[key]
+            j = tbl.levels.dyn.type_index
             # gated on the summed form the concentration bound uses; the
             # per-subset form, which optimal chains can fail, is reported
             # where its 2^l subsets are affordable
@@ -236,21 +242,17 @@ def cmd_verify(args) -> int:
         # the relaxation at this run's own marking; with no large bin it
         # is the exact program already solved above
         sol4 = sol1
-        mk = mark_laminar(lam, cfg.resolved_delta)
         if mk.large:
-            built4 = lp.build_lp_hierarchy(lam, mk, 1.0, state_cap=state_cap)
+            built4 = lp.build_lp_hierarchy(lam, mk, 1.0, state_cap=state_cap,
+                                           tables=tables)
             sol4 = lp.solve_optimal(built4.model, args.engine)
         checks.append(("hierarchy relaxes dp",
                        sol4.objective >= dp_value - 1e-6,
                        f"hierarchy={sol4.objective!r} dp={dp_value!r} "
                        f"engine={sol4.engine}"))
 
-    if isinstance(inst, ProductionInstance):
-        result = ptas.ptas_production(inst, cfg, state_cap=state_cap,
-                                      engine=args.engine, tables=tables)
-    else:
-        result = ptas.ptas_laminar(inst, cfg, state_cap=state_cap,
-                                   engine=args.engine, tables=tables)
+    result = _ptas(inst, cfg, state_cap=state_cap, engine=args.engine,
+                   tables=tables)
     sim = harness.simulate(result.policy, inst, args.trials, args.seed,
                            threads=args.threads, state_cap=state_cap)
     checks.append(("feasibility simulation", sim.total_violations == 0,

@@ -66,9 +66,10 @@ class ValueTable:
     expected (shifted) welfare from that arrival on, in code order, and,
     below the last level, ``thresholds[i]`` their price on shifted values
     (``inf`` where the arrival cannot be picked).  ``positions[i]`` is the
-    level's global arrival index.  ``entries`` maps ``(level, state)`` to
-    the value, built on first access; a missing key is the infeasible
-    sentinel.
+    level's global arrival index; the last level's is the instance's
+    element count, which no arrival has.  ``entries`` maps ``(level,
+    state)`` to the value, built on first access; a missing key is the
+    infeasible sentinel.
     """
 
     scope: str
@@ -125,7 +126,7 @@ def backward(dyn, dists, shift: float = 0.0, *,
         values[i], thresholds[i] = level(values[i + 1], lv.skips[i],
                                          lv.picks[i], atoms)
     return ValueTable(scope=dyn.key,
-                      positions=tuple(dyn.elements) + (len(dyn.elements),),
+                      positions=tuple(dyn.elements) + (len(dists),),
                       levels=lv, values=[np.asarray(v) for v in values],
                       thresholds=[np.asarray(t) for t in thresholds],
                       shift=shift)

@@ -15,6 +15,12 @@ and every reduction is either exact integer arithmetic or a single
 fixed-order pass over a preallocated per-trial array, so reports are
 byte-identical for any ``--threads``.
 
+``fit_policy`` checks a policy against an instance through ``model``,
+which owns the scope grammar and the meters (``scope_instance``,
+``bind_dynamics``, ``meters``), so neither fitting, simulation nor exact
+evaluation branches on the instance kind; each block binds itself to its
+levels (``PricingPolicy.bind``).
+
 The simulate kernel: ``Plan`` compiles a policy once per ``simulate``
 call into one ``_Arrival`` per arrival, which holds tables keyed by (block
 state, atom, blocked): may the rule accept, the value it adds, the state
@@ -43,8 +49,8 @@ root's kept keys, sorted, give each trial's accepted values in the
 per-trial greedy's order, and the total adds the positive ones in that
 order, so it keeps that greedy's bits.
 
-``evaluate_exact`` binds each policy block to its levels and runs it
-through ``dp.forward_all``; its trace is the list of each level's state
+``evaluate_exact`` binds each policy block and runs it through
+``dp.forward_all``; its trace is the list of each level's state
 probabilities (one list per block of a composed policy, evaluated with
 the hard counters off, which is the quantity the LP accounts for).
 
@@ -82,7 +88,8 @@ from .model import (
     TypeSubproblem,
     as_laminar,
     bind_dynamics,
-    levels_of,
+    meters,
+    scope_instance,
 )
 from .dp import (
     Decisions,
@@ -301,9 +308,9 @@ def report_to_csv(rows) -> str:
 @dataclass
 class PolicyFit:
     """How a policy binds to an instance: the instance its scopes read
-    (``work``, laminar unless every scope is a type chain), its blocks and
-    their dynamics by scope key, the block of each element, and its
-    counters (``counter_caps``, ``counter_keys``)."""
+    (``work``, ``model.scope_instance``), its blocks and their dynamics by
+    scope key, the block of each element, its counters (``counter_caps``,
+    ``counter_keys``) and the ``model.meters`` of ``work``."""
 
     work: object
     blocks: dict
@@ -311,7 +318,7 @@ class PolicyFit:
     block_of: dict
     counter_caps: dict
     counter_keys: dict
-    counter_meter: dict  # counter key -> its index in Plan.meter_names
+    meters: tuple
 
 
 def fit_policy(policy, inst) -> PolicyFit:
@@ -320,24 +327,11 @@ def fit_policy(policy, inst) -> PolicyFit:
     ``counter_keys`` naming exactly the elements and dispatching each to
     its block, and every counter a capacity of the instance.  Raises
     ``InstanceError`` when it does not fit."""
-    if isinstance(policy, ComposedPolicy):
-        blocks = dict(policy.blocks)
-        element_block = dict(policy.element_block)
-        counter_caps = dict(policy.counter_caps)
-        counter_keys = dict(policy.counter_keys)
-    else:
-        blocks = {policy.scope: policy}
-        element_block = None
-        counter_caps = {}
-        counter_keys = {}
-    needs_laminar = any(k == "root" or k.startswith(("bin:", "elem:"))
-                        for k in blocks)
-    if needs_laminar:
-        work = as_laminar(inst)
-    else:
-        if not isinstance(inst, ProductionInstance):
-            raise InstanceError("policy scopes require a production instance")
-        work = inst
+    composed = isinstance(policy, ComposedPolicy)
+    blocks = policy.blocks if composed else {policy.scope: policy}
+    counter_caps = policy.counter_caps if composed else {}
+    counter_keys = policy.counter_keys if composed else {}
+    work = scope_instance(blocks, inst)
     n = len(work.dists)
 
     dyns = {}
@@ -352,30 +346,27 @@ def fit_policy(policy, inst) -> PolicyFit:
     if missing:
         raise InstanceError([f"policy: element {e} not covered"
                              for e in missing])
-    if element_block is not None:
+    if composed:
         # both maps name every element once, as composition writes them
-        for field, keyed in (("element_block", element_block),
+        for field, keyed in (("element_block", policy.element_block),
                              ("counter_keys", counter_keys)):
             off = sorted(keyed.keys() ^ set(range(n)))
             if off:
                 raise InstanceError(
                     f"policy: {field} must name exactly elements "
                     f"0..{n - 1} (differs at {off})")
-        for e, key in element_block.items():
+        for e, key in policy.element_block.items():
             if block_of[e][1] != key:
                 raise InstanceError(f"policy: dispatch mismatch at element {e}")
 
-    if isinstance(work, LaminarInstance):
-        counter_meter = {f"bin:{b}": b for b in range(work.num_bins)}
-    else:
-        counter_meter = {"shipping": work.num_types}
+    fit = PolicyFit(work, blocks, dyns, block_of, counter_caps,
+                    counter_keys, meters(work))
     foreign = ({k for ks in counter_keys.values() for k in ks}
-               - counter_meter.keys())
+               - fit.meters[2].keys())
     if foreign:
         raise InstanceError(f"policy: counters {sorted(foreign)} are not "
                             "capacities of the instance")
-    return PolicyFit(work, blocks, dyns, block_of, counter_caps,
-                     counter_keys, counter_meter)
+    return fit
 
 
 class Plan:
@@ -388,11 +379,8 @@ class Plan:
         work = fit.work
         self.n = len(work.dists)
         self.num_blocks = len(fit.blocks)
-        bound = []
-        for key, dyn in fit.dyns.items():
-            block = fit.blocks[key]
-            bound.append(block.bind(dyn, levels_of(dyn, state_cap,
-                                                   block.levels)))
+        bound = [fit.blocks[key].bind(dyn, state_cap)
+                 for key, dyn in fit.dyns.items()]
         # every block's decision tables at once, atoms by states
         decided = Decisions([pol for pol, _ in bound], work.dists)
         values, bias = decided.values, decided.bias
@@ -413,40 +401,28 @@ class Plan:
                              else (holes[i], pol.levels, i))
 
         # constraint meters: every real capacity, checked on accept
-        if isinstance(work, ProductionInstance):
-            self.meter_names = [f"type:{j}" for j in range(work.num_types)]
-            self.meter_names.append("shipping")
-        else:
-            self.meter_names = [("root" if b == 0 else f"bin:{b}")
-                                for b in range(work.num_bins)]
+        self.meter_names, of_element, counted = fit.meters
         self.num_meters = len(self.meter_names)
 
         self.arrivals = []
         # accepts so far that can have counted on each meter
         seen = [0] * self.num_meters
-        for e in range(self.n):
-            bi, key = fit.block_of[e]
-            if isinstance(work, ProductionInstance):
-                j = work.types[e]
-                meters = [j, work.num_types]
-                caps = [work.available(j, work.days[e]), work.shipping]
-            else:
-                meters = list(work.elem_ancestors(e))
-                caps = [work.bin_caps[b] for b in meters]
+        for e, pairs in enumerate(of_element):
             # a meter never counts past n, so a larger cap acts as n (and n
             # fits in int64 where a cap from a document may not).  A meter
             # has counted at most ``seen`` accepts, so a counter below its
             # cap until then never blocks and a meter whose cap ``seen``
             # cannot pass is never overfilled: neither is checked.
-            counters = [(fit.counter_meter[k], min(fit.counter_caps[k], self.n))
+            counters = [(counted[k], min(fit.counter_caps[k], self.n))
                         for k in fit.counter_keys.get(e, ())]
             counters = [(mi, cap) for mi, cap in counters if seen[mi] >= cap]
-            for mi in meters:
+            for mi, _ in pairs:
                 seen[mi] += 1
-            checks = [(mi, min(cap, self.n)) for mi, cap in zip(meters, caps)]
+            checks = [(mi, min(cap, self.n)) for mi, cap in pairs]
             checks = [(mi, cap) for mi, cap in checks if seen[mi] > cap]
-            self.arrivals.append(_Arrival(e, bi, work.dists[e], tables[e],
-                                          counters, meters, checks))
+            self.arrivals.append(_Arrival(
+                fit.block_of[e][0], work.dists[e], tables[e], counters,
+                [mi for mi, _ in pairs], checks))
         # a meter's count is read by its checks and, one arrival on, by its
         # counters; an accept after its last read need not count on it
         live = set()
@@ -485,7 +461,7 @@ class _Arrival:
     its cap is a violation.  ``meters`` are the meters an accept counts on.
     """
 
-    def __init__(self, e, block, dist, tables, counters, meters, checks):
+    def __init__(self, block, dist, tables, counters, meters, checks):
         (accept, gain, nxt, bias), skips, self.holes = tables
         cuts = list(itertools.accumulate(float(q) for q in dist.probs))[:-1]
         self.cut = (None if not cuts else cuts[0] if len(cuts) == 1
@@ -629,17 +605,15 @@ def evaluate_exact(policy, inst, *, state_cap=DEFAULT_STATE_CAP):
     first.  That order is carried as a position array per level and summed
     with one cumulative sum, so the sum keeps the walk's bits.
     """
-    if isinstance(policy, ComposedPolicy):
-        fit = fit_policy(policy, inst)
-        blocks = {key: (fit.blocks[key], fit.dyns[key])
-                  for key in sorted(fit.blocks)}
-    else:
-        blocks = {policy.scope: (policy, bind_dynamics(policy.scope, inst))}
+    composed = isinstance(policy, ComposedPolicy)
+    blocks = policy.blocks if composed else {policy.scope: policy}
+    dyns = (fit_policy(policy, inst).dyns if composed
+            else {policy.scope: bind_dynamics(policy.scope, inst)})
     total = 0.0
     trace = {}
-    for key, (block, dyn) in blocks.items():
-        lv = levels_of(dyn, state_cap, block.levels)
-        bound, holes = block.bind(dyn, lv)
+    for key, dyn in dyns.items():
+        bound, holes = blocks[key].bind(dyn, state_cap)
+        lv = bound.levels
         decided, [(_, occupancy, _)] = forward_all([bound], inst.dists)
         trace[key] = occupancy
         if decided is None:
@@ -670,9 +644,7 @@ def evaluate_exact(policy, inst, *, state_cap=DEFAULT_STATE_CAP):
             seen = targets[keep]
         terms = mass[np.concatenate(order)]
         total += float(np.concatenate(([0.0], terms)).cumsum()[-1])
-    if isinstance(policy, ComposedPolicy):
-        return total, trace
-    return total, trace[policy.scope]
+    return total, trace if composed else trace[policy.scope]
 
 
 # ---------------------------------------------------------------------------

@@ -941,7 +941,7 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
     production = isinstance(inst, ProductionInstance)
     counts = []  # (N(j), the terms it bounds)
     if production:
-        types = [key.partition(":")[2] for key in blocks]  # "type:j" -> j
+        types = [info.dyn.type_index for info in blocks.values()]
         n0 = model.add_vars(len(types), lambda k: n_name(types[k]))
         # a type's marginals ascend along its elements, all below N(j)
         counts = [(n0 + k, served(info.elements))
@@ -987,11 +987,11 @@ def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
 
 def build_lp_hierarchy(inst: LaminarInstance, mk: Marking,
                        capacity_scale: float = 1.0, *,
-                       state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
+                       state_cap=DEFAULT_STATE_CAP, tables=None) -> BuiltLp:
     """Marking-parametrized relaxation: point-wise inside each maximal
     small bin of ``model.small_bins``, expected capacity (scaled) for each
-    large bin."""
+    large bin; ``tables`` as for ``_build``, keyed by ``model.small_units``."""
     errs = marking_violations(inst, mk)
     if errs:
         raise InstanceError(errs)
-    return _build(inst, mk, capacity_scale, state_cap)
+    return _build(inst, mk, capacity_scale, state_cap, tables)

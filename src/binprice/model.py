@@ -529,7 +529,7 @@ class BinSubproblem(_Dynamics):
     """
 
     def __init__(self, inst: LaminarInstance, root_bin: int):
-        self.key = "root" if root_bin == 0 else f"bin:{root_bin}"
+        self.key = _bin_scope(root_bin)
         self.bins = inst.subtree_bins(root_bin)
         index = {b: i for i, b in enumerate(self.bins)}
         self.elements = tuple(sorted(inst.bin_elements(root_bin)))
@@ -556,6 +556,7 @@ class TypeSubproblem(_Dynamics):
 
     def __init__(self, p: ProductionInstance, type_index: int):
         self.key = f"type:{type_index}"
+        self.type_index = type_index
         self.elements = p.buyers_of_type(type_index)
         self.initial = (0,)
         self._cap_at = {t: p.available(type_index, p.days[t])
@@ -580,10 +581,25 @@ class SingletonSubproblem(_Dynamics):
         return (), 0, ()
 
 
+def decimal_index(text) -> int:
+    """``text`` read as an index written in decimal without sign or leading
+    zeros, so that no two texts name one index; -1 where it is not one
+    ("abc", "-1", "07", " 7", "+7", "1_0")."""
+    try:
+        i = int(text)
+    except ValueError:
+        return -1
+    return i if text == str(i) else -1
+
+
+def _bin_scope(b) -> str:
+    return "root" if b == 0 else f"bin:{b}"
+
+
 def bind_dynamics(scope: str, instance):
     """Reconstruct the dynamics behind a policy scope key: ``root``,
-    ``bin:b``, ``type:j`` or ``elem:e``, with the index written in decimal
-    without leading zeros and present in ``instance``."""
+    ``bin:b``, ``type:j`` or ``elem:e``, with a ``decimal_index`` present
+    in ``instance``."""
     if scope == "root":
         return BinSubproblem(as_laminar(instance), 0)
     kind, _, text = scope.partition(":")
@@ -596,21 +612,43 @@ def bind_dynamics(scope: str, instance):
         size = instance.num_types
     elif kind == "elem":
         size = len(instance.dists)
-    else:
+    i = decimal_index(text)
+    if i < 0 or kind not in ("bin", "type", "elem"):
         raise InstanceError(f"scope {scope!r}: unknown policy scope")
-    try:
-        i = int(text)
-    except ValueError:
-        i = -1
     if i >= size:
         raise InstanceError(f"scope {scope}: no such {kind}")
-    if i < 0 or text != str(i):  # "abc", "-1", "01", " 1", "+1", "1_0"
-        raise InstanceError(f"scope {scope!r}: unknown policy scope")
     if kind == "bin":
         return BinSubproblem(instance, i)
     if kind == "type":
         return TypeSubproblem(instance, i)
     return SingletonSubproblem(i)
+
+
+def scope_instance(keys, inst):
+    """The instance policy scopes ``keys`` read: ``inst``'s laminar form if
+    a key is ``root``, ``bin:b`` or ``elem:e``, else a production ``inst``."""
+    if any(k == "root" or k.startswith(("bin:", "elem:")) for k in keys):
+        return as_laminar(inst)
+    if not isinstance(inst, ProductionInstance):
+        raise InstanceError("policy scopes require a production instance")
+    return inst
+
+
+def meters(inst) -> tuple:
+    """``(names, of_element, counted)`` of the capacities ``inst`` meters:
+    each meter's name (a bin's scope key, or ``type:j`` then ``shipping``),
+    each element's ``(meter, cap)`` pairs innermost first, and the meter of
+    each counter key ``large_rows`` can name (``bin:b``, ``shipping``)."""
+    if isinstance(inst, ProductionInstance):
+        m = inst.num_types
+        return ([f"type:{j}" for j in range(m)] + ["shipping"],
+                [((j, inst.available(j, day)), (m, inst.shipping))
+                 for j, day in zip(inst.types, inst.days)],
+                {"shipping": m})
+    return ([_bin_scope(b) for b in range(inst.num_bins)],
+            [[(b, inst.bin_caps[b]) for b in inst.elem_ancestors(e)]
+             for e in range(inst.num_elements)],
+            {f"bin:{b}": b for b in range(inst.num_bins)})
 
 
 class StateCoding:
@@ -691,7 +729,7 @@ class StateLevels:
     codes: list
     skips: list
     picks: list
-    dyn: object = None
+    dyn: object
 
     def tuples(self) -> list:
         """Each level's states as tuples, ascending.  Levels are nested, so
@@ -739,19 +777,6 @@ def state_levels(dyn, state_cap=DEFAULT_STATE_CAP) -> StateLevels:
         lv.skips.append(skip)
         lv.picks.append(pick)
     return lv
-
-
-def levels_of(dyn, state_cap=DEFAULT_STATE_CAP, levels=None) -> StateLevels:
-    """``state_levels(dyn, state_cap)``, or ``levels`` where they enumerate
-    dynamics equal to ``dyn`` (a policy's own levels), checked against
-    ``state_cap`` as the enumeration checks them."""
-    if levels is None or type(levels.dyn) is not type(dyn) \
-            or vars(levels.dyn) != vars(dyn):
-        return state_levels(dyn, state_cap)
-    for codes in levels.codes[1:]:
-        if len(codes) > state_cap:
-            raise SizingError(dyn.key, len(codes), state_cap)
-    return levels
 
 
 def _grow_arrays(cur, windows, move, size):
@@ -860,7 +885,7 @@ def small_units(inst, mk: Marking | None = None) -> dict:
         units = {f"type:{j}": inst.buyers_of_type(j)
                  for j in range(inst.num_types)}
         return {key: buyers for key, buyers in units.items() if buyers}
-    units = {("root" if b == 0 else f"bin:{b}"): inst.bin_elements(b)
+    units = {_bin_scope(b): inst.bin_elements(b)
              for b in sorted(small_bins(inst, mk)[0])}
     covered = set().union(*units.values())
     for e in range(inst.num_elements):

@@ -43,13 +43,16 @@ from .model import (
     InstanceError,
     LaminarInstance,
     Marking,
+    SizingError,
     _is_count,
     atom_sums,
+    decimal_index,
     large_rows,
     level_atoms,
     marking_violations,
     small_units,
     split_like,
+    state_levels,
     unique_keys,
 )
 
@@ -121,15 +124,21 @@ class PricingPolicy:
                     self._decoded(), key=lambda level: level[0])
                 for s, (tau, p) in zip(states, rules))
 
-    def bind(self, dyn, levels) -> tuple["PricingPolicy", list]:
-        """This policy over ``levels``, the ``model.state_levels`` of
-        ``dyn``: an array policy, and per arrival the mask of the states of
-        its level that no rule covers (``None`` where each is), which quote
-        ``(inf, 0)``.  An array policy over ``levels`` is itself; any other
-        policy's rules are encoded with ``levels.coding``
-        (``_rule_levels``) and matched by code."""
-        if self.levels is levels:
+    def bind(self, dyn, state_cap) -> tuple["PricingPolicy", list]:
+        """This policy over the levels of ``dyn``, an array policy, and per
+        arrival the mask of its level's states no rule covers (``None``
+        where each is), which quote ``(inf, 0)``.  A policy whose levels
+        enumerate dynamics equal to ``dyn`` is itself, if no level holds
+        more than ``state_cap`` states (else ``model.state_levels``'s
+        ``SizingError``); any other's rules are encoded over
+        ``state_levels(dyn, state_cap)`` (``_rule_levels``) and matched."""
+        own = self.levels  # a dynamics' key names its kind
+        if own is not None and vars(own.dyn) == vars(dyn):
+            for codes in own.codes[1:]:
+                if len(codes) > state_cap:
+                    raise SizingError(dyn.key, len(codes), state_cap)
             return self, [None] * len(self.elements)
+        levels = state_levels(dyn, state_cap)
         tau, p, holes = [], [], []
         for (codes, rule_tau, rule_p), want in zip(
                 _rule_levels(self.rules, dyn.elements, levels.coding),
@@ -223,10 +232,6 @@ class ComposedPolicy:
     counter_caps: dict
     counter_keys: dict
 
-    @property
-    def scope(self) -> str:
-        return "composed"
-
     def envelope(self) -> dict:
         """The document's fields other than ``scope`` and ``blocks``."""
         return {
@@ -257,7 +262,12 @@ class ComposedPolicy:
             raise TypeError("counter keys must be lists of strings")
         if not all(isinstance(k, str) for k in element_block.values()):
             raise TypeError("element_block must map elements to strings")
-        keys = {_element_key(e): tuple(ks) for e, ks in counter_keys.items()}
+        # no two keys may name one element: each a ``model.decimal_index``
+        bad = [e for e in (*counter_keys, *element_block)
+               if decimal_index(e) < 0]
+        if bad:
+            raise ValueError(f"element key {bad[0]!r} is not a decimal index")
+        keys = {int(e): tuple(ks) for e, ks in counter_keys.items()}
         uncapped = {k for ks in keys.values() for k in ks} - caps.keys()
         if uncapped:
             raise ValueError(f"counters {sorted(map(repr, uncapped))} "
@@ -270,7 +280,7 @@ class ComposedPolicy:
                 raise ValueError(f"block {k!r} has scope {block.scope!r}")
         return cls(
             blocks=blocks,
-            element_block={_element_key(e): k
+            element_block={int(e): k
                            for e, k in element_block.items()},
             counter_caps=caps,
             counter_keys=keys,
@@ -282,19 +292,6 @@ def _object(doc, field) -> dict:
     if not isinstance(doc[field], dict):
         raise TypeError(f"{field} must be an object")
     return doc[field]
-
-
-def _element_key(text) -> int:
-    """An element index written as a document key: decimal without sign or
-    leading zeros, as ``model.bind_dynamics`` reads a scope index, so that
-    no two keys name one element."""
-    try:
-        i = int(text)
-    except ValueError:
-        i = -1
-    if i < 0 or text != str(i):  # "abc", "-1", "07", " 7", "+7", "1_0"
-        raise ValueError(f"element key {text!r} is not a decimal index")
-    return i
 
 
 def policy_to_json(policy) -> str:

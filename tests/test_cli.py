@@ -429,6 +429,24 @@ def test_verify_solves_each_type_chain_once(tmp_path, monkeypatch):
         for j in (0, 1):
             assert checks[f"negative cylinder type {j}"]["ok"] is True
             assert checks[f"value concavity type {j}"]["ok"] is True
+    # a large root (cap 101) over two cap-2 bins: each bin's DP feeds the
+    # hierarchy LP's DP point and the PTAS large branch
+    two = {"cap": 2, "children": [{"element": e} for e in range(4)]}
+    doc = {"kind": "laminar",
+           "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]}] * 8,
+           "bins": {"cap": 101, "children": [two, {"cap": 2, "children": [
+               {"element": e} for e in range(4, 8)]}]}}
+    inst = tmp_path / "large-root.json"
+    inst.write_text(json.dumps(doc))
+    solved.clear()
+    code, out, err = run_cli(["verify", "--instance", str(inst), "--trials",
+                              "200", "--seed", "1", "--epsilon", "0.2",
+                              "--delta", "0.1"])
+    assert code == 0, err
+    assert sorted(solved) == ["bin:1", "bin:2", "root"]
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["hierarchy relaxes dp"]["detail"].endswith(
+        " engine=certificate")
 
 
 @pytest.mark.parametrize("atoms", [

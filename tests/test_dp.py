@@ -149,6 +149,20 @@ def test_concavity_rejects_vector_tables():
         concavity_check(tbl)
 
 
+def test_chain_table_keys_its_post_horizon_level_apart_from_its_buyers():
+    # type 0 holds buyers 0 and 2, so a post-horizon level labelled by the
+    # chain's length, 2, would share its keys with buyer 2's level
+    p = ProductionInstance(dists=(U02,) * 3, types=(0, 1, 0),
+                           days=(0, 0, 0), production=((2,), (1,)),
+                           shipping=3)
+    tbl = solve_subproblem_dp(p, 0)
+    assert tbl.positions == (0, 2, 3)
+    values = tbl.to_json_dict()["values"]
+    assert len(values) == len(tbl.entries) == 6
+    assert values["2,[0]"] == 1.0  # buyer 2, nothing sold: half of 2
+    assert values["3,[0]"] == values["3,[1]"] == values["3,[2]"] == 0.0
+
+
 def test_table_serializes_to_json_dict():
     inst = single_bin((U02,), 1)
     tbl, _ = solve_full_dp(inst)

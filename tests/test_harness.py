@@ -31,8 +31,16 @@ from binprice.harness import (
     summed_cylinder_gaps,
     trial_generator,
 )
-from binprice.model import InstanceError, TypeSubproblem
-from binprice.rounding import ComposedPolicy, PricingPolicy
+from binprice.dp import threshold_policy
+from binprice.model import (
+    DEFAULT_STATE_CAP,
+    BinSubproblem,
+    InstanceError,
+    Marking,
+    TypeSubproblem,
+    state_levels,
+)
+from binprice.rounding import ComposedPolicy, PricingPolicy, compose_policies
 
 from conftest import oracle_chain_joint, random_production
 
@@ -233,6 +241,56 @@ def test_cylinder_per_subset_check_stops_above_12_buyers():
         check_negative_cylinder(chain(13), 0, -10.0)
     assert (exc.value.scope, exc.value.size, exc.value.cap) \
         == ("type:0", 2 ** 13, 2 ** 12)
+
+
+def test_in_process_policy_levels_are_checked_against_the_state_cap():
+    # a DP policy runs on its own levels only while none is wider than the
+    # state cap; past it, the enumeration's SizingError
+    inst = LaminarInstance.build(
+        (U02,) * 4, {"cap": 2, "children": [{"element": e}
+                                            for e in range(4)]})
+    _, policy = solve_full_dp(inst)
+    composed = compose_policies(inst, {"root": policy}, Marking())
+    widest = max(map(len, policy.levels.codes))
+    with pytest.raises(SizingError) as want:
+        state_levels(BinSubproblem(inst, 0), widest - 1)
+    assert (want.value.scope, want.value.size) == ("root", widest)
+    runs = [lambda pol, cap: simulate(pol, inst, 10, seed=1, state_cap=cap),
+            lambda pol, cap: evaluate_exact(pol, inst, state_cap=cap)]
+    for run in runs:
+        for pol in (policy, composed):
+            with pytest.raises(SizingError) as got:
+                run(pol, widest - 1)
+            assert (got.value.scope, got.value.size, got.value.cap) \
+                == (want.value.scope, want.value.size, want.value.cap)
+            run(pol, widest)
+
+
+def test_policy_over_other_dynamics_is_bound_by_code():
+    # a chain's DP policy at production 2 run on the chain at production 1:
+    # its levels enumerate other dynamics, so its rules are matched by code
+    # over the instance's own levels, as those of a document are
+    def chain(cap):
+        return ProductionInstance(dists=(U02,) * 3, types=(0,) * 3,
+                                  days=(0,) * 3, production=((cap,),),
+                                  shipping=3)
+
+    narrow = chain(1)
+    policy = threshold_policy(solve_subproblem_dp(chain(2), 0))
+    read = PricingPolicy(policy.scope, dict(policy.rules))
+    dyn = TypeSubproblem(narrow, 0)
+    bound, holes = policy.bind(dyn, DEFAULT_STATE_CAP)
+    assert bound is not policy and bound.levels.dyn is dyn
+    want, want_holes = read.bind(dyn, DEFAULT_STATE_CAP)
+    assert holes == want_holes == [None] * 3
+    for got, ref in ((bound.tau, want.tau), (bound.p, want.p)):
+        assert [a.tolist() for a in got] == [a.tolist() for a in ref]
+    welfare, trace = evaluate_exact(policy, narrow)
+    ref_welfare, ref_trace = evaluate_exact(read, narrow)
+    assert welfare == ref_welfare
+    assert [a.tolist() for a in trace] == [a.tolist() for a in ref_trace]
+    assert simulate(policy, narrow, 200, seed=3) \
+        == simulate(read, narrow, 200, seed=3)
 
 
 def test_cylinder_moments_agree_with_path_enumeration_oracle():
