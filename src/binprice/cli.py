@@ -21,8 +21,8 @@ import sys
 
 import numpy as np
 
-from . import dp, harness, lp, myerson, ptas
-from .dp import concavity_check, solve_full_dp
+from . import harness, lp, myerson, ptas
+from .dp import concavity_check, solve_full_dp, solve_subproblem_dp
 from .model import (
     DEFAULT_STATE_CAP,
     InstanceError,
@@ -179,9 +179,8 @@ def cmd_verify(args) -> int:
 
     table, _ = solve_full_dp(lam, state_cap=state_cap)
     dp_value = table.optimal
-    # each unit's DP, solved once: the LPs' DP points and the PTAS read it
-    tables = {"root": table}
-    built1 = lp.build_lp_optimal(lam, state_cap=state_cap, tables=tables)
+    # the instance keeps each unit's DP for the LPs, the PTAS and the checks
+    built1 = lp.build_lp_optimal(lam, state_cap=state_cap)
     sol1 = lp.solve_optimal(built1.model, args.engine)
     checks.append(("lp-opt equals dp", abs(sol1.objective - dp_value) <= 1e-6,
                    f"lp={sol1.objective!r} dp={dp_value!r} "
@@ -207,28 +206,21 @@ def cmd_verify(args) -> int:
     cfg = ptas.PtasConfig(epsilon=args.epsilon, delta=args.delta)
     production = isinstance(inst, ProductionInstance)
     mk = None if production else mark_laminar(lam, cfg.resolved_delta)
-    # each unit's DP, solved once: the relaxation's DP point, the PTAS and,
-    # for a type's chain, both cylinder checks and the concavity check
-    tables.update((key, dp.backward(bind_dynamics(key, inst), inst.dists,
-                                    state_cap=state_cap))
-                  for key in small_units(inst, mk) if key not in tables)
     if production:
-        built2 = lp.build_lp_exante(inst, 1.0, state_cap=state_cap,
-                                    tables=tables)
+        built2 = lp.build_lp_exante(inst, 1.0, state_cap=state_cap)
         sol2 = lp.solve_optimal(built2.model, args.engine)
         checks.append(("ex-ante relaxes dp", sol2.objective >= dp_value - 1e-6,
                        f"exante={sol2.objective!r} dp={dp_value!r} "
                        f"engine={sol2.engine}"))
         for key, buyers in small_units(inst).items():
-            tbl = tables[key]
-            j = tbl.levels.dyn.type_index
+            j = bind_dynamics(key, inst).type_index
             # gated on the summed form the concentration bound uses; the
             # per-subset form, which optimal chains can fail, is reported
             # where its 2^l subsets are affordable
-            ok, k, gap = harness.check_summed_cylinder(inst, j, 0.0, table=tbl)
+            ok, k, gap = harness.check_summed_cylinder(inst, j, 0.0)
             if len(buyers) <= harness.PER_SUBSET_MAX_BUYERS:
                 _, subset, subset_gap = harness.check_negative_cylinder(
-                    inst, j, 0.0, table=tbl)
+                    inst, j, 0.0)
                 per_subset = f"worst subset={subset} gap={subset_gap!r}"
             else:
                 per_subset = (f"not computed ({len(buyers)} buyers > "
@@ -236,23 +228,21 @@ def cmd_verify(args) -> int:
             checks.append((f"negative cylinder type {j}", ok,
                            f"summed worst k={k} gap={gap!r}; "
                            f"per-subset {per_subset}"))
-            conc, worst = concavity_check(tbl)
+            conc, worst = concavity_check(solve_subproblem_dp(inst, j))
             checks.append((f"value concavity type {j}", conc, f"worst={worst}"))
     else:
         # the relaxation at this run's own marking; with no large bin it
         # is the exact program already solved above
         sol4 = sol1
         if mk.large:
-            built4 = lp.build_lp_hierarchy(lam, mk, 1.0, state_cap=state_cap,
-                                           tables=tables)
+            built4 = lp.build_lp_hierarchy(lam, mk, 1.0, state_cap=state_cap)
             sol4 = lp.solve_optimal(built4.model, args.engine)
         checks.append(("hierarchy relaxes dp",
                        sol4.objective >= dp_value - 1e-6,
                        f"hierarchy={sol4.objective!r} dp={dp_value!r} "
                        f"engine={sol4.engine}"))
 
-    result = _ptas(inst, cfg, state_cap=state_cap, engine=args.engine,
-                   tables=tables)
+    result = _ptas(inst, cfg, state_cap=state_cap, engine=args.engine)
     sim = harness.simulate(result.policy, inst, args.trials, args.seed,
                            threads=args.threads, state_cap=state_cap)
     checks.append(("feasibility simulation", sim.total_violations == 0,

@@ -22,15 +22,15 @@ It returns each level's rates, each state's probability and each
 arrival's pick probability.  Exact evaluation, the simulate tables, the
 PTAS row checks, the LP's DP point and the chain checks all read it.
 
-``solve_full_dp`` runs the kernel over the full remaining-capacity state
-space of a laminar instance and reads off the optimal threshold policy;
-states where the arriving element cannot be picked quote an infinite
-price.  ``solve_subproblem_dp`` runs it on one per-type chain of a
-production instance (the sold count), optionally with every value shifted
-by a constant; the checkpoint guard skips buyers whose day's cumulative
-production is already sold out.  ``concavity_check`` tests the discrete
-concavity of such a table in the sold count, which is what makes the
-chain's prices monotone in past sales.
+``unit_table`` runs it once per instance on a unit at shift 0.
+``solve_full_dp`` reads the root's table (the full remaining-capacity state
+space of a laminar instance) and its optimal threshold policy; states where
+the arriving element cannot be picked quote an infinite price.
+``solve_subproblem_dp`` reads a type's chain table (the sold count), or runs
+the kernel with every value shifted by a nonzero constant; the checkpoint
+guard skips buyers whose day's cumulative production is already sold out.
+``concavity_check`` tests the discrete concavity of such a table in the sold
+count, which is what makes the chain's prices monotone in past sales.
 """
 
 from __future__ import annotations
@@ -38,25 +38,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .model import (
     DEFAULT_STATE_CAP,
-    BinSubproblem,
     LaminarInstance,
     ProductionInstance,
     StateLevels,
-    TypeSubproblem,
     atom_sums,
+    bind_dynamics,
+    derived,
     level_atoms,
+    read_only,
     split_like,
     state_levels,
 )
 from .rounding import PricingPolicy
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ValueTable:
     """Expected-future-welfare table of one sub-problem.
 
@@ -65,18 +67,18 @@ class ValueTable:
     level is the post-horizon point).  ``values[i]`` holds their optimal
     expected (shifted) welfare from that arrival on, in code order, and,
     below the last level, ``thresholds[i]`` their price on shifted values
-    (``inf`` where the arrival cannot be picked).  ``positions[i]`` is the
-    level's global arrival index; the last level's is the instance's
-    element count, which no arrival has.  ``entries`` maps ``(level,
-    state)`` to the value, built on first access; a missing key is the
-    infeasible sentinel.
+    (``inf`` where the arrival cannot be picked), both ``read_only``.
+    ``positions[i]`` is the level's global arrival index; the last level's
+    is the instance's element count, which no arrival has.  ``entries``
+    maps ``(level, state)`` to the value, read-only and built on first
+    access; a missing key is the infeasible sentinel.
     """
 
     scope: str
     positions: tuple
     levels: StateLevels
-    values: list
-    thresholds: list
+    values: tuple
+    thresholds: tuple
     shift: float = 0.0
 
     def tagged_states(self, tags):
@@ -88,13 +90,10 @@ class ValueTable:
                 for s in levels[lvl])
 
     @cached_property
-    def entries(self) -> dict:
+    def entries(self) -> MappingProxyType:
         values = np.concatenate(self.values[::-1]).tolist()
-        return dict(zip(self.tagged_states(range(len(self.positions))),
-                        values))
-
-    def value(self, level, state):
-        return self.entries.get((level, state))
+        return MappingProxyType(dict(zip(
+            self.tagged_states(range(len(self.positions))), values)))
 
     @property
     def optimal(self) -> float:
@@ -110,11 +109,10 @@ class ValueTable:
 
 
 def backward(dyn, dists, shift: float = 0.0, *,
-             state_cap=DEFAULT_STATE_CAP, levels=None) -> ValueTable:
-    """Backward induction over ``model.state_levels(dyn, state_cap)``, or
-    over ``levels`` when a caller already holds them, every value shifted
-    by ``shift``."""
-    lv = state_levels(dyn, state_cap) if levels is None else levels
+             state_cap=DEFAULT_STATE_CAP) -> ValueTable:
+    """Backward induction over ``model.state_levels(dyn, state_cap)``,
+    every value shifted by ``shift``."""
+    lv = state_levels(dyn, state_cap)
     lists = isinstance(lv.codes[-1], list)
     level = _level_lists if lists else _level_arrays
     n = len(dyn.elements)
@@ -127,9 +125,17 @@ def backward(dyn, dists, shift: float = 0.0, *,
                                          lv.picks[i], atoms)
     return ValueTable(scope=dyn.key,
                       positions=tuple(dyn.elements) + (len(dists),),
-                      levels=lv, values=[np.asarray(v) for v in values],
-                      thresholds=[np.asarray(t) for t in thresholds],
+                      levels=lv, values=read_only(values),
+                      thresholds=read_only(thresholds),
                       shift=shift)
+
+
+def unit_table(inst, scope, *, state_cap=DEFAULT_STATE_CAP) -> ValueTable:
+    """Unit ``scope``'s value table at shift 0, solved once and kept in the
+    store of the instance its dynamics reads (``model.bind_dynamics``)."""
+    dyn = bind_dynamics(scope, inst)
+    return derived(dyn.instance(), ("table", scope, state_cap), backward,
+                   dyn, inst.dists, state_cap=state_cap)
 
 
 def threshold_policy(table: ValueTable) -> PricingPolicy:
@@ -274,7 +280,7 @@ def solve_full_dp(inst: LaminarInstance, *,
     equality).  States where the arriving element cannot be picked quote an
     infinite price.  The policy is the table's ``threshold_policy``.
     """
-    table = backward(BinSubproblem(inst, 0), inst.dists, state_cap=state_cap)
+    table = unit_table(inst, "root", state_cap=state_cap)
     return table, threshold_policy(table)
 
 
@@ -286,7 +292,9 @@ def solve_subproblem_dp(p: ProductionInstance, type_index: int,
     The skip option keeps values non-increasing over time; a buyer whose
     day cap is exhausted (checkpoint guard) is passed over unchanged.
     """
-    return backward(TypeSubproblem(p, type_index), p.dists, shift,
+    if shift == 0.0:
+        return unit_table(p, f"type:{type_index}", state_cap=state_cap)
+    return backward(bind_dynamics(f"type:{type_index}", p), p.dists, shift,
                     state_cap=state_cap)
 
 

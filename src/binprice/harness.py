@@ -83,7 +83,6 @@ from .model import (
     InstanceError,
     LaminarInstance,
     ProductionInstance,
-    BinSubproblem,
     SizingError,
     TypeSubproblem,
     as_laminar,
@@ -726,8 +725,7 @@ def prophet_samples(inst, trials: int, seed: int) -> np.ndarray:
 
 
 def check_negative_cylinder(p: ProductionInstance, type_index: int,
-                            shift: float = 0.0, tol: float = 1e-9, *,
-                            table=None):
+                            shift: float = 0.0, tol: float = 1e-9):
     """Exact all-subset check of E[prod X] <= prod E[X] for the optimal
     shifted chain policy.
 
@@ -737,8 +735,6 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
     chain policies can fail this per-subset form (see notes/decisions.md);
     ``check_summed_cylinder`` checks the form the concentration bound uses.
     Raises ``SizingError`` above ``PER_SUBSET_MAX_BUYERS`` buyers.
-    ``table`` is the type's ``solve_subproblem_dp`` table at ``shift``,
-    solved here when not given.
     """
     dyn = TypeSubproblem(p, type_index)
     l = len(dyn.elements)
@@ -746,8 +742,7 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
         return True, (), 0.0
     if l > PER_SUBSET_MAX_BUYERS:
         raise SizingError(dyn.key, 2 ** l, 2 ** PER_SUBSET_MAX_BUYERS)
-    if table is None:
-        table = solve_subproblem_dp(p, type_index, shift)
+    table = solve_subproblem_dp(p, type_index, shift)
     rates = Decisions([threshold_policy(table)], p.dists, table.shift).rates
     # acc[i, s]: the i-th buyer's acceptance rate with s units sold; a
     # chain state's code is its sold count, and the last level holds them all
@@ -780,17 +775,14 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
 
 
 def chain_count_distribution(p: ProductionInstance, type_index: int,
-                             shift: float = 0.0, *, table=None):
+                             shift: float = 0.0):
     """Exact sold-count distribution and acceptance marginals of the
     optimal shifted chain policy, read off ``dp.forward``.
 
     Returns ``(counts, marginals)``: ``counts[c] = Pr[C = c]`` and
     ``marginals[i] = E[X_i]`` for the ``i``-th buyer of the type.
-    ``table`` is the type's ``solve_subproblem_dp`` table at ``shift``,
-    solved here when not given.
     """
-    if table is None:
-        table = solve_subproblem_dp(p, type_index, shift)
+    table = solve_subproblem_dp(p, type_index, shift)
     _, occupancy, picks = forward(threshold_policy(table), p.dists,
                                   table.shift)
     # the last level holds every sold count, each coded as itself
@@ -826,8 +818,7 @@ def summed_cylinder_gaps(counts, marginals) -> np.ndarray:
 
 
 def check_summed_cylinder(p: ProductionInstance, type_index: int,
-                          shift: float = 0.0, tol: float = 1e-9, *,
-                          table=None):
+                          shift: float = 0.0, tol: float = 1e-9):
     """Exact check of ``E[binom(C, k)] <= e_k(p)`` at every k for the optimal
     shifted chain policy, with ``C`` its sold count and ``p`` its acceptance
     marginals.
@@ -835,11 +826,9 @@ def check_summed_cylinder(p: ProductionInstance, type_index: int,
     This summed form gives ``E[exp(lam C)] <= prod(1 - p_t + p_t e^lam)``
     for every ``lam >= 0``, the Chernoff upper tail the concentration
     argument needs.  Returns ``(ok, worst_k, worst_gap)``; an empty chain
-    returns ``(True, 0, 0.0)``.  ``table`` is as for
-    ``chain_count_distribution``.
+    returns ``(True, 0, 0.0)``.
     """
-    counts, marginals = chain_count_distribution(p, type_index, shift,
-                                                 table=table)
+    counts, marginals = chain_count_distribution(p, type_index, shift)
     gaps = summed_cylinder_gaps(counts, marginals)
     if len(gaps) == 1:
         return True, 0, 0.0
@@ -935,7 +924,7 @@ def _family_tree(n, family, caps, root_cap):
 
 def _conditional_price_drop(inst, first, second, margin):
     _, policy = solve_full_dp(inst)
-    dyn = BinSubproblem(inst, 0)
+    dyn = policy.levels.dyn
     s0 = dyn.initial
     tau1, p1 = policy.rule(first, s0)
     acc = inst.dists[first].tail_above(tau1) + p1 * inst.dists[first].prob_at(tau1)

@@ -849,22 +849,20 @@ def _moved_sources(lv, steps, sel):
     return at, inside & (keys[at] == want)
 
 
-def _dp_point(num_vars, num_rows, dists, blocks, counts, tables):
+def _dp_point(num_vars, num_rows, inst, state_cap, blocks, counts):
     """``(x, u)``: each block's optimal threshold policy run forward
     (``Y``, ``X = Y * 1[v >= tau]``, ``X(t,a)`` their sums) and its duals
     (``V`` on the initial and update rows, ``p*v`` on the marginal rows,
     ``p*max(0, v - tau)`` on the ``X <= Y`` rows, ``-M`` and ``2M`` on the
     update and pin rows of forbidden states), placed by position: the
-    levels of the blocks' value tables (``tables[key]`` where the caller
-    passed one, else ``dp.backward`` over the block's levels) are the
-    blocks' runs, in order.  Each ``N(j)`` of ``counts`` is the sum of its
-    row's terms; every coupling row keeps dual 0.  Given sizes, not the
-    model, ``dp_point`` makes no reference cycle."""
+    levels of the blocks' ``dp.unit_table``s are the blocks' runs, in
+    order.  Each ``N(j)`` of ``counts`` is the sum of its row's terms;
+    every coupling row keeps dual 0.  Given sizes, not the model,
+    ``dp_point`` makes no reference cycle."""
+    dists = inst.dists
     x = np.zeros(num_vars)
     u = np.zeros(num_rows)
-    units = [tables[key] if key in tables
-             else dp.backward(info.dyn, dists, levels=info.states)
-             for key, info in blocks.items()]
+    units = [dp.unit_table(inst, key, state_cap=state_cap) for key in blocks]
     _, passes = dp.forward_all(list(map(dp.threshold_policy, units)), dists)
     for info, table, (_, occupancy, _) in zip(blocks.values(), units, passes):
         values = table.values
@@ -910,25 +908,21 @@ def _most_picks(lv: StateLevels) -> int:
 
 
 def _build(inst, mk: Marking | None, capacity_scale: float,
-           state_cap, tables=None) -> BuiltLp:
+           state_cap) -> BuiltLp:
     """The relaxation of ``inst`` under ``mk``: a point-wise block per unit
     of ``small_units``, then each of ``large_rows`` held in expectation at
     ``capacity_scale`` times its cap.  A large bin's row sums its elements'
     marginals; a production instance's shipping row sums one ``N(j)`` per
-    type, each at least its type's expected served count.  ``tables`` maps
-    a unit's key to its ``dp.ValueTable`` where the caller holds it: the
-    block takes its levels, and the DP point its values and thresholds."""
+    type, each at least its type's expected served count.  A block takes
+    its unit's levels from the instance's store, as its DP does."""
     if not (0.0 < capacity_scale <= 1.0):
         raise ValueError("capacity_scale must be in (0, 1]")
     dists = inst.dists
-    tables = tables or {}
     model = LpModel()
     blocks = {}
     for key in small_units(inst, mk):
         dyn = bind_dynamics(key, inst)
-        lv = (tables[key].levels if key in tables
-              else state_levels(dyn, state_cap))
-        blocks[key] = BlockInfo(key, dyn, lv)
+        blocks[key] = BlockInfo(key, dyn, state_levels(dyn, state_cap))
     _emit_blocks(model, dists, list(blocks.values()))
     xm = {t: info.xm[lvl] for info in blocks.values()
           for lvl, t in enumerate(info.elements)}
@@ -966,32 +960,30 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
         for a, (v, pa) in enumerate(dist.atoms):
             model.add_objective_term(xm[t] + a, pa * v)
     model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
-                             dists, blocks, counts, tables)
+                             inst, state_cap, blocks, counts)
     return BuiltLp(model=model, instance=inst, blocks=blocks, marking=mk)
 
 
-def build_lp_optimal(inst: LaminarInstance, *, state_cap=DEFAULT_STATE_CAP,
-                     tables=None) -> BuiltLp:
+def build_lp_optimal(inst: LaminarInstance, *,
+                     state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
     """Exact LP of the optimal online policy: the relaxation with no large
-    bin, one point-wise block over the full remaining-capacity state space.
-    ``tables`` as for ``_build``: ``solve_full_dp``'s table as ``root``."""
-    return _build(inst, Marking(), 1.0, state_cap, tables)
+    bin, one point-wise block over the full remaining-capacity state space."""
+    return _build(inst, Marking(), 1.0, state_cap)
 
 
 def build_lp_exante(p: ProductionInstance, capacity_scale: float = 1.0, *,
-                    state_cap=DEFAULT_STATE_CAP, tables=None) -> BuiltLp:
-    """Per-type point-wise blocks with the shipping capacity in expectation;
-    ``tables`` as for ``_build``, each type's chain table as ``type:j``."""
-    return _build(p, None, capacity_scale, state_cap, tables)
+                    state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
+    """Per-type point-wise blocks with the shipping capacity in expectation."""
+    return _build(p, None, capacity_scale, state_cap)
 
 
 def build_lp_hierarchy(inst: LaminarInstance, mk: Marking,
                        capacity_scale: float = 1.0, *,
-                       state_cap=DEFAULT_STATE_CAP, tables=None) -> BuiltLp:
+                       state_cap=DEFAULT_STATE_CAP) -> BuiltLp:
     """Marking-parametrized relaxation: point-wise inside each maximal
     small bin of ``model.small_bins``, expected capacity (scaled) for each
-    large bin; ``tables`` as for ``_build``, keyed by ``model.small_units``."""
+    large bin."""
     errs = marking_violations(inst, mk)
     if errs:
         raise InstanceError(errs)
-    return _build(inst, mk, capacity_scale, state_cap, tables)
+    return _build(inst, mk, capacity_scale, state_cap)

@@ -21,7 +21,7 @@ a per-type chain).  ``state_levels`` is the one enumeration of their
 reachable states; ``StateLevels.tuples`` and ``StateLevels.forbidden``
 are its tuple view, with the forbidden states one over-acceptance away
 from a reachable one, and ``reachable_profile`` enumerates and returns
-that view.
+that view.  An instance derives each of these forms once (``derived``).
 """
 
 from __future__ import annotations
@@ -30,12 +30,21 @@ import itertools
 import json
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 PROB_TOL = 1e-12
 DEFAULT_STATE_CAP = 10 ** 6
+
+
+class _Forms(dict):
+    """An instance's store of derived forms (``derived``).  It pickles and
+    deep-copies empty: weak references do not pickle, and forms rebuild."""
+
+    def __reduce__(self):
+        return _Forms, ()
 
 
 class InstanceError(ValueError):
@@ -94,9 +103,6 @@ class DiscreteDistribution:
     @property
     def probs(self) -> tuple[float, ...]:
         return tuple(p for _, p in self.atoms)
-
-    def expectation(self) -> float:
-        return sum(v * p for v, p in self.atoms)
 
     def tail_above(self, x) -> float:
         """Pr[v > x]."""
@@ -176,6 +182,7 @@ class ProductionInstance:
     shipping: int
 
     def __post_init__(self):
+        object.__setattr__(self, "_derived", _Forms())  # no field: not in ==
         errs = _production_violations(self)
         if errs:
             raise InstanceError(errs)
@@ -286,6 +293,7 @@ class LaminarInstance:
         for b in range(nb - 1, 0, -1):
             members[self.bin_parents[b]] |= members[b]
         self._members = tuple(frozenset(s) for s in members)
+        self._derived = _Forms()
         errs = _laminar_violations(self)
         if errs:
             raise InstanceError(errs)
@@ -481,10 +489,21 @@ def production_to_laminar(p: ProductionInstance) -> LaminarInstance:
     return LaminarInstance.build(p.dists, tree)
 
 
+def derived(inst, key, build, *args, **kwargs):
+    """``inst``'s derived form ``key``: ``build(*args, **kwargs)`` on first
+    use, kept in its store while it lives (built each time if it is None)."""
+    if inst is None:
+        return build(*args, **kwargs)
+    form = inst._derived.get(key)
+    if form is None:
+        form = inst._derived[key] = build(*args, **kwargs)
+    return form
+
+
 def as_laminar(instance) -> LaminarInstance:
     if isinstance(instance, LaminarInstance):
         return instance
-    return production_to_laminar(instance)
+    return derived(instance, "laminar", production_to_laminar, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +516,8 @@ class _Dynamics:
 
     ``step(e)`` is ``(coords, delta, limits)``: picking ``e`` adds ``delta``
     to each coordinate in ``coords`` and is allowed iff every result lies in
-    ``[0, limit]``.
+    ``[0, limit]``.  ``instance()`` is the instance it reads, whose store
+    keeps its levels: a weak reference, so that no cycle forms.
     """
 
     def can_pick(self, state, e) -> bool:
@@ -529,6 +549,7 @@ class BinSubproblem(_Dynamics):
     """
 
     def __init__(self, inst: LaminarInstance, root_bin: int):
+        self.instance = weakref.ref(inst)
         self.key = _bin_scope(root_bin)
         self.bins = inst.subtree_bins(root_bin)
         index = {b: i for i, b in enumerate(self.bins)}
@@ -555,6 +576,7 @@ class TypeSubproblem(_Dynamics):
     """
 
     def __init__(self, p: ProductionInstance, type_index: int):
+        self.instance = weakref.ref(p)
         self.key = f"type:{type_index}"
         self.type_index = type_index
         self.elements = p.buyers_of_type(type_index)
@@ -571,7 +593,8 @@ class TypeSubproblem(_Dynamics):
 class SingletonSubproblem(_Dynamics):
     """Trivial dynamics for a single element with no local capacity."""
 
-    def __init__(self, element: int):
+    def __init__(self, inst, element: int):
+        self.instance = weakref.ref(inst)
         self.key = f"elem:{element}"
         self.elements = (element,)
         self.initial = ()
@@ -597,12 +620,10 @@ def _bin_scope(b) -> str:
 
 
 def bind_dynamics(scope: str, instance):
-    """Reconstruct the dynamics behind a policy scope key: ``root``,
-    ``bin:b``, ``type:j`` or ``elem:e``, with a ``decimal_index`` present
-    in ``instance``."""
-    if scope == "root":
-        return BinSubproblem(as_laminar(instance), 0)
-    kind, _, text = scope.partition(":")
+    """The dynamics behind a policy scope key: ``root``, ``bin:b``,
+    ``type:j`` or ``elem:e``, with a ``decimal_index`` present in
+    ``instance``; one per scope, in the store of the instance it reads."""
+    kind, _, text = ("bin:0" if scope == "root" else scope).partition(":")
     if kind == "bin":
         instance = as_laminar(instance)
         size = instance.num_bins
@@ -617,11 +638,9 @@ def bind_dynamics(scope: str, instance):
         raise InstanceError(f"scope {scope!r}: unknown policy scope")
     if i >= size:
         raise InstanceError(f"scope {scope}: no such {kind}")
-    if kind == "bin":
-        return BinSubproblem(instance, i)
-    if kind == "type":
-        return TypeSubproblem(instance, i)
-    return SingletonSubproblem(i)
+    build = (BinSubproblem if kind == "bin" else TypeSubproblem
+             if kind == "type" else SingletonSubproblem)
+    return derived(instance, ("dyn", scope), build, instance, i)
 
 
 def scope_instance(keys, inst):
@@ -711,7 +730,7 @@ class StateCoding:
 SMALL_CODES = 64
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StateLevels:
     """The reachable states of one dynamics, arrival by arrival.
 
@@ -722,13 +741,13 @@ class StateLevels:
     pick leads to, or -1 where the arrival cannot be picked.  A skip keeps
     the state, so levels are nested and the last one holds every state.
     Levels are Python lists when the coding has at most ``SMALL_CODES``
-    codes, numpy arrays otherwise.  ``dyn`` is the dynamics enumerated.
+    codes, else numpy arrays (``read_only``).  ``dyn`` is the dynamics.
     """
 
     coding: StateCoding
-    codes: list
-    skips: list
-    picks: list
+    codes: tuple
+    skips: tuple
+    picks: tuple
     dyn: object
 
     def tuples(self) -> list:
@@ -761,22 +780,43 @@ def state_levels(dyn, state_cap=DEFAULT_STATE_CAP) -> StateLevels:
     ``dyn.initial``: level ``i + 1`` is level ``i`` (a skip) merged with the
     states a pick of the ``i``-th arrival reaches from it.  Raises
     ``SizingError`` once a level, hence the union of the levels so far,
-    holds more than ``state_cap`` states."""
+    holds more than ``state_cap`` states.  Each dynamics of an instance
+    reads one enumeration per cap, kept in the instance's store."""
+    return derived(dyn.instance(), ("levels", dyn.key, state_cap),
+                   _enumerated, dyn, state_cap)
+
+
+def _enumerated(dyn, state_cap) -> StateLevels:
     coding = StateCoding(dyn)
     cur = [coding.encode(dyn.initial)]
     grow = _grow_lists
     if coding.size > SMALL_CODES:
         cur, grow = np.array(cur, dtype=coding.dtype), _grow_arrays
-    lv = StateLevels(coding, [cur], [], [], dyn)
+    codes, skips, picks = [cur], [], []
     for e in dyn.elements:
         move, windows = coding.pick_rule(*dyn.step(e))
         cur, skip, pick = grow(cur, windows, move, coding.size)
         if len(cur) > state_cap:
             raise SizingError(dyn.key, len(cur), state_cap)
-        lv.codes.append(cur)
-        lv.skips.append(skip)
-        lv.picks.append(pick)
-    return lv
+        codes.append(cur)
+        skips.append(skip)
+        picks.append(pick)
+    if grow is _grow_arrays:  # list levels stay lists, for the list kernels
+        codes, skips, picks = map(read_only, (codes, skips, picks))
+    return StateLevels(coding, tuple(codes), tuple(skips), tuple(picks), dyn)
+
+
+def read_only(levels) -> tuple:
+    """``levels``, numpy arrays or lists of floats, as a tuple of arrays
+    that refuse writes; lists become views of one array, one flag for all."""
+    if levels and isinstance(levels[0], list):
+        flat = np.fromiter(itertools.chain.from_iterable(levels), float,
+                           sum(map(len, levels)))
+        flat.setflags(write=False)
+        return tuple(split_like(flat, levels))
+    for level in levels:
+        level.setflags(write=False)
+    return tuple(levels)
 
 
 def _grow_arrays(cur, windows, move, size):

@@ -9,8 +9,8 @@ capacities).
 Small branch: when the shipping capacity is at most ``1/delta`` (production)
 or the depth marking leaves no bin large (laminar), the whole instance is
 one point-wise sub-problem and is priced exactly.  Its policy is the
-optimal threshold policy of the root's DP (``dp.solve_full_dp``'s table,
-or the caller's), and its objective the DP optimum; no LP is built.  The
+optimal threshold policy of the root's DP (``dp.unit_table``, shared with
+``dp.solve_full_dp``), and its objective the DP optimum; no LP is built.  The
 exact policy LP, whose value equals the DP's, stays the cross-check of
 ``solve --alg lp-opt`` and ``verify``.  A laminar policy keeps the composed
 shape, with the root as its only block and no counters.
@@ -29,7 +29,7 @@ its scaled capacity (checked on the pick probabilities of each unit's
 branch returns them with ``lp_kind="dp"`` and builds no LP.  When a row
 would be exceeded it falls back to the LP: the ex-ante LP (production)
 or the hierarchy LP (laminar), built over the units' levels those DPs
-enumerated and rounded block by block.  Either way
+enumerated (the instance keeps both) and rounded block by block.  Either way
 ``compose_policies`` runs the per-unit pricings behind hard counters at
 the rows' *original* capacities.
 """
@@ -44,7 +44,6 @@ from .model import (
     LaminarInstance,
     Marking,
     ProductionInstance,
-    bind_dynamics,
     large_rows,
     small_bins,
     small_units,
@@ -106,21 +105,13 @@ class PtasResult:
                 "small_all": sorted(small)}
 
 
-def _table(inst, key, state_cap, tables) -> dp.ValueTable:
-    """``tables[key]`` where the caller holds it, else unit ``key``'s DP."""
-    if tables and key in tables:
-        return tables[key]
-    return dp.backward(bind_dynamics(key, inst), inst.dists,
-                       state_cap=state_cap)
-
-
 def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
-                  mk: Marking | None = None, tables=None) -> PtasResult:
+                  mk: Marking | None = None) -> PtasResult:
     """The relaxation of ``model.small_units`` under ``model.large_rows``
     scaled by ``cfg.capacity_scale``, composed behind the counters.  The
     units' DP threshold policies when they keep every row in expectation,
     else the rounded LP: ex-ante (production) or hierarchy (laminar)."""
-    tables = [_table(inst, key, state_cap, tables)
+    tables = [dp.unit_table(inst, key, state_cap=state_cap)
               for key in small_units(inst, mk)]
     policies = {table.scope: dp.threshold_policy(table) for table in tables}
     _, passes = dp.forward_all(list(policies.values()), inst.dists)
@@ -132,9 +123,8 @@ def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
         objective, lp_kind = sum(table.optimal for table in tables), "dp"
     else:
         # the relaxation of ``build_lp_exante`` or ``build_lp_hierarchy``
-        # (``mk`` is valid by construction), over the units' tables above
-        built = lpmod._build(inst, mk, cfg.capacity_scale, state_cap,
-                             {table.scope: table for table in tables})
+        # (``mk`` is valid by construction), over the units' levels above
+        built = lpmod._build(inst, mk, cfg.capacity_scale, state_cap)
         lp_kind = "exante" if mk is None else "hierarchy"
         # the DP point overfills the row just seen: skip its certificate
         built.model.dp_point = None
@@ -146,25 +136,21 @@ def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
 
 
 def ptas_production(p: ProductionInstance, cfg: PtasConfig, *,
-                    state_cap=DEFAULT_STATE_CAP, engine="auto",
-                    tables=None) -> PtasResult:
-    """``tables`` maps a unit's key (``root``, ``type:j``) to its DP value
-    table where the caller holds one, as for ``ptas_laminar``."""
+                    state_cap=DEFAULT_STATE_CAP, engine="auto") -> PtasResult:
     if p.shipping <= 1.0 / cfg.resolved_delta:
-        table = _table(p, "root", state_cap, tables)
+        table = dp.unit_table(p, "root", state_cap=state_cap)
         return PtasResult(policy=dp.threshold_policy(table), branch="small",
                           objective=table.optimal, lp_kind="dp")
-    return _large_branch(p, cfg, state_cap, engine, tables=tables)
+    return _large_branch(p, cfg, state_cap, engine)
 
 
 def ptas_laminar(inst: LaminarInstance, cfg: PtasConfig, *,
-                 state_cap=DEFAULT_STATE_CAP, engine="auto",
-                 tables=None) -> PtasResult:
+                 state_cap=DEFAULT_STATE_CAP, engine="auto") -> PtasResult:
     mk = mark_laminar(inst, cfg.resolved_delta)
     if not mk.large:
-        table = _table(inst, "root", state_cap, tables)
+        table = dp.unit_table(inst, "root", state_cap=state_cap)
         policy = dp.threshold_policy(table)
         return PtasResult(policy=compose_policies(inst, {"root": policy}, mk),
                           branch="small", objective=table.optimal,
                           lp_kind="dp", marking=mk)
-    return _large_branch(inst, cfg, state_cap, engine, mk, tables)
+    return _large_branch(inst, cfg, state_cap, engine, mk)

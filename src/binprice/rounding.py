@@ -43,7 +43,6 @@ from .model import (
     InstanceError,
     LaminarInstance,
     Marking,
-    SizingError,
     _is_count,
     atom_sums,
     decimal_index,
@@ -127,18 +126,13 @@ class PricingPolicy:
     def bind(self, dyn, state_cap) -> tuple["PricingPolicy", list]:
         """This policy over the levels of ``dyn``, an array policy, and per
         arrival the mask of its level's states no rule covers (``None``
-        where each is), which quote ``(inf, 0)``.  A policy whose levels
-        enumerate dynamics equal to ``dyn`` is itself, if no level holds
-        more than ``state_cap`` states (else ``model.state_levels``'s
-        ``SizingError``); any other's rules are encoded over
-        ``state_levels(dyn, state_cap)`` (``_rule_levels``) and matched."""
-        own = self.levels  # a dynamics' key names its kind
-        if own is not None and vars(own.dyn) == vars(dyn):
-            for codes in own.codes[1:]:
-                if len(codes) > state_cap:
-                    raise SizingError(dyn.key, len(codes), state_cap)
-            return self, [None] * len(self.elements)
+        where each is), which quote ``(inf, 0)``.  A policy over the very
+        levels ``state_levels(dyn, state_cap)`` gives, which an instance
+        keeps, is itself; any other's rules are encoded over those levels
+        (``_rule_levels``) and matched."""
         levels = state_levels(dyn, state_cap)
+        if levels is self.levels:
+            return self, [None] * len(self.elements)
         tau, p, holes = [], [], []
         for (codes, rule_tau, rule_p), want in zip(
                 _rule_levels(self.rules, dyn.elements, levels.coding),

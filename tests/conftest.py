@@ -40,6 +40,17 @@ from binprice.model import (
 VALUE_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 
 
+def expectation(dist: DiscreteDistribution) -> float:
+    """The mean of ``dist``, its atoms summed in order."""
+    return sum(v * p for v, p in dist.atoms)
+
+
+def table_value(table, level, state):
+    """``table``'s value of ``state`` at ``level``; ``None`` where the state
+    is not reachable there."""
+    return table.entries.get((level, state))
+
+
 def random_distribution(rng: random.Random, max_atoms=3,
                         grid=VALUE_GRID) -> DiscreteDistribution:
     k = rng.randint(1, max_atoms)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,7 +15,7 @@ from binprice import (
 )
 from binprice.model import BinSubproblem
 
-from conftest import random_production
+from conftest import random_production, table_value
 
 U02 = DiscreteDistribution.uniform([0, 2])
 
@@ -101,8 +102,8 @@ def test_subproblem_dp_hand_value():
     p = ProductionInstance(dists=(U02, U02), types=(0, 0), days=(0, 0),
                            production=((1,),), shipping=2)
     tbl = solve_subproblem_dp(p, 0, 0.5)
-    assert abs(tbl.value(1, (0,)) - 0.75) <= 1e-12
-    assert abs(tbl.value(0, (0,)) - 1.125) <= 1e-12
+    assert abs(table_value(tbl, 1, (0,)) - 0.75) <= 1e-12
+    assert abs(table_value(tbl, 0, (0,)) - 1.125) <= 1e-12
 
 
 def test_checkpoint_guard_blocks_before_new_production():
@@ -132,9 +133,11 @@ def test_concavity_negative_control():
                            days=(0, 0, 0), production=((3,),), shipping=3)
     tbl = solve_subproblem_dp(p, 0, 0.0)
     # level 2 has sold counts 0..2 at positions 0..2; dent the middle of
-    # that triple
+    # that triple, on a copy: the instance keeps the table read-only
     assert tbl.levels.codes[2] == [0, 1, 2]
-    tbl.values[2][1] -= 1.0
+    dented = tbl.values[2] - [0.0, 1.0, 0.0]
+    tbl = dataclasses.replace(
+        tbl, values=tbl.values[:2] + (dented,) + tbl.values[3:])
     ok, worst = concavity_check(tbl)
     assert not ok
     assert worst[0] == 2 and worst[1] == 0

@@ -458,13 +458,32 @@ def test_arrivals_span_their_own_levels(corpus):
 CHAIN_SHIFTS = (0.0, 0.7, -1.0, 2.5)
 
 
+def forget_forms(corpus):
+    """Empty the stores of the corpus instances, which the session shares,
+    so that the next reader derives every form anew."""
+    for entry in corpus:
+        for inst in (entry.laminar, entry.production):
+            if inst is not None:
+                inst._derived.clear()
+
+
 @pytest.fixture(params=["lists", "arrays"])
-def sweep(request, monkeypatch):
+def sweep(request, monkeypatch, corpus):
     """Build every state space's levels, and sweep them, as the named
-    representation."""
+    representation.  The corpus instances' stores are emptied before and
+    after, so that no levels or tables built in one representation are
+    read in the other."""
     monkeypatch.setattr(model, "SMALL_CODES",
                         2 ** 80 if request.param == "lists" else 0)
-    return request.param
+    forget_forms(corpus)
+    yield request.param
+    forget_forms(corpus)
+
+
+def assert_swept(levels, sweep):
+    """``levels`` are in the representation ``sweep`` names."""
+    kind = list if sweep == "lists" else np.ndarray
+    assert all(isinstance(codes, kind) for codes in levels.codes)
 
 
 def assert_full_dp_matches_reference(inst):
@@ -496,7 +515,8 @@ def reference_acceptance(p, type_index, shift):
 
 def test_full_dp_matches_reference_on_corpus(corpus, sweep):
     for entry in corpus:
-        assert_full_dp_matches_reference(entry.laminar)
+        tbl = assert_full_dp_matches_reference(entry.laminar)
+        assert_swept(tbl.levels, sweep)
 
 
 def test_full_dp_matches_reference_on_criterion_7():
@@ -561,6 +581,7 @@ def test_pick_probabilities_match_reference_on_corpus(corpus, sweep):
         p = entry.production
         for j in range(p.num_types if p is not None else 0):
             table = solve_subproblem_dp(p, j)
+            assert_swept(table.levels, sweep)
             assert_pick_probabilities_match_reference(
                 table, dp.threshold_policy(table), p)
 
@@ -578,6 +599,7 @@ def test_chain_dp_matches_reference_on_corpus(corpus, sweep):
         for j in range(p.num_types):
             for shift in CHAIN_SHIFTS:
                 tbl = solve_subproblem_dp(p, j, shift)
+                assert_swept(tbl.levels, sweep)
                 want = reference_subproblem_dp(p, j, shift)
                 assert list(tbl.entries.items()) == list(want.items())
                 assert tbl.positions[:-1] == p.buyers_of_type(j)
@@ -1269,6 +1291,7 @@ def test_reachable_profile_matches_reference_on_corpus(corpus, sweep):
     for entry in corpus:
         for dyn in every_scope(entry.production or entry.laminar):
             assert_profile_matches_reference(dyn)
+            assert_swept(state_levels(dyn), sweep)
 
 
 def test_reachable_profile_matches_reference_on_random_trees(sweep):
@@ -1340,6 +1363,7 @@ def test_occupancy_matches_reference_on_corpus(corpus, corpus_run, sweep):
         lam = entry.laminar
         for policy in (solve_full_dp(lam)[1], rounded_lp_opt(lam)):
             assert_occupancy_matches_reference(policy, lam)
+        assert_swept(state_levels(bind_dynamics("root", lam)), sweep)
     for label in (*BENCH_SETTINGS, "ptas_eps0.2_delta0.6"):
         for entry, policy in zip(corpus, policies[label]):
             assert_occupancy_matches_reference(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -23,7 +24,8 @@ from binprice.lp import LpModel, LpSolution, certify, check_solution, y_name
 from binprice.model import (
     DEFAULT_STATE_CAP,
     InstanceError,
-    bind_dynamics,
+    parse_instance,
+    serialize_instance,
     small_units,
 )
 from binprice.rounding import compose_policies, extract_pricing, mark_laminar
@@ -496,50 +498,58 @@ def test_dp_point_reads_the_blocks_levels(monkeypatch):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-def test_dp_point_from_passed_tables_keeps_its_bits(corpus, monkeypatch):
-    # verify's tables (solve_full_dp's root, each type's chain) and the
-    # hierarchy's unit DPs give the DP point that _dp_point computes
-    # itself, bit for bit, and it then runs no backward pass
+def test_dp_point_from_stored_tables_keeps_its_bits(corpus, monkeypatch):
+    # the unit tables an instance keeps (solve_full_dp's root, each type's
+    # chain, the hierarchy's units) give the DP point that a fresh equal
+    # instance computes, bit for bit, and it then runs no backward pass
     backward = dp.backward
 
     def no_backward(*args, **kwargs):
-        raise AssertionError("a passed table's unit was solved again")
+        raise AssertionError("a stored table's unit was solved again")
 
     for entry in corpus:
         lam, p = entry.laminar, entry.production
-        pairs = [(lambda tables: build_lp_optimal(lam, tables=tables),
-                  {"root": solve_full_dp(lam)[0]})]
+        cases = [(lam, Marking(), lambda: solve_full_dp(lam))]
         if p is not None:
-            pairs.append((lambda tables: build_lp_exante(p, tables=tables), {
-                f"type:{j}": solve_subproblem_dp(p, j, 0.0)
-                for j in range(p.num_types) if p.buyers_of_type(j)}))
+            cases.append((p, None, lambda: [
+                solve_subproblem_dp(p, j, 0.0)
+                for j in range(p.num_types) if p.buyers_of_type(j)]))
         else:
             mk = mark_laminar(lam, 0.6)
-            pairs.append((lambda tables: lp._build(
-                lam, mk, 1.0, DEFAULT_STATE_CAP, tables), {
-                key: backward(bind_dynamics(key, lam), lam.dists)
-                for key in small_units(lam, mk)}))
-        for build, tables in pairs:
-            want = build(None).model.dp_point()
+            cases.append((lam, mk, lambda: [
+                dp.unit_table(lam, key) for key in small_units(lam, mk)]))
+        for inst, mk, solve_units in cases:
+            fresh = parse_instance(serialize_instance(inst))
+            want = lp._build(fresh, mk, 1.0, DEFAULT_STATE_CAP).model.dp_point()
+            solve_units()
             monkeypatch.setattr(dp, "backward", no_backward)
-            got = build(tables).model.dp_point()
+            got = lp._build(inst, mk, 1.0, DEFAULT_STATE_CAP).model.dp_point()
             monkeypatch.setattr(dp, "backward", backward)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def point_over_a_copy(monkeypatch, built, field, level, nudge):
+    """``built``'s DP point over a copy (``dataclasses.replace``) of each
+    unit table whose ``field`` at ``level`` is ``nudge`` of the stored one,
+    which stays as it is."""
+    unit_table = dp.unit_table
+
+    def copied(*args, **kwargs):
+        table = unit_table(*args, **kwargs)
+        levels = list(getattr(table, field))
+        levels[level] = nudge(levels[level])
+        return dataclasses.replace(table, **{field: tuple(levels)})
+
+    with monkeypatch.context() as m:
+        m.setattr(dp, "unit_table", copied)
+        return built.model.dp_point()
 
 
 def nudged_point(monkeypatch, built):
     """``built``'s DP point with the first threshold nudged up by 1e-3,
     which still takes v=2."""
-    backward = dp.backward
-
-    def nudged(*args, **kwargs):
-        table = backward(*args, **kwargs)
-        table.thresholds[0] = table.thresholds[0] + 1e-3
-        return table
-
-    with monkeypatch.context() as m:
-        m.setattr(dp, "backward", nudged)
-        return built.model.dp_point()
+    return point_over_a_copy(monkeypatch, built, "thresholds", 0,
+                             lambda tau: tau + 1e-3)
 
 
 def test_certificate_rejects_a_nudged_threshold(no_dense, monkeypatch):
@@ -557,12 +567,14 @@ def test_certificate_rejects_a_nudged_threshold_at_desk_scale(
     assert dual == pytest.approx(0.5e-3)
 
 
-def test_certificate_rejects_a_raised_value(no_dense):
+def test_certificate_rejects_a_raised_value(no_dense, monkeypatch):
     built = build_lp_optimal(CAP1_PAIR)
     info = built.block("root")
-    x, u = built.model.dp_point()
-    # the update row into the initial state after the first arrival
-    u[info.rows[0][2] + info.levels[1].index((1,))] += 0.1
+    # the value of the initial state after the first arrival, which is the
+    # dual of the update row into it
+    at = info.levels[1].index((1,))
+    x, u = point_over_a_copy(monkeypatch, built, "values", 1,
+                             lambda v: v + 0.1 * (np.arange(len(v)) == at))
     _, dual, _ = falls_back(built.model, x, u)
     assert dual == pytest.approx(0.1)
 

@@ -11,7 +11,7 @@ from binprice import (
     revenue_transform,
 )
 
-from conftest import oracle_hull_slopes
+from conftest import expectation, oracle_hull_slopes
 
 
 def nonneg_random_dist(rng, max_atoms=4):
@@ -75,7 +75,7 @@ def test_monotone_and_dominated_by_expectation():
         assert all(a <= b for a, b in zip(tr.ironed, tr.ironed[1:]))
         assert tr.ironed[-1] == d.atoms[-1][0]  # top atom keeps its value
         ev_phi = sum(phi * p for phi, (_, p) in zip(tr.ironed, d.atoms))
-        assert ev_phi <= d.expectation() + 1e-9
+        assert ev_phi <= expectation(d) + 1e-9
 
 
 def test_ironing_is_identity_on_concave_revenue_curves():

@@ -19,7 +19,7 @@ from binprice import (
     simulate,
     solve_full_dp,
 )
-from binprice import LaminarInstance, ProductionInstance, lp
+from binprice import LaminarInstance, ProductionInstance, lp, model
 
 from conftest import (
     BENCH_SETTINGS,
@@ -137,14 +137,11 @@ def test_production_large_branch_matches_laminar_on_conversion():
     assert abs(w1 - w2) <= 1e-6
 
 
-def _no_enumeration(*args, **kwargs):
-    raise AssertionError("the units' levels were enumerated again")
-
-
 @pytest.mark.parametrize("kind", ["exante", "hierarchy"])
 def test_lp_route_builds_over_the_unit_dps_levels(monkeypatch, kind):
     # each row binds, so the LP route runs; its blocks take the levels the
-    # units' DPs already enumerated
+    # units' DPs already enumerated: one enumeration per unit, which grows
+    # one level per arrival
     if kind == "exante":
         inst = ProductionInstance(
             dists=(DiscreteDistribution.point(1),) * 3, types=(0, 1, 2),
@@ -158,8 +155,13 @@ def test_lp_route_builds_over_the_unit_dps_levels(monkeypatch, kind):
                 {"cap": 2, "children": [{"element": e} for e in (3, 4, 5)]},
                 {"element": 6}, {"element": 7}, {"element": 8}]})
         run, cfg = ptas_laminar, PtasConfig(epsilon=0.2, delta=0.5)
-    monkeypatch.setattr(lp, "state_levels", _no_enumeration)
+    grown = []
+    for name in ("_grow_lists", "_grow_arrays"):
+        grow = getattr(model, name)
+        monkeypatch.setattr(model, name,
+                            lambda *a, grow=grow: grown.append(1) or grow(*a))
     assert run(inst, cfg).lp_kind == kind
+    assert len(grown) == len(inst.dists)
 
 
 def test_counters_use_original_capacity_not_scaled():
