@@ -11,7 +11,11 @@ values and thresholds equal a scalar loop over the states bit for bit.
 Tuples are decoded only when ``ValueTable.entries`` or the rules of a
 table's ``threshold_policy`` (a ``PricingPolicy`` holding the thresholds
 as arrays over the levels) are first read; a caller that needs only the
-optimum, such as the exactness chain, decodes none.
+optimum, such as the exactness chain, decodes none.  ``sweep`` runs it
+without a table; given a tie tolerance, each level also carries every
+state's expected picks under the optimal policies that accept and that
+reject the values within it of their threshold, which the PTAS's dual
+search reads (an ordinary call carries nothing).
 
 ``forward_all`` is the one forward-occupancy kernel.  It runs any array
 policy, tie coins included, over its levels: ``Decisions`` computes every
@@ -113,21 +117,35 @@ def backward(dyn, dists, shift: float = 0.0, *,
     """Backward induction over ``model.state_levels(dyn, state_cap)``,
     every value shifted by ``shift``."""
     lv = state_levels(dyn, state_cap)
-    lists = isinstance(lv.codes[-1], list)
-    level = _level_lists if lists else _level_arrays
-    n = len(dyn.elements)
-    width = len(lv.codes[-1])
-    values = [None] * n + [[0.0] * width if lists else np.zeros(width)]
-    thresholds = [None] * n
-    for i in range(n - 1, -1, -1):
-        atoms = [(v - shift, p) for v, p in dists[dyn.elements[i]].atoms]
-        values[i], thresholds[i] = level(values[i + 1], lv.skips[i],
-                                         lv.picks[i], atoms)
+    values, thresholds, _ = sweep(lv, dists, shift)
     return ValueTable(scope=dyn.key,
                       positions=tuple(dyn.elements) + (len(dists),),
                       levels=lv, values=read_only(values),
                       thresholds=read_only(thresholds),
                       shift=shift)
+
+
+def sweep(lv, dists, shift: float = 0.0, tie=None):
+    """``(values, thresholds, picks)`` of ``backward`` over the levels
+    ``lv``, as lists over the levels, with no ``ValueTable``.  Given a tie
+    tolerance ``tie``, ``picks`` is the initial state's expected picks under
+    the policy that accepts every value within ``tie`` of its threshold and
+    under the one that rejects them, ``(more, fewer)``; else ``None``."""
+    dyn = lv.dyn
+    lists = isinstance(lv.codes[-1], tuple)
+    level = _level_lists if lists else _level_arrays
+    n = len(dyn.elements)
+    width = len(lv.codes[-1])
+    values = [None] * n + [[0.0] * width if lists else np.zeros(width)]
+    thresholds = [None] * n
+    picks = None if tie is None else (values[-1], values[-1])
+    for i in range(n - 1, -1, -1):
+        atoms = [(v - shift, p) for v, p in dists[dyn.elements[i]].atoms]
+        values[i], thresholds[i], picks = level(
+            values[i + 1], lv.skips[i], lv.picks[i], atoms, picks, tie)
+    if picks is not None:
+        picks = float(picks[0][0]), float(picks[1][0])
+    return values, thresholds, picks
 
 
 def unit_table(inst, scope, *, state_cap=DEFAULT_STATE_CAP) -> ValueTable:
@@ -235,9 +253,11 @@ def forward_all(policies, dists, shift: float = 0.0):
     return decided, passes
 
 
-def _level_arrays(after, skips, picks, atoms):
+def _level_arrays(after, skips, picks, atoms, carry=None, tie=0.0):
     """Values and thresholds of one level from those of the next, on
-    arrays."""
+    arrays; and, given the next level's ``carry`` of expected picks
+    ``(more, fewer)``, this level's, accepting values from ``tau - tie`` on
+    and above ``tau + tie`` alone."""
     ok = picks >= 0
     val = after[skips]
     stay = val[ok]
@@ -249,10 +269,21 @@ def _level_arrays(after, skips, picks, atoms):
     val[ok] = ev
     thr = np.full(len(val), math.inf)
     thr[ok] = tau
-    return val, thr
+    if carry is None:
+        return val, thr, None
+    more, fewer = (count[skips] for count in carry)
+    up, down = more[ok], fewer[ok]
+    go_up, go_down = (1.0 + count[picks[ok]] for count in carry)
+    low, high = tau - tie, tau + tie
+    up_ev = down_ev = 0.0
+    for x, p in atoms:
+        up_ev += p * np.where(x >= low, go_up, up)
+        down_ev += p * np.where(x > high, go_down, down)
+    more[ok], fewer[ok] = up_ev, down_ev
+    return val, thr, (more, fewer)
 
 
-def _level_lists(after, skips, picks, atoms):
+def _level_lists(after, skips, picks, atoms, carry=None, tie=0.0):
     """``_level_arrays`` one state at a time: the same sums in the same
     order."""
     val, thr = [], []
@@ -269,7 +300,25 @@ def _level_lists(after, skips, picks, atoms):
             ev += p * ((x + cont) if x >= tau else stay)
         val.append(ev)
         thr.append(tau)
-    return val, thr
+    if carry is None:
+        return val, thr, None
+    more, fewer = carry
+    up, down = [], []
+    for a, b, tau in zip(skips, picks, thr):
+        if b < 0:
+            up.append(more[a])
+            down.append(fewer[a])
+            continue
+        low, high = tau - tie, tau + tie
+        ev = 0.0
+        for x, p in atoms:
+            ev += p * ((1.0 + more[b]) if x >= low else more[a])
+        up.append(ev)
+        ev = 0.0
+        for x, p in atoms:
+            ev += p * ((1.0 + fewer[b]) if x > high else fewer[a])
+        down.append(ev)
+    return val, thr, (up, down)
 
 
 def solve_full_dp(inst: LaminarInstance, *,

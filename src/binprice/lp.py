@@ -623,9 +623,9 @@ def _namer(info: BlockInfo, dists):
 
 
 def _flat(runs, count) -> np.ndarray:
-    """The levels' lists or arrays ``runs``, ``count`` entries in all, as
+    """The levels' tuples or arrays ``runs``, ``count`` entries in all, as
     one array."""
-    if all(isinstance(run, list) for run in runs):
+    if all(isinstance(run, tuple) for run in runs):
         return np.fromiter(chain.from_iterable(runs), np.int64, count)
     return np.concatenate(runs)
 

@@ -520,22 +520,12 @@ class _Dynamics:
     keeps its levels: a weak reference, so that no cycle forms.
     """
 
-    def can_pick(self, state, e) -> bool:
-        coords, delta, limits = self.step(e)
-        return all(0 <= state[k] + delta <= limit
-                   for k, limit in zip(coords, limits))
-
     def pick(self, state, e):
-        return self._moved(state, e, 1)
-
-    def unpick(self, state, e):
-        return self._moved(state, e, -1)
-
-    def _moved(self, state, e, sign):
+        """``state`` after a pick of ``e``, allowed or not."""
         coords, delta, _ = self.step(e)
         s = list(state)
         for k in coords:
-            s[k] += sign * delta
+            s[k] += delta
         return tuple(s)
 
 
@@ -713,8 +703,8 @@ class StateCoding:
         return delta * sum(map(self.strides.__getitem__, coords)), windows
 
     def decode(self, codes) -> list:
-        """The state tuples of ``codes``, a list or an array."""
-        if isinstance(codes, list):
+        """The state tuples of ``codes``, a tuple or an array."""
+        if isinstance(codes, tuple):
             digits = zip(self.strides, self.radices, self.lows)
             cols = [[c // st % r + lo for c in codes] for st, r, lo in digits]
             return list(zip(*cols)) if cols else [()] * len(codes)
@@ -725,7 +715,7 @@ class StateCoding:
 
 
 # Product of the radices (a bound on every level's width) up to which the
-# levels are built as Python lists.  Below it numpy's fixed cost per call
+# levels are built as Python tuples.  Below it numpy's fixed cost per call
 # exceeds the work: a level of about 40 states costs the same either way.
 SMALL_CODES = 64
 
@@ -740,8 +730,9 @@ class StateLevels:
     ``i``'s ``j``-th state, ``picks[i][j]`` the position of the state a
     pick leads to, or -1 where the arrival cannot be picked.  A skip keeps
     the state, so levels are nested and the last one holds every state.
-    Levels are Python lists when the coding has at most ``SMALL_CODES``
-    codes, else numpy arrays (``read_only``).  ``dyn`` is the dynamics.
+    Levels are Python tuples when the coding has at most ``SMALL_CODES``
+    codes, else numpy arrays (``read_only``), so that neither takes
+    writes.  ``dyn`` is the dynamics.
     """
 
     coding: StateCoding
@@ -788,7 +779,7 @@ def state_levels(dyn, state_cap=DEFAULT_STATE_CAP) -> StateLevels:
 
 def _enumerated(dyn, state_cap) -> StateLevels:
     coding = StateCoding(dyn)
-    cur = [coding.encode(dyn.initial)]
+    cur = (coding.encode(dyn.initial),)
     grow = _grow_lists
     if coding.size > SMALL_CODES:
         cur, grow = np.array(cur, dtype=coding.dtype), _grow_arrays
@@ -801,7 +792,7 @@ def _enumerated(dyn, state_cap) -> StateLevels:
         codes.append(cur)
         skips.append(skip)
         picks.append(pick)
-    if grow is _grow_arrays:  # list levels stay lists, for the list kernels
+    if grow is _grow_arrays:  # tuple levels stay tuples, for the list kernels
         codes, skips, picks = map(read_only, (codes, skips, picks))
     return StateLevels(coding, tuple(codes), tuple(skips), tuple(picks), dyn)
 
@@ -848,10 +839,11 @@ def _grow_lists(cur, windows, move, size):
     ok = cur
     for m, low, high in windows:
         ok = [c for c in ok if low <= c % m < high]
-    nxt = sorted(set(cur).union([c + move for c in ok]))
+    nxt = tuple(sorted(set(cur).union([c + move for c in ok])))
     at = {c: j for j, c in enumerate(nxt)}
     go = {c: at[c + move] for c in ok}
-    return nxt, [at[c] for c in cur], [go.get(c, -1) for c in cur]
+    return (nxt, tuple([at[c] for c in cur]),
+            tuple([go.get(c, -1) for c in cur]))
 
 
 def reachable_profile(dyn, state_cap=DEFAULT_STATE_CAP):

@@ -26,12 +26,24 @@ and the units' optimal threshold policies (``dp.threshold_policy``)
 attain that sum.  So when those policies already keep every row within
 its scaled capacity (checked on the pick probabilities of each unit's
 ``dp.forward``), they are an optimal solution of the relaxation: the
-branch returns them with ``lp_kind="dp"`` and builds no LP.  When a row
-would be exceeded it falls back to the LP: the ex-ante LP (production)
-or the hierarchy LP (laminar), built over the units' levels those DPs
-enumerated (the instance keeps both) and rounded block by block.  Either way
-``compose_policies`` runs the per-unit pricings behind hard counters at
-the rows' *original* capacities.
+branch returns them with ``lp_kind="dp"`` and builds no LP.
+
+When a row would be exceeded and it is the only one (the shipping row, or
+a root that is the only large bin), the branch solves the relaxation's
+dual ``min over lam >= 0 of lam * cap + sum_u V_u(lam)``, ``V_u`` the
+unit's DP optimum with every value lowered by ``lam`` (the weakly coupled
+DP of Adelman and Mersereau, 2008).  Kelley's cutting plane finds
+``lam*`` from one backward sweep per unit and multiplier (``dp.sweep``),
+which also gives the unit's expected picks under its policies that
+accept and that reject the ties at ``lam``.  At ``lam*`` the two policy
+sets bracket the row; the mixture that meets it attains the dual value,
+so it is optimal, and each state is priced at the mixture's acceptance
+rate (``rounding.price_rates``), as an LP point is.  The branch returns
+``lp_kind="lagrangian"`` and builds no LP, so ``engine`` has no effect.
+With several large rows it falls back to the hierarchy LP, built over
+the units' levels those DPs enumerated (the instance keeps both) and
+rounded block by block.  Every route runs the per-unit pricings behind
+hard counters at the rows' *original* capacities (``compose_policies``).
 """
 
 from __future__ import annotations
@@ -39,20 +51,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     DEFAULT_STATE_CAP,
     LaminarInstance,
     Marking,
     ProductionInstance,
     large_rows,
+    level_atoms,
     small_bins,
     small_units,
 )
 from . import dp
 from . import lp as lpmod
-from .rounding import compose_policies, extract_all, mark_laminar
+from .rounding import (
+    PricingPolicy,
+    compose_policies,
+    extract_all,
+    mark_laminar,
+    price_rates,
+)
 
 EPSILON_MAX = 0.99
+
+# The dual search: a value within TIE_TOL times the search's top multiplier
+# of its threshold is a tie, which a float multiplier would miss; a row
+# within ROW_TOL times its scaled capacity (at least 1) is met; and past
+# DUAL_ITERATIONS cutting-plane steps the search gives up.
+TIE_TOL = 1e-9
+ROW_TOL = 1e-12
+DUAL_ITERATIONS = 100
 
 
 def delta_of(epsilon: float) -> float:
@@ -93,9 +122,9 @@ class PtasConfig:
 @dataclass
 class PtasResult:
     policy: object
-    branch: str  # "small" (exact) or "large" (scaled ex-ante)
+    branch: str  # "small" (exact) or "large" (scaled relaxation)
     objective: float
-    lp_kind: str  # "dp" when no LP was solved, else the LP solved
+    lp_kind: str  # "dp" or "lagrangian" when no LP was solved, else the LP
     marking: Marking | None = None
 
     def marking_summary(self, inst: LaminarInstance) -> dict:
@@ -109,8 +138,9 @@ def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
                   mk: Marking | None = None) -> PtasResult:
     """The relaxation of ``model.small_units`` under ``model.large_rows``
     scaled by ``cfg.capacity_scale``, composed behind the counters.  The
-    units' DP threshold policies when they keep every row in expectation,
-    else the rounded LP: ex-ante (production) or hierarchy (laminar)."""
+    units' DP threshold policies when they keep every row in expectation;
+    else, under one row, the mixed policies of its dual (``_dual``); else
+    the rounded hierarchy LP (a production instance has one row)."""
     tables = [dp.unit_table(inst, key, state_cap=state_cap)
               for key in small_units(inst, mk)]
     policies = {table.scope: dp.threshold_policy(table) for table in tables}
@@ -118,21 +148,102 @@ def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
     picked = {}
     for table, (_, _, picks) in zip(tables, passes):
         picked.update(zip(table.positions[:-1], picks))
+    rows = large_rows(inst, mk)
     if all(sum(picked[e] for e in elements) <= cfg.capacity_scale * cap
-           for _, elements, cap in large_rows(inst, mk)):
+           for _, elements, cap in rows):
         objective, lp_kind = sum(table.optimal for table in tables), "dp"
+    elif len(rows) == 1:
+        # the shipping row, or a root that is the only large bin: either
+        # way every unit lies under it
+        policies, objective = _dual(inst.dists,
+                                    [table.levels for table in tables],
+                                    cfg.capacity_scale * rows[0][2])
+        lp_kind = "lagrangian"
     else:
-        # the relaxation of ``build_lp_exante`` or ``build_lp_hierarchy``
-        # (``mk`` is valid by construction), over the units' levels above
+        # the relaxation of ``build_lp_hierarchy`` (``mk`` is valid by
+        # construction), over the units' levels above
         built = lpmod._build(inst, mk, cfg.capacity_scale, state_cap)
-        lp_kind = "exante" if mk is None else "hierarchy"
-        # the DP point overfills the row just seen: skip its certificate
+        lp_kind = "hierarchy"
+        # the DP point overfills a row just seen: skip its certificate
         built.model.dp_point = None
         sol = lpmod.solve_optimal(built.model, engine)
         policies, objective = extract_all(sol, built), sol.objective
     return PtasResult(policy=compose_policies(inst, policies, mk),
                       branch="large", objective=objective, lp_kind=lp_kind,
                       marking=mk)
+
+
+def _dual(dists, units, cap) -> tuple[dict, float]:
+    """``(policies, objective)`` of the relaxation of ``units``, each
+    unit's ``StateLevels``, under one row of capacity ``cap`` over all of
+    them, solved through its dual
+    ``L(lam) = lam * cap + sum_u V_u(lam)``, ``V_u`` the unit's DP optimum
+    with every value shifted by ``-lam``.
+
+    ``L`` is convex and piecewise linear, and at ``lam`` its slope lies
+    between ``cap - more`` and ``cap - fewer``: the expected picks of the
+    units' optimal policies that accept and that reject their ties
+    (``dp.sweep``).  Kelley's cutting plane runs on ``[0, top]``, past
+    every value, from the cut of each side's last point to where they
+    meet, until ``fewer <= cap <= more``; at 0, ``more`` exceeds ``cap``,
+    since the units' DP policies overfill the row.  Both
+    policy sets attain ``L(lam*)``, so the mixture that takes the first
+    with probability ``theta`` and meets the row attains it too: it is
+    optimal, and ``price_rates`` prices each state at the mixture's
+    acceptance rate."""
+    top = 1.0 + max(0.0, *(v for lv in units for e in lv.dyn.elements
+                           for v in dists[e].values))
+    tie, slack = TIE_TOL * top, ROW_TOL * max(1.0, cap)
+    # no value reaches top, so nothing is picked there: L(top) = top * cap
+    left, right, lam = None, (top, top * cap, cap), 0.0
+    for _ in range(DUAL_ITERATIONS):
+        sweeps = [dp.sweep(lv, dists, lam, tie) for lv in units]
+        value = lam * cap + sum(float(values[0][0]) for values, _, _ in sweeps)
+        more = sum(picks[0] for _, _, picks in sweeps)
+        fewer = sum(picks[1] for _, _, picks in sweeps)
+        if fewer > cap + slack:
+            left = (lam, value, cap - fewer)
+        elif more < cap - slack:
+            right = (lam, value, cap - more)
+        else:
+            break
+        (a, va, ga), (b, vb, gb) = left, right
+        lam = (vb - va + ga * a - gb * b) / (ga - gb)
+    else:
+        raise lpmod.LpError(f"dual search: no multiplier within "
+                            f"{DUAL_ITERATIONS} cutting-plane steps "
+                            f"(last {lam!r})")
+    theta = 0.0 if more <= fewer else min(max(
+        (cap - fewer) / (more - fewer), 0.0), 1.0)
+    return _mixed(dists, units, sweeps, lam, tie, theta), value
+
+
+def _mixed(dists, units, sweeps, lam, tie, theta) -> dict:
+    """The units' pricings of the mixture that runs, with probability
+    ``theta``, the policies that accept the ties of ``sweeps`` (at shift
+    ``lam``, within ``tie``) and otherwise those that reject them: each
+    state's rate is the mixture's accepted mass over its probability."""
+    def policies(offset, p):
+        return [PricingPolicy(lv.dyn.key, levels=lv, elements=lv.dyn.elements,
+                              tau=[np.add(thr, offset) for thr in thresholds],
+                              p=[np.full(len(thr), p) for thr in thresholds])
+                for lv, (_, thresholds, _) in zip(units, sweeps)]
+
+    decided, passes = dp.forward_all(policies(-tie, 1.0) + policies(tie, 0.0),
+                                     dists, lam)
+    y = np.concatenate([occupancy for _, occupied, _ in passes
+                        for occupancy in occupied[:-1]])
+    x = y * decided.rates
+    half = len(y) // 2
+    y = theta * y[:half] + (1.0 - theta) * y[half:]
+    x = theta * x[:half] + (1.0 - theta) * x[half:]
+    priced = y > 0.0
+    runs = [codes for lv in units for codes in lv.codes[:-1]]
+    values, probs = level_atoms(
+        dists, [e for lv in units for e in lv.dyn.elements],
+        list(map(len, runs)))
+    return price_rates(units, values, probs,
+                       x / np.where(priced, y, 1.0), priced)
 
 
 def ptas_production(p: ProductionInstance, cfg: PtasConfig, *,

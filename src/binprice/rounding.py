@@ -418,17 +418,27 @@ def _extracted(sol, built, keys) -> dict:
             f"corrupt LP solution at t={info.elements[lvl]}, "
             f"state={info.states.state(lvl, i - starts[r])}: z={float(z[i])!r}")
     # ex is never -0.0 (atom_sums), so numpy's clip keeps Python's bits
+    return price_rates([info.states for info in infos], values, probs, z,
+                       priced)
+
+
+def price_rates(blocks, values, probs, z, priced) -> dict:
+    """A ``PricingPolicy`` per ``model.StateLevels`` of ``blocks``, under
+    its dynamics' scope: every state of its levels ``0 .. n - 1``, level
+    after level and block after block, with its atoms along the first axis
+    of ``values`` and ``probs``, is priced for the acceptance rate ``z``,
+    clipped to [0, 1], where ``priced``, and quotes infinity elsewhere."""
     tau, p = _price_for_rate(values, probs, np.minimum(np.maximum(z, 0.0), 1.0))
-    tau = np.where(priced, tau, math.inf)
-    p = np.where(priced, p, 0.0)
+    runs = [codes for lv in blocks for codes in lv.codes[:-1]]
+    tau = split_like(np.where(priced, tau, math.inf), runs)
+    p = split_like(np.where(priced, p, 0.0), runs)
     out, at = {}, 0
-    for key, info in zip(keys, infos):
-        cuts = list(zip(starts[at:], starts[at + 1:at + 1 + len(info.elements)]))
-        at += len(info.elements)
-        out[key] = PricingPolicy(key, levels=info.states,
-                                 elements=info.elements,
-                                 tau=[tau[a:b] for a, b in cuts],
-                                 p=[p[a:b] for a, b in cuts])
+    for lv in blocks:
+        key, elements = lv.dyn.key, lv.dyn.elements
+        out[key] = PricingPolicy(key, levels=lv, elements=elements,
+                                 tau=tau[at:at + len(elements)],
+                                 p=p[at:at + len(elements)])
+        at += len(elements)
     return out
 
 

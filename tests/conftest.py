@@ -474,6 +474,23 @@ def reference_policy_json(policy) -> str:
     return json.dumps(policy.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def can_pick(dyn, state, e) -> bool:
+    """Whether ``dyn`` allows a pick of ``e`` in ``state``: every
+    coordinate the pick moves lands in ``[0, limit]``."""
+    coords, delta, limits = dyn.step(e)
+    return all(0 <= state[k] + delta <= limit
+               for k, limit in zip(coords, limits))
+
+
+def unpick(dyn, state, e):
+    """``state`` before a pick of ``e`` that led to it."""
+    coords, delta, _ = dyn.step(e)
+    s = list(state)
+    for k in coords:
+        s[k] -= delta
+    return tuple(s)
+
+
 def reference_full_dp(inst: LaminarInstance):
     """Full-state backward induction one state at a time over
     ``reference_profile``'s levels.  Returns ``(entries, rules)``:
@@ -488,7 +505,7 @@ def reference_full_dp(inst: LaminarInstance):
         atoms = inst.dists[t].atoms
         for s in levels[i]:
             stay = entries[(i + 1, s)]
-            if dyn.can_pick(s, t):
+            if can_pick(dyn, s, t):
                 cont = entries[(i + 1, dyn.pick(s, t))]
                 tau = stay - cont
                 ev = 0.0
@@ -515,7 +532,7 @@ def reference_subproblem_dp(p: ProductionInstance, type_index: int,
         atoms = p.dists[t].atoms
         for s in levels[i]:
             stay = entries[(i + 1, s)]
-            if dyn.can_pick(s, t):
+            if can_pick(dyn, s, t):
                 cont = entries[(i + 1, dyn.pick(s, t))]
                 tau = stay - cont
                 ev = 0.0
@@ -562,7 +579,7 @@ def reference_profile(dyn, state_cap=DEFAULT_STATE_CAP):
         bad = set()
         for s in cur:
             target = dyn.pick(s, e)
-            if dyn.can_pick(s, e):
+            if can_pick(dyn, s, e):
                 nxt.add(target)
             else:
                 bad.add(target)
@@ -634,7 +651,7 @@ def reference_emit_block(model, dists, info):
             cols.append(there[s])
             vals.append(1.0)
             runs = []  # the picks leaving s (+p) and those arriving (-p)
-            src = dyn.unpick(s, t)
+            src = unpick(dyn, s, t)
             if src == s:
                 # an arrival using none of the block's capacity: +p and -p
                 # fall on the same variables and cancel
@@ -676,7 +693,7 @@ def reference_evaluate_block(policy, inst):
             if rule is None:
                 raise CoverageError(f"no rule for arrival {e} in state {s}")
             tau, p = rule
-            if not dyn.can_pick(s, e):
+            if not can_pick(dyn, s, e):
                 nxt[s] = nxt.get(s, 0.0) + mass
                 continue
             acc = d.tail_above(tau) + p * d.prob_at(tau)
@@ -702,7 +719,7 @@ def reference_pick_probabilities(policy, inst) -> dict:
     _, trace = reference_evaluate_block(policy, inst)
     picks = dict.fromkeys(dyn.elements, 0.0)
     for (e, s), mass in trace.items():
-        if e in picks and dyn.can_pick(s, e):
+        if e in picks and can_pick(dyn, s, e):
             tau, p = policy.rule(e, s)
             d = inst.dists[e]
             picks[e] += mass * (d.tail_above(tau) + p * d.prob_at(tau))

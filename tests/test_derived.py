@@ -5,8 +5,10 @@ settings, the full DP, the exact and the bound LP, the cylinder and
 concavity checks, ``simulate`` and the prophet samples) enumerate each
 unit's states once and solve each unit's DP once, since the instance's
 store keeps its laminar form, its dynamics, their levels and each unit's
-shift-0 table.  What the store shares refuses writes, and running the
-calls again, or on a fresh equal instance, gives the same bytes.
+shift-0 table.  The PTAS's dual search over one row sweeps its units at
+each multiplier it tries, and keeps none of them.  What the store shares
+refuses writes, and running the calls again, or on a fresh equal
+instance, gives the same bytes.
 """
 
 import collections
@@ -33,8 +35,9 @@ from binprice.model import (
 from conftest import BENCH_SETTINGS, build_corpus
 
 # a production instance whose PTAS takes the root DP at eps 0.2 and the
-# ex-ante LP at delta 0.6 (five buyers, three types, shipping 3), and a
-# laminar one whose PTAS takes the hierarchy LP at delta 0.6 over its bins
+# dual of its shipping row at delta 0.6 (five buyers, three types,
+# shipping 3), and a laminar one whose PTAS takes the hierarchy LP at
+# delta 0.6 over its bins
 PRODUCTION_AT, LAMINAR_AT = 47, 9
 
 
@@ -77,8 +80,9 @@ def bench_round(inst) -> list:
 def count_kernel_calls(monkeypatch) -> collections.Counter:
     """Count the level-by-level kernels' calls by the scope of the
     dynamics they run for: ``model``'s enumeration grows one level per
-    arrival, ``dp``'s backward induction solves one; and count the
-    production-to-laminar conversions."""
+    arrival, ``dp``'s backward induction solves one, counted under
+    ``dual`` where it carries the dual search's expected picks; and count
+    the production-to-laminar conversions."""
     calls = collections.Counter()
 
     def counted(module, name):
@@ -86,7 +90,8 @@ def count_kernel_calls(monkeypatch) -> collections.Counter:
 
         def call(*args):
             dyn = inspect.currentframe().f_back.f_locals["dyn"]
-            calls[module.__name__, dyn.key] += 1
+            dual = len(args) > 4 and args[4] is not None
+            calls["dual" if dual else module.__name__, dyn.key] += 1
             return kernel(*args)
 
         monkeypatch.setattr(module, name, call)
@@ -107,7 +112,16 @@ def test_derived_forms_solve_each_unit_once(monkeypatch):
         bench_round(inst)
         production = isinstance(inst, ProductionInstance)
         assert calls.pop("production_to_laminar", 0) == production
+        dual = {key: calls.pop(("dual", key)) for kernel, key in list(calls)
+                if kernel == "dual"}
+        # the production instance's relaxation has one row: the dual search
+        # sweeps every one of its units, at each multiplier it tries
+        sweeps = {count / len(bind_dynamics(key, inst).elements)
+                  for key, count in dual.items()}
+        assert len(sweeps) == (1 if production else 0)
+        assert all(k == int(k) >= 1 for k in sweeps)
         units = {key for _, key in calls}
+        assert set(dual) == (units - {"root"} if production else set())
         # the root, and each unit of the relaxation the PTAS solved
         assert "root" in units
         assert units > {"root"}
@@ -119,13 +133,17 @@ def test_derived_forms_solve_each_unit_once(monkeypatch):
 
 
 def test_derived_forms_give_the_same_bytes_again_and_fresh(monkeypatch):
-    # again on one instance: every form is stored, so no kernel runs
+    # again on one instance: every form is stored, so no kernel runs but
+    # the dual search's, which stores nothing and sweeps as before
     for inst in corpus_instances():
-        first = bench_round(inst)
+        with monkeypatch.context() as m:
+            first_calls = count_kernel_calls(m)
+            first = bench_round(inst)
         with monkeypatch.context() as m:
             calls = count_kernel_calls(m)
             assert bench_round(inst) == first
-        assert not calls
+        assert calls == {key: count for key, count in first_calls.items()
+                         if key[0] == "dual"}
         assert bench_round(parse_instance(serialize_instance(inst))) == first
 
 
@@ -172,4 +190,13 @@ def test_derived_forms_refuse_writes():
     assert dp.solve_subproblem_dp(p, 0, 0.5) is not chain
     with pytest.raises(ValueError):
         chain.values[0][0] = 0.0
+    # a chain of at most SMALL_CODES codes keeps its levels as tuples
+    for levels in (chain.levels.codes, chain.levels.skips,
+                   chain.levels.picks):
+        assert all(isinstance(level, tuple) for level in levels)
+        with pytest.raises(AttributeError):
+            levels[-1].append(99)
+        with pytest.raises(TypeError):
+            levels[-1][0] = 99
+    assert dp.unit_table(p, "type:0").levels.codes[-1] == (0, 1)
     assert dp.unit_table(p, "root") is dp.solve_full_dp(as_laminar(p))[0]

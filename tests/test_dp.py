@@ -15,7 +15,7 @@ from binprice import (
 )
 from binprice.model import BinSubproblem
 
-from conftest import random_production, table_value
+from conftest import can_pick, random_production, table_value
 
 U02 = DiscreteDistribution.uniform([0, 2])
 
@@ -71,7 +71,7 @@ def test_monotone_marginals_on_random_instances():
                 continue
             for s, v in states.items():
                 for e in dyn.elements:
-                    if dyn.can_pick(s, e):
+                    if can_pick(dyn, s, e):
                         picked = dyn.pick(s, e)
                         if picked in states:
                             assert v >= states[picked] - 1e-9
@@ -134,7 +134,7 @@ def test_concavity_negative_control():
     tbl = solve_subproblem_dp(p, 0, 0.0)
     # level 2 has sold counts 0..2 at positions 0..2; dent the middle of
     # that triple, on a copy: the instance keeps the table read-only
-    assert tbl.levels.codes[2] == [0, 1, 2]
+    assert tbl.levels.codes[2] == (0, 1, 2)
     dented = tbl.values[2] - [0.0, 1.0, 0.0]
     tbl = dataclasses.replace(
         tbl, values=tbl.values[:2] + (dented,) + tbl.values[3:])

@@ -42,7 +42,7 @@ from binprice.model import (
 )
 from binprice.rounding import ComposedPolicy, PricingPolicy, compose_policies
 
-from conftest import oracle_chain_joint, random_production
+from conftest import can_pick, oracle_chain_joint, random_production
 
 U02 = DiscreteDistribution.uniform([0, 2])
 U01 = DiscreteDistribution.uniform([0, 1])
@@ -342,7 +342,7 @@ def _chain_taus(p, type_index, shift):
     for i, t in enumerate(dyn.elements):
         level = {}
         for (lvl, s) in tbl.entries:
-            if lvl == i and dyn.can_pick(s, t):
+            if lvl == i and can_pick(dyn, s, t):
                 tau = (tbl.entries[(i + 1, s)]
                        - tbl.entries[(i + 1, (s[0] + 1,))])
                 level[s[0]] = tau + shift
@@ -414,7 +414,7 @@ def _moment(p, type_index, shift, mask):
     for i, t in enumerate(elems):
         nxt = {}
         for s, mass in cur.items():
-            can = dyn.can_pick((s,), t)
+            can = can_pick(dyn, (s,), t)
             if can:
                 tau = (tbl.entries[(i + 1, (s,))]
                        - tbl.entries[(i + 1, (s + 1,))])

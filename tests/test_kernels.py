@@ -97,6 +97,7 @@ from binprice.rounding import (
 
 from conftest import (
     BENCH_SETTINGS,
+    can_pick,
     criterion_6_production,
     criterion_7_laminar,
     model_from_arrays,
@@ -482,7 +483,7 @@ def sweep(request, monkeypatch, corpus):
 
 def assert_swept(levels, sweep):
     """``levels`` are in the representation ``sweep`` names."""
-    kind = list if sweep == "lists" else np.ndarray
+    kind = tuple if sweep == "lists" else np.ndarray
     assert all(isinstance(codes, kind) for codes in levels.codes)
 
 
@@ -505,7 +506,7 @@ def reference_acceptance(p, type_index, shift):
     acc = np.zeros((len(dyn.elements), smax + 1))
     for i, t in enumerate(dyn.elements):
         for s in range(smax + 1):
-            if (i, (s,)) not in entries or not dyn.can_pick((s,), t):
+            if (i, (s,)) not in entries or not can_pick(dyn, (s,), t):
                 continue
             tau = entries[(i + 1, (s,))] - entries[(i + 1, (s + 1,))]
             acc[i, s] = sum(pa for v, pa in p.dists[t].atoms
@@ -723,7 +724,12 @@ CRITERION_7_SETTING = PtasConfig(epsilon=0.2, delta=0.1)
 # LP, so that the simplex solved every desk-scale relaxation with one
 # (``any_row_engine``); ``eps0.2_delta0.6`` is the rounding under
 # ``auto``, which takes the certified DP point wherever the units cannot
-# fill their rows.
+# fill their rows.  ``ptas_eps0.2_delta0.6_lp_route`` is the former
+# ``ptas_eps0.2_delta0.6``, recorded while the large branch rounded its
+# relaxation LP wherever the units' DP policies overfill a row
+# (``lp_route_ptas_policy``); ``ptas_eps0.2_delta0.6`` was recorded when
+# the one-row cases among them first took the mixed policies of the
+# relaxation's dual.
 LP_TEXT_SHA256 = {
     "optimal": "282d67d402d97f6576ba9299c4799e45aadbb3c0ee6503cddaa9e2058aeebc08",
     "exante": "2079a7c1e22b6ad17f9d2c7db87f7cbe3c0ef1a4ca4204b215bcf49a65072aae",
@@ -739,7 +745,8 @@ POLICY_SHA256 = {
     "lp_opt_auto_past_limit": "5b19c2e91b85f689fdde4e31c5d55304a2b04f09cb68b8d40b52655bd0bffa64",
     "lp_opt_auto": "f41763c4e4380f890e32e76ec3903a694a20c7b6804a0fc62983c4daea89b998",
     "criterion_7_auto": "cfe961fda6fd1d8583f0e220788a7776f7b6efbba6562e9c6b2b5441c4cc3531",
-    "ptas_eps0.2_delta0.6": "879504ecef22ebb7620e58ec7daa61142ed0a972f80591f672a4426e7adc894b",
+    "ptas_eps0.2_delta0.6_lp_route": "879504ecef22ebb7620e58ec7daa61142ed0a972f80591f672a4426e7adc894b",
+    "ptas_eps0.2_delta0.6": "44a2699a27649f1501b1b7fdd417267b1c8d386e238c1ad0d31c73996bec49e2",
     "ptas_criterion_7": "2c6b153e148808316094112075720ba1b9a965c9c56aee0fbe3603ef198fb6f5",
 }
 
@@ -840,6 +847,18 @@ def lp_large_branch_policy(entry, cfg, engine="auto"):
     if p is None and not mk.large:
         return compose_policies(lam, {"root": solve_full_dp(lam)[1]}, mk), True
     return rounded_relaxation(p if p is not None else lam, cfg, engine), False
+
+
+def lp_route_ptas_policy(entry, cfg):
+    """The PTAS policy as computed while a large-branch case whose units'
+    DP policies overfill a row always rounded its relaxation LP: the
+    PTAS's own elsewhere, ``rounded_relaxation`` on the cases it now
+    solves through the dual."""
+    result = run_ptas(entry, cfg)
+    if result.lp_kind != "lagrangian":
+        return result.policy
+    inst = entry.production if entry.production is not None else entry.laminar
+    return rounded_relaxation(inst, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -1082,12 +1101,15 @@ def test_lp_emitter_matches_reference_on_criterion_7():
             lambda: build_lp_hierarchy(c7, mk, scale)))
 
 
-def test_ptas_policies_are_pinned(corpus_run, criterion_7_policies):
+def test_ptas_policies_are_pinned(corpus, corpus_run, criterion_7_policies):
     _, policies = corpus_run
     got = {label: sha256_of(map(policy_to_json, policies[label]))
            for label in (*BENCH_SETTINGS, "ptas_eps0.2_delta0.6", "lp_opt",
                          "lp_opt_auto_past_limit", "lp_opt_auto",
                          "eps0.2_delta0.6_any_row")}
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    got["ptas_eps0.2_delta0.6_lp_route"] = sha256_of(
+        policy_to_json(lp_route_ptas_policy(entry, cfg)) for entry in corpus)
     ptas_policy, relaxed, relaxed_auto = criterion_7_policies
     got["criterion_7"] = sha256_of([policy_to_json(relaxed)])
     got["criterion_7_auto"] = sha256_of([policy_to_json(relaxed_auto)])
@@ -1095,11 +1117,29 @@ def test_ptas_policies_are_pinned(corpus_run, criterion_7_policies):
     assert got == POLICY_SHA256
 
 
+def test_dual_route_pins_hold_on_lists_and_arrays(corpus, sweep):
+    # the dual search sweeps the units' levels with the list or the array
+    # kernel, whose carried picks take the same sums in the same order:
+    # the PTAS writes the pinned documents either way
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    results = [run_ptas(entry, cfg) for entry in corpus]
+    assert sha256_of(policy_to_json(r.policy) for r in results) == \
+        POLICY_SHA256["ptas_eps0.2_delta0.6"]
+    dual = [(entry.production or entry.laminar, r)
+            for entry, r in zip(corpus, results) if r.lp_kind == "lagrangian"]
+    assert len(dual) == 55
+    for inst, r in dual:
+        for key in r.policy.blocks:
+            assert_swept(state_levels(bind_dynamics(key, inst)), sweep)
+
+
 def test_ptas_keeps_the_lp_policy_wherever_it_solves_the_lp(corpus_run):
     # the PTAS documents differ from the LP large branch's only on the
     # cases where the decoupled DP policies satisfy every large row, and
     # not where the units cannot fill their rows, since auto then takes
-    # the DP point: 4 fewer than under the simplex (``any_row``)
+    # the DP point: 4 fewer than under the simplex (``any_row``); and on
+    # 42 of the 55 one-row cases, whose mixed dual policies price the
+    # other 13 as the LP's vertex does
     _, policies = corpus_run
     setting = {label: label for label in BENCH_SETTINGS}
     setting["eps0.2_delta0.6_any_row"] = "eps0.2_delta0.6"
@@ -1107,8 +1147,8 @@ def test_ptas_keeps_the_lp_policy_wherever_it_solves_the_lp(corpus_run):
                          for a, b in zip(policies[label],
                                          policies[f"ptas_{cfg}"]))
               for label, cfg in setting.items()}
-    assert differ == {"eps0.2": 0, "eps0.2_delta0.6": 61,
-                      "eps0.2_delta0.6_any_row": 65}
+    assert differ == {"eps0.2": 0, "eps0.2_delta0.6": 103,
+                      "eps0.2_delta0.6_any_row": 107}
 
 
 # ---------------------------------------------------------------------------

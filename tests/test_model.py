@@ -20,6 +20,7 @@ from binprice.model import BinSubproblem, reachable_profile
 
 from conftest import (
     oracle_states,
+    unpick,
     random_laminar,
     random_production,
 )
@@ -197,7 +198,7 @@ def test_state_space_downward_closed_under_unpick():
         space = local_state_space(inst, 0)
         for s in space:
             for e in dyn.elements:
-                undone = dyn.unpick(s, e)
+                undone = unpick(dyn, s, e)
                 if all(a <= b for a, b in zip(undone, dyn.initial)):
                     # a state that still has room below the caps and differs
                     # from full capacity must come from some pick sequence

@@ -42,7 +42,9 @@ from binprice.cli import main
 from binprice.harness import prophet_samples
 from binprice.rounding import PolicyError, PricingPolicy, mark_laminar
 
-from conftest import VALUE_GRID, relaxation
+from binprice.model import large_rows
+
+from conftest import VALUE_GRID, reference_pick_probabilities, relaxation
 
 
 def test_benchmark_ordering_on_corpus_sample(corpus):
@@ -190,8 +192,10 @@ def test_ptas_policy_documents_read_back_as_written(inst, epsilon):
 def test_large_branch_attains_its_relaxation_and_stays_feasible(inst, epsilon,
                                                                 delta):
     # a delta override near 1 marks every capacity above about 1 large, so
-    # both routes of the large branch run: the units' DP policies where
-    # they keep every large row, the LP where a row binds
+    # every route of the large branch runs: the units' DP policies where
+    # they keep every large row, the dual where one row binds, the LP
+    # where one of several does.  The first two attain their objective
+    # exactly and keep every row in expectation
     cfg = PtasConfig(epsilon=epsilon, delta=delta)
     if isinstance(inst, ProductionInstance):
         result = ptas_production(inst, cfg)
@@ -201,9 +205,15 @@ def test_large_branch_attains_its_relaxation_and_stays_feasible(inst, epsilon,
     event(result.lp_kind)
     optimum = solve_optimal(relaxation(inst, cfg).model).objective
     assert abs(result.objective - optimum) <= 1e-9
-    if result.lp_kind == "dp":
+    if result.lp_kind in ("dp", "lagrangian"):
         welfare, _ = evaluate_exact(result.policy, inst)
         assert abs(welfare - result.objective) <= 1e-9
+        picks = {}
+        for block in result.policy.blocks.values():
+            picks.update(reference_pick_probabilities(block, inst))
+        for _, elements, cap in large_rows(inst, result.marking):
+            assert sum(picks[e] for e in elements) \
+                <= cfg.capacity_scale * cap + 1e-9
     assert simulate(result.policy, inst, 200, seed=3).total_violations == 0
 
 

@@ -1,7 +1,11 @@
 import collections
+import contextlib
+import io
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from binprice import (
@@ -19,10 +23,13 @@ from binprice import (
     simulate,
     solve_full_dp,
 )
-from binprice import LaminarInstance, ProductionInstance, lp, model
+from binprice import LaminarInstance, ProductionInstance, dp, lp, model, ptas
+from binprice.cli import main as cli_main
+from binprice.rounding import PricingPolicy
 
 from conftest import (
     BENCH_SETTINGS,
+    criterion_6_production,
     criterion_7_laminar,
     random_laminar,
     random_production,
@@ -137,44 +144,60 @@ def test_production_large_branch_matches_laminar_on_conversion():
     assert abs(w1 - w2) <= 1e-6
 
 
+def two_large_bins():
+    """A root of 9 over a bin of 5 and three sure buyers; the bin holds two
+    cap-2 bins of three and two sure buyers.  At delta 0.5 the root and
+    the bin of 5 are large, and the units' DP policies overfill the bin."""
+    sure = DiscreteDistribution.point(1)
+    return LaminarInstance.build((U02,) * 6 + (sure,) * 5, {
+        "cap": 9, "children": [
+            {"cap": 5, "children": [
+                {"cap": 2, "children": [{"element": e} for e in (0, 1, 2)]},
+                {"cap": 2, "children": [{"element": e} for e in (3, 4, 5)]},
+                {"element": 6}, {"element": 7}]},
+            {"element": 8}, {"element": 9}, {"element": 10}]})
+
+
 @pytest.mark.parametrize("kind", ["exante", "hierarchy"])
 def test_lp_route_builds_over_the_unit_dps_levels(monkeypatch, kind):
-    # each row binds, so the LP route runs; its blocks take the levels the
-    # units' DPs already enumerated: one enumeration per unit, which grows
-    # one level per arrival
+    # the units' DPs, the dual search over the ex-ante relaxation's one
+    # row and the hierarchy LP over two rows all read the levels each
+    # unit's DP enumerated: one enumeration per unit, which grows one level
+    # per arrival
     if kind == "exante":
+        # three sure buyers against a scaled shipping row of 1.5
         inst = ProductionInstance(
             dists=(DiscreteDistribution.point(1),) * 3, types=(0, 1, 2),
             days=(0, 0, 0), production=((1,), (1,), (1,)), shipping=3)
         run, cfg = ptas_production, PtasConfig(epsilon=0.5, delta=0.4)
+        route = "lagrangian"
     else:
-        # two cap-2 bins of three and three sure buyers under a root of 5
-        inst = LaminarInstance.build((U02,) * 6 + (
-            DiscreteDistribution.point(1),) * 3, {"cap": 5, "children": [
-                {"cap": 2, "children": [{"element": e} for e in (0, 1, 2)]},
-                {"cap": 2, "children": [{"element": e} for e in (3, 4, 5)]},
-                {"element": 6}, {"element": 7}, {"element": 8}]})
+        inst = two_large_bins()
         run, cfg = ptas_laminar, PtasConfig(epsilon=0.2, delta=0.5)
+        route = "hierarchy"
     grown = []
     for name in ("_grow_lists", "_grow_arrays"):
         grow = getattr(model, name)
         monkeypatch.setattr(model, name,
                             lambda *a, grow=grow: grown.append(1) or grow(*a))
-    assert run(inst, cfg).lp_kind == kind
+    with monkeypatch.context() as mp:
+        if route == "lagrangian":
+            forbid_lp(mp)
+        assert run(inst, cfg).lp_kind == route
     assert len(grown) == len(inst.dists)
 
 
 def test_counters_use_original_capacity_not_scaled():
-    # shipping 3 scaled by 0.5 in the LP; the executed policy must still
-    # allow a third accept when values warrant it.  Each type's own DP
-    # serves its one buyer for sure, 3 expected sales against the scaled
-    # row of 1.5, so the row binds and the LP route runs
+    # shipping 3 scaled by 0.5 in the relaxation; the executed policy must
+    # still allow a third accept when values warrant it.  Each type's own
+    # DP serves its one buyer for sure, 3 expected sales against the
+    # scaled row of 1.5, so the row binds and its dual is solved
     p = ProductionInstance(
         dists=(DiscreteDistribution.point(1),) * 3, types=(0, 1, 2),
         days=(0, 0, 0), production=((1,), (1,), (1,)), shipping=3)
     cfg = PtasConfig(epsilon=0.5, delta=0.4)
     r = ptas_production(p, cfg)
-    assert (r.branch, r.lp_kind) == ("large", "exante")
+    assert (r.branch, r.lp_kind) == ("large", "lagrangian")
     sol = lp.solve_optimal(build_lp_exante(p, cfg.capacity_scale).model)
     assert abs(r.objective - sol.objective) <= 1e-9
     composed = r.policy
@@ -317,7 +340,7 @@ def large_branch_runs(corpus):
 
 def test_large_branch_objective_is_the_relaxation_optimum(large_branch_runs):
     routes = collections.Counter(r.lp_kind for _, r, _ in large_branch_runs)
-    assert routes == {"dp": 65, "exante": 29, "hierarchy": 36}
+    assert routes == {"dp": 65, "lagrangian": 55, "hierarchy": 10}
     for _, r, optimum in large_branch_runs:
         assert r.branch == "large"
         assert abs(r.objective - optimum) <= 1e-9
@@ -331,25 +354,23 @@ def test_dp_route_policies_are_exact_and_keep_every_row(large_branch_runs):
 
 
 def test_lp_route_tries_no_certificate(large_branch_runs, monkeypatch):
-    # the units' DP point overfills the row the branch has just found
+    # the units' DP point overfills a row the branch has just found
     # binding, so past the dense limit the LP goes straight to HiGHS
     cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
-    for kind in ("exante", "hierarchy"):
-        inst = next(inst for inst, r, _ in large_branch_runs
-                    if r.lp_kind == kind)
-        run = ptas_production if kind == "exante" else ptas_laminar
-        with monkeypatch.context() as mp:
-            mp.setattr(lp, "DENSE_CELL_LIMIT", 0)
-            want = run(inst, cfg)
+    inst = next(inst for inst, r, _ in large_branch_runs
+                if r.lp_kind == "hierarchy")
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "DENSE_CELL_LIMIT", 0)
+        want = ptas_laminar(inst, cfg)
 
-            def no_certificate(*args):
-                raise AssertionError("certificate tried")
+        def no_certificate(*args):
+            raise AssertionError("certificate tried")
 
-            mp.setattr(lp, "certify", no_certificate)
-            got = run(inst, cfg)
-        assert got.lp_kind == kind
-        assert got.objective == want.objective
-        assert policy_to_json(got.policy) == policy_to_json(want.policy)
+        mp.setattr(lp, "certify", no_certificate)
+        got = ptas_laminar(inst, cfg)
+    assert got.lp_kind == "hierarchy"
+    assert got.objective == want.objective
+    assert policy_to_json(got.policy) == policy_to_json(want.policy)
 
 
 def test_criterion_7_large_branch_builds_no_lp(monkeypatch):
@@ -362,3 +383,144 @@ def test_criterion_7_large_branch_builds_no_lp(monkeypatch):
     assert r.policy.counter_caps == {"bin:0": 101}
     sol = lp.solve_optimal(relaxation(inst, cfg).model)
     assert abs(r.objective - sol.objective) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# One row: the relaxation solved through its dual
+# ---------------------------------------------------------------------------
+
+
+def assert_dual_route(r, inst, cfg, optimum):
+    """``r`` solved its one-row relaxation through the dual: its objective
+    is the relaxation optimum ``optimum``, which its mixed policies attain
+    exactly while keeping the row within its scaled capacity in
+    expectation, behind a counter at the original capacity."""
+    assert (r.branch, r.lp_kind) == ("large", "lagrangian")
+    assert abs(r.objective - optimum) <= 1e-9
+    welfare, _ = evaluate_exact(r.policy, inst)
+    assert abs(welfare - r.objective) <= 1e-9
+    picks = expected_picks(r.policy, inst)
+    [(elements, cap)] = large_rows(inst, r.marking)
+    assert sum(picks[e] for e in elements) <= cfg.capacity_scale * cap + 1e-9
+    assert list(r.policy.counter_caps.values()) == [cap]
+
+
+@pytest.fixture(scope="module")
+def dual_route_runs(large_branch_runs):
+    """``(instance, result)`` of every corpus case at delta 0.6 whose
+    relaxation has one row that the units' DP policies overfill, run with
+    every LP entry point raising."""
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        forbid_lp(mp)
+        for inst, r, _ in large_branch_runs:
+            if r.lp_kind == "lagrangian":
+                run = (ptas_production if isinstance(inst, ProductionInstance)
+                       else ptas_laminar)
+                runs.append((inst, run(inst, cfg)))
+    return runs
+
+
+def test_dual_route_builds_no_lp_and_attains_the_relaxation(dual_route_runs):
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    assert len(dual_route_runs) == 55
+    for inst, r in dual_route_runs:
+        model_ = relaxation(inst, cfg).model
+        for engine in ("simplex", "highs"):
+            optimum = lp.solve_optimal(model_, engine).objective
+            assert abs(r.objective - optimum) <= 1e-9
+        assert_dual_route(r, inst, cfg, optimum)
+
+
+def test_dual_route_stops_at_zero_where_rejecting_ties_fits(dual_route_runs):
+    # accepting a tie costs nothing at multiplier 0, so a row can look
+    # binding under the DP's accept-at-equality policies while the
+    # tie-rejecting ones fit: the multiplier is then 0, and the objective
+    # the sum of the units' DP optima; elsewhere it lies below that sum
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    at_zero = 0
+    for inst, r in dual_route_runs:
+        picks, optima = {}, []
+        for key in r.policy.blocks:
+            table = dp.unit_table(inst, key)
+            optima.append(table.optimal)
+            strict = PricingPolicy(key, levels=table.levels,
+                                   elements=table.positions[:-1],
+                                   tau=table.thresholds,
+                                   p=[np.zeros(len(t))
+                                      for t in table.thresholds])
+            picks.update(reference_pick_probabilities(strict, inst))
+        [(elements, cap)] = large_rows(inst, r.marking)
+        fits = sum(picks[e] for e in elements) <= cfg.capacity_scale * cap
+        assert (r.objective == sum(optima)) == fits
+        assert r.objective <= sum(optima)
+        at_zero += fits
+    assert at_zero == 5
+
+
+def off_dyadic_production():
+    """Type 0 sells one unit to a sure buyer of 1.25 or later to one who
+    bids 4 with probability 1/4; types 1 and 2 each have a sure buyer of
+    10; shipping 3.  The first buyer's threshold is the later one's
+    expected surplus ``1 - lam / 4``, so at ``lam* = 1/3`` the chain drops
+    from 1 sale to 1/4, and 3 expected sales to 2.25 against the row of
+    2.4 at scale 0.8.  The search tries 0, 85/12, 5/4 and 1/3."""
+    return ProductionInstance(
+        dists=(DiscreteDistribution.point(1.25), DiscreteDistribution.point(10),
+               DiscreteDistribution.of([(0.0, 0.75), (4.0, 0.25)]),
+               DiscreteDistribution.point(10)),
+        types=(0, 1, 0, 2), days=(0, 0, 0, 0),
+        production=((1,), (1,), (1,)), shipping=3)
+
+
+def test_dual_route_mixes_at_a_multiplier_off_the_binary_fractions():
+    # the mixture serves the first buyer with probability 0.2
+    p = off_dyadic_production()
+    cfg = PtasConfig(epsilon=0.2, delta=0.6)
+    with pytest.MonkeyPatch.context() as mp:
+        forbid_lp(mp)
+        r = ptas_production(p, cfg)
+    # L(1/3) = 2.4 / 3 + 2 * (10 - 1/3) + (1.25 - 1/3)
+    assert abs(r.objective - 21.05) <= 1e-12
+    assert_dual_route(r, p, cfg, lp.solve_optimal(
+        relaxation(p, cfg).model, "highs").objective)
+    tau, coin = r.policy.blocks["type:0"].rule(0, (0,))
+    assert tau == 1.25 and abs(coin - 0.2) <= 1e-12
+    # later, the buyer of 4 is served whenever the unit is left: every
+    # value above 0
+    assert r.policy.blocks["type:0"].rule(2, (0,)) == (0.0, 0.0)
+
+
+def test_dual_route_raises_past_its_iteration_cap(monkeypatch, tmp_path):
+    # four multipliers reach lam* on this instance: with three allowed,
+    # the search fails (exit 4 on the command line) and builds no LP
+    p = off_dyadic_production()
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(model.serialize_instance(p)))
+    monkeypatch.setattr(ptas, "DUAL_ITERATIONS", 3)
+    forbid_lp(monkeypatch)
+    with pytest.raises(lp.LpError, match="3 cutting-plane steps"):
+        ptas_production(p, PtasConfig(epsilon=0.2, delta=0.6))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(["solve", "--instance", str(path), "--alg", "ptas",
+                         "--epsilon", "0.2", "--delta", "0.6"])
+    assert code == 4
+    monkeypatch.setattr(ptas, "DUAL_ITERATIONS", 4)
+    assert ptas_production(p, PtasConfig(epsilon=0.2, delta=0.6)).lp_kind \
+        == "lagrangian"
+
+
+def test_criterion_6_dual_route_matches_highs():
+    p = criterion_6_production()
+    cfg = PtasConfig(epsilon=0.2, delta=0.1)
+    with pytest.MonkeyPatch.context() as mp:
+        forbid_lp(mp)
+        r = ptas_production(p, cfg)
+    assert r.lp_kind == "lagrangian"
+    sol = lp.solve_optimal(build_lp_exante(p, cfg.capacity_scale).model,
+                           "highs")
+    assert abs(r.objective - sol.objective) <= 1e-9
+    welfare, _ = evaluate_exact(r.policy, p)
+    assert abs(welfare - r.objective) <= 1e-9
