@@ -23,7 +23,6 @@ from .model import (
     SizingError,
     as_laminar,
     load_instance,
-    local_state_space,
     parse_instance,
     production_to_laminar,
     serialize_instance,

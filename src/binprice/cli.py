@@ -122,7 +122,7 @@ def cmd_solve(args) -> int:
                           "small_maximal": sorted(small_bins(lam, mk)[0])}
     else:  # ptas
         cfg = ptas.PtasConfig(epsilon=args.epsilon, delta=args.delta)
-        result = _ptas(inst, cfg, state_cap=state_cap, engine=engine)
+        result = _ptas(inst, cfg, state_cap=state_cap)
         policy = result.policy
         doc["objective"] = result.objective
         doc["branch"] = result.branch
@@ -242,7 +242,7 @@ def cmd_verify(args) -> int:
                        f"hierarchy={sol4.objective!r} dp={dp_value!r} "
                        f"engine={sol4.engine}"))
 
-    result = _ptas(inst, cfg, state_cap=state_cap, engine=args.engine)
+    result = _ptas(inst, cfg, state_cap=state_cap)
     sim = harness.simulate(result.policy, inst, args.trials, args.seed,
                            threads=args.threads, state_cap=state_cap)
     checks.append(("feasibility simulation", sim.total_violations == 0,
@@ -320,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             sp.add_argument("--format", choices=("json", "csv"),
                             default="json")
-        sp.add_argument("--state-cap", type=_positive,
-                        default=DEFAULT_STATE_CAP)
+            sp.add_argument("--state-cap", type=_positive,
+                            default=DEFAULT_STATE_CAP)
 
     sp = sub.add_parser("solve", help="solve an instance")
     common(sp)

@@ -14,8 +14,9 @@ as arrays over the levels) are first read; a caller that needs only the
 optimum, such as the exactness chain, decodes none.  ``sweep`` runs it
 without a table; given a tie tolerance, each level also carries every
 state's expected picks under the optimal policies that accept and that
-reject the values within it of their threshold, which the PTAS's dual
-search reads (an ordinary call carries nothing).
+reject the values within it of their threshold, which the PTAS reads at
+multiplier 0 to pick its route and its dual search at every multiplier
+it tries (an ordinary call carries nothing).
 
 ``forward_all`` is the one forward-occupancy kernel.  It runs any array
 policy, tie coins included, over its levels: ``Decisions`` computes every
@@ -24,7 +25,7 @@ each state's expected gain) for all the policies' states at once, and one
 pass per level moves each state's probability to its pick and its skip.
 It returns each level's rates, each state's probability and each
 arrival's pick probability.  Exact evaluation, the simulate tables, the
-PTAS row checks, the LP's DP point and the chain checks all read it.
+PTAS's mixed pricing, the LP's DP point and the chain checks all read it.
 
 ``unit_table`` runs it once per instance on a unit at shift 0.
 ``solve_full_dp`` reads the root's table (the full remaining-capacity state

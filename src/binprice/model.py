@@ -862,12 +862,6 @@ def reachable_profile(dyn, state_cap=DEFAULT_STATE_CAP):
     return levels, lv.forbidden(dyn, levels)
 
 
-def local_state_space(inst: LaminarInstance, b: int,
-                      state_cap=DEFAULT_STATE_CAP) -> set:
-    """All local states of sub-problem ``b`` reachable by some feasible policy."""
-    return set(state_levels(BinSubproblem(inst, b), state_cap).tuples()[-1])
-
-
 # ---------------------------------------------------------------------------
 # Markings
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ optimal threshold policy of the root's DP (``dp.unit_table``, shared with
 ``dp.solve_full_dp``), and its objective the DP optimum; no LP is built.  The
 exact policy LP, whose value equals the DP's, stays the cross-check of
 ``solve --alg lp-opt`` and ``verify``.  A laminar policy keeps the composed
-shape, with the root as its only block and no counters.
+shape: the relaxation below with no row, the root its only unit.
 
-Large branch, one path for both instance kinds (``_large_branch``): the
+Large branch, one path for both instance kinds (``_relaxation``): the
 relaxation keeps each unit of ``model.small_units`` (a type's chain, or a
 maximal small bin or lone element of a laminar instance) exact and holds
 only the rows of ``model.large_rows`` (the shipping capacity, or the
@@ -23,27 +23,29 @@ large bins), scaled by ``1 - eps``, in expectation.  The units are
 coupled only through those rows.  Dropping the rows (the Lagrangian at
 multiplier 0) bounds the relaxation by the sum of the units' DP optima,
 and the units' optimal threshold policies (``dp.threshold_policy``)
-attain that sum.  So when those policies already keep every row within
-its scaled capacity (checked on the pick probabilities of each unit's
-``dp.forward``), they are an optimal solution of the relaxation: the
-branch returns them with ``lp_kind="dp"`` and builds no LP.
+attain that sum.  So when the expected picks that one sweep per unit at
+multiplier 0 (``dp.sweep``, accepting the ties) carries keep every row
+within its scaled capacity, those policies are an optimal solution of
+the relaxation: the branch returns them with ``lp_kind="dp"`` and builds
+no LP.
 
 When a row would be exceeded and it is the only one (the shipping row, or
 a root that is the only large bin), the branch solves the relaxation's
 dual ``min over lam >= 0 of lam * cap + sum_u V_u(lam)``, ``V_u`` the
 unit's DP optimum with every value lowered by ``lam`` (the weakly coupled
 DP of Adelman and Mersereau, 2008).  Kelley's cutting plane finds
-``lam*`` from one backward sweep per unit and multiplier (``dp.sweep``),
-which also gives the unit's expected picks under its policies that
-accept and that reject the ties at ``lam``.  At ``lam*`` the two policy
-sets bracket the row; the mixture that meets it attains the dual value,
-so it is optimal, and each state is priced at the mixture's acceptance
-rate (``rounding.price_rates``), as an LP point is.  The branch returns
-``lp_kind="lagrangian"`` and builds no LP, so ``engine`` has no effect.
-With several large rows it falls back to the hierarchy LP, built over
-the units' levels those DPs enumerated (the instance keeps both) and
-rounded block by block.  Every route runs the per-unit pricings behind
-hard counters at the rows' *original* capacities (``compose_policies``).
+``lam*`` from one such sweep per unit and multiplier, starting from
+those at 0, each giving the unit's expected picks under its policies
+that accept and that reject the ties at ``lam``.  At ``lam*`` the two
+policy sets bracket the row; the mixture that meets it attains the dual
+value, so it is optimal, and each state is priced at the mixture's
+acceptance rate (``rounding.price_rates``), as an LP point is.  The
+branch returns ``lp_kind="lagrangian"`` and builds no LP.  With several
+large rows it falls back to the hierarchy LP (``auto`` engine), built
+over the units' levels those DPs enumerated (the instance keeps both)
+and rounded block by block.  Every route runs the per-unit pricings
+behind hard counters at the rows' *original* capacities
+(``compose_policies``).
 """
 
 from __future__ import annotations
@@ -134,46 +136,56 @@ class PtasResult:
                 "small_all": sorted(small)}
 
 
-def _large_branch(inst, cfg: PtasConfig, state_cap, engine,
-                  mk: Marking | None = None) -> PtasResult:
+def _relaxation(inst, cfg: PtasConfig, state_cap,
+                mk: Marking | None = None) -> PtasResult:
     """The relaxation of ``model.small_units`` under ``model.large_rows``
-    scaled by ``cfg.capacity_scale``, composed behind the counters.  The
-    units' DP threshold policies when they keep every row in expectation;
-    else, under one row, the mixed policies of its dual (``_dual``); else
-    the rounded hierarchy LP (a production instance has one row)."""
+    scaled by ``cfg.capacity_scale``, composed behind the counters: the
+    units' DP threshold policies when their sweeps at 0 keep every row in
+    expectation (``branch="small"`` with no row); else, under one row, the
+    mixed policies of its dual (``_dual``); else the rounded hierarchy LP
+    (a production instance has one row)."""
     tables = [dp.unit_table(inst, key, state_cap=state_cap)
               for key in small_units(inst, mk)]
-    policies = {table.scope: dp.threshold_policy(table) for table in tables}
-    _, passes = dp.forward_all(list(policies.values()), inst.dists)
-    picked = {}
-    for table, (_, _, picks) in zip(tables, passes):
-        picked.update(zip(table.positions[:-1], picks))
     rows = large_rows(inst, mk)
-    if all(sum(picked[e] for e in elements) <= cfg.capacity_scale * cap
-           for _, elements, cap in rows):
-        objective, lp_kind = sum(table.optimal for table in tables), "dp"
-    elif len(rows) == 1:
+    lp_kind = "dp"
+    if rows:
+        # no value reaches top, the dual search's bound on the multiplier
+        top = 1.0 + max([0.0, *(v for table in tables
+                                for e in table.positions[:-1]
+                                for v in inst.dists[e].values)])
+        sweeps = [dp.sweep(table.levels, inst.dists, 0.0, TIE_TOL * top)
+                  for table in tables]
+        # a unit lies wholly under or wholly outside each row, so its first
+        # position places its picks
+        if any(sum(picks[0] for table, (_, _, picks) in zip(tables, sweeps)
+                   if table.positions[0] in elements)
+               > cfg.capacity_scale * cap for _, elements, cap in rows):
+            lp_kind = "lagrangian" if len(rows) == 1 else "hierarchy"
+    if lp_kind == "dp":
+        policies = {table.scope: dp.threshold_policy(table)
+                    for table in tables}
+        objective = sum(table.optimal for table in tables)
+    elif lp_kind == "lagrangian":
         # the shipping row, or a root that is the only large bin: either
         # way every unit lies under it
         policies, objective = _dual(inst.dists,
                                     [table.levels for table in tables],
-                                    cfg.capacity_scale * rows[0][2])
-        lp_kind = "lagrangian"
+                                    cfg.capacity_scale * rows[0][2], top,
+                                    sweeps)
     else:
         # the relaxation of ``build_lp_hierarchy`` (``mk`` is valid by
         # construction), over the units' levels above
         built = lpmod._build(inst, mk, cfg.capacity_scale, state_cap)
-        lp_kind = "hierarchy"
         # the DP point overfills a row just seen: skip its certificate
         built.model.dp_point = None
-        sol = lpmod.solve_optimal(built.model, engine)
+        sol = lpmod.solve_optimal(built.model)
         policies, objective = extract_all(sol, built), sol.objective
     return PtasResult(policy=compose_policies(inst, policies, mk),
-                      branch="large", objective=objective, lp_kind=lp_kind,
-                      marking=mk)
+                      branch="large" if rows else "small",
+                      objective=objective, lp_kind=lp_kind, marking=mk)
 
 
-def _dual(dists, units, cap) -> tuple[dict, float]:
+def _dual(dists, units, cap, top, sweeps) -> tuple[dict, float]:
     """``(policies, objective)`` of the relaxation of ``units``, each
     unit's ``StateLevels``, under one row of capacity ``cap`` over all of
     them, solved through its dual
@@ -185,19 +197,18 @@ def _dual(dists, units, cap) -> tuple[dict, float]:
     units' optimal policies that accept and that reject their ties
     (``dp.sweep``).  Kelley's cutting plane runs on ``[0, top]``, past
     every value, from the cut of each side's last point to where they
-    meet, until ``fewer <= cap <= more``; at 0, ``more`` exceeds ``cap``,
-    since the units' DP policies overfill the row.  Both
-    policy sets attain ``L(lam*)``, so the mixture that takes the first
-    with probability ``theta`` and meets the row attains it too: it is
-    optimal, and ``price_rates`` prices each state at the mixture's
-    acceptance rate."""
-    top = 1.0 + max(0.0, *(v for lv in units for e in lv.dyn.elements
-                           for v in dists[e].values))
+    meet, until ``fewer <= cap <= more``.  It starts from ``sweeps``, the
+    units' sweeps at 0 (ties within ``TIE_TOL * top``), where ``more``
+    exceeds ``cap``.  Both policy sets attain ``L(lam*)``, so the mixture
+    that takes the first with probability ``theta`` and meets the row
+    attains it too: it is optimal, and ``price_rates`` prices each state
+    at the mixture's acceptance rate."""
     tie, slack = TIE_TOL * top, ROW_TOL * max(1.0, cap)
     # no value reaches top, so nothing is picked there: L(top) = top * cap
     left, right, lam = None, (top, top * cap, cap), 0.0
-    for _ in range(DUAL_ITERATIONS):
-        sweeps = [dp.sweep(lv, dists, lam, tie) for lv in units]
+    for step in range(DUAL_ITERATIONS):
+        if step:
+            sweeps = [dp.sweep(lv, dists, lam, tie) for lv in units]
         value = lam * cap + sum(float(values[0][0]) for values, _, _ in sweeps)
         more = sum(picks[0] for _, _, picks in sweeps)
         fewer = sum(picks[1] for _, _, picks in sweeps)
@@ -247,21 +258,15 @@ def _mixed(dists, units, sweeps, lam, tie, theta) -> dict:
 
 
 def ptas_production(p: ProductionInstance, cfg: PtasConfig, *,
-                    state_cap=DEFAULT_STATE_CAP, engine="auto") -> PtasResult:
+                    state_cap=DEFAULT_STATE_CAP) -> PtasResult:
     if p.shipping <= 1.0 / cfg.resolved_delta:
         table = dp.unit_table(p, "root", state_cap=state_cap)
         return PtasResult(policy=dp.threshold_policy(table), branch="small",
                           objective=table.optimal, lp_kind="dp")
-    return _large_branch(p, cfg, state_cap, engine)
+    return _relaxation(p, cfg, state_cap)
 
 
 def ptas_laminar(inst: LaminarInstance, cfg: PtasConfig, *,
-                 state_cap=DEFAULT_STATE_CAP, engine="auto") -> PtasResult:
-    mk = mark_laminar(inst, cfg.resolved_delta)
-    if not mk.large:
-        table = dp.unit_table(inst, "root", state_cap=state_cap)
-        policy = dp.threshold_policy(table)
-        return PtasResult(policy=compose_policies(inst, {"root": policy}, mk),
-                          branch="small", objective=table.optimal,
-                          lp_kind="dp", marking=mk)
-    return _large_branch(inst, cfg, state_cap, engine, mk)
+                 state_cap=DEFAULT_STATE_CAP) -> PtasResult:
+    return _relaxation(inst, cfg, state_cap,
+                       mark_laminar(inst, cfg.resolved_delta))

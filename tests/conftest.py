@@ -35,6 +35,7 @@ from binprice.model import (
     SizingError,
     TypeSubproblem,
     bind_dynamics,
+    state_levels,
 )
 
 VALUE_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -472,6 +473,13 @@ def reference_prophet_samples(inst, trials: int, seed: int) -> np.ndarray:
 def reference_policy_json(policy) -> str:
     """The policy document as written through ``json.dumps``."""
     return json.dumps(policy.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def local_state_space(inst: LaminarInstance, b: int,
+                      state_cap=DEFAULT_STATE_CAP) -> set:
+    """All local states of sub-problem ``b`` reachable by some feasible
+    policy: the last level ``model.state_levels`` enumerates."""
+    return set(state_levels(BinSubproblem(inst, b), state_cap).tuples()[-1])
 
 
 def can_pick(dyn, state, e) -> bool:

@@ -5,10 +5,11 @@ settings, the full DP, the exact and the bound LP, the cylinder and
 concavity checks, ``simulate`` and the prophet samples) enumerate each
 unit's states once and solve each unit's DP once, since the instance's
 store keeps its laminar form, its dynamics, their levels and each unit's
-shift-0 table.  The PTAS's dual search over one row sweeps its units at
-each multiplier it tries, and keeps none of them.  What the store shares
-refuses writes, and running the calls again, or on a fresh equal
-instance, gives the same bytes.
+shift-0 table.  The PTAS's large branch sweeps each unit once at
+multiplier 0 to pick its route, and its dual search over one row sweeps
+its units at each further multiplier it tries; it keeps none of these
+sweeps.  What the store shares refuses writes, and running the calls
+again, or on a fresh equal instance, gives the same bytes.
 """
 
 import collections
@@ -81,17 +82,20 @@ def count_kernel_calls(monkeypatch) -> collections.Counter:
     """Count the level-by-level kernels' calls by the scope of the
     dynamics they run for: ``model``'s enumeration grows one level per
     arrival, ``dp``'s backward induction solves one, counted under
-    ``dual`` where it carries the dual search's expected picks; and count
-    the production-to-laminar conversions."""
+    ``dual`` where it carries the PTAS's expected picks, keyed also by
+    whether it runs at multiplier 0; and count the production-to-laminar
+    conversions."""
     calls = collections.Counter()
 
     def counted(module, name):
         kernel = getattr(module, name)
 
         def call(*args):
-            dyn = inspect.currentframe().f_back.f_locals["dyn"]
-            dual = len(args) > 4 and args[4] is not None
-            calls["dual" if dual else module.__name__, dyn.key] += 1
+            caller = inspect.currentframe().f_back.f_locals
+            if len(args) > 4 and args[4] is not None:
+                calls["dual", caller["dyn"].key, caller["shift"] == 0.0] += 1
+            else:
+                calls[module.__name__, caller["dyn"].key] += 1
             return kernel(*args)
 
         monkeypatch.setattr(module, name, call)
@@ -108,20 +112,14 @@ def count_kernel_calls(monkeypatch) -> collections.Counter:
 
 def test_derived_forms_solve_each_unit_once(monkeypatch):
     for inst in corpus_instances():
-        calls = count_kernel_calls(monkeypatch)
-        bench_round(inst)
+        with monkeypatch.context() as m:
+            calls = count_kernel_calls(m)
+            bench_round(inst)
         production = isinstance(inst, ProductionInstance)
         assert calls.pop("production_to_laminar", 0) == production
-        dual = {key: calls.pop(("dual", key)) for kernel, key in list(calls)
-                if kernel == "dual"}
-        # the production instance's relaxation has one row: the dual search
-        # sweeps every one of its units, at each multiplier it tries
-        sweeps = {count / len(bind_dynamics(key, inst).elements)
-                  for key, count in dual.items()}
-        assert len(sweeps) == (1 if production else 0)
-        assert all(k == int(k) >= 1 for k in sweeps)
+        dual = {key[1:]: calls.pop(key) for key in list(calls)
+                if key[0] == "dual"}
         units = {key for _, key in calls}
-        assert set(dual) == (units - {"root"} if production else set())
         # the root, and each unit of the relaxation the PTAS solved
         assert "root" in units
         assert units > {"root"}
@@ -130,11 +128,18 @@ def test_derived_forms_solve_each_unit_once(monkeypatch):
             assert count == arrivals, (kernel, key, count, arrivals)
         assert {key for kernel, key in calls if kernel == "binprice.dp"} \
             == units
+        # each unit of the relaxation sweeps once at multiplier 0, which
+        # picks the route: the production instance's units overfill its
+        # one row, whose dual search stops at 0 (the tie-rejecting policies
+        # fit), so it sweeps no further multiplier; the laminar one takes
+        # the hierarchy LP
+        assert dual == {(key, True): len(bind_dynamics(key, inst).elements)
+                        for key in units - {"root"}}
 
 
 def test_derived_forms_give_the_same_bytes_again_and_fresh(monkeypatch):
     # again on one instance: every form is stored, so no kernel runs but
-    # the dual search's, which stores nothing and sweeps as before
+    # the PTAS's carried sweeps, which store nothing and run as before
     for inst in corpus_instances():
         with monkeypatch.context() as m:
             first_calls = count_kernel_calls(m)

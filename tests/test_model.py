@@ -9,7 +9,6 @@ from binprice import (
     LaminarInstance,
     ProductionInstance,
     SizingError,
-    local_state_space,
     parse_instance,
     production_to_laminar,
     serialize_instance,
@@ -19,6 +18,7 @@ from binprice import (
 from binprice.model import BinSubproblem, reachable_profile
 
 from conftest import (
+    local_state_space,
     oracle_states,
     unpick,
     random_laminar,

@@ -346,6 +346,41 @@ def test_large_branch_objective_is_the_relaxation_optimum(large_branch_runs):
         assert abs(r.objective - optimum) <= 1e-9
 
 
+def test_large_branch_route_sweeps_each_unit_once_at_zero(corpus,
+                                                         monkeypatch):
+    # one carried sweep per unit at multiplier 0 picks the route, and the
+    # dual search starts from it: no forward pass checks the rows, and
+    # only the dual route's mixture runs the forward kernel
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    calls = collections.Counter()
+    sweep, forward_all = dp.sweep, dp.forward_all
+
+    def counted_sweep(lv, dists, shift=0.0, tie=None):
+        if tie is not None and shift == 0.0:
+            calls["sweep at 0", lv.dyn.key] += 1
+        return sweep(lv, dists, shift, tie)
+
+    def counted_forward_all(*args, **kwargs):
+        calls["forward_all"] += 1
+        return forward_all(*args, **kwargs)
+
+    monkeypatch.setattr(dp, "sweep", counted_sweep)
+    monkeypatch.setattr(dp, "forward_all", counted_forward_all)
+    routes = collections.Counter()
+    for entry in corpus:
+        if takes_small_branch(entry, cfg):
+            continue
+        calls.clear()
+        r = run_ptas(entry, cfg)
+        routes[r.lp_kind] += 1
+        inst = entry.production if entry.production is not None \
+            else entry.laminar
+        assert calls.pop("forward_all", 0) == (r.lp_kind == "lagrangian")
+        assert calls == {("sweep at 0", key): 1
+                         for key in model.small_units(inst, r.marking)}
+    assert routes == {"dp": 65, "lagrangian": 55, "hierarchy": 10}
+
+
 def test_dp_route_policies_are_exact_and_keep_every_row(large_branch_runs):
     cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
     for inst, r, _ in large_branch_runs:
