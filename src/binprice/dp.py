@@ -8,10 +8,10 @@ threshold: the marginal continuation value of one pick,
 gathers through each state's position after a skip and after a pick and
 sums the atoms in their order, on the levels' lists or arrays alike, so
 values and thresholds equal a scalar loop over the states bit for bit.
-Tuples are decoded only when ``ValueTable.entries`` or the rules of a
-table's ``threshold_policy`` (a ``PricingPolicy`` holding the thresholds
-as arrays over the levels) are first read; a caller that needs only the
-optimum, such as the exactness chain, decodes none.  ``sweep`` runs it
+Tuples are decoded only when the rules of a table's ``threshold_policy``
+(a ``PricingPolicy`` holding the thresholds as arrays over the levels) are
+first read; a caller that needs only the optimum, such as the exactness
+chain, decodes none.  ``sweep`` runs it
 without a table; given a tie tolerance, each level also carries every
 state's expected picks under the optimal policies that accept and that
 reject the values within it of their threshold, which the PTAS reads at
@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -74,9 +73,7 @@ class ValueTable:
     below the last level, ``thresholds[i]`` their price on shifted values
     (``inf`` where the arrival cannot be picked), both ``read_only``.
     ``positions[i]`` is the level's global arrival index; the last level's
-    is the instance's element count, which no arrival has.  ``entries``
-    maps ``(level, state)`` to the value, read-only and built on first
-    access; a missing key is the infeasible sentinel.
+    is the instance's element count, which no arrival has.
     """
 
     scope: str
@@ -86,31 +83,9 @@ class ValueTable:
     thresholds: tuple
     shift: float = 0.0
 
-    def tagged_states(self, tags):
-        """``(tags[lvl], state)`` over levels ``len(tags) - 1`` down to 0,
-        each level's states ascending: the order of ``np.concatenate`` over
-        the levels' arrays reversed."""
-        levels = self.levels.tuples()
-        return ((tags[lvl], s) for lvl in range(len(tags) - 1, -1, -1)
-                for s in levels[lvl])
-
-    @cached_property
-    def entries(self) -> MappingProxyType:
-        values = np.concatenate(self.values[::-1]).tolist()
-        return MappingProxyType(dict(zip(
-            self.tagged_states(range(len(self.positions))), values)))
-
     @property
     def optimal(self) -> float:
         return float(self.values[0].max())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scope": self.scope,
-            "shift": self.shift,
-            "values": {f"{self.positions[lvl]},{list(s)}": v
-                       for (lvl, s), v in sorted(self.entries.items())},
-        }
 
 
 def backward(dyn, dists, shift: float = 0.0, *,
@@ -352,13 +327,14 @@ def concavity_check(table: ValueTable):
     """Check ``D(s) + D(s+2) <= 2 D(s+1) + 1e-9`` at every level of a chain table.
 
     Returns ``(ok, worst)`` where ``worst`` is ``(position, sold, gap)`` for
-    the largest violation, the first of a tie in ``entries`` order, or
-    ``None`` when every triple passes.
+    the largest violation, the first of a tie with the levels taken last
+    to first and each level's states ascending, or ``None`` when every
+    triple passes.
     """
     lows = table.levels.coding.lows
     if len(lows) != 1:
         raise ValueError("concavity check applies to chain tables only")
-    order = range(len(table.values) - 1, -1, -1)  # the levels of ``entries``
+    order = range(len(table.values) - 1, -1, -1)
     v = np.concatenate([table.values[lvl] for lvl in order])
     sold = np.concatenate([table.levels.codes[lvl] for lvl in order]) + lows[0]
     level = np.repeat(order, [len(table.values[lvl]) for lvl in order])

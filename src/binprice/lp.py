@@ -21,17 +21,16 @@ step is pinned like any other.
 
 Everything is integer-indexed from build to extraction.  The blocks are
 emitted as arrays over the positions of their ``model.StateLevels``
-(``_emit_blocks``): no state tuple is formed, and a forbidden state's
-alias terms come from the positions of the states it is picked from
-(``notes/decisions.md``).  A block's variables are contiguous runs whose
-first indices its ``BlockInfo`` holds: ``y[lvl]`` (the level's reachable
-states, then its forbidden ones), ``xc[lvl]`` (reachable state major,
-atom minor) and ``xm[lvl]`` (one per atom).  ``LpModel`` stores its rows
-once, as compressed arrays with columns ascending within a row, and a
-solution is an array ``x`` over the variable indices.  Variable names and
-state tuples are produced only on request -- ``to_text``,
-``LpModel.names``/``index``, ``LpSolution.value``/``assignment`` and
-``BlockInfo.levels``/``forbidden``.
+(``_emit_blocks``): no state tuple is formed.  A forbidden state's ``Y``
+enters only its own update row and its pin row (``notes/decisions.md``).
+A block's variables are contiguous runs whose first indices its
+``BlockInfo`` holds: ``y[lvl]`` (the level's reachable states, then its
+forbidden ones), ``xc[lvl]`` (reachable state major, atom minor) and
+``xm[lvl]`` (one per atom).  ``LpModel`` stores its rows once, as
+compressed arrays with columns ascending within a row, and a solution is
+an array ``x`` over the variable indices.  Variable names and state tuples
+are produced only on request -- ``to_text``, ``LpModel.names``/``index``,
+``LpSolution.assignment`` and ``BlockInfo.levels``/``forbidden``.
 
 Solvers: the blocks' DP point when ``certify`` proves it optimal (engine
 ``"certificate"``), tried on a model none of whose large rows (shipping,
@@ -255,8 +254,8 @@ def _extended(have, parts, dtype) -> np.ndarray:
 @dataclass(eq=False)
 class LpSolution:
     """``x`` holds the value of every variable by index when optimal and
-    is empty otherwise; ``model`` supplies the names ``value`` and
-    ``assignment`` look up."""
+    is empty otherwise; ``model`` supplies the names ``assignment``
+    reads."""
 
     status: str  # optimal | infeasible | unbounded
     objective: float | None
@@ -264,10 +263,6 @@ class LpSolution:
     engine: str
     iterations: int = 0
     model: LpModel | None = field(default=None, repr=False)
-
-    def value(self, name: str, default: float = 0.0) -> float:
-        j = self.model.index.get(name) if self.model is not None else None
-        return default if j is None or j >= len(self.x) else float(self.x[j])
 
     @property
     def assignment(self) -> dict[str, float]:
@@ -651,9 +646,7 @@ def _block_entries(model: LpModel, dists, blocks: list):
 
     A state's skip and pick name the update rows that its ``Y`` and its
     picks enter; a pick of -1 is an over-pick, whose forbidden state gets
-    a ``Y`` pinned to zero.  An update row also keeps ``-Y`` of a
-    forbidden state of the level it leaves when that state has the
-    target's tuple (``_aliases``)."""
+    a ``Y`` pinned to zero."""
     levels = [info.states for info in blocks]
     reach = [len(c) for lv in levels for c in lv.codes[:-1]]
     after = [len(c) for lv in levels for c in lv.codes[1:]]
@@ -675,7 +668,7 @@ def _block_entries(model: LpModel, dists, blocks: list):
     v = model.num_vars
     r0 = r = model.num_rows
     inits, y_at, y_next, xc_at, xm_at, first_at = [], [], [], [], [], []
-    steps, moves, kinds = [], [], []  # moves: whether a pick moves
+    moves = []  # whether a pick moves
     a = 0
     for info, lv in zip(blocks, levels):
         L = len(lv.skips)
@@ -699,13 +692,8 @@ def _block_entries(model: LpModel, dists, blocks: list):
         xc_at += xc[:L]
         xm_at += xm
         first_at += first[:L]
-        step = [info.dyn.step(e) for e in info.elements]
-        steps.append(step)
-        moves += [d != 0 and coords != () for coords, d, _ in step]
-        # 1 where the next arrival has the same step, 2 where it differs,
-        # 0 at the block's last arrival, whose forbidden states no row leaves
-        kinds += [1 if s[:2] == t[:2] else 2
-                  for s, t in zip(step, step[1:])] + [0]
+        moves += [d != 0 and coords != ()
+                  for coords, d, _ in map(info.dyn.step, info.elements)]
         v, r = xc[-1], first[-1]
         a += L
     # X(t,state,atom), X(t,atom) and update rows before each arrival
@@ -714,24 +702,24 @@ def _block_entries(model: LpModel, dists, blocks: list):
     uat = list(accumulate(nupd, initial=0))
     upd0 = [q + n + x for q, n, x in zip(first_at, na, ncap)]
     per = np.array([
-        # per state (0-6): its Y; the update row of its skip and pick; for
+        # per state (0-4): its Y; the update row of its skip and pick; for
         # an over-pick (less its rank) that row, its forbidden state's Y
-        # and its pin row; the next arrival's step kind and first state
-        (y - s, u, u + w - b, yn + w - b, u + n - b, kind, s1,
-         # per X(t,state,atom) (7-13): X <= Y row and column (less their
+        # and its pin row
+        (y - s, u, u + w - b, yn + w - b, u + n - b,
+         # per X(t,state,atom) (5-11): X <= Y row and column (less their
          # index), atoms, the arrival's first state and X(t,state,atom)
          # and its marginal rows and probabilities
          q + m - c0, x - c0, m, s, c0, q, a0,
-         # per X(t,atom) (14-15), per update row (16-17): column less
+         # per X(t,atom) (12-13), per update row (14-15): column less
          # index, row less column
          xm - a0, q - xm, yn - u0, u - yn)
-        for y, s, u, w, b, yn, n, kind, s1, q, m, x, c0, a0, xm, u0 in zip(
-            y_at, starts, upd0, after, prior, y_next, nupd, kinds, starts[1:],
-            first_at, na, xc_at, cat, aat, xm_at, uat)], dtype=np.int64)
+        for y, s, u, w, b, yn, n, q, m, x, c0, a0, xm, u0 in zip(
+            y_at, starts, upd0, after, prior, y_next, nupd, first_at, na,
+            xc_at, cat, aat, xm_at, uat)], dtype=np.int64)
 
     # per state: its Y and the update rows of its skip and its pick; per
     # over-pick: the Y of its forbidden state and its pin row
-    by_state = per[:, :7].repeat(reach, axis=0)
+    by_state = per[:, :5].repeat(reach, axis=0)
     ycol = by_state[:, 0] + np.arange(starts[-1])
     skip_row = by_state[:, 1] + skips
     pick_row = by_state[:, 1] + picks
@@ -742,7 +730,7 @@ def _block_entries(model: LpModel, dists, blocks: list):
 
     # per X(t,state,atom): its X <= Y row, its column, its state, its
     # marginal row and its atom's probability
-    by_x = per[:, 7:14].repeat(ncap, axis=0)
+    by_x = per[:, 5:12].repeat(ncap, axis=0)
     at = np.arange(cat[-1])
     cap_row = by_x[:, 0] + at
     xcol = by_x[:, 1] + at
@@ -759,9 +747,9 @@ def _block_entries(model: LpModel, dists, blocks: list):
 
     # each X(t,atom) ends its marginal row; each update row carries +Y of
     # its target state
-    by_atom = per[:, 14:16].repeat(na, axis=0)
+    by_atom = per[:, 12:14].repeat(na, axis=0)
     xm_col = by_atom[:, 0] + np.arange(aat[-1])
-    by_upd = per[:, 16:18].repeat(nupd, axis=0)
+    by_upd = per[:, 14:16].repeat(nupd, axis=0)
     there = by_upd[:, 0] + np.arange(uat[-1])
 
     rows = [[r for r, _ in inits], marg_row, by_atom[:, 1] + xm_col,
@@ -769,12 +757,6 @@ def _block_entries(model: LpModel, dists, blocks: list):
     cols = [[v for _, v in inits], xcol, xm_col, ycol[state], xcol, there,
             ycol, yforbid]
     signs = [1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0]
-    if len(over_at):
-        r_at, src = _aliases(blocks, steps, starts, skips, over_at,
-                             by_state)
-        rows.append(pick_row[r_at])
-        cols.append(yforbid[src])
-        signs.append(-1.0)
     coefs = [np.array(signs).repeat([len(c) for c in cols]),
              prob * moving, -prob[come]]
     rows += [skip_row[state], pick_row[state[come]]]
@@ -786,67 +768,6 @@ def _block_entries(model: LpModel, dists, blocks: list):
     rhs = np.zeros(r - r0)
     rhs[rows[:len(inits)]] = 1.0
     return rows, np.concatenate(cols), np.concatenate(coefs), le, rhs
-
-
-def _aliases(blocks, steps, starts, skips, over_at, by_state):
-    """The over-picks (``over_at``) whose forbidden state is also the pick
-    of a state ``r`` of the next level, as ``(positions of r over the
-    concatenated levels, indices into over_at)``: the update row of that
-    pick keeps the forbidden state's ``Y`` (``notes/decisions.md``).
-    ``by_state[:, 5]`` tells, per state, whether the next arrival of its
-    block has the same step (1), another (2) or there is none (0), and
-    ``by_state[:, 6]`` is the position of the next level.  Where the steps
-    agree, ``r`` is the over-pick's own state, one level on."""
-    kind = by_state[:, 5][over_at]
-    sel = (kind > 0).nonzero()[0]
-    at = over_at[sel]
-    r_at = by_state[:, 6][at] + skips[at]
-    hit = kind[sel] == 1
-    moved = (~hit).nonzero()[0]
-    if moved.size:
-        first = list(accumulate([len(step) for step in steps], initial=0))
-        lows = [starts[a] for a in first]
-        block = np.searchsorted(lows, at[moved], side="right") - 1
-        for b in sorted(set(block.tolist())):
-            mine = moved[block == b]
-            found, hit[mine] = _moved_sources(blocks[b].states, steps[b],
-                                              at[mine] - lows[b])
-            r_at[mine] = found + lows[b]
-    return r_at[hit], sel[hit]
-
-
-def _moved_sources(lv, steps, sel):
-    """For over-picks ``sel`` of one block (positions over its levels
-    ``0..L-1``) whose arrival's step differs from the next one's: the
-    position of the state ``r`` of the next level whose pick leads to the
-    same tuple, and whether there is one.
-
-    A pick adds its arrival's step vector to a state, so ``r`` is the
-    over-pick's state moved by the first step less the second.  It is a
-    state when every moved coordinate stays in its range (so that the
-    codes add) and the next level holds its code."""
-    coding = lv.coding
-    L = len(steps)
-    vec = np.zeros((L, len(coding.strides)), dtype=np.int64)
-    for i, (coords, d, _) in enumerate(steps):
-        vec[i, list(coords)] = d
-    level = np.arange(L).repeat([len(c) for c in lv.codes[:L]])
-    lvl = level[sel]
-    # codes past int64 are compared as Python ints
-    dt = object if (L + 2) * coding.size >= 2 ** 63 else np.int64
-    strides = np.array(coding.strides, dtype=dt)
-    radices = np.array(coding.radices)
-    codes = _flat(lv.codes[:L], len(level)).astype(dt, copy=False)
-    digits = (codes[sel][:, None] // strides % radices).astype(np.int64)
-    digits += vec[lvl] - vec[lvl + 1]
-    inside = np.logical_and.reduce((digits >= 0) & (digits < radices),
-                                   axis=1)
-    # one sorted key per (level, code)
-    keys = level.astype(dt) * coding.size + codes
-    move = vec.astype(dt) @ strides
-    want = keys[sel] + (move[lvl] - move[lvl + 1] + coding.size)
-    at = np.minimum(keys.searchsorted(want), len(keys) - 1)
-    return at, inside & (keys[at] == want)
 
 
 def _dp_point(num_vars, num_rows, inst, state_cap, blocks, counts):

@@ -7,6 +7,7 @@ never from the code paths they check.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -46,10 +47,37 @@ def expectation(dist: DiscreteDistribution) -> float:
     return sum(v * p for v, p in dist.atoms)
 
 
+def table_entries(table) -> dict:
+    """``table``'s values keyed by ``(level, state)``, levels last to first
+    and each level's states ascending (the order of ``np.concatenate`` over
+    the levels' arrays reversed); a missing key is the infeasible
+    sentinel."""
+    levels = table.levels.tuples()
+    keys = ((lvl, s) for lvl in range(len(levels) - 1, -1, -1)
+            for s in levels[lvl])
+    return dict(zip(keys, np.concatenate(table.values[::-1]).tolist()))
+
+
 def table_value(table, level, state):
     """``table``'s value of ``state`` at ``level``; ``None`` where the state
     is not reachable there."""
-    return table.entries.get((level, state))
+    return table_entries(table).get((level, state))
+
+
+def table_json_dict(table) -> dict:
+    """``table`` as a JSON document: its scope, its shift and its values
+    keyed by ``"<position>,<state as a list>"``."""
+    return {
+        "scope": table.scope,
+        "shift": table.shift,
+        "values": {f"{table.positions[lvl]},{list(s)}": v
+                   for (lvl, s), v in sorted(table_entries(table).items())},
+    }
+
+
+def solution_value(sol, name: str) -> float:
+    """The value ``sol`` gives the variable ``name`` of its model."""
+    return float(sol.x[sol.model.index[name]])
 
 
 def random_distribution(rng: random.Random, max_atoms=3,
@@ -554,12 +582,12 @@ def reference_subproblem_dp(p: ProductionInstance, type_index: int,
 
 
 def reference_concavity_check(table):
-    """``dp.concavity_check`` as a walk over ``table.entries`` (levels last
+    """``dp.concavity_check`` as a walk over ``table_entries`` (levels last
     to first, states ascending): every ``(s, s+1, s+2)`` held at a level,
     the first strictly largest gap above 1e-9 winning."""
     worst = None
     worst_gap = 1e-9
-    entries = table.entries
+    entries = table_entries(table)
     for (lvl, s), v in entries.items():
         if len(s) != 1:
             raise ValueError("concavity check applies to chain tables only")
@@ -600,11 +628,13 @@ def reference_profile(dyn, state_cap=DEFAULT_STATE_CAP):
     return levels, forbidden
 
 
-def reference_emit_block(model, dists, info):
+def reference_emit_block(model, dists, info, aliases=False):
     """One LP block as a loop over state tuples, keyed by tuple from
-    ``reference_profile``: the oracle ``lp._emit_block`` must equal, rows,
+    ``reference_profile``: the oracle ``lp._emit_blocks`` must equal, rows,
     variables and names.  A target state takes ``-Y`` of the previous
-    level wherever that level has the tuple, forbidden or not."""
+    level's state of the same tuple where that state is reachable; with
+    ``aliases``, also where it is forbidden, a term on a ``Y`` pinned to
+    zero that the emitter wrote until it was dropped."""
     dyn = info.dyn
     key = info.key
     levels, forbidden = reference_profile(dyn)
@@ -650,6 +680,8 @@ def reference_emit_block(model, dists, info):
         starts.append(model.num_rows)
         # state updates into level lvl+1 (forbidden targets pin the picks)
         here, there = ypos[lvl], ypos[lvl + 1]
+        if not aliases:
+            here = {s: here[s] for s in states}
         first_xc = {s: xc0 + i * na for i, s in enumerate(states)}
         for s in list(levels[lvl + 1]) + list(forbidden[lvl + 1]):
             cols, vals = [], []
@@ -679,6 +711,17 @@ def reference_emit_block(model, dists, info):
         for s in forbidden[lvl + 1]:
             model.append_row([there[s]], [1.0], "=", 0.0)
     info.num_forbidden = [len(bad) for bad in forbidden]
+
+
+@contextlib.contextmanager
+def reference_emitter(aliases=False):
+    """Within: ``lp._emit_blocks`` is ``reference_emit_block``, with the
+    alias terms where ``aliases``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_emit_blocks", lambda model, dists, blocks: [
+            reference_emit_block(model, dists, info, aliases)
+            for info in blocks])
+        yield
 
 
 def reference_evaluate_block(policy, inst):

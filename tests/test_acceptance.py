@@ -41,7 +41,7 @@ from binprice.lp import y_name
 from binprice.cli import main as cli_main
 
 from conftest import (criterion_6_production, criterion_7_laminar,
-                      random_distribution)
+                      random_distribution, solution_value)
 
 _CACHE = {}
 
@@ -61,7 +61,7 @@ def corpus_results(corpus):
             for lvl, (states, occ) in enumerate(zip(info.levels, trace)):
                 tlab = info.time_label(lvl)
                 for s, got in zip(states, occ.tolist(), strict=True):
-                    want = sol.value(y_name("root", tlab, s))
+                    want = solution_value(sol, y_name("root", tlab, s))
                     ydev = max(ydev, abs(got - want))
             out.append({
                 "entry": entry,

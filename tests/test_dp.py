@@ -15,7 +15,13 @@ from binprice import (
 )
 from binprice.model import BinSubproblem
 
-from conftest import can_pick, random_production, table_value
+from conftest import (
+    can_pick,
+    random_production,
+    table_entries,
+    table_json_dict,
+    table_value,
+)
 
 U02 = DiscreteDistribution.uniform([0, 2])
 
@@ -64,7 +70,7 @@ def test_monotone_marginals_on_random_instances():
         tbl, _ = solve_full_dp(lam)
         dyn = BinSubproblem(lam, 0)
         by_level = {}
-        for (lvl, s), v in tbl.entries.items():
+        for (lvl, s), v in table_entries(tbl).items():
             by_level.setdefault(lvl, {})[s] = v
         for lvl, states in by_level.items():
             if lvl >= len(dyn.elements):
@@ -160,8 +166,8 @@ def test_chain_table_keys_its_post_horizon_level_apart_from_its_buyers():
                            shipping=3)
     tbl = solve_subproblem_dp(p, 0)
     assert tbl.positions == (0, 2, 3)
-    values = tbl.to_json_dict()["values"]
-    assert len(values) == len(tbl.entries) == 6
+    values = table_json_dict(tbl)["values"]
+    assert len(values) == len(table_entries(tbl)) == 6
     assert values["2,[0]"] == 1.0  # buyer 2, nothing sold: half of 2
     assert values["3,[0]"] == values["3,[1]"] == values["3,[2]"] == 0.0
 
@@ -169,6 +175,6 @@ def test_chain_table_keys_its_post_horizon_level_apart_from_its_buyers():
 def test_table_serializes_to_json_dict():
     inst = single_bin((U02,), 1)
     tbl, _ = solve_full_dp(inst)
-    doc = tbl.to_json_dict()
+    doc = table_json_dict(tbl)
     assert doc["scope"] == "root"
     assert any(k.startswith("0,") for k in doc["values"])

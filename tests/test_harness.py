@@ -42,7 +42,12 @@ from binprice.model import (
 )
 from binprice.rounding import ComposedPolicy, PricingPolicy, compose_policies
 
-from conftest import can_pick, oracle_chain_joint, random_production
+from conftest import (
+    can_pick,
+    oracle_chain_joint,
+    random_production,
+    table_entries,
+)
 
 U02 = DiscreteDistribution.uniform([0, 2])
 U01 = DiscreteDistribution.uniform([0, 1])
@@ -338,13 +343,14 @@ def _chain_taus(p, type_index, shift):
     shifted values, keyed by sold count, in the form the oracle takes."""
     tbl = solve_subproblem_dp(p, type_index, shift)
     dyn = TypeSubproblem(p, type_index)
+    entries = table_entries(tbl)
     taus = []
     for i, t in enumerate(dyn.elements):
         level = {}
-        for (lvl, s) in tbl.entries:
+        for (lvl, s) in entries:
             if lvl == i and can_pick(dyn, s, t):
-                tau = (tbl.entries[(i + 1, s)]
-                       - tbl.entries[(i + 1, (s[0] + 1,))])
+                tau = (entries[(i + 1, s)]
+                       - entries[(i + 1, (s[0] + 1,))])
                 level[s[0]] = tau + shift
         taus.append(level)
     return taus
@@ -407,7 +413,7 @@ def test_summed_cylinder_holds_on_pinned_counterexample():
 
 def _moment(p, type_index, shift, mask):
     """Pr[every masked buyer accepted] by a direct forward pass."""
-    tbl = solve_subproblem_dp(p, type_index, shift)
+    entries = table_entries(solve_subproblem_dp(p, type_index, shift))
     dyn = TypeSubproblem(p, type_index)
     elems = dyn.elements
     cur = {0: 1.0}
@@ -416,8 +422,8 @@ def _moment(p, type_index, shift, mask):
         for s, mass in cur.items():
             can = can_pick(dyn, (s,), t)
             if can:
-                tau = (tbl.entries[(i + 1, (s,))]
-                       - tbl.entries[(i + 1, (s + 1,))])
+                tau = (entries[(i + 1, (s,))]
+                       - entries[(i + 1, (s + 1,))])
                 acc = sum(pa for v, pa in p.dists[t].atoms if v - shift >= tau)
             else:
                 acc = 0.0

@@ -26,8 +26,12 @@ state's mass and the ``CoverageError`` of the walk kept as
 ``conftest.reference_evaluate_block``.  A policy document binds to an
 instance's levels by state code, never through a code two states share.
 ``lp._emit_blocks`` must give the rows, variables and names of the
-tuple-keyed emitter kept as ``conftest.reference_emit_block``, alias terms
-included.
+tuple-keyed emitter kept as ``conftest.reference_emit_block``, and each
+forbidden state's ``Y`` must enter only its own update row and its pin
+row; the reference can also write the alias terms the emitter once had
+(``-Y`` of a pinned forbidden state in the update row into a state of the
+same tuple), under which the LPs keep their optimum and the pins recorded
+with those terms reproduce.
 The whole-array Bland simplex ``lp._solve_dense`` must make the pivots of
 the loop kept as ``conftest.reference_dense_simplex``: same status, pivot
 count, objective and every bit of ``x``.  LP text and PTAS policy JSON must
@@ -36,7 +40,9 @@ except the small-branch PTAS policies, recorded when that branch took the
 DP's policy, the lp-opt roundings, recorded when the small branch still
 rounded the exact LP (and under ``auto``, recorded as ``auto`` tried
 certified DP points), and the current large-branch PTAS policies, recorded
-when that branch first took the units' DP policies where they fit.
+when that branch first took the units' DP policies where they fit; the
+LP texts and the five roundings of a simplex vertex that moved were
+re-recorded when the alias terms went.
 ``policy_to_json`` must write the bytes of
 ``conftest.reference_policy_json``.
 """
@@ -106,7 +112,7 @@ from conftest import (
     random_production,
     reference_concavity_check,
     reference_dense_simplex,
-    reference_emit_block,
+    reference_emitter,
     reference_evaluate_block,
     reference_full_dp,
     reference_pick_probabilities,
@@ -116,6 +122,7 @@ from conftest import (
     reference_subproblem_dp,
     relaxation,
     run_ptas,
+    table_entries,
 )
 
 SEEDS = (0, 7, 2 ** 63 + 5)
@@ -492,7 +499,7 @@ def assert_full_dp_matches_reference(inst):
     entries, rules = reference_full_dp(inst)
     # same keys, values and insertion order (concavity_check reports the
     # first worst triple in entry order)
-    assert list(tbl.entries.items()) == list(entries.items())
+    assert list(table_entries(tbl).items()) == list(entries.items())
     assert list(pol.rules.items()) == list(rules.items())
     assert tbl.optimal == entries[(0, BinSubproblem(inst, 0).initial)]
     return tbl
@@ -536,7 +543,6 @@ def test_full_dp_decodes_its_policy_only_when_read(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(model.StateCoding, "decode", refuse)
-        m.setattr(dp.ValueTable, "tagged_states", refuse)
         tbl, pol = solve_full_dp(inst)
         assert tbl.optimal == entries[(0, BinSubproblem(inst, 0).initial)]
     # decoded once, on first read, in the reference's order
@@ -602,7 +608,7 @@ def test_chain_dp_matches_reference_on_corpus(corpus, sweep):
                 tbl = solve_subproblem_dp(p, j, shift)
                 assert_swept(tbl.levels, sweep)
                 want = reference_subproblem_dp(p, j, shift)
-                assert list(tbl.entries.items()) == list(want.items())
+                assert list(table_entries(tbl).items()) == list(want.items())
                 assert tbl.positions[:-1] == p.buyers_of_type(j)
                 rates, _, _ = dp.forward(dp.threshold_policy(tbl), p.dists,
                                          tbl.shift)
@@ -729,26 +735,49 @@ CRITERION_7_SETTING = PtasConfig(epsilon=0.2, delta=0.1)
 # relaxation LP wherever the units' DP policies overfill a row
 # (``lp_route_ptas_policy``); ``ptas_eps0.2_delta0.6`` was recorded when
 # the one-row cases among them first took the mixed policies of the
-# relaxation's dual.
+# relaxation's dual.  The LP texts, ``lp_opt``, ``lp_opt_auto_past_limit``,
+# ``eps0.2_delta0.6_any_row``, ``eps0.2_delta0.6`` and
+# ``ptas_eps0.2_delta0.6_lp_route`` were re-recorded when the emitter
+# stopped writing alias terms, since a row's columns changed and Bland's
+# rule ended on another optimal vertex; their former digests are kept as
+# ``<label>_alias_terms`` and are checked with the reference emitter that
+# still writes those terms (``test_pins_recorded_with_alias_terms``).
 LP_TEXT_SHA256 = {
-    "optimal": "282d67d402d97f6576ba9299c4799e45aadbb3c0ee6503cddaa9e2058aeebc08",
-    "exante": "2079a7c1e22b6ad17f9d2c7db87f7cbe3c0ef1a4ca4204b215bcf49a65072aae",
-    "hierarchy": "9fb57ff4f7570b7c713f9884f1580fa782b80cd375221f89e881ec87c76a9e9a",
-    "criterion_7": "7f7241b7a858793c7462511cbf17cc4b5e9051cfd53d8428cfc5247ff8415999",
+    "optimal": "8ebd87bee41d3565a3b439c9316ba8d25ddc4b5e4307d08655f55e8c4fb2768d",
+    "exante": "c81d843b949e943d8ec9660f381c82cf47d42b72bcbde10d91427269147d2865",
+    "hierarchy": "d82b83d2e11481ab6bca17964b04d65c1692b40f34ed5324b06e2de8054a102c",
+    "criterion_7": "f6a46094fd0eb1e755a27ed386129f46bb9717eeffca83856303499054bc0947",
+    "optimal_alias_terms": "282d67d402d97f6576ba9299c4799e45aadbb3c0ee6503cddaa9e2058aeebc08",
+    "exante_alias_terms": "2079a7c1e22b6ad17f9d2c7db87f7cbe3c0ef1a4ca4204b215bcf49a65072aae",
+    "hierarchy_alias_terms": "9fb57ff4f7570b7c713f9884f1580fa782b80cd375221f89e881ec87c76a9e9a",
+    "criterion_7_alias_terms": "7f7241b7a858793c7462511cbf17cc4b5e9051cfd53d8428cfc5247ff8415999",
 }
 POLICY_SHA256 = {
     "eps0.2": "615d160c4eb571599b7649e37773d0ce1eddafadd1520fb1a327a55f13329232",
-    "eps0.2_delta0.6_any_row": "1ee5f34fa21b992facc09cd2b3217b513969a7137e7231cbe63852c48dfd06a8",
-    "eps0.2_delta0.6": "1cb83f513db9dff75a3dfd31b6edfacd1b65a1cb7951e9f89970085fb8d765ce",
-    "lp_opt": "f3a23787645c39a817f92f9e71e2650a75f2e7d9b8ed98083c60170da69985ea",
+    "eps0.2_delta0.6_any_row": "633d325ea0fbf641687862a685ddfd3039eb9a14b93a0c6a0017b0ad1cf2fa0d",
+    "eps0.2_delta0.6": "8daee34a85e1f980f166d8be877d6fffedbfaf964317c92c7202fb1051e51160",
+    "lp_opt": "890a3e5f8637fd4eda6674d5e43273472fcd2638f2cb7a1c544952b66409409a",
     "criterion_7": "bf45a9b006e20db1b83a294728cd55528d4db518976038a9895c16ae67482972",
-    "lp_opt_auto_past_limit": "5b19c2e91b85f689fdde4e31c5d55304a2b04f09cb68b8d40b52655bd0bffa64",
+    "lp_opt_auto_past_limit": "4074c169b7b654c821a961f991e77409a9e673f0a8080386c9ced92112b8c9eb",
     "lp_opt_auto": "f41763c4e4380f890e32e76ec3903a694a20c7b6804a0fc62983c4daea89b998",
     "criterion_7_auto": "cfe961fda6fd1d8583f0e220788a7776f7b6efbba6562e9c6b2b5441c4cc3531",
-    "ptas_eps0.2_delta0.6_lp_route": "879504ecef22ebb7620e58ec7daa61142ed0a972f80591f672a4426e7adc894b",
+    "ptas_eps0.2_delta0.6_lp_route": "aec54ecb5247c15b65cd30231af86a4fafdeaa346628b30619732e7fa9a64f2d",
     "ptas_eps0.2_delta0.6": "44a2699a27649f1501b1b7fdd417267b1c8d386e238c1ad0d31c73996bec49e2",
     "ptas_criterion_7": "2c6b153e148808316094112075720ba1b9a965c9c56aee0fbe3603ef198fb6f5",
+    "eps0.2_delta0.6_any_row_alias_terms": "1ee5f34fa21b992facc09cd2b3217b513969a7137e7231cbe63852c48dfd06a8",
+    "eps0.2_delta0.6_alias_terms": "1cb83f513db9dff75a3dfd31b6edfacd1b65a1cb7951e9f89970085fb8d765ce",
+    "lp_opt_alias_terms": "f3a23787645c39a817f92f9e71e2650a75f2e7d9b8ed98083c60170da69985ea",
+    "lp_opt_auto_past_limit_alias_terms": "5b19c2e91b85f689fdde4e31c5d55304a2b04f09cb68b8d40b52655bd0bffa64",
+    "ptas_eps0.2_delta0.6_lp_route_alias_terms": "879504ecef22ebb7620e58ec7daa61142ed0a972f80591f672a4426e7adc894b",
 }
+ALIAS_TERMS = "_alias_terms"
+
+
+def current_pins(pins, alias_terms=False) -> dict:
+    """The digests of ``pins`` recorded without the alias terms, or with
+    them where ``alias_terms``."""
+    return {k: v for k, v in pins.items()
+            if k.endswith(ALIAS_TERMS) == alias_terms}
 
 # (c, a_ub, b_ub, a_eq, b_eq), each reaching one branch of the simplex
 HAND_LPS = {
@@ -977,7 +1006,8 @@ def test_dense_simplex_honours_the_pivot_cap(monkeypatch):
             solver(model)
 
 
-def test_lp_text_is_pinned(corpus):
+def lp_text_digests(corpus) -> dict:
+    """The digest of the LP texts ``LP_TEXT_SHA256`` pins, per label."""
     prods = [e.production for e in corpus if e.production is not None]
     texts = {
         "optimal": [build_lp_optimal(e.laminar).model.to_text()
@@ -991,16 +1021,18 @@ def test_lp_text_is_pinned(corpus):
     c7 = criterion_7_laminar()
     texts["criterion_7"] = [build_lp_hierarchy(
         c7, mark_laminar(c7, CRITERION_7_SETTING.delta), 0.8).model.to_text()]
-    assert {k: sha256_of(v) for k, v in texts.items()} == LP_TEXT_SHA256
+    return {k: sha256_of(v) for k, v in texts.items()}
+
+
+def test_lp_text_is_pinned(corpus):
+    assert lp_text_digests(corpus) == current_pins(LP_TEXT_SHA256)
 
 
 def emitted_and_reference(build):
     """The model ``build()`` returns, and the one it returns with the
     blocks emitted by the tuple-keyed ``conftest.reference_emit_block``."""
     got = build().model
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_emit_blocks", lambda model, dists, blocks: [
-            reference_emit_block(model, dists, info) for info in blocks])
+    with reference_emitter():
         want = build().model
     return got, want
 
@@ -1017,8 +1049,8 @@ def assert_same_lp(got, want):
 
 
 def forbidden_to_reachable(built) -> int:
-    """Update rows that keep ``-Y`` of a forbidden state reachable one
-    level on."""
+    """States forbidden at a level and reachable one level on, whose update
+    rows must leave out the pinned ``Y`` of the same tuple."""
     count = 0
     for info in built.blocks.values():
         levels, forbidden = reference_profile(info.dyn)
@@ -1043,7 +1075,8 @@ def test_lp_emitter_matches_reference_on_corpus(corpus):
 
 def test_lp_emitter_matches_reference_on_multi_day_production():
     # rising day caps: a sold count forbidden before a buyer and reachable
-    # after it, so the row into it keeps the pinned Y of the same tuple
+    # after it, whose update row takes no term on the pinned Y of the same
+    # tuple
     rng = random.Random(99)
     rising = 0
     for _ in range(300):
@@ -1083,8 +1116,8 @@ def test_lp_emitter_matches_reference_on_random_nested_trees():
 
 def test_lp_emitter_matches_reference_with_object_codes():
     # 64 bins of capacity 1 under a root of capacity 1: codes past int64,
-    # and consecutive elements in different bins, so the forbidden states
-    # of a full root alias through moved sources
+    # and consecutive elements in different bins, so a full root's
+    # forbidden states recur from level to level under different steps
     inst = LaminarInstance.build(
         tuple(D([(0.0, 0.5), (1.0 + e % 3, 0.5)]) for e in range(128)),
         {"cap": 1, "children": [{"cap": 1, "children": [
@@ -1101,6 +1134,98 @@ def test_lp_emitter_matches_reference_on_criterion_7():
             lambda: build_lp_hierarchy(c7, mk, scale)))
 
 
+def assert_forbidden_y_alone(built) -> int:
+    """Each forbidden state's ``Y`` has two entries, ``+1`` on its own
+    update row and ``+1`` on its pin row, and no other; returns how many
+    forbidden states the LP has."""
+    want_cols, want_rows = [], []
+    for info in built.blocks.values():
+        for lvl, (_, _, updates, pins) in enumerate(info.rows, 1):
+            reach = len(info.states.codes[lvl])
+            k = np.arange(info.num_forbidden[lvl])
+            want_cols.append((info.y[lvl] + reach + k).repeat(2))
+            want_rows.append(np.stack((updates + reach + k, pins + k),
+                                      axis=1).ravel())
+    want_cols = np.concatenate(want_cols)
+    rows, cols, coefs = built.model.coo()
+    on = np.isin(cols, want_cols)
+    order = np.lexsort((rows[on], cols[on]))
+    assert np.array_equal(cols[on][order], want_cols)
+    assert np.array_equal(rows[on][order], np.concatenate(want_rows))
+    assert (coefs[on] == 1.0).all()
+    return len(want_cols) // 2
+
+
+def test_forbidden_y_enters_only_its_update_and_pin_rows(corpus):
+    # the emitter writes no alias term on a pinned forbidden Y; a term
+    # that is zero at every feasible point leaves each optimum as it was,
+    # which the corpus LPs the simplex solves show against the reference
+    # that still writes them
+    forbidden = 0
+    for entry in corpus:
+        lam, p = entry.laminar, entry.production
+        builds = [lambda: build_lp_optimal(lam)]
+        for scale in (1.0, 0.8):
+            builds.append(lambda scale=scale: build_lp_hierarchy(
+                lam, mark_laminar(lam, 0.6), scale))
+            if p is not None:
+                builds.append(lambda scale=scale: build_lp_exante(p, scale))
+        for build in builds:
+            built = build()
+            forbidden += assert_forbidden_y_alone(built)
+            if recorded_engine(built.model) != "simplex":
+                continue
+            with reference_emitter(aliases=True):
+                aliased = build().model
+            got = lp.solve_optimal(built.model, "simplex").objective
+            want = lp.solve_optimal(aliased, "simplex").objective
+            assert abs(got - want) <= 1e-9, entry.name
+    assert forbidden > 0
+    rng = random.Random(99)
+    forbidden = 0
+    for _ in range(300):
+        p = random_production(rng, days_max=3)
+        forbidden += assert_forbidden_y_alone(build_lp_exante(p, 1.0))
+        forbidden += assert_forbidden_y_alone(build_lp_optimal(as_laminar(p)))
+    assert forbidden > 0
+    wide = LaminarInstance.build(
+        tuple(D([(0.0, 0.5), (1.0 + e % 3, 0.5)]) for e in range(128)),
+        {"cap": 1, "children": [{"cap": 1, "children": [
+            {"element": j}, {"element": j + 64}]} for j in range(64)]})
+    assert assert_forbidden_y_alone(build_lp_optimal(wide)) > 0
+    c7 = criterion_7_laminar()
+    mk = mark_laminar(c7, CRITERION_7_SETTING.delta)
+    assert assert_forbidden_y_alone(build_lp_hierarchy(c7, mk, 0.8)) > 0
+
+
+def test_pins_recorded_with_alias_terms(corpus):
+    # the reference emitter that writes the alias terms reproduces the LP
+    # texts and the roundings of a simplex vertex recorded with them
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    with reference_emitter(aliases=True):
+        texts = {k + ALIAS_TERMS: v
+                 for k, v in lp_text_digests(corpus).items()}
+        got = {}
+        exact = [build_lp_optimal(entry.laminar) for entry in corpus]
+        for label, engine in (("lp_opt", recorded_engine),
+                              ("lp_opt_auto_past_limit", past_limit_engine)):
+            got[label + ALIAS_TERMS] = sha256_of(
+                policy_to_json(extract_pricing(
+                    lp.solve_optimal(built.model, engine(built.model)),
+                    built, "root"))
+                for built in exact)
+        for label, engine in (("eps0.2_delta0.6", "auto"),
+                              ("eps0.2_delta0.6_any_row", "any_row")):
+            got[label + ALIAS_TERMS] = sha256_of(
+                policy_to_json(lp_large_branch_policy(entry, cfg, engine)[0])
+                for entry in corpus)
+        got["ptas_eps0.2_delta0.6_lp_route" + ALIAS_TERMS] = sha256_of(
+            policy_to_json(lp_route_ptas_policy(entry, cfg))
+            for entry in corpus)
+    assert texts == current_pins(LP_TEXT_SHA256, alias_terms=True)
+    assert got == current_pins(POLICY_SHA256, alias_terms=True)
+
+
 def test_ptas_policies_are_pinned(corpus, corpus_run, criterion_7_policies):
     _, policies = corpus_run
     got = {label: sha256_of(map(policy_to_json, policies[label]))
@@ -1114,7 +1239,7 @@ def test_ptas_policies_are_pinned(corpus, corpus_run, criterion_7_policies):
     got["criterion_7"] = sha256_of([policy_to_json(relaxed)])
     got["criterion_7_auto"] = sha256_of([policy_to_json(relaxed_auto)])
     got["ptas_criterion_7"] = sha256_of([policy_to_json(ptas_policy)])
-    assert got == POLICY_SHA256
+    assert got == current_pins(POLICY_SHA256)
 
 
 def test_dual_route_pins_hold_on_lists_and_arrays(corpus, sweep):

@@ -35,6 +35,8 @@ from conftest import (
     oracle_lp_vertices,
     random_laminar,
     random_production,
+    reference_emitter,
+    solution_value,
 )
 
 U02 = DiscreteDistribution.uniform([0, 2])
@@ -44,7 +46,7 @@ def test_simplex_single_variable():
     m = model_from_arrays([1.0], [[1.0]], [3.0])
     sol = solve_optimal(m, "simplex")
     assert sol.objective == 3.0
-    assert sol.value("x0") == 3.0
+    assert solution_value(sol, "x0") == 3.0
 
 
 def test_simplex_degenerate_split():
@@ -230,11 +232,11 @@ def test_state_probabilities_conserve_mass(corpus):
         info = built.block("root")
         for lvl in range(len(info.levels)):
             tlab = info.time_label(lvl)
-            total = sum(sol.value(y_name("root", tlab, s))
+            total = sum(solution_value(sol, y_name("root", tlab, s))
                         for s in list(info.levels[lvl]) + list(info.forbidden[lvl]))
             assert abs(total - 1.0) <= 1e-7, entry.name
             for s in list(info.levels[lvl]) + list(info.forbidden[lvl]):
-                y = sol.value(y_name("root", tlab, s))
+                y = solution_value(sol, y_name("root", tlab, s))
                 assert -1e-9 <= y <= 1.0 + 1e-9
 
 
@@ -248,23 +250,28 @@ def test_text_format_roundtrips_tokens():
         assert " " not in name and name in text
 
 
-def test_state_update_row_keeps_the_pinned_state_of_the_same_tuple():
+def test_state_update_row_leaves_out_the_pinned_state_of_the_same_tuple():
     # the day cap rises from 0 to 1: sold count 1 is a forbidden state
     # before buyer 1 (its Y pinned to zero) and reachable after it.  The
-    # emitter keys Y by state tuple, so the row into Y(end,(1)) also takes
-    # the pinned Y(1,(1)) at -1.  The term is zero at every feasible point,
-    # but dropping it makes the simplex end on another vertex: the
-    # LP_TEXT_SHA256 and lp-opt policy pins were recorded with it.
+    # row into Y(end,(1)) takes no term on the pinned Y(1,(1)), which keeps
+    # its pin row.  The emitter that also wrote that Y at -1 into the row
+    # had the same optimum: the term is zero at every feasible point.
     p = ProductionInstance(dists=(U02, U02), types=(0, 0), days=(0, 1),
                            production=((0, 1),), shipping=1)
     model = build_lp_exante(p).model
+    with reference_emitter(aliases=True):
+        aliased = build_lp_exante(p).model
     pinned = model.index["Y[type:0](1,(1))"]
     end = model.index["Y[type:0](end,(1))"]
-    rows = [dict(coeffs) for coeffs, _, _ in model.rows]
-    assert {pinned: 1.0} in rows
-    into_end = [row for row in rows if end in row]
-    assert len(into_end) == 1
-    assert into_end[0][end] == 1.0 and into_end[0].get(pinned) == -1.0
+    for m, term in ((model, None), (aliased, -1.0)):
+        rows = [dict(coeffs) for coeffs, _, _ in m.rows]
+        assert {pinned: 1.0} in rows
+        into_end = [row for row in rows if end in row]
+        assert len(into_end) == 1
+        assert into_end[0][end] == 1.0 and into_end[0].get(pinned) == term
+    for engine in ("simplex", "highs"):
+        assert solve_optimal(model, engine).objective == 1.0
+        assert solve_optimal(aliased, engine).objective == 1.0
 
 
 def test_x_le_y_rows_present_for_every_conditional():
@@ -314,7 +321,7 @@ def test_check_solution_accepts_solver_output(corpus):
         built = build_lp_optimal(entry.laminar)
         sol = solve_optimal(built.model, "simplex")
         assert check_solution(built.model, sol) == []
-        assert sol.assignment == {name: sol.value(name)
+        assert sol.assignment == {name: solution_value(sol, name)
                                   for name in built.model.names}
 
 

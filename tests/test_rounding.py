@@ -30,7 +30,7 @@ from binprice.model import (
 from binprice.rounding import PricingPolicy, _price_for_rate
 from binprice.lp import y_name
 
-from conftest import random_laminar
+from conftest import random_laminar, solution_value
 
 U12 = DiscreteDistribution.uniform([1, 2])
 
@@ -70,7 +70,7 @@ def test_extraction_reproduces_lp_probabilities(corpus):
         for lvl, (states, occ) in enumerate(zip(info.levels, trace)):
             tlab = info.time_label(lvl)
             for s, got in zip(states, occ.tolist(), strict=True):
-                want = sol.value(y_name("root", tlab, s))
+                want = solution_value(sol, y_name("root", tlab, s))
                 assert abs(got - want) <= 1e-7, entry.name
 
 
