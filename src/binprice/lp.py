@@ -9,35 +9,37 @@ row, at a capacity scale, per large capacity.  Three builders call it:
 * ``build_lp_optimal``   -- the exact program of the optimal online policy:
   the hierarchy at the marking with no large bin, one block over the full
   remaining-capacity state space.
-* ``build_lp_exante``    -- per-type chain blocks coupled through expected
-  served counts ``N(j)`` and an expected shipping capacity.
+* ``build_lp_exante``    -- per-type chain blocks under one expected
+  shipping row, which sums every buyer's marginals as a large bin's row
+  sums its elements'.
 
-Each block tracks state probabilities ``Y(t,state)`` and conditional
-allocations ``X(t,state,atom)`` with ``X <= Y`` rows, per-arrival state
-update equalities, pinned-to-zero forbidden states, and marginal allocation
-variables ``X(t,atom)`` carrying the objective.  State tracking extends one
-step past the block's last arrival so that an over-acceptance at the final
-step is pinned like any other.
+Each block tracks state probabilities ``Y(t,state)`` over the reachable
+states and conditional allocations ``X(t,state,atom)`` with ``X <= Y``
+rows, per-arrival state update equalities, and marginal allocation
+variables ``X(t,atom)`` carrying the objective.  Where an arrival cannot
+be picked in a state (an over-pick), its ``X(t,state,atom)`` enter only
+their marginal rows and their ``X <= Y`` rows, which take no ``Y`` and so
+read ``X <= 0`` (``notes/decisions.md``).  State tracking extends one
+step past the block's last arrival, the level the rounding replay
+compares.
 
 Everything is integer-indexed from build to extraction.  The blocks are
 emitted as arrays over the positions of their ``model.StateLevels``
-(``_emit_blocks``): no state tuple is formed.  A forbidden state's ``Y``
-enters only its own update row and its pin row (``notes/decisions.md``).
-A block's variables are contiguous runs whose first indices its
-``BlockInfo`` holds: ``y[lvl]`` (the level's reachable states, then its
-forbidden ones), ``xc[lvl]`` (reachable state major, atom minor) and
+(``_emit_blocks``): no state tuple is formed.  A block's variables are
+contiguous runs whose first indices its ``BlockInfo`` holds: ``y[lvl]``
+(the level's states), ``xc[lvl]`` (state major, atom minor) and
 ``xm[lvl]`` (one per atom).  ``LpModel`` stores its rows once, as
 compressed arrays with columns ascending within a row, and a solution is
 an array ``x`` over the variable indices.  Variable names and state tuples
 are produced only on request -- ``to_text``, ``LpModel.names``/``index``,
-``LpSolution.assignment`` and ``BlockInfo.levels``/``forbidden``.
+``LpSolution.assignment`` and ``BlockInfo.levels``.
 
 Solvers: the blocks' DP point when ``certify`` proves it optimal (engine
 ``"certificate"``), tried on a model none of whose large rows (shipping,
 large bins) can bind, since its units' most picks fit under each, and on
 any past a size threshold; else an in-repo dense-tableau two-phase Bland
 simplex up to the threshold and a scipy/HiGHS bridge beyond.  The point's
-coupling rows (with ``N(j)``) have multiplier 0.
+coupling rows have multiplier 0.
 
 Text interchange format (``LpModel.to_text``), one token per name, all
 variables non-negative::
@@ -527,10 +529,6 @@ def xm_name(t, atom) -> str:
     return f"X({t},{atom})"
 
 
-def n_name(j) -> str:
-    return f"N({j})"
-
-
 END = "end"
 
 
@@ -545,11 +543,11 @@ class BlockInfo:
     the first index of each of its runs of variables: ``y[lvl]`` for levels
     ``0..L``, ``xc[lvl]`` and ``xm[lvl]`` for the arrivals ``0..L-1``; and
     of its rows: ``init_row``, and per arrival ``rows[lvl]``, the first of
-    its marginal rows (per atom), ``X <= Y`` rows (as ``xc``), update rows
-    (per state of level ``lvl+1``, reachable then forbidden) and pin rows
-    (per forbidden state).  ``num_forbidden[lvl]`` counts level ``lvl``'s
-    forbidden states.  ``levels`` and ``forbidden`` are the levels' tuple
-    view, each decoded the first time it is read."""
+    its marginal rows (per atom), ``X <= Y`` rows (as ``xc``) and update
+    rows (per state of level ``lvl+1``).  ``levels`` is the levels' tuple
+    view, decoded the first time it is read; ``forbidden``, the states an
+    over-pick would reach, has no variables and is read only by the
+    bench."""
 
     key: str
     dyn: object
@@ -559,7 +557,6 @@ class BlockInfo:
     xm: list = field(default_factory=list)
     init_row: int = 0
     rows: list = field(default_factory=list)
-    num_forbidden: list = field(default_factory=list)
 
     @cached_property
     def levels(self) -> list:
@@ -605,8 +602,7 @@ def _namer(info: BlockInfo, dists):
             key = info.key
             for lvl, states in enumerate(info.levels):
                 tlab = info.time_label(lvl)
-                names.extend(y_name(key, tlab, s)
-                             for s in states + info.forbidden[lvl])
+                names.extend(y_name(key, tlab, s) for s in states)
             for states, t in zip(info.levels, info.elements):
                 atoms = range(len(dists[t].atoms))
                 names.extend(xc_name(key, t, s, a) for s in states
@@ -645,8 +641,9 @@ def _block_entries(model: LpModel, dists, blocks: list):
     and per row whether it is ``<=`` and its right-hand side.
 
     A state's skip and pick name the update rows that its ``Y`` and its
-    picks enter; a pick of -1 is an over-pick, whose forbidden state gets
-    a ``Y`` pinned to zero."""
+    picks enter.  Where its pick is -1 (an over-pick) its ``X(t,state,atom)``
+    enter only their marginal rows and their ``X <= Y`` rows, which take no
+    ``Y`` and so read ``X <= 0``."""
     levels = [info.states for info in blocks]
     reach = [len(c) for lv in levels for c in lv.codes[:-1]]
     after = [len(c) for lv in levels for c in lv.codes[1:]]
@@ -654,17 +651,12 @@ def _block_entries(model: LpModel, dists, blocks: list):
     starts = list(accumulate(reach, initial=0))
     skips = _flat([s for lv in levels for s in lv.skips], starts[-1])
     picks = _flat([p for lv in levels for p in lv.picks], starts[-1])
-    over_at = (picks < 0).nonzero()[0]  # the over-picks, in order
-    # over-picks before each arrival, and at each
-    prior = over_at.searchsorted(starts).tolist()
-    over = [b - a for a, b in zip(prior, prior[1:])]
     ncap = [w * k for w, k in zip(reach, na)]
-    nupd = [w + b for w, b in zip(after, over)]
 
-    # the layout, block by block: per level its Y (reachable, then
-    # forbidden), then per arrival its X(t,state,atom) and X(t,atom); the
-    # initial row, then per arrival its marginal (per atom), X <= Y, update
-    # (per state of the next level) and pin (per forbidden state) rows
+    # the layout, block by block: per level its Y, then per arrival its
+    # X(t,state,atom) and X(t,atom); the initial row, then per arrival its
+    # marginal (per atom), X <= Y and update (per state of the next level)
+    # rows
     v = model.num_vars
     r0 = r = model.num_rows
     inits, y_at, y_next, xc_at, xm_at, first_at = [], [], [], [], [], []
@@ -672,20 +664,16 @@ def _block_entries(model: LpModel, dists, blocks: list):
     a = 0
     for info, lv in zip(blocks, levels):
         L = len(lv.skips)
-        f = [0] + over[a:a + L]
-        k, c, u = na[a:a + L], ncap[a:a + L], nupd[a:a + L]
-        y = list(accumulate([w + b for w, b in zip(reach[a:a + L], f)],
-                            initial=v))
-        y.append(y[-1] + after[a + L - 1] + f[-1])
+        k, c, u = na[a:a + L], ncap[a:a + L], after[a:a + L]
+        y = list(accumulate(reach[a:a + L] + u[-1:], initial=v))
         xc = list(accumulate([x + n for x, n in zip(c, k)], initial=y[-1]))
         xm = [x + n for x, n in zip(xc, c)]
-        first = list(accumulate([n + x + w + b for n, x, w, b
-                                 in zip(k, c, u, f[1:])], initial=r + 1))
+        first = list(accumulate([n + x + w for n, x, w in zip(k, c, u)],
+                                initial=r + 1))
         model.add_vars(xc[-1] - v, _namer(info, dists))
         info.y, info.xc, info.xm = y[:-1], xc[:-1], xm
-        info.init_row, info.num_forbidden = r, f
-        info.rows = [(q, q + n, q + n + x, q + n + x + w)
-                     for q, n, x, w in zip(first, k, c, u)]
+        info.init_row = r
+        info.rows = [(q, q + n, q + n + x) for q, n, x in zip(first, k, c)]
         inits.append((r, v))
         y_at += y[:L]
         y_next += y[1:L + 1]
@@ -699,38 +687,32 @@ def _block_entries(model: LpModel, dists, blocks: list):
     # X(t,state,atom), X(t,atom) and update rows before each arrival
     cat = list(accumulate(ncap, initial=0))
     aat = list(accumulate(na, initial=0))
-    uat = list(accumulate(nupd, initial=0))
+    uat = list(accumulate(after, initial=0))
     upd0 = [q + n + x for q, n, x in zip(first_at, na, ncap)]
     per = np.array([
-        # per state (0-4): its Y; the update row of its skip and pick; for
-        # an over-pick (less its rank) that row, its forbidden state's Y
-        # and its pin row
-        (y - s, u, u + w - b, yn + w - b, u + n - b,
-         # per X(t,state,atom) (5-11): X <= Y row and column (less their
+        # per state (0-1): its Y (less its index) and the arrival's first
+        # update row
+        (y - s, u,
+         # per X(t,state,atom) (2-8): X <= Y row and column (less their
          # index), atoms, the arrival's first state and X(t,state,atom)
          # and its marginal rows and probabilities
          q + m - c0, x - c0, m, s, c0, q, a0,
-         # per X(t,atom) (12-13), per update row (14-15): column less
+         # per X(t,atom) (9-10), per update row (11-12): column less
          # index, row less column
          xm - a0, q - xm, yn - u0, u - yn)
-        for y, s, u, w, b, yn, n, q, m, x, c0, a0, xm, u0 in zip(
-            y_at, starts, upd0, after, prior, y_next, nupd, first_at, na,
-            xc_at, cat, aat, xm_at, uat)], dtype=np.int64)
+        for y, s, u, yn, q, m, x, c0, a0, xm, u0 in zip(
+            y_at, starts, upd0, y_next, first_at, na, xc_at, cat, aat,
+            xm_at, uat)], dtype=np.int64)
 
-    # per state: its Y and the update rows of its skip and its pick; per
-    # over-pick: the Y of its forbidden state and its pin row
-    by_state = per[:, :5].repeat(reach, axis=0)
+    # per state: its Y and the update rows of its skip and its pick
+    by_state = per[:, :2].repeat(reach, axis=0)
     ycol = by_state[:, 0] + np.arange(starts[-1])
     skip_row = by_state[:, 1] + skips
     pick_row = by_state[:, 1] + picks
-    rank = np.arange(len(over_at))
-    pick_row[over_at] = by_state[:, 2][over_at] + rank
-    yforbid = by_state[:, 3][over_at] + rank
-    pin_row = by_state[:, 4][over_at] + rank
 
     # per X(t,state,atom): its X <= Y row, its column, its state, its
     # marginal row and its atom's probability
-    by_x = per[:, 5:12].repeat(ncap, axis=0)
+    by_x = per[:, 2:9].repeat(ncap, axis=0)
     at = np.arange(cat[-1])
     cap_row = by_x[:, 0] + at
     xcol = by_x[:, 1] + at
@@ -739,28 +721,29 @@ def _block_entries(model: LpModel, dists, blocks: list):
     marg_row = by_x[:, 5] + atom
     prob = np.array([p for info in blocks for t in info.elements
                      for _, p in dists[t].atoms])[by_x[:, 6] + atom]
-    # the picks leaving a state (+p) and arriving from its source (-p); an
-    # arrival that moves no coordinate picks into the state it leaves, so
-    # there the two fall on the same variables and cancel to 0
-    moving = np.array(moves).repeat(ncap)
-    come = moving.nonzero()[0]
+    # the picks a state can make: each leaves it (+p) and arrives from its
+    # source (-p); an arrival that moves no coordinate picks into the state
+    # it leaves, so there the two fall on the same variables and cancel to 0
+    held = (picks[state] >= 0).nonzero()[0]
+    moving = np.array(moves).repeat(ncap)[held]
+    come = held[moving]
 
     # each X(t,atom) ends its marginal row; each update row carries +Y of
     # its target state
-    by_atom = per[:, 12:14].repeat(na, axis=0)
+    by_atom = per[:, 9:11].repeat(na, axis=0)
     xm_col = by_atom[:, 0] + np.arange(aat[-1])
-    by_upd = per[:, 14:16].repeat(nupd, axis=0)
+    by_upd = per[:, 11:13].repeat(after, axis=0)
     there = by_upd[:, 0] + np.arange(uat[-1])
 
     rows = [[r for r, _ in inits], marg_row, by_atom[:, 1] + xm_col,
-            cap_row, cap_row, there + by_upd[:, 1], skip_row, pin_row]
-    cols = [[v for _, v in inits], xcol, xm_col, ycol[state], xcol, there,
-            ycol, yforbid]
-    signs = [1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0]
+            cap_row[held], cap_row, there + by_upd[:, 1], skip_row]
+    cols = [[v for _, v in inits], xcol, xm_col, ycol[state[held]], xcol,
+            there, ycol]
+    signs = [1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0]
     coefs = [np.array(signs).repeat([len(c) for c in cols]),
-             prob * moving, -prob[come]]
-    rows += [skip_row[state], pick_row[state[come]]]
-    cols += [xcol, xcol[come]]
+             prob[held] * moving, -prob[come]]
+    rows += [skip_row[state[held]], pick_row[state[come]]]
+    cols += [xcol[held], xcol[come]]
     rows = np.concatenate(rows)
     rows -= r0
     le = np.zeros(r - r0, dtype=bool)
@@ -770,15 +753,14 @@ def _block_entries(model: LpModel, dists, blocks: list):
     return rows, np.concatenate(cols), np.concatenate(coefs), le, rhs
 
 
-def _dp_point(num_vars, num_rows, inst, state_cap, blocks, counts):
+def _dp_point(num_vars, num_rows, inst, state_cap, blocks):
     """``(x, u)``: each block's optimal threshold policy run forward
     (``Y``, ``X = Y * 1[v >= tau]``, ``X(t,a)`` their sums) and its duals
     (``V`` on the initial and update rows, ``p*v`` on the marginal rows,
-    ``p*max(0, v - tau)`` on the ``X <= Y`` rows, ``-M`` and ``2M`` on the
-    update and pin rows of forbidden states), placed by position: the
-    levels of the blocks' ``dp.unit_table``s are the blocks' runs, in
-    order.  Each ``N(j)`` of ``counts`` is the sum of its row's terms;
-    every coupling row keeps dual 0.  Given sizes, not the model,
+    ``p*max(0, v - tau)`` on the ``X <= Y`` rows, with ``tau`` read as 0
+    on an over-pick's, which has no ``Y``), placed by position: the levels
+    of the blocks' ``dp.unit_table``s are the blocks' runs, in order.
+    Every coupling row keeps dual 0.  Given sizes, not the model,
     ``dp_point`` makes no reference cycle."""
     dists = inst.dists
     x = np.zeros(num_vars)
@@ -787,8 +769,6 @@ def _dp_point(num_vars, num_rows, inst, state_cap, blocks, counts):
     _, passes = dp.forward_all(list(map(dp.threshold_policy, units)), dists)
     for info, table, (_, occupancy, _) in zip(blocks.values(), units, passes):
         values = table.values
-        big = 1.0 + max(float(np.abs(v).max()) for v in values) + max(
-            abs(v) for t in info.elements for v in dists[t].values)
         u[info.init_row] = values[0][0]
         for lvl, t in enumerate(info.elements):
             v, p = np.array(dists[t].values), np.array(dists[t].probs)
@@ -798,17 +778,15 @@ def _dp_point(num_vars, num_rows, inst, state_cap, blocks, counts):
             x[info.y[lvl]:info.y[lvl] + len(y)] = y
             x[info.xc[lvl]:info.xm[lvl]] = xc.ravel()
             x[info.xm[lvl]:info.xm[lvl] + len(v)] = xc.sum(axis=0)
-            marginal, caps, updates, pins = info.rows[lvl]
+            marginal, caps, updates = info.rows[lvl]
             u[marginal:caps] = p * v
-            u[caps:updates] = (p * np.maximum(v - thr, 0.0)).ravel()
-            reach = updates + len(values[lvl + 1])
-            u[updates:reach] = values[lvl + 1]
-            u[reach:pins] = -big
-            u[pins:pins + info.num_forbidden[lvl + 1]] = 2.0 * big
+            # an over-pick's threshold is infinite, and its X <= 0 row
+            # takes p*max(v, 0)
+            u[caps:updates] = (p * np.maximum(
+                v - np.where(thr < np.inf, thr, 0.0), 0.0)).ravel()
+            u[updates:updates + len(values[lvl + 1])] = values[lvl + 1]
         last = occupancy[-1]
         x[info.y[-1]:info.y[-1] + len(last)] = last
-    for j, terms in counts:
-        x[j] = sum(pa * x[i] for i, pa in terms)
     return x, u
 
 
@@ -832,10 +810,9 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
            state_cap) -> BuiltLp:
     """The relaxation of ``inst`` under ``mk``: a point-wise block per unit
     of ``small_units``, then each of ``large_rows`` held in expectation at
-    ``capacity_scale`` times its cap.  A large bin's row sums its elements'
-    marginals; a production instance's shipping row sums one ``N(j)`` per
-    type, each at least its type's expected served count.  A block takes
-    its unit's levels from the instance's store, as its DP does."""
+    ``capacity_scale`` times its cap, a row summing its elements'
+    marginals at their probabilities.  A block takes its unit's levels
+    from the instance's store, as its DP does."""
     if not (0.0 < capacity_scale <= 1.0):
         raise ValueError("capacity_scale must be in (0, 1]")
     dists = inst.dists
@@ -847,30 +824,13 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
     _emit_blocks(model, dists, list(blocks.values()))
     xm = {t: info.xm[lvl] for info in blocks.values()
           for lvl, t in enumerate(info.elements)}
-
-    def served(elements):
-        """The expected served count of ``elements``, as ``(column, p)``."""
-        return [(xm[t] + a, pa) for t in elements
-                for a, pa in enumerate(dists[t].probs)]
-
-    production = isinstance(inst, ProductionInstance)
-    counts = []  # (N(j), the terms it bounds)
-    if production:
-        types = [info.dyn.type_index for info in blocks.values()]
-        n0 = model.add_vars(len(types), lambda k: n_name(types[k]))
-        # a type's marginals ascend along its elements, all below N(j)
-        counts = [(n0 + k, served(info.elements))
-                  for k, info in enumerate(blocks.values())]
-        for j, terms in counts:
-            model.append_row([i for i, _ in terms] + [j],
-                             [pa for _, pa in terms] + [-1.0], "<=", 0.0)
     unit = {t: key for key, info in blocks.items() for t in info.elements}
     model.coupled = False
     for _, elements, cap in large_rows(inst, mk):
-        # a bin's elements may sit in different blocks: order by column
-        terms = ([(j, 1.0) for j, _ in counts] if production
-                 else sorted(served(elements)))
-        model.append_row([i for i, _ in terms], [c for _, c in terms],
+        # a row's elements may sit in different blocks: order by column
+        terms = sorted((xm[t] + a, pa) for t in elements
+                       for a, pa in enumerate(dists[t].probs))
+        model.append_row([i for i, _ in terms], [pa for _, pa in terms],
                          "<=", capacity_scale * cap)
         # an expected count never exceeds the most picks: a row its units
         # cannot fill never binds
@@ -881,7 +841,7 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
         for a, (v, pa) in enumerate(dist.atoms):
             model.add_objective_term(xm[t] + a, pa * v)
     model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
-                             inst, state_cap, blocks, counts)
+                             inst, state_cap, blocks)
     return BuiltLp(model=model, instance=inst, blocks=blocks, marking=mk)
 
 

@@ -41,11 +41,13 @@ policy sets bracket the row; the mixture that meets it attains the dual
 value, so it is optimal, and each state is priced at the mixture's
 acceptance rate (``rounding.price_rates``), as an LP point is.  The
 branch returns ``lp_kind="lagrangian"`` and builds no LP.  With several
-large rows it falls back to the hierarchy LP (``auto`` engine), built
-over the units' levels those DPs enumerated (the instance keeps both)
-and rounded block by block.  Every route runs the per-unit pricings
-behind hard counters at the rows' *original* capacities
-(``compose_policies``).
+large rows, where the sweeps' policies that reject the ties keep every
+row, those are optimal at multiplier 0 and the branch returns them, also
+as ``lp_kind="lagrangian"``; else it falls back to the hierarchy LP
+(``auto`` engine), built over the units' levels those DPs enumerated
+(the instance keeps both) and rounded block by block.  Every route runs
+the per-unit pricings behind hard counters at the rows' *original*
+capacities (``compose_policies``).
 """
 
 from __future__ import annotations
@@ -142,8 +144,9 @@ def _relaxation(inst, cfg: PtasConfig, state_cap,
     scaled by ``cfg.capacity_scale``, composed behind the counters: the
     units' DP threshold policies when their sweeps at 0 keep every row in
     expectation (``branch="small"`` with no row); else, under one row, the
-    mixed policies of its dual (``_dual``); else the rounded hierarchy LP
-    (a production instance has one row)."""
+    mixed policies of its dual (``_dual``); else, where the sweeps'
+    tie-rejecting policies keep every row, those; else the rounded
+    hierarchy LP (a production instance has one row)."""
     tables = [dp.unit_table(inst, key, state_cap=state_cap)
               for key in small_units(inst, mk)]
     rows = large_rows(inst, mk)
@@ -155,23 +158,38 @@ def _relaxation(inst, cfg: PtasConfig, state_cap,
                                 for v in inst.dists[e].values)])
         sweeps = [dp.sweep(table.levels, inst.dists, 0.0, TIE_TOL * top)
                   for table in tables]
-        # a unit lies wholly under or wholly outside each row, so its first
-        # position places its picks
-        if any(sum(picks[0] for table, (_, _, picks) in zip(tables, sweeps)
-                   if table.positions[0] in elements)
-               > cfg.capacity_scale * cap for _, elements, cap in rows):
-            lp_kind = "lagrangian" if len(rows) == 1 else "hierarchy"
+
+        def overfilled(side):
+            """Whether the sweeps' policies that accept (``side`` 0) or
+            reject (1) their ties overfill some row in expectation.  A unit
+            lies wholly under or wholly outside each row, so its first
+            position places its picks."""
+            return any(sum(picks[side] for table, (_, _, picks)
+                           in zip(tables, sweeps)
+                           if table.positions[0] in elements)
+                       > cfg.capacity_scale * cap
+                       for _, elements, cap in rows)
+
+        if overfilled(0):
+            lp_kind = ("lagrangian" if len(rows) == 1 or not overfilled(1)
+                       else "hierarchy")
     if lp_kind == "dp":
         policies = {table.scope: dp.threshold_policy(table)
                     for table in tables}
         objective = sum(table.optimal for table in tables)
-    elif lp_kind == "lagrangian":
+    elif lp_kind == "lagrangian" and len(rows) == 1:
         # the shipping row, or a root that is the only large bin: either
         # way every unit lies under it
         policies, objective = _dual(inst.dists,
                                     [table.levels for table in tables],
                                     cfg.capacity_scale * rows[0][2], top,
                                     sweeps)
+    elif lp_kind == "lagrangian":
+        # at multiplier 0 the tie-rejecting policies attain every unit's
+        # optimum too, and they keep every row
+        policies = _mixed(inst.dists, [table.levels for table in tables],
+                          sweeps, 0.0, TIE_TOL * top, 0.0)
+        objective = sum(table.optimal for table in tables)
     else:
         # the relaxation of ``build_lp_hierarchy`` (``mk`` is valid by
         # construction), over the units' levels above

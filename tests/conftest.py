@@ -8,6 +8,7 @@ never from the code paths they check.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -29,13 +30,15 @@ from binprice import (
     ptas_laminar,
     ptas_production,
 )
-from binprice import lp
+from binprice import dp, lp
 from binprice.harness import CoverageError, trial_generator
 from binprice.model import (
     BinSubproblem,
     SizingError,
     TypeSubproblem,
     bind_dynamics,
+    large_rows,
+    small_units,
     state_levels,
 )
 
@@ -628,21 +631,35 @@ def reference_profile(dyn, state_cap=DEFAULT_STATE_CAP):
     return levels, forbidden
 
 
-def reference_emit_block(model, dists, info, aliases=False):
+def reference_emit_block(model, dists, info, forbidden=False, aliases=False):
     """One LP block as a loop over state tuples, keyed by tuple from
     ``reference_profile``: the oracle ``lp._emit_blocks`` must equal, rows,
     variables and names.  A target state takes ``-Y`` of the previous
-    level's state of the same tuple where that state is reachable; with
-    ``aliases``, also where it is forbidden, a term on a ``Y`` pinned to
-    zero that the emitter wrote until it was dropped."""
+    level's state of the same tuple where that state is reachable.  An
+    over-pick's ``X(t,state,atom)`` enter only their marginal rows and
+    their ``X <= Y`` rows, which take no ``Y``.
+
+    With ``forbidden``, the block the emitter wrote until the over-picks'
+    target states were dropped: each forbidden state has a ``Y`` with an
+    update row, into which its over-picks enter as a pick enters its
+    target's, and a pin row fixing it at 0; the over-picks leave their
+    state's update row as every pick does, and their ``X <= Y`` rows take
+    its ``Y``.  ``info.rows`` then holds four first rows per arrival, the
+    fourth its pin rows', and ``info.num_forbidden`` the forbidden counts.
+    With ``aliases`` (which implies ``forbidden``), also where the
+    previous level's state is forbidden, a term on a ``Y`` pinned to zero
+    that the emitter wrote until it was dropped."""
+    forbidden = forbidden or aliases
     dyn = info.dyn
     key = info.key
-    levels, forbidden = reference_profile(dyn)
+    levels, bad = reference_profile(dyn)
+    if not forbidden:
+        bad = [[] for _ in bad]
     elems = dyn.elements
     L = len(elems)
     ypos = []  # per level: state -> index of its Y variable
     for lvl in range(L + 1):
-        states = list(levels[lvl]) + list(forbidden[lvl])
+        states = list(levels[lvl]) + list(bad[lvl])
         tlab = info.time_label(lvl)
         start = model.add_vars(
             len(states), lambda k, tlab=tlab, states=states:
@@ -673,17 +690,22 @@ def reference_emit_block(model, dists, info, aliases=False):
             model.append_row(list(range(xc0 + a, xc0 + n * na, na)) + [xm0 + a],
                              marginal, "=", 0.0)
         starts.append(model.num_rows)
-        for i in range(n):
+        # the states whose picks the rows take
+        held = {s for s in states if forbidden or can_pick(dyn, s, t)}
+        for i, s in enumerate(states):
             for a in range(na):
-                model.append_row([y0 + i, xc0 + i * na + a], [-1.0, 1.0],
+                x = xc0 + i * na + a
+                model.append_row([y0 + i, x] if s in held else [x],
+                                 [-1.0, 1.0] if s in held else [1.0],
                                  "<=", 0.0)
         starts.append(model.num_rows)
-        # state updates into level lvl+1 (forbidden targets pin the picks)
+        # state updates into level lvl+1
         here, there = ypos[lvl], ypos[lvl + 1]
         if not aliases:
             here = {s: here[s] for s in states}
-        first_xc = {s: xc0 + i * na for i, s in enumerate(states)}
-        for s in list(levels[lvl + 1]) + list(forbidden[lvl + 1]):
+        first_xc = {s: xc0 + i * na for i, s in enumerate(states)
+                    if s in held}
+        for s in list(levels[lvl + 1]) + list(bad[lvl + 1]):
             cols, vals = [], []
             if s in here:
                 cols.append(here[s])
@@ -706,21 +728,116 @@ def reference_emit_block(model, dists, info, aliases=False):
                 cols.extend(range(c0, c0 + na))
                 vals.extend(coefs)
             model.append_row(cols, vals, "=", 0.0)
-        starts.append(model.num_rows)
+        if forbidden:
+            starts.append(model.num_rows)
+            for s in bad[lvl + 1]:
+                model.append_row([there[s]], [1.0], "=", 0.0)
         info.rows.append(tuple(starts))
-        for s in forbidden[lvl + 1]:
-            model.append_row([there[s]], [1.0], "=", 0.0)
-    info.num_forbidden = [len(bad) for bad in forbidden]
+    if forbidden:
+        info.num_forbidden = [len(b) for b in bad]
+
+
+def reference_build(inst, mk, capacity_scale, state_cap):
+    """``lp._build`` as it was while a production instance's shipping row
+    summed one served count ``N(j)`` per type, each at least its type's
+    expected sold count: the oracle of the former LP, with its blocks from
+    ``lp._emit_blocks`` (``reference_emit_block`` with ``forbidden``) and
+    its DP point from ``reference_dp_point``."""
+    if not (0.0 < capacity_scale <= 1.0):
+        raise ValueError("capacity_scale must be in (0, 1]")
+    dists = inst.dists
+    model = lp.LpModel()
+    blocks = {}
+    for key in small_units(inst, mk):
+        dyn = bind_dynamics(key, inst)
+        blocks[key] = lp.BlockInfo(key, dyn, state_levels(dyn, state_cap))
+    lp._emit_blocks(model, dists, list(blocks.values()))
+    xm = {t: info.xm[lvl] for info in blocks.values()
+          for lvl, t in enumerate(info.elements)}
+
+    def served(elements):
+        return [(xm[t] + a, pa) for t in elements
+                for a, pa in enumerate(dists[t].probs)]
+
+    production = isinstance(inst, ProductionInstance)
+    counts = []  # (N(j), the terms it bounds)
+    if production:
+        types = [info.dyn.type_index for info in blocks.values()]
+        n0 = model.add_vars(len(types), lambda k: f"N({types[k]})")
+        counts = [(n0 + k, served(info.elements))
+                  for k, info in enumerate(blocks.values())]
+        for j, terms in counts:
+            model.append_row([i for i, _ in terms] + [j],
+                             [pa for _, pa in terms] + [-1.0], "<=", 0.0)
+    unit = {t: key for key, info in blocks.items() for t in info.elements}
+    model.coupled = False
+    for _, elements, cap in large_rows(inst, mk):
+        terms = ([(j, 1.0) for j, _ in counts] if production
+                 else sorted(served(elements)))
+        model.append_row([i for i, _ in terms], [c for _, c in terms],
+                         "<=", capacity_scale * cap)
+        most = sum(lp._most_picks(blocks[key].states)
+                   for key in {unit[t] for t in elements})
+        model.coupled |= most > capacity_scale * cap
+    for t, dist in enumerate(dists):
+        for a, (v, pa) in enumerate(dist.atoms):
+            model.add_objective_term(xm[t] + a, pa * v)
+    model.dp_point = functools.partial(
+        reference_dp_point, model.num_vars, model.num_rows, inst, state_cap,
+        blocks, counts)
+    return lp.BuiltLp(model=model, instance=inst, blocks=blocks, marking=mk)
+
+
+def reference_dp_point(num_vars, num_rows, inst, state_cap, blocks, counts):
+    """The DP point of a ``reference_build`` LP, as ``lp._dp_point``
+    placed it there: the duals ``-M`` and ``2M`` on the update and pin rows
+    of forbidden states, ``M = 1 + max |V| + max |v|`` over the block, 0
+    on the over-picks' ``X <= Y`` rows, and each ``N(j)`` the sum of its
+    row's terms."""
+    dists = inst.dists
+    x = np.zeros(num_vars)
+    u = np.zeros(num_rows)
+    units = [dp.unit_table(inst, key, state_cap=state_cap) for key in blocks]
+    _, passes = dp.forward_all(list(map(dp.threshold_policy, units)), dists)
+    for info, table, (_, occupancy, _) in zip(blocks.values(), units, passes):
+        values = table.values
+        big = 1.0 + max(float(np.abs(v).max()) for v in values) + max(
+            abs(v) for t in info.elements for v in dists[t].values)
+        u[info.init_row] = values[0][0]
+        for lvl, t in enumerate(info.elements):
+            v, p = np.array(dists[t].values), np.array(dists[t].probs)
+            y = occupancy[lvl]
+            thr = table.thresholds[lvl][:, None]
+            xc = y[:, None] * (v >= thr)
+            x[info.y[lvl]:info.y[lvl] + len(y)] = y
+            x[info.xc[lvl]:info.xm[lvl]] = xc.ravel()
+            x[info.xm[lvl]:info.xm[lvl] + len(v)] = xc.sum(axis=0)
+            marginal, caps, updates, pins = info.rows[lvl]
+            u[marginal:caps] = p * v
+            u[caps:updates] = (p * np.maximum(v - thr, 0.0)).ravel()
+            reach = updates + len(values[lvl + 1])
+            u[updates:reach] = values[lvl + 1]
+            u[reach:pins] = -big
+            u[pins:pins + info.num_forbidden[lvl + 1]] = 2.0 * big
+        last = occupancy[-1]
+        x[info.y[-1]:info.y[-1] + len(last)] = last
+    for j, terms in counts:
+        x[j] = sum(pa * x[i] for i, pa in terms)
+    return x, u
 
 
 @contextlib.contextmanager
-def reference_emitter(aliases=False):
-    """Within: ``lp._emit_blocks`` is ``reference_emit_block``, with the
-    alias terms where ``aliases``."""
+def reference_emitter(forbidden=False, aliases=False):
+    """Within: ``lp._emit_blocks`` is ``reference_emit_block``.  With
+    ``forbidden`` or ``aliases``, its blocks hold the forbidden states (and
+    the alias terms where ``aliases``), and ``lp._build`` is
+    ``reference_build``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_emit_blocks", lambda model, dists, blocks: [
-            reference_emit_block(model, dists, info, aliases)
+            reference_emit_block(model, dists, info, forbidden, aliases)
             for info in blocks])
+        if forbidden or aliases:
+            mp.setattr(lp, "_build", reference_build)
         yield
 
 

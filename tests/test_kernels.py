@@ -26,12 +26,15 @@ state's mass and the ``CoverageError`` of the walk kept as
 ``conftest.reference_evaluate_block``.  A policy document binds to an
 instance's levels by state code, never through a code two states share.
 ``lp._emit_blocks`` must give the rows, variables and names of the
-tuple-keyed emitter kept as ``conftest.reference_emit_block``, and each
-forbidden state's ``Y`` must enter only its own update row and its pin
-row; the reference can also write the alias terms the emitter once had
-(``-Y`` of a pinned forbidden state in the update row into a state of the
-same tuple), under which the LPs keep their optimum and the pins recorded
-with those terms reproduce.
+tuple-keyed emitter kept as ``conftest.reference_emit_block``, each
+over-pick's ``X(t,state,atom)`` must enter only its marginal row and its
+own ``X <= 0`` row, and no LP may hold a served count ``N(j)``.  The
+reference can also write the LP the emitter once wrote, with a pinned
+``Y`` per forbidden state and the ex-ante shipping row through ``N(j)``
+(``conftest.reference_build``), and further the alias terms (``-Y`` of a
+pinned forbidden state in the update row into a state of the same
+tuple); under either the LPs keep their optimum and the pins recorded
+with them reproduce.
 The whole-array Bland simplex ``lp._solve_dense`` must make the pivots of
 the loop kept as ``conftest.reference_dense_simplex``: same status, pivot
 count, objective and every bit of ``x``.  LP text and PTAS policy JSON must
@@ -41,8 +44,9 @@ DP's policy, the lp-opt roundings, recorded when the small branch still
 rounded the exact LP (and under ``auto``, recorded as ``auto`` tried
 certified DP points), and the current large-branch PTAS policies, recorded
 when that branch first took the units' DP policies where they fit; the
-LP texts and the five roundings of a simplex vertex that moved were
-re-recorded when the alias terms went.
+LP texts and the roundings of a simplex vertex that moved were
+re-recorded when the alias terms went, and again when the forbidden
+states and ``N(j)`` went.
 ``policy_to_json`` must write the bytes of
 ``conftest.reference_policy_json``.
 """
@@ -741,12 +745,23 @@ CRITERION_7_SETTING = PtasConfig(epsilon=0.2, delta=0.1)
 # stopped writing alias terms, since a row's columns changed and Bland's
 # rule ended on another optimal vertex; their former digests are kept as
 # ``<label>_alias_terms`` and are checked with the reference emitter that
-# still writes those terms (``test_pins_recorded_with_alias_terms``).
+# still writes those terms (``test_pins_recorded_with_alias_terms``).  The
+# LP texts, ``lp_opt``, ``lp_opt_auto_past_limit``,
+# ``eps0.2_delta0.6_any_row``, ``eps0.2_delta0.6``,
+# ``ptas_eps0.2_delta0.6_lp_route`` and ``criterion_7`` were re-recorded
+# when the LP stopped holding forbidden states and the served counts
+# ``N(j)``; their former digests are kept as ``<label>_forbidden_states``
+# and are checked with the reference that still writes both
+# (``test_pins_recorded_with_forbidden_states``).
 LP_TEXT_SHA256 = {
-    "optimal": "8ebd87bee41d3565a3b439c9316ba8d25ddc4b5e4307d08655f55e8c4fb2768d",
-    "exante": "c81d843b949e943d8ec9660f381c82cf47d42b72bcbde10d91427269147d2865",
-    "hierarchy": "d82b83d2e11481ab6bca17964b04d65c1692b40f34ed5324b06e2de8054a102c",
-    "criterion_7": "f6a46094fd0eb1e755a27ed386129f46bb9717eeffca83856303499054bc0947",
+    "optimal": "e7b41d225f5c39f5391d38ef34f3fcefc7654d75fc2e9d7fc91c325e6648add0",
+    "exante": "06e947b66ac61d402827740bb5a9f6990b87fe34a9dfe5ecbe64a7233926c5ac",
+    "hierarchy": "0d3abbbc88fc36a3e337e4c0c55e12e3759782cc32ab6de141f5fb1794fd9542",
+    "criterion_7": "9efa9f9451688fd0d5520b285163c0197554b0f2f9cf06418bff74bb8c35ba27",
+    "optimal_forbidden_states": "8ebd87bee41d3565a3b439c9316ba8d25ddc4b5e4307d08655f55e8c4fb2768d",
+    "exante_forbidden_states": "c81d843b949e943d8ec9660f381c82cf47d42b72bcbde10d91427269147d2865",
+    "hierarchy_forbidden_states": "d82b83d2e11481ab6bca17964b04d65c1692b40f34ed5324b06e2de8054a102c",
+    "criterion_7_forbidden_states": "f6a46094fd0eb1e755a27ed386129f46bb9717eeffca83856303499054bc0947",
     "optimal_alias_terms": "282d67d402d97f6576ba9299c4799e45aadbb3c0ee6503cddaa9e2058aeebc08",
     "exante_alias_terms": "2079a7c1e22b6ad17f9d2c7db87f7cbe3c0ef1a4ca4204b215bcf49a65072aae",
     "hierarchy_alias_terms": "9fb57ff4f7570b7c713f9884f1580fa782b80cd375221f89e881ec87c76a9e9a",
@@ -754,14 +769,14 @@ LP_TEXT_SHA256 = {
 }
 POLICY_SHA256 = {
     "eps0.2": "615d160c4eb571599b7649e37773d0ce1eddafadd1520fb1a327a55f13329232",
-    "eps0.2_delta0.6_any_row": "633d325ea0fbf641687862a685ddfd3039eb9a14b93a0c6a0017b0ad1cf2fa0d",
-    "eps0.2_delta0.6": "8daee34a85e1f980f166d8be877d6fffedbfaf964317c92c7202fb1051e51160",
-    "lp_opt": "890a3e5f8637fd4eda6674d5e43273472fcd2638f2cb7a1c544952b66409409a",
-    "criterion_7": "bf45a9b006e20db1b83a294728cd55528d4db518976038a9895c16ae67482972",
-    "lp_opt_auto_past_limit": "4074c169b7b654c821a961f991e77409a9e673f0a8080386c9ced92112b8c9eb",
+    "eps0.2_delta0.6_any_row": "1896d0178394452e3efa7e46d15f7bddf8c4dcee32a03e86e118a221f3eec88b",
+    "eps0.2_delta0.6": "ea96a1980a5d4574a33f12046ec2270e8c781497287402f318437bd822af7e00",
+    "lp_opt": "d0daccf74322a2028e59c832460e07a3b34339d25a9f0c4e06d0c72efe4bd125",
+    "criterion_7": "bb4f32cc87a19747b9cb5bafcb12a3a045a95a880931deafdfa18433264d2838",
+    "lp_opt_auto_past_limit": "d0daccf74322a2028e59c832460e07a3b34339d25a9f0c4e06d0c72efe4bd125",
     "lp_opt_auto": "f41763c4e4380f890e32e76ec3903a694a20c7b6804a0fc62983c4daea89b998",
     "criterion_7_auto": "cfe961fda6fd1d8583f0e220788a7776f7b6efbba6562e9c6b2b5441c4cc3531",
-    "ptas_eps0.2_delta0.6_lp_route": "aec54ecb5247c15b65cd30231af86a4fafdeaa346628b30619732e7fa9a64f2d",
+    "ptas_eps0.2_delta0.6_lp_route": "86520738f2b6928b8164e68ba2ceb6725227171aa12746ee155d7695cf2f06ae",
     "ptas_eps0.2_delta0.6": "44a2699a27649f1501b1b7fdd417267b1c8d386e238c1ad0d31c73996bec49e2",
     "ptas_criterion_7": "2c6b153e148808316094112075720ba1b9a965c9c56aee0fbe3603ef198fb6f5",
     "eps0.2_delta0.6_any_row_alias_terms": "1ee5f34fa21b992facc09cd2b3217b513969a7137e7231cbe63852c48dfd06a8",
@@ -769,15 +784,24 @@ POLICY_SHA256 = {
     "lp_opt_alias_terms": "f3a23787645c39a817f92f9e71e2650a75f2e7d9b8ed98083c60170da69985ea",
     "lp_opt_auto_past_limit_alias_terms": "5b19c2e91b85f689fdde4e31c5d55304a2b04f09cb68b8d40b52655bd0bffa64",
     "ptas_eps0.2_delta0.6_lp_route_alias_terms": "879504ecef22ebb7620e58ec7daa61142ed0a972f80591f672a4426e7adc894b",
+    "eps0.2_delta0.6_any_row_forbidden_states": "633d325ea0fbf641687862a685ddfd3039eb9a14b93a0c6a0017b0ad1cf2fa0d",
+    "eps0.2_delta0.6_forbidden_states": "8daee34a85e1f980f166d8be877d6fffedbfaf964317c92c7202fb1051e51160",
+    "lp_opt_forbidden_states": "890a3e5f8637fd4eda6674d5e43273472fcd2638f2cb7a1c544952b66409409a",
+    "criterion_7_forbidden_states": "bf45a9b006e20db1b83a294728cd55528d4db518976038a9895c16ae67482972",
+    "lp_opt_auto_past_limit_forbidden_states": "4074c169b7b654c821a961f991e77409a9e673f0a8080386c9ced92112b8c9eb",
+    "ptas_eps0.2_delta0.6_lp_route_forbidden_states": "aec54ecb5247c15b65cd30231af86a4fafdeaa346628b30619732e7fa9a64f2d",
 }
 ALIAS_TERMS = "_alias_terms"
+FORBIDDEN_STATES = "_forbidden_states"
 
 
-def current_pins(pins, alias_terms=False) -> dict:
-    """The digests of ``pins`` recorded without the alias terms, or with
-    them where ``alias_terms``."""
-    return {k: v for k, v in pins.items()
-            if k.endswith(ALIAS_TERMS) == alias_terms}
+def current_pins(pins, former=None) -> dict:
+    """The digests of ``pins`` recorded with the current emitter, or with
+    the former one whose label suffix is ``former``."""
+    def recorded_with(label):
+        return next((suffix for suffix in (ALIAS_TERMS, FORBIDDEN_STATES)
+                     if label.endswith(suffix)), None)
+    return {k: v for k, v in pins.items() if recorded_with(k) == former}
 
 # (c, a_ub, b_ub, a_eq, b_eq), each reaching one branch of the simplex
 HAND_LPS = {
@@ -1049,8 +1073,8 @@ def assert_same_lp(got, want):
 
 
 def forbidden_to_reachable(built) -> int:
-    """States forbidden at a level and reachable one level on, whose update
-    rows must leave out the pinned ``Y`` of the same tuple."""
+    """States forbidden at a level and reachable one level on: an
+    over-pick's target before a buyer that a pick reaches after it."""
     count = 0
     for info in built.blocks.values():
         levels, forbidden = reference_profile(info.dyn)
@@ -1075,8 +1099,7 @@ def test_lp_emitter_matches_reference_on_corpus(corpus):
 
 def test_lp_emitter_matches_reference_on_multi_day_production():
     # rising day caps: a sold count forbidden before a buyer and reachable
-    # after it, whose update row takes no term on the pinned Y of the same
-    # tuple
+    # after it, which has a Y only where it is reachable
     rng = random.Random(99)
     rising = 0
     for _ in range(300):
@@ -1134,96 +1157,142 @@ def test_lp_emitter_matches_reference_on_criterion_7():
             lambda: build_lp_hierarchy(c7, mk, scale)))
 
 
-def assert_forbidden_y_alone(built) -> int:
-    """Each forbidden state's ``Y`` has two entries, ``+1`` on its own
-    update row and ``+1`` on its pin row, and no other; returns how many
-    forbidden states the LP has."""
-    want_cols, want_rows = [], []
+def assert_over_picks_alone(built) -> int:
+    """Each over-pick's ``X(t,state,atom)`` has two entries, ``-1`` on the
+    marginal row of ``X(t,atom)`` and ``+1`` on a ``<=`` row of right-hand
+    side 0 that holds nothing else; no variable is a served count
+    ``N(j)``.  Returns how many over-pick columns the LP has."""
+    m = built.model
+    rows, cols, coefs = m.coo()
+    ptr, le, rhs = m.ptr, m.le_rows(), m.rhs
+    assert not [name for name in m.names if name.startswith("N(")]
+    count = 0
     for info in built.blocks.values():
-        for lvl, (_, _, updates, pins) in enumerate(info.rows, 1):
-            reach = len(info.states.codes[lvl])
-            k = np.arange(info.num_forbidden[lvl])
-            want_cols.append((info.y[lvl] + reach + k).repeat(2))
-            want_rows.append(np.stack((updates + reach + k, pins + k),
-                                      axis=1).ravel())
-    want_cols = np.concatenate(want_cols)
-    rows, cols, coefs = built.model.coo()
-    on = np.isin(cols, want_cols)
-    order = np.lexsort((rows[on], cols[on]))
-    assert np.array_equal(cols[on][order], want_cols)
-    assert np.array_equal(rows[on][order], np.concatenate(want_rows))
-    assert (coefs[on] == 1.0).all()
-    return len(want_cols) // 2
+        for lvl, (t, states) in enumerate(zip(info.elements, info.levels)):
+            na = len(built.instance.dists[t].atoms)
+            for i, s in enumerate(states):
+                if can_pick(info.dyn, s, t):
+                    continue
+                for a in range(na):
+                    at = np.flatnonzero(cols == info.xc[lvl] + i * na + a)
+                    assert sorted(coefs[at].tolist()) == [-1.0, 1.0]
+                    marginal, cap = rows[at][np.argsort(coefs[at])]
+                    xm = np.flatnonzero((rows == marginal)
+                                        & (cols == info.xm[lvl] + a))
+                    assert coefs[xm].tolist() == [1.0]
+                    assert ptr[cap + 1] - ptr[cap] == 1
+                    assert le[cap] and rhs[cap] == 0.0
+                    count += 1
+    return count
 
 
-def test_forbidden_y_enters_only_its_update_and_pin_rows(corpus):
-    # the emitter writes no alias term on a pinned forbidden Y; a term
-    # that is zero at every feasible point leaves each optimum as it was,
-    # which the corpus LPs the simplex solves show against the reference
-    # that still writes them
-    forbidden = 0
+def assert_shipping_row_on_marginals(built, scale):
+    """The ex-ante LP's last row, its shipping row, sums every buyer's
+    ``X(t,atom)`` at the atom's probability."""
+    m, p = built.model, built.instance
+    start, end = m.ptr[-2], m.ptr[-1]
+    got = sorted((m.names[j], c) for j, c in
+                 zip(m.cols[start:end].tolist(), m.coefs[start:end].tolist()))
+    want = sorted((lp.xm_name(t, a), pa) for t, dist in enumerate(p.dists)
+                  for a, pa in enumerate(dist.probs))
+    assert got == want
+    assert m.le_rows()[-1] and m.rhs[-1] == scale * p.shipping
+
+
+def test_over_pick_x_enters_only_its_marginal_and_cap_rows(corpus):
+    # the LP holds no state an over-pick would reach: the over-pick's
+    # X(t,state,atom) is held at 0 by its own row, and the shipping row
+    # sums the marginals with no served count between.  Each optimum stays
+    # that of the LP with the pinned forbidden states and N(j), which the
+    # corpus LPs the simplex solves show against that reference
+    over = 0
     for entry in corpus:
         lam, p = entry.laminar, entry.production
-        builds = [lambda: build_lp_optimal(lam)]
+        builds = [(lambda: build_lp_optimal(lam), None)]
         for scale in (1.0, 0.8):
-            builds.append(lambda scale=scale: build_lp_hierarchy(
-                lam, mark_laminar(lam, 0.6), scale))
+            builds.append((lambda scale=scale: build_lp_hierarchy(
+                lam, mark_laminar(lam, 0.6), scale), None))
             if p is not None:
-                builds.append(lambda scale=scale: build_lp_exante(p, scale))
-        for build in builds:
+                builds.append((lambda scale=scale: build_lp_exante(p, scale),
+                               scale))
+        for build, exante_scale in builds:
             built = build()
-            forbidden += assert_forbidden_y_alone(built)
+            over += assert_over_picks_alone(built)
+            if exante_scale is not None:
+                assert_shipping_row_on_marginals(built, exante_scale)
             if recorded_engine(built.model) != "simplex":
                 continue
-            with reference_emitter(aliases=True):
-                aliased = build().model
+            with reference_emitter(forbidden=True):
+                former = build().model
             got = lp.solve_optimal(built.model, "simplex").objective
-            want = lp.solve_optimal(aliased, "simplex").objective
+            want = lp.solve_optimal(former, "simplex").objective
             assert abs(got - want) <= 1e-9, entry.name
-    assert forbidden > 0
+    assert over > 0
     rng = random.Random(99)
-    forbidden = 0
+    over = 0
     for _ in range(300):
         p = random_production(rng, days_max=3)
-        forbidden += assert_forbidden_y_alone(build_lp_exante(p, 1.0))
-        forbidden += assert_forbidden_y_alone(build_lp_optimal(as_laminar(p)))
-    assert forbidden > 0
+        built = build_lp_exante(p, 1.0)
+        over += assert_over_picks_alone(built)
+        assert_shipping_row_on_marginals(built, 1.0)
+        over += assert_over_picks_alone(build_lp_optimal(as_laminar(p)))
+    assert over > 0
     wide = LaminarInstance.build(
         tuple(D([(0.0, 0.5), (1.0 + e % 3, 0.5)]) for e in range(128)),
         {"cap": 1, "children": [{"cap": 1, "children": [
             {"element": j}, {"element": j + 64}]} for j in range(64)]})
-    assert assert_forbidden_y_alone(build_lp_optimal(wide)) > 0
+    assert assert_over_picks_alone(build_lp_optimal(wide)) > 0
     c7 = criterion_7_laminar()
     mk = mark_laminar(c7, CRITERION_7_SETTING.delta)
-    assert assert_forbidden_y_alone(build_lp_hierarchy(c7, mk, 0.8)) > 0
+    assert assert_over_picks_alone(build_lp_hierarchy(c7, mk, 0.8)) > 0
 
 
-def test_pins_recorded_with_alias_terms(corpus):
-    # the reference emitter that writes the alias terms reproduces the LP
-    # texts and the roundings of a simplex vertex recorded with them
+def former_pin_digests(corpus, suffix, **emitter):
+    """``(texts, policies)``: the digests of the LP texts and of the
+    roundings of a simplex vertex, labelled with ``suffix``, made under
+    ``reference_emitter(**emitter)``."""
     cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
-    with reference_emitter(aliases=True):
-        texts = {k + ALIAS_TERMS: v
-                 for k, v in lp_text_digests(corpus).items()}
+    with reference_emitter(**emitter):
+        texts = {k + suffix: v for k, v in lp_text_digests(corpus).items()}
         got = {}
         exact = [build_lp_optimal(entry.laminar) for entry in corpus]
         for label, engine in (("lp_opt", recorded_engine),
                               ("lp_opt_auto_past_limit", past_limit_engine)):
-            got[label + ALIAS_TERMS] = sha256_of(
+            got[label + suffix] = sha256_of(
                 policy_to_json(extract_pricing(
                     lp.solve_optimal(built.model, engine(built.model)),
                     built, "root"))
                 for built in exact)
         for label, engine in (("eps0.2_delta0.6", "auto"),
                               ("eps0.2_delta0.6_any_row", "any_row")):
-            got[label + ALIAS_TERMS] = sha256_of(
+            got[label + suffix] = sha256_of(
                 policy_to_json(lp_large_branch_policy(entry, cfg, engine)[0])
                 for entry in corpus)
-        got["ptas_eps0.2_delta0.6_lp_route" + ALIAS_TERMS] = sha256_of(
+        got["ptas_eps0.2_delta0.6_lp_route" + suffix] = sha256_of(
             policy_to_json(lp_route_ptas_policy(entry, cfg))
             for entry in corpus)
-    assert texts == current_pins(LP_TEXT_SHA256, alias_terms=True)
-    assert got == current_pins(POLICY_SHA256, alias_terms=True)
+        got["criterion_7" + suffix] = sha256_of([policy_to_json(
+            rounded_relaxation(criterion_7_laminar(), CRITERION_7_SETTING,
+                               "recorded"))])
+    return texts, got
+
+
+def test_pins_recorded_with_alias_terms(corpus):
+    # the reference emitter that writes the alias terms reproduces the LP
+    # texts and the roundings of a simplex vertex recorded with them
+    texts, got = former_pin_digests(corpus, ALIAS_TERMS, aliases=True)
+    assert texts == current_pins(LP_TEXT_SHA256, ALIAS_TERMS)
+    want = current_pins(POLICY_SHA256, ALIAS_TERMS)
+    assert {k: got[k] for k in want} == want
+
+
+def test_pins_recorded_with_forbidden_states(corpus):
+    # the reference that writes the pinned forbidden states and the
+    # ex-ante N(j) reproduces the LP texts and the roundings of a simplex
+    # vertex recorded with them
+    texts, got = former_pin_digests(corpus, FORBIDDEN_STATES, forbidden=True)
+    assert texts == current_pins(LP_TEXT_SHA256, FORBIDDEN_STATES)
+    assert got == current_pins(POLICY_SHA256, FORBIDDEN_STATES)
 
 
 def test_ptas_policies_are_pinned(corpus, corpus_run, criterion_7_policies):
@@ -1252,7 +1321,7 @@ def test_dual_route_pins_hold_on_lists_and_arrays(corpus, sweep):
         POLICY_SHA256["ptas_eps0.2_delta0.6"]
     dual = [(entry.production or entry.laminar, r)
             for entry, r in zip(corpus, results) if r.lp_kind == "lagrangian"]
-    assert len(dual) == 55
+    assert len(dual) == 56
     for inst, r in dual:
         for key in r.policy.blocks:
             assert_swept(state_levels(bind_dynamics(key, inst)), sweep)
@@ -1263,8 +1332,9 @@ def test_ptas_keeps_the_lp_policy_wherever_it_solves_the_lp(corpus_run):
     # cases where the decoupled DP policies satisfy every large row, and
     # not where the units cannot fill their rows, since auto then takes
     # the DP point: 4 fewer than under the simplex (``any_row``); and on
-    # 42 of the 55 one-row cases, whose mixed dual policies price the
-    # other 13 as the LP's vertex does
+    # 40 of the 55 one-row cases, whose mixed dual policies price the
+    # other 15 as the LP's vertex does, as do the tie-rejecting policies
+    # of the one several-row case solved at multiplier 0
     _, policies = corpus_run
     setting = {label: label for label in BENCH_SETTINGS}
     setting["eps0.2_delta0.6_any_row"] = "eps0.2_delta0.6"
@@ -1272,8 +1342,8 @@ def test_ptas_keeps_the_lp_policy_wherever_it_solves_the_lp(corpus_run):
                          for a, b in zip(policies[label],
                                          policies[f"ptas_{cfg}"]))
               for label, cfg in setting.items()}
-    assert differ == {"eps0.2": 0, "eps0.2_delta0.6": 103,
-                      "eps0.2_delta0.6_any_row": 107}
+    assert differ == {"eps0.2": 0, "eps0.2_delta0.6": 101,
+                      "eps0.2_delta0.6_any_row": 105}
 
 
 # ---------------------------------------------------------------------------

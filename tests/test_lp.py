@@ -233,9 +233,9 @@ def test_state_probabilities_conserve_mass(corpus):
         for lvl in range(len(info.levels)):
             tlab = info.time_label(lvl)
             total = sum(solution_value(sol, y_name("root", tlab, s))
-                        for s in list(info.levels[lvl]) + list(info.forbidden[lvl]))
+                        for s in info.levels[lvl])
             assert abs(total - 1.0) <= 1e-7, entry.name
-            for s in list(info.levels[lvl]) + list(info.forbidden[lvl]):
+            for s in info.levels[lvl]:
                 y = solution_value(sol, y_name("root", tlab, s))
                 assert -1e-9 <= y <= 1.0 + 1e-9
 
@@ -250,28 +250,27 @@ def test_text_format_roundtrips_tokens():
         assert " " not in name and name in text
 
 
-def test_state_update_row_leaves_out_the_pinned_state_of_the_same_tuple():
-    # the day cap rises from 0 to 1: sold count 1 is a forbidden state
-    # before buyer 1 (its Y pinned to zero) and reachable after it.  The
-    # row into Y(end,(1)) takes no term on the pinned Y(1,(1)), which keeps
-    # its pin row.  The emitter that also wrote that Y at -1 into the row
-    # had the same optimum: the term is zero at every feasible point.
+def test_rising_day_cap_has_no_y_for_the_over_pick_state():
+    # the day cap rises from 0 to 1: sold count 1 is where a pick of buyer
+    # 0 would lead, and reachable only after buyer 1.  The LP has no Y for
+    # it before buyer 1; buyer 0's X(0,(0),atom) are held at 0 by their own
+    # rows.  The LP that held that state, pinned to zero by its own row,
+    # had the same optimum
     p = ProductionInstance(dists=(U02, U02), types=(0, 0), days=(0, 1),
                            production=((0, 1),), shipping=1)
     model = build_lp_exante(p).model
-    with reference_emitter(aliases=True):
-        aliased = build_lp_exante(p).model
-    pinned = model.index["Y[type:0](1,(1))"]
-    end = model.index["Y[type:0](end,(1))"]
-    for m, term in ((model, None), (aliased, -1.0)):
-        rows = [dict(coeffs) for coeffs, _, _ in m.rows]
-        assert {pinned: 1.0} in rows
-        into_end = [row for row in rows if end in row]
-        assert len(into_end) == 1
-        assert into_end[0][end] == 1.0 and into_end[0].get(pinned) == term
+    with reference_emitter(forbidden=True):
+        former = build_lp_exante(p).model
+    assert "Y[type:0](1,(1))" not in model.index
+    assert "Y[type:0](end,(1))" in model.index
+    pinned = former.index["Y[type:0](1,(1))"]
+    assert {pinned: 1.0} in [dict(coeffs) for coeffs, _, _ in former.rows]
+    for a in range(2):
+        x = model.index[f"X[type:0](0,(0),{a})"]
+        assert ([(x, 1.0)], "<=", 0.0) in model.rows
     for engine in ("simplex", "highs"):
         assert solve_optimal(model, engine).objective == 1.0
-        assert solve_optimal(aliased, engine).objective == 1.0
+        assert solve_optimal(former, engine).objective == 1.0
 
 
 def test_x_le_y_rows_present_for_every_conditional():
@@ -591,12 +590,14 @@ def test_certificate_rejects_a_zeroed_forbidden_dual(no_dense):
     info = built.block("root")
     assert info.forbidden[2] == [(-1,)]
     x, u = built.model.dp_point()
-    # the update row into (-1,): a pick at the second arrival from (0,)
-    row = info.rows[1][2] + len(info.levels[2])
-    assert u[row] < 0.0
+    # the X <= 0 row of the over-pick at the second arrival from (0,),
+    # at the atom of value 2
+    row = info.rows[1][1] + 2 * info.levels[1].index((0,)) + 1
+    assert built.model.rows[row][1:] == ("<=", 0.0)
+    assert u[row] == 1.0  # p * v of the forbidden pick
     u[row] = 0.0
     _, dual, _ = falls_back(built.model, x, u)
-    assert dual == pytest.approx(1.0)  # p * v of the forbidden pick
+    assert dual == pytest.approx(1.0)
 
 
 def test_certificate_rejects_a_large_row_below_the_expected_count(no_dense):

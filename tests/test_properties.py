@@ -1,5 +1,6 @@
 """Cross-module benchmark orderings on the shared corpus, the exactness
-chain as a property of random small laminar trees, the PTAS large branch
+chain as a property of random small laminar trees, the ex-ante LP's
+optimum on random multi-day production instances, the PTAS large branch
 attaining its relaxation, instance and policy documents that read back as
 written, documents with one to three bad fields that the CLI rejects
 with an exit code, and policy documents with a wrong shape below one field,
@@ -44,7 +45,12 @@ from binprice.rounding import PolicyError, PricingPolicy, mark_laminar
 
 from binprice.model import large_rows
 
-from conftest import VALUE_GRID, reference_pick_probabilities, relaxation
+from conftest import (
+    VALUE_GRID,
+    reference_emitter,
+    reference_pick_probabilities,
+    relaxation,
+)
 
 
 def test_benchmark_ordering_on_corpus_sample(corpus):
@@ -157,6 +163,28 @@ def production_instances(draw):
         days=tuple(sorted(draw(st.lists(st.integers(0, days - 1),
                                         min_size=n, max_size=n)))),
         production=production, shipping=draw(st.integers(1, 4)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(production_instances())
+def test_exante_lp_keeps_its_optimum_without_forbidden_states(p):
+    # day caps rise over up to 3 days, so over-picks occur: the LP without
+    # their target states or the served counts N(j) reaches the optimum of
+    # the one with both, bounds the DP optimum from above, and its exact
+    # counterpart equals it
+    optimum = solve_full_dp(production_to_laminar(p))[0].optimal
+    for scale in (1.0, 0.8):
+        got = solve_optimal(build_lp_exante(p, scale).model, "simplex")
+        with reference_emitter(forbidden=True):
+            former = solve_optimal(build_lp_exante(p, scale).model,
+                                   "simplex")
+        assert abs(got.objective - former.objective) <= 1e-9
+        if scale == 1.0:
+            assert got.objective >= optimum - 1e-9
+    exact = solve_optimal(build_lp_optimal(production_to_laminar(p)).model,
+                          "simplex")
+    assert abs(exact.objective - optimum) <= 1e-9
 
 
 instances = st.one_of(production_instances(), laminar_trees())

@@ -340,7 +340,7 @@ def large_branch_runs(corpus):
 
 def test_large_branch_objective_is_the_relaxation_optimum(large_branch_runs):
     routes = collections.Counter(r.lp_kind for _, r, _ in large_branch_runs)
-    assert routes == {"dp": 65, "lagrangian": 55, "hierarchy": 10}
+    assert routes == {"dp": 65, "lagrangian": 56, "hierarchy": 9}
     for _, r, optimum in large_branch_runs:
         assert r.branch == "large"
         assert abs(r.objective - optimum) <= 1e-9
@@ -378,7 +378,7 @@ def test_large_branch_route_sweeps_each_unit_once_at_zero(corpus,
         assert calls.pop("forward_all", 0) == (r.lp_kind == "lagrangian")
         assert calls == {("sweep at 0", key): 1
                          for key in model.small_units(inst, r.marking)}
-    assert routes == {"dp": 65, "lagrangian": 55, "hierarchy": 10}
+    assert routes == {"dp": 65, "lagrangian": 56, "hierarchy": 9}
 
 
 def test_dp_route_policies_are_exact_and_keep_every_row(large_branch_runs):
@@ -426,25 +426,29 @@ def test_criterion_7_large_branch_builds_no_lp(monkeypatch):
 
 
 def assert_dual_route(r, inst, cfg, optimum):
-    """``r`` solved its one-row relaxation through the dual: its objective
-    is the relaxation optimum ``optimum``, which its mixed policies attain
-    exactly while keeping the row within its scaled capacity in
-    expectation, behind a counter at the original capacity."""
+    """``r`` solved its relaxation through the dual: its objective is the
+    relaxation optimum ``optimum``, which its mixed policies attain
+    exactly while keeping every row within its scaled capacity in
+    expectation, behind counters at the original capacities."""
     assert (r.branch, r.lp_kind) == ("large", "lagrangian")
     assert abs(r.objective - optimum) <= 1e-9
     welfare, _ = evaluate_exact(r.policy, inst)
     assert abs(welfare - r.objective) <= 1e-9
     picks = expected_picks(r.policy, inst)
-    [(elements, cap)] = large_rows(inst, r.marking)
-    assert sum(picks[e] for e in elements) <= cfg.capacity_scale * cap + 1e-9
-    assert list(r.policy.counter_caps.values()) == [cap]
+    rows = large_rows(inst, r.marking)
+    for elements, cap in rows:
+        assert sum(picks[e] for e in elements) \
+            <= cfg.capacity_scale * cap + 1e-9
+    assert sorted(r.policy.counter_caps.values()) == sorted(
+        cap for _, cap in rows)
 
 
 @pytest.fixture(scope="module")
 def dual_route_runs(large_branch_runs):
     """``(instance, result)`` of every corpus case at delta 0.6 whose
-    relaxation has one row that the units' DP policies overfill, run with
-    every LP entry point raising."""
+    relaxation has a row that the units' DP policies overfill and which is
+    solved through the dual (one row, or several that the tie-rejecting
+    policies keep), run with every LP entry point raising."""
     cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
     runs = []
     with pytest.MonkeyPatch.context() as mp:
@@ -459,7 +463,7 @@ def dual_route_runs(large_branch_runs):
 
 def test_dual_route_builds_no_lp_and_attains_the_relaxation(dual_route_runs):
     cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
-    assert len(dual_route_runs) == 55
+    assert len(dual_route_runs) == 56
     for inst, r in dual_route_runs:
         model_ = relaxation(inst, cfg).model
         for engine in ("simplex", "highs"):
@@ -471,8 +475,9 @@ def test_dual_route_builds_no_lp_and_attains_the_relaxation(dual_route_runs):
 def test_dual_route_stops_at_zero_where_rejecting_ties_fits(dual_route_runs):
     # accepting a tie costs nothing at multiplier 0, so a row can look
     # binding under the DP's accept-at-equality policies while the
-    # tie-rejecting ones fit: the multiplier is then 0, and the objective
-    # the sum of the units' DP optima; elsewhere it lies below that sum
+    # tie-rejecting ones fit every row: the multiplier is then 0, and the
+    # objective the sum of the units' DP optima; elsewhere it lies below
+    # that sum.  Where there are several rows, they must fit
     cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
     at_zero = 0
     for inst, r in dual_route_runs:
@@ -486,12 +491,14 @@ def test_dual_route_stops_at_zero_where_rejecting_ties_fits(dual_route_runs):
                                    p=[np.zeros(len(t))
                                       for t in table.thresholds])
             picks.update(reference_pick_probabilities(strict, inst))
-        [(elements, cap)] = large_rows(inst, r.marking)
-        fits = sum(picks[e] for e in elements) <= cfg.capacity_scale * cap
+        rows = large_rows(inst, r.marking)
+        fits = all(sum(picks[e] for e in elements)
+                   <= cfg.capacity_scale * cap for elements, cap in rows)
         assert (r.objective == sum(optima)) == fits
         assert r.objective <= sum(optima)
+        assert fits or len(rows) == 1
         at_zero += fits
-    assert at_zero == 5
+    assert at_zero == 6
 
 
 def off_dyadic_production():
