@@ -9,8 +9,10 @@ Sub-commands::
 
 Reports go to stdout (or ``--output``) as JSON or CSV; diagnostics go to
 stderr.  Exit codes: 0 ok, 2 invalid instance (or a missing or unreadable
-file), 3 state-space cap exceeded, 4 LP failure, 5 verification property
-failed, 6 policy/instance mismatch (or a malformed policy document).
+file), 3 state-space cap exceeded, 4 LP failure (of HiGHS, or a dual
+search past ``dp.DUAL_ITERATIONS`` steps), 5 verification property failed,
+6 policy/instance mismatch (or a malformed policy document), 7 a report
+number not finite (the report is not written).
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ EXIT_SIZING = 3
 EXIT_LP = 4
 EXIT_PROPERTY = 5
 EXIT_MISMATCH = 6
+EXIT_REPORT = 7
+
+
+class ReportError(ValueError):
+    """A report holds a number JSON cannot write, such as infinity."""
 
 
 def _diag(msg):
@@ -68,6 +75,10 @@ def _emit(text, path):
 
 
 def _report(doc, fmt, path, csv_rows=None):
+    try:  # in either format, refuse what JSON cannot write
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ReportError(str(exc)) from None
     if fmt == "csv":
         rows = csv_rows if csv_rows is not None else [
             (k, v, "", doc.get("trials", ""), doc.get("seed", ""))
@@ -75,7 +86,7 @@ def _report(doc, fmt, path, csv_rows=None):
             if isinstance(v, (int, float, str))]
         _emit(harness.report_to_csv(rows), path)
     else:
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
+        _emit(text + "\n", path)
 
 
 def _ptas(inst, cfg, **kwargs) -> ptas.PtasResult:
@@ -280,8 +291,7 @@ def cmd_transform(args) -> int:
         out = myerson.revenue_transform(inst)
     except ValueError as exc:
         raise InstanceError(str(exc)) from None
-    _emit(json.dumps(serialize_instance(out), indent=2, sort_keys=True) + "\n",
-          args.output)
+    _report(serialize_instance(out), "json", args.output)
     return EXIT_OK
 
 
@@ -331,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=_delta, default=None)
     sp.add_argument("--scale", type=_scale, default=1.0,
                     help="capacity scale for ex-ante/hierarchy")
-    sp.add_argument("--engine", choices=("auto", "simplex", "highs"),
+    sp.add_argument("--engine", choices=("auto", "highs"),
                     default="auto")
     sp.add_argument("--policy-out", default=None,
                     help="write the policy JSON here instead of inline")
@@ -354,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=_positive, default=1)
     sp.add_argument("--epsilon", type=_epsilon, default=0.2)
     sp.add_argument("--delta", type=_delta, default=None)
-    sp.add_argument("--engine", choices=("auto", "simplex", "highs"),
+    sp.add_argument("--engine", choices=("auto", "highs"),
                     default="auto")
     sp.add_argument("--search", action="store_true",
                     help="also search for a conditional-price drop")
@@ -398,6 +408,9 @@ def main(argv=None) -> int:
     except PolicyError as exc:
         _diag(f"policy/instance mismatch: {exc}")
         return EXIT_MISMATCH
+    except ReportError as exc:
+        _diag(f"report not written: {exc}")
+        return EXIT_REPORT
 
 
 if __name__ == "__main__":

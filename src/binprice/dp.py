@@ -11,12 +11,13 @@ values and thresholds equal a scalar loop over the states bit for bit.
 Tuples are decoded only when the rules of a table's ``threshold_policy``
 (a ``PricingPolicy`` holding the thresholds as arrays over the levels) are
 first read; a caller that needs only the optimum, such as the exactness
-chain, decodes none.  ``sweep`` runs it
-without a table; given a tie tolerance, each level also carries every
-state's expected picks under the optimal policies that accept and that
-reject the values within it of their threshold, which the PTAS reads at
-multiplier 0 to pick its route and its dual search at every multiplier
-it tries (an ordinary call carries nothing).
+chain, decodes none.  ``sweep`` runs it without a table; given a tie
+tolerance, each level also carries every state's expected picks under the
+optimal policies that accept and that reject the values within it of their
+threshold, which the PTAS reads at multiplier 0 to pick its route and
+``relax``, the dual over a relaxation's units that the PTAS and the LPs'
+DP points share, at every multiplier it tries (``mixture`` runs its
+policies forward; an ordinary call carries nothing).
 
 ``forward_all`` is the one forward-occupancy kernel.  It runs any array
 policy, tie coins included, over its levels: ``Decisions`` computes every
@@ -49,6 +50,7 @@ import numpy as np
 from .model import (
     DEFAULT_STATE_CAP,
     LaminarInstance,
+    LpError,
     ProductionInstance,
     StateLevels,
     atom_sums,
@@ -60,6 +62,14 @@ from .model import (
     state_levels,
 )
 from .rounding import PricingPolicy
+
+# The dual search (``relax``): a value within TIE_TOL times the search's
+# top multiplier of its threshold is a tie, which a float multiplier would
+# miss; a row within ROW_TOL times its capacity (at least 1) is met; and
+# past DUAL_ITERATIONS cutting-plane steps on one row the search gives up.
+TIE_TOL = 1e-9
+ROW_TOL = 1e-12
+DUAL_ITERATIONS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +160,8 @@ class Decisions:
     policy.
 
     ``values`` and ``probs`` (atoms by states) hold each state's arrival
-    distribution, values minus ``shift`` (``model.level_atoms``), and
+    distribution, values minus ``shift`` (``model.level_atoms``; a list
+    holds one per level of every policy), and
     ``above`` and ``tie`` where they lie above and at the price of its
     rule ``(tau, p)``, infinite where the arrival cannot be picked.  Read
     on first use: ``bias``, each atom's acceptance probability (1 above,
@@ -159,7 +170,7 @@ class Decisions:
     accepted value ``sum(pa * v * bias)`` in atom order.
     """
 
-    def __init__(self, policies, dists, shift: float = 0.0):
+    def __init__(self, policies, dists, shift=0.0):
         runs = [(e, codes, tau, p, picks) for pol in policies
                 for e, codes, tau, p, picks in zip(
                     pol.elements, pol.levels.codes, pol.tau, pol.p,
@@ -186,14 +197,9 @@ class Decisions:
         return atom_sums(self.probs * self.values * self.bias)
 
 
-def forward(policy: PricingPolicy, dists, shift: float = 0.0):
-    """``(rates, occupancy, picks)`` of one array policy (``forward_all``)."""
-    return forward_all([policy], dists, shift)[1][0]
-
-
-def forward_all(policies, dists, shift: float = 0.0):
-    """Run array policies forward over their levels: the one forward
-    kernel.
+def forward_all(policies, dists, shift=0.0):
+    """Run array policies forward over their levels, on values minus
+    ``shift`` (or a list, one per level): the one forward kernel.
 
     A state takes ``mass * rate`` to its pick and, where the rate is below
     1, ``mass * (1.0 - rate)`` to its skip (a state whose arrival cannot be
@@ -227,6 +233,154 @@ def forward_all(policies, dists, shift: float = 0.0):
             picked.append(float(flow[:, 1].cumsum()[-1]))
             level_rates.append(rates[a:b])
     return decided, passes
+
+
+def zero_sweeps(dists, units):
+    """``(top, sweeps)`` of ``units``, their ``StateLevels``: a multiplier
+    past every value (and 0) of their arrivals, where no unit picks, and
+    each one's ``sweep`` at 0 with ties within ``TIE_TOL * top``."""
+    top = 1.0 + max([0.0, *(v for lv in units for e in lv.dyn.elements
+                            for v in dists[e].values)])
+    return top, [sweep(lv, dists, 0.0, TIE_TOL * top) for lv in units]
+
+
+@dataclass(frozen=True, eq=False)
+class Relaxed:
+    """``relax``'s solution: per unit its shift, its ``sweep`` there (ties
+    within ``tie``) and the weight ``theta`` of its tie-accepting policies
+    in its mixture; per row its multiplier; and the dual optimum."""
+
+    shifts: list
+    sweeps: list
+    thetas: list
+    multipliers: list
+    objective: float
+    tie: float
+
+
+def relax(dists, units, rows, scale, top, sweeps) -> Relaxed:
+    """The relaxation of ``units`` (their ``StateLevels``) under ``rows``
+    (``model.large_rows``: laminar, ancestors first, the first holding
+    every unit) held in expectation at ``scale`` times their capacities,
+    solved through its dual over the units' DPs (``notes/decisions.md``,
+    "Nested duals"); ``top`` and ``sweeps`` are ``zero_sweeps``.  A unit's
+    values are lowered by its shift, the sum of its rows' multipliers.  A
+    row binds below a point ``mu`` that the shift above it does not move,
+    so one Kelley search per row, children first, finds ``mu`` (``LpError``
+    past ``DUAL_ITERATIONS`` steps).  A row's shift is the largest ``mu``
+    on its path, where each unit mixes its two policies so that every row
+    is kept, and met where its multiplier is positive."""
+    tie = TIE_TOL * top
+    caps = [scale * cap for _, _, cap in rows]
+
+    def last_holding(e, end):
+        return max(i for i in range(end) if e in rows[i][1])
+
+    kids = [[] for _ in rows]  # each row's child rows
+    for j in range(1, len(rows)):
+        kids[last_holding(min(rows[j][1]), j)].append(j)
+    row_of = [last_holding(lv.dyn.elements[0], len(rows)) for lv in units]
+    members = [[u for u, r in enumerate(row_of) if r == j]
+               for j in range(len(rows))]
+    memo = [{0.0: s} for s in sweeps]
+
+    def swept(u, lam):
+        if lam not in memo[u]:
+            memo[u][lam] = sweep(units[u], dists, lam, tie)
+        return memo[u][lam]
+
+    opt = [None] * len(rows)  # per row: (mu, its value there)
+
+    def inner(j, lam):
+        """Value and picks (ties accepted, rejected) under row ``j``."""
+        under = [swept(u, lam) for u in members[j]]
+        value = sum(float(values[0][0]) for values, _, _ in under)
+        more = sum(picks[0] for _, _, picks in under)
+        fewer = sum(picks[1] for _, _, picks in under)
+        for c in kids[j]:
+            mu, h = opt[c]
+            if lam < mu - tie:
+                terms = h - lam * caps[c], caps[c], caps[c]
+            else:
+                terms = inner(c, lam)
+            value, more, fewer = (value + terms[0],
+                                  more + min(terms[1], caps[c]),
+                                  fewer + terms[2])
+        return value, more, fewer
+
+    for j in reversed(range(len(rows))):
+        cap = caps[j]
+        slack = ROW_TOL * max(1.0, cap)
+        # no value reaches top, so nothing is picked there
+        left, right, lam = None, (top, top * cap, cap), 0.0
+        for step in range(DUAL_ITERATIONS):
+            g, more, fewer = inner(j, lam)
+            value = lam * cap + g
+            if fewer > cap + slack:
+                left = (lam, value, cap - fewer)
+            elif more < cap - slack and step:
+                right = (lam, value, cap - more)
+            else:
+                break
+            (a, va, ga), (b, vb, gb) = left, right
+            lam = (vb - va + ga * a - gb * b) / (ga - gb)
+        else:
+            raise LpError(f"dual search: no multiplier within "
+                          f"{DUAL_ITERATIONS} cutting-plane steps "
+                          f"(last {lam!r})")
+        opt[j] = (lam, value)
+
+    shift, multipliers, span, phi = ([0.0] * len(rows) for _ in range(4))
+
+    def fix(j, above):
+        """Row ``j``'s shift (its ``mu`` unless within the tie tolerance
+        of ``above``, its parent's) and multiplier; its picks' range."""
+        shift[j] = opt[j][0] if not j or opt[j][0] > above + tie else above
+        multipliers[j] = shift[j] - above
+        under = [swept(u, shift[j])[2] for u in members[j]]
+        lo, hi = sum(p[1] for p in under), sum(p[0] for p in under)
+        for c in kids[j]:
+            low, high = fix(c, shift[j])
+            if shift[c] > shift[j]:
+                low = high = caps[c]
+            lo, hi = lo + low, hi + min(high, caps[c])
+        span[j] = lo, hi
+        return span[j]
+
+    fix(0, 0.0)
+
+    def meet(j, aim):
+        """Row ``j``'s units' weight meeting ``aim``; then its child rows'
+        aims: capacity where their multiplier is positive, else a share."""
+        lo, hi = span[j]
+        phi[j] = 0.0 if hi <= lo else min(max((aim - lo) / (hi - lo), 0.0),
+                                          1.0)
+        for c in kids[j]:
+            meet(c, caps[c] if shift[c] > shift[j] else span[c][0] + phi[j]
+                 * (min(span[c][1], caps[c]) - span[c][0]))
+
+    meet(0, caps[0])
+    return Relaxed(shifts=[shift[r] for r in row_of],
+                   sweeps=[swept(u, shift[r]) for u, r in enumerate(row_of)],
+                   thetas=[phi[r] for r in row_of], multipliers=multipliers,
+                   objective=opt[0][1], tie=tie)
+
+
+def mixture(dists, units, relaxed: Relaxed):
+    """``forward_all`` over ``relaxed``'s mixture: each unit's policy that
+    accepts the ties of its sweep (within the tie tolerance), then each
+    one's that rejects them, at its shift."""
+    def policies(offset, p):
+        return [PricingPolicy(lv.dyn.key, levels=lv, elements=lv.dyn.elements,
+                              tau=[np.add(thr, offset) for thr in thresholds],
+                              p=[np.full(len(thr), p) for thr in thresholds])
+                for lv, (_, thresholds, _) in zip(units, relaxed.sweeps)]
+
+    shifts = relaxed.shifts  # one, or one per level
+    shift = shifts[0] if len(set(shifts)) == 1 else [
+        s for lv, s in zip(units, shifts) for _ in lv.dyn.elements] * 2
+    return forward_all(policies(-relaxed.tie, 1.0)
+                       + policies(relaxed.tie, 0.0), dists, shift)
 
 
 def _level_arrays(after, skips, picks, atoms, carry=None, tie=0.0):

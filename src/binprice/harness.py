@@ -62,7 +62,7 @@ of marginals; optimal chains can fail this per-subset form.
 ``check_summed_cylinder`` checks the form summed over subsets of each
 size, ``E[binom(C, k)] <= e_k(p)`` for the sold count ``C``, from the
 exact count distribution that
-``dp.forward`` carries to the chain's last level; that is what the
+``dp.forward_all`` carries to the chain's last level; that is what the
 Chernoff upper tail on ``C`` needs.
 ``search_dependency_counterexample`` sweeps small laminar
 structures for a later element whose optimal price drops after an earlier
@@ -92,7 +92,6 @@ from .model import (
 )
 from .dp import (
     Decisions,
-    forward,
     forward_all,
     solve_full_dp,
     solve_subproblem_dp,
@@ -777,14 +776,14 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
 def chain_count_distribution(p: ProductionInstance, type_index: int,
                              shift: float = 0.0):
     """Exact sold-count distribution and acceptance marginals of the
-    optimal shifted chain policy, read off ``dp.forward``.
+    optimal shifted chain policy, read off ``dp.forward_all``.
 
     Returns ``(counts, marginals)``: ``counts[c] = Pr[C = c]`` and
     ``marginals[i] = E[X_i]`` for the ``i``-th buyer of the type.
     """
     table = solve_subproblem_dp(p, type_index, shift)
-    _, occupancy, picks = forward(threshold_policy(table), p.dists,
-                                  table.shift)
+    _, occupancy, picks = forward_all([threshold_policy(table)], p.dists,
+                                      table.shift)[1][0]
     # the last level holds every sold count, each coded as itself
     return occupancy[-1], np.array(picks)
 

@@ -35,11 +35,10 @@ are produced only on request -- ``to_text``, ``LpModel.names``/``index``,
 ``LpSolution.assignment`` and ``BlockInfo.levels``.
 
 Solvers: the blocks' DP point when ``certify`` proves it optimal (engine
-``"certificate"``), tried on a model none of whose large rows (shipping,
-large bins) can bind, since its units' most picks fit under each, and on
-any past a size threshold; else an in-repo dense-tableau two-phase Bland
-simplex up to the threshold and a scipy/HiGHS bridge beyond.  The point's
-coupling rows have multiplier 0.
+``"certificate"``), else a scipy/HiGHS bridge, which alone imports scipy.
+The point is the units' threshold policies where no large row (shipping,
+large bin) can bind, since its units' most picks fit under it; else the
+mixture of the dual over the units' DPs (``dp.relax``).
 
 Text interchange format (``LpModel.to_text``), one token per name, all
 variables non-negative::
@@ -68,6 +67,7 @@ from .model import (
     Marking,
     ProductionInstance,
     InstanceError,
+    LpError,
     StateLevels,
     bind_dynamics,
     large_rows,
@@ -76,10 +76,6 @@ from .model import (
     state_levels,
 )
 
-FEAS_TOL = 1e-9
-OPT_TOL = 1e-9
-PIVOT_CAP = 10 ** 6
-DENSE_CELL_LIMIT = 60_000
 # a DP point is accepted at this primal residual, and at CERT_TOL dual
 # residual and gap (relative to 1 + |objective|)
 CERT_PRIMAL_TOL = 1e-7
@@ -88,10 +84,6 @@ CERT_TOL = 1e-9
 # below -CHECK_BOUND_TOL
 CHECK_ROW_TOL = 1e-7
 CHECK_BOUND_TOL = 1e-9
-
-
-class LpError(RuntimeError):
-    """Solver failure: iteration cap, tolerance blow-up, or engine error."""
 
 
 # ---------------------------------------------------------------------------
@@ -325,111 +317,6 @@ def certify(model: LpModel, x, u) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Dense tableau simplex (Bland's rule, two phases)
-# ---------------------------------------------------------------------------
-
-
-def _pivot(T, basis, row, col):
-    """Make ``col`` basic in ``row``: one rank-1 update over every row of
-    the tableau, objective rows included."""
-    r = T[row]
-    r /= r[col]
-    f = T[:, col].copy()
-    f[row] = 0.0
-    T -= f[:, None] * r
-    basis[row] = col
-
-
-def _run_phase(T, basis, obj, pivots):
-    """Bland pivots on objective row ``obj`` over every variable column.
-
-    The constraint rows are ``T[:-2]``; entering is the lowest column with
-    reduced cost above ``OPT_TOL``, leaving the lowest basic index among
-    the minimum-ratio ties.  Returns the status and the pivot count.
-    """
-    cost, A, rhs = T[obj, :-1], T[:-2], T[:-2, -1]  # views; T changes in place
-    while True:
-        if pivots >= PIVOT_CAP:
-            raise LpError(f"simplex pivot cap {PIVOT_CAP} exceeded")
-        improving = cost > OPT_TOL
-        enter = improving.argmax()
-        if not improving[enter]:
-            return "optimal", pivots
-        col = A[:, enter]
-        rows = (col > FEAS_TOL).nonzero()[0]
-        if rows.size == 0:
-            return "unbounded", pivots
-        ratios = rhs[rows] / col[rows]
-        best = float(ratios.min())
-        ties = rows[ratios <= best + FEAS_TOL * (1.0 + abs(best))]
-        leave = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
-        _pivot(T, basis, leave, enter)
-        pivots += 1
-
-
-def _solve_dense(model: LpModel) -> LpSolution:
-    nv = model.num_vars
-    m = model.num_rows
-    rows, cols, coefs = model.coo()
-    le = model.le_rows()
-    slack_rows = np.flatnonzero(le)
-    art_start = nv + slack_rows.size
-    b = model.rhs
-    # sign-normalize so b >= 0; flipped <= rows lose their natural basis slot
-    flip = b < 0
-    art_rows = np.flatnonzero(~le | flip)
-    # rows 0..m-1 constrain; row -2 is the phase-1 objective, row -1 the
-    # phase-2 one (c_j - z_j convention: entering where > tol).  The
-    # artificial variables get basis indices from ``art_start`` on but no
-    # columns: they never enter, and nothing reads their entries.
-    T = np.zeros((m + 2, art_start + 1))
-    T[rows, cols] = coefs
-    T[slack_rows, nv + np.arange(slack_rows.size)] = 1.0
-    T[:m, -1] = b
-    flipped = np.flatnonzero(flip)
-    T[flipped, :art_start] *= -1.0
-    T[flipped, -1] *= -1.0
-    basis = np.empty(m, dtype=np.intp)
-    basis[slack_rows] = nv + np.arange(slack_rows.size)
-    basis[art_rows] = art_start + np.arange(art_rows.size)
-    T[-1, list(model.objective)] = list(model.objective.values())
-    # phase 1 maximizes -(sum of artificials), expressed through the rows
-    T[-2] = T[art_rows].sum(axis=0, initial=0.0)
-
-    pivots = 0
-    if art_rows.size:
-        status, pivots = _run_phase(T, basis, -2, pivots)
-        if status == "unbounded":
-            raise LpError("phase-1 unbounded; model is inconsistent")
-        if T[-2, -1] > 1e-7:
-            return LpSolution("infeasible", None, np.zeros(0), "simplex",
-                              pivots, model)
-        # drive surviving artificials out of the basis or drop dead rows
-        dead = []
-        for i in np.flatnonzero(basis >= art_start).tolist():
-            live = np.flatnonzero(np.abs(T[i, :art_start]) > FEAS_TOL)
-            if live.size:
-                _pivot(T, basis, i, int(live[0]))
-                pivots += 1
-            else:
-                dead.append(i)
-        if dead:
-            keep = np.setdiff1d(np.arange(m), dead)
-            T = T[np.concatenate([keep, [m, m + 1]])]
-            basis = basis[keep]
-
-    status, pivots = _run_phase(T, basis, -1, pivots)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, np.zeros(0), "simplex", pivots,
-                          model)
-    x = np.zeros(art_start)
-    x[basis] = T[:-2, -1]
-    x = x[:nv].copy()
-    return LpSolution("optimal", model.objective_value(x), x, "simplex",
-                      pivots, model)
-
-
-# ---------------------------------------------------------------------------
 # HiGHS bridge
 # ---------------------------------------------------------------------------
 
@@ -478,27 +365,21 @@ def solve(model: LpModel, engine: str = "auto") -> LpSolution:
     """Solve to an optimal solution, or report infeasible/unbounded.
 
     ``auto`` returns the model's ``dp_point`` when ``certify`` accepts it,
-    tried on an uncoupled model and on any past ``DENSE_CELL_LIMIT`` tableau
-    cells; else the in-repo simplex up to the limit and HiGHS beyond.  Each
-    is deterministic for a model; the simplex and HiGHS end on a vertex.
+    else HiGHS's vertex; ``highs`` computes no point.  Each is
+    deterministic for a model.
     """
+    if engine not in ("auto", "highs"):
+        raise ValueError(f"unknown engine {engine!r}")
     if model.num_vars == 0:
         return LpSolution("optimal", 0.0, np.zeros(0), "trivial", 0, model)
-    if engine == "auto":
-        cells = (model.num_rows + 2) * (model.num_vars + model.num_rows + 1)
-        engine = "simplex" if cells <= DENSE_CELL_LIMIT else "highs"
-        if model.dp_point and (engine == "highs" or not model.coupled):
-            x, u = model.dp_point()
-            primal, dual, gap = certify(model, x, u)
-            obj = model.objective_value(x)
-            if (primal <= CERT_PRIMAL_TOL and dual <= CERT_TOL
-                    and gap <= CERT_TOL * (1.0 + abs(obj))):
-                return LpSolution("optimal", obj, x, "certificate", 0, model)
-    if engine == "simplex":
-        return _solve_dense(model)
-    if engine == "highs":
-        return _solve_highs(model)
-    raise ValueError(f"unknown engine {engine!r}")
+    if engine == "auto" and model.dp_point:
+        x, u = model.dp_point()
+        primal, dual, gap = certify(model, x, u)
+        obj = model.objective_value(x)
+        if (primal <= CERT_PRIMAL_TOL and dual <= CERT_TOL
+                and gap <= CERT_TOL * (1.0 + abs(obj))):
+            return LpSolution("optimal", obj, x, "certificate", 0, model)
+    return _solve_highs(model)
 
 
 def solve_optimal(model: LpModel, engine: str = "auto") -> LpSolution:
@@ -753,41 +634,78 @@ def _block_entries(model: LpModel, dists, blocks: list):
     return rows, np.concatenate(cols), np.concatenate(coefs), le, rhs
 
 
-def _dp_point(num_vars, num_rows, inst, state_cap, blocks):
-    """``(x, u)``: each block's optimal threshold policy run forward
-    (``Y``, ``X = Y * 1[v >= tau]``, ``X(t,a)`` their sums) and its duals
-    (``V`` on the initial and update rows, ``p*v`` on the marginal rows,
-    ``p*max(0, v - tau)`` on the ``X <= Y`` rows, with ``tau`` read as 0
-    on an over-pick's, which has no ``Y``), placed by position: the levels
-    of the blocks' ``dp.unit_table``s are the blocks' runs, in order.
-    Every coupling row keeps dual 0.  Given sizes, not the model,
+def _dp_point(num_vars, num_rows, inst, state_cap, blocks, rows, scale):
+    """``(x, u)``: each block's policy run forward (``Y``, the accepted
+    mass ``X(t,state,atom)`` and ``X(t,atom)`` their sums) and its duals
+    (``V`` on the initial and update rows, ``p*(v - s)`` on the marginal
+    rows and ``p*max(v - s - tau, 0)`` on the ``X <= Y`` rows, ``tau`` read
+    as 0 on an over-pick's), placed by position: the levels of the blocks'
+    ``dp.unit_table``s are the blocks' runs, in order.  With no ``rows``
+    the policies are the units' threshold policies at shift ``s = 0``;
+    else they are ``dp.relax``'s mixture over ``rows`` at ``scale``, the
+    model's last rows, each taking its multiplier.  Given sizes, not the model,
     ``dp_point`` makes no reference cycle."""
     dists = inst.dists
     x = np.zeros(num_vars)
     u = np.zeros(num_rows)
     units = [dp.unit_table(inst, key, state_cap=state_cap) for key in blocks]
-    _, passes = dp.forward_all(list(map(dp.threshold_policy, units)), dists)
-    for info, table, (_, occupancy, _) in zip(blocks.values(), units, passes):
-        values = table.values
+    if rows:
+        levels = [table.levels for table in units]
+        relaxed = dp.relax(dists, levels, rows, scale,
+                           *dp.zero_sweeps(dists, levels))
+        u[num_rows - len(rows):] = relaxed.multipliers
+        shifts, sweeps = relaxed.shifts, relaxed.sweeps
+        points = _mixed_point(dists, levels, relaxed)
+    else:
+        shifts = [0.0] * len(units)
+        sweeps = [(table.values, table.thresholds, None) for table in units]
+        _, passes = dp.forward_all(list(map(dp.threshold_policy, units)),
+                                   dists)
+        points = [(occupancy, None) for _, occupancy, _ in passes]
+    for info, shift, (values, thresholds, _), (occupancy, accepted) in zip(
+            blocks.values(), shifts, sweeps, points):
         u[info.init_row] = values[0][0]
         for lvl, t in enumerate(info.elements):
-            v, p = np.array(dists[t].values), np.array(dists[t].probs)
+            v, p = np.array(dists[t].values) - shift, np.array(dists[t].probs)
             y = occupancy[lvl]
-            thr = table.thresholds[lvl][:, None]
-            xc = y[:, None] * (v >= thr)
+            thr = np.asarray(thresholds[lvl])[:, None]
+            xc = y[:, None] * (v >= thr) if accepted is None else accepted[lvl]
             x[info.y[lvl]:info.y[lvl] + len(y)] = y
             x[info.xc[lvl]:info.xm[lvl]] = xc.ravel()
             x[info.xm[lvl]:info.xm[lvl] + len(v)] = xc.sum(axis=0)
             marginal, caps, updates = info.rows[lvl]
             u[marginal:caps] = p * v
             # an over-pick's threshold is infinite, and its X <= 0 row
-            # takes p*max(v, 0)
+            # takes p*max(v - s, 0)
             u[caps:updates] = (p * np.maximum(
                 v - np.where(thr < np.inf, thr, 0.0), 0.0)).ravel()
             u[updates:updates + len(values[lvl + 1])] = values[lvl + 1]
         last = occupancy[-1]
         x[info.y[-1]:info.y[-1] + len(last)] = last
     return x, u
+
+
+def _mixed_point(dists, units, relaxed) -> list:
+    """Per unit of ``relaxed``, its mixture's ``(occupancy, accepted)``:
+    each state's probability at levels ``0 .. n``, and per arrival the mass
+    accepting each atom in each state (states by atoms)."""
+    decided, passes = dp.mixture(dists, units, relaxed)
+    n = len(units)
+    # each policy's first state among the decided ones
+    starts = list(accumulate((sum(map(len, lv.codes[:-1]))
+                              for lv in units * 2), initial=0))
+
+    def weighted(j, w):
+        occupancy, at, accepted = [w * y for y in passes[j][1]], starts[j], []
+        for y, t in zip(occupancy, units[j % n].dyn.elements):
+            bias = decided.bias[:len(dists[t].atoms), at:at + len(y)]
+            accepted.append(y[:, None] * bias.T)
+            at += len(y)
+        return occupancy, accepted
+
+    return [tuple([a + b for a, b in zip(*runs)] for runs in zip(
+        weighted(i, theta), weighted(n + i, 1.0 - theta)))
+        for i, theta in enumerate(relaxed.thetas)]
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +744,8 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
           for lvl, t in enumerate(info.elements)}
     unit = {t: key for key, info in blocks.items() for t in info.elements}
     model.coupled = False
-    for _, elements, cap in large_rows(inst, mk):
+    rows = large_rows(inst, mk)
+    for _, elements, cap in rows:
         # a row's elements may sit in different blocks: order by column
         terms = sorted((xm[t] + a, pa) for t in elements
                        for a, pa in enumerate(dists[t].probs))
@@ -841,7 +760,8 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
         for a, (v, pa) in enumerate(dist.atoms):
             model.add_objective_term(xm[t] + a, pa * v)
     model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
-                             inst, state_cap, blocks)
+                             inst, state_cap, blocks,
+                             rows if model.coupled else (), capacity_scale)
     return BuiltLp(model=model, instance=inst, blocks=blocks, marking=mk)
 
 

@@ -67,6 +67,10 @@ class SizingError(RuntimeError):
         super().__init__(f"state space of {scope} exceeds cap ({size} > {cap})")
 
 
+class LpError(RuntimeError):
+    """HiGHS found no optimum, or the dual search (``dp.relax``) gave up."""
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 # ---------------------------------------------------------------------------
@@ -121,16 +125,21 @@ def atom_sums(terms) -> np.ndarray:
     return terms.cumsum(axis=0)[-1] + 0.0
 
 
-def level_atoms(dists, elements, widths, shift: float = 0.0):
+def level_atoms(dists, elements, widths, shift=0.0):
     """The arrival distribution of every state of a block's levels
     ``0 .. n - 1``, level ``i`` holding ``widths[i]`` states at
     ``elements[i]``: ``(values, probs)``, atoms by states, values minus
-    ``shift``; a distribution with fewer atoms than the widest is padded
-    with value 0 at probability 0."""
+    ``shift``, or minus ``shift[i]`` at level ``i`` when it is a list; a
+    distribution with fewer atoms than the widest is padded with value 0
+    at probability 0."""
     atoms = [dists[e].atoms for e in elements]
     k = max(map(len, atoms))
-    table = np.array([a + ((shift, 0.0),) * (k - len(a)) for a in atoms])
+    shifts = shift if isinstance(shift, list) else [shift] * len(atoms)
+    table = np.array([a + ((s, 0.0),) * (k - len(a))
+                      for a, s in zip(atoms, shifts)])
     table = table.repeat(widths, axis=0).T
+    if isinstance(shift, list):
+        shift = np.repeat(shift, widths)
     return table[0] - shift, table[1]
 
 
@@ -138,6 +147,19 @@ def split_like(flat, parts) -> list:
     """``flat`` cut into consecutive runs as long as ``parts``."""
     ends = list(itertools.accumulate(map(len, parts)))
     return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _element_violations(dists) -> list:
+    """Each element's distribution's violations; with none, whether the
+    largest welfare, the sum of every element's largest ``|value|``, is
+    finite: past the float range a sum of values reads ``inf``."""
+    out = [msg for t, d in enumerate(dists)
+           for msg in distribution_violations(d, f"elements[{t}].dist")]
+    if not out and not math.isfinite(
+            sum(max(abs(v) for v, _ in d.atoms) for d in dists)):
+        out.append("elements: the largest welfare (the sum of each "
+                   "element's largest |value|) is beyond the float range")
+    return out
 
 
 def distribution_violations(dist, where="dist"):
@@ -225,8 +247,7 @@ def _production_violations(p: ProductionInstance):
     n = p.num_buyers
     if n == 0:
         out.append("elements: instance has no buyers")
-    for t, d in enumerate(p.dists):
-        out.extend(distribution_violations(d, f"elements[{t}].dist"))
+    out.extend(_element_violations(p.dists))
     if len(p.types) != n:
         out.append(f"types: length {len(p.types)} != {n} buyers")
     if len(p.days) != n:
@@ -431,8 +452,7 @@ def _laminar_violations(inst: LaminarInstance):
     out = []
     if inst.num_elements == 0:
         out.append("elements: instance has no elements")
-    for t, d in enumerate(inst.dists):
-        out.extend(distribution_violations(d, f"elements[{t}].dist"))
+    out.extend(_element_violations(inst.dists))
     for b in range(inst.num_bins):
         cap = inst.bin_caps[b]
         if not isinstance(cap, int) or cap < 0:

@@ -52,7 +52,8 @@ def iron(dist: DiscreteDistribution) -> IronedTransform:
         v, p = dist.atoms[i]
         acc += p
         q[k - i] = acc
-        points.append((acc, acc * v))
+        if acc > points[-1][0]:  # a point adding no quantile adds no segment
+            points.append((acc, acc * v))
     hull = _upper_concave_hull(points)
     slopes = _segment_slopes(hull)
     ironed = [0.0] * k

@@ -365,10 +365,10 @@ def policy_from_json(text: str):
 # Extraction
 # ---------------------------------------------------------------------------
 
-# Solver points (the dense simplex, HiGHS) carry round-off near zero, where
-# X/Y would be noise and could fall outside [0, 1]; their states with
-# Y <= Y_FLOOR quote infinity.  A certificate point's Y are the DP's exact
-# occupancies, so it skips the floor and prices every state with Y > 0.
+# A HiGHS point carries solver round-off near zero, where X/Y would be
+# noise and could fall outside [0, 1]; its states with Y <= Y_FLOOR quote
+# infinity.  A certificate point's Y are the exact occupancies of its DP
+# policies (or their mixture), so it prices every state with Y > 0.
 Y_FLOOR = 1e-9
 
 

@@ -344,133 +344,130 @@ def oracle_lp_vertices(c, a_ub, b_ub, a_eq, b_eq):
     return best
 
 
-def reference_dense_simplex(model) -> "lp.LpSolution":
-    """The dense-tableau Bland simplex as a Python loop over the rows of
-    ``model.rows``: per-row tableau fill, a scalar scan for the entering
-    column, and separate updates of the two objective rows.  Kept as the
-    oracle ``lp._solve_dense`` must match bit for bit; it reads
-    ``lp.PIVOT_CAP`` at call time."""
-    nv = model.num_vars
-    m = model.num_rows
-    n_slack = sum(1 for _, rel, _ in model.rows if rel == "<=")
-    A = np.zeros((m, nv + n_slack))
-    b = np.zeros(m)
-    slack_col = nv
-    slack_of_row = {}
-    for i, (coeffs, rel, rhs) in enumerate(model.rows):
-        for j, c in coeffs:
-            A[i, j] = c
-        b[i] = rhs
-        if rel == "<=":
-            A[i, slack_col] = 1.0
-            slack_of_row[i] = slack_col
-            slack_col += 1
-    # sign-normalize so b >= 0; flipped <= rows lose their natural basis slot
-    for i in range(m):
-        if b[i] < 0:
-            A[i, :] *= -1.0
-            b[i] *= -1.0
-    basis = np.full(m, -1, dtype=int)
-    art_rows = []
-    for i in range(m):
-        s = slack_of_row.get(i)
-        if s is not None and A[i, s] == 1.0:
-            basis[i] = s
-        else:
-            art_rows.append(i)
-    n_art = len(art_rows)
-    ncols = nv + n_slack + n_art
-    T = np.zeros((m, ncols + 1))
-    T[:, :nv + n_slack] = A
-    T[:, -1] = b
-    for k, i in enumerate(art_rows):
-        col = nv + n_slack + k
-        T[i, col] = 1.0
-        basis[i] = col
-    art_start = nv + n_slack
+# The dense-tableau Bland simplex that ``lp.solve`` ran on coupled LPs up
+# to DENSE_CELL_LIMIT tableau cells (HiGHS beyond) until the dual over the
+# units' DPs certified them: its tolerances and pivot cap, read at call time
+FEAS_TOL = 1e-9
+OPT_TOL = 1e-9
+PIVOT_CAP = 10 ** 6
+DENSE_CELL_LIMIT = 60_000
 
-    # phase-2 objective row: c_j - z_j convention (entering where > tol)
-    obj2 = np.zeros(ncols + 1)
-    for idx, coef in model.objective.items():
-        obj2[idx] = coef
-    # phase-1 row: maximize -(sum of artificials); expressed through the rows
-    obj1 = np.zeros(ncols + 1)
-    for i in art_rows:
-        obj1 += T[i]
-    obj1[art_start:ncols] = 0.0
 
-    pivots = 0
+def desk_scale(model) -> bool:
+    """Whether ``model``'s tableau fits ``DENSE_CELL_LIMIT``."""
+    cells = (model.num_rows + 2) * (model.num_vars + model.num_rows + 1)
+    return cells <= DENSE_CELL_LIMIT
 
-    def pivot(row, col):
-        nonlocal pivots
-        piv = T[row, col]
-        T[row] /= piv
-        colvals = T[:, col].copy()
-        colvals[row] = 0.0
-        T[:] -= np.outer(colvals, T[row])
-        for obj in (obj1, obj2):
-            if obj[col] != 0.0:
-                obj -= obj[col] * T[row]
-        basis[row] = col
+
+def _pivot(T, basis, row, col):
+    """Make ``col`` basic in ``row``: one rank-1 update over every row of
+    the tableau, objective rows included."""
+    r = T[row]
+    r /= r[col]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= f[:, None] * r
+    basis[row] = col
+
+
+def _run_phase(T, basis, obj, pivots):
+    """Bland pivots on objective row ``obj`` over every variable column.
+
+    The constraint rows are ``T[:-2]``; entering is the lowest column with
+    reduced cost above ``OPT_TOL``, leaving the lowest basic index among
+    the minimum-ratio ties.  Returns the status and the pivot count.
+    """
+    cost, A, rhs = T[obj, :-1], T[:-2], T[:-2, -1]  # views; T changes in place
+    while True:
+        if pivots >= PIVOT_CAP:
+            raise lp.LpError(f"simplex pivot cap {PIVOT_CAP} exceeded")
+        improving = cost > OPT_TOL
+        enter = improving.argmax()
+        if not improving[enter]:
+            return "optimal", pivots
+        col = A[:, enter]
+        rows = (col > FEAS_TOL).nonzero()[0]
+        if rows.size == 0:
+            return "unbounded", pivots
+        ratios = rhs[rows] / col[rows]
+        best = float(ratios.min())
+        ties = rows[ratios <= best + FEAS_TOL * (1.0 + abs(best))]
+        leave = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
+        _pivot(T, basis, leave, enter)
         pivots += 1
 
-    def run_phase(obj, allowed_hi):
-        nonlocal pivots
-        while True:
-            if pivots >= lp.PIVOT_CAP:
-                raise lp.LpError(f"simplex pivot cap {lp.PIVOT_CAP} exceeded")
-            enter = -1
-            for j in range(allowed_hi):  # Bland: lowest improving index
-                if obj[j] > lp.OPT_TOL:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
-            col = T[:, enter]
-            rows = np.nonzero(col > lp.FEAS_TOL)[0]
-            if rows.size == 0:
-                return "unbounded"
-            ratios = T[rows, -1] / col[rows]
-            best = ratios.min()
-            ties = rows[ratios <= best + lp.FEAS_TOL * (1.0 + abs(best))]
-            leave = ties[np.argmin(basis[ties])]  # Bland on the leaving index
-            pivot(leave, enter)
 
-    if n_art:
-        if run_phase(obj1, art_start) == "unbounded":
+def reference_dense_simplex(model) -> "lp.LpSolution":
+    """The two-phase dense-tableau Bland simplex, whole-array: the oracle
+    whose vertices the pins of simplex roundings were recorded from, and
+    the fingerprints of ``SIMPLEX_SHA256`` (``test_kernels``)."""
+    nv = model.num_vars
+    m = model.num_rows
+    rows, cols, coefs = model.coo()
+    le = model.le_rows()
+    slack_rows = np.flatnonzero(le)
+    art_start = nv + slack_rows.size
+    b = model.rhs
+    # sign-normalize so b >= 0; flipped <= rows lose their natural basis slot
+    flip = b < 0
+    art_rows = np.flatnonzero(~le | flip)
+    # rows 0..m-1 constrain; row -2 is the phase-1 objective, row -1 the
+    # phase-2 one (c_j - z_j convention: entering where > tol).  The
+    # artificial variables get basis indices from ``art_start`` on but no
+    # columns: they never enter, and nothing reads their entries.
+    T = np.zeros((m + 2, art_start + 1))
+    T[rows, cols] = coefs
+    T[slack_rows, nv + np.arange(slack_rows.size)] = 1.0
+    T[:m, -1] = b
+    flipped = np.flatnonzero(flip)
+    T[flipped, :art_start] *= -1.0
+    T[flipped, -1] *= -1.0
+    basis = np.empty(m, dtype=np.intp)
+    basis[slack_rows] = nv + np.arange(slack_rows.size)
+    basis[art_rows] = art_start + np.arange(art_rows.size)
+    T[-1, list(model.objective)] = list(model.objective.values())
+    # phase 1 maximizes -(sum of artificials), expressed through the rows
+    T[-2] = T[art_rows].sum(axis=0, initial=0.0)
+
+    pivots = 0
+    if art_rows.size:
+        status, pivots = _run_phase(T, basis, -2, pivots)
+        if status == "unbounded":
             raise lp.LpError("phase-1 unbounded; model is inconsistent")
-        infeas = obj1[-1]
-        if infeas > 1e-7:
+        if T[-2, -1] > 1e-7:
             return lp.LpSolution("infeasible", None, np.zeros(0), "simplex",
                                  pivots, model)
         # drive surviving artificials out of the basis or drop dead rows
         dead = []
-        for i in range(m):
-            if basis[i] >= art_start:
-                cols = np.nonzero(np.abs(T[i, :art_start]) > lp.FEAS_TOL)[0]
-                if cols.size:
-                    pivot(i, int(cols[0]))
-                else:
-                    dead.append(i)
+        for i in np.flatnonzero(basis >= art_start).tolist():
+            live = np.flatnonzero(np.abs(T[i, :art_start]) > FEAS_TOL)
+            if live.size:
+                _pivot(T, basis, i, int(live[0]))
+                pivots += 1
+            else:
+                dead.append(i)
         if dead:
-            keep = np.array([i for i in range(m) if i not in set(dead)], dtype=int)
-            T = T[keep]
+            keep = np.setdiff1d(np.arange(m), dead)
+            T = T[np.concatenate([keep, [m, m + 1]])]
             basis = basis[keep]
-        T[:, art_start:ncols] = 0.0
-        obj2[art_start:ncols] = 0.0
 
-    status = run_phase(obj2, art_start)
+    status, pivots = _run_phase(T, basis, -1, pivots)
     if status == "unbounded":
         return lp.LpSolution("unbounded", None, np.zeros(0), "simplex",
                              pivots, model)
-    x = np.zeros(nv + n_slack + n_art)
-    for i, col in enumerate(basis):
-        x[col] = T[i, -1]
-    assignment = {model.names[j]: float(x[j]) for j in range(nv)}
-    objective = sum(coef * assignment.get(model.names[idx], 0.0)
-                    for idx, coef in model.objective.items())
-    return lp.LpSolution("optimal", objective, x[:nv].copy(), "simplex",
+    x = np.zeros(art_start)
+    x[basis] = T[:-2, -1]
+    x = x[:nv].copy()
+    return lp.LpSolution("optimal", model.objective_value(x), x, "simplex",
                          pivots, model)
+
+
+def solve_with(model, engine="auto") -> "lp.LpSolution":
+    """``model`` solved by ``engine``: ``simplex`` is
+    ``reference_dense_simplex``, the others ``lp.solve``'s."""
+    if engine == "simplex":
+        return reference_dense_simplex(model)
+    return lp.solve(model, engine)
 
 
 def reference_prophet_samples(inst, trials: int, seed: int) -> np.ndarray:

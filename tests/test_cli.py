@@ -1,11 +1,13 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from binprice import dp, harness, lp
+from binprice import cli, dp, harness, lp
 from binprice.cli import main
 from binprice.model import dump_instance, parse_instance
 
@@ -96,7 +98,7 @@ def test_solve_ptas_small_branch(tmp_path, instance_path):
     assert abs(rep["objective"] - json.loads(out2)["objective"]) <= 1e-6
     # the branch solves no LP, so the engine cannot change its policy
     policies = []
-    for engine in ("simplex", "highs"):
+    for engine in ("auto", "highs"):
         pol = tmp_path / f"{engine}.json"
         code, _, _ = run_cli(["solve", "--instance", str(path), "--alg",
                               "ptas", "--epsilon", "0.5", "--engine", engine,
@@ -106,12 +108,15 @@ def test_solve_ptas_small_branch(tmp_path, instance_path):
     assert policies[0] == policies[1]
 
 
-def test_simplex_pivot_cap_exits_4(instance_path, monkeypatch):
-    monkeypatch.setattr(lp, "PIVOT_CAP", 1)
+def test_dual_search_past_its_step_cap_exits_4(instance_path, monkeypatch):
+    # two types selling 1 each against shipping 1: the ex-ante LP is
+    # coupled, and its dual search needs three cutting-plane steps
+    monkeypatch.setattr(dp, "DUAL_ITERATIONS", 1)
     code, out, err = run_cli(["solve", "--instance", instance_path,
-                              "--alg", "lp-opt", "--engine", "simplex"])
+                              "--alg", "ex-ante"])
     assert code == 4 and out == ""
-    assert err == "lp failure: simplex pivot cap 1 exceeded\n"
+    assert err == ("lp failure: dual search: no multiplier within 1 "
+                   "cutting-plane steps (last 1.3333333333333333)\n")
 
 def test_invalid_instance_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
@@ -198,24 +203,24 @@ def test_verify_passes_on_chain(chain_path, instance_path):
     details = {c["name"]: c["detail"] for c in doc["checks"]}
     assert details["lp-opt equals dp"].endswith(" engine=certificate")
     assert details["ex-ante relaxes dp"].endswith(" engine=certificate")
-    # two types selling 1 each can fill shipping 1: the desk-scale ex-ante
-    # LP is coupled, and the dense simplex solves it
+    # two types selling 1 each can fill shipping 1: the ex-ante LP is
+    # coupled, and the mixture of its dual is certified
     code, out, _ = run_cli(["verify", "--instance", instance_path,
                             "--trials", "400", "--seed", "2"])
     assert code == 0
     details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
     assert details["lp-opt equals dp"].endswith(" engine=certificate")
-    assert details["ex-ante relaxes dp"].endswith(" engine=simplex")
-    # a forced simplex still solves the exact LP
+    assert details["ex-ante relaxes dp"].endswith(" engine=certificate")
+    # a forced HiGHS still solves both LPs
     code, out, _ = run_cli(["verify", "--instance", chain_path,
                             "--trials", "400", "--seed", "2",
-                            "--engine", "simplex"])
+                            "--engine", "highs"])
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True
     details = {c["name"]: c["detail"] for c in doc["checks"]}
-    assert details["lp-opt equals dp"].endswith(" engine=simplex")
-    assert details["ex-ante relaxes dp"].endswith(" engine=simplex")
+    assert details["lp-opt equals dp"].endswith(" engine=highs")
+    assert details["ex-ante relaxes dp"].endswith(" engine=highs")
 
 
 def test_verify_certifies_criterion_7(tmp_path, monkeypatch):
@@ -266,7 +271,7 @@ def test_verify_bounds_the_dp_by_the_hierarchy_at_its_marking(tmp_path):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["hierarchy relaxes dp"] == {
         "name": "hierarchy relaxes dp", "ok": True,
-        "detail": "hierarchy=7.75 dp=7.625 engine=simplex"}
+        "detail": "hierarchy=7.75 dp=7.625 engine=certificate"}
 
 
 def test_verify_fails_a_hierarchy_below_the_dp(tmp_path, monkeypatch):
@@ -340,6 +345,17 @@ def test_transform_rewrites_values(tmp_path):
     assert got["elements"][0]["dist"] == [[0.0, 0.5], [2.0, 0.5]]
 
 
+def test_transform_takes_an_atom_too_light_to_move_the_tail(tmp_path):
+    doc = {"kind": "laminar", "elements": [{"dist": [[0.0, 1e-17],
+                                                     [2.0, 1.0]]}],
+           "bins": {"cap": 1, "children": [{"element": 0}]}}
+    inst = tmp_path / "t.json"
+    inst.write_text(json.dumps(doc))
+    code, out, err = run_cli(["transform", "--instance", str(inst)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["elements"][0]["dist"] == [[2.0, 1.0]]
+
+
 def test_transform_rejects_negative_values(tmp_path):
     doc = {"kind": "production",
            "elements": [{"dist": [[-1.0, 0.5], [2.0, 0.5]]}],
@@ -396,8 +412,8 @@ def test_verify_checks_types_beyond_the_per_subset_limit(tmp_path):
 def test_verify_solves_each_type_chain_once(tmp_path, monkeypatch):
     # the root DP feeds the exact LP's DP point and the PTAS's small
     # branch; one chain DP per type feeds both cylinder checks, the
-    # concavity check and, where the types' most sales (2 and 1) cannot
-    # fill the shipping row, the ex-ante LP's DP point
+    # concavity check and the ex-ante LP's DP point, whether or not the
+    # types' most sales (2 and 1) can fill the shipping row
     solved = []
     backward = dp.backward
 
@@ -406,7 +422,7 @@ def test_verify_solves_each_type_chain_once(tmp_path, monkeypatch):
         return backward(dyn, *args, **kwargs)
 
     monkeypatch.setattr(dp, "backward", counted)
-    for shipping, engine in ((2, "simplex"), (3, "certificate")):
+    for shipping in (2, 3):
         doc = {"kind": "production",
                "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]},
                             {"dist": [[1.0, 0.5], [3.0, 0.5]]},
@@ -425,7 +441,7 @@ def test_verify_solves_each_type_chain_once(tmp_path, monkeypatch):
         assert sorted(solved) == ["root", "type:0", "type:1"]
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["ex-ante relaxes dp"]["detail"].endswith(
-            f" engine={engine}")
+            " engine=certificate")
         for j in (0, 1):
             assert checks[f"negative cylinder type {j}"]["ok"] is True
             assert checks[f"value concavity type {j}"]["ok"] is True
@@ -488,6 +504,47 @@ def test_integers_beyond_the_float_range_exit_2(tmp_path, alg, fields):
     assert out == ""
     assert err == ("invalid instance: instance: invalid JSON (integer of 401 "
                    "digits is beyond the float range)\n")
+
+
+# finite values whose largest welfare, 1e308 + 1.7e308, is not
+HUGE_VALUES = {"kind": "laminar",
+               "elements": [{"dist": [[1e308, 0.5], [1.7e308, 0.5]]},
+                            {"dist": [[1e308, 1.0]]}],
+               "bins": {"cap": 2, "children": [{"element": 0},
+                                               {"element": 1}]}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alg", "dp"], ["solve", "--alg", "lp-opt"],
+    ["solve", "--alg", "ptas"], ["verify"], ["transform"],
+    ["simulate", "--policy", "missing.json", "--trials", "50", "--seed",
+     "1"]])
+@pytest.mark.parametrize("cap", [2, 1])
+def test_welfare_beyond_the_float_range_exits_2(tmp_path, argv, cap):
+    # it would read "Infinity", which is not JSON, in every report
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(dict(HUGE_VALUES, bins=dict(
+        HUGE_VALUES["bins"], cap=cap))))
+    code, out, err = run_cli([argv[0], "--instance", str(bad), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err == ("invalid instance: elements: the largest welfare (the sum "
+                   "of each element's largest |value|) is beyond the float "
+                   "range\n")
+
+
+def test_a_report_number_not_finite_exits_7(instance_path, monkeypatch):
+    # the program never reports infinity: JSON cannot write it, in a JSON
+    # report or beside a CSV one
+    table = dp.unit_table(parse_instance(GAP_INSTANCE), "root")
+    table = dataclasses.replace(table, values=(np.full(1, math.inf),))
+    monkeypatch.setattr(cli, "solve_full_dp",
+                        lambda *args, **kwargs: (table, None))
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(["solve", "--instance", instance_path,
+                                  "--alg", "dp", "--format", fmt])
+        assert (code, out) == (7, "")
+        assert err.startswith("report not written: Out of range float "
+                              "values are not JSON compliant")
 
 
 BOOLEAN_FIELDS = {"shipping": True, "types": [0, False], "days": [False, 0],

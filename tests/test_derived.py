@@ -6,9 +6,9 @@ concavity checks, ``simulate`` and the prophet samples) enumerate each
 unit's states once and solve each unit's DP once, since the instance's
 store keeps its laminar form, its dynamics, their levels and each unit's
 shift-0 table.  The PTAS's large branch sweeps each unit once at
-multiplier 0 to pick its route, and its dual search over one row sweeps
-its units at each further multiplier it tries; it keeps none of these
-sweeps.  What the store shares refuses writes, and running the calls
+multiplier 0 to pick its route, and the dual search (the PTAS's, or that
+of a coupled LP's DP point) sweeps its units at 0 and at each further
+multiplier it tries; neither keeps these sweeps.  What the store shares refuses writes, and running the calls
 again, or on a fresh equal instance, gives the same bytes.
 """
 
@@ -37,8 +37,8 @@ from conftest import BENCH_SETTINGS, build_corpus
 
 # a production instance whose PTAS takes the root DP at eps 0.2 and the
 # dual of its shipping row at delta 0.6 (five buyers, three types,
-# shipping 3), and a laminar one whose PTAS takes the hierarchy LP at
-# delta 0.6 over its bins
+# shipping 3), and a laminar one whose PTAS takes the dual over its nested
+# bins at delta 0.6
 PRODUCTION_AT, LAMINAR_AT = 47, 9
 
 
@@ -129,17 +129,25 @@ def test_derived_forms_solve_each_unit_once(monkeypatch):
         assert {key for kernel, key in calls if kernel == "binprice.dp"} \
             == units
         # each unit of the relaxation sweeps once at multiplier 0, which
-        # picks the route: the production instance's units overfill its
-        # one row, whose dual search stops at 0 (the tie-rejecting policies
-        # fit), so it sweeps no further multiplier; the laminar one takes
-        # the hierarchy LP
-        assert dual == {(key, True): len(bind_dynamics(key, inst).elements)
-                        for key in units - {"root"}}
+        # picks the route, and once more for the bound LP's DP point where
+        # that LP is coupled; each dual search sweeps it at every further
+        # multiplier it tries.  The production instance's units overfill
+        # its one row, whose dual search stops at 0 (the tie-rejecting
+        # policies fit), and its bound is uncoupled; the laminar one's
+        # nested rows are searched past 0 by the PTAS and the bound alike
+        for key in units - {"root"}:
+            arrivals = len(bind_dynamics(key, inst).elements)
+            assert dual.pop((key, True)) == (2 - production) * arrivals
+            further = dual.pop((key, False), 0)
+            assert further % arrivals == 0
+            assert (further > 0) == (not production)
+        assert not dual
 
 
 def test_derived_forms_give_the_same_bytes_again_and_fresh(monkeypatch):
     # again on one instance: every form is stored, so no kernel runs but
-    # the PTAS's carried sweeps, which store nothing and run as before
+    # the dual searches' carried sweeps, which store nothing and run as
+    # before
     for inst in corpus_instances():
         with monkeypatch.context() as m:
             first_calls = count_kernel_calls(m)

@@ -14,7 +14,7 @@ The backward-induction kernel behind ``solve_full_dp`` and
 ``solve_full_dp`` must decode no state until its policy's rules are read,
 and ``dp.concavity_check`` must return the ``(ok, worst)`` of the walk over
 a table's entries kept as ``conftest.reference_concavity_check``.
-``dp.forward`` must give each arrival's pick probability under the
+``dp.forward_all`` must give each arrival's pick probability under the
 threshold policy as ``conftest.reference_pick_probabilities`` reads it off
 the exact state walk, and each level's occupancy as the trace of that walk,
 ``conftest.reference_evaluate_block``; on shifted chains its acceptance
@@ -35,9 +35,11 @@ reference can also write the LP the emitter once wrote, with a pinned
 pinned forbidden state in the update row into a state of the same
 tuple); under either the LPs keep their optimum and the pins recorded
 with them reproduce.
-The whole-array Bland simplex ``lp._solve_dense`` must make the pivots of
-the loop kept as ``conftest.reference_dense_simplex``: same status, pivot
-count, objective and every bit of ``x``.  LP text and PTAS policy JSON must
+The dense simplex kept as ``conftest.reference_dense_simplex`` must make
+the pivots the program's own made before the dual over the units' DPs
+replaced it (``SIMPLEX_SHA256``): same status, pivot count, objective and
+every bit of ``x``; the pins of simplex roundings are solved with it.
+LP text and PTAS policy JSON must
 hash to the values recorded when the LP layer was keyed by variable name,
 except the small-branch PTAS policies, recorded when that branch took the
 DP's policy, the lp-opt roundings, recorded when the small branch still
@@ -46,7 +48,9 @@ certified DP points), and the current large-branch PTAS policies, recorded
 when that branch first took the units' DP policies where they fit; the
 LP texts and the roundings of a simplex vertex that moved were
 re-recorded when the alias terms went, and again when the forbidden
-states and ``N(j)`` went.
+states and ``N(j)`` went; the PTAS policies were re-recorded when the
+relaxations with several large rows took the mixtures of their nested
+dual.
 ``policy_to_json`` must write the bytes of
 ``conftest.reference_policy_json``.
 """
@@ -56,6 +60,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -81,7 +86,7 @@ from binprice import (
     solve_full_dp,
     solve_subproblem_dp,
 )
-from binprice import dp, harness, lp, model
+from binprice import dp, harness, lp, model, ptas
 from binprice.harness import (
     ARRAY_MAX_WIDTH,
     CHUNK,
@@ -105,11 +110,13 @@ from binprice.rounding import (
     policy_from_json,
 )
 
+import conftest
 from conftest import (
     BENCH_SETTINGS,
     can_pick,
     criterion_6_production,
     criterion_7_laminar,
+    desk_scale,
     model_from_arrays,
     random_distribution,
     random_laminar,
@@ -126,6 +133,7 @@ from conftest import (
     reference_subproblem_dp,
     relaxation,
     run_ptas,
+    solve_with,
     table_entries,
 )
 
@@ -568,7 +576,7 @@ def test_full_dp_matches_reference_with_object_codes(sweep):
 
 
 def assert_pick_probabilities_match_reference(table, policy, inst):
-    _, occupancy, got = dp.forward(policy, inst.dists)
+    _, occupancy, got = dp.forward_all([policy], inst.dists)[1][0]
     want = reference_pick_probabilities(policy, inst)
     assert list(want) == list(table.positions[:-1])
     assert np.allclose(got, list(want.values()), rtol=0.0, atol=1e-12)
@@ -614,8 +622,8 @@ def test_chain_dp_matches_reference_on_corpus(corpus, sweep):
                 want = reference_subproblem_dp(p, j, shift)
                 assert list(table_entries(tbl).items()) == list(want.items())
                 assert tbl.positions[:-1] == p.buyers_of_type(j)
-                rates, _, _ = dp.forward(dp.threshold_policy(tbl), p.dists,
-                                         tbl.shift)
+                rates, _, _ = dp.forward_all([dp.threshold_policy(tbl)],
+                                             p.dists, tbl.shift)[1][0]
                 acc = np.zeros((len(rates), len(tbl.levels.codes[-1])))
                 for i, rate in enumerate(rates):
                     acc[i, tbl.levels.codes[i]] = rate
@@ -752,7 +760,17 @@ CRITERION_7_SETTING = PtasConfig(epsilon=0.2, delta=0.1)
 # when the LP stopped holding forbidden states and the served counts
 # ``N(j)``; their former digests are kept as ``<label>_forbidden_states``
 # and are checked with the reference that still writes both
-# (``test_pins_recorded_with_forbidden_states``).
+# (``test_pins_recorded_with_forbidden_states``).  Since ``auto`` certifies
+# every coupled LP through the dual over its units' DPs, these pins solve
+# their LPs with the engine it chose before (``former_engine``: the
+# certified DP point where no row can bind, else the dense simplex of
+# ``conftest.reference_dense_simplex``).  ``ptas_eps0.2_delta0.6`` was
+# re-recorded when the relaxations with several large rows took the
+# mixtures of their nested dual: nine that rounded the hierarchy LP, and
+# corpus instance 119, whose tie-rejecting policies at multiplier 0 kept
+# every row.  Its former digest is kept as
+# ``ptas_eps0.2_delta0.6_hierarchy_route`` and is checked with those
+# cases computed as they were (``test_pins_recorded_with_the_hierarchy_route``).
 LP_TEXT_SHA256 = {
     "optimal": "e7b41d225f5c39f5391d38ef34f3fcefc7654d75fc2e9d7fc91c325e6648add0",
     "exante": "06e947b66ac61d402827740bb5a9f6990b87fe34a9dfe5ecbe64a7233926c5ac",
@@ -777,7 +795,8 @@ POLICY_SHA256 = {
     "lp_opt_auto": "f41763c4e4380f890e32e76ec3903a694a20c7b6804a0fc62983c4daea89b998",
     "criterion_7_auto": "cfe961fda6fd1d8583f0e220788a7776f7b6efbba6562e9c6b2b5441c4cc3531",
     "ptas_eps0.2_delta0.6_lp_route": "86520738f2b6928b8164e68ba2ceb6725227171aa12746ee155d7695cf2f06ae",
-    "ptas_eps0.2_delta0.6": "44a2699a27649f1501b1b7fdd417267b1c8d386e238c1ad0d31c73996bec49e2",
+    "ptas_eps0.2_delta0.6": "dc9b62e29f3ccbc7d7dd9207ea65fba7ffcc1db81b3fc8ccecbde8d898a28746",
+    "ptas_eps0.2_delta0.6_hierarchy_route": "44a2699a27649f1501b1b7fdd417267b1c8d386e238c1ad0d31c73996bec49e2",
     "ptas_criterion_7": "2c6b153e148808316094112075720ba1b9a965c9c56aee0fbe3603ef198fb6f5",
     "eps0.2_delta0.6_any_row_alias_terms": "1ee5f34fa21b992facc09cd2b3217b513969a7137e7231cbe63852c48dfd06a8",
     "eps0.2_delta0.6_alias_terms": "1cb83f513db9dff75a3dfd31b6edfacd1b65a1cb7951e9f89970085fb8d765ce",
@@ -793,13 +812,29 @@ POLICY_SHA256 = {
 }
 ALIAS_TERMS = "_alias_terms"
 FORBIDDEN_STATES = "_forbidden_states"
+HIERARCHY_ROUTE = "_hierarchy_route"
+# sha256 over the ``repr`` of each ``fingerprint`` of the program's former
+# dense simplex: on each hand LP, on the random LPs of
+# ``test_dense_simplex_matches_reference_on_random_lps`` and on the LPs
+# ``corpus_run`` solves, in order
+SIMPLEX_SHA256 = {
+    "artificial_out": "c4d3778f253d8f68d134396a3593ce02c09bd97e44371b6418706f196e9c261d",
+    "dead_row": "e13945b966c6f72558e7a57530bce808bd4cea4b3a070ba91a608c653bf4121d",
+    "infeasible": "477f6439b625d5ea5c51a56e13b8eb50adb56d94d5967170fa35ff9b0c6ba115",
+    "negative_rhs": "3363a2a299f94aa4e99f94128614489eaa507a0b80dddcb729224e22e27f7353",
+    "ratio_tie": "cd038b5ed92938612e4c1204677bf4f6314dac044e891507a6a2d16062e4a437",
+    "unbounded": "f669944c1a0a03ae08327fabb959f765530297481ee96069ac23b976831645a1",
+    "random": "e28f079f4aa3fbbf4deb7d1f8e1b9c3a885e766cc07f10c00de40ee79673b5ab",
+    "corpus": "0ca2c9489ee0edb2eacf98668c68e26be3282c0493bc757114871c87c0de26be",
+}
 
 
 def current_pins(pins, former=None) -> dict:
-    """The digests of ``pins`` recorded with the current emitter, or with
-    the former one whose label suffix is ``former``."""
+    """The digests of ``pins`` recorded with the current program, or with
+    the former emitter or PTAS route whose label suffix is ``former``."""
     def recorded_with(label):
-        return next((suffix for suffix in (ALIAS_TERMS, FORBIDDEN_STATES)
+        return next((suffix for suffix in (ALIAS_TERMS, FORBIDDEN_STATES,
+                                           HIERARCHY_ROUTE)
                      if label.endswith(suffix)), None)
     return {k: v for k, v in pins.items() if recorded_with(k) == former}
 
@@ -838,24 +873,37 @@ def sha256_of(docs):
     return digest.hexdigest()
 
 
+def simplex_digest(models):
+    """``SIMPLEX_SHA256``'s digest of the reference simplex on ``models``."""
+    return sha256_of(repr(fingerprint(reference_dense_simplex(model)))
+                     for model in models)
+
+
 def rounded_exact_lp(entry, cfg):
     """The LP route's policy for a small-branch case: the rounding of the
     exact LP, built as a hierarchy LP for a laminar instance."""
     lam = entry.laminar
     if entry.production is not None:
         built = build_lp_optimal(lam)
-        return extract_pricing(lp.solve_optimal(built.model), built, "root")
+        return extract_pricing(solve_with(built.model), built, "root")
     mk = mark_laminar(lam, cfg.resolved_delta)
     built = build_lp_hierarchy(lam, mk, cfg.capacity_scale)
     return compose_policies(
-        lam, extract_all(lp.solve_optimal(built.model), built), mk)
+        lam, extract_all(solve_with(built.model), built), mk)
 
 
 def recorded_engine(model):
     """The engine ``auto`` picked before it certified DP points: the
-    dense simplex up to ``DENSE_CELL_LIMIT`` tableau cells, HiGHS beyond."""
-    cells = (model.num_rows + 2) * (model.num_vars + model.num_rows + 1)
-    return "simplex" if cells <= lp.DENSE_CELL_LIMIT else "highs"
+    dense simplex up to ``conftest.DENSE_CELL_LIMIT`` tableau cells, HiGHS
+    beyond."""
+    return "simplex" if desk_scale(model) else "highs"
+
+
+def former_engine(model):
+    """The engine ``auto`` picked before it certified coupled LPs: the
+    certified DP point where no large row can bind, else
+    ``recorded_engine`` (no coupled corpus LP is past the limit)."""
+    return "auto" if not model.coupled else recorded_engine(model)
 
 
 def past_limit_engine(model):
@@ -874,21 +922,20 @@ def any_row_engine(built):
             else "auto")
 
 
-def rounded_relaxation(inst, cfg, engine="auto"):
+def rounded_relaxation(inst, cfg, engine="former"):
     """The rounding of ``inst``'s relaxation LP, composed as the PTAS
-    composes it: the large branch's policy whenever it solves that LP.
-    ``engine`` may also be ``recorded`` or ``any_row``."""
+    composes it: the large branch's policy whenever it solved that LP.
+    ``engine`` is ``former`` (``former_engine``), ``recorded`` or
+    ``any_row``."""
     built = relaxation(inst, cfg)
-    if engine == "recorded":
-        engine = recorded_engine(built.model)
-    elif engine == "any_row":
-        engine = any_row_engine(built)
+    pick = {"former": former_engine, "recorded": recorded_engine,
+            "any_row": lambda model: any_row_engine(built)}[engine]
     return compose_policies(
-        inst, extract_all(lp.solve_optimal(built.model, engine), built),
+        inst, extract_all(solve_with(built.model, pick(built.model)), built),
         built.marking)
 
 
-def lp_large_branch_policy(entry, cfg, engine="auto"):
+def lp_large_branch_policy(entry, cfg, engine="former"):
     """``(policy, small)``: the PTAS policy as computed while every
     large-branch case solved its relaxation LP -- the DP's threshold
     policy on the small branch, ``rounded_relaxation`` (under ``engine``)
@@ -914,6 +961,31 @@ def lp_route_ptas_policy(entry, cfg):
     return rounded_relaxation(inst, cfg)
 
 
+def hierarchy_route_ptas_policy(entry, cfg):
+    """The PTAS policy as computed while a relaxation with several large
+    rows that the units' DP policies overfill took their tie-rejecting
+    policies at multiplier 0 where those keep every row, and else rounded
+    its LP: the PTAS's own elsewhere."""
+    result = run_ptas(entry, cfg)
+    inst = entry.production if entry.production is not None else entry.laminar
+    rows = model.large_rows(inst, result.marking)
+    if result.lp_kind != "lagrangian" or len(rows) == 1:
+        return result.policy
+    units = [dp.unit_table(inst, key).levels
+             for key in model.small_units(inst, result.marking)]
+    top, sweeps = dp.zero_sweeps(inst.dists, units)
+    if any(sum(picks[1] for lv, (_, _, picks) in zip(units, sweeps)
+               if lv.dyn.elements[0] in elements) > cfg.capacity_scale * cap
+           for _, elements, cap in rows):
+        return rounded_relaxation(inst, cfg)
+    n = len(units)
+    rejecting = dp.Relaxed(shifts=[0.0] * n, sweeps=sweeps, thetas=[0.0] * n,
+                           multipliers=[0.0] * len(rows), objective=0.0,
+                           tie=dp.TIE_TOL * top)
+    return compose_policies(inst, ptas._mixed(inst.dists, units, rejecting),
+                            result.marking)
+
+
 @pytest.fixture(scope="module")
 def corpus_run(corpus):
     """Every LP a corpus run solved while the large branch always built
@@ -932,14 +1004,14 @@ def corpus_run(corpus):
               "lp_route", "lp_opt", "lp_opt_auto_past_limit", "lp_opt_auto",
               "eps0.2_delta0.6_any_row")
     policies = {label: [] for label in labels}
-    solve = lp.solve
+    solve = solve_with
 
     def capture(model, engine="auto"):
         models.append(model)
         return solve(model, engine)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "solve", capture)
+        mp.setattr(sys.modules[__name__], "solve_with", capture)
         for entry in corpus:
             for label, cfg in BENCH_SETTINGS.items():
                 policy, small = lp_large_branch_policy(entry, cfg)
@@ -952,10 +1024,10 @@ def corpus_run(corpus):
             else:
                 mk = mark_laminar(lam, BENCH_SETTINGS["eps0.2_delta0.6"].delta)
                 bound = build_lp_hierarchy(lam, mk, 1.0)
-            lp.solve_optimal(bound.model)
+            solve_with(bound.model)
             built = build_lp_optimal(lam)
             policies["lp_opt_auto"].append(extract_pricing(
-                lp.solve_optimal(built.model), built, "root"))
+                solve_with(built.model), built, "root"))
             # uncaptured: the same model, with the engines of the pins
             for label, engine in (("lp_opt", recorded_engine),
                                   ("lp_opt_auto_past_limit",
@@ -974,7 +1046,8 @@ def corpus_run(corpus):
 @pytest.fixture(scope="module")
 def criterion_7_policies():
     """Criterion 7's PTAS policy and its rounded relaxation, solved with
-    ``recorded_engine`` and with ``auto``."""
+    ``recorded_engine`` and with ``former_engine``, which is ``auto`` on
+    it."""
     inst = criterion_7_laminar()
     return (ptas_laminar(inst, CRITERION_7_SETTING).policy,
             rounded_relaxation(inst, CRITERION_7_SETTING, "recorded"),
@@ -984,25 +1057,22 @@ def criterion_7_policies():
 def test_dense_simplex_matches_reference_on_corpus_lps(corpus_run):
     models, _ = corpus_run
     assert len(models) == 800
-    for model in models:
-        assert fingerprint(lp._solve_dense(model)) == \
-            fingerprint(reference_dense_simplex(model))
+    assert simplex_digest(models) == SIMPLEX_SHA256["corpus"]
 
 
 @pytest.mark.parametrize("name", sorted(HAND_LPS))
 def test_dense_simplex_matches_reference_on_hand_lps(name):
     model = model_from_arrays(*HAND_LPS[name])
-    got = lp._solve_dense(model)
-    assert fingerprint(got) == fingerprint(reference_dense_simplex(model))
+    assert simplex_digest([model]) == SIMPLEX_SHA256[name]
     want = {"infeasible": "infeasible", "unbounded": "unbounded"}
-    assert got.status == want.get(name, "optimal")
+    assert reference_dense_simplex(model).status == want.get(name, "optimal")
 
 
 def test_dense_simplex_matches_reference_on_random_lps():
     # small integer data: many ratio ties, degenerate vertices, redundant
     # and negative-rhs rows
     rng = random.Random(2024)
-    statuses = set()
+    models = []
     for _ in range(200):
         n = rng.randint(1, 6)
         c = [rng.randint(-3, 4) for _ in range(n)]
@@ -1015,19 +1085,17 @@ def test_dense_simplex_matches_reference_on_random_lps():
         if a_eq and rng.random() < 0.3:
             a_eq.append([2 * v for v in a_eq[0]])
             b_eq.append(2 * b_eq[0])
-        model = model_from_arrays(c, a_ub, b_ub, a_eq, b_eq)
-        got = lp._solve_dense(model)
-        assert fingerprint(got) == fingerprint(reference_dense_simplex(model))
-        statuses.add(got.status)
-    assert statuses == {"optimal", "infeasible", "unbounded"}
+        models.append(model_from_arrays(c, a_ub, b_ub, a_eq, b_eq))
+    assert simplex_digest(models) == SIMPLEX_SHA256["random"]
+    assert {reference_dense_simplex(m).status for m in models} == {
+        "optimal", "infeasible", "unbounded"}
 
 
 def test_dense_simplex_honours_the_pivot_cap(monkeypatch):
     model = model_from_arrays(*HAND_LPS["negative_rhs"])
-    monkeypatch.setattr(lp, "PIVOT_CAP", 2)
-    for solver in (lp._solve_dense, reference_dense_simplex):
-        with pytest.raises(LpError, match="simplex pivot cap 2 exceeded"):
-            solver(model)
+    monkeypatch.setattr(conftest, "PIVOT_CAP", 2)
+    with pytest.raises(LpError, match="simplex pivot cap 2 exceeded"):
+        reference_dense_simplex(model)
 
 
 def lp_text_digests(corpus) -> dict:
@@ -1224,8 +1292,8 @@ def test_over_pick_x_enters_only_its_marginal_and_cap_rows(corpus):
                 continue
             with reference_emitter(forbidden=True):
                 former = build().model
-            got = lp.solve_optimal(built.model, "simplex").objective
-            want = lp.solve_optimal(former, "simplex").objective
+            got = reference_dense_simplex(built.model).objective
+            want = reference_dense_simplex(former).objective
             assert abs(got - want) <= 1e-9, entry.name
     assert over > 0
     rng = random.Random(99)
@@ -1260,10 +1328,10 @@ def former_pin_digests(corpus, suffix, **emitter):
                               ("lp_opt_auto_past_limit", past_limit_engine)):
             got[label + suffix] = sha256_of(
                 policy_to_json(extract_pricing(
-                    lp.solve_optimal(built.model, engine(built.model)),
+                    solve_with(built.model, engine(built.model)),
                     built, "root"))
                 for built in exact)
-        for label, engine in (("eps0.2_delta0.6", "auto"),
+        for label, engine in (("eps0.2_delta0.6", "former"),
                               ("eps0.2_delta0.6_any_row", "any_row")):
             got[label + suffix] = sha256_of(
                 policy_to_json(lp_large_branch_policy(entry, cfg, engine)[0])
@@ -1295,6 +1363,15 @@ def test_pins_recorded_with_forbidden_states(corpus):
     assert got == current_pins(POLICY_SHA256, FORBIDDEN_STATES)
 
 
+def test_pins_recorded_with_the_hierarchy_route(corpus):
+    # the ten relaxations with several large rows, computed as they were
+    # before the nested dual, reproduce the PTAS documents recorded then
+    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
+    assert {"ptas_eps0.2_delta0.6" + HIERARCHY_ROUTE: sha256_of(
+        policy_to_json(hierarchy_route_ptas_policy(entry, cfg))
+        for entry in corpus)} == current_pins(POLICY_SHA256, HIERARCHY_ROUTE)
+
+
 def test_ptas_policies_are_pinned(corpus, corpus_run, criterion_7_policies):
     _, policies = corpus_run
     got = {label: sha256_of(map(policy_to_json, policies[label]))
@@ -1321,7 +1398,7 @@ def test_dual_route_pins_hold_on_lists_and_arrays(corpus, sweep):
         POLICY_SHA256["ptas_eps0.2_delta0.6"]
     dual = [(entry.production or entry.laminar, r)
             for entry, r in zip(corpus, results) if r.lp_kind == "lagrangian"]
-    assert len(dual) == 56
+    assert len(dual) == 65
     for inst, r in dual:
         for key in r.policy.blocks:
             assert_swept(state_levels(bind_dynamics(key, inst)), sweep)
@@ -1331,10 +1408,10 @@ def test_ptas_keeps_the_lp_policy_wherever_it_solves_the_lp(corpus_run):
     # the PTAS documents differ from the LP large branch's only on the
     # cases where the decoupled DP policies satisfy every large row, and
     # not where the units cannot fill their rows, since auto then takes
-    # the DP point: 4 fewer than under the simplex (``any_row``); and on
-    # 40 of the 55 one-row cases, whose mixed dual policies price the
-    # other 15 as the LP's vertex does, as do the tie-rejecting policies
-    # of the one several-row case solved at multiplier 0
+    # the DP point: 4 fewer than under the simplex (``any_row``); on 40
+    # of the 55 one-row cases, whose mixed dual policies price the other
+    # 15 as the LP's vertex does; and on 7 of the 10 several-row cases,
+    # whose nested dual mixtures price the other 3 as that vertex does
     _, policies = corpus_run
     setting = {label: label for label in BENCH_SETTINGS}
     setting["eps0.2_delta0.6_any_row"] = "eps0.2_delta0.6"
@@ -1342,8 +1419,8 @@ def test_ptas_keeps_the_lp_policy_wherever_it_solves_the_lp(corpus_run):
                          for a, b in zip(policies[label],
                                          policies[f"ptas_{cfg}"]))
               for label, cfg in setting.items()}
-    assert differ == {"eps0.2": 0, "eps0.2_delta0.6": 101,
-                      "eps0.2_delta0.6_any_row": 105}
+    assert differ == {"eps0.2": 0, "eps0.2_delta0.6": 108,
+                      "eps0.2_delta0.6_any_row": 112}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import random
@@ -28,15 +29,25 @@ from binprice.model import (
     serialize_instance,
     small_units,
 )
-from binprice.rounding import compose_policies, extract_pricing, mark_laminar
+from binprice.rounding import (
+    compose_policies,
+    extract_all,
+    extract_pricing,
+    mark_laminar,
+)
 
 from conftest import (
+    criterion_6_production,
+    criterion_7_laminar,
+    desk_scale,
     model_from_arrays,
     oracle_lp_vertices,
     random_laminar,
     random_production,
+    reference_dense_simplex,
     reference_emitter,
     solution_value,
+    solve_with,
 )
 
 U02 = DiscreteDistribution.uniform([0, 2])
@@ -44,22 +55,22 @@ U02 = DiscreteDistribution.uniform([0, 2])
 
 def test_simplex_single_variable():
     m = model_from_arrays([1.0], [[1.0]], [3.0])
-    sol = solve_optimal(m, "simplex")
+    sol = reference_dense_simplex(m)
     assert sol.objective == 3.0
     assert solution_value(sol, "x0") == 3.0
 
 
 def test_simplex_degenerate_split():
     m = model_from_arrays([1.0, 1.0], [[1.0, 1.0]], [1.0])
-    sol = solve_optimal(m, "simplex")
+    sol = reference_dense_simplex(m)
     assert abs(sol.objective - 1.0) <= 1e-12
 
 
 def test_simplex_detects_infeasible_and_unbounded():
     m = model_from_arrays([1.0], [[-1.0]], [-2.0], [[1.0]], [1.0])
-    assert solve(m, "simplex").status == "infeasible"
+    assert reference_dense_simplex(m).status == "infeasible"
     m2 = model_from_arrays([1.0], [[-1.0]], [1.0])
-    assert solve(m2, "simplex").status == "unbounded"
+    assert reference_dense_simplex(m2).status == "unbounded"
 
 
 def test_simplex_against_vertex_enumeration():
@@ -76,7 +87,7 @@ def test_simplex_against_vertex_enumeration():
         a_eq = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n_eq)]
         b_eq = [rng.randint(0, 6) for _ in range(n_eq)]
         m = model_from_arrays(c, a_ub, b_ub, a_eq, b_eq)
-        sol = solve(m, "simplex")
+        sol = reference_dense_simplex(m)
         best = oracle_lp_vertices(c, a_ub, b_ub, a_eq, b_eq)
         if best is None:
             assert sol.status == "infeasible"
@@ -93,7 +104,7 @@ def test_engines_agree_on_random_models():
         a_ub = [[rng.randint(0, 4) for _ in range(n)] for _ in range(20)]
         b_ub = [rng.randint(4, 20) for _ in range(20)]
         m = model_from_arrays(c, a_ub, b_ub)
-        s1 = solve(m, "simplex")
+        s1 = reference_dense_simplex(m)
         s2 = solve(m, "highs")
         assert s1.status == s2.status == "optimal"
         assert abs(s1.objective - s2.objective) <= 1e-7
@@ -106,8 +117,8 @@ def test_simplex_is_deterministic():
     a_ub = [[rng.randint(0, 4) for _ in range(n)] for _ in range(12)]
     b_ub = [rng.randint(4, 20) for _ in range(12)]
     m = model_from_arrays(c, a_ub, b_ub)
-    s1 = solve(m, "simplex")
-    s2 = solve(m, "simplex")
+    s1 = reference_dense_simplex(m)
+    s2 = reference_dense_simplex(m)
     assert s1.assignment == s2.assignment and s1.iterations == s2.iterations
 
 
@@ -221,7 +232,7 @@ def test_solutions_satisfy_tolerances_on_both_engines(corpus):
     for entry in corpus[:10]:
         built = build_lp_optimal(entry.laminar)
         for engine in ("simplex", "highs"):
-            sol = solve_optimal(built.model, engine)
+            sol = solve_with(built.model, engine)
             assert check_solution(built.model, sol) == [], (entry.name, engine)
 
 
@@ -269,8 +280,8 @@ def test_rising_day_cap_has_no_y_for_the_over_pick_state():
         x = model.index[f"X[type:0](0,(0),{a})"]
         assert ([(x, 1.0)], "<=", 0.0) in model.rows
     for engine in ("simplex", "highs"):
-        assert solve_optimal(model, engine).objective == 1.0
-        assert solve_optimal(former, engine).objective == 1.0
+        assert solve_with(model, engine).objective == 1.0
+        assert solve_with(former, engine).objective == 1.0
 
 
 def test_x_le_y_rows_present_for_every_conditional():
@@ -318,15 +329,15 @@ def test_check_solution_prints_plain_floats():
 def test_check_solution_accepts_solver_output(corpus):
     for entry in corpus[:20]:
         built = build_lp_optimal(entry.laminar)
-        sol = solve_optimal(built.model, "simplex")
+        sol = reference_dense_simplex(built.model)
         assert check_solution(built.model, sol) == []
         assert sol.assignment == {name: solution_value(sol, name)
                                   for name in built.model.names}
 
 
 # ---------------------------------------------------------------------------
-# Certified DP points: tried on an uncoupled LP at every size, on a coupled
-# one past the dense limit (at 0, every LP is past it)
+# Certified DP points: tried on every LP under auto, an uncoupled one at
+# the units' DP policies and a coupled one at the mixture of its dual
 # ---------------------------------------------------------------------------
 
 CAP1_PAIR = LaminarInstance.build(
@@ -350,16 +361,12 @@ SLACK_SHIPPING = ProductionInstance(
     dists=(U02,) * 5, types=(0, 1, 0, 1, 1), days=(0, 0, 1, 1, 1),
     production=((1, 2), (1, 3)), shipping=5)
 ROOT_MARKED_LARGE = Marking(large=frozenset({0}))
-
-
-@pytest.fixture
-def no_dense(monkeypatch):
-    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", 0)
-
-
-def desk_scale(model):
-    cells = (model.num_rows + 2) * (model.num_vars + model.num_rows + 1)
-    return cells <= lp.DENSE_CELL_LIMIT
+# a root of cap 101 over two cap-3 bins of six: an exact LP past the dense
+# simplex's former limit that HiGHS solves at once
+PAST_LIMIT = LaminarInstance.build(
+    (U02,) * 12, {"cap": 101, "children": [
+        {"cap": 3, "children": [{"element": e} for e in range(6)]},
+        {"cap": 3, "children": [{"element": e} for e in range(6, 12)]}]})
 
 
 def bits(sol):
@@ -377,10 +384,13 @@ def bound_lp(entry, scale=1.0):
 
 
 def assert_certified(model):
+    """``auto`` certifies ``model``'s DP point, within 1e-9 of the dense
+    simplex at desk scale and of HiGHS beyond."""
     sol = solve(model)
     assert (sol.status, sol.engine, sol.iterations) == \
         ("optimal", "certificate", 0)
-    assert abs(sol.objective - solve(model, "simplex").objective) <= 1e-9
+    other = solve_with(model, "simplex" if desk_scale(model) else "highs")
+    assert abs(sol.objective - other.objective) <= 1e-9
     assert check_solution(model, sol) == []
     return sol
 
@@ -398,26 +408,23 @@ def test_certificate_solves_every_corpus_exact_lp(corpus):
         assert cli._trace_deviation(sol, built, trace) <= 1e-7
 
 
-def test_certificate_solves_slack_bound_lps_and_binding_ones_fall_back(
-        corpus, no_dense):
-    binding = 0
+def test_certificate_solves_every_bound_lp_binding_or_slack(corpus):
+    # a bound whose units can fill a large row takes the mixture of its
+    # dual, one whose units cannot the units' DP policies: both certify,
+    # and the coupled ones match HiGHS too
+    coupled = 0
     for entry in corpus:
         model = bound_lp(entry).model
         x, u = model.dp_point()
         primal, dual, gap = certify(model, x, u)
-        # the dual is feasible and closes the gap whether or not a coupling
-        # row binds; only the primal can fail
-        assert dual <= lp.CERT_TOL
+        assert primal <= lp.CERT_PRIMAL_TOL and dual <= lp.CERT_TOL
         assert gap <= lp.CERT_TOL * (1.0 + abs(model.objective_value(x)))
-        # in the corpus, a bound binds exactly where its units can fill a
-        # large row
-        assert model.coupled == (primal > lp.CERT_PRIMAL_TOL)
-        if primal <= lp.CERT_PRIMAL_TOL:
-            assert_certified(model)
-        else:
-            binding += 1
-            assert bits(solve(model)) == bits(solve(model, "highs"))
-    assert binding == 66
+        sol = assert_certified(model)
+        if model.coupled:
+            coupled += 1
+            assert abs(sol.objective
+                       - solve(model, "highs").objective) <= 1e-9
+    assert coupled == 66
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.8])
@@ -440,6 +447,72 @@ def test_certificate_solves_every_bound_whose_rows_cannot_fill(corpus,
                          {"none": 37, "shipping": 63, "bin": 7})
 
 
+def assert_certified_against_highs(built):
+    """``auto`` certifies ``built``'s coupled LP within 1e-9 of HiGHS, its
+    rounding replays the certified objective exactly, and the rounding
+    composed behind the counters oversells nothing in simulation."""
+    model = built.model
+    assert model.coupled
+    sol = solve(model)
+    assert (sol.status, sol.engine, sol.iterations) == \
+        ("optimal", "certificate", 0)
+    assert abs(sol.objective - solve(model, "highs").objective) <= 1e-9
+    assert check_solution(model, sol) == []
+    policy = compose_policies(built.instance, extract_all(sol, built),
+                              built.marking)
+    welfare, _ = harness.evaluate_exact(policy, built.instance)
+    assert abs(welfare - sol.objective) <= 1e-9
+    report = harness.simulate(policy, built.instance, 100, seed=5)
+    assert report.total_violations == 0
+
+
+def test_certificate_solves_every_coupled_corpus_lp(corpus):
+    # the ex-ante and the hierarchy LPs (marked at delta 0.6) at scales 1
+    # and 0.8 whose units can fill a large row: under one row or up to four
+    # nested ones, auto certifies the mixture of their dual
+    rows = collections.Counter()
+    for entry in corpus:
+        lam = entry.laminar
+        for scale in (1.0, 0.8):
+            builds = [build_lp_hierarchy(lam, mark_laminar(lam, 0.6), scale)]
+            if entry.production is not None:
+                builds.append(build_lp_exante(entry.production, scale))
+            for built in builds:
+                if built.model.coupled:
+                    assert_certified_against_highs(built)
+                    rows[1 if built.marking is None
+                         else len(built.marking.large)] += 1
+    assert rows == {1: 160, 2: 22, 3: 8, 4: 4}
+
+
+def test_certificate_solves_the_corpus_four_row_hierarchy_lp(corpus):
+    # the deepest coupling in the corpus: a root over nested large bins
+    four = [build_lp_hierarchy(entry.laminar,
+                               mark_laminar(entry.laminar, 0.6), scale)
+            for entry in corpus for scale in (1.0, 0.8)
+            if len(mark_laminar(entry.laminar, 0.6).large) == 4]
+    assert len(four) == 4
+    for built in four:
+        assert_certified_against_highs(built)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.8])
+def test_certificate_solves_criterion_6_exante_lp(scale):
+    # 200 buyers of three types under shipping 30: HiGHS takes seconds,
+    # the dual over the three chains a few sweeps
+    assert_certified_against_highs(build_lp_exante(criterion_6_production(),
+                                                   scale))
+
+
+def test_certificate_solves_a_fillable_criterion_7_variant():
+    # criterion 7's bins under a root of 20 where it had 101, marked large
+    # over the four small bins: they can pick 32, so the root binds
+    c7 = criterion_7_laminar()
+    inst = LaminarInstance.build(c7.dists, dict(c7.to_tree(), cap=20))
+    assert_certified_against_highs(
+        build_lp_hierarchy(inst, ROOT_MARKED_LARGE, 1.0))
+
+
 def test_certificate_solves_an_uncoupled_desk_scale_lp():
     model = build_lp_optimal(CAP1_PAIR).model
     assert not model.coupled and desk_scale(model)
@@ -459,36 +532,32 @@ def fail():
     raise AssertionError("DP point computed")
 
 
-def test_certificate_is_not_computed_for_a_coupled_desk_scale_lp():
+def test_certificate_solves_a_coupled_desk_scale_lp():
     # rows their units can fill: 2 + 3 sold against 0.8 * 5, and 2 + 2
     # picked under a large root of 3
     for model in (build_lp_exante(SLACK_SHIPPING, 0.8).model,
                   build_lp_hierarchy(two_bins_under(3), ROOT_MARKED_LARGE,
                                      1.0).model):
         assert model.coupled and desk_scale(model)
-        model.dp_point = fail
-        assert solve(model).engine == "simplex"
+        assert_certified(model)
 
 
-@pytest.mark.parametrize("limit", [lp.DENSE_CELL_LIMIT, 0],
+@pytest.mark.parametrize("inst", [CAP1_PAIR, PAST_LIMIT],
                          ids=["desk", "past"])
-def test_certificate_is_not_computed_under_a_forced_engine(monkeypatch,
-                                                           limit):
-    monkeypatch.setattr(lp, "DENSE_CELL_LIMIT", limit)
-    for built in (build_lp_optimal(CAP1_PAIR),
-                  build_lp_hierarchy(LARGE_ROOT,
-                                     mark_laminar(LARGE_ROOT, 0.1), 1.0)):
+def test_certificate_is_not_computed_under_a_forced_engine(inst):
+    # at desk scale and past the dense simplex's former limit alike
+    assert desk_scale(build_lp_optimal(inst).model) == (inst is CAP1_PAIR)
+    for built in (build_lp_optimal(inst),
+                  build_lp_hierarchy(inst, ROOT_MARKED_LARGE, 1.0)):
         built.model.dp_point = fail
-        assert solve(built.model, "simplex").engine == "simplex"
         assert solve(built.model, "highs").engine == "highs"
 
 
-def falls_back(model, x, u, engine="highs"):
-    """``solve`` rejects ``(x, u)`` as the DP point and returns the bits
-    of ``engine``, its choice by size; returns ``certify``'s residuals of
-    the point."""
+def falls_back(model, x, u):
+    """``solve`` rejects ``(x, u)`` as the DP point and returns HiGHS's
+    bits; returns ``certify``'s residuals of the point."""
     model.dp_point = lambda: (x, u)
-    assert bits(solve(model)) == bits(solve(model, engine))
+    assert bits(solve(model)) == bits(solve(model, "highs"))
     return certify(model, x, u)
 
 
@@ -558,7 +627,7 @@ def nudged_point(monkeypatch, built):
                              lambda tau: tau + 1e-3)
 
 
-def test_certificate_rejects_a_nudged_threshold(no_dense, monkeypatch):
+def test_certificate_rejects_a_nudged_threshold(monkeypatch):
     built = build_lp_optimal(CAP1_PAIR)
     _, dual, _ = falls_back(built.model, *nudged_point(monkeypatch, built))
     assert dual == pytest.approx(0.5e-3)
@@ -566,14 +635,16 @@ def test_certificate_rejects_a_nudged_threshold(no_dense, monkeypatch):
 
 def test_certificate_rejects_a_nudged_threshold_at_desk_scale(
         monkeypatch):
-    built = build_lp_optimal(CAP1_PAIR)
-    assert desk_scale(built.model)
-    _, dual, _ = falls_back(built.model, *nudged_point(monkeypatch, built),
-                            "simplex")
-    assert dual == pytest.approx(0.5e-3)
+    # a coupled desk-scale LP falls back to HiGHS too
+    built = build_lp_hierarchy(two_bins_under(3), ROOT_MARKED_LARGE, 1.0)
+    assert built.model.coupled and desk_scale(built.model)
+    x, u = built.model.dp_point()
+    u[built.block("bin:1").rows[0][1]] += 1e-3  # the first X <= Y row
+    _, dual, _ = falls_back(built.model, x, u)
+    assert dual == pytest.approx(1e-3)
 
 
-def test_certificate_rejects_a_raised_value(no_dense, monkeypatch):
+def test_certificate_rejects_a_raised_value(monkeypatch):
     built = build_lp_optimal(CAP1_PAIR)
     info = built.block("root")
     # the value of the initial state after the first arrival, which is the
@@ -585,7 +656,7 @@ def test_certificate_rejects_a_raised_value(no_dense, monkeypatch):
     assert dual == pytest.approx(0.1)
 
 
-def test_certificate_rejects_a_zeroed_forbidden_dual(no_dense):
+def test_certificate_rejects_a_zeroed_forbidden_dual():
     built = build_lp_optimal(CAP1_PAIR)
     info = built.block("root")
     assert info.forbidden[2] == [(-1,)]
@@ -600,7 +671,7 @@ def test_certificate_rejects_a_zeroed_forbidden_dual(no_dense):
     assert dual == pytest.approx(1.0)
 
 
-def test_certificate_rejects_a_large_row_below_the_expected_count(no_dense):
+def test_certificate_rejects_a_large_row_below_the_expected_count():
     built = build_lp_hierarchy(LARGE_ROOT, mark_laminar(LARGE_ROOT, 0.1), 1.0)
     model = built.model
     assert_certified(model)

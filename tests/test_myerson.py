@@ -113,6 +113,14 @@ def _raw_virtuals(d):
     return list(reversed(out))
 
 
+def test_an_atom_too_light_to_move_the_tail_adds_no_segment():
+    # 1 + 1e-17 is 1.0: the light atom's point would share quantile 1.0
+    # with the heavy one's, a hull segment of zero width
+    d = DiscreteDistribution.of([(0.0, 1e-17), (2.0, 1.0)])
+    assert iron(d).ironed == (2.0, 2.0)
+    assert iron_distribution(d) == DiscreteDistribution.of([(2.0, 1.0)])
+
+
 def test_negative_values_rejected():
     d = DiscreteDistribution.of([(-1.0, 0.5), (2.0, 0.5)])
     with pytest.raises(ValueError):

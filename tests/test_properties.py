@@ -47,6 +47,7 @@ from binprice.model import large_rows
 
 from conftest import (
     VALUE_GRID,
+    reference_dense_simplex,
     reference_emitter,
     reference_pick_probabilities,
     relaxation,
@@ -175,15 +176,14 @@ def test_exante_lp_keeps_its_optimum_without_forbidden_states(p):
     # counterpart equals it
     optimum = solve_full_dp(production_to_laminar(p))[0].optimal
     for scale in (1.0, 0.8):
-        got = solve_optimal(build_lp_exante(p, scale).model, "simplex")
+        got = reference_dense_simplex(build_lp_exante(p, scale).model)
         with reference_emitter(forbidden=True):
-            former = solve_optimal(build_lp_exante(p, scale).model,
-                                   "simplex")
+            former = reference_dense_simplex(build_lp_exante(p, scale).model)
         assert abs(got.objective - former.objective) <= 1e-9
         if scale == 1.0:
             assert got.objective >= optimum - 1e-9
-    exact = solve_optimal(build_lp_optimal(production_to_laminar(p)).model,
-                          "simplex")
+    exact = reference_dense_simplex(
+        build_lp_optimal(production_to_laminar(p)).model)
     assert abs(exact.objective - optimum) <= 1e-9
 
 
@@ -220,10 +220,10 @@ def test_ptas_policy_documents_read_back_as_written(inst, epsilon):
 def test_large_branch_attains_its_relaxation_and_stays_feasible(inst, epsilon,
                                                                 delta):
     # a delta override near 1 marks every capacity above about 1 large, so
-    # every route of the large branch runs: the units' DP policies where
-    # they keep every large row, the dual where one row binds, the LP
-    # where one of several does.  The first two attain their objective
-    # exactly and keep every row in expectation
+    # both routes of the large branch run: the units' DP policies where
+    # they keep every large row, else the dual over one row or several
+    # nested ones.  Both attain their objective exactly and keep every row
+    # in expectation
     cfg = PtasConfig(epsilon=epsilon, delta=delta)
     if isinstance(inst, ProductionInstance):
         result = ptas_production(inst, cfg)
@@ -233,15 +233,15 @@ def test_large_branch_attains_its_relaxation_and_stays_feasible(inst, epsilon,
     event(result.lp_kind)
     optimum = solve_optimal(relaxation(inst, cfg).model).objective
     assert abs(result.objective - optimum) <= 1e-9
-    if result.lp_kind in ("dp", "lagrangian"):
-        welfare, _ = evaluate_exact(result.policy, inst)
-        assert abs(welfare - result.objective) <= 1e-9
-        picks = {}
-        for block in result.policy.blocks.values():
-            picks.update(reference_pick_probabilities(block, inst))
-        for _, elements, cap in large_rows(inst, result.marking):
-            assert sum(picks[e] for e in elements) \
-                <= cfg.capacity_scale * cap + 1e-9
+    assert result.lp_kind in ("dp", "lagrangian")
+    welfare, _ = evaluate_exact(result.policy, inst)
+    assert abs(welfare - result.objective) <= 1e-9
+    picks = {}
+    for block in result.policy.blocks.values():
+        picks.update(reference_pick_probabilities(block, inst))
+    for _, elements, cap in large_rows(inst, result.marking):
+        assert sum(picks[e] for e in elements) \
+            <= cfg.capacity_scale * cap + 1e-9
     assert simulate(result.policy, inst, 200, seed=3).total_violations == 0
 
 

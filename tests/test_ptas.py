@@ -16,14 +16,13 @@ from binprice import (
     delta_of,
     evaluate_exact,
     mark_laminar,
-    policy_to_json,
     production_to_laminar,
     ptas_laminar,
     ptas_production,
     simulate,
     solve_full_dp,
 )
-from binprice import LaminarInstance, ProductionInstance, dp, lp, model, ptas
+from binprice import LaminarInstance, ProductionInstance, dp, lp, model
 from binprice.cli import main as cli_main
 from binprice.rounding import PricingPolicy
 
@@ -36,6 +35,7 @@ from conftest import (
     reference_pick_probabilities,
     relaxation,
     run_ptas,
+    solve_with,
 )
 
 U02 = DiscreteDistribution.uniform([0, 2])
@@ -160,30 +160,27 @@ def two_large_bins():
 
 @pytest.mark.parametrize("kind", ["exante", "hierarchy"])
 def test_lp_route_builds_over_the_unit_dps_levels(monkeypatch, kind):
-    # the units' DPs, the dual search over the ex-ante relaxation's one
-    # row and the hierarchy LP over two rows all read the levels each
+    # the units' DPs and the dual search over the ex-ante relaxation's one
+    # row, or over the hierarchy's two nested rows, read the levels each
     # unit's DP enumerated: one enumeration per unit, which grows one level
-    # per arrival
+    # per arrival, and no LP
     if kind == "exante":
         # three sure buyers against a scaled shipping row of 1.5
         inst = ProductionInstance(
             dists=(DiscreteDistribution.point(1),) * 3, types=(0, 1, 2),
             days=(0, 0, 0), production=((1,), (1,), (1,)), shipping=3)
         run, cfg = ptas_production, PtasConfig(epsilon=0.5, delta=0.4)
-        route = "lagrangian"
     else:
         inst = two_large_bins()
         run, cfg = ptas_laminar, PtasConfig(epsilon=0.2, delta=0.5)
-        route = "hierarchy"
     grown = []
     for name in ("_grow_lists", "_grow_arrays"):
         grow = getattr(model, name)
         monkeypatch.setattr(model, name,
                             lambda *a, grow=grow: grown.append(1) or grow(*a))
     with monkeypatch.context() as mp:
-        if route == "lagrangian":
-            forbid_lp(mp)
-        assert run(inst, cfg).lp_kind == route
+        forbid_lp(mp)
+        assert run(inst, cfg).lp_kind == "lagrangian"
     assert len(grown) == len(inst.dists)
 
 
@@ -309,17 +306,13 @@ def assert_dp_route(r, inst, cfg):
 
 
 def run_large_branch(inst, cfg):
-    """The PTAS result on a large-branch case, first with every LP entry
-    point raising; the LP route runs again with them in place."""
+    """The PTAS result on a large-branch case, with every LP entry point
+    raising."""
     run = (ptas_production if isinstance(inst, ProductionInstance)
            else ptas_laminar)
     with pytest.MonkeyPatch.context() as mp:
         forbid_lp(mp)
-        try:
-            return run(inst, cfg)
-        except BuiltAnLp:
-            pass
-    return run(inst, cfg)
+        return run(inst, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +333,7 @@ def large_branch_runs(corpus):
 
 def test_large_branch_objective_is_the_relaxation_optimum(large_branch_runs):
     routes = collections.Counter(r.lp_kind for _, r, _ in large_branch_runs)
-    assert routes == {"dp": 65, "lagrangian": 56, "hierarchy": 9}
+    assert routes == {"dp": 65, "lagrangian": 65}
     for _, r, optimum in large_branch_runs:
         assert r.branch == "large"
         assert abs(r.objective - optimum) <= 1e-9
@@ -378,7 +371,7 @@ def test_large_branch_route_sweeps_each_unit_once_at_zero(corpus,
         assert calls.pop("forward_all", 0) == (r.lp_kind == "lagrangian")
         assert calls == {("sweep at 0", key): 1
                          for key in model.small_units(inst, r.marking)}
-    assert routes == {"dp": 65, "lagrangian": 56, "hierarchy": 9}
+    assert routes == {"dp": 65, "lagrangian": 65}
 
 
 def test_dp_route_policies_are_exact_and_keep_every_row(large_branch_runs):
@@ -386,26 +379,6 @@ def test_dp_route_policies_are_exact_and_keep_every_row(large_branch_runs):
     for inst, r, _ in large_branch_runs:
         if r.lp_kind == "dp":
             assert_dp_route(r, inst, cfg)
-
-
-def test_lp_route_tries_no_certificate(large_branch_runs, monkeypatch):
-    # the units' DP point overfills a row the branch has just found
-    # binding, so past the dense limit the LP goes straight to HiGHS
-    cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
-    inst = next(inst for inst, r, _ in large_branch_runs
-                if r.lp_kind == "hierarchy")
-    with monkeypatch.context() as mp:
-        mp.setattr(lp, "DENSE_CELL_LIMIT", 0)
-        want = ptas_laminar(inst, cfg)
-
-        def no_certificate(*args):
-            raise AssertionError("certificate tried")
-
-        mp.setattr(lp, "certify", no_certificate)
-        got = ptas_laminar(inst, cfg)
-    assert got.lp_kind == "hierarchy"
-    assert got.objective == want.objective
-    assert policy_to_json(got.policy) == policy_to_json(want.policy)
 
 
 def test_criterion_7_large_branch_builds_no_lp(monkeypatch):
@@ -421,7 +394,7 @@ def test_criterion_7_large_branch_builds_no_lp(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# One row: the relaxation solved through its dual
+# The relaxation solved through its dual: one row, or nested rows
 # ---------------------------------------------------------------------------
 
 
@@ -446,9 +419,8 @@ def assert_dual_route(r, inst, cfg, optimum):
 @pytest.fixture(scope="module")
 def dual_route_runs(large_branch_runs):
     """``(instance, result)`` of every corpus case at delta 0.6 whose
-    relaxation has a row that the units' DP policies overfill and which is
-    solved through the dual (one row, or several that the tie-rejecting
-    policies keep), run with every LP entry point raising."""
+    relaxation has a row that the units' DP policies overfill, which is
+    solved through the dual, run with every LP entry point raising."""
     cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
     runs = []
     with pytest.MonkeyPatch.context() as mp:
@@ -463,11 +435,11 @@ def dual_route_runs(large_branch_runs):
 
 def test_dual_route_builds_no_lp_and_attains_the_relaxation(dual_route_runs):
     cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
-    assert len(dual_route_runs) == 56
+    assert len(dual_route_runs) == 65
     for inst, r in dual_route_runs:
         model_ = relaxation(inst, cfg).model
         for engine in ("simplex", "highs"):
-            optimum = lp.solve_optimal(model_, engine).objective
+            optimum = solve_with(model_, engine).objective
             assert abs(r.objective - optimum) <= 1e-9
         assert_dual_route(r, inst, cfg, optimum)
 
@@ -477,9 +449,9 @@ def test_dual_route_stops_at_zero_where_rejecting_ties_fits(dual_route_runs):
     # binding under the DP's accept-at-equality policies while the
     # tie-rejecting ones fit every row: the multiplier is then 0, and the
     # objective the sum of the units' DP optima; elsewhere it lies below
-    # that sum.  Where there are several rows, they must fit
+    # that sum.  One of the ten cases with several rows fits
     cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
-    at_zero = 0
+    at_zero, several = 0, []
     for inst, r in dual_route_runs:
         picks, optima = {}, []
         for key in r.policy.blocks:
@@ -496,9 +468,11 @@ def test_dual_route_stops_at_zero_where_rejecting_ties_fits(dual_route_runs):
                    <= cfg.capacity_scale * cap for elements, cap in rows)
         assert (r.objective == sum(optima)) == fits
         assert r.objective <= sum(optima)
-        assert fits or len(rows) == 1
         at_zero += fits
+        if len(rows) > 1:
+            several.append(fits)
     assert at_zero == 6
+    assert sorted(several) == [False] * 9 + [True]
 
 
 def off_dyadic_production():
@@ -540,7 +514,7 @@ def test_dual_route_raises_past_its_iteration_cap(monkeypatch, tmp_path):
     p = off_dyadic_production()
     path = tmp_path / "p.json"
     path.write_text(json.dumps(model.serialize_instance(p)))
-    monkeypatch.setattr(ptas, "DUAL_ITERATIONS", 3)
+    monkeypatch.setattr(dp, "DUAL_ITERATIONS", 3)
     forbid_lp(monkeypatch)
     with pytest.raises(lp.LpError, match="3 cutting-plane steps"):
         ptas_production(p, PtasConfig(epsilon=0.2, delta=0.6))
@@ -549,7 +523,7 @@ def test_dual_route_raises_past_its_iteration_cap(monkeypatch, tmp_path):
         code = cli_main(["solve", "--instance", str(path), "--alg", "ptas",
                          "--epsilon", "0.2", "--delta", "0.6"])
     assert code == 4
-    monkeypatch.setattr(ptas, "DUAL_ITERATIONS", 4)
+    monkeypatch.setattr(dp, "DUAL_ITERATIONS", 4)
     assert ptas_production(p, PtasConfig(epsilon=0.2, delta=0.6)).lp_kind \
         == "lagrangian"
 
