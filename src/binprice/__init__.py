@@ -5,7 +5,7 @@ Main entry points:
 
 - model: instance types, validation, conversion, state spaces
 - dp: exact finite-horizon dynamic programs and concavity checks
-- lp: the exact/ex-ante/hierarchy linear programs and solvers
+- lp: the exact/ex-ante/hierarchy linear programs and their certified solver
 - rounding: LP solutions to pricing policies, marking, composition
 - ptas: near-optimal policy construction with capacity scaling
 - harness: simulation, exact evaluation, benchmarks, dependency checks
@@ -37,7 +37,6 @@ from .lp import (
     build_lp_hierarchy,
     build_lp_optimal,
     solve,
-    solve_optimal,
 )
 from .rounding import (
     ComposedPolicy,

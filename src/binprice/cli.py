@@ -9,10 +9,11 @@ Sub-commands::
 
 Reports go to stdout (or ``--output``) as JSON or CSV; diagnostics go to
 stderr.  Exit codes: 0 ok, 2 invalid instance (or a missing or unreadable
-file), 3 state-space cap exceeded, 4 LP failure (of HiGHS, or a dual
-search past ``dp.DUAL_ITERATIONS`` steps), 5 verification property failed,
-6 policy/instance mismatch (or a malformed policy document), 7 a report
-number not finite (the report is not written).
+file), 3 state-space cap exceeded, 4 LP failure (a DP point the
+certificate rejects, or a dual search past ``dp.DUAL_ITERATIONS`` steps),
+5 verification property failed, 6 policy/instance mismatch (or a malformed
+policy document), 7 a report number not finite (the report is not
+written).
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ def _ptas(inst, cfg, **kwargs) -> ptas.PtasResult:
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     state_cap = args.state_cap
-    engine = args.engine
     doc = {"command": "solve", "algorithm": args.alg}
     policy = None
     if args.alg == "dp":
@@ -106,7 +106,7 @@ def cmd_solve(args) -> int:
         doc["objective"] = table.optimal
     elif args.alg == "lp-opt":
         built = lp.build_lp_optimal(as_laminar(inst), state_cap=state_cap)
-        sol = lp.solve_optimal(built.model, engine)
+        sol = lp.solve(built.model)
         policy = extract_pricing(sol, built, "root")
         doc["objective"] = sol.objective
         doc["engine"] = sol.engine
@@ -114,7 +114,7 @@ def cmd_solve(args) -> int:
         if not isinstance(inst, ProductionInstance):
             raise InstanceError("ex-ante solve requires a production instance")
         built = lp.build_lp_exante(inst, args.scale, state_cap=state_cap)
-        sol = lp.solve_optimal(built.model, engine)
+        sol = lp.solve(built.model)
         policy = compose_policies(inst, extract_all(sol, built))
         doc["objective"] = sol.objective
         doc["engine"] = sol.engine
@@ -124,7 +124,7 @@ def cmd_solve(args) -> int:
         delta = args.delta if args.delta else ptas.delta_of(args.epsilon)
         mk = mark_laminar(lam, delta)
         built = lp.build_lp_hierarchy(lam, mk, args.scale, state_cap=state_cap)
-        sol = lp.solve_optimal(built.model, engine)
+        sol = lp.solve(built.model)
         policy = compose_policies(lam, extract_all(sol, built), mk)
         doc["objective"] = sol.objective
         doc["engine"] = sol.engine
@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
     dp_value = table.optimal
     # the instance keeps each unit's DP for the LPs, the PTAS and the checks
     built1 = lp.build_lp_optimal(lam, state_cap=state_cap)
-    sol1 = lp.solve_optimal(built1.model, args.engine)
+    sol1 = lp.solve(built1.model)
     checks.append(("lp-opt equals dp", abs(sol1.objective - dp_value) <= 1e-6,
                    f"lp={sol1.objective!r} dp={dp_value!r} "
                    f"engine={sol1.engine}"))
@@ -219,7 +219,7 @@ def cmd_verify(args) -> int:
     mk = None if production else mark_laminar(lam, cfg.resolved_delta)
     if production:
         built2 = lp.build_lp_exante(inst, 1.0, state_cap=state_cap)
-        sol2 = lp.solve_optimal(built2.model, args.engine)
+        sol2 = lp.solve(built2.model)
         checks.append(("ex-ante relaxes dp", sol2.objective >= dp_value - 1e-6,
                        f"exante={sol2.objective!r} dp={dp_value!r} "
                        f"engine={sol2.engine}"))
@@ -247,7 +247,7 @@ def cmd_verify(args) -> int:
         sol4 = sol1
         if mk.large:
             built4 = lp.build_lp_hierarchy(lam, mk, 1.0, state_cap=state_cap)
-            sol4 = lp.solve_optimal(built4.model, args.engine)
+            sol4 = lp.solve(built4.model)
         checks.append(("hierarchy relaxes dp",
                        sol4.objective >= dp_value - 1e-6,
                        f"hierarchy={sol4.objective!r} dp={dp_value!r} "
@@ -341,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=_delta, default=None)
     sp.add_argument("--scale", type=_scale, default=1.0,
                     help="capacity scale for ex-ante/hierarchy")
-    sp.add_argument("--engine", choices=("auto", "highs"),
-                    default="auto")
     sp.add_argument("--policy-out", default=None,
                     help="write the policy JSON here instead of inline")
     sp.set_defaults(func=cmd_solve)
@@ -364,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=_positive, default=1)
     sp.add_argument("--epsilon", type=_epsilon, default=0.2)
     sp.add_argument("--delta", type=_delta, default=None)
-    sp.add_argument("--engine", choices=("auto", "highs"),
-                    default="auto")
     sp.add_argument("--search", action="store_true",
                     help="also search for a conditional-price drop")
     sp.set_defaults(func=cmd_verify)

@@ -1,4 +1,4 @@
-"""Linear programs over policy state/allocation variables, and solvers.
+"""Linear programs over policy state/allocation variables, and their solver.
 
 One body builds every relaxation from ``model.small_units`` and
 ``model.large_rows``: a point-wise block per small unit, and an expectation
@@ -34,11 +34,12 @@ an array ``x`` over the variable indices.  Variable names and state tuples
 are produced only on request -- ``to_text``, ``LpModel.names``/``index``,
 ``LpSolution.assignment`` and ``BlockInfo.levels``.
 
-Solvers: the blocks' DP point when ``certify`` proves it optimal (engine
-``"certificate"``), else a scipy/HiGHS bridge, which alone imports scipy.
-The point is the units' threshold policies where no large row (shipping,
+Solver: the blocks' DP point, returned once ``certify`` proves it optimal
+(engine ``"certificate"``); a point it rejects is an ``LpError``.  The
+point is the units' threshold policies where no large row (shipping,
 large bin) can bind, since its units' most picks fit under it; else the
-mixture of the dual over the units' DPs (``dp.relax``).
+mixture of the dual over the units' DPs (``dp.relax``), which attains the
+relaxation.
 
 Text interchange format (``LpModel.to_text``), one token per name, all
 variables non-negative::
@@ -77,7 +78,9 @@ from .model import (
 )
 
 # a DP point is accepted at this primal residual, and at CERT_TOL dual
-# residual and gap (relative to 1 + |objective|)
+# residual and gap, relative to 1 + max |dual| and 1 + |objective|: the
+# duals are value functions, as large as the welfare, so their round-off
+# scales with it
 CERT_PRIMAL_TOL = 1e-7
 CERT_TOL = 1e-9
 # check_solution reports a row residual above CHECK_ROW_TOL and a variable
@@ -316,77 +319,30 @@ def certify(model: LpModel, x, u) -> tuple[float, float, float]:
     return float(primal), float(dual), gap
 
 
-# ---------------------------------------------------------------------------
-# HiGHS bridge
-# ---------------------------------------------------------------------------
-
-
-def _solve_highs(model: LpModel) -> LpSolution:
-    import scipy.optimize
-    import scipy.sparse as sp
-
-    nv = model.num_vars
-    c = np.zeros(nv)
-    c[list(model.objective)] = [-coef for coef in model.objective.values()]
-    rows, cols, coefs = model.coo()
-    le = model.le_rows()
-    # each relation's rows numbered in order among themselves
-    rank = np.where(le, np.cumsum(le) - 1, np.cumsum(~le) - 1)
-    parts = []
-    for mask in (le, ~le):
-        sel = mask[rows]
-        n = int(mask.sum())
-        parts.append((sp.csr_matrix((coefs[sel], (rank[rows[sel]], cols[sel])),
-                                    shape=(n, nv)),
-                       model.rhs[mask])
-                      if n else (None, None))
-    (A_ub, b_ub), (A_eq, b_eq) = parts
-    res = scipy.optimize.linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=(0, None), method="highs",
-        options={"primal_feasibility_tolerance": 1e-9,
-                 "dual_feasibility_tolerance": 1e-9},
-    )
-    iters = int(getattr(res, "nit", 0) or 0)
-    if res.status == 2:
-        return LpSolution("infeasible", None, np.zeros(0), "highs", iters,
-                          model)
-    if res.status == 3:
-        return LpSolution("unbounded", None, np.zeros(0), "highs", iters,
-                          model)
-    if res.status != 0:
-        raise LpError(f"highs failed: {res.message}")
-    x = np.array(res.x[:nv], dtype=float)
-    return LpSolution("optimal", model.objective_value(x), x, "highs", iters,
-                      model)
-
-
-def solve(model: LpModel, engine: str = "auto") -> LpSolution:
-    """Solve to an optimal solution, or report infeasible/unbounded.
-
-    ``auto`` returns the model's ``dp_point`` when ``certify`` accepts it,
-    else HiGHS's vertex; ``highs`` computes no point.  Each is
-    deterministic for a model.
-    """
-    if engine not in ("auto", "highs"):
-        raise ValueError(f"unknown engine {engine!r}")
+def solve(model: LpModel) -> LpSolution:
+    """The model's optimal solution: ``trivial`` with no variable, else its
+    ``dp_point`` once ``certify`` proves it optimal (engine
+    ``certificate``).  Raises ``LpError`` naming the point's primal and
+    dual residuals and gap where they exceed the tolerances, or naming the
+    missing point on a model with none."""
     if model.num_vars == 0:
         return LpSolution("optimal", 0.0, np.zeros(0), "trivial", 0, model)
-    if engine == "auto" and model.dp_point:
-        x, u = model.dp_point()
-        primal, dual, gap = certify(model, x, u)
-        obj = model.objective_value(x)
-        if (primal <= CERT_PRIMAL_TOL and dual <= CERT_TOL
-                and gap <= CERT_TOL * (1.0 + abs(obj))):
-            return LpSolution("optimal", obj, x, "certificate", 0, model)
-    return _solve_highs(model)
+    if not model.dp_point:
+        raise LpError("no DP point to certify")
+    x, u = model.dp_point()
+    primal, dual, gap = certify(model, x, u)
+    obj = model.objective_value(x)
+    if not (primal <= CERT_PRIMAL_TOL
+            and dual <= CERT_TOL * (1.0 + np.abs(u).max(initial=0.0))
+            and gap <= CERT_TOL * (1.0 + abs(obj))):
+        raise LpError(f"DP point not certified: primal residual {primal!r}, "
+                      f"dual residual {dual!r}, gap {gap!r}")
+    return LpSolution("optimal", obj, x, "certificate", 0, model)
 
 
-def solve_optimal(model: LpModel, engine: str = "auto") -> LpSolution:
-    sol = solve(model, engine)
-    if sol.status != "optimal":
-        raise LpError(f"LP not optimal: {sol.status}")
-    return sol
+def solve_optimal(model: LpModel) -> LpSolution:
+    """``solve``, under the name the benchmark calls."""
+    return solve(model)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,8 @@ class SizingError(RuntimeError):
 
 
 class LpError(RuntimeError):
-    """HiGHS found no optimum, or the dual search (``dp.relax``) gave up."""
+    """An LP's DP point failed its certificate (``lp.solve``), or the dual
+    search (``dp.relax``) gave up."""
 
 
 # ---------------------------------------------------------------------------

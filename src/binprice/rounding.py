@@ -365,13 +365,6 @@ def policy_from_json(text: str):
 # Extraction
 # ---------------------------------------------------------------------------
 
-# A HiGHS point carries solver round-off near zero, where X/Y would be
-# noise and could fall outside [0, 1]; its states with Y <= Y_FLOOR quote
-# infinity.  A certificate point's Y are the exact occupancies of its DP
-# policies (or their mixture), so it prices every state with Y > 0.
-Y_FLOOR = 1e-9
-
-
 def extract_pricing(sol, built, key) -> PricingPolicy:
     """Price one block of a solved LP (``extract_all``)."""
     return _extracted(sol, built, [key])[key]
@@ -380,10 +373,12 @@ def extract_pricing(sol, built, key) -> PricingPolicy:
 def extract_all(sol, built) -> dict:
     """Price every block of a solved LP, every state of every level at once.
 
-    States whose probability is at most the floor (``Y_FLOOR``, or 0 on an
-    engine-``certificate`` point) quote infinity; elsewhere the threshold
-    is the smallest support value with ``Pr[v > tau] <= z``, ``z = X/Y``,
-    and the tie coin makes the conditional acceptance exactly ``z``.
+    A solution's ``Y`` are the exact occupancies of the DP policies (or
+    their mixture) that its certificate proves optimal, so every state with
+    ``Y > 0`` is priced and the states of probability 0 quote infinity.
+    The threshold is the smallest support value with ``Pr[v > tau] <= z``,
+    ``z = X/Y``, and the tie coin makes the conditional acceptance exactly
+    ``z``.
     """
     return _extracted(sol, built, list(built.blocks))
 
@@ -406,8 +401,7 @@ def _extracted(sol, built, keys) -> dict:
     real = np.arange(len(probs))[:, None] < k  # the padded atoms are not
     xc = sol.x[np.where(real, xc + s * k + np.arange(len(probs))[:, None], 0)]
     ex = atom_sums(probs * np.where(real, xc, 0.0))
-    floor = 0.0 if sol.engine == "certificate" else Y_FLOOR
-    priced = y > floor
+    priced = y > 0.0
     z = ex / np.where(priced, y, 1.0)
     bad = priced & ((z < -1e-9) | (ex > y * (1.0 + 1e-9) + 1e-9))
     if bad.any():

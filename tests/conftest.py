@@ -8,6 +8,7 @@ never from the code paths they check.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -462,12 +463,93 @@ def reference_dense_simplex(model) -> "lp.LpSolution":
                          pivots, model)
 
 
+def reference_highs(model) -> "lp.LpSolution":
+    """HiGHS's vertex of ``model`` through scipy, the bridge ``lp.solve``
+    fell back to before it certified every LP it builds: the cross-check
+    of the certified objectives and the oracle of the pins of HiGHS
+    roundings."""
+    import scipy.optimize
+    import scipy.sparse as sp
+
+    nv = model.num_vars
+    c = np.zeros(nv)
+    c[list(model.objective)] = [-coef for coef in model.objective.values()]
+    rows, cols, coefs = model.coo()
+    le = model.le_rows()
+    # each relation's rows numbered in order among themselves
+    rank = np.where(le, np.cumsum(le) - 1, np.cumsum(~le) - 1)
+    parts = []
+    for mask in (le, ~le):
+        sel = mask[rows]
+        n = int(mask.sum())
+        parts.append((sp.csr_matrix((coefs[sel], (rank[rows[sel]], cols[sel])),
+                                    shape=(n, nv)),
+                       model.rhs[mask])
+                      if n else (None, None))
+    (A_ub, b_ub), (A_eq, b_eq) = parts
+    res = scipy.optimize.linprog(
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+        bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-9,
+                 "dual_feasibility_tolerance": 1e-9},
+    )
+    iters = int(getattr(res, "nit", 0) or 0)
+    if res.status in (2, 3):
+        status = "infeasible" if res.status == 2 else "unbounded"
+        return lp.LpSolution(status, None, np.zeros(0), "highs", iters, model)
+    if res.status != 0:
+        raise lp.LpError(f"highs failed: {res.message}")
+    x = np.array(res.x[:nv], dtype=float)
+    return lp.LpSolution("optimal", model.objective_value(x), x, "highs",
+                         iters, model)
+
+
 def solve_with(model, engine="auto") -> "lp.LpSolution":
     """``model`` solved by ``engine``: ``simplex`` is
-    ``reference_dense_simplex``, the others ``lp.solve``'s."""
+    ``reference_dense_simplex``, ``highs`` is ``reference_highs`` and
+    ``auto`` is ``lp.solve``."""
     if engine == "simplex":
         return reference_dense_simplex(model)
-    return lp.solve(model, engine)
+    if engine == "highs":
+        return reference_highs(model)
+    return lp.solve(model)
+
+
+# A reference vertex carries solver round-off near zero, where X/Y would
+# be noise and could fall outside [0, 1]: the program's extraction floored
+# it, quoting infinity at every state with Y <= Y_FLOOR, until every LP it
+# solves was certified
+Y_FLOOR = 1e-9
+
+
+def floored(sol, built) -> "lp.LpSolution":
+    """``sol`` with every ``Y`` that extraction reads at most ``Y_FLOOR``
+    set to 0, in a copy, where a reference solver (not the certificate)
+    found it.  Extraction prices a state where ``Y > 0`` and reads its
+    ``X`` and ``Y`` only there, so it prices the copy as it priced ``sol``
+    under the floor."""
+    if sol.engine not in ("simplex", "highs"):
+        return sol
+    x = sol.x.copy()
+    for info in built.blocks.values():
+        for lvl in range(len(info.elements)):
+            y = info.y_values(x, lvl)  # a view into the copy
+            y[y <= Y_FLOOR] = 0.0
+    return dataclasses.replace(sol, x=x)
+
+
+def perturbed_dp_points(monkeypatch):
+    """Every DP point of an LP that ``lp._build`` builds from here on has its
+    first row's dual (the first block's initial row) raised by 1e-3: a gap
+    of 1e-3, which the certificate rejects."""
+    dp_point = lp._dp_point
+
+    def raised(*args):
+        x, u = dp_point(*args)
+        u[0] += 1e-3
+        return x, u
+
+    monkeypatch.setattr(lp, "_dp_point", raised)
 
 
 def reference_prophet_samples(inst, trials: int, seed: int) -> np.ndarray:

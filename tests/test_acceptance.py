@@ -33,8 +33,8 @@ from binprice import (
     search_dependency_counterexample,
     serialize_instance,
     simulate,
+    solve,
     solve_full_dp,
-    solve_optimal,
     solve_subproblem_dp,
 )
 from binprice.lp import y_name
@@ -52,7 +52,7 @@ def corpus_results(corpus):
         for entry in corpus:
             tbl, _ = solve_full_dp(entry.laminar)
             built = build_lp_optimal(entry.laminar)
-            sol = solve_optimal(built.model)
+            sol = solve(built.model)
             pol = extract_pricing(sol, built, "root")
             welfare, trace = evaluate_exact(pol, entry.laminar)
             info = built.block("root")
@@ -110,17 +110,17 @@ def test_criterion_2_relaxation_chain(corpus):
     for r in results:
         entry, dp = r["entry"], r["dp"]
         if entry.production is not None:
-            sol2 = solve_optimal(build_lp_exante(entry.production, 1.0).model)
+            sol2 = solve(build_lp_exante(entry.production, 1.0).model)
             assert sol2.objective >= dp - 1e-6, entry.name
             worst_gap = max(worst_gap, dp - sol2.objective)
             n_exante += 1
         lam = entry.laminar
         for mk in (mark_laminar(lam, rng.choice((0.15, 0.4, 0.75))),
                    _random_marking(lam, rng)):
-            sol4 = solve_optimal(build_lp_hierarchy(lam, mk, 1.0).model)
+            sol4 = solve(build_lp_hierarchy(lam, mk, 1.0).model)
             assert sol4.objective >= dp - 1e-6, entry.name
             n_hier += 1
-        eq = solve_optimal(
+        eq = solve(
             build_lp_hierarchy(lam, Marking(), 1.0).model)
         dev = abs(eq.objective - r["lp1"])
         worst_eq = max(worst_eq, dev)
@@ -135,7 +135,7 @@ def test_criterion_3_integrality_gap_witness():
         dists=(DiscreteDistribution.point(1),
                DiscreteDistribution.of([(0.0, 0.5), (2.0, 0.5)])),
         types=(0, 1), days=(0, 0), production=((1,), (1,)), shipping=1)
-    sol2 = solve_optimal(build_lp_exante(p, 1.0).model)
+    sol2 = solve(build_lp_exante(p, 1.0).model)
     tbl, _ = solve_full_dp(production_to_laminar(p))
     assert abs(sol2.objective - 1.5) <= 1e-9
     assert abs(tbl.optimal - 1.0) <= 1e-9
@@ -217,7 +217,7 @@ def test_criterion_6_ptas_welfare_at_scale():
     p = criterion_6_production()
     K = p.shipping
     eps = 0.2
-    unscaled = solve_optimal(build_lp_exante(p, 1.0).model)
+    unscaled = solve(build_lp_exante(p, 1.0).model)
     result = ptas_production(p, PtasConfig(epsilon=eps, delta=0.1))
     assert result.branch == "large"
     rep = simulate(result.policy, p, 100_000, seed=66, threads=2)
@@ -234,9 +234,9 @@ def test_criterion_6_ptas_welfare_at_scale():
 
 
 def test_criterion_6_verify_passes_the_exactness_chain(tmp_path):
-    # the exact LP is past the dense limit, so its point is the certified
-    # DP point; its rounding must replay the LP's value and Y, states of
-    # probability below rounding.Y_FLOOR included
+    # the exact LP's point is the certified DP point; its rounding must
+    # replay the LP's value and Y, states of probability below 1e-9
+    # included
     path = tmp_path / "criterion6.json"
     path.write_text(json.dumps(serialize_instance(criterion_6_production())))
     t0 = time.perf_counter()

@@ -3,15 +3,20 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from binprice import cli, dp, harness, lp
 from binprice.cli import main
-from binprice.model import dump_instance, parse_instance
+from binprice.model import as_laminar, dump_instance, parse_instance
+from binprice.rounding import mark_laminar
 
-from conftest import criterion_7_laminar
+from conftest import criterion_7_laminar, perturbed_dp_points, reference_highs
 
 
 GAP_INSTANCE = {
@@ -96,16 +101,6 @@ def test_solve_ptas_small_branch(tmp_path, instance_path):
     assert rep["lp"] == "dp"
     code, out2, _ = run_cli(["solve", "--instance", str(path), "--alg", "dp"])
     assert abs(rep["objective"] - json.loads(out2)["objective"]) <= 1e-6
-    # the branch solves no LP, so the engine cannot change its policy
-    policies = []
-    for engine in ("auto", "highs"):
-        pol = tmp_path / f"{engine}.json"
-        code, _, _ = run_cli(["solve", "--instance", str(path), "--alg",
-                              "ptas", "--epsilon", "0.5", "--engine", engine,
-                              "--policy-out", str(pol)])
-        assert code == 0
-        policies.append(pol.read_bytes())
-    assert policies[0] == policies[1]
 
 
 def test_dual_search_past_its_step_cap_exits_4(instance_path, monkeypatch):
@@ -211,27 +206,12 @@ def test_verify_passes_on_chain(chain_path, instance_path):
     details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
     assert details["lp-opt equals dp"].endswith(" engine=certificate")
     assert details["ex-ante relaxes dp"].endswith(" engine=certificate")
-    # a forced HiGHS still solves both LPs
-    code, out, _ = run_cli(["verify", "--instance", chain_path,
-                            "--trials", "400", "--seed", "2",
-                            "--engine", "highs"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["ok"] is True
-    details = {c["name"]: c["detail"] for c in doc["checks"]}
-    assert details["lp-opt equals dp"].endswith(" engine=highs")
-    assert details["ex-ante relaxes dp"].endswith(" engine=highs")
 
 
-def test_verify_certifies_criterion_7(tmp_path, monkeypatch):
+def test_verify_certifies_criterion_7(tmp_path):
     # the exact LP (161,541 states), which is also the hierarchy at the
-    # default delta's marking, is past the dense limit; it takes the
-    # certified DP point, so no solver runs
-    # (HiGHS would take about 15 minutes here: fail fast instead)
-    def no_highs(model):
-        raise lp.LpError("HiGHS called")
-
-    monkeypatch.setattr(lp, "_solve_highs", no_highs)
+    # default delta's marking, takes the certified DP point, so no solver
+    # runs (HiGHS took about 15 minutes here)
     path = tmp_path / "c7.json"
     dump_instance(criterion_7_laminar(), path)
     code, out, err = run_cli(["verify", "--instance", str(path),
@@ -300,6 +280,173 @@ def test_verify_builds_the_exact_lp_once(tmp_path, monkeypatch):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["hierarchy relaxes dp"]["detail"].startswith(
         "hierarchy=7.625 dp=7.625 ")
+
+
+# the installed-command smoke instances: two buyers under a root of 1;
+# two types over two days whose chains can sell 2 + 1 against shipping
+# 2, so that the ex-ante row binds; and a day cap that rises from 0 to 1
+SMOKE_INSTANCE = {
+    "kind": "laminar",
+    "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]}, {"dist": [[1.0, 1.0]]}],
+    "bins": {"cap": 1, "children": [{"element": 0}, {"element": 1}]},
+}
+SMOKE_PRODUCTION = {
+    "kind": "production",
+    "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]},
+                 {"dist": [[1.0, 0.5], [3.0, 0.5]]},
+                 {"dist": [[0.0, 0.25], [1.5, 0.75]]},
+                 {"dist": [[1.0, 1.0]]},
+                 {"dist": [[0.5, 0.5], [2.5, 0.5]]}],
+    "types": [0, 1, 0, 1, 0], "days": [0, 0, 1, 1, 1],
+    "production": {"0": [1, 2], "1": [1, 1]}, "shipping": 2,
+}
+RISING_CAP = {
+    "kind": "production",
+    "elements": [{"dist": [[0.0, 0.5], [2.0, 0.5]]}] * 2,
+    "types": [0, 0], "days": [0, 1], "production": {"0": [0, 1]},
+    "shipping": 1,
+}
+
+
+def exact_lp(inst):
+    return lp.build_lp_optimal(as_laminar(inst))
+
+
+def exante_lp(inst):
+    return lp.build_lp_exante(inst, 1.0)
+
+
+def hierarchy_lp(inst):
+    return lp.build_lp_hierarchy(inst, mark_laminar(inst, 0.5), 1.0)
+
+
+SMOKE_LPS = pytest.mark.parametrize("doc, argv, build, coupled", [
+    (SMOKE_INSTANCE, ["--alg", "lp-opt"], exact_lp, False),
+    (CHAIN_INSTANCE, ["--alg", "lp-opt"], exact_lp, False),
+    (CHAIN_INSTANCE, ["--alg", "ex-ante"], exante_lp, False),
+    (RISING_CAP, ["--alg", "ex-ante"], exante_lp, False),
+    (SMOKE_PRODUCTION, ["--alg", "ex-ante"], exante_lp, True),
+    (HIERARCHY_INSTANCE, ["--alg", "hierarchy", "--delta", "0.5"],
+     hierarchy_lp, True),
+], ids=["smoke-lp-opt", "chain-lp-opt", "chain-ex-ante", "rising-cap",
+        "production-ex-ante", "hierarchy"])
+
+
+def solved_against_highs(tmp_path, doc, argv, build, coupled):
+    """The certified solve report's objective on ``doc`` less HiGHS's on
+    the same LP."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["solve", "--instance", str(path), *argv])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["engine"] == "certificate"
+    model = build(parse_instance(doc)).model
+    assert model.coupled == coupled
+    return rep["objective"] - reference_highs(model).objective
+
+
+@SMOKE_LPS
+def test_certified_objectives_of_the_smoke_instances_match_highs(
+        tmp_path, doc, argv, build, coupled):
+    assert abs(solved_against_highs(tmp_path, doc, argv, build,
+                                    coupled)) <= 1e-9
+
+
+@SMOKE_LPS
+@pytest.mark.parametrize("factor", [1e9, 1e12])
+def test_certified_objectives_hold_at_large_values(
+        tmp_path, doc, argv, build, coupled, factor):
+    # every value scaled up: the duals, value functions as large as the
+    # welfare, carry round-off of an ulp of that size, which the
+    # certificate's dual tolerance scales with
+    scaled = dict(doc, elements=[
+        {"dist": [[v * factor, q] for v, q in element["dist"]]}
+        for element in doc["elements"]])
+    assert abs(solved_against_highs(tmp_path, scaled, argv, build,
+                                    coupled)) <= 1e-9 * factor
+
+
+def test_rejected_dp_point_exits_4(instance_path, monkeypatch):
+    # the coupled ex-ante LP's DP point, its gap opened by 1e-3: with no
+    # other solver, the command fails
+    perturbed_dp_points(monkeypatch)
+    code, out, err = run_cli(["solve", "--instance", instance_path,
+                              "--alg", "ex-ante"])
+    assert code == 4 and out == ""
+    assert err.startswith("lp failure: DP point not certified: "
+                          "primal residual ")
+    assert ", dual residual " in err and ", gap " in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_engine_is_not_an_option(capsys, instance_path, command):
+    argv = [command, "--instance", instance_path, "--engine", "auto"]
+    if command == "solve":
+        argv += ["--alg", "lp-opt"]
+    err = _argument_error(capsys, argv)
+    assert "unrecognized arguments: --engine auto" in err
+
+
+# imports every binprice module with scipy unimportable, then runs
+# cli.main on each argument list of argv[1] (JSON) and exits non-zero at
+# the first run that does
+SCIPY_FREE = """
+import importlib
+import json
+import pkgutil
+import sys
+
+sys.modules["scipy"] = None
+import binprice
+for module in pkgutil.iter_modules(binprice.__path__):
+    importlib.import_module(f"binprice.{module.name}")
+from binprice import cli
+
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    if code:
+        sys.exit(f"{argv}: exit {code}")
+"""
+
+
+def test_the_program_runs_without_scipy(tmp_path):
+    runs = []
+    for name, doc, delta in (("production", SMOKE_PRODUCTION, []),
+                             ("hierarchy", HIERARCHY_INSTANCE,
+                              ["--delta", "0.5"])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        policy = str(tmp_path / f"{name}-policy.json")
+        algs = ["dp", "lp-opt", "hierarchy"]
+        algs += ["ex-ante"] if doc["kind"] == "production" else []
+        runs += [["solve", "--instance", str(path), "--alg", alg, *delta,
+                  "--output", str(tmp_path / f"{name}-{alg}.json")]
+                 for alg in algs]
+        runs.append(["solve", "--instance", str(path), "--alg", "ptas",
+                     *delta, "--policy-out", policy,
+                     "--output", str(tmp_path / f"{name}-ptas.json")])
+        trials = ["--trials", "200", "--seed", "1"]
+        runs.append(["simulate", "--instance", str(path), "--policy",
+                     policy, *trials,
+                     "--output", str(tmp_path / f"{name}-sim.json")])
+        # a policy of a scaled relaxation is not the exact optimum
+        exact = ["--policy", policy] if doc["kind"] == "production" else []
+        runs.append(["verify", "--instance", str(path), *exact, *delta,
+                     *trials,
+                     "--output", str(tmp_path / f"{name}-verify.json")])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE,
+                           json.dumps(runs)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert len(runs) == 13
+    hierarchy = json.loads((tmp_path / "hierarchy-hierarchy.json")
+                           .read_text())
+    exante = json.loads((tmp_path / "production-ex-ante.json").read_text())
+    assert hierarchy["engine"] == exante["engine"] == "certificate"
 
 
 def test_verify_gates_cylinder_on_summed_form(tmp_path):

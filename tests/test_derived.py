@@ -62,7 +62,7 @@ def bench_round(inst) -> list:
              lp.build_lp_hierarchy(lam, rounding.mark_laminar(lam, delta)))
     exact = lp.build_lp_optimal(lam)
     for built in (bound, exact):
-        sol = lp.solve_optimal(built.model)
+        sol = lp.solve(built.model)
         out += [built.model.to_text(), repr(sol.objective), sol.x.tobytes()]
     policy = rounding.extract_pricing(sol, exact, "root")
     welfare, trace = harness.evaluate_exact(policy, lam)

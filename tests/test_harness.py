@@ -18,8 +18,8 @@ from binprice import (
     production_to_laminar,
     search_dependency_counterexample,
     simulate,
+    solve,
     solve_full_dp,
-    solve_optimal,
     solve_subproblem_dp,
 )
 from binprice.harness import (
@@ -88,7 +88,7 @@ def test_simulate_matches_exact_value_within_ci():
         (U02, DiscreteDistribution.point(1)),
         {"cap": 1, "children": [{"element": 0}, {"element": 1}]})
     built = build_lp_optimal(inst)
-    sol = solve_optimal(built.model)
+    sol = solve(built.model)
     pol = extract_pricing(sol, built, "root")
     rep = simulate(pol, inst, 200_000, seed=13)
     assert abs(rep.mean - 1.5) <= 3.5 * rep.stderr
@@ -99,7 +99,7 @@ def test_simulate_is_deterministic_across_threads_and_chunks():
     rng = random.Random(3)
     p = random_production(rng, n_max=5)
     built = build_lp_optimal(production_to_laminar(p))
-    sol = solve_optimal(built.model)
+    sol = solve(built.model)
     pol = extract_pricing(sol, built, "root")
     a = simulate(pol, p, 9000, seed=42, threads=1)
     b = simulate(pol, p, 9000, seed=42, threads=4)

@@ -38,7 +38,10 @@ with them reproduce.
 The dense simplex kept as ``conftest.reference_dense_simplex`` must make
 the pivots the program's own made before the dual over the units' DPs
 replaced it (``SIMPLEX_SHA256``): same status, pivot count, objective and
-every bit of ``x``; the pins of simplex roundings are solved with it.
+every bit of ``x``; the pins of simplex roundings are solved with it, and
+those of HiGHS roundings with ``conftest.reference_highs``, each vertex
+floored (``conftest.floored``) as extraction floored it when they were
+recorded.
 LP text and PTAS policy JSON must
 hash to the values recorded when the LP layer was keyed by variable name,
 except the small-branch PTAS policies, recorded when that branch took the
@@ -117,6 +120,7 @@ from conftest import (
     criterion_6_production,
     criterion_7_laminar,
     desk_scale,
+    floored,
     model_from_arrays,
     random_distribution,
     random_laminar,
@@ -930,9 +934,8 @@ def rounded_relaxation(inst, cfg, engine="former"):
     built = relaxation(inst, cfg)
     pick = {"former": former_engine, "recorded": recorded_engine,
             "any_row": lambda model: any_row_engine(built)}[engine]
-    return compose_policies(
-        inst, extract_all(solve_with(built.model, pick(built.model)), built),
-        built.marking)
+    sol = floored(solve_with(built.model, pick(built.model)), built)
+    return compose_policies(inst, extract_all(sol, built), built.marking)
 
 
 def lp_large_branch_policy(entry, cfg, engine="former"):
@@ -1032,8 +1035,9 @@ def corpus_run(corpus):
             for label, engine in (("lp_opt", recorded_engine),
                                   ("lp_opt_auto_past_limit",
                                    past_limit_engine)):
-                policies[label].append(extract_pricing(
-                    solve(built.model, engine(built.model)), built, "root"))
+                policies[label].append(extract_pricing(floored(
+                    solve(built.model, engine(built.model)), built),
+                    built, "root"))
     # the PTAS's LP-route cases solve the LPs captured above again
     for entry in corpus:
         for label, cfg in BENCH_SETTINGS.items():
@@ -1327,8 +1331,8 @@ def former_pin_digests(corpus, suffix, **emitter):
         for label, engine in (("lp_opt", recorded_engine),
                               ("lp_opt_auto_past_limit", past_limit_engine)):
             got[label + suffix] = sha256_of(
-                policy_to_json(extract_pricing(
-                    solve_with(built.model, engine(built.model)),
+                policy_to_json(extract_pricing(floored(
+                    solve_with(built.model, engine(built.model)), built),
                     built, "root"))
                 for built in exact)
         for label, engine in (("eps0.2_delta0.6", "former"),
@@ -1666,7 +1670,7 @@ def assert_occupancy_matches_reference(policy, inst):
 
 def rounded_lp_opt(lam):
     built = build_lp_optimal(lam)
-    return extract_pricing(lp.solve_optimal(built.model), built, "root")
+    return extract_pricing(lp.solve(built.model), built, "root")
 
 
 def test_occupancy_matches_reference_on_corpus(corpus, corpus_run, sweep):

@@ -17,7 +17,6 @@ from binprice import (
     build_lp_optimal,
     production_to_laminar,
     solve,
-    solve_optimal,
     solve_full_dp,
     solve_subproblem_dp,
 )
@@ -42,10 +41,12 @@ from conftest import (
     desk_scale,
     model_from_arrays,
     oracle_lp_vertices,
+    perturbed_dp_points,
     random_laminar,
     random_production,
     reference_dense_simplex,
     reference_emitter,
+    reference_highs,
     solution_value,
     solve_with,
 )
@@ -105,7 +106,7 @@ def test_engines_agree_on_random_models():
         b_ub = [rng.randint(4, 20) for _ in range(20)]
         m = model_from_arrays(c, a_ub, b_ub)
         s1 = reference_dense_simplex(m)
-        s2 = solve(m, "highs")
+        s2 = reference_highs(m)
         assert s1.status == s2.status == "optimal"
         assert abs(s1.objective - s2.objective) <= 1e-7
 
@@ -125,18 +126,18 @@ def test_simplex_is_deterministic():
 def test_lp_optimal_small_examples():
     inst = LaminarInstance.build((DiscreteDistribution.point(5),),
                                  {"cap": 1, "children": [{"element": 0}]})
-    sol = solve_optimal(build_lp_optimal(inst).model)
+    sol = solve(build_lp_optimal(inst).model)
     assert abs(sol.objective - 5.0) <= 1e-9
     capped = LaminarInstance.build((DiscreteDistribution.point(5),),
                                    {"cap": 0, "children": [{"element": 0}]})
-    sol0 = solve_optimal(build_lp_optimal(capped).model)
+    sol0 = solve(build_lp_optimal(capped).model)
     assert abs(sol0.objective) <= 1e-9
 
 
 def test_lp_optimal_equals_dp_on_corpus_sample(corpus):
     for entry in corpus[:40]:
         tbl, _ = solve_full_dp(entry.laminar)
-        sol = solve_optimal(build_lp_optimal(entry.laminar).model)
+        sol = solve(build_lp_optimal(entry.laminar).model)
         assert abs(sol.objective - tbl.optimal) <= 1e-6, entry.name
 
 
@@ -145,11 +146,11 @@ def test_exante_gap_instance():
         dists=(DiscreteDistribution.point(1),
                DiscreteDistribution.of([(0.0, 0.5), (2.0, 0.5)])),
         types=(0, 1), days=(0, 0), production=((1,), (1,)), shipping=1)
-    sol = solve_optimal(build_lp_exante(p, 1.0).model)
+    sol = solve(build_lp_exante(p, 1.0).model)
     assert abs(sol.objective - 1.5) <= 1e-9
     tbl, _ = solve_full_dp(production_to_laminar(p))
     assert abs(tbl.optimal - 1.0) <= 1e-9
-    scaled = solve_optimal(build_lp_exante(p, 0.9).model)
+    scaled = solve(build_lp_exante(p, 0.9).model)
     assert scaled.objective >= 0.9 * 1.5 - 1e-9
 
 
@@ -160,8 +161,8 @@ def test_exante_equals_optimal_for_single_type_ample_shipping():
         p = ProductionInstance(dists=p.dists, types=p.types, days=p.days,
                                production=p.production,
                                shipping=sum(col[-1] for col in p.production))
-        s2 = solve_optimal(build_lp_exante(p, 1.0).model)
-        s1 = solve_optimal(build_lp_optimal(production_to_laminar(p)).model)
+        s2 = solve(build_lp_exante(p, 1.0).model)
+        s1 = solve(build_lp_optimal(production_to_laminar(p)).model)
         assert abs(s1.objective - s2.objective) <= 1e-6
 
 
@@ -171,15 +172,15 @@ def test_hierarchy_markings_bracket_the_instance():
                DiscreteDistribution.of([(0.0, 0.5), (2.0, 0.5)])),
         types=(0, 1), days=(0, 0), production=((1,), (1,)), shipping=1)
     lam = production_to_laminar(p)
-    s1 = solve_optimal(build_lp_optimal(lam).model)
-    all_small = solve_optimal(
+    s1 = solve(build_lp_optimal(lam).model)
+    all_small = solve(
         build_lp_hierarchy(lam, Marking(), 1.0).model)
     assert abs(all_small.objective - s1.objective) <= 1e-9
     root_large = Marking(large=frozenset({0}))
-    s_rl = solve_optimal(build_lp_hierarchy(lam, root_large, 1.0).model)
-    s2 = solve_optimal(build_lp_exante(p, 1.0).model)
+    s_rl = solve(build_lp_hierarchy(lam, root_large, 1.0).model)
+    s2 = solve(build_lp_exante(p, 1.0).model)
     assert abs(s_rl.objective - s2.objective) <= 1e-9
-    all_large = solve_optimal(
+    all_large = solve(
         build_lp_hierarchy(
             lam, Marking(large=frozenset(range(lam.num_bins))), 1.0).model)
     assert all_large.objective >= s_rl.objective - 1e-9
@@ -194,8 +195,8 @@ def test_hierarchy_coarser_marking_relaxes():
         coarse = mark_laminar(inst, 0.2)
         if not fine.large <= coarse.large:
             continue
-        v_fine = solve_optimal(build_lp_hierarchy(inst, fine, 1.0).model)
-        v_coarse = solve_optimal(build_lp_hierarchy(inst, coarse, 1.0).model)
+        v_fine = solve(build_lp_hierarchy(inst, fine, 1.0).model)
+        v_coarse = solve(build_lp_hierarchy(inst, coarse, 1.0).model)
         assert v_coarse.objective >= v_fine.objective - 1e-6
 
 
@@ -239,7 +240,7 @@ def test_solutions_satisfy_tolerances_on_both_engines(corpus):
 def test_state_probabilities_conserve_mass(corpus):
     for entry in corpus[:15]:
         built = build_lp_optimal(entry.laminar)
-        sol = solve_optimal(built.model)
+        sol = solve(built.model)
         info = built.block("root")
         for lvl in range(len(info.levels)):
             tlab = info.time_label(lvl)
@@ -336,8 +337,8 @@ def test_check_solution_accepts_solver_output(corpus):
 
 
 # ---------------------------------------------------------------------------
-# Certified DP points: tried on every LP under auto, an uncoupled one at
-# the units' DP policies and a coupled one at the mixture of its dual
+# Certified DP points: solve's one solver, an uncoupled LP's at the units'
+# DP policies and a coupled one's at the mixture of its dual
 # ---------------------------------------------------------------------------
 
 CAP1_PAIR = LaminarInstance.build(
@@ -361,17 +362,6 @@ SLACK_SHIPPING = ProductionInstance(
     dists=(U02,) * 5, types=(0, 1, 0, 1, 1), days=(0, 0, 1, 1, 1),
     production=((1, 2), (1, 3)), shipping=5)
 ROOT_MARKED_LARGE = Marking(large=frozenset({0}))
-# a root of cap 101 over two cap-3 bins of six: an exact LP past the dense
-# simplex's former limit that HiGHS solves at once
-PAST_LIMIT = LaminarInstance.build(
-    (U02,) * 12, {"cap": 101, "children": [
-        {"cap": 3, "children": [{"element": e} for e in range(6)]},
-        {"cap": 3, "children": [{"element": e} for e in range(6, 12)]}]})
-
-
-def bits(sol):
-    return (sol.status, sol.engine, sol.iterations, sol.objective,
-            sol.x.tobytes())
 
 
 def bound_lp(entry, scale=1.0):
@@ -384,7 +374,7 @@ def bound_lp(entry, scale=1.0):
 
 
 def assert_certified(model):
-    """``auto`` certifies ``model``'s DP point, within 1e-9 of the dense
+    """``solve`` certifies ``model``'s DP point, within 1e-9 of the dense
     simplex at desk scale and of HiGHS beyond."""
     sol = solve(model)
     assert (sol.status, sol.engine, sol.iterations) == \
@@ -396,8 +386,8 @@ def assert_certified(model):
 
 
 def test_certificate_solves_every_corpus_exact_lp(corpus):
-    # under plain auto: the exact LP has no coupling row, so it takes the
-    # DP point at desk scale too, and its rounding replays the point
+    # the exact LP has no coupling row, so it takes the units' DP point,
+    # and its rounding replays the point
     for entry in corpus:
         built = build_lp_optimal(entry.laminar)
         assert not built.model.coupled
@@ -423,7 +413,7 @@ def test_certificate_solves_every_bound_lp_binding_or_slack(corpus):
         if model.coupled:
             coupled += 1
             assert abs(sol.objective
-                       - solve(model, "highs").objective) <= 1e-9
+                       - reference_highs(model).objective) <= 1e-9
     assert coupled == 66
 
 
@@ -431,7 +421,7 @@ def test_certificate_solves_every_bound_lp_binding_or_slack(corpus):
 def test_certificate_solves_every_bound_whose_rows_cannot_fill(corpus,
                                                                scale):
     # the units' most picks fit under every large row: the model is
-    # uncoupled, and auto returns the certified point, with no fallback
+    # uncoupled, and solve returns the certified point
     uncoupled = {"none": 0, "shipping": 0, "bin": 0}
     for entry in corpus:
         built = bound_lp(entry, scale)
@@ -448,7 +438,7 @@ def test_certificate_solves_every_bound_whose_rows_cannot_fill(corpus,
 
 
 def assert_certified_against_highs(built):
-    """``auto`` certifies ``built``'s coupled LP within 1e-9 of HiGHS, its
+    """``solve`` certifies ``built``'s coupled LP within 1e-9 of HiGHS, its
     rounding replays the certified objective exactly, and the rounding
     composed behind the counters oversells nothing in simulation."""
     model = built.model
@@ -456,7 +446,7 @@ def assert_certified_against_highs(built):
     sol = solve(model)
     assert (sol.status, sol.engine, sol.iterations) == \
         ("optimal", "certificate", 0)
-    assert abs(sol.objective - solve(model, "highs").objective) <= 1e-9
+    assert abs(sol.objective - reference_highs(model).objective) <= 1e-9
     assert check_solution(model, sol) == []
     policy = compose_policies(built.instance, extract_all(sol, built),
                               built.marking)
@@ -469,7 +459,7 @@ def assert_certified_against_highs(built):
 def test_certificate_solves_every_coupled_corpus_lp(corpus):
     # the ex-ante and the hierarchy LPs (marked at delta 0.6) at scales 1
     # and 0.8 whose units can fill a large row: under one row or up to four
-    # nested ones, auto certifies the mixture of their dual
+    # nested ones, solve certifies the mixture of their dual
     rows = collections.Counter()
     for entry in corpus:
         lam = entry.laminar
@@ -528,10 +518,6 @@ def test_certificate_solves_a_desk_scale_lp_whose_rows_cannot_fill():
         assert_certified(model)
 
 
-def fail():
-    raise AssertionError("DP point computed")
-
-
 def test_certificate_solves_a_coupled_desk_scale_lp():
     # rows their units can fill: 2 + 3 sold against 0.8 * 5, and 2 + 2
     # picked under a large root of 3
@@ -542,23 +528,44 @@ def test_certificate_solves_a_coupled_desk_scale_lp():
         assert_certified(model)
 
 
-@pytest.mark.parametrize("inst", [CAP1_PAIR, PAST_LIMIT],
-                         ids=["desk", "past"])
-def test_certificate_is_not_computed_under_a_forced_engine(inst):
-    # at desk scale and past the dense simplex's former limit alike
-    assert desk_scale(build_lp_optimal(inst).model) == (inst is CAP1_PAIR)
-    for built in (build_lp_optimal(inst),
-                  build_lp_hierarchy(inst, ROOT_MARKED_LARGE, 1.0)):
-        built.model.dp_point = fail
-        assert solve(built.model, "highs").engine == "highs"
-
-
-def falls_back(model, x, u):
-    """``solve`` rejects ``(x, u)`` as the DP point and returns HiGHS's
-    bits; returns ``certify``'s residuals of the point."""
+def rejected(model, x, u):
+    """``solve`` rejects ``(x, u)`` as the DP point: it raises ``LpError``
+    naming ``certify``'s residuals of the point, which it returns."""
     model.dp_point = lambda: (x, u)
-    assert bits(solve(model)) == bits(solve(model, "highs"))
-    return certify(model, x, u)
+    primal, dual, gap = certify(model, x, u)
+    with pytest.raises(lp.LpError) as exc:
+        solve(model)
+    assert str(exc.value) == (
+        f"DP point not certified: primal residual {primal!r}, "
+        f"dual residual {dual!r}, gap {gap!r}")
+    return primal, dual, gap
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_solve_raises_where_the_certificate_rejects_the_point(monkeypatch,
+                                                              coupled):
+    # the initial row's dual raised by 1e-3 opens a gap of 1e-3 and keeps
+    # the point and the other duals feasible
+    perturbed_dp_points(monkeypatch)
+    built = (build_lp_exante(SLACK_SHIPPING, 0.8) if coupled
+             else build_lp_optimal(CAP1_PAIR))
+    assert built.model.coupled == coupled
+    x, u = built.model.dp_point()
+    primal, dual, gap = rejected(built.model, x, u)
+    assert primal <= lp.CERT_PRIMAL_TOL and dual <= lp.CERT_TOL
+    assert gap == pytest.approx(1e-3)
+
+
+def test_solve_raises_on_a_model_with_no_dp_point():
+    # a hand-built model has no DP point to certify; one with no variable
+    # is solved trivially
+    model = model_from_arrays([1.0], [[1.0]], [3.0])
+    assert model.dp_point is None
+    with pytest.raises(lp.LpError, match="^no DP point to certify$"):
+        solve(model)
+    sol = solve(LpModel())
+    assert (sol.status, sol.engine, sol.objective) == \
+        ("optimal", "trivial", 0.0)
 
 
 def test_dp_point_reads_the_blocks_levels(monkeypatch):
@@ -629,18 +636,18 @@ def nudged_point(monkeypatch, built):
 
 def test_certificate_rejects_a_nudged_threshold(monkeypatch):
     built = build_lp_optimal(CAP1_PAIR)
-    _, dual, _ = falls_back(built.model, *nudged_point(monkeypatch, built))
+    _, dual, _ = rejected(built.model, *nudged_point(monkeypatch, built))
     assert dual == pytest.approx(0.5e-3)
 
 
 def test_certificate_rejects_a_nudged_threshold_at_desk_scale(
         monkeypatch):
-    # a coupled desk-scale LP falls back to HiGHS too
+    # a coupled desk-scale LP is rejected too
     built = build_lp_hierarchy(two_bins_under(3), ROOT_MARKED_LARGE, 1.0)
     assert built.model.coupled and desk_scale(built.model)
     x, u = built.model.dp_point()
     u[built.block("bin:1").rows[0][1]] += 1e-3  # the first X <= Y row
-    _, dual, _ = falls_back(built.model, x, u)
+    _, dual, _ = rejected(built.model, x, u)
     assert dual == pytest.approx(1e-3)
 
 
@@ -652,7 +659,7 @@ def test_certificate_rejects_a_raised_value(monkeypatch):
     at = info.levels[1].index((1,))
     x, u = point_over_a_copy(monkeypatch, built, "values", 1,
                              lambda v: v + 0.1 * (np.arange(len(v)) == at))
-    _, dual, _ = falls_back(built.model, x, u)
+    _, dual, _ = rejected(built.model, x, u)
     assert dual == pytest.approx(0.1)
 
 
@@ -667,7 +674,7 @@ def test_certificate_rejects_a_zeroed_forbidden_dual():
     assert built.model.rows[row][1:] == ("<=", 0.0)
     assert u[row] == 1.0  # p * v of the forbidden pick
     u[row] = 0.0
-    _, dual, _ = falls_back(built.model, x, u)
+    _, dual, _ = rejected(built.model, x, u)
     assert dual == pytest.approx(1.0)
 
 
@@ -681,7 +688,7 @@ def test_certificate_rejects_a_large_row_below_the_expected_count():
     expected = float(coefs[rows == root] @ x[cols[rows == root]])
     assert 0.0 < expected < 101.0
     model.rhs[root] = expected / 2.0
-    primal, _, _ = falls_back(model, x, u)
+    primal, _, _ = rejected(model, x, u)
     assert primal == pytest.approx(expected / 2.0)
     # the row now binds: the LP optimum is below the units' DP optimum
-    assert solve(model).objective < model.objective_value(x) - 1e-3
+    assert reference_highs(model).objective < model.objective_value(x) - 1e-3

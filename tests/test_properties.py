@@ -36,8 +36,8 @@ from binprice import (
     ptas_production,
     simulate,
     serialize_instance,
+    solve,
     solve_full_dp,
-    solve_optimal,
 )
 from binprice.cli import main
 from binprice.harness import prophet_samples
@@ -62,10 +62,10 @@ def test_benchmark_ordering_on_corpus_sample(corpus):
         tbl, _ = solve_full_dp(lam)
         dp = tbl.optimal
         if entry.production is not None:
-            sol2 = solve_optimal(build_lp_exante(entry.production, 1.0).model)
+            sol2 = solve(build_lp_exante(entry.production, 1.0).model)
             assert sol2.objective >= dp - 1e-6
         mk = mark_laminar(lam, 0.4)
-        sol4 = solve_optimal(build_lp_hierarchy(lam, mk, 1.0).model)
+        sol4 = solve(build_lp_hierarchy(lam, mk, 1.0).model)
         assert sol4.objective >= dp - 1e-6
 
         if entry.production is not None:
@@ -94,7 +94,7 @@ def test_exante_can_exceed_the_prophet():
     d = DiscreteDistribution.of([(0.0, 0.5), (2.0, 0.5)])
     p = ProductionInstance(dists=(d,) * 6, types=(0,) * 6, days=(0,) * 6,
                            production=((6,),), shipping=1)
-    sol2 = solve_optimal(build_lp_exante(p, 1.0).model)
+    sol2 = solve(build_lp_exante(p, 1.0).model)
     assert abs(sol2.objective - 2.0) <= 1e-6
     samples = prophet_samples(production_to_laminar(p), 30000, seed=9)
     se = samples.std(ddof=1) / math.sqrt(samples.size)
@@ -140,7 +140,7 @@ def laminar_trees(draw):
 @given(laminar_trees())
 def test_dp_equals_lp_opt_and_its_exact_replay(inst):
     tbl, policy = solve_full_dp(inst)
-    lp_opt = solve_optimal(build_lp_optimal(inst).model).objective
+    lp_opt = solve(build_lp_optimal(inst).model).objective
     assert abs(tbl.optimal - lp_opt) <= 1e-6
     welfare, _ = evaluate_exact(policy, inst)
     assert abs(welfare - tbl.optimal) <= 1e-9
@@ -231,7 +231,7 @@ def test_large_branch_attains_its_relaxation_and_stays_feasible(inst, epsilon,
         result = ptas_laminar(inst, cfg)
     assume(result.branch == "large")
     event(result.lp_kind)
-    optimum = solve_optimal(relaxation(inst, cfg).model).objective
+    optimum = solve(relaxation(inst, cfg).model).objective
     assert abs(result.objective - optimum) <= 1e-9
     assert result.lp_kind in ("dp", "lagrangian")
     welfare, _ = evaluate_exact(result.policy, inst)

@@ -32,6 +32,7 @@ from conftest import (
     criterion_7_laminar,
     random_laminar,
     random_production,
+    reference_highs,
     reference_pick_probabilities,
     relaxation,
     run_ptas,
@@ -195,7 +196,7 @@ def test_counters_use_original_capacity_not_scaled():
     cfg = PtasConfig(epsilon=0.5, delta=0.4)
     r = ptas_production(p, cfg)
     assert (r.branch, r.lp_kind) == ("large", "lagrangian")
-    sol = lp.solve_optimal(build_lp_exante(p, cfg.capacity_scale).model)
+    sol = lp.solve(build_lp_exante(p, cfg.capacity_scale).model)
     assert abs(r.objective - sol.objective) <= 1e-9
     composed = r.policy
     assert composed.counter_caps == {"shipping": 3}
@@ -267,7 +268,7 @@ def test_small_branch_policy_attains_dp_and_lp_optimum(small_branch_runs):
             assert abs(welfare - table.optimal) <= 1e-9
             built = build_lp_optimal(entry.laminar)
             assert abs(r.objective
-                       - lp.solve_optimal(built.model).objective) <= 1e-6
+                       - lp.solve(built.model).objective) <= 1e-6
 
 
 def large_rows(inst, marking):
@@ -326,7 +327,7 @@ def large_branch_runs(corpus):
             continue
         inst = entry.production if entry.production is not None \
             else entry.laminar
-        sol = lp.solve_optimal(relaxation(inst, cfg).model)
+        sol = lp.solve(relaxation(inst, cfg).model)
         runs.append((inst, run_large_branch(inst, cfg), sol.objective))
     return runs
 
@@ -389,7 +390,7 @@ def test_criterion_7_large_branch_builds_no_lp(monkeypatch):
         r = ptas_laminar(inst, cfg)
     assert_dp_route(r, inst, cfg)
     assert r.policy.counter_caps == {"bin:0": 101}
-    sol = lp.solve_optimal(relaxation(inst, cfg).model)
+    sol = lp.solve(relaxation(inst, cfg).model)
     assert abs(r.objective - sol.objective) <= 1e-9
 
 
@@ -499,8 +500,8 @@ def test_dual_route_mixes_at_a_multiplier_off_the_binary_fractions():
         r = ptas_production(p, cfg)
     # L(1/3) = 2.4 / 3 + 2 * (10 - 1/3) + (1.25 - 1/3)
     assert abs(r.objective - 21.05) <= 1e-12
-    assert_dual_route(r, p, cfg, lp.solve_optimal(
-        relaxation(p, cfg).model, "highs").objective)
+    assert_dual_route(r, p, cfg, reference_highs(
+        relaxation(p, cfg).model).objective)
     tau, coin = r.policy.blocks["type:0"].rule(0, (0,))
     assert tau == 1.25 and abs(coin - 0.2) <= 1e-12
     # later, the buyer of 4 is served whenever the unit is left: every
@@ -535,8 +536,7 @@ def test_criterion_6_dual_route_matches_highs():
         forbid_lp(mp)
         r = ptas_production(p, cfg)
     assert r.lp_kind == "lagrangian"
-    sol = lp.solve_optimal(build_lp_exante(p, cfg.capacity_scale).model,
-                           "highs")
+    sol = reference_highs(build_lp_exante(p, cfg.capacity_scale).model)
     assert abs(r.objective - sol.objective) <= 1e-9
     welfare, _ = evaluate_exact(r.policy, p)
     assert abs(welfare - r.objective) <= 1e-9

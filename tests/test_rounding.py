@@ -19,7 +19,7 @@ from binprice import (
     policy_from_json,
     policy_to_json,
     simulate,
-    solve_optimal,
+    solve,
 )
 from binprice.model import (
     InstanceError,
@@ -51,7 +51,7 @@ def test_zero_probability_state_maps_to_infinite_price():
         (DiscreteDistribution.point(3), DiscreteDistribution.point(5)),
         {"cap": 1, "children": [{"element": 0}, {"element": 1}]})
     built = build_lp_optimal(inst)
-    sol = solve_optimal(built.model)
+    sol = solve(built.model)
     pol = extract_pricing(sol, built, "root")
     # the optimum skips buyer 0, so the sold-out state never occurs for
     # buyer 1 and is priced at infinity
@@ -61,7 +61,7 @@ def test_zero_probability_state_maps_to_infinite_price():
 def test_extraction_reproduces_lp_probabilities(corpus):
     for entry in corpus[:30]:
         built = build_lp_optimal(entry.laminar)
-        sol = solve_optimal(built.model)
+        sol = solve(built.model)
         pol = extract_pricing(sol, built, "root")
         welfare, trace = evaluate_exact(pol, entry.laminar)
         assert abs(welfare - sol.objective) <= 1e-6, entry.name
@@ -118,7 +118,7 @@ def test_compose_identity_for_single_small_root():
     inst = LaminarInstance.build(
         (U12, U12), {"cap": 1, "children": [{"element": 0}, {"element": 1}]})
     built = build_lp_optimal(inst)
-    sol = solve_optimal(built.model)
+    sol = solve(built.model)
     pol = extract_pricing(sol, built, "root")
     composed = compose_policies(inst, {"root": pol}, Marking())
     w1, _ = evaluate_exact(pol, inst)
@@ -202,7 +202,7 @@ def test_interleaved_blocks_preserve_local_trajectories():
         types=(0, 1, 0, 1), days=(0, 0, 0, 0),
         production=((1,), (2,)), shipping=10)
     built = build_lp_exante(p, 1.0)
-    sol = solve_optimal(built.model)
+    sol = solve(built.model)
     pols = {k: extract_pricing(sol, built, k) for k in built.blocks}
     composed = compose_policies(p, pols)
     w_all, trace_all = evaluate_exact(composed, p)
@@ -229,7 +229,7 @@ def test_composed_policy_json_roundtrip():
         dists=(DiscreteDistribution.point(2), DiscreteDistribution.point(2)),
         types=(0, 1), days=(0, 0), production=((1,), (1,)), shipping=1)
     built = build_lp_exante(p, 1.0)
-    sol = solve_optimal(built.model)
+    sol = solve(built.model)
     composed = compose_policies(
         p, {k: extract_pricing(sol, built, k) for k in built.blocks})
     doc = json.loads(policy_to_json(composed))
