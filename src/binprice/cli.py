@@ -280,9 +280,9 @@ def cmd_verify(args) -> int:
 def _trace_deviation(sol, built, trace) -> float:
     """The largest gap between the root block's replayed state
     probabilities (``evaluate_exact``'s trace) and the LP's ``Y``."""
-    info = built.block("root")
-    return max(float(np.abs(occ - info.y_values(sol.x, lvl)).max())
-               for lvl, occ in enumerate(trace))
+    info = built.block("root")  # its Y columns run from y[0] to xc[0]
+    y = sol.x[info.y[0]:info.xc[0]]
+    return float(np.abs(np.concatenate(trace) - y).max())
 
 
 def cmd_transform(args) -> int:

@@ -761,16 +761,19 @@ def check_negative_cylinder(p: ProductionInstance, type_index: int,
         has = ((ids >> i) & 1).astype(bool)
         f = np.where(has[:, None], shifted, stay + shifted)
     moments = f.sum(axis=1)
-    marg = np.array([moments[1 << i] for i in range(l)])
-    prod = np.ones(2 ** l)
-    for mask in range(1, 2 ** l):
-        low = mask & (-mask)
-        prod[mask] = prod[mask ^ low] * marg[low.bit_length() - 1]
-    gaps = moments - prod
+    gaps = moments - _subset_products(moments[1 << np.arange(l)])
     worst = int(np.argmax(gaps))
     subset = tuple(t for i, t in enumerate(dyn.elements) if (worst >> i) & 1)
     gap = float(gaps[worst])
     return gap <= tol, subset, gap
+
+
+def _subset_products(marg) -> np.ndarray:
+    """Per subset mask, the product of its ``marg``, highest index first."""
+    prod = np.ones(2 ** len(marg))
+    for i in range(len(marg) - 1, -1, -1):
+        prod[1 << i::2 << i] = prod[::2 << i] * marg[i]
+    return prod
 
 
 def chain_count_distribution(p: ProductionInstance, type_index: int,

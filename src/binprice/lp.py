@@ -39,7 +39,7 @@ Solver: the blocks' DP point, returned once ``certify`` proves it optimal
 point is the units' threshold policies where no large row (shipping,
 large bin) can bind, since its units' most picks fit under it; else the
 mixture of the dual over the units' DPs (``dp.relax``), which attains the
-relaxation.
+relaxation; it is scattered through the emitter's layout in one pass.
 
 Text interchange format (``LpModel.to_text``), one token per name, all
 variables non-negative::
@@ -101,11 +101,12 @@ class LpModel:
     ``coefs[ptr[i]:ptr[i+1]]``, columns strictly ascending; ``le_rows()``
     marks its ``<=`` rows (the others are ``=``) and ``rhs`` holds the
     right-hand sides.  All five are arrays, joined from the appended rows
-    the first time one is read.  ``objective`` maps a column to its
-    coefficient in the order the terms were added, which is the order the
-    objective value is summed in.  ``_build`` sets ``dp_point``, computing
-    the blocks' DP point ``(x, u)``, and ``coupled``, whether some large row
-    can bind: whether the most picks its units can make exceed its capacity.
+    the first time one is read, as are ``coo``'s row ids.  ``objective``
+    maps a column to its coefficient in the order the terms were added,
+    which is the order the objective value is summed in.  ``_build`` sets
+    ``dp_point``, computing the blocks' DP point ``(x, u)``, and
+    ``coupled``, whether some large row can bind: whether the most picks
+    its units can make exceed its capacity.
     """
 
     def __init__(self):
@@ -121,6 +122,7 @@ class LpModel:
         self._namers: list = []  # (count, namer(k) -> name of the k-th)
         self._names: list[str] | None = None
         self._index: dict[str, int] | None = None
+        self._row_ids = np.zeros(0, dtype=np.intp)
         self.dp_point = None
         self.coupled = True
 
@@ -158,7 +160,8 @@ class LpModel:
             self._parts = []
             ends = self._ptr[-1] + np.cumsum(np.concatenate(lengths),
                                              dtype=np.intp)
-            self._ptr = np.concatenate((self._ptr, ends))
+            ptr = self._ptr = np.concatenate((self._ptr, ends))
+            self._row_ids = np.repeat(np.arange(self.num_rows), np.diff(ptr))
             self._cols = _extended(self._cols, cols, np.intp)
             self._coefs = _extended(self._coefs, coefs, float)
             self._le = _extended(self._le, le, bool)
@@ -187,8 +190,7 @@ class LpModel:
 
     def coo(self):
         """Row ids, columns and coefficients of every entry, as arrays."""
-        rows = np.repeat(np.arange(self.num_rows), np.diff(self.ptr))
-        return rows, self.cols, self.coefs
+        return self._joined()._row_ids, self._cols, self._coefs
 
     def objective_value(self, x) -> float:
         xs = x.tolist()
@@ -297,12 +299,13 @@ def check_solution(model: LpModel, sol: LpSolution) -> list[str]:
     return out
 
 
-def certify(model: LpModel, x, u) -> tuple[float, float, float]:
+def certify(model: LpModel, x, u, obj=None) -> tuple[float, float, float]:
     """``(primal residual, dual residual, gap)`` of a point ``x`` and row
     duals ``u``: the largest bound or row violation of ``x``; the largest
     violation of ``A^T u >= c`` or of ``u >= 0`` on a ``<=`` row; and
-    ``|c x - b u|``.  All three zero prove ``x`` optimal.  A NaN anywhere
-    makes its residual NaN, which no tolerance accepts."""
+    ``|c x - b u|``, ``c x`` being ``obj`` where given.  All three zero
+    prove ``x`` optimal; a NaN anywhere leaves a residual no tolerance
+    accepts."""
     rows, cols, coefs = model.coo()
     b = model.rhs
     le = model.le_rows()
@@ -315,7 +318,8 @@ def certify(model: LpModel, x, u) -> tuple[float, float, float]:
     slack = np.bincount(cols, weights=coefs * u[rows],
                         minlength=model.num_vars) - c
     dual = np.maximum(-slack.min(initial=0.0), -u[le].min(initial=0.0))
-    gap = abs(model.objective_value(x) - float(b @ u))
+    obj = model.objective_value(x) if obj is None else obj
+    gap = abs(obj - float(b @ u))
     return float(primal), float(dual), gap
 
 
@@ -330,8 +334,8 @@ def solve(model: LpModel) -> LpSolution:
     if not model.dp_point:
         raise LpError("no DP point to certify")
     x, u = model.dp_point()
-    primal, dual, gap = certify(model, x, u)
     obj = model.objective_value(x)
+    primal, dual, gap = certify(model, x, u, obj)
     if not (primal <= CERT_PRIMAL_TOL
             and dual <= CERT_TOL * (1.0 + np.abs(u).max(initial=0.0))
             and gap <= CERT_TOL * (1.0 + abs(obj))):
@@ -410,11 +414,6 @@ class BlockInfo:
     def time_label(self, level):
         return self.dyn.elements[level] if level < len(self.dyn.elements) else END
 
-    def y_values(self, x, lvl) -> np.ndarray:
-        """``Y`` of level ``lvl``'s reachable states, in position order."""
-        y0 = self.y[lvl]
-        return x[y0:y0 + len(self.states.codes[lvl])]
-
 
 @dataclass
 class BuiltLp:
@@ -460,22 +459,24 @@ def _flat(runs, count) -> np.ndarray:
 
 def _emit_blocks(model: LpModel, dists, blocks: list):
     """Append the blocks' variables and rows to ``model``, block after
-    block: ``_block_entries`` makes every entry with its row, and one sort
-    by row and column lays the rows out."""
-    rows, cols, coefs, le, rhs = _block_entries(model, dists, blocks)
+    block, and return their layout: ``_block_entries`` makes every entry
+    with its row, and one sort by row and column lays the rows out."""
+    (rows, cols, coefs, le, rhs), layout = _block_entries(model, dists, blocks)
     key = rows * model.num_vars
     key += cols
     order = key.argsort(kind="stable")
     del key
     model.append_rows(np.bincount(rows, minlength=len(le)), cols[order],
                       coefs[order], le, rhs)
+    return layout
 
 
 def _block_entries(model: LpModel, dists, blocks: list):
     """Add the blocks' variables to ``model`` and lay out their rows, as
     arrays over the positions of their ``StateLevels``: returns each
     entry's row (counted from the first new one), column and coefficient,
-    and per row whether it is ``<=`` and its right-hand side.
+    and per row whether it is ``<=`` and its right-hand side; and the
+    index arrays ``_dp_point`` scatters through, its ``layout``.
 
     A state's skip and pick name the update rows that its ``Y`` and its
     picks enter.  Where its pick is -1 (an over-pick) its ``X(t,state,atom)``
@@ -497,7 +498,7 @@ def _block_entries(model: LpModel, dists, blocks: list):
     v = model.num_vars
     r0 = r = model.num_rows
     inits, y_at, y_next, xc_at, xm_at, first_at = [], [], [], [], [], []
-    moves = []  # whether a pick moves
+    moves, sizes = [], []  # whether a pick moves; the layout's counts
     a = 0
     for info, lv in zip(blocks, levels):
         L = len(lv.skips)
@@ -519,6 +520,7 @@ def _block_entries(model: LpModel, dists, blocks: list):
         first_at += first[:L]
         moves += [d != 0 and coords != ()
                   for coords, d, _ in map(info.dyn.step, info.elements)]
+        sizes.append((sum(reach[a:a + L]), sum(u), sum(k)))
         v, r = xc[-1], first[-1]
         a += L
     # X(t,state,atom), X(t,atom) and update rows before each arrival
@@ -556,8 +558,10 @@ def _block_entries(model: LpModel, dists, blocks: list):
     state, atom = np.divmod(at - by_x[:, 4], by_x[:, 2])
     state += by_x[:, 3]
     marg_row = by_x[:, 5] + atom
-    prob = np.array([p for info in blocks for t in info.elements
-                     for _, p in dists[t].atoms])[by_x[:, 6] + atom]
+    gatom = by_x[:, 6] + atom
+    atoms = np.array([a for info in blocks for t in info.elements
+                      for a in dists[t].atoms]).T
+    prob = atoms[1][gatom]
     # the picks a state can make: each leaves it (+p) and arrives from its
     # source (-p); an arrival that moves no coordinate picks into the state
     # it leaves, so there the two fall on the same variables and cancel to 0
@@ -572,8 +576,10 @@ def _block_entries(model: LpModel, dists, blocks: list):
     by_upd = per[:, 11:13].repeat(after, axis=0)
     there = by_upd[:, 0] + np.arange(uat[-1])
 
-    rows = [[r for r, _ in inits], marg_row, by_atom[:, 1] + xm_col,
-            cap_row[held], cap_row, there + by_upd[:, 1], skip_row]
+    atom_row = by_atom[:, 1] + xm_col
+    upd_row = there + by_upd[:, 1]
+    rows = [[r for r, _ in inits], marg_row, atom_row, cap_row[held],
+            cap_row, upd_row, skip_row]
     cols = [[v for _, v in inits], xcol, xm_col, ycol[state[held]], xcol,
             there, ycol]
     signs = [1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0]
@@ -587,81 +593,71 @@ def _block_entries(model: LpModel, dists, blocks: list):
     le[cap_row - r0] = True
     rhs = np.zeros(r - r0)
     rhs[rows[:len(inits)]] = 1.0
-    return rows, np.concatenate(cols), np.concatenate(coefs), le, rhs
+    return (rows, np.concatenate(cols), np.concatenate(coefs), le, rhs), (
+        ycol, xcol, cap_row, state, atom, gatom, xm_col, atom_row, there,
+        upd_row, atoms, np.array(sizes).T)
 
 
-def _dp_point(num_vars, num_rows, inst, state_cap, blocks, rows, scale):
+def _dp_point(num_vars, num_rows, inst, state_cap, blocks, rows, scale,
+              layout):
     """``(x, u)``: each block's policy run forward (``Y``, the accepted
     mass ``X(t,state,atom)`` and ``X(t,atom)`` their sums) and its duals
     (``V`` on the initial and update rows, ``p*(v - s)`` on the marginal
     rows and ``p*max(v - s - tau, 0)`` on the ``X <= Y`` rows, ``tau`` read
-    as 0 on an over-pick's), placed by position: the levels of the blocks'
-    ``dp.unit_table``s are the blocks' runs, in order.  With no ``rows``
-    the policies are the units' threshold policies at shift ``s = 0``;
-    else they are ``dp.relax``'s mixture over ``rows`` at ``scale``, the
-    model's last rows, each taking its multiplier.  Given sizes, not the model,
-    ``dp_point`` makes no reference cycle."""
+    as 0 on an over-pick's), scattered through the emitter's ``layout``.
+    With no ``rows`` the policies are the units' threshold policies at
+    shift ``s = 0``; else ``dp.relax``'s mixture over ``rows`` at
+    ``scale``, the model's last rows, each taking its multiplier: a unit's
+    tie-accepting policy at weight ``theta``, its tie-rejecting one at
+    ``1 - theta``.  Given no model, ``dp_point`` makes no reference cycle."""
+    (ycol, xcol, cap_row, state, atom, gatom, xm_col, atom_row, there,
+     upd_row, (atom_values, probs), (reach, after, widths)) = layout
     dists = inst.dists
-    x = np.zeros(num_vars)
     u = np.zeros(num_rows)
     units = [dp.unit_table(inst, key, state_cap=state_cap) for key in blocks]
+
+    def flat(passes, lo, hi):
+        return np.concatenate([y for _, occupancy, _ in passes
+                               for y in occupancy[lo:hi]])
+
     if rows:
         levels = [table.levels for table in units]
         relaxed = dp.relax(dists, levels, rows, scale,
                            *dp.zero_sweeps(dists, levels))
         u[num_rows - len(rows):] = relaxed.multipliers
-        shifts, sweeps = relaxed.shifts, relaxed.sweeps
-        points = _mixed_point(dists, levels, relaxed)
+        sweeps = relaxed.sweeps
+        v = atom_values - np.repeat(relaxed.shifts, widths)
+        decided, passes = dp.mixture(dists, levels, relaxed)
+        n, theta = len(units), np.array(relaxed.thetas)
+        (ya, la), (yb, lb) = [
+            (np.repeat(w, reach) * flat(half, 0, -1),
+             np.repeat(w, after) * flat(half, 1, None))
+            for w, half in ((theta, passes[:n]), (1.0 - theta, passes[n:]))]
+        y, last, bias = ya + yb, la + lb, decided.bias
+        xc = (ya[state] * bias[atom, state]
+              + yb[state] * bias[atom, state + len(y)])
     else:
-        shifts = [0.0] * len(units)
         sweeps = [(table.values, table.thresholds, None) for table in units]
-        _, passes = dp.forward_all(list(map(dp.threshold_policy, units)),
-                                   dists)
-        points = [(occupancy, None) for _, occupancy, _ in passes]
-    for info, shift, (values, thresholds, _), (occupancy, accepted) in zip(
-            blocks.values(), shifts, sweeps, points):
-        u[info.init_row] = values[0][0]
-        for lvl, t in enumerate(info.elements):
-            v, p = np.array(dists[t].values) - shift, np.array(dists[t].probs)
-            y = occupancy[lvl]
-            thr = np.asarray(thresholds[lvl])[:, None]
-            xc = y[:, None] * (v >= thr) if accepted is None else accepted[lvl]
-            x[info.y[lvl]:info.y[lvl] + len(y)] = y
-            x[info.xc[lvl]:info.xm[lvl]] = xc.ravel()
-            x[info.xm[lvl]:info.xm[lvl] + len(v)] = xc.sum(axis=0)
-            marginal, caps, updates = info.rows[lvl]
-            u[marginal:caps] = p * v
-            # an over-pick's threshold is infinite, and its X <= 0 row
-            # takes p*max(v - s, 0)
-            u[caps:updates] = (p * np.maximum(
-                v - np.where(thr < np.inf, thr, 0.0), 0.0)).ravel()
-            u[updates:updates + len(values[lvl + 1])] = values[lvl + 1]
-        last = occupancy[-1]
-        x[info.y[-1]:info.y[-1] + len(last)] = last
+        decided, passes = dp.forward_all(
+            list(map(dp.threshold_policy, units)), dists)
+        v, y, last = atom_values, flat(passes, 0, -1), flat(passes, 1, None)
+        xc = y[state] * decided.bias[atom, state]
+    thr = np.concatenate([t for _, taus, _ in sweeps for t in taus])
+    x = np.zeros(num_vars)
+    x[ycol], x[there], x[xcol] = y, last, xc
+    # bincount adds each atom's terms in state order, as a sum over the
+    # states does, and none is -0.0
+    x[xm_col] = np.bincount(gatom, xc, len(v))
+    u[[info.init_row for info in blocks.values()]] = [
+        values[0][0] for values, _, _ in sweeps]
+    u[atom_row] = probs * v
+    # an over-pick's threshold is infinite, and its X <= 0 row takes
+    # p*max(v - s, 0)
+    u[cap_row] = probs[gatom] * np.maximum(
+        v[gatom] - np.where(thr < np.inf, thr, 0.0)[state], 0.0)
+    u[upd_row] = np.concatenate([level for values, _, _ in sweeps
+                                 for level in values[1:]])
     return x, u
-
-
-def _mixed_point(dists, units, relaxed) -> list:
-    """Per unit of ``relaxed``, its mixture's ``(occupancy, accepted)``:
-    each state's probability at levels ``0 .. n``, and per arrival the mass
-    accepting each atom in each state (states by atoms)."""
-    decided, passes = dp.mixture(dists, units, relaxed)
-    n = len(units)
-    # each policy's first state among the decided ones
-    starts = list(accumulate((sum(map(len, lv.codes[:-1]))
-                              for lv in units * 2), initial=0))
-
-    def weighted(j, w):
-        occupancy, at, accepted = [w * y for y in passes[j][1]], starts[j], []
-        for y, t in zip(occupancy, units[j % n].dyn.elements):
-            bias = decided.bias[:len(dists[t].atoms), at:at + len(y)]
-            accepted.append(y[:, None] * bias.T)
-            at += len(y)
-        return occupancy, accepted
-
-    return [tuple([a + b for a, b in zip(*runs)] for runs in zip(
-        weighted(i, theta), weighted(n + i, 1.0 - theta)))
-        for i, theta in enumerate(relaxed.thetas)]
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +691,7 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
     for key in small_units(inst, mk):
         dyn = bind_dynamics(key, inst)
         blocks[key] = BlockInfo(key, dyn, state_levels(dyn, state_cap))
-    _emit_blocks(model, dists, list(blocks.values()))
+    layout = _emit_blocks(model, dists, list(blocks.values()))
     xm = {t: info.xm[lvl] for info in blocks.values()
           for lvl, t in enumerate(info.elements)}
     unit = {t: key for key, info in blocks.items() for t in info.elements}
@@ -717,7 +713,8 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
             model.add_objective_term(xm[t] + a, pa * v)
     model.dp_point = partial(_dp_point, model.num_vars, model.num_rows,
                              inst, state_cap, blocks,
-                             rows if model.coupled else (), capacity_scale)
+                             rows if model.coupled else (), capacity_scale,
+                             layout)
     return BuiltLp(model=model, instance=inst, blocks=blocks, marking=mk)
 
 

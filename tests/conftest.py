@@ -533,7 +533,8 @@ def floored(sol, built) -> "lp.LpSolution":
     x = sol.x.copy()
     for info in built.blocks.values():
         for lvl in range(len(info.elements)):
-            y = info.y_values(x, lvl)  # a view into the copy
+            y0 = info.y[lvl]
+            y = x[y0:y0 + len(info.states.codes[lvl])]  # a view into the copy
             y[y <= Y_FLOOR] = 0.0
     return dataclasses.replace(sol, x=x)
 
@@ -550,6 +551,84 @@ def perturbed_dp_points(monkeypatch):
         return x, u
 
     monkeypatch.setattr(lp, "_dp_point", raised)
+
+
+def per_level_dp_point(num_vars, num_rows, inst, state_cap, blocks, rows,
+                       scale):
+    """``lp._dp_point`` as it placed the point level by level, before it
+    scattered it through the emitter's layout: the oracle its ``x`` and
+    ``u`` must equal byte for byte.
+
+    ``(x, u)``: each block's policy run forward (``Y``, the accepted
+    mass ``X(t,state,atom)`` and ``X(t,atom)`` their sums) and its duals
+    (``V`` on the initial and update rows, ``p*(v - s)`` on the marginal
+    rows and ``p*max(v - s - tau, 0)`` on the ``X <= Y`` rows, ``tau`` read
+    as 0 on an over-pick's), placed by position: the levels of the blocks'
+    ``dp.unit_table``s are the blocks' runs, in order.  With no ``rows``
+    the policies are the units' threshold policies at shift ``s = 0``;
+    else they are ``dp.relax``'s mixture over ``rows`` at ``scale``, the
+    model's last rows, each taking its multiplier."""
+    dists = inst.dists
+    x = np.zeros(num_vars)
+    u = np.zeros(num_rows)
+    units = [dp.unit_table(inst, key, state_cap=state_cap) for key in blocks]
+    if rows:
+        levels = [table.levels for table in units]
+        relaxed = dp.relax(dists, levels, rows, scale,
+                           *dp.zero_sweeps(dists, levels))
+        u[num_rows - len(rows):] = relaxed.multipliers
+        shifts, sweeps = relaxed.shifts, relaxed.sweeps
+        points = per_level_mixed_point(dists, levels, relaxed)
+    else:
+        shifts = [0.0] * len(units)
+        sweeps = [(table.values, table.thresholds, None) for table in units]
+        _, passes = dp.forward_all(list(map(dp.threshold_policy, units)),
+                                   dists)
+        points = [(occupancy, None) for _, occupancy, _ in passes]
+    for info, shift, (values, thresholds, _), (occupancy, accepted) in zip(
+            blocks.values(), shifts, sweeps, points):
+        u[info.init_row] = values[0][0]
+        for lvl, t in enumerate(info.elements):
+            v, p = np.array(dists[t].values) - shift, np.array(dists[t].probs)
+            y = occupancy[lvl]
+            thr = np.asarray(thresholds[lvl])[:, None]
+            xc = y[:, None] * (v >= thr) if accepted is None else accepted[lvl]
+            x[info.y[lvl]:info.y[lvl] + len(y)] = y
+            x[info.xc[lvl]:info.xm[lvl]] = xc.ravel()
+            x[info.xm[lvl]:info.xm[lvl] + len(v)] = xc.sum(axis=0)
+            marginal, caps, updates = info.rows[lvl]
+            u[marginal:caps] = p * v
+            # an over-pick's threshold is infinite, and its X <= 0 row
+            # takes p*max(v - s, 0)
+            u[caps:updates] = (p * np.maximum(
+                v - np.where(thr < np.inf, thr, 0.0), 0.0)).ravel()
+            u[updates:updates + len(values[lvl + 1])] = values[lvl + 1]
+        last = occupancy[-1]
+        x[info.y[-1]:info.y[-1] + len(last)] = last
+    return x, u
+
+
+def per_level_mixed_point(dists, units, relaxed) -> list:
+    """Per unit of ``relaxed``, its mixture's ``(occupancy, accepted)``:
+    each state's probability at levels ``0 .. n``, and per arrival the mass
+    accepting each atom in each state (states by atoms)."""
+    decided, passes = dp.mixture(dists, units, relaxed)
+    n = len(units)
+    # each policy's first state among the decided ones
+    starts = list(itertools.accumulate(
+        (sum(map(len, lv.codes[:-1])) for lv in units * 2), initial=0))
+
+    def weighted(j, w):
+        occupancy, at, accepted = [w * y for y in passes[j][1]], starts[j], []
+        for y, t in zip(occupancy, units[j % n].dyn.elements):
+            bias = decided.bias[:len(dists[t].atoms), at:at + len(y)]
+            accepted.append(y[:, None] * bias.T)
+            at += len(y)
+        return occupancy, accepted
+
+    return [tuple([a + b for a, b in zip(*runs)] for runs in zip(
+        weighted(i, theta), weighted(n + i, 1.0 - theta)))
+        for i, theta in enumerate(relaxed.thetas)]
 
 
 def reference_prophet_samples(inst, trials: int, seed: int) -> np.ndarray:
@@ -682,6 +761,17 @@ def reference_concavity_check(table):
             worst_gap = gap
             worst = (table.positions[lvl], s[0], gap)
     return worst is None, worst
+
+
+def reference_subset_products(marg) -> np.ndarray:
+    """``harness.check_negative_cylinder``'s product of the marginals of
+    every subset as it was, one mask at a time: the mask without its lowest
+    index, times that index's marginal."""
+    prod = np.ones(2 ** len(marg))
+    for mask in range(1, 2 ** len(marg)):
+        low = mask & (-mask)
+        prod[mask] = prod[mask ^ low] * marg[low.bit_length() - 1]
+    return prod
 
 
 def reference_profile(dyn, state_cap=DEFAULT_STATE_CAP):
@@ -910,7 +1000,8 @@ def reference_emitter(forbidden=False, aliases=False):
     """Within: ``lp._emit_blocks`` is ``reference_emit_block``.  With
     ``forbidden`` or ``aliases``, its blocks hold the forbidden states (and
     the alias terms where ``aliases``), and ``lp._build`` is
-    ``reference_build``."""
+    ``reference_build``.  Without either, ``lp._build``'s model has no
+    layout to scatter its DP point through: it is compared, not solved."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_emit_blocks", lambda model, dists, blocks: [
             reference_emit_block(model, dists, info, forbidden, aliases)

@@ -135,6 +135,7 @@ from conftest import (
     reference_profile,
     reference_prophet_samples,
     reference_subproblem_dp,
+    reference_subset_products,
     relaxation,
     run_ptas,
     solve_with,
@@ -690,6 +691,33 @@ def test_concavity_check_matches_reference_on_ties():
     want = (False, (2, 0, 3.0))
     assert reference_concavity_check(tbl) == want
     assert concavity_check(tbl) == want
+
+
+def test_negative_cylinder_products_match_the_subset_loop(corpus,
+                                                         monkeypatch):
+    # the strided products of every subset's marginals equal the loop over
+    # the masks byte for byte: on every corpus type of at most 12 buyers,
+    # and on random marginals of 1 to 12 buyers
+    products = harness._subset_products
+    seen = []
+
+    def recorded(marg):
+        seen.append((marg, products(marg)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(harness, "_subset_products", recorded)
+    for entry in corpus:
+        p = entry.production
+        for j in range(p.num_types if p is not None else 0):
+            if 0 < len(p.buyers_of_type(j)) <= 12:
+                harness.check_negative_cylinder(p, j, 0.0)
+    corpus_types = len(seen)
+    rng = np.random.default_rng(12)
+    seen += [(marg, products(marg))
+             for marg in (rng.random(l) for l in range(1, 13))]
+    for marg, prod in seen:
+        assert prod.tobytes() == reference_subset_products(marg).tobytes()
+    assert corpus_types == 198
 
 
 def _sizing(call):

@@ -24,6 +24,7 @@ from binprice.lp import LpModel, LpSolution, certify, check_solution, y_name
 from binprice.model import (
     DEFAULT_STATE_CAP,
     InstanceError,
+    large_rows,
     parse_instance,
     serialize_instance,
     small_units,
@@ -41,6 +42,7 @@ from conftest import (
     desk_scale,
     model_from_arrays,
     oracle_lp_vertices,
+    per_level_dp_point,
     perturbed_dp_points,
     random_laminar,
     random_production,
@@ -608,6 +610,57 @@ def test_dp_point_from_stored_tables_keeps_its_bits(corpus, monkeypatch):
             got = lp._build(inst, mk, 1.0, DEFAULT_STATE_CAP).model.dp_point()
             monkeypatch.setattr(dp, "backward", backward)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def assert_per_level_bits(built, scale) -> bool:
+    """``built``'s DP point equals ``per_level_dp_point``'s byte for byte;
+    returns whether the LP is coupled."""
+    model = built.model
+    rows = large_rows(built.instance, built.marking) if model.coupled else ()
+    want = per_level_dp_point(model.num_vars, model.num_rows, built.instance,
+                              DEFAULT_STATE_CAP, built.blocks, rows, scale)
+    got = model.dp_point()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    return model.coupled
+
+
+def test_dp_point_keeps_the_per_level_bits_on_the_corpus(corpus):
+    # every corpus LP: the exact LP, the ex-ante LP and the hierarchy LP
+    # marked at delta 0.6, 0.3 and 0.1, each at scales 1 and 0.8; the
+    # scatter through the layout gives the bits the per-level loop gave
+    coupled = collections.Counter()
+    for entry in corpus:
+        lam = entry.laminar
+        builds = [(build_lp_optimal(lam), 1.0)]
+        for scale in (1.0, 0.8):
+            if entry.production is not None:
+                builds.append((build_lp_exante(entry.production, scale),
+                               scale))
+            else:
+                builds += [(build_lp_hierarchy(lam, mark_laminar(lam, delta),
+                                               scale), scale)
+                           for delta in (0.6, 0.3, 0.1)]
+        for built, scale in builds:
+            coupled[assert_per_level_bits(built, scale)] += 1
+    assert coupled == {False: 761, True: 159}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.8])
+def test_dp_point_keeps_the_per_level_bits_on_criterion_6_exante_lp(scale):
+    assert assert_per_level_bits(
+        build_lp_exante(criterion_6_production(), scale), scale)
+
+
+def test_dp_point_keeps_the_per_level_bits_on_criterion_7_lps():
+    # the hierarchy LP at criterion 7's delta (its root never fills), and
+    # the variant under a root of 20, which its four bins can fill
+    c7 = criterion_7_laminar()
+    fillable = LaminarInstance.build(c7.dists, dict(c7.to_tree(), cap=20))
+    for scale in (1.0, 0.8):
+        assert not assert_per_level_bits(
+            build_lp_hierarchy(c7, mark_laminar(c7, 0.1), scale), scale)
+    assert assert_per_level_bits(
+        build_lp_hierarchy(fillable, ROOT_MARKED_LARGE, 1.0), 1.0)
 
 
 def point_over_a_copy(monkeypatch, built, field, level, nudge):
