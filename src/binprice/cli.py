@@ -29,7 +29,6 @@ from .dp import concavity_check, solve_full_dp, solve_subproblem_dp
 from .model import (
     DEFAULT_STATE_CAP,
     InstanceError,
-    LaminarInstance,
     ProductionInstance,
     SizingError,
     as_laminar,
@@ -262,12 +261,17 @@ def cmd_verify(args) -> int:
     doc = {"command": "verify",
            "checks": [{"name": n, "ok": ok, "detail": d}
                       for n, ok, d in checks]}
-    if args.search and isinstance(inst, LaminarInstance):
-        hits = harness.search_dependency_counterexample(inst.dists)
-        doc["counterexample"] = ([
-            {"tree": h.tree, "price_after_pick": h.price_after_pick,
-             "price_after_skip": h.price_after_skip} for h in hits[:5]]
-            if hits else "no hit")
+    if args.search:  # it reads only the distributions, of either kind
+        n = len(inst.dists)
+        if n > harness.SEARCH_MAX_ELEMENTS:
+            doc["counterexample"] = (f"not searched ({n} elements > "
+                                     f"{harness.SEARCH_MAX_ELEMENTS})")
+        else:
+            hits = harness.search_dependency_counterexample(inst.dists)
+            doc["counterexample"] = ([
+                {"tree": h.tree, "price_after_pick": h.price_after_pick,
+                 "price_after_skip": h.price_after_skip} for h in hits[:5]]
+                if hits else "no hit")
     failed = [n for n, ok, _ in checks if not ok]
     doc["ok"] = not failed
     _report(doc, args.format, args.output)

@@ -14,10 +14,11 @@ first read; a caller that needs only the optimum, such as the exactness
 chain, decodes none.  ``sweep`` runs it without a table; given a tie
 tolerance, each level also carries every state's expected picks under the
 optimal policies that accept and that reject the values within it of their
-threshold, which the PTAS reads at multiplier 0 to pick its route and
-``relax``, the dual over a relaxation's units that the PTAS and the LPs'
-DP points share, at every multiplier it tries (``mixture`` runs its
-policies forward; an ordinary call carries nothing).
+threshold, which ``relax``, the dual over a relaxation's units that the
+PTAS and the LPs' DP points share, reads at every multiplier it tries
+(``mixture`` runs its policies forward; an ordinary call carries
+nothing).  ``coupled`` is the one rule for whether a relaxation needs
+that dual: whether some row's units can make more picks than it holds.
 
 ``forward_all`` is the one forward-occupancy kernel.  It runs any array
 policy, tie coins included, over its levels: ``Decisions`` computes every
@@ -235,13 +236,20 @@ def forward_all(policies, dists, shift=0.0):
     return decided, passes
 
 
-def zero_sweeps(dists, units):
-    """``(top, sweeps)`` of ``units``, their ``StateLevels``: a multiplier
-    past every value (and 0) of their arrivals, where no unit picks, and
-    each one's ``sweep`` at 0 with ties within ``TIE_TOL * top``."""
-    top = 1.0 + max([0.0, *(v for lv in units for e in lv.dyn.elements
-                            for v in dists[e].values)])
-    return top, [sweep(lv, dists, 0.0, TIE_TOL * top) for lv in units]
+def coupled(units, rows, scale) -> bool:
+    """Whether a row of ``rows`` (``model.large_rows``) can bind on
+    ``units`` (their ``StateLevels``, each wholly under or outside a row) at
+    ``scale`` times its capacity: whether its units' most picks, which no
+    expected count exceeds, exceed it.  A unit's most picks are the span of
+    its first coordinate, which a pick moves one way by 1, over its last
+    level (a chain's largest sold count, a small bin's capacity drop)."""
+    def most(lv):  # 1 for a lone element, which has no coordinate
+        codes, stride = lv.codes[-1], lv.coding.strides[:1]
+        return int(codes[-1] // stride[0] - codes[0] // stride[0]) \
+            if stride else 1
+
+    return any(sum(most(lv) for lv in units if lv.dyn.elements[0] in elements)
+               > scale * cap for _, elements, cap in rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,18 +266,21 @@ class Relaxed:
     tie: float
 
 
-def relax(dists, units, rows, scale, top, sweeps) -> Relaxed:
+def relax(dists, units, rows, scale) -> Relaxed:
     """The relaxation of ``units`` (their ``StateLevels``) under ``rows``
     (``model.large_rows``: laminar, ancestors first, the first holding
     every unit) held in expectation at ``scale`` times their capacities,
     solved through its dual over the units' DPs (``notes/decisions.md``,
-    "Nested duals"); ``top`` and ``sweeps`` are ``zero_sweeps``.  A unit's
-    values are lowered by its shift, the sum of its rows' multipliers.  A
-    row binds below a point ``mu`` that the shift above it does not move,
-    so one Kelley search per row, children first, finds ``mu`` (``LpError``
-    past ``DUAL_ITERATIONS`` steps).  A row's shift is the largest ``mu``
-    on its path, where each unit mixes its two policies so that every row
-    is kept, and met where its multiplier is positive."""
+    "Nested duals").  A unit's values are lowered by its shift, the sum of
+    its rows' multipliers.  A row binds below a point ``mu`` that the shift
+    above it does not move, so one Kelley search per row, children first,
+    from one sweep per unit at 0, finds ``mu`` (``LpError`` past
+    ``DUAL_ITERATIONS`` steps).  A row's shift is the largest ``mu`` on its
+    path, where each unit mixes its two policies so that every row is
+    kept, and met where its multiplier is positive."""
+    # a multiplier past every value (and 0) of the units' arrivals
+    top = 1.0 + max([0.0, *(v for lv in units for e in lv.dyn.elements
+                            for v in dists[e].values)])
     tie = TIE_TOL * top
     caps = [scale * cap for _, _, cap in rows]
 
@@ -282,7 +293,7 @@ def relax(dists, units, rows, scale, top, sweeps) -> Relaxed:
     row_of = [last_holding(lv.dyn.elements[0], len(rows)) for lv in units]
     members = [[u for u, r in enumerate(row_of) if r == j]
                for j in range(len(rows))]
-    memo = [{0.0: s} for s in sweeps]
+    memo = [{} for _ in units]
 
     def swept(u, lam):
         if lam not in memo[u]:

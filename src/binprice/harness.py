@@ -853,10 +853,12 @@ class DependencyHit:
 
 # The sweep: families of at most two inner bins with capacities up to
 # SEARCH_MAX_CAP under a root of capacity up to SEARCH_MAX_ROOT_CAP, and
-# the prices to elements 0 and 1, a drop counting past SEARCH_MARGIN.
+# the prices to elements 0 and 1, a drop counting past SEARCH_MARGIN; at
+# most SEARCH_MAX_ELEMENTS elements, since its work grows exponentially.
 SEARCH_MAX_CAP = 3
 SEARCH_MAX_ROOT_CAP = 5
 SEARCH_MARGIN = 1e-9
+SEARCH_MAX_ELEMENTS = 6
 
 
 def search_dependency_counterexample(
@@ -867,9 +869,11 @@ def search_dependency_counterexample(
 
     Chains (nested prefix bins, the production shape) never produce a hit
     and serve as the negative control (``chains_only``).  Returns every hit
-    found.
+    found; raises ``SizingError`` above ``SEARCH_MAX_ELEMENTS`` elements.
     """
     n = len(dists)
+    if n > SEARCH_MAX_ELEMENTS:
+        raise SizingError("the counterexample search", n, SEARCH_MAX_ELEMENTS)
     if chains_only:
         candidates = [frozenset(range(i + 1)) for i in range(1, n - 1)]
     else:

@@ -37,9 +37,10 @@ are produced only on request -- ``to_text``, ``LpModel.names``/``index``,
 Solver: the blocks' DP point, returned once ``certify`` proves it optimal
 (engine ``"certificate"``); a point it rejects is an ``LpError``.  The
 point is the units' threshold policies where no large row (shipping,
-large bin) can bind, since its units' most picks fit under it; else the
-mixture of the dual over the units' DPs (``dp.relax``), which attains the
-relaxation; it is scattered through the emitter's layout in one pass.
+large bin) can bind, since its units' most picks fit under it
+(``dp.coupled``, the rule the PTAS reads too); else the mixture of the
+dual over the units' DPs (``dp.relax``), which attains the relaxation; it
+is scattered through the emitter's layout in one pass.
 
 Text interchange format (``LpModel.to_text``), one token per name, all
 variables non-negative::
@@ -105,8 +106,7 @@ class LpModel:
     maps a column to its coefficient in the order the terms were added,
     which is the order the objective value is summed in.  ``_build`` sets
     ``dp_point``, computing the blocks' DP point ``(x, u)``, and
-    ``coupled``, whether some large row can bind: whether the most picks
-    its units can make exceed its capacity.
+    ``coupled``, whether some large row can bind (``dp.coupled``).
     """
 
     def __init__(self):
@@ -606,29 +606,28 @@ def _dp_point(num_vars, num_rows, inst, state_cap, blocks, rows, scale,
     rows and ``p*max(v - s - tau, 0)`` on the ``X <= Y`` rows, ``tau`` read
     as 0 on an over-pick's), scattered through the emitter's ``layout``.
     With no ``rows`` the policies are the units' threshold policies at
-    shift ``s = 0``; else ``dp.relax``'s mixture over ``rows`` at
-    ``scale``, the model's last rows, each taking its multiplier: a unit's
-    tie-accepting policy at weight ``theta``, its tie-rejecting one at
-    ``1 - theta``.  Given no model, ``dp_point`` makes no reference cycle."""
+    shift ``s = 0`` (their ``dp.unit_table``s); else ``dp.relax``'s
+    mixture over ``rows`` at ``scale``, the model's last rows, each taking
+    its multiplier, from the blocks' levels: a unit's tie-accepting policy
+    at weight ``theta``, its tie-rejecting one at ``1 - theta``.  Given no
+    model, ``dp_point`` makes no reference cycle."""
     (ycol, xcol, cap_row, state, atom, gatom, xm_col, atom_row, there,
      upd_row, (atom_values, probs), (reach, after, widths)) = layout
     dists = inst.dists
     u = np.zeros(num_rows)
-    units = [dp.unit_table(inst, key, state_cap=state_cap) for key in blocks]
 
     def flat(passes, lo, hi):
         return np.concatenate([y for _, occupancy, _ in passes
                                for y in occupancy[lo:hi]])
 
     if rows:
-        levels = [table.levels for table in units]
-        relaxed = dp.relax(dists, levels, rows, scale,
-                           *dp.zero_sweeps(dists, levels))
+        levels = [info.states for info in blocks.values()]
+        relaxed = dp.relax(dists, levels, rows, scale)
         u[num_rows - len(rows):] = relaxed.multipliers
         sweeps = relaxed.sweeps
         v = atom_values - np.repeat(relaxed.shifts, widths)
         decided, passes = dp.mixture(dists, levels, relaxed)
-        n, theta = len(units), np.array(relaxed.thetas)
+        n, theta = len(levels), np.array(relaxed.thetas)
         (ya, la), (yb, lb) = [
             (np.repeat(w, reach) * flat(half, 0, -1),
              np.repeat(w, after) * flat(half, 1, None))
@@ -637,6 +636,8 @@ def _dp_point(num_vars, num_rows, inst, state_cap, blocks, rows, scale,
         xc = (ya[state] * bias[atom, state]
               + yb[state] * bias[atom, state + len(y)])
     else:
+        units = [dp.unit_table(inst, key, state_cap=state_cap)
+                 for key in blocks]
         sweeps = [(table.values, table.thresholds, None) for table in units]
         decided, passes = dp.forward_all(
             list(map(dp.threshold_policy, units)), dists)
@@ -665,17 +666,6 @@ def _dp_point(num_vars, num_rows, inst, state_cap, blocks, rows, scale,
 # ---------------------------------------------------------------------------
 
 
-def _most_picks(lv: StateLevels) -> int:
-    """The most picks a unit can make: the span of its first coordinate,
-    which each pick moves one way by 1, over its last level (a chain's
-    largest sold count, a small bin's drop in its own remaining capacity);
-    1 for a lone element, which has no coordinate."""
-    if not lv.coding.strides:
-        return 1
-    codes, stride = lv.codes[-1], lv.coding.strides[0]
-    return int(codes[-1] // stride - codes[0] // stride)
-
-
 def _build(inst, mk: Marking | None, capacity_scale: float,
            state_cap) -> BuiltLp:
     """The relaxation of ``inst`` under ``mk``: a point-wise block per unit
@@ -694,8 +684,6 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
     layout = _emit_blocks(model, dists, list(blocks.values()))
     xm = {t: info.xm[lvl] for info in blocks.values()
           for lvl, t in enumerate(info.elements)}
-    unit = {t: key for key, info in blocks.items() for t in info.elements}
-    model.coupled = False
     rows = large_rows(inst, mk)
     for _, elements, cap in rows:
         # a row's elements may sit in different blocks: order by column
@@ -703,11 +691,8 @@ def _build(inst, mk: Marking | None, capacity_scale: float,
                        for a, pa in enumerate(dists[t].probs))
         model.append_row([i for i, _ in terms], [pa for _, pa in terms],
                          "<=", capacity_scale * cap)
-        # an expected count never exceeds the most picks: a row its units
-        # cannot fill never binds
-        most = sum(_most_picks(blocks[key].states)
-                   for key in {unit[t] for t in elements})
-        model.coupled |= most > capacity_scale * cap
+    model.coupled = dp.coupled([info.states for info in blocks.values()],
+                               rows, capacity_scale)
     for t, dist in enumerate(dists):
         for a, (v, pa) in enumerate(dist.atoms):
             model.add_objective_term(xm[t] + a, pa * v)

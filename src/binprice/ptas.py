@@ -23,18 +23,18 @@ large bins), scaled by ``1 - eps``, in expectation.  The units are
 coupled only through those rows.  Dropping the rows (the Lagrangian at
 multiplier 0) bounds the relaxation by the sum of the units' DP optima,
 and the units' optimal threshold policies (``dp.threshold_policy``)
-attain that sum.  So when the expected picks that one sweep per unit at
-multiplier 0 (``dp.sweep``, accepting the ties) carries keep every row
-within its scaled capacity, those policies are an optimal solution of
-the relaxation: the branch returns them with ``lp_kind="dp"`` and builds
-no LP.
+attain that sum.  So when no row's units can make more picks than its
+scaled capacity (``dp.coupled``, the rule the LPs read too), those
+policies keep every row and are an optimal solution of the relaxation:
+the branch returns them with ``lp_kind="dp"`` and builds no LP.
 
-When a row would be exceeded, the branch solves the relaxation's dual
-over the units' DPs (``dp.relax``), one Kelley search per row from the
-sweeps at 0, and mixes each unit's policies that accept and that reject
-the ties at its shift so that every row is kept, and met where its
-multiplier is positive.  The mixture attains the dual value, so it is
-optimal; each state is priced at its acceptance rate
+When a row's units could overfill it, the branch solves the relaxation's
+dual over the units' DPs (``dp.relax``): one Kelley search per row from
+one carried sweep per unit at 0, which stops there where those sweeps
+keep every row.  It mixes each unit's policies that accept and that
+reject the ties at its shift so that every row is kept, and met where
+its multiplier is positive.  The mixture attains the dual value, so it
+is optimal; each state is priced at its acceptance rate
 (``rounding.price_rates``), as an LP point is, and the branch returns
 ``lp_kind="lagrangian"`` with no LP.  Every route runs the per-unit
 pricings behind hard counters at the rows' *original* capacities
@@ -53,10 +53,12 @@ from .model import (
     LaminarInstance,
     Marking,
     ProductionInstance,
+    bind_dynamics,
     large_rows,
     level_atoms,
     small_bins,
     small_units,
+    state_levels,
 )
 from . import dp
 from .rounding import compose_policies, mark_laminar, price_rates
@@ -118,29 +120,22 @@ def _relaxation(inst, cfg: PtasConfig, state_cap,
                 mk: Marking | None = None) -> PtasResult:
     """The relaxation of ``model.small_units`` under ``model.large_rows``
     scaled by ``cfg.capacity_scale``, composed behind the counters: the
-    units' DP threshold policies when their sweeps at 0 keep every row in
-    expectation (``branch="small"`` with no row); else the mixed policies
-    of its dual (``dp.relax``)."""
-    tables = [dp.unit_table(inst, key, state_cap=state_cap)
-              for key in small_units(inst, mk)]
-    units = [table.levels for table in tables]
-    rows = large_rows(inst, mk)
-    lp_kind = "dp"
-    if rows:
-        top, sweeps = dp.zero_sweeps(inst.dists, units)
-        # a unit lies wholly under or outside each row, so its first
-        # position places its picks: do the tie-accepting ones overfill a row
-        if any(sum(picks[0] for table, (_, _, picks) in zip(tables, sweeps)
-                   if table.positions[0] in elements)
-               > cfg.capacity_scale * cap for _, elements, cap in rows):
-            relaxed = dp.relax(inst.dists, units, rows, cfg.capacity_scale,
-                               top, sweeps)
-            policies = _mixed(inst.dists, units, relaxed)
-            objective, lp_kind = relaxed.objective, "lagrangian"
-    if lp_kind == "dp":
+    units' DP threshold policies where ``dp.coupled`` finds that no row
+    can bind (``branch="small"`` with no row); else the mixed policies of
+    its dual (``dp.relax``), from one carried sweep per unit at 0."""
+    keys, rows = small_units(inst, mk), large_rows(inst, mk)
+    units = [state_levels(bind_dynamics(key, inst), state_cap)
+             for key in keys] if rows else ()
+    if dp.coupled(units, rows, cfg.capacity_scale):
+        relaxed = dp.relax(inst.dists, units, rows, cfg.capacity_scale)
+        policies = _mixed(inst.dists, units, relaxed)
+        objective, lp_kind = relaxed.objective, "lagrangian"
+    else:
+        tables = [dp.unit_table(inst, key, state_cap=state_cap)
+                  for key in keys]
         policies = {table.scope: dp.threshold_policy(table)
                     for table in tables}
-        objective = sum(table.optimal for table in tables)
+        objective, lp_kind = sum(table.optimal for table in tables), "dp"
     return PtasResult(policy=compose_policies(inst, policies, mk),
                       branch="large" if rows else "small",
                       objective=objective, lp_kind=lp_kind, marking=mk)

@@ -574,8 +574,7 @@ def per_level_dp_point(num_vars, num_rows, inst, state_cap, blocks, rows,
     units = [dp.unit_table(inst, key, state_cap=state_cap) for key in blocks]
     if rows:
         levels = [table.levels for table in units]
-        relaxed = dp.relax(dists, levels, rows, scale,
-                           *dp.zero_sweeps(dists, levels))
+        relaxed = dp.relax(dists, levels, rows, scale)
         u[num_rows - len(rows):] = relaxed.multipliers
         shifts, sweeps = relaxed.shifts, relaxed.sweeps
         points = per_level_mixed_point(dists, levels, relaxed)
@@ -938,16 +937,14 @@ def reference_build(inst, mk, capacity_scale, state_cap):
         for j, terms in counts:
             model.append_row([i for i, _ in terms] + [j],
                              [pa for _, pa in terms] + [-1.0], "<=", 0.0)
-    unit = {t: key for key, info in blocks.items() for t in info.elements}
-    model.coupled = False
-    for _, elements, cap in large_rows(inst, mk):
+    rows = large_rows(inst, mk)
+    for _, elements, cap in rows:
         terms = ([(j, 1.0) for j, _ in counts] if production
                  else sorted(served(elements)))
         model.append_row([i for i, _ in terms], [c for _, c in terms],
                          "<=", capacity_scale * cap)
-        most = sum(lp._most_picks(blocks[key].states)
-                   for key in {unit[t] for t in elements})
-        model.coupled |= most > capacity_scale * cap
+    model.coupled = dp.coupled([info.states for info in blocks.values()],
+                               rows, capacity_scale)
     for t, dist in enumerate(dists):
         for a, (v, pa) in enumerate(dist.atoms):
             model.add_objective_term(xm[t] + a, pa * v)

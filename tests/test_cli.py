@@ -535,6 +535,43 @@ def test_search_flag_reports_result(tmp_path):
     assert json.loads(out)["counterexample"] == "no hit"
 
 
+def search_production(n):
+    """A production document of ``n`` buyers of one type valued as
+    criterion 8's elements, uniform on ``{0, 2}`` but the third on
+    ``{0, 1}``."""
+    return {"kind": "production",
+            "elements": [{"dist": [[0.0, 0.5], [1.0 if e == 2 else 2.0, 0.5]]}
+                         for e in range(n)],
+            "types": [0] * n, "days": [0] * n,
+            "production": {"0": [2]}, "shipping": 2}
+
+
+def test_search_flag_searches_a_production_document(tmp_path):
+    # the search reads only the distributions: on criterion 8's it finds
+    # the canonical price drop from 1.25 to 1 whatever the document's kind
+    inst = tmp_path / "p.json"
+    inst.write_text(json.dumps(search_production(5)))
+    code, out, _ = run_cli(["verify", "--instance", str(inst), "--search",
+                            "--trials", "100", "--seed", "1"])
+    assert code == 0
+    hits = json.loads(out)["counterexample"]
+    assert hits and all(h["price_after_pick"] < h["price_after_skip"]
+                        for h in hits)
+    assert any(h["price_after_pick"] == 1.0 and h["price_after_skip"] == 1.25
+               for h in hits)
+
+
+def test_search_flag_reports_not_searched_past_its_bound(tmp_path):
+    n = harness.SEARCH_MAX_ELEMENTS + 1
+    inst = tmp_path / "p.json"
+    inst.write_text(json.dumps(search_production(n)))
+    code, out, _ = run_cli(["verify", "--instance", str(inst), "--search",
+                            "--trials", "100", "--seed", "1"])
+    assert code == 0
+    assert json.loads(out)["counterexample"] == (
+        f"not searched ({n} elements > {harness.SEARCH_MAX_ELEMENTS})")
+
+
 def test_verify_checks_types_beyond_the_per_subset_limit(tmp_path):
     # 14 buyers of one type: the summed cylinder and concavity checks run,
     # only the 2^14-subset detail is skipped

@@ -5,10 +5,10 @@ settings, the full DP, the exact and the bound LP, the cylinder and
 concavity checks, ``simulate`` and the prophet samples) enumerate each
 unit's states once and solve each unit's DP once, since the instance's
 store keeps its laminar form, its dynamics, their levels and each unit's
-shift-0 table.  The PTAS's large branch sweeps each unit once at
-multiplier 0 to pick its route, and the dual search (the PTAS's, or that
-of a coupled LP's DP point) sweeps its units at 0 and at each further
-multiplier it tries; neither keeps these sweeps.  What the store shares refuses writes, and running the calls
+shift-0 table.  A coupled relaxation (``dp.coupled``) reads no unit's
+table: its dual search (the PTAS's, or that of an LP's DP point) sweeps
+its units at 0 and at each further multiplier it tries, and keeps none of
+these sweeps.  What the store shares refuses writes, and running the calls
 again, or on a fresh equal instance, gives the same bytes.
 """
 
@@ -82,8 +82,8 @@ def count_kernel_calls(monkeypatch) -> collections.Counter:
     """Count the level-by-level kernels' calls by the scope of the
     dynamics they run for: ``model``'s enumeration grows one level per
     arrival, ``dp``'s backward induction solves one, counted under
-    ``dual`` where it carries the PTAS's expected picks, keyed also by
-    whether it runs at multiplier 0; and count the production-to-laminar
+    ``dual`` where it carries a dual search's expected picks, keyed also
+    by whether it runs at multiplier 0; and count the production-to-laminar
     conversions."""
     calls = collections.Counter()
 
@@ -126,15 +126,18 @@ def test_derived_forms_solve_each_unit_once(monkeypatch):
         for (kernel, key), count in calls.items():
             arrivals = len(bind_dynamics(key, inst).elements)
             assert count == arrivals, (kernel, key, count, arrivals)
+        # a coupled relaxation's units build no plain table: the laminar
+        # instance's are read only by the dual searches of the PTAS and of
+        # the bound LP, while the production instance's types are read by
+        # its uncoupled bound LP and its cylinder checks too
         assert {key for kernel, key in calls if kernel == "binprice.dp"} \
-            == units
-        # each unit of the relaxation sweeps once at multiplier 0, which
-        # picks the route, and once more for the bound LP's DP point where
-        # that LP is coupled; each dual search sweeps it at every further
-        # multiplier it tries.  The production instance's units overfill
-        # its one row, whose dual search stops at 0 (the tie-rejecting
-        # policies fit), and its bound is uncoupled; the laminar one's
-        # nested rows are searched past 0 by the PTAS and the bound alike
+            == (units if production else {"root"})
+        # each dual search sweeps each unit of its relaxation once at
+        # multiplier 0, where it starts, and at every further multiplier
+        # it tries.  The production instance's units overfill its one row,
+        # whose dual search stops at 0 (the tie-rejecting policies fit),
+        # and its bound is uncoupled; the laminar one's nested rows are
+        # searched past 0 by the PTAS and the bound alike
         for key in units - {"root"}:
             arrivals = len(bind_dynamics(key, inst).elements)
             assert dual.pop((key, True)) == (2 - production) * arrivals

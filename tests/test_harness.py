@@ -451,6 +451,15 @@ def test_search_finds_canonical_structure_and_controls():
     assert search_dependency_counterexample([U02, U02]) == []
 
 
+def test_search_refuses_more_elements_than_its_bound():
+    # its families grow exponentially in the element count: past the bound
+    # it raises before building any instance
+    from binprice.harness import SEARCH_MAX_ELEMENTS
+    with pytest.raises(SizingError, match=rf"\({SEARCH_MAX_ELEMENTS + 1} > "
+                       rf"{SEARCH_MAX_ELEMENTS}\)"):
+        search_dependency_counterexample([U02] * (SEARCH_MAX_ELEMENTS + 1))
+
+
 def test_trial_substreams_are_stable():
     from binprice.harness import trial_generator
     a = trial_generator(7, 3).random(4)

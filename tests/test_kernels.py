@@ -1004,7 +1004,9 @@ def hierarchy_route_ptas_policy(entry, cfg):
         return result.policy
     units = [dp.unit_table(inst, key).levels
              for key in model.small_units(inst, result.marking)]
-    top, sweeps = dp.zero_sweeps(inst.dists, units)
+    top = 1.0 + max([0.0, *(v for lv in units for e in lv.dyn.elements
+                            for v in inst.dists[e].values)])
+    sweeps = [dp.sweep(lv, inst.dists, 0.0, dp.TIE_TOL * top) for lv in units]
     if any(sum(picks[1] for lv, (_, _, picks) in zip(units, sweeps)
                if lv.dyn.elements[0] in elements) > cfg.capacity_scale * cap
            for _, elements, cap in rows):

@@ -340,14 +340,16 @@ def test_large_branch_objective_is_the_relaxation_optimum(large_branch_runs):
         assert abs(r.objective - optimum) <= 1e-9
 
 
-def test_large_branch_route_sweeps_each_unit_once_at_zero(corpus,
-                                                         monkeypatch):
-    # one carried sweep per unit at multiplier 0 picks the route, and the
-    # dual search starts from it: no forward pass checks the rows, and
-    # only the dual route's mixture runs the forward kernel
+def test_large_branch_route_sweeps_only_coupled_units_at_zero(corpus,
+                                                             monkeypatch):
+    # dp.coupled picks the route from the units' levels: the DP route
+    # reads each unit's table and runs no carried sweep, and the dual
+    # route sweeps each unit once at multiplier 0, where its search starts,
+    # and reads no unit's table; no forward pass checks the rows, and only
+    # the dual route's mixture runs the forward kernel
     cfg = BENCH_SETTINGS["eps0.2_delta0.6"]
     calls = collections.Counter()
-    sweep, forward_all = dp.sweep, dp.forward_all
+    sweep, forward_all, unit_table = dp.sweep, dp.forward_all, dp.unit_table
 
     def counted_sweep(lv, dists, shift=0.0, tie=None):
         if tie is not None and shift == 0.0:
@@ -358,8 +360,13 @@ def test_large_branch_route_sweeps_each_unit_once_at_zero(corpus,
         calls["forward_all"] += 1
         return forward_all(*args, **kwargs)
 
+    def counted_unit_table(inst, scope, **kwargs):
+        calls["table", scope] += 1
+        return unit_table(inst, scope, **kwargs)
+
     monkeypatch.setattr(dp, "sweep", counted_sweep)
     monkeypatch.setattr(dp, "forward_all", counted_forward_all)
+    monkeypatch.setattr(dp, "unit_table", counted_unit_table)
     routes = collections.Counter()
     for entry in corpus:
         if takes_small_branch(entry, cfg):
@@ -369,8 +376,9 @@ def test_large_branch_route_sweeps_each_unit_once_at_zero(corpus,
         routes[r.lp_kind] += 1
         inst = entry.production if entry.production is not None \
             else entry.laminar
-        assert calls.pop("forward_all", 0) == (r.lp_kind == "lagrangian")
-        assert calls == {("sweep at 0", key): 1
+        dual = r.lp_kind == "lagrangian"
+        assert calls.pop("forward_all", 0) == dual
+        assert calls == {("sweep at 0" if dual else "table", key): 1
                          for key in model.small_units(inst, r.marking)}
     assert routes == {"dp": 65, "lagrangian": 65}
 
@@ -474,6 +482,38 @@ def test_dual_route_stops_at_zero_where_rejecting_ties_fits(dual_route_runs):
             several.append(fits)
     assert at_zero == 6
     assert sorted(several) == [False] * 9 + [True]
+
+
+def overfillable_production():
+    """Two types of one buyer each, whose values are mostly below 0, under
+    shipping 2: the types' most picks (2) overfill the row of 1.6 at scale
+    0.8, while their DP policies sell only to the buyers of 3, 0.4
+    expected sales."""
+    low = DiscreteDistribution.of([(-2.0, 0.6), (-1.0, 0.2), (3.0, 0.2)])
+    return ProductionInstance(dists=(low, low), types=(0, 1), days=(0, 0),
+                              production=((1,), (1,)), shipping=2)
+
+
+def test_dual_route_where_most_picks_overfill_but_dp_policies_fit(
+        monkeypatch):
+    # dp.coupled reads the most picks, so the PTAS solves the dual, which
+    # stops at multiplier 0 with the units' DP optima; the LP of the same
+    # relaxation is coupled too, and its DP point certifies
+    p = overfillable_production()
+    cfg = PtasConfig(epsilon=0.2, delta=0.6)
+    relax, found = dp.relax, []
+    monkeypatch.setattr(dp, "relax", lambda *args: found.append(
+        relax(*args)) or found[-1])
+    with monkeypatch.context() as mp:
+        forbid_lp(mp)
+        r = ptas_production(p, cfg)
+    built = relaxation(p, cfg)
+    sol = lp.solve(built.model)
+    assert built.model.coupled and sol.engine == "certificate"
+    assert [relaxed.multipliers for relaxed in found] == [[0.0], [0.0]]
+    optima = sum(dp.unit_table(p, key).optimal for key in ("type:0", "type:1"))
+    assert r.objective == optima and abs(optima - 1.2) <= 1e-12
+    assert_dual_route(r, p, cfg, sol.objective)
 
 
 def off_dyadic_production():
